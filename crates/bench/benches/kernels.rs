@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot kernels behind the columnar/shuffle fast
-//! paths: SoA fused assignment vs the scalar AoS loop, hash grouping vs
-//! sort-then-group, and varint-delta neighborhood payloads vs raw ids.
+//! paths: SoA fused assignment vs the scalar AoS loop, the k-means map
+//! task per record vs per block, hash grouping vs sort-then-group, and
+//! varint-delta neighborhood payloads vs raw ids.
 //!
 //! These isolate the three optimizations gated end-to-end by
 //! `gepeto-bench compare`; run them with
@@ -8,10 +9,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gepeto::djcluster::EncodedNeighborhood;
-use gepeto::kmeans::nearest_centroid;
+use gepeto::kmeans::{nearest_centroid, KMeansMapper, CENTROIDS_CACHE_KEY};
 use gepeto_geo::{CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa};
-use gepeto_mapred::{group_sorted, group_unsorted};
-use gepeto_model::GeoPoint;
+use gepeto_mapred::{
+    group_sorted, group_unsorted, Counters, DistributedCache, Emitter, JobConfig, Mapper,
+    TaskContext,
+};
+use gepeto_model::{GeoPoint, MobilityTrace, Timestamp};
 use std::hint::black_box;
 
 fn points(n: usize) -> Vec<GeoPoint> {
@@ -72,6 +76,42 @@ fn bench_assignment(c: &mut Criterion) {
                 let mut sums = vec![ClusterSum::default(); cents.len()];
                 let evals = soa.assign_sum_scalar(&cols.lat, &cols.lon, &mut sums);
                 black_box((evals, sums))
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_map_task(c: &mut Criterion) {
+    // One 100k-trace chunk through one k-means map task, as the engine
+    // drives it: the default `map_block` (Algorithm 1, one pair per
+    // record) vs the mapper's fused override (tile gather + SoA kernel,
+    // at most k pairs).
+    let block: Vec<MobilityTrace> = points(100_000)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| MobilityTrace::new(1, p, Timestamp(i as i64)))
+        .collect();
+    let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids(11));
+    let config = JobConfig::new();
+    let counters = Counters::new();
+
+    let mut group = c.benchmark_group("kmeans-map-task-100k-k11");
+    for (name, fused_sums) in [("per-record", false), ("map_block", true)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut mapper = KMeansMapper::new(DistanceMetric::SquaredEuclidean, fused_sums);
+                mapper.setup(&TaskContext {
+                    task_id: 0,
+                    attempt: 1,
+                    config: &config,
+                    cache: &cache,
+                    counters: &counters,
+                });
+                let mut out = Emitter::new();
+                mapper.map_block(0, &block, &mut out);
+                mapper.cleanup(&mut out);
+                black_box(out.into_pairs())
             })
         });
     }
@@ -161,6 +201,7 @@ fn bench_neighborhood_codec(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_assignment,
+    bench_map_task,
     bench_pooled_assignment,
     bench_grouping,
     bench_neighborhood_codec

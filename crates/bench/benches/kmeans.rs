@@ -1,6 +1,7 @@
 //! Table III / §VI benchmarks: one MapReduced k-means iteration across
 //! the paper's grid — distance metric × chunk size × dataset size — plus
-//! the combiner ablation and the sequential baseline.
+//! the per-trace-emit vs in-mapper-fused-sums ablation and the sequential
+//! baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gepeto::prelude::*;
@@ -47,12 +48,16 @@ fn bench_kmeans(c: &mut Criterion) {
             }
         }
     }
-    // Combiner ablation.
+    // Per-trace emit (Table III) vs in-mapper fused sums (the default).
     let dfs = dfs_for(&cluster, &full, scaled_chunk_bytes(32));
     for use_combiner in [false, true] {
         let c2 = cfg(DistanceMetric::SquaredEuclidean, use_combiner);
-        let name = if use_combiner { "with" } else { "without" };
-        group.bench_function(BenchmarkId::new("combiner", name), |b| {
+        let name = if use_combiner {
+            "fused-sums"
+        } else {
+            "per-trace"
+        };
+        group.bench_function(BenchmarkId::new("map-output", name), |b| {
             b.iter(|| {
                 let (next, _) =
                     kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &c2).unwrap();

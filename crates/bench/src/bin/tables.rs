@@ -434,12 +434,12 @@ fn djcluster_cmd() {
     );
 }
 
-/// Ablations: combiner, chunk-size sweep, curve choice.
+/// Ablations: in-mapper fused sums, chunk-size sweep, curve choice.
 fn ablation() {
     let ds = full_dataset();
     let cluster = parapluie();
 
-    // Combiner on/off (§VI related work).
+    // Per-trace emit vs in-mapper fused sums (§VI related work).
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
     let points: Vec<GeoPoint> = ds.iter_traces().map(|t| t.point).collect();
     let centroids = kmeans::initial_centroids(&points, 11, 1);
@@ -458,9 +458,9 @@ fn ablation() {
             kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &cfg).unwrap();
         rows.push(vec![
             if use_combiner {
-                "with combiner"
+                "in-mapper fused sums"
             } else {
-                "no combiner"
+                "per-trace emit"
             }
             .into(),
             format!("{}", stats.sim.shuffle_bytes),
@@ -468,7 +468,7 @@ fn ablation() {
         ]);
     }
     print_table(
-        "Ablation — k-means combiner (§VI related work)",
+        "Ablation — k-means in-mapper fused sums (§VI related work)",
         &["variant", "shuffle bytes", "sim iter s"],
         &rows,
     );
@@ -525,7 +525,7 @@ fn ablation() {
         &["update rule", "shuffle bytes", "sim iter s"],
         &[
             vec![
-                "mean + combiner".into(),
+                "mean + in-mapper fused sums".into(),
                 format!("{}", mean_stats.sim.shuffle_bytes),
                 format!("{:.2}", mean_stats.sim.makespan_s),
             ],

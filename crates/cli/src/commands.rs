@@ -30,7 +30,10 @@ COMMANDS:
                   spills to disk past SIZE bytes per partition (64k/16m/2g)
     kmeans      MapReduce k-means (paper §VI)
                   --k N (11) --distance haversine|sqeuclidean|euclidean|manhattan
-                  --delta D (0.5) --max-iter N (150) --combiner true|false
+                  --delta D (0.5) --max-iter N (150)
+                  --combiner true|false (true): true sums each chunk inside
+                  the map task and shuffles one partial sum per cluster;
+                  false emits one pair per trace (the paper's Algorithm 1)
                   --chunk-kb N (1024) --parapluie true|false
                   --memory-budget SIZE caps in-memory shuffle per partition
     synth       Stream a deterministic synthetic workload through a job
@@ -795,7 +798,7 @@ pub fn synth(args: &Args) -> Result<(), String> {
                 k: args.get_or("k", 11usize)?,
                 max_iterations: args.get_or("max-iter", 5usize)?,
                 seed: args.get_or("seed", 1u64)?,
-                use_combiner: args.get_or("combiner", false)?,
+                use_combiner: args.get_or("combiner", true)?,
                 memory_budget: budget,
                 ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
             };
@@ -835,7 +838,7 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
         convergence_delta: args.get_or("delta", 0.5f64)?,
         max_iterations: args.get_or("max-iter", 150usize)?,
         seed: args.get_or("seed", 1u64)?,
-        use_combiner: args.get_or("combiner", false)?,
+        use_combiner: args.get_or("combiner", true)?,
         memory_budget: memory_budget_from(args)?,
     };
     let policy = retry_policy_from(args)?;

@@ -8,10 +8,19 @@
 //! reached. The initialization "requires no distribution because it is
 //! computationally cheap": k random traces are drawn on a single node.
 //!
-//! The related-work optimization §VI discusses — a **combiner** that
-//! pre-sums each mapper's points locally so only one partial sum per
-//! (mapper, cluster) is shuffled — is available via
-//! [`KMeansConfig::use_combiner`].
+//! The related-work optimization §VI discusses — pre-summing each
+//! mapper's points locally so only one partial sum per (mapper, cluster)
+//! is shuffled — is the default ([`KMeansConfig::use_combiner`]), and it
+//! happens *inside* the map task: [`KMeansMapper`] overrides
+//! [`Mapper::map_block`], gathers the chunk's coordinates tile by tile
+//! into two column buffers and runs the fused SIMD assign + partial-sum
+//! kernel ([`CentroidsSoa::assign_sum`]) over them, so a task emits at
+//! most `k` pairs instead of one per trace. An engine-level
+//! [`gepeto_mapred::Combiner`] was measured first and bought nothing —
+//! the per-trace pairs were still emitted, bucketed and grouped, only
+//! earlier (EXPERIMENTS.md) — which is why the sums are taken before any
+//! pair exists. `use_combiner: false` keeps the paper's Algorithm 1
+//! verbatim (one pair per trace) for the Table III shuffle volumes.
 //!
 //! ```
 //! use gepeto::kmeans::{sequential_kmeans, KMeansConfig};
@@ -33,8 +42,9 @@
 use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa};
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobConfig, JobError,
-    JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, RetryPolicy, RunJournal, TaskContext,
+    map_records, run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobConfig,
+    JobError, JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, RetryPolicy, RunJournal,
+    TaskContext,
 };
 use gepeto_model::{GeoPoint, MobilityTrace};
 use gepeto_telemetry::Recorder;
@@ -61,7 +71,23 @@ pub struct KMeansConfig {
     pub max_iterations: usize,
     /// Seed of the single-node random initialization.
     pub seed: u64,
-    /// Enables the map-side combiner (§VI related work).
+    /// How a map task hands its assignments to the shuffle.
+    ///
+    /// `true` (the default): **in-mapper fused sums** — the task runs the
+    /// SIMD assign + partial-sum kernel over its whole chunk and emits one
+    /// [`PointSum`] per non-empty cluster (§VI related work's combiner,
+    /// taken before any per-trace pair exists).
+    ///
+    /// `false`: **per-trace emit** — the paper's Algorithm 1, one
+    /// `(cluster, point)` pair per trace. Kept because the Table III
+    /// reproduction (`gepeto-bench tables`) needs the shuffle volume the
+    /// cluster simulator was calibrated on; `tests/spill.rs` also uses it
+    /// as its large spilling shuffle.
+    ///
+    /// Both sides fold a cluster's points in chunk order within a task
+    /// and tasks in map order in the reducer, so either is deterministic
+    /// at any thread count; they differ from each other only by
+    /// floating-point reassociation (well under 1e-9°).
     pub use_combiner: bool,
     /// Shuffle memory budget in bytes: iteration jobs whose map output
     /// exceeds it spill sorted runs to local disk instead of holding the
@@ -78,7 +104,7 @@ impl KMeansConfig {
             convergence_delta: 0.5,
             max_iterations: 150,
             seed: 2,
-            use_combiner: false,
+            use_combiner: true,
             memory_budget: None,
         }
     }
@@ -112,7 +138,7 @@ pub struct KMeansResult {
 }
 
 /// Partial sum of points assigned to one cluster — the intermediate
-/// value type. With the combiner enabled, one of these per
+/// value type. With [`KMeansConfig::use_combiner`] on, one of these per
 /// (mapper, cluster) is all that crosses the shuffle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointSum {
@@ -361,9 +387,17 @@ fn max_shift(old: &[GeoPoint], new: &[GeoPoint], metric: DistanceMetric) -> f64 
         .fold(0.0, f64::max)
 }
 
+/// Points per gather tile of the fused mapper: two 32 KiB coordinate
+/// columns, small enough to stay cache-resident between the gather and
+/// the kernel pass. Sums accumulate across tiles in point order, so the
+/// tile size never shows in the result.
+const FUSED_TILE: usize = 4_096;
+
 /// Algorithm 1: the assignment mapper. Loads the centroids in `setup`,
-/// assigns each trace through the columnar [`CentroidsSoa`] kernel, and
-/// (when the combiner is off) emits one `PointSum` per trace.
+/// then either emits one `PointSum` per trace (`map`, the paper's
+/// formulation) or — with fused sums on — overrides `map_block` to run
+/// the fused assign + partial-sum kernel of [`CentroidsSoa`] over the
+/// whole chunk and emit one `PointSum` per non-empty cluster.
 ///
 /// Distance evaluations are accumulated locally and flushed to the
 /// [`builtin::DISTANCE_EVALS`] counter in `cleanup`, so the hot loop
@@ -372,15 +406,25 @@ fn max_shift(old: &[GeoPoint], new: &[GeoPoint], metric: DistanceMetric) -> f64 
 pub struct KMeansMapper {
     metric: DistanceMetric,
     soa: Arc<CentroidsSoa>,
+    /// `Some(points per tile)` selects in-mapper fused sums.
+    fused_tile: Option<usize>,
+    /// Reused coordinate columns of the current tile.
+    lat: Vec<f64>,
+    lon: Vec<f64>,
     distance_evals: u64,
     counters: Option<Counters>,
 }
 
 impl KMeansMapper {
-    fn new(metric: DistanceMetric) -> Self {
+    /// The mapper for `metric`: in-mapper fused sums when `fused_sums`,
+    /// one pair per trace otherwise ([`KMeansConfig::use_combiner`]).
+    pub fn new(metric: DistanceMetric, fused_sums: bool) -> Self {
         Self {
             metric,
             soa: Arc::new(CentroidsSoa::new(&[], metric)),
+            fused_tile: fused_sums.then_some(FUSED_TILE),
+            lat: Vec::new(),
+            lon: Vec::new(),
             distance_evals: 0,
             counters: None,
         }
@@ -410,30 +454,43 @@ impl Mapper<MobilityTrace> for KMeansMapper {
         out.emit(cid, PointSum::of(value.point));
     }
 
+    /// With fused sums on: exactly what the per-record loop followed by an
+    /// in-order per-cluster fold of the chunk would emit (`to_bits`-equal,
+    /// property-tested below), in cluster-id order, empty clusters skipped.
+    fn map_block(
+        &mut self,
+        base_offset: u64,
+        block: &[MobilityTrace],
+        out: &mut Emitter<u32, PointSum>,
+    ) {
+        let Some(tile) = self.fused_tile else {
+            return map_records(self, base_offset, block, out);
+        };
+        let mut sums = vec![ClusterSum::default(); self.soa.len()];
+        for traces in block.chunks(tile) {
+            self.lat.clear();
+            self.lat.extend(traces.iter().map(|t| t.point.lat));
+            self.lon.clear();
+            self.lon.extend(traces.iter().map(|t| t.point.lon));
+            self.distance_evals += self.soa.assign_sum(&self.lat, &self.lon, &mut sums);
+        }
+        for (cid, s) in sums.iter().enumerate().filter(|(_, s)| s.count > 0) {
+            out.emit(
+                cid as u32,
+                PointSum {
+                    lat_sum: s.lat_sum,
+                    lon_sum: s.lon_sum,
+                    count: s.count,
+                },
+            );
+        }
+    }
+
     fn cleanup(&mut self, _out: &mut Emitter<u32, PointSum>) {
         if let Some(c) = &self.counters {
             c.inc(builtin::DISTANCE_EVALS, self.distance_evals);
         }
         self.distance_evals = 0;
-    }
-}
-
-/// The §VI combiner: sums all `PointSum`s a single mapper produced for a
-/// cluster, making the shuffled volume independent of the chunk size.
-#[derive(Clone, Copy)]
-pub struct KMeansCombiner;
-
-impl gepeto_mapred::Combiner<u32, PointSum> for KMeansCombiner {
-    fn combine(&mut self, _key: &u32, values: &[PointSum]) -> Vec<PointSum> {
-        let mut acc = PointSum {
-            lat_sum: 0.0,
-            lon_sum: 0.0,
-            count: 0,
-        };
-        for v in values {
-            acc.add(v);
-        }
-        vec![acc]
     }
 }
 
@@ -809,7 +866,7 @@ fn mapreduce_iteration_inner(
         )
         .set("convergencedelta", cfg.convergence_delta)
         .set("maxIter", cfg.max_iterations);
-    let mapper = KMeansMapper::new(cfg.distance);
+    let mapper = KMeansMapper::new(cfg.distance, cfg.use_combiner);
     let job = MapReduceJob::new(job_name, cluster, dfs, input, mapper, KMeansReducer)
         .reducers(cluster.topology.num_nodes())
         .config(config)
@@ -824,11 +881,7 @@ fn mapreduce_iteration_inner(
         Some(j) => job.durable_with(j.clone(), crate::spill_codecs::centroid_codec()),
         None => job,
     };
-    let result = if cfg.use_combiner {
-        job.with_combiner(KMeansCombiner).run()?
-    } else {
-        job.run()?
-    };
+    let result = job.run()?;
     // Clusters that received no point keep their previous centroid.
     let mut next = centroids.to_vec();
     for (cid, mean) in result.output {
@@ -1072,7 +1125,7 @@ mod tests {
             // initialization can hit local minima, as §VI notes; see also
             // `sequential_kmeans_restarts`).
             seed: 2,
-            use_combiner: false,
+            use_combiner: true,
             memory_budget: None,
         }
     }
@@ -1245,23 +1298,42 @@ mod tests {
         let cluster = Cluster::local(3, 2);
         let mut dfs = trace_dfs(&cluster, 2_048);
         put_dataset(&mut dfs, "pts", &ds).unwrap();
+        let chunks = dfs.num_blocks("pts").unwrap() as u64;
+        assert!(chunks > 1, "want several map tasks");
         let centroids = initial_centroids(&blobs(), 3, 7);
-        let plain_cfg = cfg(DistanceMetric::Haversine);
-        let comb_cfg = KMeansConfig {
-            use_combiner: true,
-            ..plain_cfg.clone()
+        let fused_cfg = cfg(DistanceMetric::Haversine);
+        let per_trace_cfg = KMeansConfig {
+            use_combiner: false,
+            ..fused_cfg.clone()
         };
-        let (a, sa) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &plain_cfg).unwrap();
-        let (b, sb) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &comb_cfg).unwrap();
+        let (a, sa) =
+            mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &per_trace_cfg).unwrap();
+        let (b, sb) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &fused_cfg).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((x.lat - y.lat).abs() < 1e-9);
             assert!((x.lon - y.lon).abs() < 1e-9);
         }
+        // Per-trace emit shuffles one pair per trace; fused sums at most
+        // one per (chunk, cluster).
+        assert_eq!(
+            sa.counters[builtin::MAP_OUTPUT_RECORDS],
+            blobs().len() as u64
+        );
+        assert!(
+            sb.counters[builtin::MAP_OUTPUT_RECORDS] <= centroids.len() as u64 * chunks,
+            "fused sums emitted {} pairs over {chunks} chunks",
+            sb.counters[builtin::MAP_OUTPUT_RECORDS]
+        );
         assert!(
             sb.sim.shuffle_bytes < sa.sim.shuffle_bytes / 2,
-            "combiner shuffle {} vs plain {}",
+            "fused shuffle {} vs per-trace {}",
             sb.sim.shuffle_bytes,
             sa.sim.shuffle_bytes
+        );
+        // Both sides compare every trace against every centroid once.
+        assert_eq!(
+            sa.counters[builtin::DISTANCE_EVALS],
+            sb.counters[builtin::DISTANCE_EVALS]
         );
     }
 
@@ -1404,5 +1476,123 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1_024);
         dfs.put_with_sizer("empty", vec![], |_| 64).unwrap();
         let _ = mapreduce_kmeans(&cluster, &dfs, "empty", &cfg(DistanceMetric::Euclidean));
+    }
+}
+
+#[cfg(test)]
+mod fused_props {
+    use super::*;
+    use gepeto_model::Timestamp;
+    use proptest::prelude::*;
+
+    const ALL_METRICS: [DistanceMetric; 4] = [
+        DistanceMetric::Euclidean,
+        DistanceMetric::SquaredEuclidean,
+        DistanceMetric::Manhattan,
+        DistanceMetric::Haversine,
+    ];
+
+    /// Deterministic point cloud (same generator as the `soa` tests).
+    fn cloud(n: usize, seed: u64) -> Vec<GeoPoint> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| GeoPoint::new(39.0 + 2.0 * next(), 115.0 + 3.0 * next()))
+            .collect()
+    }
+
+    /// One map task over `block`, as the engine runs it; returns the
+    /// emitted pairs and the flushed distance-evaluation count.
+    fn run_task(
+        metric: DistanceMetric,
+        fused_tile: Option<usize>,
+        centroids: &[GeoPoint],
+        block: &[MobilityTrace],
+    ) -> (Vec<(u32, PointSum)>, u64) {
+        let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
+        let config = JobConfig::new();
+        let counters = Counters::new();
+        let mut mapper = KMeansMapper {
+            fused_tile,
+            ..KMeansMapper::new(metric, false)
+        };
+        mapper.setup(&TaskContext {
+            task_id: 0,
+            attempt: 1,
+            config: &config,
+            cache: &cache,
+            counters: &counters,
+        });
+        let mut out = Emitter::new();
+        mapper.map_block(17, block, &mut out);
+        mapper.cleanup(&mut out);
+        (out.into_pairs(), counters.get(builtin::DISTANCE_EVALS))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused `map_block` emits exactly what the per-record mapper
+        /// followed by a per-chunk, in-order, per-cluster fold would:
+        /// same clusters in id order, `to_bits`-equal sums, same counts
+        /// and distance evaluations — for every metric, every lane
+        /// remainder (`n % 4` sweeps 0..4, `n = 0` included), `k` above
+        /// and below the chunk length, duplicated centroids (exact ties)
+        /// and tile sizes that do and do not divide the chunk.
+        #[test]
+        fn map_block_equals_per_record_map_then_in_order_fold(
+            seed in any::<u64>(),
+            blocks in 0usize..24,
+            rem in 0usize..4,
+            k in 1usize..18,
+            dup in 0usize..2,
+            odd_tile in 1usize..40,
+        ) {
+            let n = blocks * 4 + rem;
+            let block: Vec<MobilityTrace> = cloud(n, seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| MobilityTrace::new(1, p, Timestamp(i as i64)))
+                .collect();
+            let mut centroids = cloud(k, seed ^ 0x5bd1_e995);
+            if dup == 1 && k >= 2 {
+                centroids[k - 1] = centroids[0];
+            }
+            for metric in ALL_METRICS {
+                let (pairs, evals) = run_task(metric, None, &centroids, &block);
+                prop_assert_eq!(pairs.len(), n);
+                let mut folded = vec![
+                    PointSum { lat_sum: 0.0, lon_sum: 0.0, count: 0 };
+                    k
+                ];
+                for (cid, v) in &pairs {
+                    folded[*cid as usize].add(v);
+                }
+                let want: Vec<(u32, PointSum)> = folded
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.count > 0)
+                    .map(|(cid, s)| (cid as u32, s))
+                    .collect();
+                // One tile, a tile of whole lane blocks, the production
+                // tile, and an arbitrary one.
+                for tile in [n.max(1), 4, FUSED_TILE, odd_tile] {
+                    let (got, fused_evals) = run_task(metric, Some(tile), &centroids, &block);
+                    prop_assert_eq!(fused_evals, evals);
+                    prop_assert_eq!(got.len(), want.len());
+                    for ((gc, g), (wc, w)) in got.iter().zip(&want) {
+                        prop_assert_eq!(gc, wc);
+                        prop_assert_eq!(g.count, w.count);
+                        prop_assert_eq!(g.lat_sum.to_bits(), w.lat_sum.to_bits());
+                        prop_assert_eq!(g.lon_sum.to_bits(), w.lon_sum.to_bits());
+                    }
+                }
+            }
+        }
     }
 }

@@ -15,8 +15,9 @@
 //! - [`sampling`] — down-sampling as a map-only job (§V, Figures 2–3,
 //!   Table I);
 //! - [`kmeans`] — k-means with one MapReduce job per iteration (§VI,
-//!   Figure 4, Tables II–III), with the related-work combiner
-//!   optimization;
+//!   Figure 4, Tables II–III); by default each map task shuffles one
+//!   partial sum per cluster (the related-work combiner, fused into the
+//!   mapper);
 //! - [`djcluster`] — density-joinable clustering in three phases (§VII,
 //!   Figure 5, Table IV), backed by an R-tree built with MapReduce
 //!   ([`rtree_build`], §VII-C, Figure 6).

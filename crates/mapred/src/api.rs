@@ -55,13 +55,11 @@ impl<K, V> Emitter<K, V> {
         Self::default()
     }
 
-    /// An empty emitter with room for `cap` pairs — used by the engine to
-    /// pre-size map outputs to the input chunk length and avoid growth
-    /// reallocations on the hot path.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            pairs: Vec::with_capacity(cap),
-        }
+    /// Makes room for exactly `additional` more pairs — what the default
+    /// [`Mapper::map_block`] calls with the chunk length, so per-record
+    /// mappers never reallocate in the hot loop.
+    pub fn reserve(&mut self, additional: usize) {
+        self.pairs.reserve_exact(additional);
     }
 
     /// Emits one pair.
@@ -86,8 +84,8 @@ impl<K, V> Emitter<K, V> {
 }
 
 /// The map phase of a job. One instance is cloned per map task, `setup`
-/// runs once per task, then `map` runs for every input record of the
-/// task's chunk, then `cleanup`.
+/// runs once per task, then `map_block` runs once over the task's chunk
+/// (by default: `map` for every input record), then `cleanup`.
 pub trait Mapper<V1>: Clone + Send {
     /// Intermediate key type.
     type KOut: MrKey;
@@ -102,9 +100,40 @@ pub trait Mapper<V1>: Clone + Send {
     /// position within the whole input file (Hadoop's byte-offset key).
     fn map(&mut self, offset: u64, value: &V1, out: &mut Emitter<Self::KOut, Self::VOut>);
 
+    /// Processes the task's whole chunk; `base_offset` is the global
+    /// offset of `block[0]`. The engine calls this once per map task. The
+    /// default is [`map_records`]; a mapper whose work vectorizes or
+    /// pre-aggregates across records (the fused k-means assignment)
+    /// overrides it and emits whatever the per-record loop followed by a
+    /// per-chunk fold would have.
+    fn map_block(
+        &mut self,
+        base_offset: u64,
+        block: &[V1],
+        out: &mut Emitter<Self::KOut, Self::VOut>,
+    ) {
+        map_records(self, base_offset, block, out);
+    }
+
     /// Once-per-task teardown; may emit trailing pairs (used by windowed
     /// mappers to flush their last window).
     fn cleanup(&mut self, _out: &mut Emitter<Self::KOut, Self::VOut>) {}
+}
+
+/// The per-record loop behind the default [`Mapper::map_block`]: reserves
+/// one pair per record (most mappers emit at most that), then calls `map`
+/// on every record with its global offset. Public so that a mapper which
+/// overrides `map_block` for one mode can fall back to it for the other.
+pub fn map_records<V1, M: Mapper<V1>>(
+    mapper: &mut M,
+    base_offset: u64,
+    block: &[V1],
+    out: &mut Emitter<M::KOut, M::VOut>,
+) {
+    out.reserve(block.len());
+    for (j, record) in block.iter().enumerate() {
+        mapper.map(base_offset + j as u64, record, out);
+    }
 }
 
 /// The reduce phase. One instance is cloned per reduce task; `reduce` is

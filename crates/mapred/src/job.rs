@@ -1097,12 +1097,8 @@ where
                 counters,
             };
             m.setup(&ctx);
-            // Most mappers emit at most one pair per record; pre-sizing to
-            // the chunk length avoids growth reallocations in the hot loop.
-            let mut out = Emitter::with_capacity(block.data.len());
-            for (j, record) in block.data.iter().enumerate() {
-                m.map(offsets[task_id] + j as u64, record, &mut out);
-            }
+            let mut out = Emitter::new();
+            m.map_block(offsets[task_id], &block.data, &mut out);
             m.cleanup(&mut out);
             counters.inc(builtin::MAP_INPUT_RECORDS, block.data.len() as u64);
             counters.inc(builtin::MAP_OUTPUT_RECORDS, out.len() as u64);
@@ -1964,6 +1960,99 @@ mod tests {
             .unwrap();
         for (off, v) in result.output {
             assert_eq!(v, off + 100);
+        }
+
+        // A block-level mapper sees each chunk once, at the global offset
+        // of its first record.
+        #[derive(Clone)]
+        struct ChunkProbe;
+        impl Mapper<u64> for ChunkProbe {
+            type KOut = u64;
+            type VOut = (u64, u64);
+            fn map(&mut self, _off: u64, _v: &u64, _out: &mut Emitter<u64, (u64, u64)>) {
+                unreachable!("the engine only calls map_block");
+            }
+            fn map_block(&mut self, base: u64, block: &[u64], out: &mut Emitter<u64, (u64, u64)>) {
+                out.emit(base, (block[0], block.len() as u64));
+            }
+        }
+        let result = MapOnlyJob::new("probe", &cluster, &dfs, "nums", ChunkProbe)
+            .run()
+            .unwrap();
+        assert_eq!(result.output.len(), dfs.num_blocks("nums").unwrap());
+        let mut expected_base = 0;
+        for (base, (first, len)) in result.output {
+            assert_eq!(base, expected_base);
+            assert_eq!(first, base + 100);
+            expected_base += len;
+        }
+        assert_eq!(expected_base, 100);
+    }
+
+    #[test]
+    fn default_map_block_is_the_per_record_loop() {
+        /// The tokenizer with `map_block` spelled out by hand.
+        #[derive(Clone)]
+        struct ExplicitLoop;
+        impl Mapper<String> for ExplicitLoop {
+            type KOut = String;
+            type VOut = u64;
+            fn map(&mut self, _off: u64, w: &String, out: &mut Emitter<String, u64>) {
+                out.emit(w.clone(), 1);
+            }
+            fn map_block(&mut self, base: u64, block: &[String], out: &mut Emitter<String, u64>) {
+                out.reserve(block.len());
+                for (j, w) in block.iter().enumerate() {
+                    self.map(base + j as u64, w, out);
+                }
+            }
+        }
+        // Everything but the process-wide allocator readings, which move
+        // with whatever other tests run concurrently.
+        fn counters(result: &JobResult<String, u64>) -> BTreeMap<String, u64> {
+            let heap = [
+                builtin::MEM_PEAK_BYTES,
+                builtin::MEM_ALLOCATED_BYTES,
+                builtin::MEM_ALLOCS,
+            ];
+            let mut counters = result.stats.counters.clone();
+            counters.retain(|name, _| !heap.contains(&name.as_str()));
+            counters
+        }
+        fn run<M, C>(
+            mapper: M,
+            combiner: Option<C>,
+            budget: Option<usize>,
+        ) -> JobResult<String, u64>
+        where
+            M: Mapper<String, KOut = String, VOut = u64>,
+            C: Combiner<String, u64>,
+        {
+            let cluster = Cluster::local(3, 2);
+            let dfs = word_dfs(&cluster);
+            let job =
+                MapReduceJob::new("wc", &cluster, &dfs, "words", mapper, SumReducer).reducers(2);
+            let job = match budget {
+                Some(bytes) => job.memory_budget(bytes),
+                None => job,
+            };
+            match combiner {
+                Some(c) => job.with_combiner(c).run().unwrap(),
+                None => job.run().unwrap(),
+            }
+        }
+        for budget in [None, Some(1)] {
+            for combine in [false, true] {
+                let combiner = combine.then_some(SumCombiner);
+                let default = run(tokenizer(), combiner.clone(), budget);
+                let explicit = run(ExplicitLoop, combiner, budget);
+                assert_eq!(default.output, explicit.output, "{budget:?} {combine}");
+                assert_eq!(
+                    counters(&default),
+                    counters(&explicit),
+                    "{budget:?} {combine}"
+                );
+            }
         }
     }
 

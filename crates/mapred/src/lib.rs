@@ -80,7 +80,7 @@ pub mod sim;
 pub mod spill;
 pub mod topology;
 
-pub use api::{Combiner, Emitter, FnMapper, Mapper, Reducer, TaskContext};
+pub use api::{map_records, Combiner, Emitter, FnMapper, Mapper, Reducer, TaskContext};
 pub use cache::DistributedCache;
 pub use chaos::{ChaosEvent, ChaosPlan, IoFault, IoFaultPlan};
 pub use commit::{CommitError, CommitReceipt};

@@ -75,6 +75,13 @@ echo "== kernel bench smoke: every micro-bench body runs once =="
 # clean without burning bench minutes.
 cargo test -q -p gepeto-bench --benches
 
+echo "== host-benchmark smoke: the BENCHMARK.json harness builds, runs, self-checks =="
+# Every workload of benchmark/ at ~1/100 size, traced and untraced, each
+# repetition held to its sequential oracle; then the harness's own tests
+# (metric table, workload list and run length pinned to BENCHMARK.json).
+benchmark/run.sh smoke
+(cd benchmark && cargo test --release --offline)
+
 echo "== spill smoke: out-of-core shuffle under a starvation budget =="
 # A synthetic workload forced through the spill/merge path; the
 # exposition must prove the engine actually went out of core.
@@ -128,7 +135,8 @@ echo "== resume smoke: SIGKILL a durable run mid-flight, resume, diff =="
 RESUME_A=target/bench-smoke/run-clean
 RESUME_B=target/bench-smoke/run-killed
 rm -rf "$RESUME_A" "$RESUME_B"
-KM_FLAGS=(--users 40 --scale 0.01 --k 5 --max-iter 40 --delta 0 --memory-budget 1)
+KM_FLAGS=(--users 40 --scale 0.01 --k 5 --max-iter 40 --delta 0 --memory-budget 1
+    --combiner false) # one pair per trace: a shuffle long enough to kill into
 ./target/release/gepeto kmeans "${KM_FLAGS[@]}" --run-dir "$RESUME_A"
 ./target/release/gepeto kmeans "${KM_FLAGS[@]}" --run-dir "$RESUME_B" \
     --trace-out "$RESUME_B/trace.json" &

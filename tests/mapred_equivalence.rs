@@ -72,16 +72,16 @@ fn kmeans_combiner_equivalence_on_generated_data() {
     let dfs = dfs_with_chunks(&cluster, &ds, 16 * 1024);
     let points: Vec<GeoPoint> = ds.iter_traces().map(|t| t.point).collect();
     let centroids = kmeans::initial_centroids(&points, 9, 5);
-    let base = kmeans::KMeansConfig {
+    let fused = kmeans::KMeansConfig {
         k: 9,
         ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
     };
-    let with = kmeans::KMeansConfig {
-        use_combiner: true,
-        ..base.clone()
+    let per_trace = kmeans::KMeansConfig {
+        use_combiner: false,
+        ..fused.clone()
     };
-    let (a, sa) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &base).unwrap();
-    let (b, sb) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &with).unwrap();
+    let (a, sa) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &per_trace).unwrap();
+    let (b, sb) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &fused).unwrap();
     for (x, y) in a.iter().zip(&b) {
         assert!((x.lat - y.lat).abs() < 1e-9 && (x.lon - y.lon).abs() < 1e-9);
     }

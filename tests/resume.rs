@@ -27,8 +27,9 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// A k-means run that cannot finish quickly: `--delta 0` never
 /// converges, so it always executes all 40 iterations (each one a
-/// checkpointed MapReduce job), and the 1-byte memory budget keeps
-/// every iteration's shuffle on the spill path.
+/// checkpointed MapReduce job), `--combiner false` shuffles one pair
+/// per trace, and the 1-byte memory budget keeps every iteration's
+/// shuffle on the spill path — the kill has to land mid-run.
 fn kmeans_argv(run_dir: &Path) -> Vec<String> {
     [
         "kmeans",
@@ -44,6 +45,8 @@ fn kmeans_argv(run_dir: &Path) -> Vec<String> {
         "0",
         "--memory-budget",
         "1",
+        "--combiner",
+        "false",
         "--run-dir",
     ]
     .iter()
@@ -157,6 +160,80 @@ fn sigkilled_run_resumes_bit_identically() {
 
     let _ = std::fs::remove_dir_all(clean_dir);
     let _ = std::fs::remove_dir_all(kill_dir);
+}
+
+/// The crash state a SIGKILL leaves, built without a race: a finished
+/// run's journal cut back to the middle of iteration 3 (two of its
+/// reduce partitions journaled, no checkpoint yet) and its OUTPUT
+/// removed. Resume must replay what is journaled, redo the rest and
+/// commit the clean run's bytes — for in-mapper fused sums (the default,
+/// whose runs are too short to kill reliably) and for per-trace emit.
+#[test]
+fn journal_cut_mid_iteration_resumes_bit_identically() {
+    for combiner in ["true", "false"] {
+        let dir = scratch(&format!("cut-{combiner}"));
+        let argv: Vec<String> = [
+            "kmeans",
+            "--users",
+            "6",
+            "--scale",
+            "0.004",
+            "--k",
+            "3",
+            "--max-iter",
+            "6",
+            "--delta",
+            "0",
+            "--memory-budget",
+            "1",
+            "--combiner",
+            combiner,
+            "--run-dir",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .chain([dir.display().to_string()])
+        .collect();
+        let clean = run(&argv);
+        assert!(
+            clean.status.success(),
+            "{}",
+            String::from_utf8_lossy(&clean.stderr)
+        );
+        let clean_output = output_payload(&dir);
+
+        let journal_path = dir.join("journal.log");
+        let journal = std::fs::read_to_string(&journal_path).unwrap();
+        let is_i003_reduce =
+            |l: &str| l.split(' ').nth(1) == Some("reduce") && l.contains(" kmeans-i003 ");
+        let cut = journal
+            .lines()
+            .position(is_i003_reduce)
+            .expect("iteration 3 committed no reduce partition")
+            + 2;
+        let kept: Vec<&str> = journal.lines().take(cut).collect();
+        assert!(is_i003_reduce(kept[cut - 1]), "{kept:?}");
+        std::fs::write(&journal_path, kept.join("\n") + "\n").unwrap();
+        std::fs::remove_file(dir.join("OUTPUT")).unwrap();
+        assert_eq!(journal_count(&dir, "checkpoint"), 2);
+        assert_eq!(journal_count(&dir, "complete"), 0);
+
+        let resume = run(&["resume".to_string(), dir.display().to_string()]);
+        assert!(
+            resume.status.success(),
+            "resume failed: {}",
+            String::from_utf8_lossy(&resume.stderr)
+        );
+        assert_eq!(
+            output_payload(&dir),
+            clean_output,
+            "--combiner {combiner}: resumed OUTPUT differs from the clean run's"
+        );
+        // Iterations 1–2 were restored from the checkpoint, not re-run.
+        assert_eq!(journal_count(&dir, "checkpoint"), 6);
+        assert_eq!(journal_count(&dir, "complete"), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

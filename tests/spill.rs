@@ -99,37 +99,46 @@ fn spilled_shuffle_output_is_bit_identical_to_in_memory() {
 }
 
 /// k-means under a starvation budget: every iteration's partial-sum
-/// shuffle spills, and the centroids still land on identical bits.
+/// shuffle spills, and the centroids still land on identical bits —
+/// with one pair per trace in the shuffle (the large spill this suite is
+/// about) and with the default in-mapper fused sums.
 #[test]
 fn kmeans_under_budget_matches_in_memory_centroids() {
     let cluster = Cluster::local(4, 2);
     let dfs = synth_dfs(&cluster, 30, 3, 16 * 1024);
-    let base = kmeans::KMeansConfig {
-        k: 4,
-        max_iterations: 4,
-        ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
-    };
-    let starved = kmeans::KMeansConfig {
-        memory_budget: Some(1),
-        ..base.clone()
-    };
-    let clean = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &base).unwrap();
-    let spilled = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &starved).unwrap();
+    for use_combiner in [false, true] {
+        let base = kmeans::KMeansConfig {
+            k: 4,
+            max_iterations: 4,
+            use_combiner,
+            ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
+        };
+        let starved = kmeans::KMeansConfig {
+            memory_budget: Some(1),
+            ..base.clone()
+        };
+        let clean = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &base).unwrap();
+        let spilled = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &starved).unwrap();
 
-    let spill_files: u64 = spilled
-        .per_iteration
-        .iter()
-        .map(|it| counter(&it.job, builtin::SPILL_FILES))
-        .sum();
-    assert!(spill_files > 0, "budgeted k-means never spilled");
-    assert_eq!(clean.iterations, spilled.iterations);
-    let centroid_bits = |r: &kmeans::KMeansResult| -> Vec<(u64, u64)> {
-        r.centroids
+        let spill_files: u64 = spilled
+            .per_iteration
             .iter()
-            .map(|c| (c.lat.to_bits(), c.lon.to_bits()))
-            .collect()
-    };
-    assert_eq!(centroid_bits(&clean), centroid_bits(&spilled));
+            .map(|it| counter(&it.job, builtin::SPILL_FILES))
+            .sum();
+        assert!(spill_files > 0, "budgeted k-means never spilled");
+        assert_eq!(clean.iterations, spilled.iterations);
+        let centroid_bits = |r: &kmeans::KMeansResult| -> Vec<(u64, u64)> {
+            r.centroids
+                .iter()
+                .map(|c| (c.lat.to_bits(), c.lon.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            centroid_bits(&clean),
+            centroid_bits(&spilled),
+            "use_combiner = {use_combiner}"
+        );
+    }
 }
 
 /// Chaos: a datanode dies while the shuffle is spilling. The re-executed

@@ -76,25 +76,31 @@ fn sample_output_is_byte_identical_across_thread_counts() {
 fn kmeans_output_is_byte_identical_across_thread_counts() {
     // Centroid bit patterns are in the OUTPUT digest: any reassociation
     // of the parallel sums would flip low-order mantissa bits and fail.
-    let outs = outputs_at_thread_counts(
-        "kmeans",
-        &[
-            "kmeans",
-            "--users",
-            "8",
-            "--scale",
-            "0.006",
-            "--k",
-            "4",
-            "--max-iter",
-            "6",
-        ],
-        &["1", "4"],
-    );
-    assert_eq!(
-        outs[0], outs[1],
-        "kmeans OUTPUT diverged across thread counts"
-    );
+    // Both map-output modes: in-mapper fused sums (the default) and one
+    // pair per trace.
+    for combiner in ["true", "false"] {
+        let outs = outputs_at_thread_counts(
+            &format!("kmeans-combiner-{combiner}"),
+            &[
+                "kmeans",
+                "--users",
+                "8",
+                "--scale",
+                "0.006",
+                "--k",
+                "4",
+                "--max-iter",
+                "6",
+                "--combiner",
+                combiner,
+            ],
+            &["1", "4"],
+        );
+        assert_eq!(
+            outs[0], outs[1],
+            "kmeans --combiner {combiner} OUTPUT diverged across thread counts"
+        );
+    }
 }
 
 #[test]

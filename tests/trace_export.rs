@@ -101,6 +101,8 @@ fn sigkilled_run_exports_one_stitched_validated_trace() {
         "0",
         "--memory-budget",
         "1",
+        "--combiner",
+        "false",
         "--trace-out",
     ]
     .iter()
