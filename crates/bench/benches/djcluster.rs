@@ -1,10 +1,17 @@
 //! Table IV / §VII benchmarks: the two preprocessing jobs, the
-//! neighborhood+merge clustering job, and the end-to-end pipeline.
+//! neighborhood+merge clustering job, the end-to-end pipeline, and the
+//! merge with and without the map tasks' partial merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gepeto::djcluster::{MergeReducer, NeighborhoodMapper, RTREE_CACHE_KEY};
 use gepeto::prelude::*;
 use gepeto_bench::{dfs_for, parapluie, scaled_chunk_bytes};
+use gepeto_geo::RTree;
+use gepeto_mapred::{
+    map_records, Counters, DistributedCache, Emitter, JobConfig, Mapper, Reducer, TaskContext,
+};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_djcluster(c: &mut Criterion) {
     let ds = gepeto_bench::dataset(178, 0.01);
@@ -61,6 +68,40 @@ fn bench_djcluster(c: &mut Criterion) {
             )
         })
     });
+
+    // One map task over the whole preprocessed file, then the single
+    // reducer: Algorithm 4 as published (a neighborhood per dense trace,
+    // what the per-record `map` still emits) vs the tiled partial merge
+    // of `map_block` (a pre-merged component per tile and dwell spot).
+    let mut cache = DistributedCache::new();
+    let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
+    cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
+    let (config, counters) = (JobConfig::new(), Counters::new());
+    for (name, per_trace) in [("merge/per-trace", true), ("merge/partial", false)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut mapper = NeighborhoodMapper::new(&cfg);
+                mapper.setup(&TaskContext {
+                    task_id: 0,
+                    attempt: 1,
+                    config: &config,
+                    cache: &cache,
+                    counters: &counters,
+                });
+                let mut shuffled = Emitter::new();
+                if per_trace {
+                    map_records(&mut mapper, 0, &traces, &mut shuffled);
+                } else {
+                    mapper.map_block(0, &traces, &mut shuffled);
+                }
+                mapper.cleanup(&mut shuffled);
+                let sets: Vec<_> = shuffled.into_pairs().into_iter().map(|(_, v)| v).collect();
+                let mut clusters = Emitter::new();
+                MergeReducer.reduce(&0, &sets, &mut clusters);
+                black_box((sets.len(), clusters.len()))
+            })
+        });
+    }
     group.finish();
 }
 

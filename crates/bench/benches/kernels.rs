@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the hot kernels behind the columnar/shuffle fast
 //! paths: SoA fused assignment vs the scalar AoS loop, the k-means map
-//! task per record vs per block, hash grouping vs sort-then-group, and
-//! varint-delta neighborhood payloads vs raw ids.
+//! task per record vs per block, hash grouping vs sort-then-group,
+//! varint-delta neighborhood payloads vs raw ids, and DJ-Cluster's radius
+//! query and R-tree merge.
 //!
 //! These isolate the three optimizations gated end-to-end by
 //! `gepeto-bench compare`; run them with
@@ -10,7 +11,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gepeto::djcluster::EncodedNeighborhood;
 use gepeto::kmeans::{nearest_centroid, KMeansMapper, CENTROIDS_CACHE_KEY};
-use gepeto_geo::{CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa};
+use gepeto_geo::rtree::radius_bounding_rect;
+use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa, RTree};
 use gepeto_mapred::{
     group_sorted, group_unsorted, Counters, DistributedCache, Emitter, JobConfig, Mapper,
     TaskContext,
@@ -198,12 +200,81 @@ fn bench_neighborhood_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` points in dwell spots of 200 (a 90 m square each, 1.1 km apart):
+/// a 60 m query returns a good share of its spot, as on GeoLife.
+fn dwell_spots(n: usize) -> Vec<(GeoPoint, u64)> {
+    (0..n)
+        .map(|i| {
+            let (spot, j) = (i / 200, i % 200);
+            let p = GeoPoint::new(
+                39.5 + (spot % 100) as f64 * 1e-2 + (j % 15) as f64 * 6e-5,
+                116.0 + (spot / 100) as f64 * 1e-2 + (j / 15) as f64 * 8e-5,
+            );
+            (p, i as u64)
+        })
+        .collect()
+}
+
+fn bench_radius_query(c: &mut Criterion) {
+    // 1 000 queries of 60 m against 100 k points. `naive` is the test the
+    // tree used to run on every candidate inside the bounding rect;
+    // `filter-refine` brackets the Haversine term without trigonometry
+    // and falls back to it only on the disc's edge.
+    let items = dwell_spots(100_000);
+    let queries: Vec<GeoPoint> = items.iter().step_by(100).map(|&(p, _)| p).collect();
+    let tree = RTree::bulk_load(items);
+
+    let mut group = c.benchmark_group("radius-query-60m");
+    group.bench_function("naive", |b| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for &q in &queries {
+                for e in tree.query_rect(&radius_bounding_rect(q, 60.0)) {
+                    hits += usize::from(haversine_m(q, e.point) <= 60.0);
+                }
+            }
+            black_box(hits)
+        })
+    });
+    group.bench_function("filter-refine", |b| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for &q in &queries {
+                tree.for_each_within_radius_m(q, 60.0, |_| hits += 1);
+            }
+            black_box(hits)
+        })
+    });
+    group.finish();
+}
+
+fn bench_rtree_merge(c: &mut Criterion) {
+    // Phase 3 of the MapReduce R-tree build at its default shape: 8
+    // partition trees of 10 k entries. `merge` consumes its inputs, so
+    // the clone is timed on its own and is the floor of the second row.
+    let trees: Vec<RTree<u64>> = dwell_spots(80_000)
+        .chunks(10_000)
+        .map(|part| RTree::bulk_load(part.to_vec()))
+        .collect();
+
+    let mut group = c.benchmark_group("rtree-merge-8x10k");
+    group.bench_function("clone-inputs", |b| {
+        b.iter(|| black_box(trees.clone().len()))
+    });
+    group.bench_function("clone-inputs+merge", |b| {
+        b.iter(|| black_box(RTree::merge(trees.clone()).len()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_assignment,
     bench_map_task,
     bench_pooled_assignment,
     bench_grouping,
-    bench_neighborhood_codec
+    bench_neighborhood_codec,
+    bench_radius_query,
+    bench_rtree_merge
 );
 criterion_main!(kernels);

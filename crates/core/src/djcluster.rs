@@ -15,6 +15,18 @@
 //!    least one trace into clusters (Algorithm 5); the output clusters
 //!    are non-overlapping and hold at least `MinPts` traces each.
 //!
+//! Phases 2 and 3 are one job, and the paper ships one neighborhood per
+//! dense trace from the first to the second. Here no per-trace
+//! neighborhood is ever materialised: map tasks union neighborhoods as
+//! the R-tree returns them and emit one id set per *local component*
+//! (see [`NeighborhoodMapper`]) — the solve-per-partition,
+//! merge-small-summaries shape of *Fast Clustering using MapReduce* — so
+//! Algorithm 5's "centralized" reducer merges a few thousand sets and is
+//! no longer the job's critical path. Joining sets that share a trace is
+//! associative, so the clusters are those of the per-trace shuffle.
+//! Trace ids are global record offsets, kept in dense `u32` arrays; the
+//! driver refuses longer inputs with [`JobError::InputTooLarge`].
+//!
 //! The sequential functions are the exact single-machine references; the
 //! MapReduce clustering phase produces *identical* clusters because
 //! radius queries are exact regardless of how the R-tree was built.
@@ -42,15 +54,16 @@ use gepeto_geo::distance::equirectangular_m;
 use gepeto_geo::RTree;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobError, JobStats,
-    MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, RetryPolicy, TaskContext,
+    run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobError, JobResult,
+    JobStats, MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, RetryPolicy, TaskContext,
 };
 use gepeto_model::{Dataset, MobilityTrace, UserId};
 use gepeto_telemetry::Recorder;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-const RTREE_CACHE_KEY: &str = "djcluster.rtree";
+/// Distributed-cache key under which the driver ships the `RTree<u64>`
+/// over the preprocessed input to the neighborhood mappers.
+pub const RTREE_CACHE_KEY: &str = "djcluster.rtree";
 
 /// DJ-Cluster parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,69 +311,10 @@ pub fn mapreduce_preprocess_with(
     cfg: &DjConfig,
     telemetry: &Recorder,
 ) -> Result<PreprocessStats, JobError> {
-    let span = telemetry.span("djcluster.preprocess", &[("input", input)]);
-    let input_count = dfs.num_records(input)?;
-    let mut jobs = PipelineReport::new();
-
-    // Job 1: filter moving traces.
-    let job1 = MapOnlyJob::new(
-        "dj-filter-moving",
-        cluster,
-        dfs,
-        input,
-        SpeedFilterMapper {
-            threshold: cfg.speed_threshold_mps,
-            state: SpeedFilterState::default(),
-        },
-    )
-    .pair_bytes(|_, t| t.approx_plt_bytes())
-    .telemetry(telemetry.clone())
-    .run()?;
-    let stationary: Vec<MobilityTrace> = job1.output.into_iter().map(|(_, t)| t).collect();
-    let after_speed_filter = stationary.len();
-    jobs.add(job1.stats);
-
-    // Pipeline hop: job 1's output becomes job 2's input.
-    let intermediate = format!("{output}.stationary");
-    if dfs.exists(&intermediate) {
-        dfs.delete(&intermediate)?;
-    }
-    dfs.put_with_sizer(&intermediate, stationary, |t| t.approx_plt_bytes())?;
-
-    // Job 2: remove redundant consecutive traces.
-    let job2 = MapOnlyJob::new(
-        "dj-dedup",
-        cluster,
-        dfs,
-        &intermediate,
-        DedupMapper {
-            threshold_m: cfg.dup_threshold_m,
-            last_kept: None,
-        },
-    )
-    .pair_bytes(|_, t| t.approx_plt_bytes())
-    .telemetry(telemetry.clone())
-    .run()?;
-    let deduped: Vec<MobilityTrace> = job2.output.into_iter().map(|(_, t)| t).collect();
-    let after_dedup = deduped.len();
-    jobs.add(job2.stats);
-
-    if dfs.exists(output) {
-        dfs.delete(output)?;
-    }
-    dfs.put_with_sizer(output, deduped, |t| t.approx_plt_bytes())?;
-    telemetry.point(
-        "djcluster.preprocessed",
-        after_dedup as f64,
-        &[("input", input)],
-    );
-    span.end();
-    Ok(PreprocessStats {
-        input: input_count,
-        after_speed_filter,
-        after_dedup,
-        jobs,
-    })
+    // Without a retry budget the first error is final: the plain run.
+    let once = RetryPolicy::none();
+    mapreduce_preprocess_resilient(cluster, dfs, input, output, cfg, &once, telemetry)
+        .map(|(stats, _)| stats)
 }
 
 /// [`mapreduce_preprocess_with`] hardened for a faulty cluster: each of
@@ -380,58 +334,49 @@ pub fn mapreduce_preprocess_resilient(
     let span = telemetry.span("djcluster.preprocess", &[("input", input)]);
     let input_count = dfs.num_records(input)?;
     let mut jobs = PipelineReport::new();
-    let mut job_retries = 0u64;
 
-    let (job1, r1) = run_with_recovery(
+    // Job 1: filter moving traces.
+    let filter_moving = |name: &str, dfs: &Dfs<MobilityTrace>| {
+        let mapper = SpeedFilterMapper {
+            threshold: cfg.speed_threshold_mps,
+            state: SpeedFilterState::default(),
+        };
+        MapOnlyJob::new(name, cluster, dfs, input, mapper)
+            .pair_bytes(|_, t| t.approx_plt_bytes())
+            .telemetry(telemetry.clone())
+            .run()
+    };
+    let (job1, retries1) = run_with_recovery(
         "dj-filter-moving",
         cluster,
         dfs,
         policy,
         telemetry,
-        |name, dfs| {
-            MapOnlyJob::new(
-                name,
-                cluster,
-                dfs,
-                input,
-                SpeedFilterMapper {
-                    threshold: cfg.speed_threshold_mps,
-                    state: SpeedFilterState::default(),
-                },
-            )
-            .pair_bytes(|_, t| t.approx_plt_bytes())
-            .telemetry(telemetry.clone())
-            .run()
-        },
+        filter_moving,
     )?;
-    job_retries += r1 as u64;
     let stationary: Vec<MobilityTrace> = job1.output.into_iter().map(|(_, t)| t).collect();
     let after_speed_filter = stationary.len();
     jobs.add(job1.stats);
 
+    // Pipeline hop: job 1's output becomes job 2's input.
     let intermediate = format!("{output}.stationary");
     if dfs.exists(&intermediate) {
         dfs.delete(&intermediate)?;
     }
     dfs.put_with_sizer(&intermediate, stationary, |t| t.approx_plt_bytes())?;
 
-    let (job2, r2) =
-        run_with_recovery("dj-dedup", cluster, dfs, policy, telemetry, |name, dfs| {
-            MapOnlyJob::new(
-                name,
-                cluster,
-                dfs,
-                &intermediate,
-                DedupMapper {
-                    threshold_m: cfg.dup_threshold_m,
-                    last_kept: None,
-                },
-            )
+    // Job 2: remove redundant consecutive traces.
+    let dedup = |name: &str, dfs: &Dfs<MobilityTrace>| {
+        let mapper = DedupMapper {
+            threshold_m: cfg.dup_threshold_m,
+            last_kept: None,
+        };
+        MapOnlyJob::new(name, cluster, dfs, &intermediate, mapper)
             .pair_bytes(|_, t| t.approx_plt_bytes())
             .telemetry(telemetry.clone())
             .run()
-        })?;
-    job_retries += r2 as u64;
+    };
+    let (job2, retries2) = run_with_recovery("dj-dedup", cluster, dfs, policy, telemetry, dedup)?;
     let deduped: Vec<MobilityTrace> = job2.output.into_iter().map(|(_, t)| t).collect();
     let after_dedup = deduped.len();
     jobs.add(job2.stats);
@@ -453,7 +398,7 @@ pub fn mapreduce_preprocess_resilient(
             after_dedup,
             jobs,
         },
-        job_retries,
+        u64::from(retries1 + retries2),
     ))
 }
 
@@ -471,16 +416,18 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// A neighborhood's sorted trace ids, delta-encoded as LEB128 varints:
-/// the first id raw, every later one as the gap to its predecessor.
+/// A sorted set of trace ids — a neighborhood or, as the map tasks ship
+/// them, a union of chained neighborhoods — delta-encoded as LEB128
+/// varints: the first id raw, every later one as the gap to its
+/// predecessor.
 ///
-/// Neighborhood ids are dense indexes into the preprocessed input and the
-/// R-tree returns spatially close traces, so the gaps are tiny — one or
-/// two bytes each instead of the eight a raw `u64` costs. The shuffle of
-/// the merge job is *nothing but* neighborhood payloads, so this encoding
-/// directly cuts the job's simulated `shuffle_bytes`; the saving is
-/// surfaced through [`builtin::SHUFFLE_BYTES_SAVED`]. Decoding streams
-/// via [`EncodedNeighborhood::iter`], so the merge reducer never
+/// The ids are dense indexes into the preprocessed input and the R-tree
+/// returns spatially close traces, so the gaps are tiny — one or two
+/// bytes each instead of the eight a raw `u64` costs. The shuffle of the
+/// merge job is *nothing but* these payloads, so the encoding directly
+/// cuts the job's simulated `shuffle_bytes`; the saving is surfaced
+/// through [`builtin::SHUFFLE_BYTES_SAVED`]. Decoding streams via
+/// [`EncodedNeighborhood::iter`], so the merge reducer never
 /// materializes the raw `Vec<u64>` again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedNeighborhood {
@@ -488,8 +435,8 @@ pub struct EncodedNeighborhood {
 }
 
 impl EncodedNeighborhood {
-    /// Encodes an ascending-sorted id list (the mapper sorts before
-    /// emitting, exactly as the uncompressed path did).
+    /// Encodes an ascending-sorted id list (the mapper's union-find
+    /// hands its components out sorted).
     pub fn encode_sorted(ids: &[u64]) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "ids must be sorted");
         let mut bytes = Vec::with_capacity(ids.len() * 2);
@@ -565,19 +512,50 @@ impl Iterator for NeighborhoodIds<'_> {
     }
 }
 
-/// Algorithm 4: the neighborhood mapper. Loads the R-tree in `setup`,
-/// queries each trace's radius-`r` neighborhood, marks sparse traces as
-/// noise (via a counter), and emits `(const, neighborhood)` so a single
-/// reducer sees every neighborhood. Payloads shuffle delta-encoded (see
-/// [`EncodedNeighborhood`]); the bytes saved versus raw ids accumulate
-/// into [`builtin::SHUFFLE_BYTES_SAVED`] on task cleanup.
+/// Traces per tile of [`NeighborhoodMapper::map_block`]. A constant, so
+/// what a map task emits — and with it every counter — does not depend
+/// on the thread count.
+const NEIGHBORHOOD_TILE: usize = 4_096;
+
+/// Algorithm 4 with the merge started early. Loads the R-tree in
+/// `setup`, queries each trace's radius-`r` neighborhood and marks sparse
+/// traces as noise (nothing is emitted for them; the driver counts what
+/// no cluster claims) — but a dense neighborhood is never materialised
+/// and shipped on its own. The task cuts its chunk into
+/// [`NEIGHBORHOOD_TILE`]-trace tiles, runs them on the host pool, unions
+/// each dense neighborhood into the tile's [`UnionFind`] the moment the
+/// query returns, and emits `(const, members)` once per *local
+/// component*: the sorted ids of every trace the tile's dense
+/// neighborhoods chained together. That is exactly the merge
+/// Algorithm 5 would have done on those neighborhoods, so the single
+/// reducer computes the same clusters from a few thousand pre-merged
+/// sets instead of one set per trace. Payloads shuffle delta-encoded
+/// (see [`EncodedNeighborhood`]); the bytes saved versus raw ids
+/// accumulate into [`builtin::SHUFFLE_BYTES_SAVED`] on task cleanup.
 #[derive(Clone)]
 pub struct NeighborhoodMapper {
     radius_m: f64,
     min_pts: usize,
+    /// [`NEIGHBORHOOD_TILE`]; the tests shrink it to their point clouds.
+    tile: usize,
     rtree: Option<Arc<RTree<u64>>>,
     bytes_saved: u64,
     counters: Option<Counters>,
+}
+
+impl NeighborhoodMapper {
+    /// A mapper for `cfg`'s radius and `MinPts`; the R-tree arrives in
+    /// `setup` from the cache entry [`RTREE_CACHE_KEY`].
+    pub fn new(cfg: &DjConfig) -> Self {
+        Self {
+            radius_m: cfg.radius_m,
+            min_pts: cfg.min_pts,
+            tile: NEIGHBORHOOD_TILE,
+            rtree: None,
+            bytes_saved: 0,
+            counters: None,
+        }
+    }
 }
 
 impl Mapper<MobilityTrace> for NeighborhoodMapper {
@@ -595,26 +573,47 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
         self.counters = Some(ctx.counters.clone());
     }
 
+    /// The one-record case of [`Self::map_block`].
     fn map(
         &mut self,
-        _offset: u64,
+        offset: u64,
         value: &MobilityTrace,
         out: &mut Emitter<u8, EncodedNeighborhood>,
     ) {
-        let tree = self.rtree.as_ref().expect("setup ran");
-        let mut neighborhood: Vec<u64> = tree
-            .within_radius_m(value.point, self.radius_m)
-            .iter()
-            .map(|e| e.payload)
-            .collect();
-        if neighborhood.len() < self.min_pts {
-            // markAsNoise: nothing shuffles; the driver counts it.
-            return;
+        self.map_block(offset, std::slice::from_ref(value), out);
+    }
+
+    fn map_block(
+        &mut self,
+        _base_offset: u64,
+        block: &[MobilityTrace],
+        out: &mut Emitter<u8, EncodedNeighborhood>,
+    ) {
+        let tree = self.rtree.as_deref().expect("setup ran");
+        let (radius_m, min_pts) = (self.radius_m, self.min_pts);
+        let tiles: Vec<&[MobilityTrace]> = block.chunks(self.tile).collect();
+        // One union-find per executor, not per tile: a tile hands its
+        // scratch back drained, so which one it borrowed never shows.
+        let scratch: Mutex<Vec<UnionFind>> = Mutex::new(Vec::new());
+        let merged = gepeto_pool::global().map_indexed(tiles.len(), |tile| {
+            let idle = scratch.lock().expect("no tile panicked").pop();
+            let mut uf = idle.unwrap_or_else(|| UnionFind::with_len(tree.len()));
+            uf.join_dense_neighborhoods(tree, tiles[tile], radius_m, min_pts);
+            let (mut components, mut bytes_saved) = (Vec::new(), 0);
+            uf.drain_groups(|members| {
+                let encoded = EncodedNeighborhood::encode_sorted(members);
+                bytes_saved += (8 * members.len()).saturating_sub(encoded.encoded_len());
+                components.push(encoded);
+            });
+            scratch.lock().expect("no tile panicked").push(uf);
+            (components, bytes_saved)
+        });
+        for (components, bytes_saved) in merged {
+            self.bytes_saved += bytes_saved as u64;
+            for encoded in components {
+                out.emit(0, encoded);
+            }
         }
-        neighborhood.sort_unstable();
-        let encoded = EncodedNeighborhood::encode_sorted(&neighborhood);
-        self.bytes_saved += (8 * neighborhood.len()).saturating_sub(encoded.encoded_len()) as u64;
-        out.emit(0, encoded);
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<u8, EncodedNeighborhood>) {
@@ -625,10 +624,13 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
     }
 }
 
-/// Algorithm 5: the single merging reducer — union-find over trace ids
-/// joins every pair of neighborhoods sharing a trace. Neighborhoods are
-/// decoded in place off their varint payloads, and — there being a single
-/// key — the reducer opts out of the shuffle sort.
+/// Algorithm 5: the single merging reducer — a union-find over trace ids
+/// joins every pair of id sets sharing a trace. The sets are the map
+/// tasks' local components (see [`NeighborhoodMapper`]), decoded in place
+/// off their varint payloads; there are a few thousand of them where
+/// there used to be one per dense trace, which is why this "centralized
+/// entity" of the paper is no longer the job's critical path. There
+/// being a single key, the reducer opts out of the shuffle sort.
 #[derive(Clone)]
 pub struct MergeReducer;
 
@@ -637,7 +639,7 @@ impl Reducer<u8, EncodedNeighborhood> for MergeReducer {
     type VOut = Vec<u64>;
 
     /// Every pair lands in the one `key = 0` group and the output is
-    /// sorted internally, so sorted shuffle input buys nothing.
+    /// ordered by the union-find, so sorted shuffle input buys nothing.
     const SORTED_INPUT: bool = false;
 
     fn reduce(
@@ -646,60 +648,157 @@ impl Reducer<u8, EncodedNeighborhood> for MergeReducer {
         values: &[EncodedNeighborhood],
         out: &mut Emitter<u32, Vec<u64>>,
     ) {
+        // The reducer does not know N: the array grows to the largest id.
         let mut uf = UnionFind::default();
-        for neighborhood in values {
-            let mut ids = neighborhood.iter();
-            let Some(first) = ids.next() else {
-                continue;
-            };
-            uf.union(first, first);
-            for id in ids {
-                uf.union(first, id);
-            }
+        for component in values {
+            uf.join(component.iter());
         }
-        let mut clusters: HashMap<u64, Vec<u64>> = HashMap::new();
-        for neighborhood in values {
-            for id in neighborhood {
-                clusters.entry(uf.find(id)).or_default().push(id);
-            }
-        }
-        let mut sorted: Vec<Vec<u64>> = clusters
-            .into_values()
-            .map(|mut members| {
-                members.sort_unstable();
-                members.dedup();
-                members
-            })
-            .collect();
-        sorted.sort();
-        for (i, members) in sorted.into_iter().enumerate() {
-            out.emit(i as u32, members);
-        }
+        uf.drain_groups(|members| out.emit(out.len() as u32, members.to_vec()));
     }
 }
 
+/// Union-find over dense trace ids — global record offsets `< N ≤
+/// u32::MAX` (the driver checks) — as a plain parent array: no hashing,
+/// and the components come back out of an ascending walk over a bitmap
+/// of the ids it was shown, not a sort of everything it was fed. Shared
+/// by the map tasks' tiles, [`MergeReducer`] and [`sequential_djcluster`].
+///
+/// Links always point at the smaller id, so a component's root is its
+/// smallest member.
 #[derive(Default, Clone)]
 struct UnionFind {
-    parent: HashMap<u64, u64>,
+    /// `parent[id]`, meaningful once `id`'s bit in `seen` is set.
+    parent: Vec<u32>,
+    /// Group number of a root; written and read by `drain_groups` only.
+    slot: Vec<u32>,
+    /// One bit per id: put in a set since the last drain.
+    seen: Vec<u64>,
 }
 
 impl UnionFind {
-    fn find(&mut self, x: u64) -> u64 {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = self.find(p);
-        self.parent.insert(x, root);
-        root
+    /// Room for ids `< n` up front (it still grows on demand).
+    fn with_len(n: usize) -> Self {
+        let mut uf = Self::default();
+        uf.grow(n);
+        uf
     }
 
-    fn union(&mut self, a: u64, b: u64) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(rb, ra);
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        assert!(len <= u32::MAX as usize, "trace ids must fit in u32");
+        self.parent.resize(len, 0);
+        self.slot.resize(len, 0);
+        self.seen.resize(len.div_ceil(64), 0);
+    }
+
+    /// Root of `id`'s set, entering `id` as a singleton the first time it
+    /// is seen.
+    fn find(&mut self, id: u64) -> u32 {
+        let x = id as usize;
+        if x >= self.parent.len() {
+            self.grow(x + 1);
         }
+        let (word, bit) = (x / 64, 1u64 << (x % 64));
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.parent[x] = x as u32;
+        }
+        self.root(x as u32)
+    }
+
+    /// Root of the set the already-seen `id` is in (path halving).
+    fn root(&mut self, id: u32) -> u32 {
+        let mut x = id as usize;
+        while self.parent[x] as usize != x {
+            let grandparent = self.parent[self.parent[x] as usize];
+            self.parent[x] = grandparent;
+            x = grandparent as usize;
+        }
+        x as u32
+    }
+
+    /// Puts all of `ids` into one set.
+    fn join(&mut self, ids: impl IntoIterator<Item = u64>) {
+        let mut ids = ids.into_iter();
+        let Some(first) = ids.next() else {
+            return;
+        };
+        let mut root = self.find(first);
+        for id in ids {
+            let other = self.find(id);
+            if other != root {
+                let (low, high) = (root.min(other), root.max(other));
+                self.parent[high as usize] = low;
+                root = low;
+            }
+        }
+    }
+
+    /// Algorithm 4's loop with the join done on the spot: each trace's
+    /// radius-`r` neighborhood becomes one set if it holds `min_pts` ids
+    /// (the trace's own among them), and is dropped as noise otherwise.
+    fn join_dense_neighborhoods(
+        &mut self,
+        tree: &RTree<u64>,
+        traces: &[MobilityTrace],
+        radius_m: f64,
+        min_pts: usize,
+    ) {
+        let mut ids: Vec<u64> = Vec::new();
+        for trace in traces {
+            ids.clear();
+            tree.for_each_within_radius_m(trace.point, radius_m, |e| ids.push(e.payload));
+            if ids.len() >= min_pts {
+                self.join(ids.iter().copied());
+            }
+        }
+    }
+
+    /// Hands every set to `emit` as its ascending member list, sets in
+    /// order of their smallest member, and forgets them all (the arrays
+    /// stay allocated for the next round).
+    fn drain_groups(&mut self, mut emit: impl FnMut(&[u64])) {
+        let seen = std::mem::take(&mut self.seen);
+        let ascending = || {
+            seen.iter().enumerate().flat_map(|(word, &bits)| {
+                let mut bits = bits;
+                std::iter::from_fn(move || {
+                    let bit = (bits != 0).then(|| bits.trailing_zeros())?;
+                    bits &= bits - 1;
+                    Some(word as u32 * 64 + bit)
+                })
+            })
+        };
+        // A root (its set's minimum) is met before any other member and
+        // is final by then: count the groups' sizes…
+        let mut ends: Vec<usize> = Vec::new();
+        for id in ascending() {
+            let root = self.root(id);
+            self.parent[id as usize] = root;
+            if root == id {
+                self.slot[id as usize] = ends.len() as u32;
+                ends.push(0);
+            }
+            ends[self.slot[root as usize] as usize] += 1;
+        }
+        // …turn them into start offsets, and scatter the members.
+        let mut total = 0;
+        for end in &mut ends {
+            total += std::mem::replace(end, total);
+        }
+        let mut members = vec![0u64; total];
+        for id in ascending() {
+            let cursor = &mut ends[self.slot[self.parent[id as usize] as usize] as usize];
+            members[*cursor] = u64::from(id);
+            *cursor += 1;
+        }
+        let mut start = 0;
+        for end in ends {
+            emit(&members[start..end]);
+            start = end;
+        }
+        self.seen = seen;
+        self.seen.fill(0);
     }
 }
 
@@ -737,67 +836,10 @@ pub fn mapreduce_djcluster_with(
     rtree_cfg: Option<&RTreeBuildConfig>,
     telemetry: &Recorder,
 ) -> Result<(Clustering, DjClusterStats), JobError> {
-    let span = telemetry.span("djcluster.cluster", &[("input", input)]);
-    let (rtree, rtree_report) = {
-        let _rtree_span = telemetry.span("djcluster.rtree", &[]);
-        match rtree_cfg {
-            Some(rc) => {
-                let (t, r) = mapreduce_build_rtree(cluster, dfs, input, rc)?;
-                (t, Some(r))
-            }
-            None => (
-                crate::rtree_build::direct_build_rtree(dfs, input, 16)?,
-                None,
-            ),
-        }
-    };
-    let traces = dfs.read(input)?;
-
-    let cache = {
-        let mut c = DistributedCache::new();
-        c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
-        c
-    };
-    let result = MapReduceJob::new(
-        "dj-cluster",
-        cluster,
-        dfs,
-        input,
-        NeighborhoodMapper {
-            radius_m: cfg.radius_m,
-            min_pts: cfg.min_pts,
-            rtree: None,
-            bytes_saved: 0,
-            counters: None,
-        },
-        MergeReducer,
-    )
-    .reducers(1) // the merge "must be done by a centralized entity"
-    .cache(cache)
-    .pair_bytes(|_, n| n.encoded_len())
-    .telemetry(telemetry.clone())
-    .run()?;
-
-    let clusters: Vec<Vec<MobilityTrace>> = result
-        .output
-        .iter()
-        .map(|(_, members)| members.iter().map(|&id| traces[id as usize]).collect())
-        .collect();
-    let clustered: usize = clusters.iter().map(Vec::len).sum();
-    let noise = traces.len() - clustered;
-    telemetry.point(
-        "djcluster.clusters",
-        clusters.len() as f64,
-        &[("noise", &noise.to_string())],
-    );
-    span.end();
-    Ok((
-        Clustering { clusters, noise },
-        DjClusterStats {
-            cluster_job: result.stats,
-            rtree_report,
-        },
-    ))
+    let submit_once =
+        |name: &str, dfs: &Dfs<MobilityTrace>, job: &mut ClusterJobFn<'_>| Ok((job(name, dfs)?, 0));
+    djcluster_inner(cluster, dfs, input, cfg, rtree_cfg, telemetry, submit_once)
+        .map(|(clustering, stats, _)| (clustering, stats))
 }
 
 /// [`mapreduce_djcluster_with`] hardened for a faulty cluster: the
@@ -815,54 +857,70 @@ pub fn mapreduce_djcluster_resilient(
     policy: &RetryPolicy,
     telemetry: &Recorder,
 ) -> Result<(Clustering, DjClusterStats, u64), JobError> {
+    let recover = |name: &str, dfs: &mut Dfs<MobilityTrace>, job: &mut ClusterJobFn<'_>| {
+        run_with_recovery(name, cluster, dfs, policy, telemetry, job)
+    };
+    djcluster_inner(cluster, dfs, input, cfg, rtree_cfg, telemetry, recover)
+}
+
+/// The neighborhood+merge job as [`djcluster_inner`] hands it to a
+/// submitter: `(job name, dfs)` in, `(cluster number, member ids)` pairs
+/// out — the shape [`run_with_recovery`] re-submits.
+type ClusterJobFn<'a> =
+    dyn FnMut(&str, &Dfs<MobilityTrace>) -> Result<JobResult<u32, Vec<u64>>, JobError> + 'a;
+
+/// Phases 2–3 behind both public drivers: R-tree into the distributed
+/// cache, the one neighborhood+merge job, clusters materialised from
+/// its output. `submit` gets the job's base name, the DFS the way the
+/// caller holds it (shared or exclusive) and the job, decides how often
+/// to run it, and returns the result with the re-submissions that took.
+fn djcluster_inner<D>(
+    cluster: &Cluster,
+    dfs: D,
+    input: &str,
+    cfg: &DjConfig,
+    rtree_cfg: Option<&RTreeBuildConfig>,
+    telemetry: &Recorder,
+    submit: impl FnOnce(
+        &str,
+        D,
+        &mut ClusterJobFn<'_>,
+    ) -> Result<(JobResult<u32, Vec<u64>>, u32), JobError>,
+) -> Result<(Clustering, DjClusterStats, u64), JobError>
+where
+    D: std::ops::Deref<Target = Dfs<MobilityTrace>>,
+{
     let span = telemetry.span("djcluster.cluster", &[("input", input)]);
+    check_ids_fit(dfs.num_records(input)?)?;
     let (rtree, rtree_report) = {
         let _rtree_span = telemetry.span("djcluster.rtree", &[]);
         match rtree_cfg {
             Some(rc) => {
-                let (t, r) = mapreduce_build_rtree(cluster, dfs, input, rc)?;
+                let (t, r) = mapreduce_build_rtree(cluster, &dfs, input, rc)?;
                 (t, Some(r))
             }
             None => (
-                crate::rtree_build::direct_build_rtree(dfs, input, 16)?,
+                crate::rtree_build::direct_build_rtree(&dfs, input, 16)?,
                 None,
             ),
         }
     };
     let traces = dfs.read(input)?;
+
     let cache = {
         let mut c = DistributedCache::new();
         c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
         c
     };
-    let (result, job_retries) = run_with_recovery(
-        "dj-cluster",
-        cluster,
-        dfs,
-        policy,
-        telemetry,
-        |name, dfs| {
-            MapReduceJob::new(
-                name,
-                cluster,
-                dfs,
-                input,
-                NeighborhoodMapper {
-                    radius_m: cfg.radius_m,
-                    min_pts: cfg.min_pts,
-                    rtree: None,
-                    bytes_saved: 0,
-                    counters: None,
-                },
-                MergeReducer,
-            )
-            .reducers(1)
+    let (result, job_retries) = submit("dj-cluster", dfs, &mut |name, dfs| {
+        let mapper = NeighborhoodMapper::new(cfg);
+        MapReduceJob::new(name, cluster, dfs, input, mapper, MergeReducer)
+            .reducers(1) // the merge "must be done by a centralized entity"
             .cache(cache.clone())
             .pair_bytes(|_, n| n.encoded_len())
             .telemetry(telemetry.clone())
             .run()
-        },
-    )?;
+    })?;
 
     let clusters: Vec<Vec<MobilityTrace>> = result
         .output
@@ -883,11 +941,24 @@ pub fn mapreduce_djcluster_resilient(
             cluster_job: result.stats,
             rtree_report,
         },
-        job_retries as u64,
+        u64::from(job_retries),
     ))
 }
 
+/// Trace ids are record offsets `< records`, and every [`UnionFind`]
+/// keeps them in `u32`.
+fn check_ids_fit(records: usize) -> Result<(), JobError> {
+    let limit = u32::MAX as usize;
+    if records > limit {
+        return Err(JobError::InputTooLarge { records, limit });
+    }
+    Ok(())
+}
+
 /// Exact sequential reference for phases 2–3.
+///
+/// # Panics
+/// If `traces` holds more than `u32::MAX` records (ids are kept in `u32`).
 pub fn sequential_djcluster(traces: &[MobilityTrace], cfg: &DjConfig) -> Clustering {
     let items: Vec<(gepeto_model::GeoPoint, u64)> = traces
         .iter()
@@ -895,40 +966,12 @@ pub fn sequential_djcluster(traces: &[MobilityTrace], cfg: &DjConfig) -> Cluster
         .map(|(i, t)| (t.point, i as u64))
         .collect();
     let tree = RTree::bulk_load(items);
-    let mut uf = UnionFind::default();
-    let mut dense: Vec<Vec<u64>> = Vec::new();
-    for t in traces.iter() {
-        let mut n: Vec<u64> = tree
-            .within_radius_m(t.point, cfg.radius_m)
-            .iter()
-            .map(|e| e.payload)
-            .collect();
-        if n.len() < cfg.min_pts {
-            continue;
-        }
-        n.sort_unstable();
-        dense.push(n);
-    }
-    for n in &dense {
-        let first = n[0];
-        for &id in n {
-            uf.union(first, id);
-        }
-    }
-    let mut groups: HashMap<u64, Vec<u64>> = HashMap::new();
-    for n in &dense {
-        for &id in n {
-            groups.entry(uf.find(id)).or_default().push(id);
-        }
-    }
-    let mut clusters: Vec<Vec<MobilityTrace>> = groups
-        .into_values()
-        .map(|mut members| {
-            members.sort_unstable();
-            members.dedup();
-            members.iter().map(|&i| traces[i as usize]).collect()
-        })
-        .collect();
+    let mut uf = UnionFind::with_len(traces.len());
+    uf.join_dense_neighborhoods(&tree, traces, cfg.radius_m, cfg.min_pts);
+    let mut clusters: Vec<Vec<MobilityTrace>> = Vec::new();
+    uf.drain_groups(|members| {
+        clusters.push(members.iter().map(|&i| traces[i as usize]).collect());
+    });
     clusters.sort_by_key(|c: &Vec<MobilityTrace>| {
         c.first().map(|t| (t.user, t.timestamp)).unwrap_or_default()
     });
@@ -960,16 +1003,10 @@ pub fn mapreduce_djcluster_full_with(
     rtree_cfg: Option<&RTreeBuildConfig>,
     telemetry: &Recorder,
 ) -> Result<(Clustering, PreprocessStats, DjClusterStats), JobError> {
-    let span = telemetry.span("djcluster", &[("input", input)]);
-    let pre_name = format!("{input}.preprocessed");
-    if dfs.exists(&pre_name) {
-        dfs.delete(&pre_name)?;
-    }
-    let pre = mapreduce_preprocess_with(cluster, dfs, input, &pre_name, cfg, telemetry)?;
-    let (clustering, stats) =
-        mapreduce_djcluster_with(cluster, dfs, &pre_name, cfg, rtree_cfg, telemetry)?;
-    span.end();
-    Ok((clustering, pre, stats))
+    // Without a retry budget the first error is final: the plain run.
+    let once = RetryPolicy::none();
+    mapreduce_djcluster_full_resilient(cluster, dfs, input, cfg, rtree_cfg, &once, telemetry)
+        .map(|(clustering, pre, stats, _)| (clustering, pre, stats))
 }
 
 /// [`mapreduce_djcluster_full_with`] hardened for a faulty cluster:
@@ -1195,18 +1232,61 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 1_024);
         let pre = sequential_preprocess(&ds, &cfg);
         put_dataset(&mut dfs, "pre", &pre).unwrap();
-        let (_, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
-        let saved = stats.cluster_job.counters[builtin::SHUFFLE_BYTES_SAVED];
+        let (clustering, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+        let job = &stats.cluster_job;
+        // Two dwell spots 2.8 km apart: a map task ships one pre-merged
+        // component per spot its chunk touches, not one neighborhood per
+        // dense trace (27 of them here).
+        let dense = pre.num_traces() - clustering.noise;
+        assert_eq!(clustering.clusters.len(), 2);
+        let shipped = job.counters[builtin::MAP_OUTPUT_RECORDS] as usize;
+        assert!(
+            (2..=2 * job.map_tasks).contains(&shipped) && shipped < dense,
+            "{shipped} components from {} map tasks, {dense} dense traces",
+            job.map_tasks
+        );
+        let saved = job.counters[builtin::SHUFFLE_BYTES_SAVED];
         assert!(saved > 0, "compression saved nothing");
         // The encoded shuffle plus the saving reconstructs the raw size,
         // and the encoding wins by a wide margin on dense indexes.
-        let shuffled = stats.cluster_job.sim.shuffle_bytes;
+        let shuffled = job.sim.shuffle_bytes;
         assert!(
             saved >= 2 * shuffled,
             "saved {saved} vs shuffled {shuffled}"
         );
         // The single-key merge reducer skips the shuffle sort.
-        assert_eq!(stats.cluster_job.counters[builtin::SORT_SKIPPED], 1);
+        assert_eq!(job.counters[builtin::SORT_SKIPPED], 1);
+    }
+
+    #[test]
+    fn union_find_groups_come_out_ascending_and_it_starts_over() {
+        let mut uf = UnionFind::with_len(4);
+        uf.join([7, 3, 9]); // grows past its initial length
+        uf.join([5]);
+        uf.join([1, 2]);
+        uf.join([9, 2, 2]); // chains {3, 7, 9} to {1, 2}
+        uf.join(std::iter::empty());
+        let mut groups: Vec<Vec<u64>> = Vec::new();
+        uf.drain_groups(|members| groups.push(members.to_vec()));
+        assert_eq!(groups, vec![vec![1, 2, 3, 7, 9], vec![5]]);
+        // Drained: the same ids now fall into other sets.
+        uf.join([9, 5]);
+        groups.clear();
+        uf.drain_groups(|members| groups.push(members.to_vec()));
+        assert_eq!(groups, vec![vec![5, 9]]);
+    }
+
+    #[test]
+    fn more_records_than_ids_is_a_typed_error() {
+        assert_eq!(check_ids_fit(u32::MAX as usize), Ok(()));
+        let too_many = u32::MAX as usize + 1;
+        assert_eq!(
+            check_ids_fit(too_many),
+            Err(JobError::InputTooLarge {
+                records: too_many,
+                limit: u32::MAX as usize
+            })
+        );
     }
 
     #[test]
@@ -1246,5 +1326,156 @@ mod tests {
         let clustering = sequential_djcluster(&[], &DjConfig::default());
         assert!(clustering.clusters.is_empty());
         assert_eq!(clustering.noise, 0);
+    }
+}
+
+/// The in-mapper partial merge against the paper's one neighborhood per
+/// trace, and both against the sequential reference.
+#[cfg(test)]
+mod partial_merge_props {
+    use super::*;
+    use crate::dfs_io::trace_dfs;
+    use gepeto_mapred::JobConfig;
+    use gepeto_model::{GeoPoint, Timestamp};
+    use proptest::prelude::*;
+
+    /// `n` traces: three in four scattered 130 m wide around one of
+    /// `spots` dwell spots 220 m apart, the rest strays over a 2 km box —
+    /// at r = 60 m that gives dense, sparse and chained neighborhoods —
+    /// and every `dup`-th trace repeats an earlier position exactly.
+    fn cloud(n: usize, spots: usize, dup: usize, seed: u64) -> Vec<MobilityTrace> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut points: Vec<GeoPoint> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = if i > 0 && i % dup == 0 {
+                points[(next() * i as f64) as usize]
+            } else if next() < 0.25 {
+                GeoPoint::new(39.89 + next() * 0.02, 116.39 + next() * 0.02)
+            } else {
+                let spot = (next() * spots as f64) as usize;
+                GeoPoint::new(
+                    39.9 + spot as f64 * 2e-3 + next() * 1.2e-3,
+                    116.4 + next() * 1.5e-3,
+                )
+            };
+            points.push(p);
+        }
+        points
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| MobilityTrace::new(1 + (i % 3) as u32, p, Timestamp(i as i64)))
+            .collect()
+    }
+
+    /// The clustering job by hand: one map task per `chunk`-trace block
+    /// with `tile`-trace tiles, then the reducer. `tile = 1` makes every
+    /// trace its own tile, i.e. the per-trace emit of Algorithm 4.
+    fn run_job(
+        traces: &[MobilityTrace],
+        cfg: &DjConfig,
+        chunk: usize,
+        tile: usize,
+        per_record: bool,
+    ) -> (Vec<Vec<u64>>, usize) {
+        let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
+        let mut cache = DistributedCache::new();
+        cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
+        let (config, counters) = (JobConfig::new(), Counters::new());
+        let mut shuffled = Vec::new();
+        for (task_id, block) in traces.chunks(chunk).enumerate() {
+            let mut mapper = NeighborhoodMapper {
+                tile,
+                ..NeighborhoodMapper::new(cfg)
+            };
+            mapper.setup(&TaskContext {
+                task_id,
+                attempt: 1,
+                config: &config,
+                cache: &cache,
+                counters: &counters,
+            });
+            let mut out = Emitter::new();
+            let base = (task_id * chunk) as u64;
+            if per_record {
+                gepeto_mapred::map_records(&mut mapper, base, block, &mut out);
+            } else {
+                mapper.map_block(base, block, &mut out);
+            }
+            mapper.cleanup(&mut out);
+            shuffled.extend(out.into_pairs().into_iter().map(|(_, v)| v));
+        }
+        let pairs = shuffled.len();
+        let mut out = Emitter::new();
+        MergeReducer.reduce(&0, &shuffled, &mut out);
+        (
+            out.into_pairs().into_iter().map(|(_, m)| m).collect(),
+            pairs,
+        )
+    }
+
+    fn as_clustering(traces: &[MobilityTrace], clusters: &[Vec<u64>]) -> Clustering {
+        let clusters: Vec<Vec<MobilityTrace>> = clusters
+            .iter()
+            .map(|c| c.iter().map(|&i| traces[i as usize]).collect())
+            .collect();
+        let clustered: usize = clusters.iter().map(Vec::len).sum();
+        Clustering {
+            noise: traces.len() - clustered,
+            clusters,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn partial_merge_equals_per_trace_emit_equals_sequential(
+            seed in any::<u64>(),
+            n in 0usize..300,
+            spots in 1usize..6,
+            dup in 2usize..9,
+            min_pts in 0usize..3,
+            chunks in 1usize..4,
+            odd_tile in 1usize..50,
+        ) {
+            let traces = cloud(n, spots, dup, seed);
+            let cfg = DjConfig { min_pts: [1, 2, 10][min_pts], ..DjConfig::default() };
+            let want = sequential_djcluster(&traces, &cfg);
+            let chunk = n.div_ceil(chunks).max(1);
+
+            // Algorithm 4 as published: one pair per dense trace.
+            let (per_trace, per_trace_pairs) = run_job(&traces, &cfg, chunk, 1, false);
+            let paper = as_clustering(&traces, &per_trace);
+            prop_assert_eq!(paper.canonical_ids(), want.canonical_ids());
+            prop_assert_eq!(paper.noise, want.noise);
+            // `map` is the one-record `map_block`: same pairs either way.
+            let (via_map, via_map_pairs) = run_job(&traces, &cfg, chunk, NEIGHBORHOOD_TILE, true);
+            prop_assert_eq!(&via_map, &per_trace);
+            prop_assert_eq!(via_map_pairs, per_trace_pairs);
+
+            // One tile per chunk, the production tile, a tile dividing the
+            // chunk when it can, and an arbitrary one.
+            for tile in [chunk, NEIGHBORHOOD_TILE, chunk.div_ceil(2), odd_tile] {
+                let (merged, pairs) = run_job(&traces, &cfg, chunk, tile, false);
+                prop_assert_eq!(&merged, &per_trace, "tile {}", tile);
+                prop_assert!(pairs <= per_trace_pairs, "tile {} shipped more", tile);
+            }
+
+            // And through the engine, over as many DFS chunks.
+            let cluster = Cluster::local(2, 2);
+            let trace_bytes = traces.first().map_or(1, MobilityTrace::approx_plt_bytes);
+            let mut dfs = trace_dfs(&cluster, chunk * trace_bytes);
+            dfs.put_with_sizer("pre", traces.clone(), |t| t.approx_plt_bytes()).unwrap();
+            let (mr, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+            prop_assert_eq!(mr.canonical_ids(), want.canonical_ids());
+            prop_assert_eq!(mr.noise, want.noise);
+            prop_assert_eq!(stats.cluster_job.map_tasks, n.div_ceil(chunk).max(1));
+        }
     }
 }

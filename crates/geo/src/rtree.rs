@@ -9,10 +9,11 @@
 //! MapReduce R-tree construction uses to index its partition.
 //!
 //! Queries: rectangle range, radius-in-meters range (bounding-box
-//! prefilter + exact Haversine test), and best-first k-nearest-neighbors
-//! in degree space.
+//! prefilter + exact Haversine test, decided without trigonometry for
+//! every candidate that is not on the disc's very edge), and best-first
+//! k-nearest-neighbors in degree space.
 
-use crate::distance::haversine_m;
+use crate::distance::{haversine_m, EARTH_RADIUS_M};
 use crate::Rect;
 use gepeto_model::GeoPoint;
 use std::cmp::Ordering;
@@ -184,29 +185,49 @@ impl<T> RTree<T> {
 
     /// Merges several trees into one — phase 3 of the paper's MapReduce
     /// R-tree construction ("executed sequentially by a single node due to
-    /// its low computational complexity"). The largest input tree is kept
-    /// and the others' entries are inserted into it.
-    pub fn merge(trees: Vec<RTree<T>>) -> RTree<T>
-    where
-        T: Clone,
-    {
-        let mut trees = trees;
-        if trees.is_empty() {
-            return RTree::new();
-        }
-        let largest = trees
+    /// its low computational complexity"), done the way Cary et al. do it:
+    /// a root is built *over* the partition trees instead of re-inserting
+    /// their entries. Shorter trees are padded with single-child nodes up
+    /// to the tallest one's height (leaves must stay at one depth), then
+    /// the roots are STR-packed level by level like any other node set.
+    /// Cost is `O(p log p)` in the number of trees, independent of how
+    /// many entries they hold; no entry is moved or cloned.
+    ///
+    /// Empty trees are dropped; the node capacity of the result is the
+    /// largest of the inputs' (so no input node can be overfull in it).
+    pub fn merge(trees: Vec<RTree<T>>) -> RTree<T> {
+        let max_entries = trees
             .iter()
-            .enumerate()
-            .max_by_key(|(_, t)| t.len())
-            .map(|(i, _)| i)
-            .unwrap();
-        let mut base = trees.swap_remove(largest);
-        for t in trees {
-            for e in t.iter() {
-                base.insert(e.point, e.payload.clone());
-            }
+            .map(|t| t.max_entries)
+            .max()
+            .unwrap_or(DEFAULT_MAX_ENTRIES);
+        let mut merged = Self::with_max_entries(max_entries);
+        merged.len = trees.iter().map(|t| t.len).sum();
+        let roots: Vec<(usize, Node<T>)> = trees
+            .into_iter()
+            .filter(|t| !t.is_empty())
+            .map(|t| (t.root.height(), t.root))
+            .collect();
+        let Some(tallest) = roots.iter().map(|&(h, _)| h).max() else {
+            return merged;
+        };
+        let mut level: Vec<Node<T>> = roots
+            .into_iter()
+            .map(|(height, mut root)| {
+                for _ in height..tallest {
+                    root = Node::Internal {
+                        mbr: root.mbr(),
+                        children: vec![root],
+                    };
+                }
+                root
+            })
+            .collect();
+        while level.len() > 1 {
+            level = str_pack_internal(level, max_entries);
         }
-        base
+        merged.root = level.pop().expect("at least one non-empty tree");
+        merged
     }
 
     /// All entries whose point falls inside `rect` (inclusive borders).
@@ -225,13 +246,27 @@ impl<T> RTree<T> {
     /// is exact. This is the neighborhood query of DJ-Cluster's second
     /// phase.
     pub fn within_radius_m(&self, center: GeoPoint, radius_m: f64) -> Vec<&Entry<T>> {
+        let mut out = Vec::new();
+        self.for_each_within_radius_m(center, radius_m, |e| out.push(e));
+        out
+    }
+
+    /// [`Self::within_radius_m`] as a visitor: `visit` sees exactly the
+    /// entries that call would return, in the same order, without a
+    /// result vector per query — a caller issuing one query per trace
+    /// keeps one buffer of its own.
+    pub fn for_each_within_radius_m<'a>(
+        &'a self,
+        center: GeoPoint,
+        radius_m: f64,
+        mut visit: impl FnMut(&'a Entry<T>),
+    ) {
         if radius_m < 0.0 || self.is_empty() {
-            return Vec::new();
+            return;
         }
         let rect = radius_bounding_rect(center, radius_m);
-        let mut out = Vec::new();
-        within_radius_rec(&self.root, &rect, center, radius_m, &mut out);
-        out
+        let disc = RadiusTest::new(center, radius_m);
+        within_radius_rec(&self.root, &rect, &disc, &mut visit);
     }
 
     /// The `k` nearest entries to `center` in **degree space** (Euclidean
@@ -656,16 +691,15 @@ fn query_rect_rec<'a, T>(node: &'a Node<T>, rect: &Rect, out: &mut Vec<&'a Entry
 fn within_radius_rec<'a, T>(
     node: &'a Node<T>,
     rect: &Rect,
-    center: GeoPoint,
-    radius_m: f64,
-    out: &mut Vec<&'a Entry<T>>,
+    disc: &RadiusTest,
+    visit: &mut impl FnMut(&'a Entry<T>),
 ) {
     match node {
         Node::Leaf { mbr, entries } => {
             if rect.intersects(mbr) {
                 for e in entries {
-                    if rect.contains_point(e.point) && haversine_m(center, e.point) <= radius_m {
-                        out.push(e);
+                    if rect.contains_point(e.point) && disc.contains(e.point) {
+                        visit(e);
                     }
                 }
             }
@@ -673,10 +707,88 @@ fn within_radius_rec<'a, T>(
         Node::Internal { mbr, children } => {
             if rect.intersects(mbr) {
                 for c in children {
-                    within_radius_rec(c, rect, center, radius_m, out);
+                    within_radius_rec(c, rect, disc, visit);
                 }
             }
         }
+    }
+}
+
+/// `haversine_m(center, p) <= radius_m` for one center and many `p`,
+/// answered by filter-and-refine: identical verdicts, but the
+/// trigonometry runs only for candidates on the disc's very edge.
+///
+/// With `x = Δlat/2`, `y = Δlon/2` (radians, formed exactly as
+/// [`haversine_m`] forms them) the Haversine term is
+/// `h = sin²x + cos lat₁ · cos lat₂ · sin²y`, and `d ≤ r ⇔ h ≤ h*` with
+/// `h* = sin²(r/2R)`. Per candidate, `t² − t⁴/3 ≤ sin²t ≤ t²` and
+/// `|cos lat₂ − cos lat₁| ≤ |Δlat|` bracket `h` from four
+/// multiplications; a candidate whose bracket clears `h*` by the
+/// [`RadiusTest::SHELL`] margin is decided there, the rest go to
+/// `haversine_m` itself. The margin (1e-9 relative) is six orders above
+/// the rounding of either evaluation, so a bracket that clears it cannot
+/// disagree with the reference; inside it the reference *is* the answer.
+struct RadiusTest {
+    center: GeoPoint,
+    radius_m: f64,
+    lat1: f64,
+    lon1: f64,
+    cos_lat1: f64,
+    /// `h` bracket entirely at or below this: inside.
+    accept_below: f64,
+    /// `h` bracket entirely at or above this: outside.
+    reject_above: f64,
+}
+
+impl RadiusTest {
+    /// Relative half-width of the undecided shell around `h*`.
+    const SHELL: f64 = 1e-9;
+
+    fn new(center: GeoPoint, radius_m: f64) -> Self {
+        let lat1 = center.lat.to_radians();
+        let cos_lat1 = lat1.cos();
+        let h_star = (radius_m / (2.0 * EARTH_RADIUS_M)).sin().powi(2);
+        // The brackets are tight, and free of cancellation, only while
+        // every candidate the bounding rect lets through keeps
+        // |Δlat| ≤ cos lat₁ / 2 and |y| ≤ ¼: a centre within two radii of
+        // a pole, or a continental radius, leaves every candidate to the
+        // reference, as does a radius below GPS resolution (`h*` too
+        // close to the denormals for a relative margin to mean much).
+        let bracketed = radius_m >= 1e-3 && cos_lat1 * EARTH_RADIUS_M >= 2.02 * radius_m;
+        let (accept_below, reject_above) = if bracketed {
+            (h_star * (1.0 - Self::SHELL), h_star * (1.0 + Self::SHELL))
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        Self {
+            center,
+            radius_m,
+            lat1,
+            lon1: center.lon.to_radians(),
+            cos_lat1,
+            accept_below,
+            reject_above,
+        }
+    }
+
+    /// For `p` inside `radius_bounding_rect(center, radius_m)` only: the
+    /// brackets assume the rect's limits on Δlat and Δlon.
+    #[inline]
+    fn contains(&self, p: GeoPoint) -> bool {
+        let dlat = p.lat.to_radians() - self.lat1;
+        let dlon = p.lon.to_radians() - self.lon1;
+        let a = (dlat / 2.0) * (dlat / 2.0);
+        let b = (dlon / 2.0) * (dlon / 2.0);
+        let spread = dlat.abs();
+        if a + self.cos_lat1 * (self.cos_lat1 + spread) * b <= self.accept_below {
+            return true;
+        }
+        let h_low =
+            (a - a * a / 3.0) + self.cos_lat1 * (self.cos_lat1 - spread) * (b - b * b / 3.0);
+        if h_low >= self.reject_above {
+            return false;
+        }
+        haversine_m(self.center, p) <= self.radius_m
     }
 }
 
@@ -834,6 +946,107 @@ mod tests {
     fn merge_of_nothing_is_empty() {
         let t: RTree<usize> = RTree::merge(vec![]);
         assert!(t.is_empty());
+    }
+
+    /// Payloads within `r` metres of `c`, sorted.
+    fn radius_ids(t: &RTree<usize>, c: GeoPoint, r: f64) -> Vec<usize> {
+        let mut ids: Vec<usize> = t.within_radius_m(c, r).iter().map(|e| e.payload).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// `grid_points(side)` cut into `parts` runs of consecutive rows'
+    /// worth of points, unequal in size (part `i` holds `i + 1` shares).
+    fn uneven_parts(side: usize, parts: usize) -> Vec<Vec<(GeoPoint, usize)>> {
+        let pts = grid_points(side);
+        let shares = parts * (parts + 1) / 2;
+        let mut out = Vec::new();
+        let mut start = 0;
+        for i in 0..parts {
+            let end = if i + 1 == parts {
+                pts.len()
+            } else {
+                start + pts.len() * (i + 1) / shares
+            };
+            out.push(pts[start..end].to_vec());
+            start = end;
+        }
+        out
+    }
+
+    #[test]
+    fn merge_pads_trees_of_unequal_height_under_one_root() {
+        // 4 entries per node: 1, 2 and 3+ levels among the partitions.
+        let parts = uneven_parts(24, 6);
+        let trees: Vec<RTree<usize>> = parts
+            .iter()
+            .map(|p| RTree::bulk_load_with_max_entries(p.clone(), 4))
+            .collect();
+        let mut heights: Vec<usize> = trees.iter().map(RTree::height).collect();
+        heights.dedup();
+        assert!(heights.len() > 1, "partitions all of height {heights:?}");
+        let tallest = trees.iter().map(RTree::height).max().unwrap();
+        let merged = RTree::merge(trees);
+        assert_eq!(merged.len(), 24 * 24);
+        assert_eq!(merged.max_entries(), 4);
+        assert!(merged.height() > tallest);
+        assert_eq!(merged.check_invariants(), None);
+        assert_eq!(merged.iter().count(), 24 * 24);
+
+        let whole = RTree::bulk_load_with_max_entries(grid_points(24), 4);
+        for (c, r) in [
+            (GeoPoint::new(40.0115, 116.0115), 0.0),
+            (GeoPoint::new(40.0115, 116.0115), 180.0),
+            (GeoPoint::new(40.0, 116.0), 700.0),
+            (GeoPoint::new(40.02, 116.01), 5_000.0),
+        ] {
+            assert_eq!(
+                radius_ids(&merged, c, r),
+                radius_ids(&whole, c, r),
+                "r = {r}"
+            );
+        }
+        // The merged tree is an ordinary R-tree: it still takes inserts.
+        let mut grown = merged;
+        grown.insert(GeoPoint::new(40.5, 116.5), 9_999);
+        assert_eq!(grown.check_invariants(), None);
+        assert_eq!(
+            radius_ids(&grown, GeoPoint::new(40.5, 116.5), 1.0),
+            vec![9_999]
+        );
+    }
+
+    #[test]
+    fn merge_packs_more_trees_than_a_node_holds() {
+        // p = 23 partitions, 4 per node: the roots need two more levels.
+        let parts = uneven_parts(20, 23);
+        let trees: Vec<RTree<usize>> = parts
+            .iter()
+            .map(|p| RTree::bulk_load_with_max_entries(p.clone(), 4))
+            .collect();
+        let merged = RTree::merge(trees);
+        assert_eq!(merged.len(), 400);
+        assert_eq!(merged.check_invariants(), None);
+        let whole = RTree::bulk_load(grid_points(20));
+        let c = GeoPoint::new(40.0095, 116.0095);
+        assert_eq!(radius_ids(&merged, c, 400.0), radius_ids(&whole, c, 400.0));
+        assert!(!radius_ids(&merged, c, 400.0).is_empty());
+    }
+
+    #[test]
+    fn merge_drops_empty_trees_and_keeps_the_widest_node_capacity() {
+        let empty = || RTree::<usize>::with_max_entries(32);
+        let all_empty = RTree::merge(vec![empty(), empty()]);
+        assert!(all_empty.is_empty());
+        assert_eq!(all_empty.max_entries(), 32);
+        assert_eq!(all_empty.check_invariants(), None);
+
+        let only = RTree::bulk_load_with_max_entries(grid_points(5), 4);
+        let (len, height) = (only.len(), only.height());
+        let merged = RTree::merge(vec![empty(), only, empty()]);
+        assert_eq!((merged.len(), merged.height()), (len, height));
+        assert_eq!(merged.max_entries(), 32);
+        assert_eq!(merged.check_invariants(), None);
     }
 
     #[test]

@@ -132,6 +132,75 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// The filter-refine radius test returns what the scan it replaced
+    /// returned — bounding rect, then `haversine_m(..) <= r` — down to
+    /// the last candidate: planted on the disc's edge (`r·(1 ± δ)`, δ
+    /// from 1e-12, i.e. below what the coordinates can resolve, to 1e-6)
+    /// in every direction, on the centre itself, around both poles and
+    /// across the antimeridian, for a zero, a DJ-Cluster and a
+    /// continental radius.
+    #[test]
+    fn radius_query_equals_the_naive_haversine_scan(
+        region in 0usize..4,
+        lat_unit in 0.0f64..1.0,
+        lon_unit in 0.0f64..1.0,
+        planted in prop::collection::vec((0.0f64..360.0, -7i32..=7, 0usize..3), 1..120),
+        strays in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..40),
+    ) {
+        let center = match region {
+            0 => GeoPoint::new(-85.0 + 170.0 * lat_unit, -179.0 + 358.0 * lon_unit),
+            1 => GeoPoint::new(90.0 - 1e-3 * lat_unit * lat_unit, -180.0 + 360.0 * lon_unit),
+            2 => GeoPoint::new(-90.0 + 1e-3 * lat_unit * lat_unit, -180.0 + 360.0 * lon_unit),
+            _ => GeoPoint::new(-60.0 + 120.0 * lat_unit, if lon_unit < 0.5 { 180.0 } else { -180.0 } * (1.0 - 1e-5 * lon_unit)),
+        };
+        const RADII: [f64; 3] = [0.0, 60.0, 5.0e6];
+        // The point `d` metres from `center` on bearing `deg`.
+        let destination = |d: f64, deg: f64| {
+            let (lat1, lon1) = (center.lat.to_radians(), center.lon.to_radians());
+            let (delta, theta) = (d / gepeto_geo::EARTH_RADIUS_M, deg.to_radians());
+            let lat2 = (lat1.sin() * delta.cos() + lat1.cos() * delta.sin() * theta.cos()).asin();
+            let lon2 = lon1
+                + (theta.sin() * delta.sin() * lat1.cos())
+                    .atan2(delta.cos() - lat1.sin() * lat2.sin());
+            let lon2 = (lon2.to_degrees() + 540.0).rem_euclid(360.0) - 180.0;
+            GeoPoint::new(lat2.to_degrees().clamp(-90.0, 90.0), lon2)
+        };
+        let mut pts = vec![center, center];
+        for &(bearing, exp, which) in &planted {
+            // exp = 0 plants exactly on the edge, ±k at r·(1 ± 10^-(13-k)).
+            let delta = match exp {
+                0 => 0.0,
+                k => f64::from(k.signum()) * 10f64.powi(k.abs() - 13),
+            };
+            pts.push(destination(RADII[which] * (1.0 + delta), bearing));
+        }
+        for &(dlat, dlon) in &strays {
+            pts.push(GeoPoint::new(
+                (center.lat + dlat * 2e-3).clamp(-90.0, 90.0),
+                (center.lon + dlon * 2e-3).clamp(-180.0, 180.0),
+            ));
+        }
+        let items: Vec<(GeoPoint, usize)> =
+            pts.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
+        let tree = RTree::bulk_load_with_max_entries(items, 6);
+        for radius in RADII {
+            let mut got: Vec<usize> =
+                tree.within_radius_m(center, radius).iter().map(|e| e.payload).collect();
+            got.sort_unstable();
+            let rect = radius_bounding_rect(center, radius);
+            let want: Vec<usize> = pts.iter().enumerate()
+                .filter(|(_, p)| rect.contains_point(**p) && haversine_m(center, **p) <= radius)
+                .map(|(i, _)| i).collect();
+            prop_assert_eq!(&got, &want, "center {:?} radius {}", center, radius);
+            let mut visited = Vec::new();
+            tree.for_each_within_radius_m(center, radius, |e| visited.push(e.payload));
+            visited.sort_unstable();
+            prop_assert_eq!(visited, want);
+            // The centre's own two copies are always in.
+            prop_assert!(got.starts_with(&[0, 1]));
+        }
+    }
+
     #[test]
     fn rtree_knn_matches_brute_force_set(
         pts in prop::collection::vec(small_point(), 1..150),

@@ -98,6 +98,14 @@ pub enum JobError {
     /// The disk ran out of space (ENOSPC) — retryable with a larger
     /// memory budget, which shrinks the spill footprint.
     DiskFull(String),
+    /// The driver refused the input before submitting anything: it holds
+    /// more records than the algorithm's record ids can number.
+    InputTooLarge {
+        /// Records in the input file.
+        records: usize,
+        /// The most the driver accepts.
+        limit: usize,
+    },
 }
 
 impl From<DfsError> for JobError {
@@ -137,6 +145,12 @@ impl std::fmt::Display for JobError {
             JobError::Spill(e) => write!(f, "shuffle spill failed: {e}"),
             JobError::Io(e) => write!(f, "storage io failed: {e}"),
             JobError::DiskFull(e) => write!(f, "disk full: {e}"),
+            JobError::InputTooLarge { records, limit } => {
+                write!(
+                    f,
+                    "input holds {records} records, more than the {limit} supported"
+                )
+            }
         }
     }
 }

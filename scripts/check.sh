@@ -11,8 +11,9 @@ echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: release build + tests =="
+# --no-fail-fast: one red target must not hide the targets after it.
 cargo build --release
-cargo test -q
+cargo test -q --no-fail-fast
 
 echo "== chaos smoke: fault-injection suite =="
 cargo test -q --test chaos
