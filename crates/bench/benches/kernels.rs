@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the hot kernels behind the columnar/shuffle fast
 //! paths: SoA fused assignment vs the scalar AoS loop, the k-means map
-//! task per record vs per block, hash grouping vs sort-then-group,
-//! varint-delta neighborhood payloads vs raw ids, and DJ-Cluster's radius
-//! query and R-tree merge.
+//! task per record vs per block, hash grouping vs sort-then-group, nested
+//! vs flat reduce groups, `Dataset::from_traces` on user-major vs
+//! interleaved input, varint-delta neighborhood payloads vs raw ids, and
+//! DJ-Cluster's radius query and R-tree merge.
 //!
 //! These isolate the three optimizations gated end-to-end by
 //! `gepeto-bench compare`; run them with
@@ -14,10 +15,10 @@ use gepeto::kmeans::{nearest_centroid, KMeansMapper, CENTROIDS_CACHE_KEY};
 use gepeto_geo::rtree::radius_bounding_rect;
 use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa, RTree};
 use gepeto_mapred::{
-    group_sorted, group_unsorted, Counters, DistributedCache, Emitter, JobConfig, Mapper,
-    TaskContext,
+    group_sorted, group_unsorted, Counters, DistributedCache, Emitter, FlatGroups, JobConfig,
+    Mapper, TaskContext,
 };
-use gepeto_model::{GeoPoint, MobilityTrace, Timestamp};
+use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp};
 use std::hint::black_box;
 
 fn points(n: usize) -> Vec<GeoPoint> {
@@ -164,6 +165,62 @@ fn bench_grouping(c: &mut Criterion) {
     group.finish();
 }
 
+/// 500 k traces of 40 000 users, 12–13 each, user-major and in time
+/// order per user: the by-user regroup's shape, and the DFS layout.
+fn user_major_traces() -> Vec<MobilityTrace> {
+    (0..500_000u32)
+        .map(|i| {
+            let user = i * 2 / 25;
+            let p = GeoPoint::new(39.5 + f64::from(i % 1000) * 1e-3, 116.0);
+            MobilityTrace::new(user, p, Timestamp(i64::from(i) * 60))
+        })
+        .collect()
+}
+
+fn bench_flat_grouping(c: &mut Criterion) {
+    // One key-sorted reduce partition of the by-user regroup. `nested` is
+    // one growing `Vec` per user, `flat` one value column plus bounds;
+    // both consume a fresh clone, so the clone is in both rows.
+    let pairs: Vec<(u32, MobilityTrace)> =
+        user_major_traces().iter().map(|t| (t.user, *t)).collect();
+
+    let mut group = c.benchmark_group("reduce-grouping-500k");
+    group.sample_size(20);
+    group.bench_function("nested", |b| {
+        b.iter(|| {
+            let groups = group_sorted(pairs.clone());
+            black_box(groups.iter().map(|(_, vs)| vs.len()).sum::<usize>())
+        })
+    });
+    group.bench_function("flat", |b| {
+        b.iter(|| {
+            let groups = FlatGroups::sorted(pairs.clone());
+            black_box(groups.iter().map(|(_, vs)| vs.len()).sum::<usize>())
+        })
+    });
+    group.finish();
+}
+
+fn bench_dataset_from_traces(c: &mut Criterion) {
+    // `grouped`: the user-major scan, one run per user. `interleaved`:
+    // the same traces taken 13 apart (a user holds 12–13), so neighbours
+    // never share a user and every trace is a run of its own — the
+    // run-aware builder's worst case.
+    let grouped = user_major_traces();
+    let interleaved: Vec<MobilityTrace> = (0..13)
+        .flat_map(|offset| grouped.iter().skip(offset).step_by(13).copied())
+        .collect();
+
+    let mut group = c.benchmark_group("dataset-from-traces-500k");
+    group.sample_size(20);
+    for (name, traces) in [("grouped", &grouped), ("interleaved", &interleaved)] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(Dataset::from_traces(traces.iter().copied()).num_users()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_neighborhood_codec(c: &mut Criterion) {
     // 100 dense neighborhoods of 500 sorted ids — DJ-Cluster's shuffle.
     let hoods: Vec<Vec<u64>> = (0..100u64)
@@ -273,6 +330,8 @@ criterion_group!(
     bench_map_task,
     bench_pooled_assignment,
     bench_grouping,
+    bench_flat_grouping,
+    bench_dataset_from_traces,
     bench_neighborhood_codec,
     bench_radius_query,
     bench_rtree_merge

@@ -75,7 +75,7 @@ pub struct KMeansConfig {
     ///
     /// `true` (the default): **in-mapper fused sums** — the task runs the
     /// SIMD assign + partial-sum kernel over its whole chunk and emits one
-    /// [`PointSum`] per non-empty cluster (§VI related work's combiner,
+    /// [`ClusterSum`] per non-empty cluster (§VI related work's combiner,
     /// taken before any per-trace pair exists).
     ///
     /// `false`: **per-trace emit** — the paper's Algorithm 1, one
@@ -137,44 +137,6 @@ pub struct KMeansResult {
     pub job_retries: u64,
 }
 
-/// Partial sum of points assigned to one cluster — the intermediate
-/// value type. With [`KMeansConfig::use_combiner`] on, one of these per
-/// (mapper, cluster) is all that crosses the shuffle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointSum {
-    /// Sum of latitudes.
-    pub lat_sum: f64,
-    /// Sum of longitudes.
-    pub lon_sum: f64,
-    /// Number of points accumulated.
-    pub count: u64,
-}
-
-impl PointSum {
-    fn of(p: GeoPoint) -> Self {
-        Self {
-            lat_sum: p.lat,
-            lon_sum: p.lon,
-            count: 1,
-        }
-    }
-
-    fn add(&mut self, other: &Self) {
-        self.lat_sum += other.lat_sum;
-        self.lon_sum += other.lon_sum;
-        self.count += other.count;
-    }
-
-    fn mean(&self) -> Option<GeoPoint> {
-        (self.count > 0).then(|| {
-            GeoPoint::new(
-                self.lat_sum / self.count as f64,
-                self.lon_sum / self.count as f64,
-            )
-        })
-    }
-}
-
 /// Index of the centroid closest to `p` under `metric`.
 pub fn nearest_centroid(p: GeoPoint, centroids: &[GeoPoint], metric: DistanceMetric) -> u32 {
     debug_assert!(!centroids.is_empty());
@@ -231,13 +193,7 @@ const SEQ_CHUNK: usize = 16_384;
 fn sums_to_centroids(sums: &[ClusterSum], centroids: &[GeoPoint]) -> Vec<GeoPoint> {
     sums.iter()
         .zip(centroids)
-        .map(|(s, &old)| {
-            if s.count > 0 {
-                GeoPoint::new(s.lat_sum / s.count as f64, s.lon_sum / s.count as f64)
-            } else {
-                old
-            }
-        })
+        .map(|(s, &old)| s.mean().unwrap_or(old))
         .collect()
 }
 
@@ -394,10 +350,10 @@ fn max_shift(old: &[GeoPoint], new: &[GeoPoint], metric: DistanceMetric) -> f64 
 const FUSED_TILE: usize = 4_096;
 
 /// Algorithm 1: the assignment mapper. Loads the centroids in `setup`,
-/// then either emits one `PointSum` per trace (`map`, the paper's
+/// then either emits one `ClusterSum` per trace (`map`, the paper's
 /// formulation) or — with fused sums on — overrides `map_block` to run
 /// the fused assign + partial-sum kernel of [`CentroidsSoa`] over the
-/// whole chunk and emit one `PointSum` per non-empty cluster.
+/// whole chunk and emit one `ClusterSum` per non-empty cluster.
 ///
 /// Distance evaluations are accumulated locally and flushed to the
 /// [`builtin::DISTANCE_EVALS`] counter in `cleanup`, so the hot loop
@@ -433,7 +389,7 @@ impl KMeansMapper {
 
 impl Mapper<MobilityTrace> for KMeansMapper {
     type KOut = u32;
-    type VOut = PointSum;
+    type VOut = ClusterSum;
 
     fn setup(&mut self, ctx: &TaskContext<'_>) {
         let centroids = ctx.cache.expect::<Vec<GeoPoint>>(CENTROIDS_CACHE_KEY);
@@ -448,10 +404,10 @@ impl Mapper<MobilityTrace> for KMeansMapper {
         self.counters = Some(ctx.counters.clone());
     }
 
-    fn map(&mut self, _offset: u64, value: &MobilityTrace, out: &mut Emitter<u32, PointSum>) {
+    fn map(&mut self, _offset: u64, value: &MobilityTrace, out: &mut Emitter<u32, ClusterSum>) {
         let cid = self.soa.nearest(value.point);
         self.distance_evals += self.soa.len() as u64;
-        out.emit(cid, PointSum::of(value.point));
+        out.emit(cid, ClusterSum::of(value.point));
     }
 
     /// With fused sums on: exactly what the per-record loop followed by an
@@ -461,7 +417,7 @@ impl Mapper<MobilityTrace> for KMeansMapper {
         &mut self,
         base_offset: u64,
         block: &[MobilityTrace],
-        out: &mut Emitter<u32, PointSum>,
+        out: &mut Emitter<u32, ClusterSum>,
     ) {
         let Some(tile) = self.fused_tile else {
             return map_records(self, base_offset, block, out);
@@ -475,18 +431,11 @@ impl Mapper<MobilityTrace> for KMeansMapper {
             self.distance_evals += self.soa.assign_sum(&self.lat, &self.lon, &mut sums);
         }
         for (cid, s) in sums.iter().enumerate().filter(|(_, s)| s.count > 0) {
-            out.emit(
-                cid as u32,
-                PointSum {
-                    lat_sum: s.lat_sum,
-                    lon_sum: s.lon_sum,
-                    count: s.count,
-                },
-            );
+            out.emit(cid as u32, *s);
         }
     }
 
-    fn cleanup(&mut self, _out: &mut Emitter<u32, PointSum>) {
+    fn cleanup(&mut self, _out: &mut Emitter<u32, ClusterSum>) {
         if let Some(c) = &self.counters {
             c.inc(builtin::DISTANCE_EVALS, self.distance_evals);
         }
@@ -503,19 +452,15 @@ impl Mapper<MobilityTrace> for KMeansMapper {
 #[derive(Clone)]
 pub struct KMeansReducer;
 
-impl Reducer<u32, PointSum> for KMeansReducer {
+impl Reducer<u32, ClusterSum> for KMeansReducer {
     type KOut = u32;
     type VOut = GeoPoint;
     const SORTED_INPUT: bool = false;
 
-    fn reduce(&mut self, key: &u32, values: &[PointSum], out: &mut Emitter<u32, GeoPoint>) {
-        let mut acc = PointSum {
-            lat_sum: 0.0,
-            lon_sum: 0.0,
-            count: 0,
-        };
+    fn reduce(&mut self, key: &u32, values: &[ClusterSum], out: &mut Emitter<u32, GeoPoint>) {
+        let mut acc = ClusterSum::default();
         for v in values {
-            acc.add(v);
+            acc.merge(v);
         }
         if let Some(mean) = acc.mean() {
             out.emit(*key, mean);
@@ -872,7 +817,7 @@ fn mapreduce_iteration_inner(
         .config(config)
         .cache(cache)
         .telemetry(telemetry.clone())
-        .pair_bytes(|_, _| std::mem::size_of::<(u32, PointSum)>());
+        .pair_bytes(|_, _| std::mem::size_of::<(u32, ClusterSum)>());
     let job = match cfg.memory_budget {
         Some(bytes) => job.memory_budget_with(bytes, crate::spill_codecs::point_sum_codec()),
         None => job.spill_codec(crate::spill_codecs::point_sum_codec()),
@@ -1242,16 +1187,9 @@ mod tests {
         for metric in [DistanceMetric::SquaredEuclidean, DistanceMetric::Haversine] {
             // The pre-optimization reference: assign, then sum, in input
             // order (one chunk — blobs() is far below the chunk size).
-            let mut sums = vec![
-                PointSum {
-                    lat_sum: 0.0,
-                    lon_sum: 0.0,
-                    count: 0
-                };
-                centroids.len()
-            ];
+            let mut sums = vec![ClusterSum::default(); centroids.len()];
             for &p in &points {
-                sums[nearest_centroid(p, &centroids, metric) as usize].add(&PointSum::of(p));
+                sums[nearest_centroid(p, &centroids, metric) as usize].merge(&ClusterSum::of(p));
             }
             let want: Vec<GeoPoint> = sums
                 .iter()
@@ -1513,7 +1451,7 @@ mod fused_props {
         fused_tile: Option<usize>,
         centroids: &[GeoPoint],
         block: &[MobilityTrace],
-    ) -> (Vec<(u32, PointSum)>, u64) {
+    ) -> (Vec<(u32, ClusterSum)>, u64) {
         let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
         let config = JobConfig::new();
         let counters = Counters::new();
@@ -1566,14 +1504,11 @@ mod fused_props {
             for metric in ALL_METRICS {
                 let (pairs, evals) = run_task(metric, None, &centroids, &block);
                 prop_assert_eq!(pairs.len(), n);
-                let mut folded = vec![
-                    PointSum { lat_sum: 0.0, lon_sum: 0.0, count: 0 };
-                    k
-                ];
+                let mut folded = vec![ClusterSum::default(); k];
                 for (cid, v) in &pairs {
-                    folded[*cid as usize].add(v);
+                    folded[*cid as usize].merge(v);
                 }
-                let want: Vec<(u32, PointSum)> = folded
+                let want: Vec<(u32, ClusterSum)> = folded
                     .into_iter()
                     .enumerate()
                     .filter(|(_, s)| s.count > 0)

@@ -29,7 +29,6 @@
 //! assert_eq!(secs, vec![58, 61]); // Figure 2: latest trace per window
 //! ```
 
-use crate::dfs_io::read_dataset;
 use gepeto_mapred::{
     Cluster, Dfs, Emitter, JobError, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer,
     RunJournal,
@@ -254,26 +253,25 @@ pub fn mapreduce_sample_with(
     Ok((dataset, result.stats))
 }
 
-/// Identity reducer that regroups sampled traces per user — the
-/// reduce-side variant of sampling used when the output should arrive
-/// user-grouped (and the shuffle it adds is what the out-of-core spill
-/// path exercises at scale).
+/// Regroups sampled traces per user — the reduce-side variant of sampling
+/// used when the output should arrive user-grouped (and the shuffle it
+/// adds is what the out-of-core spill path exercises at scale).
+///
+/// Emits what it computes: one `(user, Trail)` per key, the trail copied
+/// out of the partition's value column in a single exactly-sized
+/// allocation inside the (parallel) reduce task and time-sorted there —
+/// the stable sort [`Dataset::from_traces`] would apply to the same
+/// values in the same order. The driver only has to hand the trails to
+/// [`Dataset::from_trails`]; no per-trace pair leaves the reducer.
 #[derive(Clone)]
 pub struct RegroupReducer;
 
 impl Reducer<UserId, MobilityTrace> for RegroupReducer {
     type KOut = UserId;
-    type VOut = MobilityTrace;
+    type VOut = Trail;
 
-    fn reduce(
-        &mut self,
-        key: &UserId,
-        values: &[MobilityTrace],
-        out: &mut Emitter<UserId, MobilityTrace>,
-    ) {
-        for v in values {
-            out.emit(*key, *v);
-        }
+    fn reduce(&mut self, key: &UserId, values: &[MobilityTrace], out: &mut Emitter<UserId, Trail>) {
+        out.emit(*key, Trail::new(*key, values.to_vec()));
     }
 }
 
@@ -331,7 +329,7 @@ fn sample_by_user_inner(
         "sampling-by-user",
         &[("input", input), ("window", &cfg.window_secs.to_string())],
     );
-    let codec = crate::spill_codecs::trace_codec();
+    let shuffle_codec = crate::spill_codecs::trace_codec();
     let job = MapReduceJob::new(
         "sampling-by-user",
         cluster,
@@ -344,16 +342,16 @@ fn sample_by_user_inner(
     .pair_bytes(|_, t| t.approx_plt_bytes())
     .telemetry(telemetry.clone());
     let job = match memory_budget {
-        Some(bytes) => job.memory_budget_with(bytes, codec.clone()),
-        None => job.spill_codec(codec.clone()),
+        Some(bytes) => job.memory_budget_with(bytes, shuffle_codec),
+        None => job.spill_codec(shuffle_codec),
     };
     let job = match journal {
-        Some(j) => job.durable_with(j.clone(), codec),
+        Some(j) => job.durable_with(j.clone(), crate::spill_codecs::trail_codec()),
         None => job,
     };
     let result = job.run()?;
     span.end();
-    let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
+    let dataset = Dataset::from_trails(result.output.into_iter().map(|(_, trail)| trail));
     Ok((dataset, result.stats))
 }
 
@@ -368,7 +366,6 @@ pub fn mapreduce_sample_to_dfs(
 ) -> Result<JobStats, JobError> {
     let (dataset, stats) = mapreduce_sample(cluster, dfs, input, cfg)?;
     dfs.put_with_sizer(output, dataset.to_traces(), |t| t.approx_plt_bytes())?;
-    let _ = read_dataset(dfs, output); // sanity: output is readable
     Ok(stats)
 }
 
@@ -509,6 +506,7 @@ mod tests {
 
     #[test]
     fn sample_by_user_matches_map_only_output() {
+        use gepeto_mapred::counters::builtin;
         let traces: Vec<MobilityTrace> = (0..800).map(|i| tr(1 + (i % 4) as u32, i * 9)).collect();
         let ds = Dataset::from_traces(traces);
         let cluster = Cluster::local(3, 2);
@@ -517,8 +515,23 @@ mod tests {
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
         let (map_only, _) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
         let rec = gepeto_telemetry::Recorder::disabled();
-        let (grouped, _) = mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, None, &rec).unwrap();
-        assert_eq!(grouped, map_only);
+        // In memory and with every partition (and group) forced to disk.
+        for budget in [None, Some(1)] {
+            let (grouped, stats) =
+                mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, budget, &rec).unwrap();
+            assert_eq!(grouped, map_only, "budget {budget:?}");
+            // The reducer emits one trail per user, not one pair per trace.
+            assert_eq!(
+                stats.counters[builtin::REDUCE_OUTPUT_RECORDS],
+                grouped.num_users() as u64,
+                "budget {budget:?}"
+            );
+            assert_eq!(
+                stats.counters[builtin::REDUCE_INPUT_RECORDS],
+                grouped.num_traces() as u64,
+                "budget {budget:?}"
+            );
+        }
     }
 
     #[test]
@@ -543,6 +556,77 @@ mod tests {
         );
         assert!(stats.counters[builtin::SPILLED_BYTES] > 0);
         assert!(!base.counters.contains_key(builtin::SPILL_FILES));
+    }
+
+    #[test]
+    fn durable_by_user_replays_trail_artifacts_and_recomputes_per_trace_ones() {
+        use crate::spill_codecs::trace_codec;
+        use gepeto_mapred::spill::seal_run_at;
+        use gepeto_mapred::{ChaosPlan, JournalEntry};
+        const JOB: &str = "sampling-by-user";
+        let run_dir = std::env::temp_dir().join(format!(
+            "gepeto-by-user-artifacts-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
+        let traces: Vec<MobilityTrace> = (0..800).map(|i| tr(1 + (i % 7) as u32, i * 9)).collect();
+        let ds = Dataset::from_traces(traces);
+        let cluster = Cluster::local(3, 2);
+        let mut dfs = trace_dfs(&cluster, 4_096);
+        put_dataset(&mut dfs, "d", &ds).unwrap();
+        let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
+        let rec = Recorder::disabled();
+        let run = || {
+            mapreduce_sample_by_user_durable(&cluster, &dfs, "d", &cfg, None, &journal, &rec)
+                .unwrap()
+        };
+        let (first, stats) = run();
+        assert_eq!(stats.journal_replayed_tasks, 0);
+        let partitions = journal.committed_reduces(JOB).len() as u64;
+        assert_eq!(partitions, stats.reduce_tasks as u64);
+
+        // What `resume` does: every partition comes back from its artifact.
+        let (replayed, stats) = run();
+        assert_eq!(stats.journal_replayed_tasks, partitions);
+        assert_eq!(replayed, first);
+
+        // An artifact from before the reducer emitted trails: the same
+        // partition as per-trace pairs, sealed and journaled correctly. It
+        // verifies, but does not decode as trails — so it is quarantined
+        // and the partition recomputed, never trusted and never a panic.
+        let (partition, art) = journal
+            .committed_reduces(JOB)
+            .into_iter()
+            .find(|(_, art)| art.records > 0)
+            .expect("a non-empty partition");
+        let trails = gepeto_mapred::spill::load_artifact(
+            &crate::spill_codecs::trail_codec(),
+            &art.path,
+            art.records as u64,
+            art.checksum,
+        )
+        .unwrap();
+        let per_trace: Vec<(UserId, MobilityTrace)> = trails
+            .iter()
+            .flat_map(|(user, trail)| trail.traces().iter().map(|t| (*user, *t)))
+            .collect();
+        let (sealed, _) =
+            seal_run_at(&trace_codec(), &art.path, &per_trace, &ChaosPlan::none()).unwrap();
+        journal
+            .append(&JournalEntry::ReduceCommit {
+                job: JOB.to_string(),
+                partition,
+                path: art.path.display().to_string(),
+                records: per_trace.len(),
+                checksum: sealed.checksum,
+            })
+            .unwrap();
+        let (recomputed, stats) = run();
+        assert_eq!(recomputed, first);
+        assert_eq!(stats.journal_replayed_tasks, partitions - 1);
+        assert!(stats.runs_quarantined >= 1);
+        let _ = std::fs::remove_dir_all(&run_dir);
     }
 
     #[test]

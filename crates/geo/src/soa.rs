@@ -59,10 +59,10 @@ use gepeto_model::GeoPoint;
 /// vector register on AVX2-class hosts (two 128-bit ops elsewhere).
 pub const LANES: usize = 4;
 
-/// Running coordinate sum for one cluster — the fused combiner state.
-///
-/// Mirrors the k-means `PointSum` (sum of latitudes, sum of longitudes,
-/// member count) so partial results can be merged across chunks in order.
+/// Running coordinate sum for one cluster: sum of latitudes, sum of
+/// longitudes, member count. It is both the fused kernel's accumulator and
+/// the k-means jobs' intermediate value, so partial results merge across
+/// tiles, chunks and the shuffle without a conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClusterSum {
     /// Sum of member latitudes, in the order the points were scanned.
@@ -74,6 +74,25 @@ pub struct ClusterSum {
 }
 
 impl ClusterSum {
+    /// The sum holding the single point `p`.
+    pub fn of(p: GeoPoint) -> Self {
+        Self {
+            lat_sum: p.lat,
+            lon_sum: p.lon,
+            count: 1,
+        }
+    }
+
+    /// The mean of the accumulated points; `None` for an empty sum.
+    pub fn mean(&self) -> Option<GeoPoint> {
+        (self.count > 0).then(|| {
+            GeoPoint::new(
+                self.lat_sum / self.count as f64,
+                self.lon_sum / self.count as f64,
+            )
+        })
+    }
+
     /// Folds another partial sum into this one (chunk merge).
     ///
     /// Addition order matters for bit-identity: fold chunk results in

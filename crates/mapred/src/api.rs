@@ -58,6 +58,10 @@ impl<K, V> Emitter<K, V> {
     /// Makes room for exactly `additional` more pairs — what the default
     /// [`Mapper::map_block`] calls with the chunk length, so per-record
     /// mappers never reallocate in the hot loop.
+    ///
+    /// This is `reserve_exact`: it skips the amortised doubling, so call it
+    /// once per task with the task's total, never once per group or per
+    /// record — repeated exact reservations reallocate every time.
     pub fn reserve(&mut self, additional: usize) {
         self.pairs.reserve_exact(additional);
     }
@@ -158,7 +162,12 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
     /// Once-per-task initialization.
     fn setup(&mut self, _ctx: &TaskContext<'_>) {}
 
-    /// Reduces one key group.
+    /// Reduces one key group. `values` holds all of the key's values in
+    /// map-task emission order. For a partition grouped in memory it is a
+    /// slice of the partition's value column (the engine groups flat: one
+    /// column per partition, not one vector per key); a partition merged
+    /// from spill runs hands over one buffer per group. Either way the
+    /// engine owns it: a reducer that keeps the values copies the slice.
     fn reduce(&mut self, key: &K2, values: &[V2], out: &mut Emitter<Self::KOut, Self::VOut>);
 
     /// Once-per-task teardown; may emit trailing pairs (used by the

@@ -24,11 +24,13 @@ use crate::hash::{default_partition, unit_hash, FnvBuildHasher};
 use crate::journal::{JournalEntry, RunJournal};
 use crate::sim::{simulate_chaos, MapTaskSim, ReduceTaskSim, SimError, SimReport};
 use crate::spill::{
-    load_artifact, quarantine_run, sanitize, seal_run, seal_run_at, verify_run, PartitionInput,
-    SealStats, SpillCodec, SpillDir, SpillEncode, SpillRun, SpillSpec, SpilledPartition,
+    concat_buckets, load_artifact, quarantine_run, sanitize, seal_run, seal_run_at, verify_run,
+    PartitionInput, SealStats, SpillCodec, SpillDir, SpillEncode, SpillRun, SpillSpec,
+    SpilledPartition,
 };
 use crate::topology::Cluster;
 use gepeto_telemetry::{LedgerScope, Recorder, Span};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -615,7 +617,11 @@ where
                 reducer.setup(&ctx);
                 let mut out = Emitter::new();
                 match payload {
-                    PartitionInput::Memory(mut pairs) => {
+                    PartitionInput::Memory(buckets) => {
+                        // The shuffle's copy step, on the pool: this task
+                        // concatenates its partition's map-task buckets
+                        // into one exactly-sized buffer itself.
+                        let mut pairs = concat_buckets(buckets);
                         let groups = if R::SORTED_INPUT {
                             {
                                 // Sort-based grouping; stable sort keeps
@@ -624,7 +630,7 @@ where
                                 let _sort_span = task_span.child("phase.sort", &[]);
                                 pairs.sort_by(|a, b| a.0.cmp(&b.0));
                             }
-                            group_sorted(pairs)
+                            FlatGroups::sorted(pairs)
                         } else {
                             // The reducer declared order-insensitive
                             // input: group by hash in first-encounter
@@ -635,10 +641,10 @@ where
                             // preserves the relative order of equal
                             // keys).
                             counters.inc(builtin::SORT_SKIPPED, 1);
-                            group_unsorted(pairs)
+                            FlatGroups::unsorted(pairs)
                         };
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups.len() as u64);
-                        for (key, values) in &groups {
+                        for (key, values) in groups.iter() {
                             reducer.reduce(key, values, &mut out);
                         }
                     }
@@ -1126,23 +1132,31 @@ where
                     .sum();
                 (vec![pairs], vec![sz])
             } else {
-                let per_bucket = pairs.len().div_ceil(num_reducers);
-                let mut buckets: Vec<Vec<(M::KOut, M::VOut)>> = (0..num_reducers)
-                    .map(|_| Vec::with_capacity(per_bucket))
-                    .collect();
-                for (k, v) in pairs {
-                    let p = match &partitioner {
+                // Count, then scatter: a first pass picks every pair's
+                // partition, so each bucket is allocated once, at its
+                // exact size — no guess to outgrow when the keys skew.
+                let targets: Vec<usize> = pairs
+                    .iter()
+                    .map(|(k, _)| match &partitioner {
                         Some(f) => {
-                            let p = f(&k, num_reducers);
+                            let p = f(k, num_reducers);
                             assert!(
                                 p < num_reducers,
                                 "partitioner returned {p} for {num_reducers} reducers"
                             );
                             p
                         }
-                        None => default_partition(&k, num_reducers),
-                    };
-                    buckets[p].push((k, v));
+                        None => default_partition(k, num_reducers),
+                    })
+                    .collect();
+                let mut counts = vec![0usize; num_reducers];
+                for &p in &targets {
+                    counts[p] += 1;
+                }
+                let mut buckets: Vec<Vec<(M::KOut, M::VOut)>> =
+                    counts.into_iter().map(Vec::with_capacity).collect();
+                for (pair, p) in pairs.into_iter().zip(targets) {
+                    buckets[p].push(pair);
                 }
                 if let Some(c) = &combiner {
                     let _combine_span = task_span.child("phase.combine", &[]);
@@ -1195,8 +1209,9 @@ where
     } else {
         num_reducers
     };
-    // Regrouping map outputs into reduce partitions is the in-process
-    // equivalent of the shuffle's copy step.
+    // Routing map outputs to reduce partitions. Without a budget this
+    // only hands bucket ownership over (the copy runs inside the reduce
+    // tasks); with one it is the memory-bounded copy step.
     let _shuffle_span = (num_reducers > 0).then(|| job_span.child("phase.shuffle", &[]));
     let mut ok_results = Vec::with_capacity(block_ids.len());
     for r in results {
@@ -1212,9 +1227,7 @@ where
         for (task_id, r) in ok_results.into_iter().enumerate() {
             sim_tasks.push(r.sim);
             partition_bytes[task_id] = r.bucket_bytes[0];
-            partitions.push(PartitionInput::Memory(
-                r.buckets.into_iter().next().unwrap(),
-            ));
+            partitions.push(PartitionInput::Memory(r.buckets));
         }
         acct_peak = partition_bytes.iter().copied().max().unwrap_or(0);
         partitions
@@ -1259,7 +1272,7 @@ where
             bufs.into_iter().zip(runs).zip(mem_bytes)
         {
             if partition_runs.is_empty() {
-                partitions.push(PartitionInput::Memory(buf));
+                partitions.push(PartitionInput::Memory(vec![buf]));
             } else {
                 // Once any run exists the whole partition merges from
                 // disk, so the in-memory tail becomes the final run.
@@ -1287,15 +1300,15 @@ where
         }
         partitions
     } else {
-        // Pre-size every partition to its exact concatenated length so
-        // the copy step never reallocates mid-extend.
-        let mut partitions: Vec<Vec<(M::KOut, M::VOut)>> = (0..num_partitions)
-            .map(|p| Vec::with_capacity(ok_results.iter().map(|r| r.buckets[p].len()).sum()))
+        // No copy here: each partition is handed its map tasks' buckets
+        // in task order, and its reduce task concatenates them.
+        let mut partitions: Vec<Vec<_>> = (0..num_partitions)
+            .map(|_| Vec::with_capacity(ok_results.len()))
             .collect();
         for r in ok_results {
             sim_tasks.push(r.sim);
             for (p, bucket) in r.buckets.into_iter().enumerate() {
-                partitions[p].extend(bucket);
+                partitions[p].push(bucket);
                 partition_bytes[p] += r.bucket_bytes[p];
             }
         }
@@ -1429,10 +1442,112 @@ struct MapTaskResult<K, V> {
     sim: MapTaskSim,
 }
 
+/// One reduce partition grouped *flat*: every value in a single column,
+/// plus one `(key, end)` bound per group, so a group is a slice of the
+/// column and grouping allocates twice per partition instead of once per
+/// key. This is the only shape [`MapReduceJob::run`] groups into — after
+/// the stable sort ([`FlatGroups::sorted`]) or, for reducers with
+/// [`Reducer::SORTED_INPUT`]` = false`, by hash ([`FlatGroups::unsorted`]).
+#[derive(Debug)]
+pub struct FlatGroups<K, V> {
+    /// Each group's key and the index one past its last value.
+    bounds: Vec<(K, usize)>,
+    values: Vec<V>,
+}
+
+impl<K: MrKey, V> FlatGroups<K, V> {
+    /// Splits a key-sorted pair vector, moving the values. Same groups, in
+    /// the same order with the same value order, as [`group_sorted`].
+    pub fn sorted(pairs: Vec<(K, V)>) -> Self {
+        let mut bounds: Vec<(K, usize)> = Vec::new();
+        let mut values = Vec::with_capacity(pairs.len());
+        for (k, v) in pairs {
+            values.push(v);
+            match bounds.last_mut() {
+                Some((gk, end)) if *gk == k => *end = values.len(),
+                _ => bounds.push((k, values.len())),
+            }
+        }
+        Self { bounds, values }
+    }
+
+    /// Groups an *unsorted* pair vector in first-encounter key order,
+    /// moving the values. Same groups, in the same order with the same
+    /// value order, as [`group_unsorted`].
+    pub fn unsorted(pairs: Vec<(K, V)>) -> Self {
+        let mut index: HashMap<K, usize, FnvBuildHasher> =
+            HashMap::with_capacity_and_hasher(16, FnvBuildHasher::default());
+        // First pass: number the groups, count their values.
+        let mut bounds: Vec<(K, usize)> = Vec::new();
+        let mut dest = Vec::with_capacity(pairs.len());
+        let mut values = Vec::with_capacity(pairs.len());
+        for (k, v) in pairs {
+            let group = match index.entry(k) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    bounds.push((e.key().clone(), 0));
+                    *e.insert(bounds.len() - 1)
+                }
+            };
+            bounds[group].1 += 1;
+            dest.push(group);
+            values.push(v);
+        }
+        // Counts become ends; `next[g]` is where group g's next value goes.
+        let mut next = Vec::with_capacity(bounds.len());
+        let mut end = 0;
+        for (_, count) in &mut bounds {
+            next.push(end);
+            end += *count;
+            *count = end;
+        }
+        for d in &mut dest {
+            let group = *d;
+            *d = next[group];
+            next[group] += 1;
+        }
+        // Second pass: apply the permutation in place, cycle by cycle —
+        // every swap puts one value where it belongs. Input that arrives
+        // already grouped (a single key, say) costs one comparison each.
+        for i in 0..values.len() {
+            while dest[i] != i {
+                let j = dest[i];
+                values.swap(i, j);
+                dest.swap(i, j);
+            }
+        }
+        Self { bounds, values }
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Whether there is no group.
+    pub fn is_empty(&self) -> bool {
+        self.bounds.is_empty()
+    }
+
+    /// The groups in order, each as its key and its slice of the column.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> {
+        let mut start = 0;
+        self.bounds.iter().map(move |(key, end)| {
+            let group = &self.values[start..*end];
+            start = *end;
+            (key, group)
+        })
+    }
+}
+
 /// Groups a key-sorted pair vector into `(key, values)` runs, *moving*
 /// the values out of the input — no per-value clone. Equal keys must be
 /// adjacent (guaranteed after the stable sort), and the stable sort means
 /// each run's values keep their map-task emission order.
+///
+/// The nested shape: one `Vec` per key. The reduce path groups flat
+/// ([`FlatGroups::sorted`]); this remains for the combiner and as the
+/// reference the flat grouping is tested against.
 pub fn group_sorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut groups: Vec<(K, Vec<V>)> = Vec::new();
     for (k, v) in pairs {
@@ -1449,6 +1564,10 @@ pub fn group_sorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
 /// outputs in task order, so both the group order and each group's value
 /// order are reproducible across runs — and the value order is identical
 /// to what the stable-sort path produces.
+///
+/// The nested shape: one `Vec` per key. The reduce path groups flat
+/// ([`FlatGroups::unsorted`]); this remains as the reference the flat
+/// grouping is tested against.
 pub fn group_unsorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut index: HashMap<K, usize, FnvBuildHasher> =
         HashMap::with_capacity_and_hasher(16, FnvBuildHasher::default());

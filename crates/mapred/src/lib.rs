@@ -88,8 +88,8 @@ pub use config::JobConfig;
 pub use counters::Counters;
 pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
 pub use job::{
-    group_sorted, group_unsorted, FailurePlan, JobError, JobResult, JobStats, MapOnlyJob,
-    MapReduceJob,
+    group_sorted, group_unsorted, FailurePlan, FlatGroups, JobError, JobResult, JobStats,
+    MapOnlyJob, MapReduceJob,
 };
 pub use journal::{JournalEntry, ReduceArtifact, RunJournal};
 pub use pipeline::PipelineReport;

@@ -717,8 +717,11 @@ impl<K, V> SpilledPartition<K, V> {
 
 /// One reduce partition's input: fully in memory, or spilled to runs.
 pub enum PartitionInput<K, V> {
-    /// The partition fit the budget (or no budget was set).
-    Memory(Vec<(K, V)>),
+    /// The partition fit the budget (or no budget was set): the buckets
+    /// the map tasks filled for it, in task order. Their concatenation is
+    /// the partition; the reduce task builds it, so the copy runs on the
+    /// pool instead of between the phases.
+    Memory(Vec<Vec<(K, V)>>),
     /// The partition overflowed and lives on disk.
     Spilled(SpilledPartition<K, V>),
 }
@@ -727,7 +730,7 @@ impl<K, V> PartitionInput<K, V> {
     /// Number of pairs in the partition.
     pub fn records(&self) -> u64 {
         match self {
-            PartitionInput::Memory(pairs) => pairs.len() as u64,
+            PartitionInput::Memory(buckets) => buckets.iter().map(|b| b.len() as u64).sum(),
             PartitionInput::Spilled(sp) => sp.records(),
         }
     }
@@ -738,10 +741,23 @@ impl<K, V> PartitionInput<K, V> {
     /// If the partition was spilled (map-only jobs never spill).
     pub fn into_memory(self) -> Vec<(K, V)> {
         match self {
-            PartitionInput::Memory(pairs) => pairs,
+            PartitionInput::Memory(buckets) => concat_buckets(buckets),
             PartitionInput::Spilled(_) => unreachable!("map-only partitions never spill"),
         }
     }
+}
+
+/// Concatenates a partition's buckets, in order, into one exactly-sized
+/// buffer. A lone bucket is returned as it is.
+pub(crate) fn concat_buckets<K, V>(mut buckets: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
+    if buckets.len() == 1 {
+        return buckets.pop().expect("one bucket");
+    }
+    let mut pairs = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
+    for bucket in buckets {
+        pairs.extend(bucket);
+    }
+    pairs
 }
 
 /// Streams the merged runs of a spilled partition back as `(key,

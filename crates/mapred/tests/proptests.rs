@@ -4,8 +4,8 @@
 //! results (only retry counts).
 
 use gepeto_mapred::{
-    Cluster, Combiner, Dfs, Emitter, FailurePlan, FnMapper, MapOnlyJob, MapReduceJob, Reducer,
-    Topology,
+    group_sorted, group_unsorted, Cluster, Combiner, Dfs, Emitter, FailurePlan, FlatGroups,
+    FnMapper, MapOnlyJob, MapReduceJob, Reducer, Topology,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -40,10 +40,105 @@ impl Combiner<u64, u64> for SumCombiner {
     }
 }
 
+/// Emits every group exactly as `reduce` received it, in call order.
+#[derive(Clone)]
+struct RecordSorted;
+impl Reducer<u64, u64> for RecordSorted {
+    type KOut = u64;
+    type VOut = Vec<u64>;
+    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
+        out.emit(*key, values.to_vec());
+    }
+}
+
+/// [`RecordSorted`] for the sort-skipping path.
+#[derive(Clone)]
+struct RecordUnsorted;
+impl Reducer<u64, u64> for RecordUnsorted {
+    type KOut = u64;
+    type VOut = Vec<u64>;
+    const SORTED_INPUT: bool = false;
+    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
+        out.emit(*key, values.to_vec());
+    }
+}
+
+/// `(key, arrival index)` pairs over `key_space` keys; `key_space == 0`
+/// makes every key distinct. The arrival index as the value makes any
+/// reordering inside a group visible.
+fn keyed(draws: &[u64], key_space: u64) -> Vec<(u64, u64)> {
+    draws
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| match key_space {
+            0 => (d * 1_000 + i as u64, i as u64),
+            n => (d % n, i as u64),
+        })
+        .collect()
+}
+
+fn flat_to_nested(groups: &FlatGroups<u64, u64>) -> Vec<(u64, Vec<u64>)> {
+    groups.iter().map(|(k, vs)| (*k, vs.to_vec())).collect()
+}
+
 fn key_mapper() -> impl gepeto_mapred::Mapper<u64, KOut = u64, VOut = u64> {
     FnMapper::new(|_off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
         out.emit(v % 7, *v);
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat grouping the reduce path uses is the nested reference,
+    /// reshaped: same groups, same order, same values in the same order —
+    /// for no pair at all, one key, a few keys, and all-distinct keys.
+    #[test]
+    fn flat_groups_are_the_nested_groups(
+        draws in prop::collection::vec(0u64..1000, 0..200),
+        key_space in 0u64..9,
+    ) {
+        let pairs = keyed(&draws, key_space);
+        let unsorted = FlatGroups::unsorted(pairs.clone());
+        prop_assert_eq!(flat_to_nested(&unsorted), group_unsorted(pairs.clone()));
+        prop_assert_eq!(unsorted.len(), unsorted.iter().count());
+
+        let mut by_key = pairs;
+        by_key.sort_by_key(|&(k, _)| k);
+        let sorted = FlatGroups::sorted(by_key.clone());
+        prop_assert_eq!(flat_to_nested(&sorted), group_sorted(by_key));
+        prop_assert_eq!(sorted.is_empty(), draws.is_empty());
+    }
+
+    /// What a reducer is handed, on both `SORTED_INPUT` values: the slices
+    /// of one partition, in call order, are the nested grouping of the map
+    /// outputs concatenated in task order (stably sorted first, or not).
+    #[test]
+    fn reducers_are_handed_the_nested_groups_as_slices(
+        draws in prop::collection::vec(0u64..1000, 0..200),
+        key_space in 0u64..9,
+        chunk in 8usize..64,
+    ) {
+        let pairs = keyed(&draws, key_space);
+        let cluster = Cluster::local(3, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), chunk, 2);
+        dfs.put_fixed("r", pairs.clone(), 4).unwrap();
+        let identity = FnMapper::new(|_off: u64, p: &(u64, u64), out: &mut Emitter<u64, u64>| {
+            out.emit(p.0, p.1);
+        });
+        let hashed = MapReduceJob::new("h", &cluster, &dfs, "r", identity.clone(), RecordUnsorted)
+            .reducers(1)
+            .run()
+            .unwrap();
+        prop_assert_eq!(hashed.output, group_unsorted(pairs.clone()));
+        let sorted = MapReduceJob::new("s", &cluster, &dfs, "r", identity, RecordSorted)
+            .reducers(1)
+            .run()
+            .unwrap();
+        let mut by_key = pairs;
+        by_key.sort_by_key(|&(k, _)| k);
+        prop_assert_eq!(sorted.output, group_sorted(by_key));
+    }
 }
 
 proptest! {

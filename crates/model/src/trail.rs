@@ -112,28 +112,57 @@ impl Dataset {
     }
 
     /// Builds a dataset from a flat bag of traces, grouping by user and
-    /// sorting each trail by time — the shape a reducer output or a raw
-    /// DFS scan comes in.
+    /// sorting each trail by time — the shape a map-only job's output or a
+    /// raw DFS scan comes in.
+    ///
+    /// Run-aware: the traces are cut into maximal same-user runs, the runs
+    /// are stably sorted by user, and each user's runs are concatenated
+    /// into one exactly-sized trail, so a user-major scan (the DFS layout)
+    /// costs one comparison per trace and one allocation per user, and no
+    /// trace is looked up in a tree. Any arrival order gives the same
+    /// dataset: traces of one user with equal timestamps keep their
+    /// arrival order.
     pub fn from_traces(traces: impl IntoIterator<Item = MobilityTrace>) -> Self {
-        let mut per_user: BTreeMap<UserId, Vec<MobilityTrace>> = BTreeMap::new();
-        for t in traces {
-            per_user.entry(t.user).or_default().push(t);
-        }
-        let trails = per_user
-            .into_iter()
-            .map(|(u, ts)| (u, Trail::new(u, ts)))
+        let traces: Vec<MobilityTrace> = traces.into_iter().collect();
+        let mut runs: Vec<&[MobilityTrace]> = traces.chunk_by(|a, b| a.user == b.user).collect();
+        runs.sort_by_key(|run| run[0].user);
+        let trails = runs
+            .chunk_by(|a, b| a[0].user == b[0].user)
+            .map(|of_user| Trail::new(of_user[0][0].user, of_user.concat()))
             .collect();
-        Self { trails }
+        Self::from_sorted_trails(trails)
     }
 
-    /// Builds a dataset from complete trails. Trails with duplicate user
-    /// ids are merged.
+    /// Builds a dataset from complete trails, e.g. the by-user regroup's
+    /// reduce output. Trails with duplicate user ids are merged: the result
+    /// is the stable time-sort of their traces in arrival order.
+    ///
+    /// The trails are stably sorted by user, duplicates are folded into
+    /// their first occurrence, and the tree is bulk-built from the sorted
+    /// run — no per-trail insert, and no trace is touched unless its user
+    /// appears twice.
     pub fn from_trails(trails: impl IntoIterator<Item = Trail>) -> Self {
-        let mut ds = Self::new();
+        let mut trails: Vec<Trail> = trails.into_iter().collect();
+        trails.sort_by_key(|t| t.user);
+        let mut merged: Vec<Trail> = Vec::with_capacity(trails.len());
         for trail in trails {
-            ds.merge_trail(trail);
+            match merged.last_mut() {
+                Some(last) if last.user == trail.user => {
+                    last.traces.extend(trail.traces);
+                    last.traces.sort_by_key(|t| t.timestamp);
+                }
+                _ => merged.push(trail),
+            }
         }
-        ds
+        Self::from_sorted_trails(merged)
+    }
+
+    /// Bulk-builds the tree from trails in strictly ascending user order.
+    fn from_sorted_trails(trails: Vec<Trail>) -> Self {
+        debug_assert!(trails.windows(2).all(|w| w[0].user < w[1].user));
+        Self {
+            trails: trails.into_iter().map(|t| (t.user, t)).collect(),
+        }
     }
 
     /// Appends one trace to its user's trail, creating the trail on first
@@ -145,20 +174,6 @@ impl Dataset {
             .entry(trace.user)
             .or_insert_with(|| Trail::empty(trace.user))
             .push(trace);
-    }
-
-    /// Inserts or merges a trail.
-    pub fn merge_trail(&mut self, trail: Trail) {
-        match self.trails.get_mut(&trail.user) {
-            Some(existing) => {
-                for t in trail.into_traces() {
-                    existing.push(t);
-                }
-            }
-            None => {
-                self.trails.insert(trail.user, trail);
-            }
-        }
     }
 
     /// The trail of `user`, if present.
@@ -206,6 +221,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use crate::{GeoPoint, Timestamp};
+    use proptest::prelude::*;
 
     fn t(user: UserId, secs: i64) -> MobilityTrace {
         MobilityTrace::new(user, GeoPoint::new(1.0, 2.0), Timestamp(secs))
@@ -299,6 +315,120 @@ mod tests {
         assert_eq!(
             ds,
             Dataset::from_traces(vec![t(2, 5), t(1, 1), t(2, 3), t(1, 2)])
+        );
+    }
+
+    /// The entry-per-trace `from_traces` this module used to have, kept as
+    /// the reference the run-aware one is held to.
+    fn from_traces_reference(traces: impl IntoIterator<Item = MobilityTrace>) -> Dataset {
+        let mut per_user: BTreeMap<UserId, Vec<MobilityTrace>> = BTreeMap::new();
+        for t in traces {
+            per_user.entry(t.user).or_default().push(t);
+        }
+        Dataset {
+            trails: per_user
+                .into_iter()
+                .map(|(u, ts)| (u, Trail::new(u, ts)))
+                .collect(),
+        }
+    }
+
+    /// The insert-or-merge `from_trails` this module used to have: a tree
+    /// insert per trail, a sorted `Trail::push` per trace of a duplicate.
+    fn from_trails_reference(trails: impl IntoIterator<Item = Trail>) -> Dataset {
+        let mut ds = Dataset::new();
+        for trail in trails {
+            match ds.trails.get_mut(&trail.user) {
+                Some(existing) => {
+                    for t in trail.into_traces() {
+                        existing.push(t);
+                    }
+                }
+                None => {
+                    ds.trails.insert(trail.user, trail);
+                }
+            }
+        }
+        ds
+    }
+
+    /// `(user, secs)` draws as traces; the latitude is the arrival index,
+    /// so two traces of one user with equal timestamps stay tell-apart and
+    /// a stability slip changes the dataset.
+    fn numbered(draws: &[(u32, i64)]) -> Vec<MobilityTrace> {
+        draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(user, secs))| {
+                MobilityTrace::new(user, GeoPoint::new(i as f64, 2.0), Timestamp(secs))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Few users and few distinct timestamps: interleavings, repeated
+        /// runs of one user, equal timestamps, and (from length 0) empty
+        /// input all occur.
+        fn from_traces_matches_the_entry_per_trace_reference(
+            draws in prop::collection::vec((0u32..6, 0i64..8), 0..120),
+        ) {
+            let traces = numbered(&draws);
+            prop_assert_eq!(
+                Dataset::from_traces(traces.iter().copied()),
+                from_traces_reference(traces),
+            );
+        }
+
+        /// User-major input with long runs — the DFS layout — plus a few
+        /// stragglers that reopen an earlier user.
+        fn from_traces_matches_the_reference_on_long_runs(
+            runs in prop::collection::vec((0u32..5, 1usize..40, 0i64..50), 0..12),
+        ) {
+            let draws: Vec<(u32, i64)> = runs
+                .iter()
+                .flat_map(|&(user, len, t0)| (0..len).map(move |i| (user, t0 + i as i64 / 2)))
+                .collect();
+            let traces = numbered(&draws);
+            prop_assert_eq!(
+                Dataset::from_traces(traces.iter().copied()),
+                from_traces_reference(traces),
+            );
+        }
+
+        /// Trails cut from an arbitrary trace list: duplicate users across
+        /// trails, empty trails, unsorted arrival, and no trail at all.
+        fn from_trails_matches_the_merge_trail_reference(
+            draws in prop::collection::vec((0u32..5, 0i64..8), 0..80),
+            cuts in prop::collection::vec(0usize..12, 0..16),
+        ) {
+            let traces = numbered(&draws);
+            let mut trails = Vec::new();
+            let mut rest = traces.as_slice();
+            for (i, &cut) in cuts.iter().enumerate() {
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                // A trail is one user's: keep the head's first user's traces.
+                let user = head.first().map_or(i as u32 % 5, |t| t.user);
+                let own: Vec<_> = head.iter().filter(|t| t.user == user).copied().collect();
+                trails.push(Trail::new(user, own));
+                rest = tail;
+            }
+            prop_assert_eq!(
+                Dataset::from_trails(trails.clone()),
+                from_trails_reference(trails),
+            );
+        }
+    }
+
+    #[test]
+    fn empty_trails_keep_their_user() {
+        let ds = Dataset::from_trails(vec![Trail::empty(7), Trail::empty(3), Trail::empty(7)]);
+        assert_eq!(ds.num_users(), 2);
+        assert!(ds.is_empty());
+        assert_eq!(
+            ds,
+            from_trails_reference(vec![Trail::empty(7), Trail::empty(3)])
         );
     }
 

@@ -96,6 +96,21 @@ fn spilled_shuffle_output_is_bit_identical_to_in_memory() {
         "spill/merge changed output bits"
     );
     assert!(in_mem.num_traces() > 0, "vacuous comparison");
+
+    // Both are the map-only job's output, regrouped: the reduce side adds
+    // a shuffle, not a different answer — and hands back one trail per
+    // user whichever way the partition reached it.
+    let cluster = Cluster::local(4, 2);
+    let dfs = synth_dfs(&cluster, 40, 7, 16 * 1024);
+    let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
+    let (map_only, _) = sampling::mapreduce_sample(&cluster, &dfs, "synth", &cfg).unwrap();
+    assert_eq!(bits(&in_mem), bits(&map_only), "regroup changed the sample");
+    for stats in [&clean_stats, &spill_stats] {
+        assert_eq!(
+            counter(stats, builtin::REDUCE_OUTPUT_RECORDS),
+            map_only.num_users() as u64
+        );
+    }
 }
 
 /// k-means under a starvation budget: every iteration's partial-sum
@@ -256,8 +271,12 @@ proptest! {
         budget in 1usize..4096,
     ) {
         let (in_mem, _) = regroup(users, seed, window, None);
-        let (spilled, _) = regroup(users, seed, window, Some(budget));
+        let (spilled, stats) = regroup(users, seed, window, Some(budget));
         prop_assert_eq!(bits(&in_mem), bits(&spilled));
+        prop_assert_eq!(
+            counter(&stats, builtin::REDUCE_OUTPUT_RECORDS),
+            in_mem.num_users() as u64
+        );
     }
 
     /// Bit-identity also holds under arbitrary storage-fault plans:

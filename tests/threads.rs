@@ -59,16 +59,34 @@ fn outputs_at_thread_counts(tag: &str, argv: &[&str], counts: &[&str]) -> Vec<Ve
 
 #[test]
 fn sample_output_is_byte_identical_across_thread_counts() {
-    let outs = outputs_at_thread_counts(
-        "sample",
-        &[
-            "sample", "--users", "6", "--scale", "0.004", "--window", "60",
-        ],
-        &["1", "4"],
-    );
+    let argv = [
+        "sample", "--users", "6", "--scale", "0.004", "--window", "60",
+    ];
+    let outs = outputs_at_thread_counts("sample", &argv, &["1", "2", "4"]);
     assert_eq!(
         outs[0], outs[1],
         "sample OUTPUT diverged across thread counts"
+    );
+    assert_eq!(
+        outs[0], outs[2],
+        "sample OUTPUT diverged across thread counts"
+    );
+    // Under `--run-dir` the sample is regrouped by user through a reduce
+    // phase; without it (and without a budget) the same command is the
+    // paper's map-only job. Both keep the same traces.
+    let map_only = run(&argv);
+    assert!(map_only.status.success());
+    let stdout = String::from_utf8_lossy(&map_only.stdout).into_owned();
+    let kept = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("sampling window 60 s: "))
+        .and_then(|l| l.split(" -> ").nth(1))
+        .and_then(|l| l.split(' ').next())
+        .unwrap_or_else(|| panic!("no sampling line in:\n{stdout}"));
+    let output = String::from_utf8_lossy(&outs[0]).into_owned();
+    assert!(
+        output.contains(&format!("traces: {kept}\n")),
+        "map-only kept {kept} traces, by-user OUTPUT says:\n{output}"
     );
 }
 
@@ -105,26 +123,48 @@ fn kmeans_output_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn spilling_synth_run_is_thread_count_invariant() {
-    // A 1-byte budget forces every partition through the external
-    // spill/merge path; parallel per-partition merges must preserve the
-    // earlier-run-wins order byte for byte.
-    let outs = outputs_at_thread_counts(
+    // The by-user regroup in memory (flat groups, buckets gathered inside
+    // the reduce tasks) and under a 1-byte budget, which forces every
+    // partition through the external spill/merge path: parallel gathers
+    // and per-partition merges must both preserve the map-task order byte
+    // for byte, so all five runs commit the same OUTPUT.
+    let in_memory = ["synth", "--users", "300", "--chunk-mb", "1"];
+    let mut spilling = in_memory.to_vec();
+    spilling.extend_from_slice(&["--memory-budget", "1"]);
+    let mut outs = outputs_at_thread_counts("synth-mem", &in_memory, &["1", "2"]);
+    outs.extend(outputs_at_thread_counts(
         "synth-spill",
-        &[
-            "synth",
-            "--users",
-            "300",
-            "--chunk-mb",
-            "1",
-            "--memory-budget",
-            "1",
-        ],
-        &["1", "4"],
-    );
-    assert_eq!(
-        outs[0], outs[1],
-        "spilled synth OUTPUT diverged across thread counts"
-    );
+        &spilling,
+        &["1", "2", "4"],
+    ));
+    for (i, out) in outs.iter().enumerate().skip(1) {
+        assert_eq!(
+            &outs[0], out,
+            "synth OUTPUT diverged between run 0 and run {i} (in-memory at 1, 2 threads, \
+             then spilled at 1, 2, 4)"
+        );
+    }
+    assert!(String::from_utf8_lossy(&outs[0]).contains("users: 300\n"));
+
+    // The regroup's reducer hands back one trail per user, spilled or not.
+    for (tag, argv) in [("mem", &in_memory[..]), ("spill", &spilling[..])] {
+        let metrics = scratch(&format!("synth-metrics-{tag}")).with_extension("jsonl");
+        let metrics_s = metrics.display().to_string();
+        let mut full = argv.to_vec();
+        full.extend_from_slice(&["--threads", "2", "--metrics-out", &metrics_s]);
+        let out = run(&full);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let events = std::fs::read_to_string(&metrics).expect("metrics file");
+        let _ = std::fs::remove_file(&metrics);
+        assert!(
+            events.contains(r#""name":"mapred.reduce.output.records","value":300}"#),
+            "{tag}: reduce output records is not the user count"
+        );
+    }
 }
 
 #[test]
