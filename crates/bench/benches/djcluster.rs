@@ -16,6 +16,7 @@ use std::sync::Arc;
 fn bench_djcluster(c: &mut Criterion) {
     let ds = gepeto_bench::dataset(178, 0.01);
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let cfg = djcluster::DjConfig::default();
 
     let mut group = c.benchmark_group("djcluster");
@@ -28,8 +29,8 @@ fn bench_djcluster(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("preprocess", window), &window, |b, _| {
             b.iter(|| {
                 let mut dfs = dfs_for(&cluster, &sampled, scaled_chunk_bytes(64));
-                let pre =
-                    djcluster::mapreduce_preprocess(&cluster, &mut dfs, "input", "clean", &cfg)
+                let (pre, _) =
+                    djcluster::mapreduce_preprocess_in(&ctx, &mut dfs, "input", "clean", &cfg)
                         .unwrap();
                 black_box(pre.after_dedup)
             })
@@ -43,16 +44,16 @@ fn bench_djcluster(c: &mut Criterion) {
     let dfs = dfs_for(&cluster, &pre, scaled_chunk_bytes(32));
     group.bench_function("cluster/direct-rtree", |b| {
         b.iter(|| {
-            let (clustering, _) =
-                djcluster::mapreduce_djcluster(&cluster, &dfs, "input", &cfg, None).unwrap();
+            let (clustering, _, _) =
+                djcluster::mapreduce_djcluster_in(&ctx, &dfs, "input", &cfg, None).unwrap();
             black_box(clustering.clusters.len())
         })
     });
     let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
     group.bench_function("cluster/mapreduce-rtree", |b| {
         b.iter(|| {
-            let (clustering, _) =
-                djcluster::mapreduce_djcluster(&cluster, &dfs, "input", &cfg, Some(&rcfg)).unwrap();
+            let (clustering, _, _) =
+                djcluster::mapreduce_djcluster_in(&ctx, &dfs, "input", &cfg, Some(&rcfg)).unwrap();
             black_box(clustering.clusters.len())
         })
     });

@@ -17,12 +17,12 @@ fn cfg(metric: DistanceMetric, use_combiner: bool) -> kmeans::KMeansConfig {
         max_iterations: 150,
         seed: 1,
         use_combiner,
-        memory_budget: None,
     }
 }
 
 fn bench_kmeans(c: &mut Criterion) {
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let small = gepeto_bench::dataset(90, 0.005);
     let full = gepeto_bench::dataset(178, 0.01);
     let points_full: Vec<GeoPoint> = full.iter_traces().map(|t| t.point).collect();
@@ -39,8 +39,8 @@ fn bench_kmeans(c: &mut Criterion) {
                 let c = cfg(metric, false);
                 group.bench_function(BenchmarkId::new("table3", id), |b| {
                     b.iter(|| {
-                        let (next, _) =
-                            kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &c)
+                        let (next, _, _) =
+                            kmeans::mapreduce_iteration_in(&ctx, &dfs, "input", 1, &centroids, &c)
                                 .unwrap();
                         black_box(next)
                     })
@@ -59,8 +59,9 @@ fn bench_kmeans(c: &mut Criterion) {
         };
         group.bench_function(BenchmarkId::new("map-output", name), |b| {
             b.iter(|| {
-                let (next, _) =
-                    kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &c2).unwrap();
+                let (next, _, _) =
+                    kmeans::mapreduce_iteration_in(&ctx, &dfs, "input", 1, &centroids, &c2)
+                        .unwrap();
                 black_box(next)
             })
         });

@@ -11,6 +11,7 @@ use std::hint::black_box;
 fn bench_rtree_build(c: &mut Criterion) {
     let ds = gepeto_bench::dataset(178, 0.01);
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
     let items: Vec<(GeoPoint, u64)> = ds
         .iter_traces()
@@ -28,9 +29,8 @@ fn bench_rtree_build(c: &mut Criterion) {
         };
         group.bench_function(BenchmarkId::new("mapreduce", curve.name()), |b| {
             b.iter(|| {
-                let (tree, _) =
-                    gepeto::rtree_build::mapreduce_build_rtree(&cluster, &dfs, "input", &cfg)
-                        .unwrap();
+                let (tree, _, _) =
+                    gepeto::rtree_build::mapreduce_build_rtree(&ctx, &dfs, "input", &cfg).unwrap();
                 black_box(tree.len())
             })
         });

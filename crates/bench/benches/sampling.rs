@@ -9,6 +9,7 @@ use std::hint::black_box;
 fn bench_sampling(c: &mut Criterion) {
     let ds = gepeto_bench::dataset(178, 0.01);
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
 
     let mut group = c.benchmark_group("sampling");
@@ -17,7 +18,7 @@ fn bench_sampling(c: &mut Criterion) {
         let cfg = sampling::SamplingConfig::new(window, sampling::Technique::ClosestToUpperLimit);
         group.bench_with_input(BenchmarkId::new("mapreduce", window), &window, |b, _| {
             b.iter(|| {
-                let (out, _) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg).unwrap();
+                let (out, _, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "input", &cfg).unwrap();
                 black_box(out.num_traces())
             })
         });
@@ -32,7 +33,7 @@ fn bench_sampling(c: &mut Criterion) {
     let cfg60 = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     group.bench_function("input-format/typed", |b| {
         b.iter(|| {
-            let (out, _) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg60).unwrap();
+            let (out, _, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "input", &cfg60).unwrap();
             black_box(out.num_traces())
         })
     });
@@ -59,7 +60,7 @@ fn bench_sampling(c: &mut Criterion) {
         let cfg = sampling::SamplingConfig::new(60, technique);
         group.bench_function(BenchmarkId::new("technique", name), |b| {
             b.iter(|| {
-                let (out, _) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg).unwrap();
+                let (out, _, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "input", &cfg).unwrap();
                 black_box(out.num_traces())
             })
         });

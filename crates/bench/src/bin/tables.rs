@@ -67,6 +67,7 @@ fn table1() {
     let paper = [2_033_686usize, 155_260, 41_263, 23_596];
     let ds = full_dataset();
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let mut rows = vec![vec![
         "initial dataset".to_string(),
@@ -77,7 +78,7 @@ fn table1() {
     ]];
     for (i, window) in [60i64, 300, 600].iter().enumerate() {
         let cfg = sampling::SamplingConfig::new(*window, sampling::Technique::ClosestToUpperLimit);
-        let (sampled, stats) = sampling::mapreduce_sample(&cluster, &dfs, "input", &cfg).unwrap();
+        let (sampled, stats, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "input", &cfg).unwrap();
         rows.push(vec![
             format!("{} min sampling", window / 60),
             format!("{}", sampled.num_traces()),
@@ -169,6 +170,7 @@ fn table3() {
         ("128 MB", DistanceMetric::Haversine, 64, 60, 93),
     ];
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let mut rows = Vec::new();
     for (label, metric, chunk_mb, paper_secs, paper_iters) in paper_rows {
         let ds = if label == "66 MB" {
@@ -184,9 +186,8 @@ fn table3() {
             max_iterations: 150,
             seed: 1,
             use_combiner: false,
-            memory_budget: None,
         };
-        let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "input", &cfg).unwrap();
+        let result = kmeans::mapreduce_kmeans_in(&ctx, &dfs, "input", &cfg).unwrap();
         let mean_iter = result
             .per_iteration
             .iter()
@@ -228,6 +229,7 @@ fn table4() {
     ];
     let ds = full_dataset();
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let mut rows = Vec::new();
     for (i, window) in [60i64, 300, 600].iter().enumerate() {
@@ -236,7 +238,8 @@ fn table4() {
         sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", &name, &scfg).unwrap();
         let cfg = djcluster::DjConfig::default();
         let out = format!("clean{window}");
-        let pre = djcluster::mapreduce_preprocess(&cluster, &mut dfs, &name, &out, &cfg).unwrap();
+        let (pre, _) =
+            djcluster::mapreduce_preprocess_in(&ctx, &mut dfs, &name, &out, &cfg).unwrap();
         let (label, p_in, p_speed, p_dedup) = paper[i];
         rows.push(vec![
             label.to_string(),
@@ -311,6 +314,7 @@ fn fig4() {
     println!("\n=== Figure 4 — MapReduced k-means workflow ===");
     let ds = dataset(20, scale().min(0.02));
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
     let metric = DistanceMetric::Haversine;
     let cfg = kmeans::KMeansConfig {
@@ -320,9 +324,8 @@ fn fig4() {
         max_iterations: 25,
         seed: 1,
         use_combiner: false,
-        memory_budget: None,
     };
-    let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "input", &cfg).unwrap();
+    let result = kmeans::mapreduce_kmeans_in(&ctx, &dfs, "input", &cfg).unwrap();
     println!("iteration | max centroid shift (m) | sim job time (s)");
     for it in &result.per_iteration {
         println!(
@@ -341,12 +344,13 @@ fn fig5() {
     println!("\n=== Figure 5 — DJ preprocessing pipeline (2 map-only jobs) ===");
     let ds = full_dataset();
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg).unwrap();
     let cfg = djcluster::DjConfig::default();
-    let pre =
-        djcluster::mapreduce_preprocess(&cluster, &mut dfs, "sampled", "clean", &cfg).unwrap();
+    let (pre, _) =
+        djcluster::mapreduce_preprocess_in(&ctx, &mut dfs, "sampled", "clean", &cfg).unwrap();
     for (i, stage) in pre.jobs.stages().iter().enumerate() {
         println!(
             "job {} '{}': {} map tasks, 0 reducers, sim {:.1} s",
@@ -367,6 +371,7 @@ fn fig6() {
     println!("\n=== Figure 6 — building an R-tree with MapReduce ===");
     let ds = dataset(40, scale().min(0.03));
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
     for curve in [SpaceFillingCurve::ZOrder, SpaceFillingCurve::Hilbert] {
         let cfg = gepeto::rtree_build::RTreeBuildConfig {
@@ -374,8 +379,8 @@ fn fig6() {
             partitions: 8,
             ..Default::default()
         };
-        let (tree, report) =
-            gepeto::rtree_build::mapreduce_build_rtree(&cluster, &dfs, "input", &cfg).unwrap();
+        let (tree, report, _) =
+            gepeto::rtree_build::mapreduce_build_rtree(&ctx, &dfs, "input", &cfg).unwrap();
         println!(
             "{:<8} phase1 {:.1} s, phase2 {:.1} s ({} reducers) | {} entries, height {}, \
              partition sizes {:?} (imbalance {:.2})",
@@ -408,13 +413,14 @@ fn djcluster_cmd() {
     println!("\n=== §VII — DJ-Cluster end-to-end (sampled dataset) ===");
     let ds = full_dataset();
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg).unwrap();
     let cfg = djcluster::DjConfig::default();
     let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
-    let (clustering, pre, stats) =
-        djcluster::mapreduce_djcluster_full(&cluster, &mut dfs, "sampled", &cfg, Some(&rcfg))
+    let (clustering, pre, stats, _) =
+        djcluster::mapreduce_djcluster_full_in(&ctx, &mut dfs, "sampled", &cfg, Some(&rcfg))
             .unwrap();
     println!(
         "preprocessing: {} -> {} -> {}",
@@ -438,6 +444,7 @@ fn djcluster_cmd() {
 fn ablation() {
     let ds = full_dataset();
     let cluster = parapluie();
+    let ctx = ExecCtx::new(&cluster);
 
     // Per-trace emit vs in-mapper fused sums (§VI related work).
     let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(32));
@@ -452,10 +459,9 @@ fn ablation() {
             max_iterations: 150,
             seed: 1,
             use_combiner,
-            memory_budget: None,
         };
-        let (_, stats) =
-            kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &cfg).unwrap();
+        let (_, stats, _) =
+            kmeans::mapreduce_iteration_in(&ctx, &dfs, "input", 1, &centroids, &cfg).unwrap();
         rows.push(vec![
             if use_combiner {
                 "in-mapper fused sums"
@@ -484,10 +490,9 @@ fn ablation() {
             max_iterations: 150,
             seed: 1,
             use_combiner: false,
-            memory_budget: None,
         };
-        let (_, stats) =
-            kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &cfg).unwrap();
+        let (_, stats, _) =
+            kmeans::mapreduce_iteration_in(&ctx, &dfs, "input", 1, &centroids, &cfg).unwrap();
         rows.push(vec![
             format!("{chunk_mb}"),
             format!("{}", stats.map_tasks),
@@ -514,10 +519,9 @@ fn ablation() {
         max_iterations: 150,
         seed: 1,
         use_combiner: true,
-        memory_budget: None,
     };
-    let (_, mean_stats) =
-        kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &mean_cfg).unwrap();
+    let (_, mean_stats, _) =
+        kmeans::mapreduce_iteration_in(&ctx, &dfs, "input", 1, &centroids, &mean_cfg).unwrap();
     let (_, median_stats) =
         kmeans::mapreduce_median_iteration(&cluster, &dfs, "input", &centroids, &mean_cfg).unwrap();
     print_table(
@@ -549,8 +553,15 @@ fn ablation() {
         c.sim.straggler_prob = prob;
         c.sim.speculative_execution = speculative;
         let dfs = dfs_for(&c, &ds, scaled_chunk_bytes(16));
-        let (_, stats) =
-            kmeans::mapreduce_iteration(&c, &dfs, "input", &centroids, &mean_cfg).unwrap();
+        let (_, stats, _) = kmeans::mapreduce_iteration_in(
+            &ExecCtx::new(&c),
+            &dfs,
+            "input",
+            1,
+            &centroids,
+            &mean_cfg,
+        )
+        .unwrap();
         rows.push(vec![
             label.into(),
             format!("{:.2}", stats.sim.makespan_s),
@@ -570,8 +581,8 @@ fn ablation() {
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     let typed_dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(64));
     let t0 = std::time::Instant::now();
-    let (_, typed_stats) =
-        sampling::mapreduce_sample(&cluster, &typed_dfs, "input", &scfg).unwrap();
+    let (_, typed_stats, _) =
+        sampling::mapreduce_sample_in(&ctx, &typed_dfs, "input", &scfg).unwrap();
     let typed_real = t0.elapsed();
     let mut text_dfs = gepeto::textio::text_dfs(&cluster, scaled_chunk_bytes(64));
     gepeto::textio::put_dataset_as_text(&mut text_dfs, "input", &ds).unwrap();
@@ -615,8 +626,8 @@ fn ablation() {
             ..Default::default()
         };
         let t0 = std::time::Instant::now();
-        let (_, report) =
-            gepeto::rtree_build::mapreduce_build_rtree(&cluster, &dfs, "input", &cfg).unwrap();
+        let (_, report, _) =
+            gepeto::rtree_build::mapreduce_build_rtree(&ctx, &dfs, "input", &cfg).unwrap();
         rows.push(vec![
             curve.name().into(),
             format!("{:.2}", report.imbalance()),
@@ -644,7 +655,6 @@ fn scalability() {
         max_iterations: 150,
         seed: 1,
         use_combiner: true,
-        memory_budget: None,
     };
     let mut rows = Vec::new();
     let mut base = None;
@@ -652,9 +662,10 @@ fn scalability() {
         let mut cluster = Cluster::parapluie();
         // 4 slots per node so small clusters are genuinely oversubscribed.
         cluster.topology = gepeto_mapred::Topology::new(nodes, 2.min(nodes), 4);
+        let ctx = ExecCtx::new(&cluster);
         let dfs = dfs_for(&cluster, &ds, scaled_chunk_bytes(4)); // many chunks
-        let (_, stats) =
-            kmeans::mapreduce_iteration(&cluster, &dfs, "input", &centroids, &cfg).unwrap();
+        let (_, stats, _) =
+            kmeans::mapreduce_iteration_in(&ctx, &dfs, "input", 1, &centroids, &cfg).unwrap();
         let wave = stats.sim.map_phase_s;
         let speedup = *base.get_or_insert(wave) / wave.max(1e-9);
         rows.push(vec![

@@ -97,9 +97,9 @@ pub fn run_sampling(cfg: &BenchConfig) -> Result<BenchReport, String> {
     let ledger = LedgerScope::open();
     let pool_before = gepeto_pool::global_stats();
     let started = Instant::now();
-    let (_sampled, stats) =
-        sampling::mapreduce_sample_with(&cluster, &dfs, "input", &scfg, &telemetry)
-            .map_err(|e| e.to_string())?;
+    let ctx = ExecCtx::new(&cluster).traced(&telemetry);
+    let (_sampled, stats, _) =
+        sampling::mapreduce_sample_in(&ctx, &dfs, "input", &scfg).map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mem = ledger.close();
     Ok(BenchReport::from_run(
@@ -128,8 +128,9 @@ pub fn run_kmeans(cfg: &BenchConfig) -> Result<BenchReport, String> {
     let ledger = LedgerScope::open();
     let pool_before = gepeto_pool::global_stats();
     let started = Instant::now();
-    let result = kmeans::mapreduce_kmeans_with(&cluster, &dfs, "input", &kcfg, &telemetry)
-        .map_err(|e| e.to_string())?;
+    let ctx = ExecCtx::new(&cluster).traced(&telemetry);
+    let result =
+        kmeans::mapreduce_kmeans_in(&ctx, &dfs, "input", &kcfg).map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mem = ledger.close();
     let jobs: Vec<&JobStats> = result.per_iteration.iter().map(|it| &it.job).collect();
@@ -166,15 +167,12 @@ pub fn run_synth(cfg: &BenchConfig) -> Result<BenchReport, String> {
     // still exercise the spill path.
     let budget = (synth.estimated_plt_bytes() / 64).max(4 * 1024) as usize;
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let (_grouped, stats) = sampling::mapreduce_sample_by_user(
-        &cluster,
-        &dfs,
-        "input",
-        &scfg,
-        Some(budget),
-        &telemetry,
-    )
-    .map_err(|e| e.to_string())?;
+    let ctx = ExecCtx {
+        memory_budget: Some(budget),
+        ..ExecCtx::new(&cluster).traced(&telemetry)
+    };
+    let (_grouped, stats, _) = sampling::mapreduce_sample_by_user_in(&ctx, &dfs, "input", &scfg)
+        .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mem = ledger.close();
     Ok(BenchReport::from_run(
@@ -204,15 +202,10 @@ pub fn run_djcluster(cfg: &BenchConfig) -> Result<BenchReport, String> {
     let sample_stats =
         sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg)
             .map_err(|e| e.to_string())?;
-    let (_clustering, pre, stats) = djcluster::mapreduce_djcluster_full_with(
-        &cluster,
-        &mut dfs,
-        "sampled",
-        &dj,
-        Some(&rtree_cfg),
-        &telemetry,
-    )
-    .map_err(|e| e.to_string())?;
+    let ctx = ExecCtx::new(&cluster).traced(&telemetry);
+    let (_clustering, pre, stats, _) =
+        djcluster::mapreduce_djcluster_full_in(&ctx, &mut dfs, "sampled", &dj, Some(&rtree_cfg))
+            .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mem = ledger.close();
     let mut jobs: Vec<&JobStats> = vec![&sample_stats];

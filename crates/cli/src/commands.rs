@@ -43,6 +43,9 @@ COMMANDS:
     djcluster   MapReduce DJ-Cluster + preprocessing (paper §VII)
                   --radius M (60) --minpts N (4) --speed MPS (1.0)
                   --window SECS (60) --mr-rtree true|false
+                  (sampling, both preprocessing jobs, the three R-tree
+                  build jobs and the cluster job all run in the one
+                  execution context below)
     attack      POI extraction + MMC de-anonymization demo (§VIII)
                   --users N (20) --scale S (0.02)
     sanitize    Apply a mechanism and measure the privacy/utility trade-off
@@ -83,9 +86,18 @@ heap-allocation bytes per span) for inferno/flamegraph.pl.
 Artifacts are written even when the run aborts mid-flight.
 Fault injection (sample, kmeans, djcluster): --crash N@T[,N@T...] kills
 node N at virtual second T; --degrade N@T@FACTOR[,...] slows node N by
-FACTOR from virtual second T. --driver-retries N (0) with
---retry-backoff SECS (5) makes the kmeans/djcluster drivers checkpoint
-and re-submit jobs that die, instead of propagating the error.
+FACTOR from virtual second T.
+Execution context (sample, synth, kmeans, djcluster): every job of a
+command runs in one context built from four flags, which combine freely.
+--driver-retries N (0) with --retry-backoff SECS (5) re-submits a job
+that dies — N times for node failures (healing the DFS in between) and
+N more for storage failures, each ENOSPC doubling --memory-budget —
+instead of propagating the error; --memory-budget SIZE bounds every
+shuffle that can spill; --run-dir DIR journals the run (see Durability);
+--io-faults (below) injects under all of it. djcluster honours
+--driver-retries/--retry-backoff and --io-faults; its jobs have no
+spillable shuffle and commit no reduce output, so --memory-budget and
+--run-dir (beyond the telemetry archive) do not apply to it.
 IO fault injection: --io-faults eio=P,torn=P,bitrot=P,enospc=SIZE,
 slow=SECS_PER_MIB,streak=N,seed=X injects deterministic storage faults
 under every spill and commit; retries/quarantines surface in --summary
@@ -321,11 +333,37 @@ fn parse_bytes(raw: &str) -> Option<usize> {
 }
 
 /// Builds the driver [`RetryPolicy`] from `--driver-retries` and
-/// `--retry-backoff`; zero retries by default.
+/// `--retry-backoff`; zero retries by default. The budget covers both
+/// failure classes: N re-submissions for jobs a node failure killed, and
+/// N more for storage failures, each ENOSPC doubling `--memory-budget`.
 fn retry_policy_from(args: &Args) -> Result<RetryPolicy, String> {
+    let retries = args.get_or("driver-retries", 0u32)?;
     Ok(RetryPolicy::none()
-        .retries(args.get_or("driver-retries", 0u32)?)
-        .backoff(args.get_or("retry-backoff", 5.0f64)?))
+        .retries(retries)
+        .backoff(args.get_or("retry-backoff", 5.0f64)?)
+        .io_retries(retries)
+        .io_backoff(1.0)
+        .enospc_factor(2.0))
+}
+
+/// Builds the run's one [`ExecCtx`]: `rec`, `--driver-retries` /
+/// `--retry-backoff`, `--memory-budget`, and — for a `command` whose
+/// jobs commit their reduce output — the `--run-dir` journal.
+fn exec_ctx_from<'a>(
+    args: &Args,
+    cluster: &'a Cluster,
+    rec: &Recorder,
+    command: Option<&str>,
+) -> Result<ExecCtx<'a>, String> {
+    Ok(ExecCtx {
+        retry: retry_policy_from(args)?,
+        memory_budget: memory_budget_from(args)?,
+        journal: match command {
+            Some(command) => run_journal_from(args, command)?,
+            None => None,
+        },
+        ..ExecCtx::new(cluster).traced(rec)
+    })
 }
 
 fn dfs_with(args: &Args, cluster: &Cluster, ds: &Dataset) -> Result<Dfs<MobilityTrace>, String> {
@@ -438,19 +476,26 @@ fn reporter_from(args: &Args, rec: &Recorder) -> Result<Option<Reporter>, String
     )))
 }
 
-/// Runs `body` under the run's observability harness: the live
-/// heartbeat/exposition reporter covers the whole run, and the
-/// post-hoc artifacts are emitted afterwards — even when the run
-/// itself aborts (chaos exhaustion, driver-retry failure), so a failed
-/// run still leaves its event stream and flamegraph behind.
-fn observed(args: &Args, body: impl FnOnce(&Recorder) -> Result<(), String>) -> Result<(), String> {
+/// Runs `body` in the run's [`ExecCtx`] (see [`exec_ctx_from`]) under
+/// the observability harness: the live heartbeat/exposition reporter
+/// covers the whole run, and the post-hoc artifacts are emitted
+/// afterwards — even when the run itself aborts (chaos exhaustion,
+/// driver-retry failure), so a failed run still leaves its event stream
+/// and flamegraph behind.
+fn observed(
+    args: &Args,
+    cluster: &Cluster,
+    journaled_command: Option<&str>,
+    body: impl FnOnce(&ExecCtx<'_>) -> Result<(), String>,
+) -> Result<(), String> {
     let rec = recorder_from(args);
+    let ctx = exec_ctx_from(args, cluster, &rec, journaled_command)?;
     let archive = start_archive(args, &rec);
     let reporter = reporter_from(args, &rec)?;
     // A panicking driver must still leave its artifacts behind, exactly
     // like an aborting one — flush, then let `main` map the resumed
     // panic to its own exit code.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&rec)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
     if let Some(reporter) = reporter {
         reporter.stop();
     }
@@ -685,23 +730,21 @@ pub fn report(args: &Args) -> Result<(), String> {
 pub fn sample(args: &Args) -> Result<(), String> {
     let ds = dataset_from(args, 178, 0.01)?;
     let cluster = cluster_from(args)?;
-    let dfs = dfs_with(args, &cluster, &ds)?;
+    let mut dfs = dfs_with(args, &cluster, &ds)?;
     let t = args.get("technique").unwrap_or("upper");
     let technique = sampling::Technique::parse(t).ok_or(format!("unknown technique '{t}'"))?;
     let cfg = sampling::SamplingConfig::new(args.get_or("window", 60i64)?, technique);
-    let budget = memory_budget_from(args)?;
-    let journal = run_journal_from(args, "sample")?;
-    observed(args, |rec| {
-        let (sampled, stats) = if let Some(j) = &journal {
-            sampling::mapreduce_sample_by_user_durable(
-                &cluster, &dfs, "input", &cfg, budget, j, rec,
-            )
-        } else if budget.is_some() {
-            sampling::mapreduce_sample_by_user(&cluster, &dfs, "input", &cfg, budget, rec)
+    observed(args, &cluster, Some("sample"), |ctx| {
+        // A map-only job has no reduce output to commit and no shuffle to
+        // bound: a journal or a budget needs the by-user regroup.
+        let (sampled, stats, job_retries) = if ctx.journal.is_some() || ctx.memory_budget.is_some()
+        {
+            sampling::mapreduce_sample_by_user_in(ctx, &mut dfs, "input", &cfg)
         } else {
-            sampling::mapreduce_sample_with(&cluster, &dfs, "input", &cfg, rec)
+            sampling::mapreduce_sample_in(ctx, &mut dfs, "input", &cfg)
         }
         .map_err(job_failed)?;
+        print_job_retries(u64::from(job_retries));
         println!(
             "sampling window {} s: {} -> {} traces ({:.2} %)",
             cfg.window_secs,
@@ -711,11 +754,18 @@ pub fn sample(args: &Args) -> Result<(), String> {
         );
         print_job("job", &stats);
         print_spill(&stats);
-        if let Some(j) = &journal {
+        if let Some(j) = &ctx.journal {
             commit_output(j, &cluster.chaos, &dataset_output_text("sample", &sampled))?;
         }
         Ok(())
     })
+}
+
+/// Reports the whole-job re-submissions a run needed, if any.
+fn print_job_retries(job_retries: u64) {
+    if job_retries > 0 {
+        println!("driver: {job_retries} whole-job re-submissions recovered from checkpoints");
+    }
 }
 
 /// Prints the out-of-core shuffle/reduce counters when the job spilled.
@@ -763,65 +813,57 @@ pub fn synth(args: &Args) -> Result<(), String> {
         dfs.num_blocks("synth").unwrap_or(0),
         dfs.file_bytes("synth").unwrap_or(0),
     );
-    let budget = memory_budget_from(args)?;
     let workload = args.get("workload").unwrap_or("sampling").to_string();
-    let journal = run_journal_from(args, "synth")?;
-    observed(args, |rec| match workload.as_str() {
-        "sampling" => {
-            let scfg = sampling::SamplingConfig::new(
-                args.get_or("window", 60i64)?,
-                sampling::Technique::ClosestToUpperLimit,
-            );
-            let (sampled, stats) = if let Some(j) = &journal {
-                sampling::mapreduce_sample_by_user_durable(
-                    &cluster, &dfs, "synth", &scfg, budget, j, rec,
-                )
-            } else {
-                sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &scfg, budget, rec)
+    observed(args, &cluster, Some("synth"), |ctx| {
+        match workload.as_str() {
+            "sampling" => {
+                let scfg = sampling::SamplingConfig::new(
+                    args.get_or("window", 60i64)?,
+                    sampling::Technique::ClosestToUpperLimit,
+                );
+                let (sampled, stats, job_retries) =
+                    sampling::mapreduce_sample_by_user_in(ctx, &mut dfs, "synth", &scfg)
+                        .map_err(job_failed)?;
+                print_job_retries(u64::from(job_retries));
+                println!(
+                    "sampling window {} s: kept {} traces across {} users",
+                    scfg.window_secs,
+                    sampled.num_traces(),
+                    sampled.num_users(),
+                );
+                print_job("job", &stats);
+                print_spill(&stats);
+                if let Some(j) = &ctx.journal {
+                    commit_output(j, &cluster.chaos, &dataset_output_text("synth", &sampled))?;
+                }
+                Ok(())
             }
-            .map_err(job_failed)?;
-            println!(
-                "sampling window {} s: kept {} traces across {} users",
-                scfg.window_secs,
-                sampled.num_traces(),
-                sampled.num_users(),
-            );
-            print_job("job", &stats);
-            print_spill(&stats);
-            if let Some(j) = &journal {
-                commit_output(j, &cluster.chaos, &dataset_output_text("synth", &sampled))?;
+            "kmeans" => {
+                let kcfg = kmeans::KMeansConfig {
+                    k: args.get_or("k", 11usize)?,
+                    max_iterations: args.get_or("max-iter", 5usize)?,
+                    seed: args.get_or("seed", 1u64)?,
+                    use_combiner: args.get_or("combiner", true)?,
+                    ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
+                };
+                let result = kmeans::mapreduce_kmeans_in(ctx, &mut dfs, "synth", &kcfg)
+                    .map_err(job_failed)?;
+                print_job_retries(result.job_retries);
+                println!(
+                    "k-means: k={} converged={} after {} iterations",
+                    kcfg.k, result.converged, result.iterations
+                );
+                if let Some(last) = result.per_iteration.last() {
+                    print_job("last iteration", &last.job);
+                    print_spill(&last.job);
+                }
+                if let Some(j) = &ctx.journal {
+                    commit_output(j, &cluster.chaos, &kmeans_output_text(&result))?;
+                }
+                Ok(())
             }
-            Ok(())
+            other => Err(format!("--workload '{other}': want sampling|kmeans")),
         }
-        "kmeans" => {
-            let kcfg = kmeans::KMeansConfig {
-                k: args.get_or("k", 11usize)?,
-                max_iterations: args.get_or("max-iter", 5usize)?,
-                seed: args.get_or("seed", 1u64)?,
-                use_combiner: args.get_or("combiner", true)?,
-                memory_budget: budget,
-                ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
-            };
-            let result = if let Some(j) = &journal {
-                kmeans::mapreduce_kmeans_durable(&cluster, &dfs, "synth", &kcfg, j, rec)
-            } else {
-                kmeans::mapreduce_kmeans_with(&cluster, &dfs, "synth", &kcfg, rec)
-            }
-            .map_err(job_failed)?;
-            println!(
-                "k-means: k={} converged={} after {} iterations",
-                kcfg.k, result.converged, result.iterations
-            );
-            if let Some(last) = result.per_iteration.last() {
-                print_job("last iteration", &last.job);
-                print_spill(&last.job);
-            }
-            if let Some(j) = &journal {
-                commit_output(j, &cluster.chaos, &kmeans_output_text(&result))?;
-            }
-            Ok(())
-        }
-        other => Err(format!("--workload '{other}': want sampling|kmeans")),
     })
 }
 
@@ -829,7 +871,7 @@ pub fn synth(args: &Args) -> Result<(), String> {
 pub fn kmeans(args: &Args) -> Result<(), String> {
     let ds = dataset_from(args, 178, 0.01)?;
     let cluster = cluster_from(args)?;
-    let dfs = dfs_with(args, &cluster, &ds)?;
+    let mut dfs = dfs_with(args, &cluster, &ds)?;
     let distance = DistanceMetric::parse(args.get("distance").unwrap_or("sqeuclidean"))
         .ok_or("unknown distance metric")?;
     let cfg = kmeans::KMeansConfig {
@@ -839,20 +881,10 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
         max_iterations: args.get_or("max-iter", 150usize)?,
         seed: args.get_or("seed", 1u64)?,
         use_combiner: args.get_or("combiner", true)?,
-        memory_budget: memory_budget_from(args)?,
     };
-    let policy = retry_policy_from(args)?;
-    let journal = run_journal_from(args, "kmeans")?;
-    observed(args, |rec| {
-        let result = if let Some(j) = &journal {
-            kmeans::mapreduce_kmeans_durable(&cluster, &dfs, "input", &cfg, j, rec)
-        } else if policy.max_job_retries > 0 {
-            let mut dfs = dfs;
-            kmeans::mapreduce_kmeans_checkpointed(&cluster, &mut dfs, "input", &cfg, &policy, rec)
-        } else {
-            kmeans::mapreduce_kmeans_with(&cluster, &dfs, "input", &cfg, rec)
-        }
-        .map_err(job_failed)?;
+    observed(args, &cluster, Some("kmeans"), |ctx| {
+        let result =
+            kmeans::mapreduce_kmeans_in(ctx, &mut dfs, "input", &cfg).map_err(job_failed)?;
         println!(
             "k-means: k={} distance={} converged={} after {} iterations",
             cfg.k,
@@ -860,12 +892,7 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
             result.converged,
             result.iterations
         );
-        if result.job_retries > 0 {
-            println!(
-                "driver: {} whole-job re-submissions recovered from checkpoints",
-                result.job_retries
-            );
-        }
+        print_job_retries(result.job_retries);
         let mean_iter_sim: f64 = result
             .per_iteration
             .iter()
@@ -880,7 +907,7 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
         for (i, c) in result.centroids.iter().enumerate() {
             println!("  centroid {i}: ({:.6}, {:.6})", c.lat, c.lon);
         }
-        if let Some(j) = &journal {
+        if let Some(j) = &ctx.journal {
             commit_output(j, &cluster.chaos, &kmeans_output_text(&result))?;
         }
         Ok(())
@@ -892,11 +919,8 @@ pub fn djcluster(args: &Args) -> Result<(), String> {
     let ds = dataset_from(args, 178, 0.01)?;
     let cluster = cluster_from(args)?;
     let mut dfs = dfs_with(args, &cluster, &ds)?;
-    // The paper clusters the *sampled* dataset; do the same.
     let window = args.get_or("window", 60i64)?;
     let scfg = sampling::SamplingConfig::new(window, sampling::Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "input", "sampled", &scfg)
-        .map_err(job_failed)?;
     let cfg = djcluster::DjConfig {
         radius_m: args.get_or("radius", 60.0f64)?,
         min_pts: args.get_or("minpts", 4usize)?,
@@ -906,37 +930,21 @@ pub fn djcluster(args: &Args) -> Result<(), String> {
     let rtree_cfg = args
         .get_or("mr-rtree", true)?
         .then(gepeto::rtree_build::RTreeBuildConfig::default);
-    let policy = retry_policy_from(args)?;
-    observed(args, |rec| {
-        let (clustering, pre, stats) = if policy.max_job_retries > 0 {
-            let (clustering, pre, stats, job_retries) =
-                djcluster::mapreduce_djcluster_full_resilient(
-                    &cluster,
-                    &mut dfs,
-                    "sampled",
-                    &cfg,
-                    rtree_cfg.as_ref(),
-                    &policy,
-                    rec,
-                )
-                .map_err(job_failed)?;
-            if job_retries > 0 {
-                println!(
-                    "driver: {job_retries} whole-job re-submissions recovered from checkpoints"
-                );
-            }
-            (clustering, pre, stats)
-        } else {
-            djcluster::mapreduce_djcluster_full_with(
-                &cluster,
-                &mut dfs,
-                "sampled",
-                &cfg,
-                rtree_cfg.as_ref(),
-                rec,
-            )
-            .map_err(job_failed)?
-        };
+    // No journal: none of DJ-Cluster's jobs commits its reduce output.
+    observed(args, &cluster, None, |ctx| {
+        // The paper clusters the *sampled* dataset; do the same.
+        let (sampled, _, sample_retries) =
+            sampling::mapreduce_sample_in(ctx, &mut dfs, "input", &scfg).map_err(job_failed)?;
+        gepeto::dfs_io::put_dataset(&mut dfs, "sampled", &sampled).map_err(|e| e.to_string())?;
+        let (clustering, pre, stats, job_retries) = djcluster::mapreduce_djcluster_full_in(
+            ctx,
+            &mut dfs,
+            "sampled",
+            &cfg,
+            rtree_cfg.as_ref(),
+        )
+        .map_err(job_failed)?;
+        print_job_retries(u64::from(sample_retries) + job_retries);
         println!(
             "preprocessing: {} -> {} (speed filter) -> {} (dedup)",
             pre.input, pre.after_speed_filter, pre.after_dedup
@@ -1264,6 +1272,27 @@ mod tests {
     }
 
     #[test]
+    fn run_dir_and_driver_retries_build_one_context_with_both() {
+        let dir = std::env::temp_dir().join(format!("gepeto-cli-ctx-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let flags = format!(
+            "--run-dir {} --driver-retries 2 --retry-backoff 7 --memory-budget 4k",
+            dir.display()
+        );
+        let cluster = Cluster::local(2, 1);
+        let rec = Recorder::disabled();
+        let ctx = exec_ctx_from(&args(&flags), &cluster, &rec, Some("kmeans")).unwrap();
+        assert!(ctx.journal.is_some() && dir.join("MANIFEST").exists());
+        // One budget per failure class.
+        assert_eq!((ctx.retry.max_job_retries, ctx.retry.io_retries), (2, 2));
+        assert_eq!((ctx.retry.backoff_s, ctx.memory_budget), (7.0, Some(4096)));
+        // A command whose jobs commit nothing never attaches the journal.
+        let ctx = exec_ctx_from(&args(&flags), &cluster, &rec, None).unwrap();
+        assert!(ctx.journal.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn synth_runs_sampling_under_tiny_budget() {
         assert!(synth(&args("--users 50 --chunk-mb 1 --memory-budget 1 --summary")).is_ok());
     }
@@ -1467,7 +1496,7 @@ mod tests {
     }
 
     #[test]
-    fn driver_retries_use_the_checkpointed_drivers() {
+    fn driver_retries_are_accepted_by_every_mapreduce_command() {
         assert!(kmeans(&args(
             "--users 2 --scale 0.002 --k 2 --max-iter 2 --driver-retries 2 --retry-backoff 1"
         ))
@@ -1476,5 +1505,7 @@ mod tests {
             "--users 2 --scale 0.002 --mr-rtree false --driver-retries 2"
         ))
         .is_ok());
+        assert!(sample(&args("--users 2 --scale 0.002 --driver-retries 2")).is_ok());
+        assert!(synth(&args("--users 30 --chunk-mb 1 --driver-retries 2")).is_ok());
     }
 }

@@ -54,8 +54,8 @@ use gepeto_geo::distance::equirectangular_m;
 use gepeto_geo::RTree;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobError, JobResult,
-    JobStats, MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, RetryPolicy, TaskContext,
+    Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobError, JobStats,
+    MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, TaskContext,
 };
 use gepeto_model::{Dataset, MobilityTrace, UserId};
 use gepeto_telemetry::Recorder;
@@ -288,55 +288,30 @@ pub fn sequential_preprocess(dataset: &Dataset, cfg: &DjConfig) -> Dataset {
     Dataset::from_traces(kept)
 }
 
-/// Runs the two pipelined preprocessing jobs (Figure 5), writing the
-/// filtered dataset to `output` on the DFS and returning the Table IV
-/// counts.
-pub fn mapreduce_preprocess(
-    cluster: &Cluster,
+/// Runs the two pipelined preprocessing jobs (Figure 5) through `ctx`,
+/// writing the filtered dataset to `output` on the DFS; returns the
+/// Table IV counts plus the job re-submissions needed.
+///
+/// Both jobs are captured under a `djcluster.preprocess` span and
+/// submitted through [`ExecCtx::submit`] (DFS healing + virtual-time
+/// backoff between attempts). The pipeline hop itself is the checkpoint
+/// — a job death never re-runs the stage before it. Map-only jobs have
+/// no shuffle to bound and no reduce output to commit, so the context's
+/// memory budget and journal do not apply.
+pub fn mapreduce_preprocess_in(
+    ctx: &ExecCtx<'_>,
     dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     output: &str,
     cfg: &DjConfig,
-) -> Result<PreprocessStats, JobError> {
-    mapreduce_preprocess_with(cluster, dfs, input, output, cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_preprocess`] with the two pipelined jobs' telemetry
-/// captured under a `djcluster.preprocess` span.
-pub fn mapreduce_preprocess_with(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    output: &str,
-    cfg: &DjConfig,
-    telemetry: &Recorder,
-) -> Result<PreprocessStats, JobError> {
-    // Without a retry budget the first error is final: the plain run.
-    let once = RetryPolicy::none();
-    mapreduce_preprocess_resilient(cluster, dfs, input, output, cfg, &once, telemetry)
-        .map(|(stats, _)| stats)
-}
-
-/// [`mapreduce_preprocess_with`] hardened for a faulty cluster: each of
-/// the two pipelined jobs runs under [`gepeto_mapred::run_with_recovery`]
-/// (DFS healing + virtual-time backoff between attempts). The pipeline
-/// hop itself is the checkpoint — a job death never re-runs the stage
-/// before it. Returns the stats plus the job re-submissions needed.
-pub fn mapreduce_preprocess_resilient(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    output: &str,
-    cfg: &DjConfig,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
 ) -> Result<(PreprocessStats, u64), JobError> {
+    let (cluster, telemetry) = (ctx.cluster, &ctx.telemetry);
     let span = telemetry.span("djcluster.preprocess", &[("input", input)]);
     let input_count = dfs.num_records(input)?;
     let mut jobs = PipelineReport::new();
 
     // Job 1: filter moving traces.
-    let filter_moving = |name: &str, dfs: &Dfs<MobilityTrace>| {
+    let (job1, retries1) = ctx.submit("dj-filter-moving", &mut *dfs, |name, dfs, _| {
         let mapper = SpeedFilterMapper {
             threshold: cfg.speed_threshold_mps,
             state: SpeedFilterState::default(),
@@ -345,15 +320,7 @@ pub fn mapreduce_preprocess_resilient(
             .pair_bytes(|_, t| t.approx_plt_bytes())
             .telemetry(telemetry.clone())
             .run()
-    };
-    let (job1, retries1) = run_with_recovery(
-        "dj-filter-moving",
-        cluster,
-        dfs,
-        policy,
-        telemetry,
-        filter_moving,
-    )?;
+    })?;
     let stationary: Vec<MobilityTrace> = job1.output.into_iter().map(|(_, t)| t).collect();
     let after_speed_filter = stationary.len();
     jobs.add(job1.stats);
@@ -366,7 +333,7 @@ pub fn mapreduce_preprocess_resilient(
     dfs.put_with_sizer(&intermediate, stationary, |t| t.approx_plt_bytes())?;
 
     // Job 2: remove redundant consecutive traces.
-    let dedup = |name: &str, dfs: &Dfs<MobilityTrace>| {
+    let (job2, retries2) = ctx.submit("dj-dedup", &mut *dfs, |name, dfs, _| {
         let mapper = DedupMapper {
             threshold_m: cfg.dup_threshold_m,
             last_kept: None,
@@ -375,8 +342,7 @@ pub fn mapreduce_preprocess_resilient(
             .pair_bytes(|_, t| t.approx_plt_bytes())
             .telemetry(telemetry.clone())
             .run()
-    };
-    let (job2, retries2) = run_with_recovery("dj-dedup", cluster, dfs, policy, telemetry, dedup)?;
+    })?;
     let deduped: Vec<MobilityTrace> = job2.output.into_iter().map(|(_, t)| t).collect();
     let after_dedup = deduped.len();
     jobs.add(job2.stats);
@@ -811,97 +777,41 @@ pub struct DjClusterStats {
     pub rtree_report: Option<crate::rtree_build::RTreeBuildReport>,
 }
 
-/// Runs DJ-Cluster phases 2–3 on an already-preprocessed `input` file.
+/// Runs DJ-Cluster phases 2–3 on an already-preprocessed `input` file,
+/// through `ctx`; returns the clustering, the stats and the job
+/// re-submissions needed.
 ///
 /// The R-tree over the input is built with the MapReduce pipeline of
 /// [`crate::rtree_build`] when `rtree_cfg` is given, or directly
-/// otherwise, then shipped to mappers through the distributed cache.
-pub fn mapreduce_djcluster(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
+/// otherwise, then shipped to mappers through the distributed cache. It
+/// lives in the driver, so it survives job deaths and is not rebuilt
+/// when the neighborhood+merge job is re-submitted. Everything is
+/// captured under a `djcluster.cluster` span, the R-tree build's jobs
+/// under `djcluster.rtree` inside it. Neighborhood sets carry no spill
+/// or artifact codec, so the context's memory budget and journal do not
+/// apply.
+pub fn mapreduce_djcluster_in<'d>(
+    ctx: &ExecCtx<'_>,
+    dfs: impl Into<DfsAccess<'d, MobilityTrace>>,
     input: &str,
     cfg: &DjConfig,
     rtree_cfg: Option<&RTreeBuildConfig>,
-) -> Result<(Clustering, DjClusterStats), JobError> {
-    mapreduce_djcluster_with(cluster, dfs, input, cfg, rtree_cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_djcluster`] with R-tree build and merge-job telemetry
-/// captured under a `djcluster.cluster` span.
-pub fn mapreduce_djcluster_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    telemetry: &Recorder,
-) -> Result<(Clustering, DjClusterStats), JobError> {
-    let submit_once =
-        |name: &str, dfs: &Dfs<MobilityTrace>, job: &mut ClusterJobFn<'_>| Ok((job(name, dfs)?, 0));
-    djcluster_inner(cluster, dfs, input, cfg, rtree_cfg, telemetry, submit_once)
-        .map(|(clustering, stats, _)| (clustering, stats))
-}
-
-/// [`mapreduce_djcluster_with`] hardened for a faulty cluster: the
-/// neighborhood+merge job runs under
-/// [`gepeto_mapred::run_with_recovery`]. The R-tree lives in the driver
-/// (distributed cache), so it survives job deaths and is not rebuilt on
-/// retry. Returns the clustering, the stats and the job re-submissions
-/// needed.
-pub fn mapreduce_djcluster_resilient(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
 ) -> Result<(Clustering, DjClusterStats, u64), JobError> {
-    let recover = |name: &str, dfs: &mut Dfs<MobilityTrace>, job: &mut ClusterJobFn<'_>| {
-        run_with_recovery(name, cluster, dfs, policy, telemetry, job)
-    };
-    djcluster_inner(cluster, dfs, input, cfg, rtree_cfg, telemetry, recover)
-}
-
-/// The neighborhood+merge job as [`djcluster_inner`] hands it to a
-/// submitter: `(job name, dfs)` in, `(cluster number, member ids)` pairs
-/// out — the shape [`run_with_recovery`] re-submits.
-type ClusterJobFn<'a> =
-    dyn FnMut(&str, &Dfs<MobilityTrace>) -> Result<JobResult<u32, Vec<u64>>, JobError> + 'a;
-
-/// Phases 2–3 behind both public drivers: R-tree into the distributed
-/// cache, the one neighborhood+merge job, clusters materialised from
-/// its output. `submit` gets the job's base name, the DFS the way the
-/// caller holds it (shared or exclusive) and the job, decides how often
-/// to run it, and returns the result with the re-submissions that took.
-fn djcluster_inner<D>(
-    cluster: &Cluster,
-    dfs: D,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    telemetry: &Recorder,
-    submit: impl FnOnce(
-        &str,
-        D,
-        &mut ClusterJobFn<'_>,
-    ) -> Result<(JobResult<u32, Vec<u64>>, u32), JobError>,
-) -> Result<(Clustering, DjClusterStats, u64), JobError>
-where
-    D: std::ops::Deref<Target = Dfs<MobilityTrace>>,
-{
+    let mut dfs = dfs.into();
+    let telemetry = &ctx.telemetry;
     let span = telemetry.span("djcluster.cluster", &[("input", input)]);
     check_ids_fit(dfs.num_records(input)?)?;
-    let (rtree, rtree_report) = {
+    let (rtree, rtree_report, rtree_retries) = {
         let _rtree_span = telemetry.span("djcluster.rtree", &[]);
         match rtree_cfg {
             Some(rc) => {
-                let (t, r) = mapreduce_build_rtree(cluster, &dfs, input, rc)?;
-                (t, Some(r))
+                let (t, r, retries) = mapreduce_build_rtree(ctx, &mut dfs, input, rc)?;
+                (t, Some(r), retries)
             }
             None => (
                 crate::rtree_build::direct_build_rtree(&dfs, input, 16)?,
                 None,
+                0,
             ),
         }
     };
@@ -912,9 +822,9 @@ where
         c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
         c
     };
-    let (result, job_retries) = submit("dj-cluster", dfs, &mut |name, dfs| {
+    let (result, job_retries) = ctx.submit("dj-cluster", &mut dfs, |name, dfs, _| {
         let mapper = NeighborhoodMapper::new(cfg);
-        MapReduceJob::new(name, cluster, dfs, input, mapper, MergeReducer)
+        MapReduceJob::new(name, ctx.cluster, dfs, input, mapper, MergeReducer)
             .reducers(1) // the merge "must be done by a centralized entity"
             .cache(cache.clone())
             .pair_bytes(|_, n| n.encoded_len())
@@ -941,7 +851,7 @@ where
             cluster_job: result.stats,
             rtree_report,
         },
-        u64::from(job_retries),
+        rtree_retries + u64::from(job_retries),
     ))
 }
 
@@ -982,58 +892,56 @@ pub fn sequential_djcluster(traces: &[MobilityTrace], cfg: &DjConfig) -> Cluster
     }
 }
 
-/// End-to-end convenience: preprocess then cluster, returning everything.
-pub fn mapreduce_djcluster_full(
-    cluster: &Cluster,
+/// End-to-end: preprocess then cluster through `ctx`, all phase timings
+/// captured under a root `djcluster` span. The final element of the
+/// result is the total number of whole-job re-submissions across all
+/// stages.
+pub fn mapreduce_djcluster_full_in(
+    ctx: &ExecCtx<'_>,
     dfs: &mut Dfs<MobilityTrace>,
     input: &str,
     cfg: &DjConfig,
     rtree_cfg: Option<&RTreeBuildConfig>,
-) -> Result<(Clustering, PreprocessStats, DjClusterStats), JobError> {
-    mapreduce_djcluster_full_with(cluster, dfs, input, cfg, rtree_cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_djcluster_full`] with all phase timings captured under a
-/// root `djcluster` span.
-pub fn mapreduce_djcluster_full_with(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    telemetry: &Recorder,
-) -> Result<(Clustering, PreprocessStats, DjClusterStats), JobError> {
-    // Without a retry budget the first error is final: the plain run.
-    let once = RetryPolicy::none();
-    mapreduce_djcluster_full_resilient(cluster, dfs, input, cfg, rtree_cfg, &once, telemetry)
-        .map(|(clustering, pre, stats, _)| (clustering, pre, stats))
-}
-
-/// [`mapreduce_djcluster_full_with`] hardened for a faulty cluster:
-/// every stage job carries the given retry policy (see
-/// [`mapreduce_preprocess_resilient`] and
-/// [`mapreduce_djcluster_resilient`]). The final element of the result
-/// is the total number of whole-job re-submissions across all stages.
-pub fn mapreduce_djcluster_full_resilient(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &DjConfig,
-    rtree_cfg: Option<&RTreeBuildConfig>,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
 ) -> Result<(Clustering, PreprocessStats, DjClusterStats, u64), JobError> {
-    let span = telemetry.span("djcluster", &[("input", input)]);
+    let span = ctx.telemetry.span("djcluster", &[("input", input)]);
     let pre_name = format!("{input}.preprocessed");
     if dfs.exists(&pre_name) {
         dfs.delete(&pre_name)?;
     }
-    let (pre, pre_retries) =
-        mapreduce_preprocess_resilient(cluster, dfs, input, &pre_name, cfg, policy, telemetry)?;
+    let (pre, pre_retries) = mapreduce_preprocess_in(ctx, dfs, input, &pre_name, cfg)?;
     let (clustering, stats, cluster_retries) =
-        mapreduce_djcluster_resilient(cluster, dfs, &pre_name, cfg, rtree_cfg, policy, telemetry)?;
+        mapreduce_djcluster_in(ctx, dfs, &pre_name, cfg, rtree_cfg)?;
     span.end();
     Ok((clustering, pre, stats, pre_retries + cluster_retries))
+}
+
+// Kept for `benchmark/`, which is compiled against these two
+// signatures.
+
+/// [`mapreduce_preprocess_in`] under [`ExecCtx::new`] plus `telemetry`.
+pub fn mapreduce_preprocess_with(
+    cluster: &Cluster,
+    dfs: &mut Dfs<MobilityTrace>,
+    input: &str,
+    output: &str,
+    cfg: &DjConfig,
+    telemetry: &Recorder,
+) -> Result<PreprocessStats, JobError> {
+    let ctx = ExecCtx::new(cluster).traced(telemetry);
+    mapreduce_preprocess_in(&ctx, dfs, input, output, cfg).map(|(stats, _)| stats)
+}
+
+/// [`mapreduce_djcluster_in`] under [`ExecCtx::new`] plus `telemetry`.
+pub fn mapreduce_djcluster_with(
+    cluster: &Cluster,
+    dfs: &Dfs<MobilityTrace>,
+    input: &str,
+    cfg: &DjConfig,
+    rtree_cfg: Option<&RTreeBuildConfig>,
+    telemetry: &Recorder,
+) -> Result<(Clustering, DjClusterStats), JobError> {
+    let ctx = ExecCtx::new(cluster).traced(telemetry);
+    mapreduce_djcluster_in(&ctx, dfs, input, cfg, rtree_cfg).map(|(c, stats, _)| (c, stats))
 }
 
 #[cfg(test)]
@@ -1100,10 +1008,11 @@ mod tests {
     fn mapreduce_preprocess_matches_sequential_single_chunk() {
         let ds = dwell_trip_dwell();
         let cluster = Cluster::local(2, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 1 << 20);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = DjConfig::default();
-        let stats = mapreduce_preprocess(&cluster, &mut dfs, "d", "out", &cfg).unwrap();
+        let (stats, _) = mapreduce_preprocess_in(&ctx, &mut dfs, "d", "out", &cfg).unwrap();
         let seq = sequential_preprocess(&ds, &cfg);
         assert_eq!(stats.input, ds.num_traces());
         assert_eq!(stats.after_dedup, seq.num_traces());
@@ -1168,10 +1077,11 @@ mod tests {
         let ds = dwell_trip_dwell();
         let cfg = DjConfig::default();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 1_024); // multiple chunks
         let pre = sequential_preprocess(&ds, &cfg);
         put_dataset(&mut dfs, "pre", &pre).unwrap();
-        let (mr, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+        let (mr, stats, _) = mapreduce_djcluster_in(&ctx, &dfs, "pre", &cfg, None).unwrap();
         let seq = sequential_djcluster(&dfs.read("pre").unwrap(), &cfg);
         assert_eq!(mr.canonical_ids(), seq.canonical_ids());
         assert_eq!(mr.noise, seq.noise);
@@ -1229,10 +1139,11 @@ mod tests {
         let ds = dwell_trip_dwell();
         let cfg = DjConfig::default();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 1_024);
         let pre = sequential_preprocess(&ds, &cfg);
         put_dataset(&mut dfs, "pre", &pre).unwrap();
-        let (clustering, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+        let (clustering, stats, _) = mapreduce_djcluster_in(&ctx, &dfs, "pre", &cfg, None).unwrap();
         let job = &stats.cluster_job;
         // Two dwell spots 2.8 km apart: a map task ships one pre-merged
         // component per spot its chunk touches, not one neighborhood per
@@ -1294,6 +1205,7 @@ mod tests {
         let ds = dwell_trip_dwell();
         let cfg = DjConfig::default();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 1_024);
         let pre = sequential_preprocess(&ds, &cfg);
         put_dataset(&mut dfs, "pre", &pre).unwrap();
@@ -1301,7 +1213,7 @@ mod tests {
             partitions: 3,
             ..RTreeBuildConfig::default()
         };
-        let (mr, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, Some(&rc)).unwrap();
+        let (mr, stats, _) = mapreduce_djcluster_in(&ctx, &dfs, "pre", &cfg, Some(&rc)).unwrap();
         let seq = sequential_djcluster(&dfs.read("pre").unwrap(), &cfg);
         assert_eq!(mr.canonical_ids(), seq.canonical_ids());
         assert!(stats.rtree_report.is_some());
@@ -1312,10 +1224,11 @@ mod tests {
         let ds = dwell_trip_dwell();
         let cfg = DjConfig::default();
         let cluster = Cluster::local(2, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 1 << 16);
         put_dataset(&mut dfs, "raw", &ds).unwrap();
-        let (clustering, pre, _) =
-            mapreduce_djcluster_full(&cluster, &mut dfs, "raw", &cfg, None).unwrap();
+        let (clustering, pre, _, _) =
+            mapreduce_djcluster_full_in(&ctx, &mut dfs, "raw", &cfg, None).unwrap();
         assert_eq!(pre.input, ds.num_traces());
         assert!(pre.after_dedup <= pre.after_speed_filter);
         assert_eq!(clustering.clusters.len(), 2);
@@ -1469,10 +1382,11 @@ mod partial_merge_props {
 
             // And through the engine, over as many DFS chunks.
             let cluster = Cluster::local(2, 2);
+            let ctx = ExecCtx::new(&cluster);
             let trace_bytes = traces.first().map_or(1, MobilityTrace::approx_plt_bytes);
             let mut dfs = trace_dfs(&cluster, chunk * trace_bytes);
             dfs.put_with_sizer("pre", traces.clone(), |t| t.approx_plt_bytes()).unwrap();
-            let (mr, stats) = mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+            let (mr, stats, _) = mapreduce_djcluster_in(&ctx, &dfs, "pre", &cfg, None).unwrap();
             prop_assert_eq!(mr.canonical_ids(), want.canonical_ids());
             prop_assert_eq!(mr.noise, want.noise);
             prop_assert_eq!(stats.cluster_job.map_tasks, n.div_ceil(chunk).max(1));

@@ -42,9 +42,8 @@
 use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa};
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    map_records, run_with_recovery, Cluster, Counters, Dfs, DistributedCache, Emitter, JobConfig,
-    JobError, JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, RetryPolicy, RunJournal,
-    TaskContext,
+    map_records, Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobConfig,
+    JobError, JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, TaskContext,
 };
 use gepeto_model::{GeoPoint, MobilityTrace};
 use gepeto_telemetry::Recorder;
@@ -89,10 +88,6 @@ pub struct KMeansConfig {
     /// at any thread count; they differ from each other only by
     /// floating-point reassociation (well under 1e-9°).
     pub use_combiner: bool,
-    /// Shuffle memory budget in bytes: iteration jobs whose map output
-    /// exceeds it spill sorted runs to local disk instead of holding the
-    /// whole partition in memory. `None` keeps the all-in-memory path.
-    pub memory_budget: Option<usize>,
 }
 
 impl KMeansConfig {
@@ -105,7 +100,6 @@ impl KMeansConfig {
             max_iterations: 150,
             seed: 2,
             use_combiner: true,
-            memory_budget: None,
         }
     }
 }
@@ -132,8 +126,8 @@ pub struct KMeansResult {
     pub converged: bool,
     /// Per-iteration job statistics (empty for the sequential runner).
     pub per_iteration: Vec<IterationStats>,
-    /// Whole-job re-submissions the driver needed (always 0 outside
-    /// [`mapreduce_kmeans_checkpointed`]).
+    /// Whole-job re-submissions the driver needed (always 0 under
+    /// [`gepeto_mapred::RetryPolicy::none`]).
     pub job_retries: u64,
 }
 
@@ -468,36 +462,60 @@ impl Reducer<u32, ClusterSum> for KMeansReducer {
     }
 }
 
-/// Algorithm 3: the driver — one MapReduce job per iteration until
-/// convergence or `maxIter` (Figure 4's workflow).
-pub fn mapreduce_kmeans(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &KMeansConfig,
-) -> Result<KMeansResult, JobError> {
-    mapreduce_kmeans_with(cluster, dfs, input, cfg, &Recorder::disabled())
-}
+/// Journal label under which the driver checkpoints each finished
+/// iteration's centroids.
+pub const KMEANS_CHECKPOINT_LABEL: &str = "kmeans";
 
-/// [`mapreduce_kmeans`] with telemetry: the run is wrapped in a `kmeans`
-/// span, every iteration gets a `kmeans.iteration` child span, and the
+/// Algorithm 3: the driver — one MapReduce job per iteration until
+/// convergence or `maxIter` (Figure 4's workflow), run the way `ctx`
+/// says.
+///
+/// **Telemetry**: the run is wrapped in a `kmeans` span, every iteration
+/// gets a `kmeans.iteration` span with its job nested under it, and the
 /// centroid movement is recorded as a `kmeans.shift` point — the
 /// convergence trajectory Figure 4's workflow monitors.
-pub fn mapreduce_kmeans_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
+///
+/// **Retry**: a whole-job death costs one iteration attempt, never the
+/// progress already made — the loop state lives out here, and
+/// [`ExecCtx::submit`] re-submits the dead iteration from it. Pass
+/// `&mut dfs` so the DFS is healed between attempts.
+///
+/// **Journal**: each finished iteration's centroids are checkpointed
+/// into the journal (bit-exact, via the IEEE-754 bit patterns) and its
+/// reduce partitions committed into the run directory. A resumed run
+/// restores the last checkpoint, skips the finished iterations entirely,
+/// and the in-flight iteration replays whatever reduce partitions it had
+/// already committed — so a SIGKILL anywhere lands on the same final
+/// centroids as an undisturbed run. `per_iteration` holds only the
+/// iterations executed by *this* process.
+///
+/// # Errors
+/// [`JobError::EmptyInput`] when `input` holds no trace to initialize
+/// from; otherwise the first job error `ctx.retry` did not absorb.
+pub fn mapreduce_kmeans_in<'d>(
+    ctx: &ExecCtx<'_>,
+    dfs: impl Into<DfsAccess<'d, MobilityTrace>>,
     input: &str,
     cfg: &KMeansConfig,
-    telemetry: &Recorder,
 ) -> Result<KMeansResult, JobError> {
+    let mut dfs = dfs.into();
+    let telemetry = &ctx.telemetry;
     let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
-    let init_points = sample_points(dfs, input, cfg.k, cfg.seed)?;
-    let mut centroids = init_points;
+    let restored = ctx
+        .journal
+        .as_ref()
+        .and_then(|j| j.last_checkpoint(KMEANS_CHECKPOINT_LABEL))
+        .and_then(|p| decode_kmeans_checkpoint(&p));
+    let (mut iterations, mut converged, mut centroids) = match restored {
+        Some(state) => state,
+        None => (0, false, sample_points(&dfs, input, cfg.k, cfg.seed)?),
+    };
+    if iterations > 0 {
+        telemetry.point("kmeans.resumed", iterations as f64, &[("input", input)]);
+    }
     let mut per_iteration = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-
-    while iterations < cfg.max_iterations {
+    let mut job_retries = 0u64;
+    while !converged && iterations < cfg.max_iterations {
         // `span()` (not `run_span.child()`) so the iteration enters the
         // recorder's context stack and the iteration's job span nests
         // under it on the critical path.
@@ -505,91 +523,9 @@ pub fn mapreduce_kmeans_with(
             "kmeans.iteration",
             &[("iter", &(iterations + 1).to_string())],
         );
-        let (next, job) =
-            mapreduce_iteration_with(cluster, dfs, input, &centroids, cfg, telemetry)?;
-        iterations += 1;
-        let shift = max_shift(&centroids, &next, cfg.distance);
-        telemetry.point("kmeans.shift", shift, &[("iter", &iterations.to_string())]);
-        if let Some(m) = telemetry.monitor() {
-            m.set_driver_progress(iterations as u64, shift);
-        }
-        iter_span.end();
-        per_iteration.push(IterationStats {
-            iteration: iterations,
-            max_shift: shift,
-            job,
-        });
-        centroids = next;
-        if shift <= cfg.convergence_delta {
-            converged = true;
-            break;
-        }
-    }
-    run_span.end();
-    Ok(KMeansResult {
-        centroids,
-        iterations,
-        converged,
-        per_iteration,
-        job_retries: 0,
-    })
-}
-
-/// Journal label under which the durable driver checkpoints each
-/// finished iteration's centroids.
-pub const KMEANS_CHECKPOINT_LABEL: &str = "kmeans";
-
-/// Crash-safe k-means under a write-ahead [`RunJournal`]: every
-/// iteration runs as a *uniquely named* job (`kmeans-i{n:03}`) whose
-/// reduce partitions are committed into the run directory, and each
-/// finished iteration's centroids are checkpointed into the journal
-/// (bit-exact, via the IEEE-754 bit patterns). A resumed run restores
-/// the last checkpoint, skips the finished iterations entirely, and the
-/// in-flight iteration replays whatever reduce partitions it had
-/// already committed — so a SIGKILL anywhere lands on the same final
-/// centroids as an undisturbed run.
-///
-/// Unique per-iteration job names are load-bearing: reduce artifacts
-/// are keyed by job name, so a driver that reused one name across
-/// iterations would replay a *stale* iteration's output on resume.
-///
-/// `per_iteration` holds only the iterations executed by *this*
-/// process; checkpoint-restored iterations contribute no stats.
-pub fn mapreduce_kmeans_durable(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &KMeansConfig,
-    journal: &Arc<RunJournal>,
-    telemetry: &Recorder,
-) -> Result<KMeansResult, JobError> {
-    let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
-    let restored = journal
-        .last_checkpoint(KMEANS_CHECKPOINT_LABEL)
-        .and_then(|p| decode_kmeans_checkpoint(&p));
-    let (mut iterations, mut converged, mut centroids) = match restored {
-        Some(state) => state,
-        None => (0, false, sample_points(dfs, input, cfg.k, cfg.seed)?),
-    };
-    if iterations > 0 {
-        telemetry.point("kmeans.resumed", iterations as f64, &[("input", input)]);
-    }
-    let mut per_iteration = Vec::new();
-    while !converged && iterations < cfg.max_iterations {
-        let iter_span = telemetry.span(
-            "kmeans.iteration",
-            &[("iter", &(iterations + 1).to_string())],
-        );
-        let (next, job) = mapreduce_iteration_inner(
-            &format!("kmeans-i{:03}", iterations + 1),
-            cluster,
-            dfs,
-            input,
-            &centroids,
-            cfg,
-            Some(journal),
-            telemetry,
-        )?;
+        let (next, job, retries) =
+            mapreduce_iteration_in(ctx, &mut dfs, input, iterations + 1, &centroids, cfg)?;
+        job_retries += u64::from(retries);
         iterations += 1;
         let shift = max_shift(&centroids, &next, cfg.distance);
         telemetry.point("kmeans.shift", shift, &[("iter", &iterations.to_string())]);
@@ -598,12 +534,14 @@ pub fn mapreduce_kmeans_durable(
         }
         centroids = next;
         converged = shift <= cfg.convergence_delta;
-        journal
-            .append(&JournalEntry::Checkpoint {
-                label: KMEANS_CHECKPOINT_LABEL.to_string(),
-                payload: encode_kmeans_checkpoint(iterations, converged, &centroids),
-            })
-            .map_err(JobError::Io)?;
+        if let Some(journal) = &ctx.journal {
+            journal
+                .append(&JournalEntry::Checkpoint {
+                    label: KMEANS_CHECKPOINT_LABEL.to_string(),
+                    payload: encode_kmeans_checkpoint(iterations, converged, &centroids),
+                })
+                .map_err(JobError::Io)?;
+        }
         iter_span.end();
         per_iteration.push(IterationStats {
             iteration: iterations,
@@ -617,7 +555,7 @@ pub fn mapreduce_kmeans_durable(
         iterations,
         converged,
         per_iteration,
-        job_retries: 0,
+        job_retries,
     })
 }
 
@@ -651,109 +589,73 @@ fn decode_kmeans_checkpoint(payload: &str) -> Option<(usize, bool, Vec<GeoPoint>
     Some((iteration, converged, centroids))
 }
 
-/// Last-good-iteration state of a checkpointed k-means run. The driver
-/// keeps this *outside* the job, so a job death costs one iteration
-/// attempt, never the progress already made.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KMeansCheckpoint {
-    /// Iterations completed so far.
-    pub iteration: usize,
-    /// Centroids as of `iteration`.
-    pub centroids: Vec<GeoPoint>,
-}
-
-/// [`mapreduce_kmeans`] hardened for a faulty cluster: each iteration's
-/// job runs under [`gepeto_mapred::run_with_recovery`], so a whole-job
-/// death (every replica of a chunk unreadable, a task out of attempts,
-/// no live nodes) is retried from the last [`KMeansCheckpoint`] with
-/// DFS re-replication and virtual-time backoff between attempts, up to
-/// `policy.max_job_retries` per iteration. Needs `&mut` DFS because
-/// healing re-places replicas.
+/// One MapReduce k-means iteration — assignment (map) + update (reduce)
+/// — as one job submitted through `ctx`. Returns the new centroids, the
+/// job's statistics and the re-submissions it took.
 ///
-/// With [`RetryPolicy::none`] and a quiet chaos plan this is
-/// byte-identical to [`mapreduce_kmeans_with`]: attempt 0 keeps the
-/// plain job name and host outputs never depend on the schedule.
-pub fn mapreduce_kmeans_checkpointed(
-    cluster: &Cluster,
-    dfs: &mut Dfs<MobilityTrace>,
+/// `iteration` (1-based) names the job under a journal: reduce artifacts
+/// are keyed by job name, so every iteration of a journaled run must be
+/// a *uniquely named* job (`kmeans-i{iteration:03}`) — a driver that
+/// reused one name would replay a stale iteration's output on resume.
+/// Unjournaled, every iteration is `kmeans-iteration`.
+pub fn mapreduce_iteration_in<'d>(
+    ctx: &ExecCtx<'_>,
+    dfs: impl Into<DfsAccess<'d, MobilityTrace>>,
     input: &str,
+    iteration: usize,
+    centroids: &[GeoPoint],
     cfg: &KMeansConfig,
-    policy: &RetryPolicy,
-    telemetry: &Recorder,
-) -> Result<KMeansResult, JobError> {
-    let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
-    let mut state = KMeansCheckpoint {
-        iteration: 0,
-        centroids: sample_points(dfs, input, cfg.k, cfg.seed)?,
+) -> Result<(Vec<GeoPoint>, JobStats, u32), JobError> {
+    let base_name = match ctx.journal {
+        Some(_) => format!("kmeans-i{iteration:03}"),
+        None => "kmeans-iteration".to_string(),
     };
-    let mut per_iteration = Vec::new();
-    let mut converged = false;
-    let mut job_retries = 0u64;
-
-    while state.iteration < cfg.max_iterations {
-        let iter_span = run_span.child(
-            "kmeans.iteration",
-            &[("iter", &(state.iteration + 1).to_string())],
-        );
-        let centroids = state.centroids.clone();
-        let ((next, job), retries) = run_with_recovery(
-            "kmeans-iteration",
-            cluster,
-            dfs,
-            policy,
-            telemetry,
-            |job_name, dfs| {
-                mapreduce_iteration_named(job_name, cluster, dfs, input, &centroids, cfg, telemetry)
-            },
-        )?;
-        job_retries += retries as u64;
-        let shift = max_shift(&state.centroids, &next, cfg.distance);
-        state = KMeansCheckpoint {
-            iteration: state.iteration + 1,
-            centroids: next,
-        };
-        telemetry.point(
-            "kmeans.shift",
-            shift,
-            &[("iter", &state.iteration.to_string())],
-        );
-        if let Some(m) = telemetry.monitor() {
-            m.set_driver_progress(state.iteration as u64, shift);
-        }
-        iter_span.end();
-        per_iteration.push(IterationStats {
-            iteration: state.iteration,
-            max_shift: shift,
-            job,
-        });
-        if shift <= cfg.convergence_delta {
-            converged = true;
-            break;
-        }
+    let (result, retries) = ctx.submit(&base_name, dfs, |job_name, dfs, budget| {
+        let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
+        let config = JobConfig::new()
+            .set("k", cfg.k)
+            .set(
+                "distanceMeasure",
+                format!("{:?}", cfg.distance).to_lowercase(),
+            )
+            .set("convergencedelta", cfg.convergence_delta)
+            .set("maxIter", cfg.max_iterations);
+        let mapper = KMeansMapper::new(cfg.distance, cfg.use_combiner);
+        MapReduceJob::new(job_name, ctx.cluster, dfs, input, mapper, KMeansReducer)
+            .reducers(ctx.cluster.topology.num_nodes())
+            .config(config)
+            .cache(cache)
+            .pair_bytes(|_, _| std::mem::size_of::<(u32, ClusterSum)>())
+            .exec(
+                ctx,
+                budget,
+                crate::spill_codecs::point_sum_codec(),
+                crate::spill_codecs::centroid_codec(),
+            )
+            .run()
+    })?;
+    // Clusters that received no point keep their previous centroid.
+    let mut next = centroids.to_vec();
+    for (cid, mean) in result.output {
+        next[cid as usize] = mean;
     }
-    run_span.end();
-    Ok(KMeansResult {
-        centroids: state.centroids,
-        iterations: state.iteration,
-        converged,
-        per_iteration,
-        job_retries,
-    })
+    Ok((next, result.stats, retries))
 }
 
-/// One MapReduce k-means iteration: assignment (map) + update (reduce).
-pub fn mapreduce_iteration(
+// Kept for `benchmark/`, which is compiled against these two
+// signatures.
+
+/// [`mapreduce_kmeans_in`] under [`ExecCtx::new`].
+pub fn mapreduce_kmeans(
     cluster: &Cluster,
     dfs: &Dfs<MobilityTrace>,
     input: &str,
-    centroids: &[GeoPoint],
     cfg: &KMeansConfig,
-) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    mapreduce_iteration_with(cluster, dfs, input, centroids, cfg, &Recorder::disabled())
+) -> Result<KMeansResult, JobError> {
+    mapreduce_kmeans_in(&ExecCtx::new(cluster), dfs, input, cfg)
 }
 
-/// [`mapreduce_iteration`] with the iteration job's telemetry captured
-/// through `telemetry`.
+/// [`mapreduce_iteration_in`] under [`ExecCtx::new`] plus `telemetry`.
 pub fn mapreduce_iteration_with(
     cluster: &Cluster,
     dfs: &Dfs<MobilityTrace>,
@@ -762,77 +664,8 @@ pub fn mapreduce_iteration_with(
     cfg: &KMeansConfig,
     telemetry: &Recorder,
 ) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    mapreduce_iteration_named(
-        "kmeans-iteration",
-        cluster,
-        dfs,
-        input,
-        centroids,
-        cfg,
-        telemetry,
-    )
-}
-
-/// [`mapreduce_iteration_with`] under an explicit job name — what the
-/// checkpointed driver uses to give re-submissions their `.r{n}` names.
-fn mapreduce_iteration_named(
-    job_name: &str,
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    centroids: &[GeoPoint],
-    cfg: &KMeansConfig,
-    telemetry: &Recorder,
-) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    mapreduce_iteration_inner(
-        job_name, cluster, dfs, input, centroids, cfg, None, telemetry,
-    )
-}
-
-/// The iteration job, optionally committing its reduce partitions into a
-/// run journal (the durable driver's path).
-#[allow(clippy::too_many_arguments)]
-fn mapreduce_iteration_inner(
-    job_name: &str,
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    centroids: &[GeoPoint],
-    cfg: &KMeansConfig,
-    journal: Option<&Arc<RunJournal>>,
-    telemetry: &Recorder,
-) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
-    let config = JobConfig::new()
-        .set("k", cfg.k)
-        .set(
-            "distanceMeasure",
-            format!("{:?}", cfg.distance).to_lowercase(),
-        )
-        .set("convergencedelta", cfg.convergence_delta)
-        .set("maxIter", cfg.max_iterations);
-    let mapper = KMeansMapper::new(cfg.distance, cfg.use_combiner);
-    let job = MapReduceJob::new(job_name, cluster, dfs, input, mapper, KMeansReducer)
-        .reducers(cluster.topology.num_nodes())
-        .config(config)
-        .cache(cache)
-        .telemetry(telemetry.clone())
-        .pair_bytes(|_, _| std::mem::size_of::<(u32, ClusterSum)>());
-    let job = match cfg.memory_budget {
-        Some(bytes) => job.memory_budget_with(bytes, crate::spill_codecs::point_sum_codec()),
-        None => job.spill_codec(crate::spill_codecs::point_sum_codec()),
-    };
-    let job = match journal {
-        Some(j) => job.durable_with(j.clone(), crate::spill_codecs::centroid_codec()),
-        None => job,
-    };
-    let result = job.run()?;
-    // Clusters that received no point keep their previous centroid.
-    let mut next = centroids.to_vec();
-    for (cid, mean) in result.output {
-        next[cid as usize] = mean;
-    }
-    Ok((next, result.stats))
+    let ctx = ExecCtx::new(cluster).traced(telemetry);
+    mapreduce_iteration_in(&ctx, dfs, input, 1, centroids, cfg).map(|(next, job, _)| (next, job))
 }
 
 /// Draws `k` traces from the input file without reading it entirely —
@@ -844,7 +677,9 @@ fn sample_points(
     seed: u64,
 ) -> Result<Vec<GeoPoint>, JobError> {
     let total = dfs.num_records(input)?;
-    assert!(total > 0, "cannot initialize k-means on an empty file");
+    if total == 0 {
+        return Err(JobError::EmptyInput(input.to_string()));
+    }
     let k = k.min(total);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut picks: Vec<usize> = Vec::with_capacity(k);
@@ -1071,7 +906,6 @@ mod tests {
             // `sequential_kmeans_restarts`).
             seed: 2,
             use_combiner: true,
-            memory_budget: None,
         }
     }
 
@@ -1145,12 +979,13 @@ mod tests {
     fn mapreduce_iteration_matches_sequential() {
         let ds = blob_dataset();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 2_048); // several chunks
         put_dataset(&mut dfs, "pts", &ds).unwrap();
         let points = blobs();
         let centroids = initial_centroids(&points, 3, 7);
         let c = cfg(DistanceMetric::SquaredEuclidean);
-        let (mr, _) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &c).unwrap();
+        let (mr, _, _) = mapreduce_iteration_in(&ctx, &dfs, "pts", 1, &centroids, &c).unwrap();
         let seq = sequential_iteration(&points, &centroids, c.distance);
         for (a, b) in mr.iter().zip(&seq) {
             assert!((a.lat - b.lat).abs() < 1e-9, "{a:?} vs {b:?}");
@@ -1212,12 +1047,13 @@ mod tests {
     fn mapreduce_iteration_counts_evals_and_skips_sorts() {
         let ds = blob_dataset();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 2_048);
         put_dataset(&mut dfs, "pts", &ds).unwrap();
         let points = blobs();
         let centroids = initial_centroids(&points, 3, 7);
         let c = cfg(DistanceMetric::SquaredEuclidean);
-        let (_, stats) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &c).unwrap();
+        let (_, stats, _) = mapreduce_iteration_in(&ctx, &dfs, "pts", 1, &centroids, &c).unwrap();
         // Every trace is compared against every centroid exactly once.
         assert_eq!(
             stats.counters[builtin::DISTANCE_EVALS],
@@ -1234,6 +1070,7 @@ mod tests {
     fn combiner_does_not_change_the_result_but_cuts_shuffle() {
         let ds = blob_dataset();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 2_048);
         put_dataset(&mut dfs, "pts", &ds).unwrap();
         let chunks = dfs.num_blocks("pts").unwrap() as u64;
@@ -1244,9 +1081,10 @@ mod tests {
             use_combiner: false,
             ..fused_cfg.clone()
         };
-        let (a, sa) =
-            mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &per_trace_cfg).unwrap();
-        let (b, sb) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &fused_cfg).unwrap();
+        let (a, sa, _) =
+            mapreduce_iteration_in(&ctx, &dfs, "pts", 1, &centroids, &per_trace_cfg).unwrap();
+        let (b, sb, _) =
+            mapreduce_iteration_in(&ctx, &dfs, "pts", 1, &centroids, &fused_cfg).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((x.lat - y.lat).abs() < 1e-9);
             assert!((x.lon - y.lon).abs() < 1e-9);
@@ -1373,6 +1211,7 @@ mod tests {
         // per (mapper, cluster).
         let ds = blob_dataset();
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 2_048);
         put_dataset(&mut dfs, "pts", &ds).unwrap();
         let centroids = initial_centroids(&blobs(), 3, 1);
@@ -1380,7 +1219,8 @@ mod tests {
             use_combiner: true,
             ..cfg(DistanceMetric::SquaredEuclidean)
         };
-        let (_, mean_stats) = mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &c).unwrap();
+        let (_, mean_stats, _) =
+            mapreduce_iteration_in(&ctx, &dfs, "pts", 1, &centroids, &c).unwrap();
         let (_, median_stats) =
             mapreduce_median_iteration(&cluster, &dfs, "pts", &centroids, &c).unwrap();
         assert!(
@@ -1408,12 +1248,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_input_rejected() {
+    fn empty_input_is_a_typed_error_and_zero_iterations_return_the_init() {
         let cluster = Cluster::local(2, 1);
         let mut dfs = trace_dfs(&cluster, 1_024);
         dfs.put_with_sizer("empty", vec![], |_| 64).unwrap();
-        let _ = mapreduce_kmeans(&cluster, &dfs, "empty", &cfg(DistanceMetric::Euclidean));
+        let c = cfg(DistanceMetric::Euclidean);
+        let err = mapreduce_kmeans(&cluster, &dfs, "empty", &c).unwrap_err();
+        assert_eq!(err, JobError::EmptyInput("empty".into()));
+        assert!(!err.is_storage());
+        assert!(err.to_string().contains("'empty' holds no records"));
+        // The benchmark harness reads the initial centroids this way.
+        put_dataset(&mut dfs, "pts", &blob_dataset()).unwrap();
+        let init_only = KMeansConfig {
+            max_iterations: 0,
+            ..c
+        };
+        let init = mapreduce_kmeans(&cluster, &dfs, "pts", &init_only).unwrap();
+        assert_eq!((init.iterations, init.centroids.len()), (0, 3));
+        assert!(init.centroids.iter().all(|p| blobs().contains(p)));
     }
 }
 

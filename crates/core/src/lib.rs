@@ -33,6 +33,13 @@
 //! and attack output as SVG/GeoJSON/ASCII; [`textio`] processes GeoLife
 //! PLT text the way the paper's Hadoop jobs do.
 //!
+//! Every MapReduce driver of the three families is **one function** named
+//! `mapreduce_*_in` that takes a [`gepeto_mapred::ExecCtx`] first: the
+//! context, not the function name, says whether the run is traced,
+//! retried, journaled or memory-bounded. The six `mapreduce_*` functions
+//! without the suffix are thin shims kept for the frozen `benchmark/`
+//! harness.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -51,9 +58,10 @@
 //! let mut dfs = trace_dfs(&cluster, 1 << 20);
 //! put_dataset(&mut dfs, "geolife", &dataset).unwrap();
 //!
-//! // …and down-sampled with a map-only MapReduce job (Figure 2).
-//! let (sampled, stats) = sampling::mapreduce_sample(
-//!     &cluster, &dfs, "geolife",
+//! // …and down-sampled with a map-only MapReduce job (Figure 2), run in
+//! // the plain execution context: untraced, fail-fast, all in memory.
+//! let (sampled, stats, _resubmissions) = sampling::mapreduce_sample_in(
+//!     &ExecCtx::new(&cluster), &dfs, "geolife",
 //!     &sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit),
 //! ).unwrap();
 //! assert!(sampled.num_traces() < dataset.num_traces());
@@ -80,6 +88,6 @@ pub mod prelude {
     };
     pub use gepeto_geo::{DistanceMetric, RTree, Rect, SpaceFillingCurve};
     pub use gepeto_geolife::{DatasetStats, GeneratorConfig, SyntheticGeoLife};
-    pub use gepeto_mapred::{Cluster, Dfs, JobConfig, PipelineReport};
+    pub use gepeto_mapred::{Cluster, Dfs, ExecCtx, JobConfig, PipelineReport};
     pub use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp, Trail};
 }

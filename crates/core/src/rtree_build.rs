@@ -23,8 +23,8 @@
 use gepeto_geo::sfc::GridMapper;
 use gepeto_geo::{RTree, Rect, SpaceFillingCurve};
 use gepeto_mapred::{
-    Cluster, Dfs, DistributedCache, Emitter, JobError, JobStats, MapOnlyJob, MapReduceJob, Mapper,
-    Reducer, TaskContext,
+    Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobError, JobStats, MapOnlyJob,
+    MapReduceJob, Mapper, Reducer, TaskContext,
 };
 use gepeto_model::MobilityTrace;
 use std::sync::Arc;
@@ -213,19 +213,28 @@ impl Reducer<u32, (u64, f64, f64)> for TreeBuildReducer {
     }
 }
 
-/// Builds an R-tree over `input` with the 3-phase MapReduce pipeline.
-pub fn mapreduce_build_rtree(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
+/// Builds an R-tree over `input` with the 3-phase MapReduce pipeline,
+/// each phase one job submitted through `ctx` — traced by its recorder
+/// and retried under its policy like any other job. Returns the tree,
+/// the per-phase report and the re-submissions the three jobs took.
+pub fn mapreduce_build_rtree<'d>(
+    ctx: &ExecCtx<'_>,
+    dfs: impl Into<DfsAccess<'d, MobilityTrace>>,
     input: &str,
     cfg: &RTreeBuildConfig,
-) -> Result<(RTree<u64>, RTreeBuildReport), JobError> {
+) -> Result<(RTree<u64>, RTreeBuildReport, u64), JobError> {
     assert!(cfg.partitions >= 1, "need at least one partition");
     assert!(cfg.samples_per_chunk >= 1);
+    let mut dfs = dfs.into();
+    let (cluster, telemetry) = (ctx.cluster, &ctx.telemetry);
 
     // Phase 0: dataset MBR (anchors the curve grid).
-    let bounds_result =
-        MapOnlyJob::new("rtree-bounds", cluster, dfs, input, BoundsMapper::default()).run()?;
+    let (bounds_result, bounds_retries) =
+        ctx.submit("rtree-bounds", &mut dfs, |name, dfs, _| {
+            MapOnlyJob::new(name, cluster, dfs, input, BoundsMapper::default())
+                .telemetry(telemetry.clone())
+                .run()
+        })?;
     let bounds = bounds_result
         .output
         .iter()
@@ -238,7 +247,8 @@ pub fn mapreduce_build_rtree(
             phase2: bounds_result.stats,
             partition_sizes: Vec::new(),
         };
-        return Ok((RTree::with_max_entries(cfg.max_entries), report));
+        let tree = RTree::with_max_entries(cfg.max_entries);
+        return Ok((tree, report, u64::from(bounds_retries)));
     }
     let grid = GridMapper::new(bounds, cfg.grid_order);
     let cache = DistributedCache::new().with(GRID_CACHE_KEY, (grid, cfg.curve));
@@ -248,19 +258,23 @@ pub fn mapreduce_build_rtree(
     let chunks = dfs.num_blocks(input)?.max(1);
     let per_chunk = records.div_ceil(chunks);
     let stride = (per_chunk / cfg.samples_per_chunk).max(1) as u64;
-    let phase1 = MapReduceJob::new(
-        "rtree-phase1",
-        cluster,
-        dfs,
-        input,
-        SampleMapper { grid: None, stride },
-        BoundaryReducer {
+    let (phase1, phase1_retries) = ctx.submit("rtree-phase1", &mut dfs, |name, dfs, _| {
+        let reducer = BoundaryReducer {
             partitions: cfg.partitions,
-        },
-    )
-    .reducers(1)
-    .cache(cache.clone())
-    .run()?;
+        };
+        MapReduceJob::new(
+            name,
+            cluster,
+            dfs,
+            input,
+            SampleMapper { grid: None, stride },
+            reducer,
+        )
+        .reducers(1)
+        .cache(cache.clone())
+        .telemetry(telemetry.clone())
+        .run()
+    })?;
     let boundaries: Vec<u64> = phase1
         .output
         .first()
@@ -273,23 +287,21 @@ pub fn mapreduce_build_rtree(
         c.insert(BOUNDARIES_CACHE_KEY, boundaries.clone());
         c
     };
-    let phase2 = MapReduceJob::new(
-        "rtree-phase2",
-        cluster,
-        dfs,
-        input,
-        PartitionMapper {
+    let (phase2, phase2_retries) = ctx.submit("rtree-phase2", &mut dfs, |name, dfs, _| {
+        let mapper = PartitionMapper {
             grid: None,
             boundaries: Arc::new(Vec::new()),
-        },
-        TreeBuildReducer {
+        };
+        let reducer = TreeBuildReducer {
             max_entries: cfg.max_entries,
-        },
-    )
-    .reducers(cfg.partitions)
-    .cache(cache2)
-    .pair_bytes(|_, _| 24)
-    .run()?;
+        };
+        MapReduceJob::new(name, cluster, dfs, input, mapper, reducer)
+            .reducers(cfg.partitions)
+            .cache(cache2.clone())
+            .pair_bytes(|_, _| 24)
+            .telemetry(telemetry.clone())
+            .run()
+    })?;
 
     // Phase 3: sequential merge.
     let mut partition_sizes: Vec<usize> = phase2.output.iter().map(|(_, t)| t.len()).collect();
@@ -305,6 +317,7 @@ pub fn mapreduce_build_rtree(
             phase2: phase2.stats,
             partition_sizes,
         },
+        u64::from(bounds_retries + phase1_retries + phase2_retries),
     ))
 }
 
@@ -327,6 +340,7 @@ pub fn direct_build_rtree(
 mod tests {
     use super::*;
     use crate::dfs_io::{put_dataset, trace_dfs};
+    use gepeto_mapred::Cluster;
     use gepeto_model::{Dataset, GeoPoint, Timestamp};
 
     fn grid_dataset(side: usize) -> Dataset {
@@ -343,6 +357,17 @@ mod tests {
         Dataset::from_traces(traces)
     }
 
+    fn build(
+        cluster: &Cluster,
+        dfs: &Dfs<MobilityTrace>,
+        input: &str,
+        cfg: &RTreeBuildConfig,
+    ) -> (RTree<u64>, RTreeBuildReport) {
+        let (tree, report, _) =
+            mapreduce_build_rtree(&ExecCtx::new(cluster), dfs, input, cfg).unwrap();
+        (tree, report)
+    }
+
     fn setup(side: usize) -> (Cluster, Dfs<MobilityTrace>) {
         let cluster = Cluster::local(3, 2);
         let mut dfs = trace_dfs(&cluster, 4_096);
@@ -353,8 +378,7 @@ mod tests {
     #[test]
     fn mapreduce_tree_indexes_every_record() {
         let (cluster, dfs) = setup(30);
-        let (tree, report) =
-            mapreduce_build_rtree(&cluster, &dfs, "pts", &RTreeBuildConfig::default()).unwrap();
+        let (tree, report) = build(&cluster, &dfs, "pts", &RTreeBuildConfig::default());
         assert_eq!(tree.len(), 900);
         assert!(tree.check_invariants().is_none());
         assert_eq!(report.partition_sizes.iter().sum::<usize>(), 900);
@@ -364,8 +388,7 @@ mod tests {
     #[test]
     fn queries_match_direct_build() {
         let (cluster, dfs) = setup(25);
-        let (mr_tree, _) =
-            mapreduce_build_rtree(&cluster, &dfs, "pts", &RTreeBuildConfig::default()).unwrap();
+        let (mr_tree, _) = build(&cluster, &dfs, "pts", &RTreeBuildConfig::default());
         let direct = direct_build_rtree(&dfs, "pts", 16).unwrap();
         let center = GeoPoint::new(39.82, 116.22);
         for radius in [50.0, 300.0, 2_000.0] {
@@ -395,7 +418,7 @@ mod tests {
                 samples_per_chunk: 128,
                 ..RTreeBuildConfig::default()
             };
-            let (_, report) = mapreduce_build_rtree(&cluster, &dfs, "pts", &cfg).unwrap();
+            let (_, report) = build(&cluster, &dfs, "pts", &cfg);
             assert!(
                 report.imbalance() < 2.0,
                 "{} imbalance {}: {:?}",
@@ -413,7 +436,7 @@ mod tests {
             partitions: 1,
             ..RTreeBuildConfig::default()
         };
-        let (tree, report) = mapreduce_build_rtree(&cluster, &dfs, "pts", &cfg).unwrap();
+        let (tree, report) = build(&cluster, &dfs, "pts", &cfg);
         assert_eq!(tree.len(), 100);
         assert_eq!(report.partition_sizes.len(), 1);
     }
@@ -423,8 +446,7 @@ mod tests {
         let cluster = Cluster::local(2, 1);
         let mut dfs = trace_dfs(&cluster, 1_024);
         dfs.put_with_sizer("empty", vec![], |_| 64).unwrap();
-        let (tree, report) =
-            mapreduce_build_rtree(&cluster, &dfs, "empty", &RTreeBuildConfig::default()).unwrap();
+        let (tree, report) = build(&cluster, &dfs, "empty", &RTreeBuildConfig::default());
         assert!(tree.is_empty());
         assert!(report.partition_sizes.is_empty());
     }
@@ -432,8 +454,7 @@ mod tests {
     #[test]
     fn payloads_are_global_offsets() {
         let (cluster, dfs) = setup(12);
-        let (tree, _) =
-            mapreduce_build_rtree(&cluster, &dfs, "pts", &RTreeBuildConfig::default()).unwrap();
+        let (tree, _) = build(&cluster, &dfs, "pts", &RTreeBuildConfig::default());
         let traces = dfs.read("pts").unwrap();
         for e in tree.iter() {
             let t = &traces[e.payload as usize];

@@ -30,13 +30,12 @@
 //! ```
 
 use gepeto_mapred::{
-    Cluster, Dfs, Emitter, JobError, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer,
-    RunJournal,
+    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, JobError, JobStats, MapOnlyJob, MapReduceJob,
+    Mapper, Reducer,
 };
 use gepeto_model::{Dataset, MobilityTrace, Trail, UserId};
 use gepeto_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How the representative trace of a window is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -210,35 +209,34 @@ impl Mapper<MobilityTrace> for SamplingMapper {
     }
 }
 
-/// Runs sampling as a map-only MapReduce job over `input` and returns the
-/// sampled dataset plus the job statistics.
-pub fn mapreduce_sample(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &SamplingConfig,
-) -> Result<(Dataset, JobStats), JobError> {
-    mapreduce_sample_with(cluster, dfs, input, cfg, &Recorder::disabled())
-}
-
-/// [`mapreduce_sample`] with telemetry: the job's spans are captured, and
+/// Runs sampling as a map-only MapReduce job over `input`, submitted
+/// through `ctx`; returns the sampled dataset, the job statistics and the
+/// re-submissions it took.
+///
+/// Telemetry: the job's spans are captured under a `sampling` span, and
 /// a `sampling.throughput` point records the end-to-end records/second —
-/// the number Table I's per-window rows normalize against.
-pub fn mapreduce_sample_with(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
+/// the number Table I's per-window rows normalize against. A map-only
+/// job has no shuffle to bound and no reduce output to commit, so the
+/// context's memory budget and journal do not apply; use
+/// [`mapreduce_sample_by_user_in`] for a crash-safe or out-of-core run.
+pub fn mapreduce_sample_in<'d>(
+    ctx: &ExecCtx<'_>,
+    dfs: impl Into<DfsAccess<'d, MobilityTrace>>,
     input: &str,
     cfg: &SamplingConfig,
-    telemetry: &Recorder,
-) -> Result<(Dataset, JobStats), JobError> {
+) -> Result<(Dataset, JobStats, u32), JobError> {
+    let mut dfs = dfs.into();
+    let telemetry = &ctx.telemetry;
     let span = telemetry.span(
         "sampling",
         &[("input", input), ("window", &cfg.window_secs.to_string())],
     );
-    let result = MapOnlyJob::new("sampling", cluster, dfs, input, SamplingMapper::new(*cfg))
-        .pair_bytes(|_, t| t.approx_plt_bytes())
-        .telemetry(telemetry.clone())
-        .run()?;
+    let (result, retries) = ctx.submit("sampling", &mut dfs, |job_name, dfs, _| {
+        MapOnlyJob::new(job_name, ctx.cluster, dfs, input, SamplingMapper::new(*cfg))
+            .pair_bytes(|_, t| t.approx_plt_bytes())
+            .telemetry(telemetry.clone())
+            .run()
+    })?;
     span.end();
     let input_records = dfs.num_records(input)? as f64;
     let elapsed = result.stats.real_elapsed.as_secs_f64();
@@ -250,7 +248,7 @@ pub fn mapreduce_sample_with(
         );
     }
     let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
-    Ok((dataset, result.stats))
+    Ok((dataset, result.stats, retries))
 }
 
 /// Regroups sampled traces per user — the reduce-side variant of sampling
@@ -276,11 +274,47 @@ impl Reducer<UserId, MobilityTrace> for RegroupReducer {
 }
 
 /// Sampling with a full shuffle: maps with [`SamplingMapper`], then
-/// regroups the representatives per user through a real reduce phase.
-/// Always registers the trace spill codec, so a memory budget — either
-/// the explicit `memory_budget` argument or the `mapred.memory.budget`
-/// config key — makes the shuffle spill to disk instead of holding every
-/// intermediate pair in memory.
+/// regroups the representatives per user through a real reduce phase,
+/// as one job submitted through `ctx`. Under `ctx.memory_budget` the
+/// shuffle spills to disk instead of holding every intermediate pair in
+/// memory; under `ctx.journal` every reduce partition's output is
+/// committed into the run directory, so a killed run resumed against
+/// the same journal replays the committed partitions from disk instead
+/// of re-shuffling them — bit-identically. Returns the user-grouped
+/// dataset, the job statistics and the re-submissions it took.
+pub fn mapreduce_sample_by_user_in<'d>(
+    ctx: &ExecCtx<'_>,
+    dfs: impl Into<DfsAccess<'d, MobilityTrace>>,
+    input: &str,
+    cfg: &SamplingConfig,
+) -> Result<(Dataset, JobStats, u32), JobError> {
+    let span = ctx.telemetry.span(
+        "sampling-by-user",
+        &[("input", input), ("window", &cfg.window_secs.to_string())],
+    );
+    let (result, retries) = ctx.submit("sampling-by-user", dfs, |job_name, dfs, budget| {
+        let mapper = SamplingMapper::new(*cfg);
+        MapReduceJob::new(job_name, ctx.cluster, dfs, input, mapper, RegroupReducer)
+            .reducers(ctx.cluster.topology.num_nodes())
+            .pair_bytes(|_, t| t.approx_plt_bytes())
+            .exec(
+                ctx,
+                budget,
+                crate::spill_codecs::trace_codec(),
+                crate::spill_codecs::trail_codec(),
+            )
+            .run()
+    })?;
+    span.end();
+    let dataset = Dataset::from_trails(result.output.into_iter().map(|(_, trail)| trail));
+    Ok((dataset, result.stats, retries))
+}
+
+// Kept for `benchmark/`, which is compiled against these two
+// signatures.
+
+/// [`mapreduce_sample_by_user_in`] under [`ExecCtx::new`] plus
+/// `memory_budget` and `telemetry`.
 pub fn mapreduce_sample_by_user(
     cluster: &Cluster,
     dfs: &Dfs<MobilityTrace>,
@@ -289,74 +323,16 @@ pub fn mapreduce_sample_by_user(
     memory_budget: Option<usize>,
     telemetry: &Recorder,
 ) -> Result<(Dataset, JobStats), JobError> {
-    sample_by_user_inner(cluster, dfs, input, cfg, memory_budget, None, telemetry)
-}
-
-/// [`mapreduce_sample_by_user`] under a write-ahead [`RunJournal`]: every
-/// reduce partition's output is committed into the run directory, so a
-/// killed run resumed against the same journal replays the committed
-/// partitions from disk instead of re-shuffling them — bit-identically.
-pub fn mapreduce_sample_by_user_durable(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &SamplingConfig,
-    memory_budget: Option<usize>,
-    journal: &Arc<RunJournal>,
-    telemetry: &Recorder,
-) -> Result<(Dataset, JobStats), JobError> {
-    sample_by_user_inner(
-        cluster,
-        dfs,
-        input,
-        cfg,
+    let ctx = ExecCtx {
         memory_budget,
-        Some(journal),
-        telemetry,
-    )
+        ..ExecCtx::new(cluster).traced(telemetry)
+    };
+    mapreduce_sample_by_user_in(&ctx, dfs, input, cfg).map(|(sampled, stats, _)| (sampled, stats))
 }
 
-fn sample_by_user_inner(
-    cluster: &Cluster,
-    dfs: &Dfs<MobilityTrace>,
-    input: &str,
-    cfg: &SamplingConfig,
-    memory_budget: Option<usize>,
-    journal: Option<&Arc<RunJournal>>,
-    telemetry: &Recorder,
-) -> Result<(Dataset, JobStats), JobError> {
-    let span = telemetry.span(
-        "sampling-by-user",
-        &[("input", input), ("window", &cfg.window_secs.to_string())],
-    );
-    let shuffle_codec = crate::spill_codecs::trace_codec();
-    let job = MapReduceJob::new(
-        "sampling-by-user",
-        cluster,
-        dfs,
-        input,
-        SamplingMapper::new(*cfg),
-        RegroupReducer,
-    )
-    .reducers(cluster.topology.num_nodes())
-    .pair_bytes(|_, t| t.approx_plt_bytes())
-    .telemetry(telemetry.clone());
-    let job = match memory_budget {
-        Some(bytes) => job.memory_budget_with(bytes, shuffle_codec),
-        None => job.spill_codec(shuffle_codec),
-    };
-    let job = match journal {
-        Some(j) => job.durable_with(j.clone(), crate::spill_codecs::trail_codec()),
-        None => job,
-    };
-    let result = job.run()?;
-    span.end();
-    let dataset = Dataset::from_trails(result.output.into_iter().map(|(_, trail)| trail));
-    Ok((dataset, result.stats))
-}
-
-/// Convenience: MapReduce-samples `input` and writes the result back to
-/// the DFS under `output` (the paper's jobs read and write HDFS folders).
+/// [`mapreduce_sample_in`] under [`ExecCtx::new`], the result written
+/// back to the DFS under `output` (the paper's jobs read and write HDFS
+/// folders).
 pub fn mapreduce_sample_to_dfs(
     cluster: &Cluster,
     dfs: &mut Dfs<MobilityTrace>,
@@ -364,7 +340,7 @@ pub fn mapreduce_sample_to_dfs(
     output: &str,
     cfg: &SamplingConfig,
 ) -> Result<JobStats, JobError> {
-    let (dataset, stats) = mapreduce_sample(cluster, dfs, input, cfg)?;
+    let (dataset, stats, _) = mapreduce_sample_in(&ExecCtx::new(cluster), &mut *dfs, input, cfg)?;
     dfs.put_with_sizer(output, dataset.to_traces(), |t| t.approx_plt_bytes())?;
     Ok(stats)
 }
@@ -463,10 +439,11 @@ mod tests {
         let traces: Vec<MobilityTrace> = (0..500).map(|i| tr(1 + (i % 3) as u32, i * 7)).collect();
         let ds = Dataset::from_traces(traces);
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 1 << 20); // everything in one chunk
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let (mr, stats) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
+        let (mr, stats, _) = mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
         assert_eq!(stats.map_tasks, 1);
         assert_eq!(mr, sequential_sample(&ds, &cfg));
     }
@@ -476,12 +453,13 @@ mod tests {
         let traces: Vec<MobilityTrace> = (0..2_000).map(|i| tr(1, i * 3)).collect();
         let ds = Dataset::from_traces(traces);
         let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = trace_dfs(&cluster, 4_096); // ~64 traces per chunk
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let chunks = dfs.num_blocks("d").unwrap();
         assert!(chunks > 10);
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let (mr, _) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
+        let (mr, _, _) = mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
         let seq = sequential_sample(&ds, &cfg);
         // Each chunk boundary can split at most one window in two.
         let diff = mr.num_traces() as i64 - seq.num_traces() as i64;
@@ -505,64 +483,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_by_user_matches_map_only_output() {
-        use gepeto_mapred::counters::builtin;
-        let traces: Vec<MobilityTrace> = (0..800).map(|i| tr(1 + (i % 4) as u32, i * 9)).collect();
-        let ds = Dataset::from_traces(traces);
-        let cluster = Cluster::local(3, 2);
-        let mut dfs = trace_dfs(&cluster, 4_096);
-        put_dataset(&mut dfs, "d", &ds).unwrap();
-        let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let (map_only, _) = mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
-        let rec = gepeto_telemetry::Recorder::disabled();
-        // In memory and with every partition (and group) forced to disk.
-        for budget in [None, Some(1)] {
-            let (grouped, stats) =
-                mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, budget, &rec).unwrap();
-            assert_eq!(grouped, map_only, "budget {budget:?}");
-            // The reducer emits one trail per user, not one pair per trace.
-            assert_eq!(
-                stats.counters[builtin::REDUCE_OUTPUT_RECORDS],
-                grouped.num_users() as u64,
-                "budget {budget:?}"
-            );
-            assert_eq!(
-                stats.counters[builtin::REDUCE_INPUT_RECORDS],
-                grouped.num_traces() as u64,
-                "budget {budget:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sample_by_user_spills_under_a_tiny_budget_without_changing_output() {
-        let traces: Vec<MobilityTrace> = (0..800).map(|i| tr(1 + (i % 4) as u32, i * 9)).collect();
-        let ds = Dataset::from_traces(traces);
-        let cluster = Cluster::local(3, 2);
-        let mut dfs = trace_dfs(&cluster, 4_096);
-        put_dataset(&mut dfs, "d", &ds).unwrap();
-        let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let rec = gepeto_telemetry::Recorder::disabled();
-        let (unbounded, base) =
-            mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, None, &rec).unwrap();
-        let (spilled, stats) =
-            mapreduce_sample_by_user(&cluster, &dfs, "d", &cfg, Some(1), &rec).unwrap();
-        assert_eq!(spilled, unbounded);
-        use gepeto_mapred::counters::builtin;
-        assert!(
-            stats.counters[builtin::SPILL_FILES] > 0,
-            "{:?}",
-            stats.counters
-        );
-        assert!(stats.counters[builtin::SPILLED_BYTES] > 0);
-        assert!(!base.counters.contains_key(builtin::SPILL_FILES));
-    }
-
-    #[test]
     fn durable_by_user_replays_trail_artifacts_and_recomputes_per_trace_ones() {
         use crate::spill_codecs::trace_codec;
         use gepeto_mapred::spill::seal_run_at;
-        use gepeto_mapred::{ChaosPlan, JournalEntry};
+        use gepeto_mapred::{ChaosPlan, JournalEntry, RunJournal};
+        use std::sync::Arc;
         const JOB: &str = "sampling-by-user";
         let run_dir = std::env::temp_dir().join(format!(
             "gepeto-by-user-artifacts-test-{}",
@@ -576,18 +501,18 @@ mod tests {
         let mut dfs = trace_dfs(&cluster, 4_096);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        let rec = Recorder::disabled();
-        let run = || {
-            mapreduce_sample_by_user_durable(&cluster, &dfs, "d", &cfg, None, &journal, &rec)
-                .unwrap()
+        let ctx = ExecCtx {
+            journal: Some(Arc::clone(&journal)),
+            ..ExecCtx::new(&cluster)
         };
-        let (first, stats) = run();
+        let run = || mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
+        let (first, stats, _) = run();
         assert_eq!(stats.journal_replayed_tasks, 0);
         let partitions = journal.committed_reduces(JOB).len() as u64;
         assert_eq!(partitions, stats.reduce_tasks as u64);
 
         // What `resume` does: every partition comes back from its artifact.
-        let (replayed, stats) = run();
+        let (replayed, stats, _) = run();
         assert_eq!(stats.journal_replayed_tasks, partitions);
         assert_eq!(replayed, first);
 
@@ -622,7 +547,7 @@ mod tests {
                 checksum: sealed.checksum,
             })
             .unwrap();
-        let (recomputed, stats) = run();
+        let (recomputed, stats, _) = run();
         assert_eq!(recomputed, first);
         assert_eq!(stats.journal_replayed_tasks, partitions - 1);
         assert!(stats.runs_quarantined >= 1);

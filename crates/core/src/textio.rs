@@ -170,8 +170,9 @@ mod tests {
         // Typed path.
         let mut typed = crate::dfs_io::trace_dfs(&cluster, 1 << 20);
         crate::dfs_io::put_dataset(&mut typed, "d", &ds).unwrap();
-        let (typed_out, _) =
-            crate::sampling::mapreduce_sample(&cluster, &typed, "d", &cfg).unwrap();
+        let ctx = gepeto_mapred::ExecCtx::new(&cluster);
+        let (typed_out, _, _) =
+            crate::sampling::mapreduce_sample_in(&ctx, &typed, "d", &cfg).unwrap();
 
         // Text path: same sampling mapper behind the parsing adapter.
         let mut text = text_dfs(&cluster, 1 << 20);

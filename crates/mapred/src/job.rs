@@ -20,6 +20,7 @@ use crate::commit::{self, CommitError};
 use crate::config::JobConfig;
 use crate::counters::{builtin, phase, Counters};
 use crate::dfs::{Dfs, DfsError};
+use crate::exec::ExecCtx;
 use crate::hash::{default_partition, unit_hash, FnvBuildHasher};
 use crate::journal::{JournalEntry, RunJournal};
 use crate::sim::{simulate_chaos, MapTaskSim, ReduceTaskSim, SimError, SimReport};
@@ -108,6 +109,17 @@ pub enum JobError {
         /// The most the driver accepts.
         limit: usize,
     },
+    /// The driver refused the input before submitting anything: the
+    /// named file holds no records to start from.
+    EmptyInput(String),
+}
+
+impl JobError {
+    /// Whether this is a storage failure — retried on the policy's
+    /// `io_retries` budget, not the node-failure one.
+    pub fn is_storage(&self) -> bool {
+        matches!(self, JobError::Io(_) | JobError::DiskFull(_))
+    }
 }
 
 impl From<DfsError> for JobError {
@@ -153,6 +165,7 @@ impl std::fmt::Display for JobError {
                     "input holds {records} records, more than the {limit} supported"
                 )
             }
+            JobError::EmptyInput(file) => write!(f, "input file '{file}' holds no records"),
         }
     }
 }
@@ -366,36 +379,20 @@ where
     /// file, and the reduce task replays the partition as an external
     /// k-way merge — with output bit-identical to the in-memory sorted
     /// path. Requires the pair types to carry a derived codec; domain
-    /// types without one use [`Self::memory_budget_with`]. A budget of
-    /// `0` spills after every map task's contribution.
+    /// types without one go through [`Self::exec`]. A budget of `0`
+    /// spills after every map task's contribution.
     ///
     /// Spilled partitions always take the sorted path: a reducer's
     /// [`Reducer::SORTED_INPUT`]` = false` opt-out applies only to
     /// partitions that stayed in memory.
-    pub fn memory_budget(self, bytes: usize) -> Self
+    pub fn memory_budget(mut self, bytes: usize) -> Self
     where
         M::KOut: SpillEncode,
         M::VOut: SpillEncode,
     {
-        self.memory_budget_with(bytes, SpillCodec::of())
-    }
-
-    /// Like [`Self::memory_budget`], with an explicit pair codec for
-    /// types that do not implement [`SpillEncode`].
-    pub fn memory_budget_with(mut self, bytes: usize, codec: SpillCodec<M::KOut, M::VOut>) -> Self {
         self.spill = Some(SpillSpec {
-            codec,
-            budget: Some(bytes),
-        });
-        self
-    }
-
-    /// Attaches only the spill codec; the budget then comes from the job
-    /// config key `mapred.memory.budget` (no key → no spilling).
-    pub fn spill_codec(mut self, codec: SpillCodec<M::KOut, M::VOut>) -> Self {
-        self.spill = Some(SpillSpec {
-            codec,
-            budget: None,
+            codec: SpillCodec::of(),
+            budget: bytes,
         });
         self
     }
@@ -411,24 +408,42 @@ where
     /// driver reusing one name across iterations would replay the wrong
     /// iteration's artifact.
     ///
-    /// Requires the reduce output pair to carry a derived codec; use
-    /// [`Self::durable_with`] for domain types without one.
-    pub fn durable(self, journal: Arc<RunJournal>) -> Self
+    /// Requires the reduce output pair to carry a derived codec; domain
+    /// types without one go through [`Self::exec`].
+    pub fn durable(mut self, journal: Arc<RunJournal>) -> Self
     where
         R::KOut: SpillEncode,
         R::VOut: SpillEncode,
     {
-        self.durable_with(journal, SpillCodec::of())
+        self.journal = Some(DurableSpec {
+            journal,
+            codec: SpillCodec::of(),
+        });
+        self
     }
 
-    /// Like [`Self::durable`], with an explicit codec for the reduce
-    /// output pairs.
-    pub fn durable_with(
+    /// Runs the job the way `ctx` says, as one attempt of
+    /// [`ExecCtx::submit`]: telemetry goes to the context's recorder, the
+    /// shuffle spills through `shuffle` past `budget` (the attempt's
+    /// budget `submit` handed out — see [`Self::memory_budget`]), and
+    /// under a journal the reduce output is committed through `output`
+    /// (see [`Self::durable`]).
+    pub fn exec(
         mut self,
-        journal: Arc<RunJournal>,
-        codec: SpillCodec<R::KOut, R::VOut>,
+        ctx: &ExecCtx<'_>,
+        budget: Option<usize>,
+        shuffle: SpillCodec<M::KOut, M::VOut>,
+        output: SpillCodec<R::KOut, R::VOut>,
     ) -> Self {
-        self.journal = Some(DurableSpec { journal, codec });
+        self.telemetry = ctx.telemetry.clone();
+        self.spill = budget.map(|budget| SpillSpec {
+            codec: shuffle,
+            budget,
+        });
+        self.journal = ctx.journal.clone().map(|journal| DurableSpec {
+            journal,
+            codec: output,
+        });
         self
     }
 
@@ -452,17 +467,7 @@ where
         if let Some(m) = &monitor {
             m.job_started();
         }
-        // The budget can come from the builder or the job config; either
-        // way a codec must have been attached for spilling to engage.
-        let active_spill = self.spill.as_ref().and_then(|s| {
-            s.budget
-                .or_else(|| self.config.get_usize("mapred.memory.budget"))
-                .map(|budget| ActiveSpill {
-                    codec: s.codec.clone(),
-                    budget,
-                })
-        });
-        let group_budget = active_spill.as_ref().map_or(usize::MAX, |s| s.budget);
+        let group_budget = self.spill.as_ref().map_or(usize::MAX, |s| s.budget);
         let job_span = self.telemetry.span(
             "job",
             &[
@@ -485,7 +490,7 @@ where
             &job_span,
             self.pair_bytes.as_ref(),
             self.partitioner.clone(),
-            active_spill.as_ref(),
+            self.spill.as_ref(),
             self.journal.as_ref().map(|d| d.journal.as_ref()),
         )?;
 
@@ -1001,13 +1006,6 @@ struct ReduceTaskOutput<K, V> {
     failed_attempts: Vec<f64>,
 }
 
-/// A spill spec whose budget has been resolved (builder value or the
-/// `mapred.memory.budget` config key).
-struct ActiveSpill<K, V> {
-    codec: SpillCodec<K, V>,
-    budget: usize,
-}
-
 struct MapPhaseOutput<K, V> {
     /// One bucket per reduce partition (`num_reducers == 0` → a bucket
     /// per map task, preserving chunk order). Partitions that overflowed
@@ -1033,7 +1031,7 @@ fn run_map_phase<V1, M, C>(
     job_span: &Span,
     pair_bytes: Option<&PairBytes<M::KOut, M::VOut>>,
     partitioner: Option<Partitioner<M::KOut>>,
-    spill: Option<&ActiveSpill<M::KOut, M::VOut>>,
+    spill: Option<&SpillSpec<M::KOut, M::VOut>>,
     journal: Option<&RunJournal>,
 ) -> Result<MapPhaseOutput<M::KOut, M::VOut>, JobError>
 where
@@ -1399,7 +1397,7 @@ fn note_seal_stats(
 #[allow(clippy::too_many_arguments)]
 fn spill_buffer<K: MrKey, V: MrValue>(
     buf: &mut Vec<(K, V)>,
-    spill: &ActiveSpill<K, V>,
+    spill: &SpillSpec<K, V>,
     dir: &SpillDir,
     chaos: &ChaosPlan,
     journal: Option<&RunJournal>,
@@ -1704,21 +1702,7 @@ mod tests {
         assert!(spilled.stats.counters[builtin::SPILL_FILES] > 0);
         assert!(spilled.stats.counters[builtin::SPILLED_BYTES] > 0);
         assert!(!in_memory.stats.counters.contains_key(builtin::SPILL_FILES));
-    }
-
-    #[test]
-    fn memory_budget_from_config_key_engages_spilling() {
-        let cluster = Cluster::local(3, 2);
-        let dfs = word_dfs(&cluster);
-        let config = JobConfig::new().set("mapred.memory.budget", "1");
-        let result = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .config(config)
-            .spill_codec(SpillCodec::of())
-            .run()
-            .unwrap();
-        assert!(result.stats.counters[builtin::SPILL_FILES] > 0);
-        let counts = word_counts(&result);
+        let counts = word_counts(&spilled);
         assert_eq!(counts["a"], 4);
         assert_eq!(counts["e"], 1);
     }

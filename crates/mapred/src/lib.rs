@@ -30,6 +30,10 @@
 //!   degradation with replica failover, map re-execution and node
 //!   blacklisting, plus driver-level checkpoint-and-retry — mirroring the
 //!   jobtracker's "monitoring tasks and handling failures" role.
+//! - **The execution context** ([`exec`]): one [`ExecCtx`] carries how a
+//!   driver's jobs run — recorder, retry policy, run journal, shuffle
+//!   memory budget — and [`ExecCtx::submit`] is the one place whole-job
+//!   failures are retried.
 //!
 //! The canonical example — word count:
 //!
@@ -71,6 +75,7 @@ pub mod commit;
 pub mod config;
 pub mod counters;
 pub mod dfs;
+pub mod exec;
 pub mod hash;
 pub mod job;
 pub mod journal;
@@ -87,13 +92,14 @@ pub use commit::{CommitError, CommitReceipt};
 pub use config::JobConfig;
 pub use counters::Counters;
 pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
+pub use exec::{DfsAccess, ExecCtx};
 pub use job::{
     group_sorted, group_unsorted, FailurePlan, FlatGroups, JobError, JobResult, JobStats,
     MapOnlyJob, MapReduceJob,
 };
 pub use journal::{JournalEntry, ReduceArtifact, RunJournal};
 pub use pipeline::PipelineReport;
-pub use recover::{run_with_recovery, run_with_recovery_io, RetryPolicy, StorageAdvice};
+pub use recover::RetryPolicy;
 pub use sim::{Locality, SimParams, SimReport};
 pub use spill::{SpillCodec, SpillEncode};
 pub use topology::{Cluster, NodeId, Topology};

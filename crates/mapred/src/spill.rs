@@ -17,8 +17,8 @@
 //! telling it how to encode and decode one `(K, V)` pair. Primitive and
 //! common composite types get one for free through [`SpillEncode`];
 //! domain types plug in an explicit codec via
-//! [`crate::MapReduceJob::memory_budget_with`] without `mapred` needing
-//! to know their layout.
+//! [`crate::MapReduceJob::exec`] without `mapred` needing to know their
+//! layout.
 
 use crate::chaos::{ChaosPlan, IoFaultPlan};
 use crate::commit::{self, CommitError};
@@ -677,23 +677,14 @@ impl<K, V> GroupSpill<K, V> {
     }
 }
 
-/// The driver-facing spill configuration carried by a job builder: the
-/// pair codec plus an optional explicit byte budget (the job config key
-/// `mapred.memory.budget` supplies the budget when this is `None`).
+/// The spill configuration carried by a job builder: the pair codec and
+/// the per-partition in-memory byte budget past which the shuffle
+/// spills.
 pub struct SpillSpec<K, V> {
     /// Pair codec for spill files.
     pub codec: SpillCodec<K, V>,
-    /// Per-partition in-memory byte budget, if set on the builder.
-    pub budget: Option<usize>,
-}
-
-impl<K, V> Clone for SpillSpec<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            codec: self.codec.clone(),
-            budget: self.budget,
-        }
-    }
+    /// Per-partition in-memory byte budget.
+    pub budget: usize,
 }
 
 /// A reduce partition that overflowed the memory budget during the

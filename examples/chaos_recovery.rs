@@ -63,7 +63,8 @@ fn main() {
         };
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "pts", &dataset).unwrap();
-        let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "pts", &cfg).unwrap();
+        let result =
+            kmeans::mapreduce_kmeans_in(&ExecCtx::new(&cluster), &dfs, "pts", &cfg).unwrap();
         let makespan: f64 = result
             .per_iteration
             .iter()

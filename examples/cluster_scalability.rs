@@ -52,8 +52,9 @@ fn main() {
                 kcfg.k,
                 kcfg.seed,
             );
-            let (_, stats) =
-                kmeans::mapreduce_iteration(&cluster, &dfs, "pts", &centroids, &kcfg).unwrap();
+            let ctx = ExecCtx::new(&cluster);
+            let (_, stats, _) =
+                kmeans::mapreduce_iteration_in(&ctx, &dfs, "pts", 1, &centroids, &kcfg).unwrap();
             println!(
                 "{nodes:>6} {:>8}KB {:>12} {:>10.1} s {:>14}/{}/{}",
                 chunk_kb,

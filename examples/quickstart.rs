@@ -25,6 +25,7 @@ fn main() {
     //    paper's Table III lever; 256 KiB gives a handful of map tasks at
     //    this scale.
     let cluster = Cluster::local(4, 4);
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 256 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &dataset).unwrap();
     println!(
@@ -36,7 +37,7 @@ fn main() {
     // 3. Down-sampling as a map-only job (Figure 2: closest to the upper
     //    limit of each 1-minute window).
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let (sampled, stats) = sampling::mapreduce_sample(&cluster, &dfs, "geolife", &scfg).unwrap();
+    let (sampled, stats, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "geolife", &scfg).unwrap();
     println!(
         "\n== sampling ==\n{} -> {} traces in {} map tasks ({:?} real)",
         dataset.num_traces(),
@@ -52,7 +53,7 @@ fn main() {
         max_iterations: 40,
         ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
     };
-    let km = kmeans::mapreduce_kmeans(&cluster, &dfs, "geolife", &kcfg).unwrap();
+    let km = kmeans::mapreduce_kmeans_in(&ctx, &dfs, "geolife", &kcfg).unwrap();
     println!(
         "\n== k-means ==\nk={} converged={} after {} iterations",
         kcfg.k, km.converged, km.iterations
@@ -66,14 +67,9 @@ fn main() {
     gepeto::dfs_io::put_dataset(&mut dfs, "sampled", &sampled).unwrap();
     let djcfg = djcluster::DjConfig::default();
     let rtree_cfg = gepeto::rtree_build::RTreeBuildConfig::default();
-    let (clustering, pre, _) = djcluster::mapreduce_djcluster_full(
-        &cluster,
-        &mut dfs,
-        "sampled",
-        &djcfg,
-        Some(&rtree_cfg),
-    )
-    .unwrap();
+    let (clustering, pre, _, _) =
+        djcluster::mapreduce_djcluster_full_in(&ctx, &mut dfs, "sampled", &djcfg, Some(&rtree_cfg))
+            .unwrap();
     println!(
         "\n== DJ-Cluster ==\npreprocessing: {} -> {} -> {} traces",
         pre.input, pre.after_speed_filter, pre.after_dedup

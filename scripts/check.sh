@@ -14,6 +14,9 @@ echo "== tier-1: release build + tests =="
 # --no-fail-fast: one red target must not hide the targets after it.
 cargo build --release
 cargo test -q --no-fail-fast
+# The number the next simplicity PR has to beat.
+echo "non-blank lines in crates/{mapred,core,cli}/src: $(
+    find crates/{mapred,core,cli}/src -name '*.rs' -exec cat {} + | grep -c '[^[:space:]]')"
 
 echo "== chaos smoke: fault-injection suite =="
 cargo test -q --test chaos
@@ -82,6 +85,9 @@ echo "== host-benchmark smoke: the BENCHMARK.json harness builds, runs, self-che
 # (metric table, workload list and run length pinned to BENCHMARK.json).
 benchmark/run.sh smoke
 (cd benchmark && cargo test --release --offline)
+# The harness is frozen; cargo silently rewrites the tracked
+# benchmark/Cargo.lock when a crates/* dependency edge changes.
+git diff --exit-code -- benchmark BENCHMARK.json
 
 echo "== spill smoke: out-of-core shuffle under a starvation budget =="
 # A synthetic workload forced through the spill/merge path; the

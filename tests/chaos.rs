@@ -10,9 +10,9 @@ use gepeto::prelude::*;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
     ChaosPlan, Dfs, DfsError, Emitter, FailurePlan, FnMapper, JobError, MapOnlyJob, RetryPolicy,
-    SimParams,
+    RunJournal, SimParams,
 };
-use gepeto_telemetry::Recorder;
+use std::sync::Arc;
 
 fn dataset() -> Dataset {
     SyntheticGeoLife::new(GeneratorConfig {
@@ -54,9 +54,10 @@ fn kmeans_survives_a_datanode_crash_bit_identically() {
     };
     let run = |chaos: ChaosPlan| {
         let cluster = unit_cluster(chaos);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans(&cluster, &dfs, "d", &cfg).unwrap()
+        kmeans::mapreduce_kmeans_in(&ctx, &dfs, "d", &cfg).unwrap()
     };
     let clean = run(ChaosPlan::none());
     // Node 0 dies 1.5 virtual seconds into the first iteration's map
@@ -99,12 +100,13 @@ fn single_job_crash_recovery_shows_up_in_stats_and_counters() {
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToMiddle);
     let run = |chaos: ChaosPlan| {
         let cluster = unit_cluster(chaos);
+        let ctx = ExecCtx::new(&cluster);
         let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        sampling::mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap()
+        sampling::mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap()
     };
-    let (clean, _) = run(ChaosPlan::none());
-    let (survived, stats) = run(ChaosPlan::none().crash_node(1, 1.5));
+    let (clean, _, _) = run(ChaosPlan::none());
+    let (survived, stats, _) = run(ChaosPlan::none().crash_node(1, 1.5));
     assert_eq!(clean, survived);
     assert!(stats.reexecuted_maps > 0);
     assert!(stats.failed_over_reads > 0);
@@ -169,58 +171,100 @@ fn all_replicas_lost_is_a_typed_error_not_a_panic() {
     assert_eq!(err, JobError::Dfs(DfsError::AllReplicasLost(victim)));
 }
 
-#[test]
-fn checkpointed_kmeans_retries_dead_jobs_and_matches_the_clean_run() {
-    let ds = dataset();
+/// A k-means run on a cluster whose failure plan — map attempts failing
+/// with probability `p` under `seed`, two attempts per task — kills
+/// whole jobs; `retry` and `journal` decide what the driver does about
+/// it. `None` is the calm cluster.
+fn flaky_kmeans(
+    failures: Option<(f64, u64)>,
+    retry: RetryPolicy,
+    journal: Option<Arc<RunJournal>>,
+) -> Result<kmeans::KMeansResult, JobError> {
     let cfg = kmeans::KMeansConfig {
         k: 4,
         convergence_delta: 1e-6,
         max_iterations: 10,
         ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
     };
-    let clean = {
-        let cluster = unit_cluster(ChaosPlan::none());
-        let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 32 * 1024);
-        gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans(&cluster, &dfs, "d", &cfg).unwrap()
-    };
-    // An aggressive failure plan with a tiny attempt budget kills whole
-    // jobs; the checkpointed driver re-submits each dead iteration under
-    // a fresh job name (re-rolling the per-attempt failure hashes) and
-    // resumes from the last good centroids.
-    let flaky = {
-        // Seed chosen so attempt 0 of several iterations dies (27 map
-        // tasks at p=0.4 with a 2-attempt budget kill most submissions)
-        // while a re-submission under the re-rolled `.rN` name succeeds
-        // within the retry budget — deterministic by construction.
-        let cluster = unit_cluster(ChaosPlan::none()).with_failures(FailurePlan {
-            map_fail_prob: 0.4,
+    let mut cluster = unit_cluster(ChaosPlan::none());
+    if let Some((map_fail_prob, seed)) = failures {
+        cluster.failures = FailurePlan {
+            map_fail_prob,
             reduce_fail_prob: 0.0,
-            seed: 18,
+            seed,
             max_attempts: 2,
-        });
-        let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 32 * 1024);
-        gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans_checkpointed(
-            &cluster,
-            &mut dfs,
-            "d",
-            &cfg,
-            &RetryPolicy::default().retries(50),
-            &Recorder::disabled(),
-        )
-        .unwrap()
+        };
+    }
+    let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 32 * 1024);
+    gepeto::dfs_io::put_dataset(&mut dfs, "d", &dataset()).unwrap();
+    let ctx = ExecCtx {
+        retry,
+        journal,
+        ..ExecCtx::new(&cluster)
     };
+    kmeans::mapreduce_kmeans_in(&ctx, &mut dfs, "d", &cfg)
+}
+
+#[test]
+fn retrying_kmeans_resubmits_dead_jobs_and_matches_the_clean_run() {
+    let clean = flaky_kmeans(None, RetryPolicy::none(), None).unwrap();
+    // Seed chosen so attempt 0 of several iterations dies (27 map tasks
+    // at p=0.4 with a 2-attempt budget kill most submissions) while a
+    // re-submission under the re-rolled `.rN` name succeeds within the
+    // retry budget — deterministic by construction. The driver resumes
+    // each dead iteration from the last good centroids.
+    let failures = Some((0.4, 18));
+    let flaky = flaky_kmeans(failures, RetryPolicy::default().retries(50), None).unwrap();
     assert!(
         flaky.job_retries > 0,
-        "p=0.35 with max_attempts=1 must kill at least one job"
+        "p=0.4 with max_attempts=2 must kill at least one job"
     );
     assert_eq!(clean.iterations, flaky.iterations);
     assert_eq!(
         centroid_bits(&clean.centroids),
         centroid_bits(&flaky.centroids),
-        "checkpoint-resume must reproduce the clean trajectory exactly"
+        "retry-from-loop-state must reproduce the clean trajectory exactly"
     );
+    // The plain context propagates the first death instead.
+    let err = flaky_kmeans(failures, RetryPolicy::none(), None).unwrap_err();
+    assert!(matches!(err, JobError::TaskFailed { .. }), "{err}");
+}
+
+/// Journal and retry compose: a journaled run whose jobs die is
+/// re-submitted under `kmeans-i{n:03}.r{m}`, checkpoints every iteration
+/// like the calm journaled run, and lands on its bits.
+#[test]
+fn journaled_kmeans_retries_dead_jobs_and_matches_the_calm_journaled_run() {
+    let journaled = |tag: &str, failures: Option<(f64, u64)>| {
+        let dir =
+            std::env::temp_dir().join(format!("gepeto-chaos-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Arc::new(RunJournal::attach(&dir).unwrap());
+        let retry = RetryPolicy::default().retries(2);
+        let result = flaky_kmeans(failures, retry, Some(journal)).unwrap();
+        let log = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        // The checkpoint lines' label and payload (sequence numbers and
+        // line checksums differ between the two journals).
+        let checkpoints: Vec<String> = log
+            .lines()
+            .filter(|l| l.split(' ').nth(1) == Some("checkpoint"))
+            .map(|l| l.split(' ').skip(2).take(2).collect::<Vec<_>>().join(" "))
+            .collect();
+        (result, checkpoints, log.contains(".r1 "))
+    };
+    let (calm, calm_checkpoints, calm_resubmitted) = journaled("calm", None);
+    // Seed chosen so some iterations' first submission dies and every
+    // dead one succeeds within two re-submissions.
+    let (flaky, flaky_checkpoints, flaky_resubmitted) = journaled("flaky", Some((0.15, 3)));
+    assert_eq!((calm.job_retries, calm_resubmitted), (0, false));
+    assert!(flaky.job_retries > 0 && flaky_resubmitted, "no job died");
+    assert_eq!(
+        centroid_bits(&calm.centroids),
+        centroid_bits(&flaky.centroids)
+    );
+    assert_eq!(calm_checkpoints.len(), calm.iterations);
+    assert_eq!(calm_checkpoints, flaky_checkpoints);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! timeline must show the crash and the recovery.
 
 use gepeto::prelude::*;
-use gepeto_mapred::{ChaosPlan, SimParams};
+use gepeto_mapred::{ChaosPlan, RetryPolicy, SimParams};
 use gepeto_telemetry::Recorder;
 
 fn dataset() -> Dataset {
@@ -31,7 +31,8 @@ fn run_sampling(chaos: ChaosPlan) -> (gepeto_mapred::JobStats, Recorder) {
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToMiddle);
     let rec = Recorder::enabled();
-    let (_, stats) = sampling::mapreduce_sample_with(&cluster, &dfs, "d", &cfg, &rec).unwrap();
+    let ctx = ExecCtx::new(&cluster).traced(&rec);
+    let (_, stats, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
     (stats, rec)
 }
 
@@ -115,4 +116,32 @@ fn host_critical_path_descends_driver_to_task() {
     // Self times telescope back to the total.
     let self_sum: u64 = cp.steps.iter().map(|s| s.self_us).sum();
     assert_eq!(self_sum, cp.total_us);
+}
+
+/// The one k-means loop opens its iteration spans the same way in every
+/// context: with a retry policy set, `job` nests under
+/// `kmeans.iteration` on the host critical path exactly as in a plain
+/// run.
+#[test]
+fn kmeans_job_nests_under_its_iteration_with_or_without_a_retry_policy() {
+    let chain = |retry: RetryPolicy| -> Vec<&'static str> {
+        let cluster = unit_cluster(ChaosPlan::none());
+        let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
+        gepeto::dfs_io::put_dataset(&mut dfs, "d", &dataset()).unwrap();
+        let cfg = kmeans::KMeansConfig {
+            k: 3,
+            max_iterations: 3,
+            ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
+        };
+        let ctx = ExecCtx {
+            retry,
+            ..ExecCtx::new(&cluster).traced(&Recorder::enabled())
+        };
+        kmeans::mapreduce_kmeans_in(&ctx, &mut dfs, "d", &cfg).unwrap();
+        let steps = ctx.telemetry.critical_path().steps;
+        steps.iter().take(3).map(|s| s.name).collect()
+    };
+    for retry in [RetryPolicy::none(), RetryPolicy::default()] {
+        assert_eq!(chain(retry), ["kmeans", "kmeans.iteration", "job"]);
+    }
 }

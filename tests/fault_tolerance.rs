@@ -34,10 +34,10 @@ fn sampling_survives_failures_unchanged() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        sampling::mapreduce_sample(cluster, &dfs, "d", &cfg).unwrap()
+        sampling::mapreduce_sample_in(&ExecCtx::new(cluster), &dfs, "d", &cfg).unwrap()
     };
-    let (a, _) = run(&clean);
-    let (b, stats) = run(&flaky);
+    let (a, _, _) = run(&clean);
+    let (b, stats, _) = run(&flaky);
     assert_eq!(a, b);
     assert!(
         stats
@@ -63,7 +63,7 @@ fn kmeans_survives_failures_unchanged() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        kmeans::mapreduce_kmeans(cluster, &dfs, "d", &cfg).unwrap()
+        kmeans::mapreduce_kmeans_in(&ExecCtx::new(cluster), &dfs, "d", &cfg).unwrap()
     };
     let a = run(&clean);
     let b = run(&flaky);
@@ -82,8 +82,9 @@ fn djcluster_survives_failures_unchanged() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        let (clustering, pre, _) =
-            djcluster::mapreduce_djcluster_full(cluster, &mut dfs, "d", &cfg, None).unwrap();
+        let ctx = ExecCtx::new(cluster);
+        let (clustering, pre, _, _) =
+            djcluster::mapreduce_djcluster_full_in(&ctx, &mut dfs, "d", &cfg, None).unwrap();
         (
             clustering.canonical_ids(),
             clustering.noise,
@@ -112,10 +113,10 @@ fn injected_failures_charge_virtual_time_and_move_the_makespan() {
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
         gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
-        sampling::mapreduce_sample(cluster, &dfs, "d", &cfg).unwrap()
+        sampling::mapreduce_sample_in(&ExecCtx::new(cluster), &dfs, "d", &cfg).unwrap()
     };
-    let (a, clean_stats) = run(&clean);
-    let (b, flaky_stats) = run(&flaky);
+    let (a, clean_stats, _) = run(&clean);
+    let (b, flaky_stats, _) = run(&flaky);
     assert_eq!(a, b, "failures must never change the output");
     assert!(flaky_stats.retries > 0);
     assert_eq!(
@@ -151,7 +152,7 @@ fn job_fails_cleanly_when_attempts_exhausted() {
     let mut dfs = gepeto::dfs_io::trace_dfs(&doomed, 32 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let err = sampling::mapreduce_sample(&doomed, &dfs, "d", &cfg).unwrap_err();
+    let err = sampling::mapreduce_sample_in(&ExecCtx::new(&doomed), &dfs, "d", &cfg).unwrap_err();
     assert!(matches!(
         err,
         gepeto_mapred::JobError::TaskFailed { phase: "map", .. }

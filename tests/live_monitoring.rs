@@ -36,7 +36,7 @@ fn run_kmeans(chaos: ChaosPlan, rec: &Recorder) -> kmeans::KMeansResult {
         max_iterations: 6,
         ..kmeans::KMeansConfig::paper(gepeto_geo::DistanceMetric::SquaredEuclidean)
     };
-    kmeans::mapreduce_kmeans_with(&cluster, &dfs, "d", &cfg, rec).unwrap()
+    kmeans::mapreduce_kmeans_in(&ExecCtx::new(&cluster).traced(rec), &dfs, "d", &cfg).unwrap()
 }
 
 #[test]
@@ -96,8 +96,14 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 8 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
-    let run = |budget: Option<usize>, rec: &Recorder| {
-        sampling::mapreduce_sample_by_user(&cluster, &dfs, "d", &scfg, budget, rec).unwrap()
+    let run = |memory_budget: Option<usize>, rec: &Recorder| {
+        let ctx = ExecCtx {
+            memory_budget,
+            ..ExecCtx::new(&cluster).traced(rec)
+        };
+        let (out, stats, _) =
+            sampling::mapreduce_sample_by_user_in(&ctx, &dfs, "d", &scfg).unwrap();
+        (out, stats)
     };
 
     // Unbudgeted, the whole by-user shuffle buffers in memory and the

@@ -1,9 +1,14 @@
 //! MapReduce ≡ sequential: every MapReduced algorithm must compute what
 //! its single-machine reference computes, on generator-produced data and
-//! across chunk sizes.
+//! across chunk sizes — and every execution context of a driver must
+//! compute what the plain one computes, bit for bit.
 
 use gepeto::prelude::*;
 use gepeto_geo::DistanceMetric;
+use gepeto_mapred::counters::builtin;
+use gepeto_mapred::{RetryPolicy, RunJournal};
+use gepeto_telemetry::Recorder;
+use std::sync::Arc;
 
 fn dataset() -> Dataset {
     SyntheticGeoLife::new(GeneratorConfig {
@@ -24,12 +29,13 @@ fn dfs_with_chunks(cluster: &Cluster, ds: &Dataset, chunk: usize) -> Dfs<Mobilit
 fn sampling_equivalence_across_chunk_sizes() {
     let ds = dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     let seq = sampling::sequential_sample(&ds, &cfg);
     for &chunk in &[1usize << 22, 64 * 1024, 8 * 1024] {
         let dfs = dfs_with_chunks(&cluster, &ds, chunk);
         let chunks = dfs.num_blocks("d").unwrap();
-        let (mr, _) = sampling::mapreduce_sample(&cluster, &dfs, "d", &cfg).unwrap();
+        let (mr, _, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
         // Identical up to the per-chunk window-boundary artifact.
         let diff = mr.num_traces() as i64 - seq.num_traces() as i64;
         assert!(
@@ -47,6 +53,7 @@ fn kmeans_iteration_equivalence_both_metrics() {
     let ds = dataset();
     let points: Vec<GeoPoint> = ds.iter_traces().map(|t| t.point).collect();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_with_chunks(&cluster, &ds, 32 * 1024);
     for metric in [DistanceMetric::SquaredEuclidean, DistanceMetric::Haversine] {
         let cfg = kmeans::KMeansConfig {
@@ -54,7 +61,8 @@ fn kmeans_iteration_equivalence_both_metrics() {
             ..kmeans::KMeansConfig::paper(metric)
         };
         let centroids = kmeans::initial_centroids(&points, cfg.k, 3);
-        let (mr, _) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &cfg).unwrap();
+        let (mr, _, _) =
+            kmeans::mapreduce_iteration_in(&ctx, &dfs, "d", 1, &centroids, &cfg).unwrap();
         let seq = kmeans::sequential_iteration(&points, &centroids, metric);
         for (a, b) in mr.iter().zip(&seq) {
             assert!(
@@ -69,6 +77,7 @@ fn kmeans_iteration_equivalence_both_metrics() {
 fn kmeans_combiner_equivalence_on_generated_data() {
     let ds = dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_with_chunks(&cluster, &ds, 16 * 1024);
     let points: Vec<GeoPoint> = ds.iter_traces().map(|t| t.point).collect();
     let centroids = kmeans::initial_centroids(&points, 9, 5);
@@ -80,8 +89,10 @@ fn kmeans_combiner_equivalence_on_generated_data() {
         use_combiner: false,
         ..fused.clone()
     };
-    let (a, sa) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &per_trace).unwrap();
-    let (b, sb) = kmeans::mapreduce_iteration(&cluster, &dfs, "d", &centroids, &fused).unwrap();
+    let (a, sa, _) =
+        kmeans::mapreduce_iteration_in(&ctx, &dfs, "d", 1, &centroids, &per_trace).unwrap();
+    let (b, sb, _) =
+        kmeans::mapreduce_iteration_in(&ctx, &dfs, "d", 1, &centroids, &fused).unwrap();
     for (x, y) in a.iter().zip(&b) {
         assert!((x.lat - y.lat).abs() < 1e-9 && (x.lon - y.lon).abs() < 1e-9);
     }
@@ -94,9 +105,10 @@ fn preprocessing_equivalence() {
     let cfg = djcluster::DjConfig::default();
     let seq = djcluster::sequential_preprocess(&ds, &cfg);
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     // One chunk: exact equality (chunk boundaries can differ at edges).
     let mut dfs = dfs_with_chunks(&cluster, &ds, 1 << 22);
-    let stats = djcluster::mapreduce_preprocess(&cluster, &mut dfs, "d", "out", &cfg).unwrap();
+    let (stats, _) = djcluster::mapreduce_preprocess_in(&ctx, &mut dfs, "d", "out", &cfg).unwrap();
     let out = gepeto::dfs_io::read_dataset(&dfs, "out").unwrap();
     assert_eq!(out, seq);
     assert_eq!(stats.after_dedup, seq.num_traces());
@@ -108,18 +120,19 @@ fn djcluster_equivalence_regardless_of_rtree_construction() {
     let cfg = djcluster::DjConfig::default();
     let pre = djcluster::sequential_preprocess(&ds, &cfg);
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 16 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "pre", &pre).unwrap();
 
     let seq = djcluster::sequential_djcluster(&dfs.read("pre").unwrap(), &cfg);
-    let (direct, _) = djcluster::mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, None).unwrap();
+    let (direct, _, _) = djcluster::mapreduce_djcluster_in(&ctx, &dfs, "pre", &cfg, None).unwrap();
     let rcfg = gepeto::rtree_build::RTreeBuildConfig {
         curve: gepeto_geo::SpaceFillingCurve::ZOrder,
         partitions: 5,
         ..gepeto::rtree_build::RTreeBuildConfig::default()
     };
-    let (mr_tree, _) =
-        djcluster::mapreduce_djcluster(&cluster, &dfs, "pre", &cfg, Some(&rcfg)).unwrap();
+    let (mr_tree, _, _) =
+        djcluster::mapreduce_djcluster_in(&ctx, &dfs, "pre", &cfg, Some(&rcfg)).unwrap();
 
     assert_eq!(direct.canonical_ids(), seq.canonical_ids());
     assert_eq!(mr_tree.canonical_ids(), seq.canonical_ids());
@@ -130,6 +143,7 @@ fn djcluster_equivalence_regardless_of_rtree_construction() {
 fn rtree_build_equivalence_both_curves() {
     let ds = dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let dfs = dfs_with_chunks(&cluster, &ds, 32 * 1024);
     let direct = gepeto::rtree_build::direct_build_rtree(&dfs, "d", 16).unwrap();
     for curve in [
@@ -141,8 +155,8 @@ fn rtree_build_equivalence_both_curves() {
             partitions: 6,
             ..gepeto::rtree_build::RTreeBuildConfig::default()
         };
-        let (tree, report) =
-            gepeto::rtree_build::mapreduce_build_rtree(&cluster, &dfs, "d", &cfg).unwrap();
+        let (tree, report, _) =
+            gepeto::rtree_build::mapreduce_build_rtree(&ctx, &dfs, "d", &cfg).unwrap();
         assert_eq!(tree.len(), direct.len(), "{}", curve.name());
         let center = GeneratorConfig::paper().city_center;
         for radius in [100.0, 1_000.0, 10_000.0] {
@@ -182,4 +196,194 @@ fn chunk_size_controls_map_task_count() {
         (n32 as f64 / n64 as f64 - 2.0).abs() < 0.2,
         "{n32} vs {n64} chunks"
     );
+}
+
+// ---------------------------------------------------------------------
+// One driver per algorithm: every execution context computes the same
+// bits. What used to be a family of sibling functions (plain, `_with`,
+// `_resilient`, `_checkpointed`, `_durable`) is a table of `ExecCtx`
+// configurations of the one function.
+// ---------------------------------------------------------------------
+
+/// Sizes the global pool from `GEPETO_TEST_THREADS` before the first
+/// job. The pool is set once per process, so
+/// `configuration_tables_hold_at_one_and_two_threads` re-runs the tables
+/// below in child processes with this set.
+fn pool_from_env() {
+    if let Ok(threads) = std::env::var("GEPETO_TEST_THREADS") {
+        let threads: usize = threads.parse().expect("GEPETO_TEST_THREADS");
+        gepeto_pool::set_threads(threads);
+        assert_eq!(gepeto_pool::global().threads(), threads);
+    }
+}
+
+/// Runs `body` once per execution context — plain, retrying (nothing
+/// fails, so nothing is retried), traced, starved to a 1-byte shuffle
+/// budget, journaled (each in a fresh run directory), and all four at
+/// once — and checks that every run returned what the plain one did.
+fn same_in_every_context<T: PartialEq + std::fmt::Debug>(
+    tag: &str,
+    cluster: &Cluster,
+    mut body: impl FnMut(&ExecCtx<'_>) -> T,
+) -> T {
+    let root = std::env::temp_dir().join(format!("gepeto-ctx-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let ctx = |retry: bool, traced: bool, starved: bool, journal: Option<&str>| ExecCtx {
+        cluster,
+        telemetry: traced
+            .then(Recorder::enabled)
+            .unwrap_or_else(Recorder::disabled),
+        retry: retry
+            .then(RetryPolicy::default)
+            .unwrap_or_else(RetryPolicy::none),
+        journal: journal.map(|dir| Arc::new(RunJournal::attach(&root.join(dir)).unwrap())),
+        memory_budget: starved.then_some(1),
+    };
+    let plain = body(&ctx(false, false, false, None));
+    for (name, ctx) in [
+        ("retry", ctx(true, false, false, None)),
+        ("traced", ctx(false, true, false, None)),
+        ("budget 1 B", ctx(false, false, true, None)),
+        ("journal", ctx(false, false, false, Some("journal"))),
+        ("all", ctx(true, true, true, Some("all"))),
+    ] {
+        assert_eq!(body(&ctx), plain, "{tag}: '{name}' differs from 'plain'");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    plain
+}
+
+fn trace_bits(t: &MobilityTrace) -> (u32, i64, u64, u64, u32) {
+    (
+        t.user,
+        t.timestamp.0,
+        t.point.lat.to_bits(),
+        t.point.lon.to_bits(),
+        t.altitude.to_bits(),
+    )
+}
+
+/// The job's out-of-core counters are all positive under a memory
+/// budget and all absent without one.
+fn assert_spilled_iff_starved(ctx: &ExecCtx<'_>, jobs: &[&gepeto_mapred::JobStats], keys: &[&str]) {
+    for key in keys {
+        let total: u64 = jobs.iter().filter_map(|j| j.counters.get(*key)).sum();
+        assert_eq!(total > 0, ctx.memory_budget.is_some(), "{key} = {total}");
+    }
+}
+
+#[test]
+fn configurations_of_kmeans_land_on_the_same_bits() {
+    pool_from_env();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = dfs_with_chunks(&cluster, &dataset(), 16 * 1024);
+    for use_combiner in [true, false] {
+        let cfg = kmeans::KMeansConfig {
+            k: 5,
+            max_iterations: 4,
+            convergence_delta: 0.0,
+            use_combiner,
+            ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
+        };
+        let tag = format!("kmeans-{use_combiner}");
+        let (_, iterations, _, retries) = same_in_every_context(&tag, &cluster, |ctx| {
+            let result = kmeans::mapreduce_kmeans_in(ctx, &mut dfs, "d", &cfg).unwrap();
+            let jobs: Vec<_> = result.per_iteration.iter().map(|it| &it.job).collect();
+            assert_spilled_iff_starved(ctx, &jobs, &[builtin::SPILL_FILES]);
+            // Artifacts are keyed by job name: unique per iteration
+            // under a journal, the one plain name without.
+            let named = |i: usize| match ctx.journal {
+                Some(_) => format!("kmeans-i{i:03}"),
+                None => "kmeans-iteration".to_string(),
+            };
+            assert!(jobs.iter().zip(1..).all(|(job, i)| job.name == named(i)));
+            let centroids: Vec<(u64, u64)> = result
+                .centroids
+                .iter()
+                .map(|c| (c.lat.to_bits(), c.lon.to_bits()))
+                .collect();
+            let (iterations, retries) = (result.iterations, result.job_retries);
+            (centroids, iterations, result.converged, retries)
+        });
+        assert_eq!((iterations, retries), (4, 0), "nothing fails or is retried");
+    }
+}
+
+#[test]
+fn configurations_of_sampling_land_on_the_same_bits() {
+    pool_from_env();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = dfs_with_chunks(&cluster, &dataset(), 16 * 1024);
+    let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
+    let bits = |ds: &Dataset| -> Vec<_> { ds.to_traces().iter().map(trace_bits).collect() };
+    let map_only = same_in_every_context("sample", &cluster, |ctx| {
+        let (sampled, stats, retries) =
+            sampling::mapreduce_sample_in(ctx, &mut dfs, "d", &cfg).unwrap();
+        assert_eq!((stats.name.as_str(), retries), ("sampling", 0));
+        bits(&sampled)
+    });
+    assert!(!map_only.is_empty(), "vacuous comparison");
+    let by_user = same_in_every_context("sample-by-user", &cluster, |ctx| {
+        let (sampled, stats, retries) =
+            sampling::mapreduce_sample_by_user_in(ctx, &mut dfs, "d", &cfg).unwrap();
+        assert_eq!((stats.name.as_str(), retries), ("sampling-by-user", 0));
+        // A 1-byte budget forces every partition — and every multi-trace
+        // group — out of core; however a partition reached the reducer,
+        // it takes every sampled trace in and hands one trail per user out.
+        use builtin::{SPILLED_BYTES, SPILLED_GROUPS, SPILL_FILES};
+        let out_of_core = [SPILL_FILES, SPILLED_BYTES, SPILLED_GROUPS];
+        assert_spilled_iff_starved(ctx, &[&stats], &out_of_core);
+        let (users, traces) = (sampled.num_users() as u64, sampled.num_traces() as u64);
+        assert_eq!(stats.counters[builtin::REDUCE_OUTPUT_RECORDS], users);
+        assert_eq!(stats.counters[builtin::REDUCE_INPUT_RECORDS], traces);
+        bits(&sampled)
+    });
+    // The reduce side adds a shuffle, not a different sample.
+    assert_eq!(by_user, map_only);
+}
+
+#[test]
+fn configurations_of_djcluster_land_on_the_same_bits() {
+    pool_from_env();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = dfs_with_chunks(&cluster, &dataset(), 16 * 1024);
+    let cfg = djcluster::DjConfig::default();
+    let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
+    for rtree_cfg in [None, Some(&rcfg)] {
+        let (clusters, ..) = same_in_every_context("djcluster", &cluster, |ctx| {
+            let (clustering, pre, stats, retries) =
+                djcluster::mapreduce_djcluster_full_in(ctx, &mut dfs, "d", &cfg, rtree_cfg)
+                    .unwrap();
+            assert_eq!(retries, 0);
+            assert_eq!(stats.rtree_report.is_some(), rtree_cfg.is_some());
+            let clusters: Vec<Vec<_>> = clustering
+                .clusters
+                .iter()
+                .map(|c| c.iter().map(trace_bits).collect())
+                .collect();
+            let counts = (pre.input, pre.after_speed_filter, pre.after_dedup);
+            (clusters, clustering.noise, counts)
+        });
+        assert!(!clusters.is_empty(), "vacuous comparison");
+    }
+}
+
+/// The three tables above, at `--threads 1` (everything inline) and
+/// `--threads 2` (work-stealing pool): each child process runs exactly
+/// them, with its pool sized before the first job.
+#[test]
+fn configuration_tables_hold_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .arg("configurations_of")
+            .env("GEPETO_TEST_THREADS", threads)
+            .output()
+            .expect("re-run this test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("3 passed"),
+            "--threads {threads}:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

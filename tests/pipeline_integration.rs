@@ -19,13 +19,14 @@ fn table1_shape_sampling_reduces_monotonically() {
     // longer windows keep fewer traces.
     let ds = small_dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 1 << 20);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
 
     let mut counts = Vec::new();
     for window in [60i64, 300, 600] {
         let cfg = sampling::SamplingConfig::new(window, sampling::Technique::ClosestToUpperLimit);
-        let (sampled, _) = sampling::mapreduce_sample(&cluster, &dfs, "geolife", &cfg).unwrap();
+        let (sampled, _, _) = sampling::mapreduce_sample_in(&ctx, &dfs, "geolife", &cfg).unwrap();
         counts.push(sampled.num_traces());
     }
     assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
@@ -44,14 +45,15 @@ fn table4_shape_preprocessing_reduces_in_both_steps() {
     // the 1-min data is moving), dedup a small one.
     let ds = small_dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 1 << 20);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
     sampling::mapreduce_sample_to_dfs(&cluster, &mut dfs, "geolife", "sampled", &scfg).unwrap();
 
     let cfg = djcluster::DjConfig::default();
-    let pre =
-        djcluster::mapreduce_preprocess(&cluster, &mut dfs, "sampled", "clean", &cfg).unwrap();
+    let (pre, _) =
+        djcluster::mapreduce_preprocess_in(&ctx, &mut dfs, "sampled", "clean", &cfg).unwrap();
     assert!(pre.after_speed_filter < pre.input);
     assert!(pre.after_dedup <= pre.after_speed_filter);
     let kept = pre.after_speed_filter as f64 / pre.input as f64;
@@ -89,6 +91,7 @@ fn poi_attack_recovers_planted_homes() {
 fn kmeans_on_generated_data_converges() {
     let ds = small_dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 256 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
     let cfg = kmeans::KMeansConfig {
@@ -97,7 +100,7 @@ fn kmeans_on_generated_data_converges() {
         max_iterations: 60,
         ..kmeans::KMeansConfig::paper(gepeto_geo::DistanceMetric::SquaredEuclidean)
     };
-    let result = kmeans::mapreduce_kmeans(&cluster, &dfs, "geolife", &cfg).unwrap();
+    let result = kmeans::mapreduce_kmeans_in(&ctx, &dfs, "geolife", &cfg).unwrap();
     assert!(result.iterations > 1, "non-trivial iteration count");
     assert_eq!(result.centroids.len(), 11);
     // Every centroid is inside the city bounding box.
@@ -110,6 +113,7 @@ fn kmeans_on_generated_data_converges() {
 fn full_dj_pipeline_extracts_city_pois() {
     let ds = small_dataset();
     let cluster = Cluster::local(4, 2);
+    let ctx = ExecCtx::new(&cluster);
     let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 512 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
     let scfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
@@ -117,8 +121,8 @@ fn full_dj_pipeline_extracts_city_pois() {
 
     let cfg = djcluster::DjConfig::default();
     let rcfg = gepeto::rtree_build::RTreeBuildConfig::default();
-    let (clustering, pre, stats) =
-        djcluster::mapreduce_djcluster_full(&cluster, &mut dfs, "sampled", &cfg, Some(&rcfg))
+    let (clustering, pre, stats, _) =
+        djcluster::mapreduce_djcluster_full_in(&ctx, &mut dfs, "sampled", &cfg, Some(&rcfg))
             .unwrap();
     assert!(pre.after_dedup > 0);
     assert!(!clustering.clusters.is_empty());

@@ -168,10 +168,14 @@ fn sigkilled_run_resumes_bit_identically() {
 /// removed. Resume must replay what is journaled, redo the rest and
 /// commit the clean run's bytes — for in-mapper fused sums (the default,
 /// whose runs are too short to kill reliably) and for per-trace emit.
+/// The journal composes with a driver retry policy: with
+/// `--driver-retries 2` nothing dies, every job keeps attempt 0's bare
+/// name, and the OUTPUT bytes are those of the run without it.
 #[test]
 fn journal_cut_mid_iteration_resumes_bit_identically() {
-    for combiner in ["true", "false"] {
-        let dir = scratch(&format!("cut-{combiner}"));
+    let mut fused_outputs = Vec::new();
+    for (combiner, retries) in [("true", "0"), ("false", "0"), ("true", "2")] {
+        let dir = scratch(&format!("cut-{combiner}-{retries}"));
         let argv: Vec<String> = [
             "kmeans",
             "--users",
@@ -188,6 +192,8 @@ fn journal_cut_mid_iteration_resumes_bit_identically() {
             "1",
             "--combiner",
             combiner,
+            "--driver-retries",
+            retries,
             "--run-dir",
         ]
         .iter()
@@ -227,13 +233,18 @@ fn journal_cut_mid_iteration_resumes_bit_identically() {
         assert_eq!(
             output_payload(&dir),
             clean_output,
-            "--combiner {combiner}: resumed OUTPUT differs from the clean run's"
+            "--combiner {combiner} --driver-retries {retries}: resumed OUTPUT differs from the \
+             clean run's"
         );
         // Iterations 1–2 were restored from the checkpoint, not re-run.
         assert_eq!(journal_count(&dir, "checkpoint"), 6);
         assert_eq!(journal_count(&dir, "complete"), 1);
+        if combiner == "true" {
+            fused_outputs.push(clean_output);
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
+    assert_eq!(fused_outputs[0], fused_outputs[1]);
 }
 
 #[test]

@@ -8,9 +8,8 @@
 use gepeto::prelude::*;
 use gepeto::sampling::{self, SamplingConfig, Technique};
 use gepeto_mapred::counters::builtin;
-use gepeto_mapred::{run_with_recovery_io, ChaosPlan, IoFaultPlan, RetryPolicy, SimParams};
+use gepeto_mapred::{ChaosPlan, IoFaultPlan, RetryPolicy, SimParams};
 use gepeto_synth::SynthConfig;
-use gepeto_telemetry::Recorder;
 use proptest::prelude::*;
 
 /// Bit-exact fingerprint of a dataset: float coordinates compared via
@@ -43,19 +42,34 @@ fn counter(stats: &gepeto_mapred::JobStats, key: &str) -> u64 {
     stats.counters.get(key).copied().unwrap_or(0)
 }
 
-/// Runs the by-user regrouping shuffle over a synth workload under the
-/// given memory budget and returns (output, stats).
+/// The plain context plus a shuffle memory budget.
+fn budgeted(cluster: &Cluster, memory_budget: Option<usize>) -> ExecCtx<'_> {
+    ExecCtx {
+        memory_budget,
+        ..ExecCtx::new(cluster)
+    }
+}
+
+/// Runs the by-user regrouping shuffle over `dfs`'s synth workload in
+/// `ctx` and returns (output, stats).
+fn regroup_in(
+    ctx: &ExecCtx<'_>,
+    dfs: &Dfs<MobilityTrace>,
+    window: i64,
+) -> (Dataset, gepeto_mapred::JobStats) {
+    let cfg = SamplingConfig::new(window, Technique::ClosestToUpperLimit);
+    let (out, stats, _) = sampling::mapreduce_sample_by_user_in(ctx, dfs, "synth", &cfg).unwrap();
+    (out, stats)
+}
+
+/// [`regroup_chaos`] on a calm cluster.
 fn regroup(
     users: u64,
     seed: u64,
     window: i64,
     budget: Option<usize>,
 ) -> (Dataset, gepeto_mapred::JobStats) {
-    let cluster = Cluster::local(4, 2);
-    let dfs = synth_dfs(&cluster, users, seed, 16 * 1024);
-    let cfg = SamplingConfig::new(window, Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &cfg, budget, &Recorder::disabled())
-        .unwrap()
+    regroup_chaos(users, seed, window, budget, ChaosPlan::none())
 }
 
 /// The by-user regrouping shuffle with a storage-fault plan injected
@@ -70,90 +84,7 @@ fn regroup_chaos(
     let mut cluster = Cluster::local(4, 2).with_chaos(chaos);
     cluster.sim = SimParams::unit_time();
     let dfs = synth_dfs(&cluster, users, seed, 16 * 1024);
-    let cfg = SamplingConfig::new(window, Technique::ClosestToUpperLimit);
-    sampling::mapreduce_sample_by_user(&cluster, &dfs, "synth", &cfg, budget, &Recorder::disabled())
-        .unwrap()
-}
-
-/// The acceptance property at a fixed scale where both paths fit in
-/// memory: a 1-byte budget forces every partition out of core, and the
-/// merged output is bit-identical to the unbudgeted run.
-#[test]
-fn spilled_shuffle_output_is_bit_identical_to_in_memory() {
-    let (in_mem, clean_stats) = regroup(40, 7, 60, None);
-    let (spilled, spill_stats) = regroup(40, 7, 60, Some(1));
-
-    assert_eq!(counter(&clean_stats, builtin::SPILL_FILES), 0);
-    assert!(counter(&spill_stats, builtin::SPILL_FILES) > 0, "no spill");
-    assert!(counter(&spill_stats, builtin::SPILLED_BYTES) > 0);
-    assert!(
-        counter(&spill_stats, builtin::SPILLED_GROUPS) > 0,
-        "a 1-byte budget must also overflow reduce groups"
-    );
-    assert_eq!(
-        bits(&in_mem),
-        bits(&spilled),
-        "spill/merge changed output bits"
-    );
-    assert!(in_mem.num_traces() > 0, "vacuous comparison");
-
-    // Both are the map-only job's output, regrouped: the reduce side adds
-    // a shuffle, not a different answer — and hands back one trail per
-    // user whichever way the partition reached it.
-    let cluster = Cluster::local(4, 2);
-    let dfs = synth_dfs(&cluster, 40, 7, 16 * 1024);
-    let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-    let (map_only, _) = sampling::mapreduce_sample(&cluster, &dfs, "synth", &cfg).unwrap();
-    assert_eq!(bits(&in_mem), bits(&map_only), "regroup changed the sample");
-    for stats in [&clean_stats, &spill_stats] {
-        assert_eq!(
-            counter(stats, builtin::REDUCE_OUTPUT_RECORDS),
-            map_only.num_users() as u64
-        );
-    }
-}
-
-/// k-means under a starvation budget: every iteration's partial-sum
-/// shuffle spills, and the centroids still land on identical bits —
-/// with one pair per trace in the shuffle (the large spill this suite is
-/// about) and with the default in-mapper fused sums.
-#[test]
-fn kmeans_under_budget_matches_in_memory_centroids() {
-    let cluster = Cluster::local(4, 2);
-    let dfs = synth_dfs(&cluster, 30, 3, 16 * 1024);
-    for use_combiner in [false, true] {
-        let base = kmeans::KMeansConfig {
-            k: 4,
-            max_iterations: 4,
-            use_combiner,
-            ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
-        };
-        let starved = kmeans::KMeansConfig {
-            memory_budget: Some(1),
-            ..base.clone()
-        };
-        let clean = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &base).unwrap();
-        let spilled = kmeans::mapreduce_kmeans(&cluster, &dfs, "synth", &starved).unwrap();
-
-        let spill_files: u64 = spilled
-            .per_iteration
-            .iter()
-            .map(|it| counter(&it.job, builtin::SPILL_FILES))
-            .sum();
-        assert!(spill_files > 0, "budgeted k-means never spilled");
-        assert_eq!(clean.iterations, spilled.iterations);
-        let centroid_bits = |r: &kmeans::KMeansResult| -> Vec<(u64, u64)> {
-            r.centroids
-                .iter()
-                .map(|c| (c.lat.to_bits(), c.lon.to_bits()))
-                .collect()
-        };
-        assert_eq!(
-            centroid_bits(&clean),
-            centroid_bits(&spilled),
-            "use_combiner = {use_combiner}"
-        );
-    }
+    regroup_in(&budgeted(&cluster, budget), &dfs, window)
 }
 
 /// Chaos: a datanode dies while the shuffle is spilling. The re-executed
@@ -165,16 +96,7 @@ fn crash_mid_spill_recovers_bit_identically() {
         let mut cluster = Cluster::local(3, 2).with_chaos(chaos);
         cluster.sim = SimParams::unit_time();
         let dfs = synth_dfs(&cluster, 120, 11, 4 * 1024);
-        let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-        sampling::mapreduce_sample_by_user(
-            &cluster,
-            &dfs,
-            "synth",
-            &cfg,
-            Some(64),
-            &Recorder::disabled(),
-        )
-        .unwrap()
+        regroup_in(&budgeted(&cluster, Some(64)), &dfs, 60)
     };
     let (clean, clean_stats) = run(ChaosPlan::none());
     let (chaotic, chaotic_stats) = run(ChaosPlan::none().crash_node(0, 1.5));
@@ -217,9 +139,9 @@ fn spill_under_io_faults_is_bit_identical_and_counts_repairs() {
 }
 
 /// ENOSPC degradation: a virtual disk too small for the starved run's
-/// spill footprint fails the job with `DiskFull`; the storage-aware
-/// recovery loop re-runs it with a grown memory budget that no longer
-/// needs the disk, and the output matches the unconstrained run's bits.
+/// spill footprint fails the job with `DiskFull`; the context's retry
+/// policy re-submits it with a grown memory budget that no longer needs
+/// the disk, and the output matches the unconstrained run's bits.
 #[test]
 fn enospc_recovers_by_growing_the_memory_budget() {
     let (unconstrained, _) = regroup(20, 5, 60, None);
@@ -227,33 +149,21 @@ fn enospc_recovers_by_growing_the_memory_budget() {
     let chaos = ChaosPlan::none().io_faults(IoFaultPlan::new(1).disk_capacity(512));
     let mut cluster = Cluster::local(4, 2).with_chaos(chaos);
     cluster.sim = SimParams::unit_time();
-    let mut dfs = synth_dfs(&cluster, 20, 5, 16 * 1024);
+    let dfs = synth_dfs(&cluster, 20, 5, 16 * 1024);
     let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
-    let policy = RetryPolicy::none()
-        .io_retries(3)
-        .enospc_factor((64 * 1024 * 1024) as f64);
-    let ((sampled, _), resubmissions) = run_with_recovery_io(
-        "sampling-by-user",
-        &cluster,
-        &mut dfs,
-        &policy,
-        &Recorder::disabled(),
-        |_, dfs, advice| {
-            // 1 byte forces every partition out of core; after one
-            // ENOSPC the advised budget is large enough to spill nothing.
-            let budget = advice.scaled_budget(&policy, Some(1));
-            sampling::mapreduce_sample_by_user(
-                &cluster,
-                dfs,
-                "synth",
-                &cfg,
-                budget,
-                &Recorder::disabled(),
-            )
-        },
-    )
-    .unwrap();
-    assert!(resubmissions >= 1, "the 512-byte disk never filled up");
+    // 1 byte forces every partition out of core; after one ENOSPC the
+    // grown budget is large enough to spill nothing.
+    let ctx = ExecCtx {
+        retry: RetryPolicy::none()
+            .io_retries(3)
+            .enospc_factor((64 * 1024 * 1024) as f64),
+        ..budgeted(&cluster, Some(1))
+    };
+    let (sampled, stats, resubmissions) =
+        sampling::mapreduce_sample_by_user_in(&ctx, &dfs, "synth", &cfg).unwrap();
+    assert_eq!(resubmissions, 1, "the 512-byte disk never filled up");
+    assert_eq!(stats.name, "sampling-by-user.r1");
+    assert_eq!(counter(&stats, builtin::SPILL_FILES), 0);
     assert_eq!(bits(&unconstrained), bits(&sampled));
 }
 

@@ -27,7 +27,8 @@ fn kmeans_emits_ordered_spans_into_jsonl_sink() {
         ..kmeans::KMeansConfig::paper(gepeto_geo::DistanceMetric::SquaredEuclidean)
     };
     let rec = Recorder::enabled();
-    let result = kmeans::mapreduce_kmeans_with(&cluster, &dfs, "geolife", &cfg, &rec).unwrap();
+    let ctx = ExecCtx::new(&cluster).traced(&rec);
+    let result = kmeans::mapreduce_kmeans_in(&ctx, &dfs, "geolife", &cfg).unwrap();
     assert!(result.iterations >= 1);
 
     // Ordering: the kmeans run span opens first, every iteration span
@@ -111,4 +112,44 @@ fn kmeans_emits_ordered_spans_into_jsonl_sink() {
     let summary = rec.summary();
     assert!(summary.phases.iter().any(|p| p.name == "map"));
     assert!(summary.phases.iter().any(|p| p.name == "reduce"));
+}
+
+/// The R-tree build's three jobs run in the driver's context: each shows
+/// up as a `job` span under `djcluster.rtree`, next to the
+/// neighbourhood+merge job under `djcluster.cluster`.
+#[test]
+fn djcluster_traces_the_rtree_build_jobs_under_the_rtree_span() {
+    let ds = tiny_dataset();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 16 * 1024);
+    gepeto::dfs_io::put_dataset(&mut dfs, "geolife", &ds).unwrap();
+    let rec = Recorder::enabled();
+    let ctx = ExecCtx::new(&cluster).traced(&rec);
+    djcluster::mapreduce_djcluster_in(
+        &ctx,
+        &dfs,
+        "geolife",
+        &djcluster::DjConfig::default(),
+        Some(&rtree_build::RTreeBuildConfig::default()),
+    )
+    .unwrap();
+
+    let events = rec.events();
+    let starts = |name: &'static str| {
+        let is_start =
+            move |e: &&gepeto_telemetry::Event| e.kind == EventKind::SpanStart && e.name == name;
+        events.iter().filter(is_start)
+    };
+    let jobs_under = |span: &'static str| -> Vec<&str> {
+        let parent = starts(span).next().expect("span opened").span_id;
+        starts("job")
+            .filter(|e| e.parent_id == parent)
+            .map(|e| e.label("job").expect("job spans carry their name"))
+            .collect()
+    };
+    assert_eq!(
+        jobs_under("djcluster.rtree"),
+        ["rtree-bounds", "rtree-phase1", "rtree-phase2"]
+    );
+    assert_eq!(jobs_under("djcluster.cluster"), ["dj-cluster"]);
 }
