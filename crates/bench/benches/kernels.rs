@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gepeto::djcluster::EncodedNeighborhood;
 use gepeto::kmeans::{nearest_centroid, KMeansMapper, CENTROIDS_CACHE_KEY};
 use gepeto_geo::rtree::radius_bounding_rect;
+use gepeto_geo::soa::kernels_available;
 use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa, RTree};
 use gepeto_mapred::{
     group_sorted, group_unsorted, Counters, DistributedCache, Emitter, FlatGroups, JobConfig,
@@ -63,15 +64,23 @@ fn bench_assignment(c: &mut Criterion) {
                 black_box(sums)
             })
         });
-        // The dispatching entry point: 4-wide lanes for planar metrics,
-        // scalar for Haversine.
-        group.bench_function(format!("soa-fused/{}", metric.name()), |b| {
-            b.iter(|| {
-                let mut sums = vec![ClusterSum::default(); cents.len()];
-                let evals = soa.assign_sum(&cols.lat, &cols.lon, &mut sums);
-                black_box((evals, sums))
-            })
-        });
+        // The lane core at every width this host can run (the widest is
+        // what `CentroidsSoa::new` selects); Haversine is `scalar` at
+        // every one of them, hence one row.
+        let mut kernels: Vec<CentroidsSoa> = kernels_available()
+            .map(|kernel| soa.clone().with_kernel(kernel))
+            .collect();
+        kernels.dedup_by_key(|soa| soa.kernel());
+        for soa in &kernels {
+            let name = format!("soa-fused/{}/{}", metric.name(), soa.kernel());
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let mut sums = vec![ClusterSum::default(); cents.len()];
+                    let evals = soa.assign_sum(&cols.lat, &cols.lon, &mut sums);
+                    black_box((evals, sums))
+                })
+            });
+        }
         // The bit-exactness reference the lanes are property-tested
         // against — the lanes-vs-scalar delta is this row vs soa-fused.
         group.bench_function(format!("soa-scalar-reference/{}", metric.name()), |b| {
@@ -88,8 +97,8 @@ fn bench_assignment(c: &mut Criterion) {
 fn bench_map_task(c: &mut Criterion) {
     // One 100k-trace chunk through one k-means map task, as the engine
     // drives it: the default `map_block` (Algorithm 1, one pair per
-    // record) vs the mapper's fused override (tile gather + SoA kernel,
-    // at most k pairs).
+    // record) vs the mapper's fused override (the lane kernel reading the
+    // traces in place, at most k pairs).
     let block: Vec<MobilityTrace> = points(100_000)
         .into_iter()
         .enumerate()

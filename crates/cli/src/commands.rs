@@ -3,7 +3,7 @@
 use crate::args::Args;
 use gepeto::prelude::*;
 use gepeto::sanitize::Sanitizer;
-use gepeto_geo::DistanceMetric;
+use gepeto_geo::{CentroidsSoa, DistanceMetric};
 use gepeto_mapred::journal::JournalEntry;
 use gepeto_mapred::{commit, ChaosPlan, IoFaultPlan, JobError, RetryPolicy, RunJournal};
 use gepeto_model::plt;
@@ -69,7 +69,8 @@ gepeto_pool_* in the Prometheus exposition.
 Observability (sample, kmeans, djcluster): --metrics-out PATH.jsonl dumps
 the telemetry event stream (phase spans, per-task durations with locality
 tags, counters) as JSON Lines and prints a run summary table; --summary
-prints the summary table to stderr; --explain prints the critical-path
+prints the summary table (and, for kmeans, the assignment kernel this
+host selected) to stderr; --explain prints the critical-path
 report (host span chain + virtual-cluster makespan attribution) and the
 per-node ASCII Gantt timeline to stderr; --trace-out PATH.json exports
 the host span tree and the virtual-cluster schedule (sched.*, chaos.*,
@@ -893,6 +894,10 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
             result.iterations
         );
         print_job_retries(result.job_retries);
+        if args.get_flag("summary") {
+            let kernel = CentroidsSoa::new(&[], cfg.distance).kernel();
+            eprintln!("kernel: {kernel}");
+        }
         let mean_iter_sim: f64 = result
             .per_iteration
             .iter()

@@ -12,10 +12,11 @@
 //! mapper's points locally so only one partial sum per (mapper, cluster)
 //! is shuffled — is the default ([`KMeansConfig::use_combiner`]), and it
 //! happens *inside* the map task: [`KMeansMapper`] overrides
-//! [`Mapper::map_block`], gathers the chunk's coordinates tile by tile
-//! into two column buffers and runs the fused SIMD assign + partial-sum
-//! kernel ([`CentroidsSoa::assign_sum`]) over them, so a task emits at
-//! most `k` pairs instead of one per trace. An engine-level
+//! [`Mapper::map_block`] and hands the chunk's traces, read in place, to
+//! the fused assign + partial-sum kernel
+//! ([`CentroidsSoa::assign_sum_points`], as wide as the host's vector
+//! registers), so a task emits at most `k` pairs instead of one per
+//! trace. An engine-level
 //! [`gepeto_mapred::Combiner`] was measured first and bought nothing —
 //! the per-trace pairs were still emitted, bucketed and grouped, only
 //! earlier (EXPERIMENTS.md) — which is why the sums are taken before any
@@ -39,7 +40,7 @@
 //! assert_eq!(result.centroids.len(), 2);
 //! ```
 
-use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa};
+use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric};
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
     map_records, Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobConfig,
@@ -73,7 +74,7 @@ pub struct KMeansConfig {
     /// How a map task hands its assignments to the shuffle.
     ///
     /// `true` (the default): **in-mapper fused sums** — the task runs the
-    /// SIMD assign + partial-sum kernel over its whole chunk and emits one
+    /// lane assign + partial-sum kernel over its whole chunk and emits one
     /// [`ClusterSum`] per non-empty cluster (§VI related work's combiner,
     /// taken before any per-trace pair exists).
     ///
@@ -227,35 +228,13 @@ fn merge_chunk_sums(partials: Vec<Vec<ClusterSum>>, k: usize) -> Vec<ClusterSum>
     total
 }
 
-/// [`sequential_iteration`] over pre-split coordinate columns — what
-/// [`sequential_kmeans`] runs so the lat/lon split is paid once for the
-/// whole run, not once per iteration. Same chunking, same fold order,
-/// bit-identical centroids.
-fn columnar_iteration(
-    cols: &PointsSoa,
-    centroids: &[GeoPoint],
-    metric: DistanceMetric,
-) -> Vec<GeoPoint> {
-    let k = centroids.len();
-    let soa = CentroidsSoa::new(centroids, metric);
-    let lat_chunks: Vec<&[f64]> = cols.lat.chunks(SEQ_CHUNK).collect();
-    let lon_chunks: Vec<&[f64]> = cols.lon.chunks(SEQ_CHUNK).collect();
-    let partials = gepeto_pool::global().map_indexed(lat_chunks.len(), |c| {
-        let mut local = vec![ClusterSum::default(); k];
-        soa.assign_sum(lat_chunks[c], lon_chunks[c], &mut local);
-        local
-    });
-    sums_to_centroids(&merge_chunk_sums(partials, k), centroids)
-}
-
 /// The full sequential baseline.
 pub fn sequential_kmeans(points: &[GeoPoint], cfg: &KMeansConfig) -> KMeansResult {
     let mut centroids = initial_centroids(points, cfg.k, cfg.seed);
-    let cols = PointsSoa::from_points(points);
     let mut iterations = 0;
     let mut converged = false;
     while iterations < cfg.max_iterations {
-        let next = columnar_iteration(&cols, &centroids, cfg.distance);
+        let next = sequential_iteration(points, &centroids, cfg.distance);
         iterations += 1;
         let shift = max_shift(&centroids, &next, cfg.distance);
         centroids = next;
@@ -337,12 +316,6 @@ fn max_shift(old: &[GeoPoint], new: &[GeoPoint], metric: DistanceMetric) -> f64 
         .fold(0.0, f64::max)
 }
 
-/// Points per gather tile of the fused mapper: two 32 KiB coordinate
-/// columns, small enough to stay cache-resident between the gather and
-/// the kernel pass. Sums accumulate across tiles in point order, so the
-/// tile size never shows in the result.
-const FUSED_TILE: usize = 4_096;
-
 /// Algorithm 1: the assignment mapper. Loads the centroids in `setup`,
 /// then either emits one `ClusterSum` per trace (`map`, the paper's
 /// formulation) or — with fused sums on — overrides `map_block` to run
@@ -356,11 +329,8 @@ const FUSED_TILE: usize = 4_096;
 pub struct KMeansMapper {
     metric: DistanceMetric,
     soa: Arc<CentroidsSoa>,
-    /// `Some(points per tile)` selects in-mapper fused sums.
-    fused_tile: Option<usize>,
-    /// Reused coordinate columns of the current tile.
-    lat: Vec<f64>,
-    lon: Vec<f64>,
+    /// In-mapper fused sums instead of one pair per trace.
+    fused_sums: bool,
     distance_evals: u64,
     counters: Option<Counters>,
 }
@@ -372,9 +342,7 @@ impl KMeansMapper {
         Self {
             metric,
             soa: Arc::new(CentroidsSoa::new(&[], metric)),
-            fused_tile: fused_sums.then_some(FUSED_TILE),
-            lat: Vec::new(),
-            lon: Vec::new(),
+            fused_sums,
             distance_evals: 0,
             counters: None,
         }
@@ -413,17 +381,11 @@ impl Mapper<MobilityTrace> for KMeansMapper {
         block: &[MobilityTrace],
         out: &mut Emitter<u32, ClusterSum>,
     ) {
-        let Some(tile) = self.fused_tile else {
+        if !self.fused_sums {
             return map_records(self, base_offset, block, out);
-        };
-        let mut sums = vec![ClusterSum::default(); self.soa.len()];
-        for traces in block.chunks(tile) {
-            self.lat.clear();
-            self.lat.extend(traces.iter().map(|t| t.point.lat));
-            self.lon.clear();
-            self.lon.extend(traces.iter().map(|t| t.point.lon));
-            self.distance_evals += self.soa.assign_sum(&self.lat, &self.lon, &mut sums);
         }
+        let mut sums = vec![ClusterSum::default(); self.soa.len()];
+        self.distance_evals += self.soa.assign_sum_points(block, &mut sums);
         for (cid, s) in sums.iter().enumerate().filter(|(_, s)| s.count > 0) {
             out.emit(cid as u32, *s);
         }
@@ -470,7 +432,8 @@ pub const KMEANS_CHECKPOINT_LABEL: &str = "kmeans";
 /// convergence or `maxIter` (Figure 4's workflow), run the way `ctx`
 /// says.
 ///
-/// **Telemetry**: the run is wrapped in a `kmeans` span, every iteration
+/// **Telemetry**: the run is wrapped in a `kmeans` span labelled with the
+/// assignment `kernel` the host selected, every iteration
 /// gets a `kmeans.iteration` span with its job nested under it, and the
 /// centroid movement is recorded as a `kmeans.shift` point — the
 /// convergence trajectory Figure 4's workflow monitors.
@@ -500,7 +463,15 @@ pub fn mapreduce_kmeans_in<'d>(
 ) -> Result<KMeansResult, JobError> {
     let mut dfs = dfs.into();
     let telemetry = &ctx.telemetry;
-    let run_span = telemetry.span("kmeans", &[("input", input), ("k", &cfg.k.to_string())]);
+    let kernel = CentroidsSoa::new(&[], cfg.distance).kernel();
+    let run_span = telemetry.span(
+        "kmeans",
+        &[
+            ("input", input),
+            ("k", &cfg.k.to_string()),
+            ("kernel", kernel),
+        ],
+    );
     let restored = ctx
         .journal
         .as_ref()
@@ -1032,13 +1003,9 @@ mod tests {
                 .map(|(s, &old)| s.mean().unwrap_or(old))
                 .collect();
             let got = sequential_iteration(&points, &centroids, metric);
-            let cols = PointsSoa::from_points(&points);
-            let col = columnar_iteration(&cols, &centroids, metric);
-            for ((g, c), w) in got.iter().zip(&col).zip(&want) {
+            for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.lat.to_bits(), w.lat.to_bits(), "{metric:?}");
                 assert_eq!(g.lon.to_bits(), w.lon.to_bits(), "{metric:?}");
-                assert_eq!(c.lat.to_bits(), w.lat.to_bits(), "{metric:?}");
-                assert_eq!(c.lon.to_bits(), w.lon.to_bits(), "{metric:?}");
             }
         }
     }
@@ -1300,17 +1267,14 @@ mod fused_props {
     /// emitted pairs and the flushed distance-evaluation count.
     fn run_task(
         metric: DistanceMetric,
-        fused_tile: Option<usize>,
+        fused_sums: bool,
         centroids: &[GeoPoint],
         block: &[MobilityTrace],
     ) -> (Vec<(u32, ClusterSum)>, u64) {
         let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
         let config = JobConfig::new();
         let counters = Counters::new();
-        let mut mapper = KMeansMapper {
-            fused_tile,
-            ..KMeansMapper::new(metric, false)
-        };
+        let mut mapper = KMeansMapper::new(metric, fused_sums);
         mapper.setup(&TaskContext {
             task_id: 0,
             attempt: 1,
@@ -1331,9 +1295,9 @@ mod fused_props {
         /// followed by a per-chunk, in-order, per-cluster fold would:
         /// same clusters in id order, `to_bits`-equal sums, same counts
         /// and distance evaluations — for every metric, every lane
-        /// remainder (`n % 4` sweeps 0..4, `n = 0` included), `k` above
-        /// and below the chunk length, duplicated centroids (exact ties)
-        /// and tile sizes that do and do not divide the chunk.
+        /// remainder (`n` sweeps 0..96, so every `n % 16`, `n = 0`
+        /// included), `k` above and below the chunk length and duplicated
+        /// centroids (exact ties).
         #[test]
         fn map_block_equals_per_record_map_then_in_order_fold(
             seed in any::<u64>(),
@@ -1341,7 +1305,6 @@ mod fused_props {
             rem in 0usize..4,
             k in 1usize..18,
             dup in 0usize..2,
-            odd_tile in 1usize..40,
         ) {
             let n = blocks * 4 + rem;
             let block: Vec<MobilityTrace> = cloud(n, seed)
@@ -1354,7 +1317,7 @@ mod fused_props {
                 centroids[k - 1] = centroids[0];
             }
             for metric in ALL_METRICS {
-                let (pairs, evals) = run_task(metric, None, &centroids, &block);
+                let (pairs, evals) = run_task(metric, false, &centroids, &block);
                 prop_assert_eq!(pairs.len(), n);
                 let mut folded = vec![ClusterSum::default(); k];
                 for (cid, v) in &pairs {
@@ -1366,18 +1329,14 @@ mod fused_props {
                     .filter(|(_, s)| s.count > 0)
                     .map(|(cid, s)| (cid as u32, s))
                     .collect();
-                // One tile, a tile of whole lane blocks, the production
-                // tile, and an arbitrary one.
-                for tile in [n.max(1), 4, FUSED_TILE, odd_tile] {
-                    let (got, fused_evals) = run_task(metric, Some(tile), &centroids, &block);
-                    prop_assert_eq!(fused_evals, evals);
-                    prop_assert_eq!(got.len(), want.len());
-                    for ((gc, g), (wc, w)) in got.iter().zip(&want) {
-                        prop_assert_eq!(gc, wc);
-                        prop_assert_eq!(g.count, w.count);
-                        prop_assert_eq!(g.lat_sum.to_bits(), w.lat_sum.to_bits());
-                        prop_assert_eq!(g.lon_sum.to_bits(), w.lon_sum.to_bits());
-                    }
+                let (got, fused_evals) = run_task(metric, true, &centroids, &block);
+                prop_assert_eq!(fused_evals, evals);
+                prop_assert_eq!(got.len(), want.len());
+                for ((gc, g), (wc, w)) in got.iter().zip(&want) {
+                    prop_assert_eq!(gc, wc);
+                    prop_assert_eq!(g.count, w.count);
+                    prop_assert_eq!(g.lat_sum.to_bits(), w.lat_sum.to_bits());
+                    prop_assert_eq!(g.lon_sum.to_bits(), w.lon_sum.to_bits());
                 }
             }
         }

@@ -44,4 +44,4 @@ pub use distance::{haversine_m, DistanceMetric, EARTH_RADIUS_M};
 pub use rect::Rect;
 pub use rtree::RTree;
 pub use sfc::SpaceFillingCurve;
-pub use soa::{assign_points_pooled, CentroidsSoa, ClusterSum, PointsSoa};
+pub use soa::{assign_points_pooled, CentroidsSoa, ClusterSum, PointSource, PointsSoa};

@@ -1,63 +1,61 @@
 //! Columnar (structure-of-arrays) clustering kernels.
 //!
 //! The k-means hot loop evaluates `n × k` point-to-centroid distances per
-//! iteration. Doing that through [`DistanceMetric::between`] on an
-//! array-of-structs layout recomputes `sin`/`cos`/`to_radians` for every
-//! pair and defeats auto-vectorization because the compiler cannot prove
-//! the `GeoPoint` loads are independent lanes. This module keeps the same
-//! arithmetic — bit for bit — but lays the data out as separate `f64`
-//! columns and hoists the per-centroid (and per-point) trigonometry out of
-//! the inner loop:
+//! iteration. Doing that through [`DistanceMetric::between`] one pair at a
+//! time recomputes `sin`/`cos`/`to_radians` for every pair and leaves the
+//! vector units idle. This module keeps the same arithmetic — bit for
+//! bit — but holds the centroids as `f64` columns ([`CentroidsSoa`], with
+//! the Haversine trigonometry precomputed once), hoists the point-side
+//! trigonometry out of the inner loop, and races a block of independent
+//! points through the centroid scan side by side. Points are read where
+//! they lie ([`PointSource`]: split columns, `&[GeoPoint]`, or the
+//! `&[MobilityTrace]` of a DFS chunk). [`CentroidsSoa::assign_sum_points`]
+//! fuses *assign + partial-sum* into that one pass, so callers need no
+//! second pass over the assignments; [`assign_points_pooled`] runs the
+//! same scan and keeps the labels instead.
 //!
-//! - [`CentroidsSoa`] — centroids split into `lat`/`lon` columns, with
-//!   `lat_rad`/`lon_rad`/`cos_lat` precomputed once for Haversine.
-//! - [`PointsSoa`] — an input block split into `lat`/`lon` columns.
-//! - [`CentroidsSoa::assign_sum`] — the fused *assign + partial-sum* loop:
-//!   one pass that finds each point's nearest centroid **and** accumulates
-//!   the per-cluster coordinate sums, so callers no longer need a second
-//!   combiner pass over the assignments.
+//! ## One lane core, as wide as the host
+//!
+//! Every entry point runs the same loop, `lanes`: take `L` points, scan
+//! the centroids once with one strict-`<` argmin state per lane, hand the
+//! `L` results to the caller in point order, and finish the `n % L`
+//! remainder with the same block at `L = 1`. The block is plain
+//! `[f64; L]` arrays in safe Rust; the compiler lowers it to whatever
+//! vector registers the enclosing function may use. The planar metrics
+//! (Euclidean, squared Euclidean, Manhattan) instantiate it three times:
+//!
+//! | [`CentroidsSoa::kernel`] | `L` | compiled under | selected when the CPU reports |
+//! |---|---|---|---|
+//! | `avx512f/16` | 16 | `#[target_feature(enable = "avx512f")]` | `avx512f` |
+//! | `avx2/8` | 8 | `#[target_feature(enable = "avx2")]` | `avx2` |
+//! | `baseline/4` | 4 | the build's baseline (SSE2 on x86-64) | neither, or any other architecture |
+//!
+//! [`CentroidsSoa::new`] picks the widest row the CPU supports, once,
+//! from `is_x86_feature_detected!`. There is nothing to set — no flag,
+//! environment variable, Cargo feature or `target-cpu`: a release build
+//! targets baseline x86-64, so without the run-time choice it would never
+//! touch a 256- or 512-bit register. Haversine is `scalar` (`L = 1`): its
+//! per-pair `sin`/`cos`/`asin` calls cannot be laned without changing the
+//! libm call sequence.
 //!
 //! ## Bit-identical by construction
 //!
-//! Every kernel reproduces the exact floating-point expressions of
-//! [`DistanceMetric::between`] / [`crate::haversine_m`] with the same operand
-//! order (`a` = point, `b` = centroid, matching every clustering call
-//! site). Hoisting `to_radians`/`cos` is exact: the same input bits go
-//! through the same operations, just once instead of `k` (or `n`) times.
-//! The argmin scan is a strict `<` first-minimum-wins loop, identical to
-//! the scalar reference, and the partial sums add points in slice order —
-//! so centroids, assignments and sums match the scalar path bit for bit.
-//! Property tests in this module and in `gepeto` assert this.
-//!
-//! ## Explicit SIMD lanes
-//!
-//! The planar metrics (Euclidean, squared Euclidean, Manhattan) run on
-//! explicit [`LANES`]-wide f64 blocks — plain `[f64; 4]` arrays the
-//! compiler lowers to vector registers:
-//!
-//! - [`CentroidsSoa::assign_sum`] vectorizes over **points**: four
-//!   independent points race through the centroid scan side by side.
-//!   Each lane evaluates the same expression in the same operand order
-//!   as the scalar loop and keeps its own strict-`<` argmin state, and
-//!   the per-cluster sums are folded lane 0→3 (= point order), so the
-//!   result is `to_bits`-identical to the scalar kernel by construction.
-//! - [`CentroidsSoa::nearest`] vectorizes over **centroids**: four
-//!   distances per block, then an in-order lane scan that preserves the
-//!   strict-`<` first-minimum-wins tie-break exactly.
-//!
-//! Haversine stays on the scalar path: its per-pair `sin`/`cos`/`asin`
-//! calls cannot be laned without changing the libm call sequence, and
-//! the bit-exactness contract outranks the speedup. The pre-lane scalar
-//! kernels remain as [`CentroidsSoa::assign_sum_scalar`] /
-//! [`CentroidsSoa::nearest_scalar`] — the reference the property tests
-//! (and the `kernels` bench) compare against.
+//! The width cannot change a bit of output. Lanes hold *independent*
+//! points; each lane evaluates the exact expression of
+//! [`DistanceMetric::between`] / [`crate::haversine_m`] in the same
+//! operand order (`a` = point, `b` = centroid, matching every clustering
+//! call site), and `target_feature` only widens the registers — it
+//! licenses neither FMA contraction nor reassociation. Hoisting
+//! `to_radians`/`cos` is exact: the same input bits go through the same
+//! operations, just once instead of `k` (or `n`) times. Each lane's
+//! argmin is the scalar strict-`<` first-minimum-wins scan, and results
+//! leave a block lane 0 → `L - 1`, which is point order, so sums fold in
+//! slice order. [`CentroidsSoa::assign_sum_scalar`] and
+//! [`CentroidsSoa::nearest_scalar`] keep the scalar loops: the reference
+//! the property tests hold every width the host supports to.
 
 use crate::distance::{DistanceMetric, EARTH_RADIUS_M};
-use gepeto_model::GeoPoint;
-
-/// Lane width of the vectorized planar kernels: four f64s, one 256-bit
-/// vector register on AVX2-class hosts (two 128-bit ops elsewhere).
-pub const LANES: usize = 4;
+use gepeto_model::{GeoPoint, MobilityTrace};
 
 /// Running coordinate sum for one cluster: sum of latitudes, sum of
 /// longitudes, member count. It is both the fused kernel's accumulator and
@@ -133,6 +131,138 @@ impl PointsSoa {
     }
 }
 
+/// Where the lane core reads its points: split coordinate columns
+/// `(&lat, &lon)`, a `&[GeoPoint]`, or a `&[MobilityTrace]` read in place.
+/// Every source yields the same bits, so which one a caller holds never
+/// shows in the result (columns of unequal length end at the shorter).
+pub trait PointSource: Copy {
+    /// Latitudes and longitudes of the first `L` points and the source
+    /// past them; `None` when fewer than `L` are left.
+    fn take<const L: usize>(self) -> Option<([f64; L], [f64; L], Self)>;
+}
+
+impl PointSource for (&[f64], &[f64]) {
+    #[inline(always)]
+    fn take<const L: usize>(self) -> Option<([f64; L], [f64; L], Self)> {
+        let (lat, lat_rest) = self.0.split_first_chunk::<L>()?;
+        let (lon, lon_rest) = self.1.split_first_chunk::<L>()?;
+        Some((*lat, *lon, (lat_rest, lon_rest)))
+    }
+}
+
+impl PointSource for &[GeoPoint] {
+    #[inline(always)]
+    fn take<const L: usize>(self) -> Option<([f64; L], [f64; L], Self)> {
+        let (block, rest) = self.split_first_chunk::<L>()?;
+        Some((block.map(|p| p.lat), block.map(|p| p.lon), rest))
+    }
+}
+
+impl PointSource for &[MobilityTrace] {
+    #[inline(always)]
+    fn take<const L: usize>(self) -> Option<([f64; L], [f64; L], Self)> {
+        let (block, rest) = self.split_first_chunk::<L>()?;
+        Some((block.map(|t| t.point.lat), block.map(|t| t.point.lon), rest))
+    }
+}
+
+/// The lane core. For every point of `points`, in point order: `prep`
+/// hoists the point-side work out of the centroid scan, `dist(lat, lon,
+/// prepared, i)` is the distance to centroid `i < k`, and `sink(nearest,
+/// lat, lon)` receives the strict-`<` first-minimum argmin. Whole blocks
+/// of `L` points run side by side; the remainder runs at `L = 1`.
+#[inline(always)]
+fn lanes<const L: usize, P: PointSource, T: Copy>(
+    k: usize,
+    mut points: P,
+    prep: impl Fn(f64, f64) -> T,
+    dist: impl Fn(f64, f64, T, usize) -> f64,
+    sink: &mut impl FnMut(usize, f64, f64),
+) {
+    while let Some((plat, plon, rest)) = points.take::<L>() {
+        block(k, plat, plon, &prep, &dist, sink);
+        points = rest;
+    }
+    while let Some((plat, plon, rest)) = points.take::<1>() {
+        block(k, plat, plon, &prep, &dist, sink);
+        points = rest;
+    }
+}
+
+/// One block of [`lanes`]: `L` independent points, each lane running the
+/// scalar expression in the scalar order with its own argmin state.
+#[inline(always)]
+fn block<const L: usize, T: Copy>(
+    k: usize,
+    plat: [f64; L],
+    plon: [f64; L],
+    prep: &impl Fn(f64, f64) -> T,
+    dist: &impl Fn(f64, f64, T, usize) -> f64,
+    sink: &mut impl FnMut(usize, f64, f64),
+) {
+    let pre: [T; L] = std::array::from_fn(|j| prep(plat[j], plon[j]));
+    let mut best = [0usize; L];
+    let mut best_d = [f64::INFINITY; L];
+    for i in 0..k {
+        for j in 0..L {
+            let d = dist(plat[j], plon[j], pre[j], i);
+            if d < best_d[j] {
+                best_d[j] = d;
+                best[j] = i;
+            }
+        }
+    }
+    for j in 0..L {
+        sink(best[j], plat[j], plon[j]);
+    }
+}
+
+/// The planar instantiations of the lane core, narrowest first.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// `L = 4` under the build's own target features.
+    Baseline,
+    /// `L = 8` under `avx2`.
+    Avx2,
+    /// `L = 16` under `avx512f`.
+    Avx512,
+}
+
+impl Kernel {
+    /// `<what it is compiled under>/<points per block>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Baseline => "baseline/4",
+            Kernel::Avx2 => "avx2/8",
+            Kernel::Avx512 => "avx512f/16",
+        }
+    }
+
+    /// Whether this CPU can run the kernel.
+    fn supported(self) -> bool {
+        match self {
+            Kernel::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
+/// Every planar kernel this CPU can run, narrowest first — what the tests
+/// and the `kernels` bench iterate to cover each width, not only the one
+/// [`CentroidsSoa::new`] selects.
+#[doc(hidden)]
+pub fn kernels_available() -> impl Iterator<Item = Kernel> {
+    [Kernel::Baseline, Kernel::Avx2, Kernel::Avx512]
+        .into_iter()
+        .filter(|kernel| kernel.supported())
+}
+
 /// Centroids in columnar layout with precomputed Haversine trigonometry.
 ///
 /// Build once per iteration (k is small), then evaluate `nearest` /
@@ -141,6 +271,9 @@ impl PointsSoa {
 #[derive(Debug, Clone)]
 pub struct CentroidsSoa {
     metric: DistanceMetric,
+    /// The planar kernel the scans run on: the widest this CPU supports,
+    /// unless `with_kernel` narrowed it.
+    kernel: Kernel,
     /// Centroid latitudes, decimal degrees.
     lat: Vec<f64>,
     /// Centroid longitudes, decimal degrees.
@@ -154,8 +287,9 @@ pub struct CentroidsSoa {
 }
 
 impl CentroidsSoa {
-    /// Splits `centroids` into columns and precomputes the trigonometry
-    /// the chosen metric needs.
+    /// Splits `centroids` into columns, precomputes the trigonometry the
+    /// chosen metric needs and selects the widest lane kernel the CPU
+    /// supports (see the module docs).
     pub fn new(centroids: &[GeoPoint], metric: DistanceMetric) -> Self {
         let lat: Vec<f64> = centroids.iter().map(|c| c.lat).collect();
         let lon: Vec<f64> = centroids.iter().map(|c| c.lon).collect();
@@ -169,11 +303,29 @@ impl CentroidsSoa {
         };
         Self {
             metric,
+            kernel: kernels_available().last().unwrap_or(Kernel::Baseline),
             lat,
             lon,
             lat_rad,
             lon_rad,
             cos_lat,
+        }
+    }
+
+    /// The same centroids on `kernel` instead of the widest one; an
+    /// unsupported kernel runs as the baseline.
+    #[doc(hidden)]
+    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
+        self.kernel = kernel;
+        self
+    }
+
+    /// The kernel the scans run on: `"avx512f/16"`, `"avx2/8"` or
+    /// `"baseline/4"` for the planar metrics, `"scalar"` for Haversine.
+    pub fn kernel(&self) -> &'static str {
+        match self.metric {
+            DistanceMetric::Haversine => "scalar",
+            _ => self.kernel.name(),
         }
     }
 
@@ -207,139 +359,80 @@ impl CentroidsSoa {
 
     /// Index of the nearest centroid under strict-`<` first-minimum-wins
     /// semantics — bit-identical to the scalar argmin over
-    /// `metric.between(p, c)`. Planar metrics run [`LANES`] centroids per
-    /// block; Haversine stays scalar (see the module docs).
+    /// `metric.between(p, c)`. One point fills no lanes, so this is the
+    /// lane core at `L = 1`, inlined into the caller; scans over many
+    /// points should hand the core the whole slice
+    /// ([`assign_sum_points`](Self::assign_sum_points),
+    /// [`assign_points_pooled`]).
+    #[inline]
     pub fn nearest(&self, p: GeoPoint) -> u32 {
         debug_assert!(!self.is_empty());
-        match self.metric {
-            DistanceMetric::Haversine => self.nearest_scalar(p),
-            DistanceMetric::Euclidean => self.nearest_lanes(p.lat, p.lon, |dlat, dlon| {
-                (dlat * dlat + dlon * dlon).sqrt()
-            }),
-            DistanceMetric::SquaredEuclidean => {
-                self.nearest_lanes(p.lat, p.lon, |dlat, dlon| dlat * dlat + dlon * dlon)
-            }
-            DistanceMetric::Manhattan => {
-                self.nearest_lanes(p.lat, p.lon, |dlat, dlon| dlat.abs() + dlon.abs())
-            }
-        }
+        let mut nearest = 0;
+        self.scan_lanes::<1, _>(std::slice::from_ref(&p), &mut |best, _, _| {
+            nearest = best as u32
+        });
+        nearest
     }
 
-    /// The scalar argmin — the reference the lane kernel must reproduce
-    /// bit for bit (property-tested below and used directly for
-    /// Haversine).
+    /// The scalar argmin — the reference the lane core must reproduce
+    /// bit for bit (property-tested below).
     pub fn nearest_scalar(&self, p: GeoPoint) -> u32 {
         debug_assert!(!self.is_empty());
-        match self.metric {
-            DistanceMetric::Haversine => {
-                let lat1 = p.lat.to_radians();
-                let lon1 = p.lon.to_radians();
-                let cos1 = lat1.cos();
-                let mut best = 0u32;
-                let mut best_d = f64::INFINITY;
-                for i in 0..self.len() {
-                    let d = self.haversine_to(lat1, lon1, cos1, i);
-                    if d < best_d {
-                        best_d = d;
-                        best = i as u32;
-                    }
-                }
-                best
-            }
-            _ => {
-                let mut best = 0u32;
-                let mut best_d = f64::INFINITY;
-                for i in 0..self.len() {
-                    let d = self.planar(p.lat, p.lon, i);
-                    if d < best_d {
-                        best_d = d;
-                        best = i as u32;
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Planar argmin over [`LANES`]-wide centroid blocks. Each block
-    /// evaluates four distances with the exact scalar expressions, then
-    /// scans the lanes **in index order** with the same strict-`<`
-    /// comparison — so the first minimum wins exactly as in the scalar
-    /// loop, ties and all. The tail runs the scalar loop.
-    #[inline]
-    fn nearest_lanes<D>(&self, plat: f64, plon: f64, dist: D) -> u32
-    where
-        D: Fn(f64, f64) -> f64 + Copy,
-    {
-        let k = self.len();
         let mut best = 0u32;
         let mut best_d = f64::INFINITY;
-        let mut i = 0;
-        while i + LANES <= k {
-            let mut d = [0.0f64; LANES];
-            for (j, dj) in d.iter_mut().enumerate() {
-                *dj = dist(plat - self.lat[i + j], plon - self.lon[i + j]);
-            }
-            for (j, &dj) in d.iter().enumerate() {
-                if dj < best_d {
-                    best_d = dj;
-                    best = (i + j) as u32;
-                }
-            }
-            i += LANES;
-        }
-        while i < k {
-            let d = dist(plat - self.lat[i], plon - self.lon[i]);
+        for i in 0..self.len() {
+            let d = self.distance(p, i);
             if d < best_d {
                 best_d = d;
                 best = i as u32;
             }
-            i += 1;
         }
         best
     }
 
-    /// The fused assign + partial-sum kernel over columnar points.
+    /// The fused assign + partial-sum kernel.
     ///
     /// For each point, finds the nearest centroid and accumulates the
     /// point into `sums[cid]` — one pass, no assignment buffer. `sums`
     /// must hold exactly `self.len()` entries; points are accumulated in
-    /// slice order, so chunked callers that merge partials in chunk order
-    /// reproduce the scalar reduction bit for bit.
+    /// source order, so chunked callers that merge partials in chunk
+    /// order reproduce the scalar reduction bit for bit.
     ///
     /// Returns the number of distance evaluations performed
-    /// (`points × centroids`). Planar metrics run [`LANES`] points per
-    /// block (see the module docs); Haversine runs the scalar reference.
+    /// (`points × centroids`).
+    pub fn assign_sum_points<P: PointSource>(&self, points: P, sums: &mut [ClusterSum]) -> u64 {
+        assert_eq!(sums.len(), self.len());
+        let mut n = 0u64;
+        self.scan(points, |best, lat, lon| {
+            let s = &mut sums[best];
+            s.lat_sum += lat;
+            s.lon_sum += lon;
+            s.count += 1;
+            n += 1;
+        });
+        n * self.len() as u64
+    }
+
+    /// [`assign_sum_points`](Self::assign_sum_points) over split
+    /// coordinate columns.
     pub fn assign_sum(&self, lat: &[f64], lon: &[f64], sums: &mut [ClusterSum]) -> u64 {
         assert_eq!(lat.len(), lon.len());
-        assert_eq!(sums.len(), self.len());
-        match self.metric {
-            DistanceMetric::Haversine => {
-                self.assign_sum_haversine(lat, lon, sums);
-            }
-            DistanceMetric::Euclidean => {
-                self.assign_sum_lanes(lat, lon, sums, |dlat, dlon| {
-                    (dlat * dlat + dlon * dlon).sqrt()
-                });
-            }
-            DistanceMetric::SquaredEuclidean => {
-                self.assign_sum_lanes(lat, lon, sums, |dlat, dlon| dlat * dlat + dlon * dlon);
-            }
-            DistanceMetric::Manhattan => {
-                self.assign_sum_lanes(lat, lon, sums, |dlat, dlon| dlat.abs() + dlon.abs());
-            }
-        }
-        lat.len() as u64 * self.len() as u64
+        self.assign_sum_points((lat, lon), sums)
     }
 
     /// The pre-lane scalar kernel, kept verbatim as the bit-exactness
     /// reference for [`assign_sum`](Self::assign_sum) (property-tested
-    /// below, raced against the lane kernel in the `kernels` bench).
+    /// below, raced against the lane kernels in the `kernels` bench).
     pub fn assign_sum_scalar(&self, lat: &[f64], lon: &[f64], sums: &mut [ClusterSum]) -> u64 {
         assert_eq!(lat.len(), lon.len());
         assert_eq!(sums.len(), self.len());
         match self.metric {
-            DistanceMetric::Haversine => self.assign_sum_haversine(lat, lon, sums),
+            DistanceMetric::Haversine => {
+                for (&plat, &plon) in lat.iter().zip(lon) {
+                    let best = self.nearest_scalar(GeoPoint::new(plat, plon));
+                    sums[best as usize].merge(&ClusterSum::of(GeoPoint::new(plat, plon)));
+                }
+            }
             _ => {
                 for (&plat, &plon) in lat.iter().zip(lon) {
                     let mut best = 0usize;
@@ -361,172 +454,95 @@ impl CentroidsSoa {
         lat.len() as u64 * self.len() as u64
     }
 
-    /// The Haversine assign+sum loop — scalar by contract (laning would
-    /// reorder the libm `sin`/`cos`/`asin` sequence).
-    fn assign_sum_haversine(&self, lat: &[f64], lon: &[f64], sums: &mut [ClusterSum]) {
-        for (&plat, &plon) in lat.iter().zip(lon) {
-            let lat1 = plat.to_radians();
-            let lon1 = plon.to_radians();
-            let cos1 = lat1.cos();
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for i in 0..self.len() {
-                let d = self.haversine_to(lat1, lon1, cos1, i);
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
+    /// Runs the lane core over `points` on the selected kernel: `sink`
+    /// receives `(nearest centroid, lat, lon)` for every point, in point
+    /// order.
+    fn scan<P: PointSource>(&self, points: P, mut sink: impl FnMut(usize, f64, f64)) {
+        #[cfg(target_arch = "x86_64")]
+        if self.metric != DistanceMetric::Haversine {
+            if self.kernel == Kernel::Avx512 && is_x86_feature_detected!("avx512f") {
+                // SAFETY: `avx512f` was detected on this CPU one line up.
+                return unsafe { self.scan_avx512(points, &mut sink) };
             }
-            let s = &mut sums[best];
-            s.lat_sum += plat;
-            s.lon_sum += plon;
-            s.count += 1;
+            if self.kernel == Kernel::Avx2 && is_x86_feature_detected!("avx2") {
+                // SAFETY: `avx2` was detected on this CPU one line up.
+                return unsafe { self.scan_avx2(points, &mut sink) };
+            }
         }
+        self.scan_lanes::<4, P>(points, &mut sink)
     }
 
-    /// The laned planar assign+sum core: [`LANES`] points per block, one
-    /// strict-`<` argmin state per lane, sums folded lane 0→3 (= point
-    /// order) after the centroid scan, scalar tail for `n % LANES`
-    /// points. Bit-identical to the scalar kernel by construction — each
-    /// lane runs the same expressions on the same operands in the same
-    /// order; only *independent* points run side by side.
-    #[inline]
-    fn assign_sum_lanes<D>(&self, lat: &[f64], lon: &[f64], sums: &mut [ClusterSum], dist: D)
-    where
-        D: Fn(f64, f64) -> f64 + Copy,
-    {
+    /// [`scan_lanes`](Self::scan_lanes) at `L = 16`, compiled for 512-bit
+    /// registers.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scan_avx512<P: PointSource>(
+        &self,
+        points: P,
+        sink: &mut impl FnMut(usize, f64, f64),
+    ) {
+        self.scan_lanes::<16, P>(points, sink)
+    }
+
+    /// [`scan_lanes`](Self::scan_lanes) at `L = 8`, compiled for 256-bit
+    /// registers.
+    ///
+    /// # Safety
+    /// The CPU must support `avx2`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scan_avx2<P: PointSource>(&self, points: P, sink: &mut impl FnMut(usize, f64, f64)) {
+        self.scan_lanes::<8, P>(points, sink)
+    }
+
+    /// The lane core under this metric's distance expression — the exact
+    /// expressions of `DistanceMetric::between` with `a` = point, `b` =
+    /// centroid. Always inlined, so the block is compiled under the
+    /// caller's target features. Haversine runs at `L = 1` whatever the
+    /// caller asks for.
+    #[inline(always)]
+    fn scan_lanes<const L: usize, P: PointSource>(
+        &self,
+        points: P,
+        sink: &mut impl FnMut(usize, f64, f64),
+    ) {
         let k = self.len();
-        let lat_blocks = lat.chunks_exact(LANES);
-        let lon_blocks = lon.chunks_exact(LANES);
-        let lat_tail = lat_blocks.remainder();
-        let lon_tail = lon_blocks.remainder();
-        for (lat_block, lon_block) in lat_blocks.zip(lon_blocks) {
-            let plat: &[f64; LANES] = lat_block.try_into().expect("exact chunk");
-            let plon: &[f64; LANES] = lon_block.try_into().expect("exact chunk");
-            let mut best = [0usize; LANES];
-            let mut best_d = [f64::INFINITY; LANES];
-            for i in 0..k {
-                let clat = self.lat[i];
-                let clon = self.lon[i];
-                for j in 0..LANES {
-                    let d = dist(plat[j] - clat, plon[j] - clon);
-                    if d < best_d[j] {
-                        best_d[j] = d;
-                        best[j] = i;
-                    }
-                }
-            }
-            for j in 0..LANES {
-                let s = &mut sums[best[j]];
-                s.lat_sum += plat[j];
-                s.lon_sum += plon[j];
-                s.count += 1;
-            }
-        }
-        for (&plat, &plon) in lat_tail.iter().zip(lon_tail) {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for i in 0..k {
-                let d = dist(plat - self.lat[i], plon - self.lon[i]);
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
-            }
-            let s = &mut sums[best];
-            s.lat_sum += plat;
-            s.lon_sum += plon;
-            s.count += 1;
-        }
-    }
-
-    /// [`assign_sum`](Self::assign_sum) over an array-of-structs slice —
-    /// same lane/scalar split, reading `GeoPoint`s directly (the lat/lon
-    /// columns of each block are gathered into lane arrays on the fly).
-    pub fn assign_sum_points(&self, points: &[GeoPoint], sums: &mut [ClusterSum]) -> u64 {
-        assert_eq!(sums.len(), self.len());
+        let (clat, clon) = (&self.lat[..k], &self.lon[..k]);
+        let delta = |plat: f64, plon: f64, i: usize| (plat - clat[i], plon - clon[i]);
+        let no_prep = |_: f64, _: f64| ();
         match self.metric {
-            DistanceMetric::Haversine => {
-                for p in points {
-                    let lat1 = p.lat.to_radians();
-                    let lon1 = p.lon.to_radians();
-                    let cos1 = lat1.cos();
-                    let mut best = 0usize;
-                    let mut best_d = f64::INFINITY;
-                    for i in 0..self.len() {
-                        let d = self.haversine_to(lat1, lon1, cos1, i);
-                        if d < best_d {
-                            best_d = d;
-                            best = i;
-                        }
-                    }
-                    let s = &mut sums[best];
-                    s.lat_sum += p.lat;
-                    s.lon_sum += p.lon;
-                    s.count += 1;
-                }
-            }
             DistanceMetric::Euclidean => {
-                self.assign_sum_points_lanes(points, sums, |dlat, dlon| {
+                let dist = |plat, plon, (), i| {
+                    let (dlat, dlon) = delta(plat, plon, i);
                     (dlat * dlat + dlon * dlon).sqrt()
-                });
+                };
+                lanes::<L, P, ()>(k, points, no_prep, dist, sink)
             }
             DistanceMetric::SquaredEuclidean => {
-                self.assign_sum_points_lanes(points, sums, |dlat, dlon| dlat * dlat + dlon * dlon);
+                let dist = |plat, plon, (), i| {
+                    let (dlat, dlon) = delta(plat, plon, i);
+                    dlat * dlat + dlon * dlon
+                };
+                lanes::<L, P, ()>(k, points, no_prep, dist, sink)
             }
             DistanceMetric::Manhattan => {
-                self.assign_sum_points_lanes(points, sums, |dlat, dlon| dlat.abs() + dlon.abs());
+                let dist = |plat, plon, (), i| {
+                    let (dlat, dlon) = delta(plat, plon, i);
+                    dlat.abs() + dlon.abs()
+                };
+                lanes::<L, P, ()>(k, points, no_prep, dist, sink)
             }
-        }
-        points.len() as u64 * self.len() as u64
-    }
-
-    /// AoS front-end of [`assign_sum_lanes`](Self::assign_sum_lanes).
-    #[inline]
-    fn assign_sum_points_lanes<D>(&self, points: &[GeoPoint], sums: &mut [ClusterSum], dist: D)
-    where
-        D: Fn(f64, f64) -> f64 + Copy,
-    {
-        let k = self.len();
-        let blocks = points.chunks_exact(LANES);
-        let tail = blocks.remainder();
-        for block in blocks {
-            let plat: [f64; LANES] = std::array::from_fn(|j| block[j].lat);
-            let plon: [f64; LANES] = std::array::from_fn(|j| block[j].lon);
-            let mut best = [0usize; LANES];
-            let mut best_d = [f64::INFINITY; LANES];
-            for i in 0..k {
-                let clat = self.lat[i];
-                let clon = self.lon[i];
-                for j in 0..LANES {
-                    let d = dist(plat[j] - clat, plon[j] - clon);
-                    if d < best_d[j] {
-                        best_d[j] = d;
-                        best[j] = i;
-                    }
-                }
+            DistanceMetric::Haversine => {
+                let radians = |plat: f64, plon: f64| {
+                    let lat1 = plat.to_radians();
+                    (lat1, plon.to_radians(), lat1.cos())
+                };
+                let dist = |_, _, (lat1, lon1, cos1), i| self.haversine_to(lat1, lon1, cos1, i);
+                lanes::<1, P, _>(k, points, radians, dist, sink)
             }
-            for j in 0..LANES {
-                let s = &mut sums[best[j]];
-                s.lat_sum += plat[j];
-                s.lon_sum += plon[j];
-                s.count += 1;
-            }
-        }
-        for p in tail {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for i in 0..k {
-                let d = dist(p.lat - self.lat[i], p.lon - self.lon[i]);
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
-            }
-            let s = &mut sums[best];
-            s.lat_sum += p.lat;
-            s.lon_sum += p.lon;
-            s.count += 1;
         }
     }
 
@@ -561,7 +577,8 @@ impl CentroidsSoa {
 const POOL_CHUNK: usize = 16_384;
 
 /// Labels every point with its nearest centroid, fanning fixed-size
-/// chunks out over the global work-stealing pool.
+/// chunks out over the global work-stealing pool; each chunk is one scan
+/// of the lane core.
 ///
 /// Each chunk's labels land in their own slot and the slots are
 /// concatenated in chunk order, so the output is identical to the
@@ -570,7 +587,9 @@ const POOL_CHUNK: usize = 16_384;
 pub fn assign_points_pooled(points: &[GeoPoint], soa: &CentroidsSoa) -> Vec<u32> {
     let chunks: Vec<&[GeoPoint]> = points.chunks(POOL_CHUNK).collect();
     let labeled: Vec<Vec<u32>> = gepeto_pool::global().map_indexed(chunks.len(), |c| {
-        chunks[c].iter().map(|&p| soa.nearest(p)).collect()
+        let mut labels = Vec::with_capacity(chunks[c].len());
+        soa.scan(chunks[c], |best, _, _| labels.push(best as u32));
+        labels
     });
     labeled.into_iter().flatten().collect()
 }
@@ -701,9 +720,9 @@ mod tests {
                 assert_eq!(g.lat_sum.to_bits(), w.lat_sum.to_bits(), "{metric:?}");
                 assert_eq!(g.lon_sum.to_bits(), w.lon_sum.to_bits(), "{metric:?}");
             }
-            // The AoS variant runs the same kernel.
+            // The AoS source runs the same kernel.
             let mut aos = vec![ClusterSum::default(); centroids.len()];
-            soa.assign_sum_points(&points, &mut aos);
+            soa.assign_sum_points(&points[..], &mut aos);
             assert_eq!(aos, got);
         }
     }
@@ -748,29 +767,34 @@ mod tests {
     #[test]
     fn exact_tie_centroids_prefer_the_lower_index_in_lanes() {
         // Four centroids exactly equidistant from the probe (and a
-        // duplicate pair), at k values that place the tie inside one
-        // lane block, across the block boundary, and in the scalar tail.
+        // duplicate pair), scanned by every lane of every width the host
+        // supports — whole blocks and the `L = 1` remainder alike.
         let probe = GeoPoint::new(40.0, 116.0);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::SquaredEuclidean,
-            DistanceMetric::Manhattan,
-        ] {
-            for k in 4..=9 {
-                let ring = [
-                    GeoPoint::new(40.5, 116.0),
-                    GeoPoint::new(39.5, 116.0),
-                    GeoPoint::new(40.0, 116.5),
-                    GeoPoint::new(40.0, 115.5),
-                ];
-                let centroids: Vec<GeoPoint> = (0..k).map(|i| ring[i % ring.len()]).collect();
-                let soa = CentroidsSoa::new(&centroids, metric);
-                assert_eq!(soa.nearest(probe), 0, "{metric:?} k={k}");
-                assert_eq!(
-                    soa.nearest(probe),
-                    soa.nearest_scalar(probe),
-                    "{metric:?} k={k}"
-                );
+        for kernel in kernels_available() {
+            let probes = vec![probe; 3 * 16 + 1];
+            for metric in [
+                DistanceMetric::Euclidean,
+                DistanceMetric::SquaredEuclidean,
+                DistanceMetric::Manhattan,
+            ] {
+                for k in 4..=9 {
+                    let ring = [
+                        GeoPoint::new(40.5, 116.0),
+                        GeoPoint::new(39.5, 116.0),
+                        GeoPoint::new(40.0, 116.5),
+                        GeoPoint::new(40.0, 115.5),
+                    ];
+                    let centroids: Vec<GeoPoint> = (0..k).map(|i| ring[i % ring.len()]).collect();
+                    let soa = CentroidsSoa::new(&centroids, metric).with_kernel(kernel);
+                    assert_eq!(soa.kernel(), kernel.name());
+                    assert_eq!(soa.nearest_scalar(probe), 0, "{metric:?} k={k}");
+                    assert_eq!(soa.nearest(probe), 0, "{kernel:?} {metric:?} k={k}");
+                    assert_eq!(
+                        assign_points_pooled(&probes, &soa),
+                        vec![0; probes.len()],
+                        "{kernel:?} {metric:?} k={k}"
+                    );
+                }
             }
         }
     }
@@ -794,6 +818,7 @@ mod tests {
 #[cfg(test)]
 mod lane_props {
     use super::*;
+    use gepeto_model::Timestamp;
     use proptest::prelude::*;
 
     /// Deterministic point cloud, same generator as the unit tests.
@@ -816,50 +841,91 @@ mod lane_props {
         DistanceMetric::Manhattan,
     ];
 
+    /// Coordinates no real trace holds but the argmin must still treat
+    /// like the scalar loop does: signed zeros (exact ties against a
+    /// zero centroid), infinities (every distance ∞, nothing is `<`) and
+    /// NaN (every comparison false).
+    const ODD: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+    /// `to_bits` view of the sums: NaN sums must match too.
+    fn bits(sums: &[ClusterSum]) -> Vec<(u64, u64, u64)> {
+        sums.iter()
+            .map(|s| (s.lat_sum.to_bits(), s.lon_sum.to_bits(), s.count))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The lane kernels match the scalar references bit for bit for
-        /// arbitrary clouds, every lane-remainder length (`n % LANES`
-        /// and `k % LANES` both sweep 0..LANES), and adversarial
-        /// near-tie centroid sets (`dup` duplicates centroid 0 at the
-        /// highest index, forcing exact distance ties the strict-<
-        /// first-win scan must resolve toward the lower index).
+        /// Every lane kernel the host supports matches the scalar
+        /// references bit for bit: arbitrary clouds, every length from
+        /// empty to three blocks and a remainder, `k` below, at and
+        /// above a block, adversarial exact ties (`dup` duplicates
+        /// centroid 0 at the highest index; a ±0.0 centroid pair ties on
+        /// the ±0.0 points), non-finite coordinates, and all three point
+        /// sources.
         #[test]
         fn laned_kernels_are_bit_identical_to_scalar(
             seed in any::<u64>(),
-            blocks in 0usize..24,
-            rem in 0usize..LANES,
-            k in 1usize..18,
             dup in 0usize..2,
+            odd_every in 2usize..9,
         ) {
-            let n = blocks * LANES + rem;
-            let points = cloud(n, seed);
-            let mut centroids = cloud(k, seed ^ 0x5bd1_e995);
-            if dup == 1 && k >= 2 {
-                centroids[k - 1] = centroids[0];
-            }
-            for metric in LANE_METRICS {
-                let soa = CentroidsSoa::new(&centroids, metric);
-                for p in &points {
-                    prop_assert_eq!(soa.nearest(*p), soa.nearest_scalar(*p));
+            let mut ran = Vec::new();
+            for kernel in kernels_available() {
+                ran.push(kernel.name());
+                for k in [1usize, 3, 11, 17] {
+                    let mut centroids = cloud(k, seed ^ 0x5bd1_e995);
+                    if k >= 3 {
+                        centroids[1] = GeoPoint::new(0.0, -0.0);
+                        centroids[2] = GeoPoint::new(-0.0, 0.0);
+                    }
+                    if dup == 1 && k >= 2 {
+                        centroids[k - 1] = centroids[0];
+                    }
+                    for n in 0..=3 * 16 + 1 {
+                        let mut points = cloud(n, seed.wrapping_add(n as u64));
+                        for (i, p) in points.iter_mut().enumerate().filter(|(i, _)| i % odd_every == 0) {
+                            *p = GeoPoint::new(ODD[i % ODD.len()], ODD[(i / odd_every) % ODD.len()]);
+                        }
+                        let cols = PointsSoa::from_points(&points);
+                        let traces: Vec<MobilityTrace> = points
+                            .iter()
+                            .map(|&p| MobilityTrace::new(7, p, Timestamp(0)))
+                            .collect();
+                        for metric in LANE_METRICS {
+                            let soa = CentroidsSoa::new(&centroids, metric).with_kernel(kernel);
+                            prop_assert_eq!(soa.kernel(), kernel.name());
+                            let labels: Vec<u32> =
+                                points.iter().map(|&p| soa.nearest_scalar(p)).collect();
+                            for (p, want) in points.iter().zip(&labels) {
+                                prop_assert_eq!(soa.nearest(*p), *want);
+                            }
+                            prop_assert_eq!(assign_points_pooled(&points, &soa), labels);
+                            let mut scalar = vec![ClusterSum::default(); k];
+                            soa.assign_sum_scalar(&cols.lat, &cols.lon, &mut scalar);
+                            let mut from_cols = vec![ClusterSum::default(); k];
+                            let mut from_points = vec![ClusterSum::default(); k];
+                            let mut from_traces = vec![ClusterSum::default(); k];
+                            soa.assign_sum(&cols.lat, &cols.lon, &mut from_cols);
+                            soa.assign_sum_points(&points[..], &mut from_points);
+                            soa.assign_sum_points(&traces[..], &mut from_traces);
+                            prop_assert_eq!(bits(&from_cols), bits(&scalar));
+                            prop_assert_eq!(bits(&from_points), bits(&scalar));
+                            prop_assert_eq!(bits(&from_traces), bits(&scalar));
+                        }
+                    }
                 }
-                let cols = PointsSoa::from_points(&points);
-                let mut laned = vec![ClusterSum::default(); k];
-                let mut scalar = vec![ClusterSum::default(); k];
-                soa.assign_sum(&cols.lat, &cols.lon, &mut laned);
-                soa.assign_sum_scalar(&cols.lat, &cols.lon, &mut scalar);
-                for (l, s) in laned.iter().zip(&scalar) {
-                    prop_assert_eq!(l.count, s.count);
-                    prop_assert_eq!(l.lat_sum.to_bits(), s.lat_sum.to_bits());
-                    prop_assert_eq!(l.lon_sum.to_bits(), s.lon_sum.to_bits());
-                }
-                // The AoS front-end gathers lanes on the fly but must
-                // land on the same bits.
-                let mut aos = vec![ClusterSum::default(); k];
-                soa.assign_sum_points(&points, &mut aos);
-                prop_assert_eq!(aos, laned);
             }
+            // Not vacuous: a host that reports a feature must have run
+            // that width, and `new` must have picked the widest one.
+            #[cfg(target_arch = "x86_64")]
+            {
+                prop_assert_eq!(ran.contains(&"avx2/8"), is_x86_feature_detected!("avx2"));
+                prop_assert_eq!(ran.contains(&"avx512f/16"), is_x86_feature_detected!("avx512f"));
+            }
+            prop_assert_eq!(ran[0], "baseline/4");
+            let selected = CentroidsSoa::new(&[], DistanceMetric::Euclidean).kernel();
+            prop_assert_eq!(Some(&selected), ran.last());
         }
     }
 }

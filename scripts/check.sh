@@ -17,6 +17,10 @@ cargo test -q --no-fail-fast
 # The number the next simplicity PR has to beat.
 echo "non-blank lines in crates/{mapred,core,cli}/src: $(
     find crates/{mapred,core,cli}/src -name '*.rs' -exec cat {} + | grep -c '[^[:space:]]')"
+# Which lane kernel the k-means numbers below were taken on (chosen from
+# this CPU at run time; it changes times, never output).
+echo "k-means $(./target/release/gepeto kmeans --users 2 --scale 0.002 --k 2 --max-iter 1 \
+    --summary 2>&1 >/dev/null | grep '^kernel: ')"
 
 echo "== chaos smoke: fault-injection suite =="
 cargo test -q --test chaos
