@@ -282,12 +282,20 @@ fn dwell_spots(n: usize) -> Vec<(GeoPoint, u64)> {
 }
 
 fn bench_radius_query(c: &mut Criterion) {
-    // 1 000 queries of 60 m against 100 k points. `naive` is the test the
-    // tree used to run on every candidate inside the bounding rect;
-    // `filter-refine` brackets the Haversine term without trigonometry
-    // and falls back to it only on the disc's edge.
+    // 1 000 queries of 60 m against 100 k points, in time order: ten
+    // consecutive traces at each of 100 dwell spots. `naive` is the test
+    // the tree used to run on every candidate inside the bounding rect;
+    // `filter-refine` is the plain query (pre-tested descent, whole-leaf
+    // acceptance, trig-free brackets, Haversine only on the disc's edge);
+    // `cursor` answers the same stream from cached leaf lists and reads
+    // every hit's payload, `cursor-blocks` takes whole leaves as blocks,
+    // unread, the way DJ-Cluster's union-find counts them.
     let items = dwell_spots(100_000);
-    let queries: Vec<GeoPoint> = items.iter().step_by(100).map(|&(p, _)| p).collect();
+    let queries: Vec<GeoPoint> = items
+        .chunks(200)
+        .take(100)
+        .flat_map(|spot| spot[..10].iter().map(|&(p, _)| p))
+        .collect();
     let tree = RTree::bulk_load(items);
 
     let mut group = c.benchmark_group("radius-query-60m");
@@ -307,6 +315,24 @@ fn bench_radius_query(c: &mut Criterion) {
             let mut hits = 0usize;
             for &q in &queries {
                 tree.for_each_within_radius_m(q, 60.0, |_| hits += 1);
+            }
+            black_box(hits)
+        })
+    });
+    group.bench_function("cursor", |b| {
+        b.iter(|| {
+            let (mut cursor, mut ids) = (tree.radius_cursor(60.0), 0u64);
+            for &q in &queries {
+                cursor.for_each(q, |hit| hit.entries().iter().for_each(|e| ids ^= e.payload));
+            }
+            black_box(ids)
+        })
+    });
+    group.bench_function("cursor-blocks", |b| {
+        b.iter(|| {
+            let (mut cursor, mut hits) = (tree.radius_cursor(60.0), 0usize);
+            for &q in &queries {
+                cursor.for_each(q, |hit| hits += hit.entries().len());
             }
             black_box(hits)
         })

@@ -23,7 +23,10 @@
 //! merge-small-summaries shape of *Fast Clustering using MapReduce* — so
 //! Algorithm 5's "centralized" reducer merges a few thousand sets and is
 //! no longer the job's critical path. Joining sets that share a trace is
-//! associative, so the clusters are those of the per-trace shuffle.
+//! associative, so the clusters are those of the per-trace shuffle. The
+//! radius join itself runs through one cursor per tile: a user's
+//! consecutive traces are served from a cached leaf list, and a leaf
+//! inside the disc arrives as a block that is unioned id by id once.
 //! Trace ids are global record offsets, kept in dense `u32` arrays; the
 //! driver refuses longer inputs with [`JobError::InputTooLarge`].
 //!
@@ -51,6 +54,7 @@
 
 use crate::rtree_build::{mapreduce_build_rtree, RTreeBuildConfig};
 use gepeto_geo::distance::equirectangular_m;
+use gepeto_geo::rtree::Hit;
 use gepeto_geo::RTree;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
@@ -703,6 +707,15 @@ impl UnionFind {
     /// Algorithm 4's loop with the join done on the spot: each trace's
     /// radius-`r` neighborhood becomes one set if it holds `min_pts` ids
     /// (the trace's own among them), and is dropped as noise otherwise.
+    ///
+    /// `traces` is a run of the input — users' traces in time order — so
+    /// one [`gepeto_geo::rtree::RadiusCursor`] serves them all. A leaf
+    /// handed over whole counts toward `min_pts` by its length, no id
+    /// read. The first dense neighborhood holding it puts all its ids in
+    /// one set and marks its slot; sets only ever merge, so later dense
+    /// neighborhoods join that set through the leaf's first id alone.
+    /// Marks die with the cursor's anchor and with this call, i.e. before
+    /// the sets do (those last until the caller drains them).
     fn join_dense_neighborhoods(
         &mut self,
         tree: &RTree<u64>,
@@ -710,13 +723,35 @@ impl UnionFind {
         radius_m: f64,
         min_pts: usize,
     ) {
-        let mut ids: Vec<u64> = Vec::new();
+        let mut cursor = tree.radius_cursor(radius_m);
+        let (mut ids, mut blocks): (Vec<u64>, Vec<(usize, &[_])>) = (Vec::new(), Vec::new());
+        let mut in_one_set: Vec<bool> = Vec::new();
         for trace in traces {
+            let mut count = 0;
             ids.clear();
-            tree.for_each_within_radius_m(trace.point, radius_m, |e| ids.push(e.payload));
-            if ids.len() >= min_pts {
-                self.join(ids.iter().copied());
+            blocks.clear();
+            let reanchored = cursor.for_each(trace.point, |hit| {
+                count += hit.entries().len();
+                match hit {
+                    Hit::Entry(e) => ids.push(e.payload),
+                    Hit::Leaf { slot, entries } => blocks.push((slot, entries)),
+                }
+            });
+            if reanchored {
+                in_one_set.clear();
             }
+            if count < min_pts {
+                continue;
+            }
+            for &(slot, entries) in &blocks {
+                if in_one_set.len() <= slot {
+                    in_one_set.resize(slot + 1, false);
+                }
+                let whole = if in_one_set[slot] { 1 } else { entries.len() };
+                in_one_set[slot] = true;
+                ids.extend(entries[..whole].iter().map(|e| e.payload));
+            }
+            self.join(ids.iter().copied());
         }
     }
 
@@ -1185,6 +1220,154 @@ mod tests {
         groups.clear();
         uf.drain_groups(|members| groups.push(members.to_vec()));
         assert_eq!(groups, vec![vec![5, 9]]);
+    }
+
+    /// What `join_dense_neighborhoods` must leave in the union-find after
+    /// `tile`: the components of "in one dense neighborhood", every
+    /// neighborhood found by an O(n) Haversine scan of `points`.
+    fn naive_components(
+        points: &[GeoPoint],
+        tile: &[MobilityTrace],
+        radius_m: f64,
+        min_pts: usize,
+    ) -> Vec<Vec<u64>> {
+        let mut set: Vec<usize> = (0..points.len()).collect();
+        let mut shown = vec![false; points.len()];
+        for trace in tile {
+            let near: Vec<usize> = (0..points.len())
+                .filter(|&j| gepeto_geo::haversine_m(trace.point, points[j]) <= radius_m)
+                .collect();
+            if near.len() >= min_pts {
+                let into = set[near[0]];
+                for &j in &near {
+                    shown[j] = true;
+                    let from = set[j];
+                    set.iter_mut()
+                        .filter(|s| **s == from)
+                        .for_each(|s| *s = into);
+                }
+            }
+        }
+        let mut groups = std::collections::BTreeMap::<usize, Vec<u64>>::new();
+        for j in (0..points.len()).filter(|&j| shown[j]) {
+            groups.entry(set[j]).or_default().push(j as u64);
+        }
+        let mut groups: Vec<Vec<u64>> = groups.into_values().collect();
+        groups.sort();
+        groups
+    }
+
+    fn drained(uf: &mut UnionFind) -> Vec<Vec<u64>> {
+        let mut groups = Vec::new();
+        uf.drain_groups(|members| groups.push(members.to_vec()));
+        groups
+    }
+
+    /// `(east, north)` metres from a point in Beijing.
+    fn metres(east: f64, north: f64) -> GeoPoint {
+        GeoPoint::new(39.9 + north * 8.993e-6, 116.4 + east * 1.172e-5)
+    }
+
+    fn as_traces(points: &[GeoPoint]) -> Vec<MobilityTrace> {
+        let trace = |(i, &p)| MobilityTrace::new(1, p, Timestamp(i as i64));
+        points.iter().enumerate().map(trace).collect()
+    }
+
+    fn tree_of(points: &[GeoPoint], max_entries: usize) -> RTree<u64> {
+        let items = points.iter().enumerate().map(|(i, &p)| (p, i as u64));
+        RTree::bulk_load_with_max_entries(items.collect(), max_entries)
+    }
+
+    #[test]
+    fn block_unions_equal_the_naive_haversine_join_on_dwell_clouds() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (n, max_entries) in [(1, 16), (90, 4), (400, 4), (400, 16), (700, 8)] {
+            // A walker wobbling inside 60 m dwell spots 150 m apart — so
+            // leaves are swallowed whole and spots chain — with strays,
+            // and every seventh trace an exact copy of an earlier one.
+            let mut points: Vec<GeoPoint> = Vec::new();
+            let (mut spot, mut east, mut north) = (0.0, 0.0f64, 0.0f64);
+            for i in 0..n {
+                if i % 40 == 0 {
+                    spot = (unit() * 5.0).floor();
+                }
+                east = (east + (unit() - 0.5) * 10.0).clamp(-30.0, 30.0);
+                north = (north + (unit() - 0.5) * 10.0).clamp(-30.0, 30.0);
+                points.push(match i % 7 {
+                    6 => points[(unit() * i as f64) as usize],
+                    3 if unit() < 0.3 => metres(unit() * 900.0 - 100.0, unit() * 400.0 - 200.0),
+                    _ => metres(spot * 150.0 + east, north),
+                });
+            }
+            let (traces, tree) = (as_traces(&points), tree_of(&points, max_entries));
+            let mut uf = UnionFind::with_len(n);
+            for min_pts in [1, 2, 4, 10] {
+                uf.join_dense_neighborhoods(&tree, &traces, 60.0, min_pts);
+                let want = naive_components(&points, &traces, 60.0, min_pts);
+                assert_eq!(drained(&mut uf), want, "n {n}, MinPts {min_pts}");
+                // Two tiles sharing every leaf, the union-find drained in
+                // between: nothing the first learnt may leak into the second.
+                let (first, second) = traces.split_at(n / 2);
+                for tile in [first, second] {
+                    uf.join_dense_neighborhoods(&tree, tile, 60.0, min_pts);
+                    let want = naive_components(&points, tile, 60.0, min_pts);
+                    assert_eq!(drained(&mut uf), want, "n {n}, MinPts {min_pts}, tiled");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_leaf_swallowed_by_a_sparse_query_is_still_joined_id_by_id() {
+        // Four per leaf, MinPts 10. `sparse` sees the leaf `l` whole but
+        // only 5 traces in all; `dense`, served from the same anchor,
+        // sees `l` whole again plus the 7 of `g`: 12. Only then may `l`
+        // count as being in one set.
+        let l = [(0.0, 0.0), (1.0, 1.0), (-1.0, 2.0), (0.5, 3.0)];
+        let g = (0..7).map(|i| (70.0 + (i % 3) as f64, 30.0 + i as f64 * 0.5));
+        let far = [(-300.0, -500.0), (-700.0, -900.0), (-1100.0, -1300.0)];
+        let (sparse, dense) = ((-25.0, -40.0), (25.0, 10.0));
+        let points: Vec<GeoPoint> = [sparse, dense]
+            .into_iter()
+            .chain(l)
+            .chain(g)
+            .chain(far)
+            .map(|(east, north)| metres(east, north))
+            .collect();
+        let (traces, tree) = (as_traces(&points), tree_of(&points, 4));
+
+        let mut cursor = tree.radius_cursor(60.0);
+        let mut blocks_of = |trace: usize| {
+            let (mut blocks, mut total) = (Vec::new(), 0);
+            let reanchored = cursor.for_each(points[trace], |hit| {
+                total += hit.entries().len();
+                if let Hit::Leaf { slot, entries } = hit {
+                    blocks.push((slot, entries.iter().map(|e| e.payload).collect::<Vec<_>>()));
+                }
+            });
+            (blocks, total, reanchored)
+        };
+        let (sparse_blocks, sparse_total, _) = blocks_of(0);
+        let (dense_blocks, dense_total, reanchored) = blocks_of(1);
+        assert_eq!((sparse_total, dense_total, reanchored), (5, 12, false));
+        assert_eq!(sparse_blocks.len(), 1, "{sparse_blocks:?}");
+        assert_eq!(sparse_blocks[0].1, vec![2, 3, 4, 5]);
+        assert!(dense_blocks.contains(&sparse_blocks[0]), "{dense_blocks:?}");
+
+        let mut uf = UnionFind::with_len(points.len());
+        uf.join_dense_neighborhoods(&tree, &traces, 60.0, 10);
+        let cluster: Vec<u64> = (1..13).collect(); // `dense`, `l` and `g`
+        assert_eq!(drained(&mut uf), vec![cluster]);
+        assert_eq!(
+            naive_components(&points, &traces, 60.0, 10),
+            vec![(1..13).collect::<Vec<u64>>()]
+        );
     }
 
     #[test]

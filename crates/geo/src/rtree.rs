@@ -8,16 +8,23 @@
 //! (Sort-Tile-Recursive), which is what each phase-2 reducer of the
 //! MapReduce R-tree construction uses to index its partition.
 //!
-//! Queries: rectangle range, radius-in-meters range (bounding-box
-//! prefilter + exact Haversine test, decided without trigonometry for
-//! every candidate that is not on the disc's very edge), and best-first
-//! k-nearest-neighbors in degree space.
+//! Queries: rectangle range, radius-in-meters range, and best-first
+//! k-nearest-neighbors in degree space. Both range queries run one
+//! descent (`descend`): a node's MBR is compared with the query rect
+//! *before* the node is entered, and the query sees leaves. A leaf that
+//! lies inside the query is taken whole, its entries unread; for the
+//! radius query `RadiusTest` decides that, and every other candidate,
+//! exactly — without trigonometry except on the disc's very edge. A
+//! *stream* of radius queries that moves a few metres at a time goes
+//! through a [`RadiusCursor`], which answers from a cached leaf list
+//! while the stream stays near and hands whole leaves over as blocks.
 
 use crate::distance::{haversine_m, EARTH_RADIUS_M};
 use crate::Rect;
 use gepeto_model::GeoPoint;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::slice::from_ref;
 
 /// Default maximum entries per node (Guttman's M).
 pub const DEFAULT_MAX_ENTRIES: usize = 16;
@@ -230,21 +237,26 @@ impl<T> RTree<T> {
         merged
     }
 
-    /// All entries whose point falls inside `rect` (inclusive borders).
+    /// All entries whose point falls inside `rect` (inclusive borders). A
+    /// leaf whose MBR lies inside `rect` is pushed wholesale.
     pub fn query_rect(&self, rect: &Rect) -> Vec<&Entry<T>> {
         let mut out = Vec::new();
-        if !rect.is_empty() {
-            query_rect_rec(&self.root, rect, &mut out);
-        }
+        descend(from_ref(&self.root), rect, &mut 0, &mut |mbr, entries| {
+            if rect.contains_rect(mbr) {
+                out.extend(entries);
+            } else {
+                out.extend(entries.iter().filter(|e| rect.contains_point(e.point)));
+            }
+        });
         out
     }
 
-    /// All entries within `radius_m` meters (Haversine) of `center`.
-    ///
-    /// A degree-space bounding box prefilters tree traversal; candidates
-    /// are then tested with the exact great-circle distance, so the result
-    /// is exact. This is the neighborhood query of DJ-Cluster's second
-    /// phase.
+    /// All entries within `radius_m` meters (Haversine) of `center` that
+    /// [`radius_bounding_rect`] admits: all of them for a city-scale
+    /// disc, across ±180° too. The rect steers the descent, [`RadiusTest`]
+    /// decides — a leaf at a time where it can, else entry by entry,
+    /// exactly. This is the neighborhood query of DJ-Cluster's second
+    /// phase; a *stream* of nearby centres wants [`Self::radius_cursor`].
     pub fn within_radius_m(&self, center: GeoPoint, radius_m: f64) -> Vec<&Entry<T>> {
         let mut out = Vec::new();
         self.for_each_within_radius_m(center, radius_m, |e| out.push(e));
@@ -261,12 +273,33 @@ impl<T> RTree<T> {
         radius_m: f64,
         mut visit: impl FnMut(&'a Entry<T>),
     ) {
-        if radius_m < 0.0 || self.is_empty() {
+        if radius_m < 0.0 {
             return;
         }
-        let rect = radius_bounding_rect(center, radius_m);
-        let disc = RadiusTest::new(center, radius_m);
-        within_radius_rec(&self.root, &rect, &disc, &mut visit);
+        let (root, disc) = (from_ref(&self.root), RadiusTest::new(center, radius_m));
+        for disc in std::iter::once(&disc).chain(&disc.wrapped()) {
+            descend(root, &disc.rect, &mut 0, &mut |mbr, entries| {
+                if disc.contains_leaf(mbr) {
+                    entries.iter().for_each(&mut visit);
+                } else {
+                    for e in entries.iter().filter(|e| disc.contains(e.point)) {
+                        visit(e);
+                    }
+                }
+            });
+        }
+    }
+
+    /// A [`RadiusCursor`] for radius-`radius_m` queries around a stream
+    /// of centres (negative: no hits).
+    pub fn radius_cursor(&self, radius_m: f64) -> RadiusCursor<'_, T> {
+        RadiusCursor {
+            tree: self,
+            radius_m,
+            cover: Rect::empty(),
+            leaves: Vec::new(),
+            stats: CursorStats::default(),
+        }
     }
 
     /// The `k` nearest entries to `center` in **degree space** (Euclidean
@@ -443,18 +476,24 @@ impl<T> RTree<T> {
     }
 }
 
-/// Degree-space rectangle guaranteed to contain the `radius_m`-meter disc
-/// around `center` (latitude-aware longitude widening, clamped at poles).
+/// Degree-space rectangle around the `radius_m`-meter disc at `center`:
+/// latitude-aware longitude widening, clamped at the poles, every
+/// longitude once the disc is half the globe wide. The widening is the
+/// small-circle one — it contains the disc at any radius GPS analyses
+/// use, a continental disc or one reaching a pole outgrows it. Longitudes
+/// are not wrapped: a rect leaving [−180, 180] says the disc goes on
+/// across the antimeridian, where the radius queries follow it.
 pub fn radius_bounding_rect(center: GeoPoint, radius_m: f64) -> Rect {
     const M_PER_DEG_LAT: f64 = 111_194.93; // pi * R / 180 for R = 6371000.8
     let dlat = radius_m / M_PER_DEG_LAT;
     let cos_lat = center.lat.to_radians().cos().max(1e-9);
-    let dlon = (radius_m / (M_PER_DEG_LAT * cos_lat)).min(360.0);
+    let dlon = radius_m / (M_PER_DEG_LAT * cos_lat);
+    let all_lons = dlon >= 180.0;
     Rect {
         min_lat: (center.lat - dlat).max(-90.0),
-        min_lon: center.lon - dlon,
+        min_lon: if all_lons { -180.0 } else { center.lon - dlon },
         max_lat: (center.lat + dlat).min(90.0),
-        max_lon: center.lon + dlon,
+        max_lon: if all_lons { 180.0 } else { center.lon + dlon },
     }
 }
 
@@ -667,49 +706,31 @@ fn str_pack_internal<T>(mut nodes: Vec<Node<T>>, max: usize) -> Vec<Node<T>> {
     out
 }
 
-fn query_rect_rec<'a, T>(node: &'a Node<T>, rect: &Rect, out: &mut Vec<&'a Entry<T>>) {
-    match node {
-        Node::Leaf { mbr, entries } => {
-            if rect.intersects(mbr) {
-                for e in entries {
-                    if rect.contains_point(e.point) {
-                        out.push(e);
-                    }
-                }
-            }
-        }
-        Node::Internal { mbr, children } => {
-            if rect.intersects(mbr) {
-                for c in children {
-                    query_rect_rec(c, rect, out);
-                }
-            }
-        }
-    }
+/// [`Rect::intersects`] without the emptiness checks: an empty rect has
+/// infinite inverted bounds and fails these four comparisons anyway.
+#[inline]
+fn meets(rect: &Rect, mbr: &Rect) -> bool {
+    rect.min_lat <= mbr.max_lat
+        && mbr.min_lat <= rect.max_lat
+        && rect.min_lon <= mbr.max_lon
+        && mbr.min_lon <= rect.max_lon
 }
 
-fn within_radius_rec<'a, T>(
-    node: &'a Node<T>,
+/// The one descent behind the range queries: `on_leaf` sees, in tree
+/// order, each leaf under `nodes` whose MBR meets `rect`. A node's MBR is
+/// compared *before* anything is called for it — a miss costs four
+/// comparisons (`tested` counts the nodes compared).
+fn descend<'a, T>(
+    nodes: &'a [Node<T>],
     rect: &Rect,
-    disc: &RadiusTest,
-    visit: &mut impl FnMut(&'a Entry<T>),
+    tested: &mut u64,
+    on_leaf: &mut impl FnMut(&'a Rect, &'a [Entry<T>]),
 ) {
-    match node {
-        Node::Leaf { mbr, entries } => {
-            if rect.intersects(mbr) {
-                for e in entries {
-                    if rect.contains_point(e.point) && disc.contains(e.point) {
-                        visit(e);
-                    }
-                }
-            }
-        }
-        Node::Internal { mbr, children } => {
-            if rect.intersects(mbr) {
-                for c in children {
-                    within_radius_rec(c, rect, disc, visit);
-                }
-            }
+    *tested += nodes.len() as u64;
+    for node in nodes.iter().filter(|n| meets(rect, &n.mbr())) {
+        match node {
+            Node::Leaf { mbr, entries } => on_leaf(mbr, entries),
+            Node::Internal { children, .. } => descend(children, rect, tested, on_leaf),
         }
     }
 }
@@ -728,9 +749,20 @@ fn within_radius_rec<'a, T>(
 /// `haversine_m` itself. The margin (1e-9 relative) is six orders above
 /// the rounding of either evaluation, so a bracket that clears it cannot
 /// disagree with the reference; inside it the reference *is* the answer.
+///
+/// **Whole leaves.** The accept bracket `x² + cos lat₁ · (cos lat₁ +
+/// |Δlat|) · y²` is sums and products of non-negative terms, so as
+/// evaluated — round-to-nearest is monotone — it cannot shrink when
+/// |Δlat| or |Δlon| grows. Taken at the farthest corner of a leaf MBR
+/// inside the bounding rect it bounds the bracket of every entry of the
+/// leaf: if the corner passes, each entry would have passed on its own,
+/// and the leaf is accepted whole with no verdict changed. With the
+/// brackets off (`accept_below = −∞`) no corner passes.
 struct RadiusTest {
     center: GeoPoint,
     radius_m: f64,
+    /// The window candidates come from: [`radius_bounding_rect`].
+    rect: Rect,
     lat1: f64,
     lon1: f64,
     cos_lat1: f64,
@@ -763,6 +795,7 @@ impl RadiusTest {
         Self {
             center,
             radius_m,
+            rect: radius_bounding_rect(center, radius_m),
             lat1,
             lon1: center.lon.to_radians(),
             cos_lat1,
@@ -771,24 +804,183 @@ impl RadiusTest {
         }
     }
 
-    /// For `p` inside `radius_bounding_rect(center, radius_m)` only: the
-    /// brackets assume the rect's limits on Δlat and Δlon.
+    /// The window across the antimeridian, when `rect` leaves
+    /// [−180, 180] (on one side at most: it is under 360° wide): `rect`
+    /// moved by ∓360°. Brackets off — Δlon there spans the globe — so
+    /// its candidates all go to `haversine_m` from the true centre.
+    fn wrapped(&self) -> Option<Self> {
+        let shift = if self.rect.max_lon > 180.0 {
+            -360.0
+        } else if self.rect.min_lon < -180.0 {
+            360.0
+        } else {
+            return None;
+        };
+        let (min_lon, max_lon) = (self.rect.min_lon + shift, self.rect.max_lon + shift);
+        Some(Self {
+            rect: Rect {
+                min_lon,
+                max_lon,
+                ..self.rect
+            },
+            accept_below: f64::NEG_INFINITY,
+            reject_above: f64::INFINITY,
+            ..*self
+        })
+    }
+
+    /// The accept bracket of a candidate `dlat`, `dlon` radians away.
     #[inline]
-    fn contains(&self, p: GeoPoint) -> bool {
-        let dlat = p.lat.to_radians() - self.lat1;
-        let dlon = p.lon.to_radians() - self.lon1;
+    fn accepts(&self, dlat: f64, dlon: f64) -> bool {
         let a = (dlat / 2.0) * (dlat / 2.0);
         let b = (dlon / 2.0) * (dlon / 2.0);
-        let spread = dlat.abs();
-        if a + self.cos_lat1 * (self.cos_lat1 + spread) * b <= self.accept_below {
-            return true;
-        }
-        let h_low =
-            (a - a * a / 3.0) + self.cos_lat1 * (self.cos_lat1 - spread) * (b - b * b / 3.0);
-        if h_low >= self.reject_above {
+        a + self.cos_lat1 * (self.cos_lat1 + dlat.abs()) * b <= self.accept_below
+    }
+
+    /// Whether all of `mbr` is inside (see *Whole leaves*).
+    #[inline]
+    fn contains_leaf(&self, mbr: &Rect) -> bool {
+        let far =
+            |lo: f64, hi: f64, c: f64| (lo.to_radians() - c).abs().max((hi.to_radians() - c).abs());
+        let dlat = far(mbr.min_lat, mbr.max_lat, self.lat1);
+        self.rect.contains_rect(mbr) && self.accepts(dlat, far(mbr.min_lon, mbr.max_lon, self.lon1))
+    }
+
+    /// Whether `p` is in the window and within the radius (the brackets
+    /// assume the window's limits on Δlat and Δlon).
+    #[inline]
+    fn contains(&self, p: GeoPoint) -> bool {
+        if !self.rect.contains_point(p) {
             return false;
         }
-        haversine_m(self.center, p) <= self.radius_m
+        let dlat = p.lat.to_radians() - self.lat1;
+        let dlon = p.lon.to_radians() - self.lon1;
+        if self.accepts(dlat, dlon) {
+            return true;
+        }
+        let a = (dlat / 2.0) * (dlat / 2.0);
+        let b = (dlon / 2.0) * (dlon / 2.0);
+        let h_low =
+            (a - a * a / 3.0) + self.cos_lat1 * (self.cos_lat1 - dlat.abs()) * (b - b * b / 3.0);
+        h_low < self.reject_above && haversine_m(self.center, p) <= self.radius_m
+    }
+}
+
+/// What a [`RadiusCursor`] hands its visitor.
+#[derive(Debug, Clone, Copy)]
+pub enum Hit<'a, T> {
+    /// One entry inside the disc.
+    Entry(&'a Entry<T>),
+    /// A leaf wholly inside the disc, all of its entries at once.
+    Leaf {
+        /// The leaf's index in the cursor's leaf list: dense, and the
+        /// same leaf's until [`RadiusCursor::for_each`] next returns `true`.
+        slot: usize,
+        /// The leaf's entries, in tree order.
+        entries: &'a [Entry<T>],
+    },
+}
+
+impl<'a, T> Hit<'a, T> {
+    /// The hit's entries, in the order the plain query visits them.
+    pub fn entries(&self) -> &'a [Entry<T>] {
+        match *self {
+            Hit::Entry(e) => from_ref(e),
+            Hit::Leaf { entries, .. } => entries,
+        }
+    }
+}
+
+/// The work of a [`RadiusCursor`] in counts, for tests to pin.
+/// `nodes_tested`: MBR comparisons, anchoring descents included;
+/// `block_hits`: the part of `hits` that came as [`Hit::Leaf`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct CursorStats {
+    pub queries: u64,
+    pub reanchors: u64,
+    pub nodes_tested: u64,
+    pub entries_tested: u64,
+    pub hits: u64,
+    pub block_hits: u64,
+}
+
+/// Radius queries around a stream of centres ([`RTree::radius_cursor`]).
+///
+/// The first query *anchors* the cursor: one descent collects the leaves
+/// meeting the bounding rect of twice the radius. A later query whose
+/// own bounding rect lies inside that cover is answered from the cached
+/// leaves — one MBR comparison each, no descent; any other re-anchors
+/// first. The hits, blocks flattened, are
+/// [`RTree::for_each_within_radius_m`]'s in the same order for *every*
+/// stream; a stream that jumps more than a radius per query just pays a
+/// descent over four times the area each time, so unrelated centres
+/// belong to the plain query. The cover stops at ±180°; a disc crossing
+/// it is not cached, runs the plain query and yields [`Hit::Entry`]s.
+pub struct RadiusCursor<'a, T> {
+    tree: &'a RTree<T>,
+    radius_m: f64,
+    /// What `leaves` is complete for; empty while there is no anchor.
+    cover: Rect,
+    leaves: Vec<(Rect, &'a [Entry<T>])>,
+    stats: CursorStats,
+}
+
+impl<'a, T> RadiusCursor<'a, T> {
+    /// Cover radius over query radius: a query may move one radius along
+    /// each axis before the cursor re-anchors.
+    const COVER: f64 = 2.0;
+
+    /// Hands `visit` the neighbourhood of `center`; returns whether the
+    /// cursor re-anchored, which voids every `slot` handed out before.
+    pub fn for_each(&mut self, center: GeoPoint, mut visit: impl FnMut(Hit<'a, T>)) -> bool {
+        let (tree, stats) = (self.tree, &mut self.stats);
+        stats.queries += 1;
+        let disc = RadiusTest::new(center, self.radius_m);
+        let reanchor = !self.cover.contains_rect(&disc.rect);
+        if reanchor {
+            stats.reanchors += 1;
+            self.leaves.clear();
+            self.cover = radius_bounding_rect(center, Self::COVER * self.radius_m);
+            self.cover.min_lon = self.cover.min_lon.max(-180.0);
+            self.cover.max_lon = self.cover.max_lon.min(180.0);
+            if !self.cover.contains_rect(&disc.rect) {
+                self.cover = Rect::empty();
+                tree.for_each_within_radius_m(center, self.radius_m, |e| {
+                    stats.hits += 1;
+                    visit(Hit::Entry(e));
+                });
+                return true;
+            }
+            let mut collect = |mbr: &Rect, entries| self.leaves.push((*mbr, entries));
+            let root = from_ref(&tree.root);
+            descend(root, &self.cover, &mut stats.nodes_tested, &mut collect);
+        }
+        stats.nodes_tested += self.leaves.len() as u64;
+        for (slot, (mbr, entries)) in self.leaves.iter().enumerate() {
+            if !meets(&disc.rect, mbr) {
+                continue;
+            }
+            if disc.contains_leaf(mbr) {
+                stats.block_hits += entries.len() as u64;
+                stats.hits += entries.len() as u64;
+                visit(Hit::Leaf { slot, entries });
+            } else {
+                stats.entries_tested += entries.len() as u64;
+                for e in entries.iter().filter(|e| disc.contains(e.point)) {
+                    stats.hits += 1;
+                    visit(Hit::Entry(e));
+                }
+            }
+        }
+        reanchor
+    }
+
+    /// Counts of the work done so far.
+    #[doc(hidden)]
+    pub fn stats(&self) -> CursorStats {
+        self.stats
     }
 }
 
@@ -1059,6 +1251,155 @@ mod tests {
         assert_eq!(t.len(), 10);
         assert_eq!(t.within_radius_m(p, 1.0).len(), 10);
         assert!(t.check_invariants().is_none());
+    }
+
+    /// The query as it ran before the descent was pre-tested: into
+    /// every child, `Rect::intersects` on arrival, each entry on its own
+    /// against the reference distance.
+    fn per_entry_scan(node: &Node<usize>, rect: &Rect, c: GeoPoint, r: f64, out: &mut Vec<usize>) {
+        match node {
+            Node::Leaf { mbr, entries } if rect.intersects(mbr) => out.extend(
+                entries
+                    .iter()
+                    .filter(|e| rect.contains_point(e.point) && haversine_m(c, e.point) <= r)
+                    .map(|e| e.payload),
+            ),
+            Node::Internal { mbr, children } if rect.intersects(mbr) => {
+                for child in children {
+                    per_entry_scan(child, rect, c, r, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// `n` stationary traces in time order: a walker wobbles a few metres
+    /// a step inside an 80 m dwell spot and moves to another of 48 spots
+    /// (300 m apart) every 120 steps.
+    fn dwell_stream(n: usize) -> Vec<(GeoPoint, usize)> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut spot, mut east, mut north) = (0, 0.0f64, 0.0f64);
+        (0..n)
+            .map(|i| {
+                if i % 120 == 0 {
+                    spot = (unit() * 48.0) as usize;
+                }
+                east = (east + (unit() - 0.5) * 8.0).clamp(-40.0, 40.0);
+                north = (north + (unit() - 0.5) * 8.0).clamp(-40.0, 40.0);
+                let p = GeoPoint::new(
+                    39.9 + ((spot / 8) as f64 * 300.0 + north) * 8.993e-6,
+                    116.4 + ((spot % 8) as f64 * 300.0 + east) * 1.172e-5,
+                );
+                (p, i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plain_query_and_cursor_visit_what_the_per_entry_scan_visited_in_its_order() {
+        let stream = dwell_stream(2_000);
+        let parts: Vec<RTree<usize>> = stream
+            .chunks(330)
+            .map(|part| RTree::bulk_load_with_max_entries(part.to_vec(), 6))
+            .collect();
+        let trees = [
+            RTree::bulk_load(stream.clone()),
+            RTree::merge(parts),
+            RTree::bulk_load_with_max_entries(grid_points(15), 5),
+        ];
+        for (tree, r) in trees
+            .iter()
+            .flat_map(|t| [0.0, 7.5, 60.0, 400.0].map(|r| (t, r)))
+        {
+            let mut cursor = tree.radius_cursor(r);
+            let mut blocks = 0;
+            for &(c, _) in stream.iter().step_by(3) {
+                let mut want = Vec::new();
+                per_entry_scan(&tree.root, &radius_bounding_rect(c, r), c, r, &mut want);
+                let mut plain = Vec::new();
+                tree.for_each_within_radius_m(c, r, |e| plain.push(e.payload));
+                assert_eq!(plain, want, "plain query, r = {r} at {c:?}");
+                let mut flat = Vec::new();
+                cursor.for_each(c, |hit| {
+                    blocks += usize::from(matches!(hit, Hit::Leaf { .. }));
+                    flat.extend(hit.entries().iter().map(|e| e.payload));
+                });
+                assert_eq!(flat, want, "cursor, r = {r} at {c:?}");
+            }
+            assert_eq!(blocks == 0, r == 0.0 || tree.len() == 225, "r = {r}");
+        }
+    }
+
+    #[test]
+    fn cursor_does_less_work_than_the_plain_query_on_a_dwell_stream() {
+        let stream = dwell_stream(6_000);
+        let tree = RTree::bulk_load(stream.clone());
+        let mut cursor = tree.radius_cursor(60.0);
+        let mut plain_nodes = 0;
+        for &(c, _) in &stream {
+            cursor.for_each(c, |_| {});
+            let rect = radius_bounding_rect(c, 60.0);
+            descend(
+                from_ref(&tree.root),
+                &rect,
+                &mut plain_nodes,
+                &mut |_, _| {},
+            );
+        }
+        let s = cursor.stats();
+        assert_eq!(s.queries, 6_000);
+        // Counts, not times: they repeat exactly on every host. Per query
+        // the plain descent compares 101 MBRs, the cursor 19 (anchoring
+        // descents included); 78 % of the hits arrive in blocks.
+        let pinned = CursorStats {
+            queries: 6_000,
+            reanchors: 47,
+            nodes_tested: 114_627,
+            entries_tested: 755_648,
+            hits: 1_251_906,
+            block_hits: 979_488,
+        };
+        assert_eq!((plain_nodes, s), (607_936, pinned));
+        assert!(2 * s.nodes_tested < plain_nodes, "{s:?} vs {plain_nodes}");
+        assert!(2 * s.block_hits >= s.hits, "{s:?}");
+        assert!(10 * s.reanchors <= s.queries, "{s:?}");
+        assert!(s.entries_tested + s.block_hits >= s.hits);
+    }
+
+    #[test]
+    fn a_disc_across_the_antimeridian_is_whole() {
+        let east = GeoPoint::new(0.0, 179.9999);
+        let west = GeoPoint::new(0.0, -179.9999); // 22 m from `east`
+        let north = GeoPoint::new(55.0, -175.0);
+        let pts = [east, west, north, GeoPoint::new(0.0, 0.0)];
+        let tree = RTree::bulk_load(pts.iter().copied().zip(0..).collect());
+        let aleutians = GeoPoint::new(60.0, 170.0); // r: rect crosses; 2r: every longitude
+        let near_pole = GeoPoint::new(89.9999, 10.0); // half the globe wide: every longitude, once
+        for (c, r, want) in [
+            (east, 60.0, vec![0, 1]),
+            (west, 60.0, vec![0, 1]),
+            (west, 0.01, vec![1]),
+            (east, 5.0e6, vec![0, 1]),
+            (aleutians, 5.1e6, vec![2]),
+            (near_pole, 1.1e7, vec![0, 1, 2, 3]),
+        ] {
+            let naive: Vec<usize> = (0..4).filter(|&i| haversine_m(c, pts[i]) <= r).collect();
+            assert_eq!(naive, want, "fixture, r = {r} at {c:?}");
+            assert_eq!(radius_ids(&tree, c, r), want, "r = {r} at {c:?}");
+            let (mut cursor, mut got) = (tree.radius_cursor(r), Vec::new());
+            for _ in 0..2 {
+                got.clear();
+                cursor.for_each(c, |hit| got.extend(hit.entries().iter().map(|e| e.payload)));
+                got.sort_unstable();
+                assert_eq!(got, want, "cursor, r = {r} at {c:?}");
+            }
+        }
     }
 
     #[test]
