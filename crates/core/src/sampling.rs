@@ -30,8 +30,8 @@
 //! ```
 
 use gepeto_mapred::{
-    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, JobError, JobStats, MapOnlyJob, MapReduceJob,
-    Mapper, Reducer,
+    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, FlatGroups, JobError, JobStats, MapOnlyJob,
+    MapReduceJob, Mapper, Reducer,
 };
 use gepeto_model::{Dataset, MobilityTrace, Trail, UserId};
 use gepeto_telemetry::Recorder;
@@ -255,11 +255,14 @@ pub fn mapreduce_sample_in<'d>(
 /// used when the output should arrive user-grouped (and the shuffle it
 /// adds is what the out-of-core spill path exercises at scale).
 ///
-/// Emits what it computes: one `(user, Trail)` per key, the trail copied
-/// out of the partition's value column in a single exactly-sized
-/// allocation inside the (parallel) reduce task and time-sorted there —
-/// the stable sort [`Dataset::from_traces`] would apply to the same
-/// values in the same order. The driver only has to hand the trails to
+/// Emits what it computes: one `(user, Trail)` per key, time-sorted
+/// inside the (parallel) reduce task — the stable sort
+/// [`Dataset::from_traces`] would apply to the same values in the same
+/// order. A partition grouped in memory keeps its value column whole:
+/// each user's values are sorted in place and its trail is a range of
+/// the shared column ([`Trail::cut_column`]), so the partition costs no
+/// allocation per user. A group merged from spill runs is copied into a
+/// trail of its own. The driver only has to hand the trails to
 /// [`Dataset::from_trails`]; no per-trace pair leaves the reducer.
 #[derive(Clone)]
 pub struct RegroupReducer;
@@ -270,6 +273,16 @@ impl Reducer<UserId, MobilityTrace> for RegroupReducer {
 
     fn reduce(&mut self, key: &UserId, values: &[MobilityTrace], out: &mut Emitter<UserId, Trail>) {
         out.emit(*key, Trail::new(*key, values.to_vec()));
+    }
+
+    fn reduce_partition(
+        &mut self,
+        groups: FlatGroups<UserId, MobilityTrace>,
+        out: &mut Emitter<UserId, Trail>,
+    ) {
+        let (ends, column) = groups.into_parts();
+        out.reserve(ends.len());
+        Trail::cut_column(column, &ends).for_each(|trail| out.emit(trail.user, trail));
     }
 }
 
@@ -483,6 +496,24 @@ mod tests {
     }
 
     #[test]
+    fn by_user_regroup_shares_one_column_per_partition() {
+        let traces: Vec<MobilityTrace> = (0..900).map(|i| tr(1 + (i % 9) as u32, i * 7)).collect();
+        let ds = Dataset::from_traces(traces);
+        assert_eq!(ds.column_count(), 1);
+        let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
+        let mut dfs = trace_dfs(&cluster, 4_096);
+        put_dataset(&mut dfs, "d", &ds).unwrap();
+        let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
+        let (grouped, stats, _) = mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
+        let (map_only, _, _) = mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
+        assert_eq!(grouped, map_only);
+        assert_eq!(grouped.num_users(), 9);
+        assert!((1..=stats.reduce_tasks).contains(&grouped.column_count()));
+        assert_eq!(map_only.column_count(), 1);
+    }
+
+    #[test]
     fn durable_by_user_replays_trail_artifacts_and_recomputes_per_trace_ones() {
         use crate::spill_codecs::trace_codec;
         use gepeto_mapred::spill::seal_run_at;
@@ -512,8 +543,12 @@ mod tests {
         assert_eq!(partitions, stats.reduce_tasks as u64);
 
         // What `resume` does: every partition comes back from its artifact.
+        // The fresh trails are ranges of one column per reduce partition,
+        // the replayed ones decode into a vector each; equal by content.
         let (replayed, stats, _) = run();
         assert_eq!(stats.journal_replayed_tasks, partitions);
+        assert!(first.column_count() <= stats.reduce_tasks);
+        assert_eq!(replayed.column_count(), replayed.num_users());
         assert_eq!(replayed, first);
 
         // An artifact from before the reducer emitted trails: the same

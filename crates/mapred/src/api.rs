@@ -9,6 +9,7 @@
 use crate::cache::DistributedCache;
 use crate::config::JobConfig;
 use crate::counters::Counters;
+use crate::job::FlatGroups;
 use std::hash::Hash;
 
 /// Bound for intermediate keys: they are hashed to pick a reduce
@@ -164,11 +165,26 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
 
     /// Reduces one key group. `values` holds all of the key's values in
     /// map-task emission order. For a partition grouped in memory it is a
-    /// slice of the partition's value column (the engine groups flat: one
-    /// column per partition, not one vector per key); a partition merged
-    /// from spill runs hands over one buffer per group. Either way the
-    /// engine owns it: a reducer that keeps the values copies the slice.
+    /// slice of the partition's value column, handed over by the default
+    /// [`Self::reduce_partition`]; a partition merged from spill runs
+    /// hands over one buffer per group, always through this method.
     fn reduce(&mut self, key: &K2, values: &[V2], out: &mut Emitter<Self::KOut, Self::VOut>);
+
+    /// Reduces a partition grouped in memory: its key groups as one value
+    /// column plus bounds ([`FlatGroups`]), in the order `reduce` would
+    /// see them. The default calls [`Self::reduce`] once per group, in
+    /// order. A reducer that keeps its values overrides it to take the
+    /// column whole instead of copying slices out of it; it must emit
+    /// what the per-group calls would.
+    fn reduce_partition(
+        &mut self,
+        groups: FlatGroups<K2, V2>,
+        out: &mut Emitter<Self::KOut, Self::VOut>,
+    ) {
+        for (key, values) in groups.iter() {
+            self.reduce(key, values, out);
+        }
+    }
 
     /// Once-per-task teardown; may emit trailing pairs (used by the
     /// single-reducer cluster-merging phase of DJ-Cluster to emit the

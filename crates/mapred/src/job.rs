@@ -229,6 +229,8 @@ impl<K2: MrKey, V2: MrValue> Combiner<K2, V2> for NoCombiner {
 }
 
 type PairBytes<K, V> = Arc<dyn Fn(&K, &V) -> usize + Send + Sync>;
+/// A partition's map-task buckets, in task order.
+type Buckets<K, V> = Vec<Vec<(K, V)>>;
 type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 
 /// A full map+shuffle+reduce job.
@@ -624,18 +626,21 @@ where
                 match payload {
                     PartitionInput::Memory(buckets) => {
                         // The shuffle's copy step, on the pool: this task
-                        // concatenates its partition's map-task buckets
-                        // into one exactly-sized buffer itself.
-                        let mut pairs = concat_buckets(buckets);
+                        // moves its partition's map-task buckets into one
+                        // exactly-sized value column itself.
                         let groups = if R::SORTED_INPUT {
-                            {
-                                // Sort-based grouping; stable sort keeps
-                                // the map-task emission order within a
-                                // key deterministic.
-                                let _sort_span = task_span.child("phase.sort", &[]);
-                                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                            }
-                            FlatGroups::sorted(pairs)
+                            // Sort-based grouping: buckets already in key
+                            // order end to end go straight into the
+                            // column; otherwise their concatenation is
+                            // stably sorted, which keeps the map-task
+                            // emission order within a key.
+                            FlatGroups::sorted_runs(buckets).unwrap_or_else(|mut pairs| {
+                                {
+                                    let _sort_span = task_span.child("phase.sort", &[]);
+                                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                                }
+                                FlatGroups::sorted(pairs)
+                            })
                         } else {
                             // The reducer declared order-insensitive
                             // input: group by hash in first-encounter
@@ -646,12 +651,10 @@ where
                             // preserves the relative order of equal
                             // keys).
                             counters.inc(builtin::SORT_SKIPPED, 1);
-                            FlatGroups::unsorted(pairs)
+                            FlatGroups::unsorted(concat_buckets(buckets))
                         };
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups.len() as u64);
-                        for (key, values) in groups.iter() {
-                            reducer.reduce(key, values, &mut out);
-                        }
+                        reducer.reduce_partition(groups, &mut out);
                     }
                     PartitionInput::Spilled(sp) => {
                         // Verifying read: every sealed run must still be
@@ -1130,32 +1133,7 @@ where
                     .sum();
                 (vec![pairs], vec![sz])
             } else {
-                // Count, then scatter: a first pass picks every pair's
-                // partition, so each bucket is allocated once, at its
-                // exact size — no guess to outgrow when the keys skew.
-                let targets: Vec<usize> = pairs
-                    .iter()
-                    .map(|(k, _)| match &partitioner {
-                        Some(f) => {
-                            let p = f(k, num_reducers);
-                            assert!(
-                                p < num_reducers,
-                                "partitioner returned {p} for {num_reducers} reducers"
-                            );
-                            p
-                        }
-                        None => default_partition(k, num_reducers),
-                    })
-                    .collect();
-                let mut counts = vec![0usize; num_reducers];
-                for &p in &targets {
-                    counts[p] += 1;
-                }
-                let mut buckets: Vec<Vec<(M::KOut, M::VOut)>> =
-                    counts.into_iter().map(Vec::with_capacity).collect();
-                for (pair, p) in pairs.into_iter().zip(targets) {
-                    buckets[p].push(pair);
-                }
+                let mut buckets = partition_pairs(pairs, num_reducers, partitioner.as_ref());
                 if let Some(c) = &combiner {
                     let _combine_span = task_span.child("phase.combine", &[]);
                     for bucket in buckets.iter_mut() {
@@ -1230,12 +1208,12 @@ where
         acct_peak = partition_bytes.iter().copied().max().unwrap_or(0);
         partitions
     } else if let Some(sp) = spill {
-        // Memory-bounded copy step: partitions grow only until the
-        // budget; past it the buffer is stably sorted and spilled as one
-        // run. Runs are consecutive chunks of the map-order
-        // concatenation, which is what lets the reduce-side merge
-        // reproduce the stable sort exactly.
-        let mut bufs: Vec<Vec<(M::KOut, M::VOut)>> =
+        // Memory-bounded copy step: partitions buffer their buckets only
+        // until the budget; past it the buffered buckets are concatenated,
+        // stably sorted and spilled as one run. Runs are consecutive
+        // chunks of the map-order concatenation, which is what lets the
+        // reduce-side merge reproduce the stable sort exactly.
+        let mut bufs: Vec<Buckets<M::KOut, M::VOut>> =
             (0..num_partitions).map(|_| Vec::new()).collect();
         let mut mem_bytes = vec![0u64; num_partitions];
         let mut runs: Vec<Vec<SpillRun>> = vec![Vec::new(); num_partitions];
@@ -1246,12 +1224,14 @@ where
                 partition_bytes[p] += r.bucket_bytes[p];
                 mem_bytes[p] += r.bucket_bytes[p];
                 acct_peak = acct_peak.max(mem_bytes[p]);
-                bufs[p].extend(bucket);
+                if !bucket.is_empty() {
+                    bufs[p].push(bucket);
+                }
                 if mem_bytes[p] > sp.budget as u64 && !bufs[p].is_empty() {
                     let dir =
                         lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
                     runs[p].push(spill_buffer(
-                        &mut bufs[p],
+                        concat_buckets(std::mem::take(&mut bufs[p])),
                         sp,
                         &dir,
                         &cluster.chaos,
@@ -1266,11 +1246,10 @@ where
             }
         }
         let mut partitions = Vec::with_capacity(num_partitions);
-        for ((mut buf, mut partition_runs), tail_estimate) in
-            bufs.into_iter().zip(runs).zip(mem_bytes)
+        for ((buf, mut partition_runs), tail_estimate) in bufs.into_iter().zip(runs).zip(mem_bytes)
         {
             if partition_runs.is_empty() {
-                partitions.push(PartitionInput::Memory(vec![buf]));
+                partitions.push(PartitionInput::Memory(buf));
             } else {
                 // Once any run exists the whole partition merges from
                 // disk, so the in-memory tail becomes the final run.
@@ -1278,7 +1257,7 @@ where
                     let dir =
                         lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
                     partition_runs.push(spill_buffer(
-                        &mut buf,
+                        concat_buckets(buf),
                         sp,
                         &dir,
                         &cluster.chaos,
@@ -1299,7 +1278,7 @@ where
         partitions
     } else {
         // No copy here: each partition is handed its map tasks' buckets
-        // in task order, and its reduce task concatenates them.
+        // in task order, and its reduce task moves them into its column.
         let mut partitions: Vec<Vec<_>> = (0..num_partitions)
             .map(|_| Vec::with_capacity(ok_results.len()))
             .collect();
@@ -1387,8 +1366,8 @@ fn note_seal_stats(
 }
 
 /// Stably sorts one partition buffer, seals it as a verified spill run
-/// (absorbing injected storage faults), journals the seal on durable
-/// runs, and accounts the spill in counters and the live monitor.
+/// (absorbing injected storage faults), frees it, journals the seal on
+/// durable runs, and accounts the spill in counters and the live monitor.
 ///
 /// `estimated_bytes` is the buffered size the spill trigger believed it
 /// was flushing; its gap to the run's real encoded size accumulates in
@@ -1396,7 +1375,7 @@ fn note_seal_stats(
 /// are visible.
 #[allow(clippy::too_many_arguments)]
 fn spill_buffer<K: MrKey, V: MrValue>(
-    buf: &mut Vec<(K, V)>,
+    mut buf: Vec<(K, V)>,
     spill: &SpillSpec<K, V>,
     dir: &SpillDir,
     chaos: &ChaosPlan,
@@ -1407,7 +1386,8 @@ fn spill_buffer<K: MrKey, V: MrValue>(
     estimated_bytes: u64,
 ) -> Result<SpillRun, JobError> {
     buf.sort_by(|a, b| a.0.cmp(&b.0));
-    let (run, seal) = seal_run(&spill.codec, dir, "run", buf, chaos)?;
+    let (run, seal) = seal_run(&spill.codec, dir, "run", &buf, chaos)?;
+    drop(buf);
     note_seal_stats(&seal, counters, monitor);
     counters.inc(
         builtin::SPILL_ESTIMATE_ERROR,
@@ -1423,8 +1403,6 @@ fn spill_buffer<K: MrKey, V: MrValue>(
         })
         .map_err(JobError::Io)?;
     }
-    buf.clear();
-    buf.shrink_to_fit();
     counters.inc(builtin::SPILLED_BYTES, run.bytes);
     counters.inc(builtin::SPILL_FILES, 1);
     if let Some(m) = monitor {
@@ -1440,12 +1418,56 @@ struct MapTaskResult<K, V> {
     sim: MapTaskSim,
 }
 
+/// Splits one map task's output into one bucket per reduce partition,
+/// in emission order: a count pass picks every pair's partition, so each
+/// bucket is allocated once, at its exact size — no guess to outgrow when
+/// the keys skew — and a scatter pass fills them. The partitioner is a
+/// function of the key alone, so it runs once per run of equal keys.
+fn partition_pairs<K: MrKey, V>(
+    pairs: Vec<(K, V)>,
+    num_reducers: usize,
+    partitioner: Option<&Partitioner<K>>,
+) -> Buckets<K, V> {
+    let mut run: Option<(&K, usize)> = None;
+    let targets: Vec<usize> = pairs
+        .iter()
+        .map(|(k, _)| match run {
+            Some((run_key, p)) if run_key == k => p,
+            _ => {
+                let p = partitioner.map_or_else(
+                    || default_partition(k, num_reducers),
+                    |f| f(k, num_reducers),
+                );
+                assert!(
+                    p < num_reducers,
+                    "partitioner returned {p} for {num_reducers} reducers"
+                );
+                run = Some((k, p));
+                p
+            }
+        })
+        .collect();
+    let mut counts = vec![0usize; num_reducers];
+    for &p in &targets {
+        counts[p] += 1;
+    }
+    let mut buckets: Buckets<K, V> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (pair, p) in pairs.into_iter().zip(targets) {
+        buckets[p].push(pair);
+    }
+    buckets
+}
+
 /// One reduce partition grouped *flat*: every value in a single column,
 /// plus one `(key, end)` bound per group, so a group is a slice of the
 /// column and grouping allocates twice per partition instead of once per
-/// key. This is the only shape [`MapReduceJob::run`] groups into — after
-/// the stable sort ([`FlatGroups::sorted`]) or, for reducers with
-/// [`Reducer::SORTED_INPUT`]` = false`, by hash ([`FlatGroups::unsorted`]).
+/// key. Groups follow in key order with the values of a key in map-task
+/// order ([`FlatGroups::sorted_runs`], [`FlatGroups::sorted`]) or, for
+/// reducers with [`Reducer::SORTED_INPUT`]` = false`, in first-encounter
+/// order ([`FlatGroups::unsorted`]). [`MapReduceJob::run`] groups every
+/// in-memory partition into this shape and hands it to
+/// [`Reducer::reduce_partition`], which may keep the column whole
+/// ([`FlatGroups::into_parts`]).
 #[derive(Debug)]
 pub struct FlatGroups<K, V> {
     /// Each group's key and the index one past its last value.
@@ -1456,17 +1478,43 @@ pub struct FlatGroups<K, V> {
 impl<K: MrKey, V> FlatGroups<K, V> {
     /// Splits a key-sorted pair vector, moving the values. Same groups, in
     /// the same order with the same value order, as [`group_sorted`].
+    ///
+    /// # Panics
+    /// If the pairs are not key-sorted.
     pub fn sorted(pairs: Vec<(K, V)>) -> Self {
+        Self::sorted_runs(vec![pairs]).unwrap_or_else(|_| panic!("pairs out of key order"))
+    }
+
+    /// [`FlatGroups::sorted`] of the runs' concatenation, without building
+    /// it: the values are moved straight into the column while the keys
+    /// are checked. At the first key out of order the concatenation is
+    /// built after all and handed back, for the caller to sort.
+    pub fn sorted_runs(runs: Vec<Vec<(K, V)>>) -> Result<Self, Vec<(K, V)>> {
+        let len = runs.iter().map(Vec::len).sum();
         let mut bounds: Vec<(K, usize)> = Vec::new();
-        let mut values = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            values.push(v);
+        let mut values = Vec::with_capacity(len);
+        let mut pairs = runs.into_iter().flatten();
+        while let Some((k, v)) = pairs.next() {
             match bounds.last_mut() {
-                Some((gk, end)) if *gk == k => *end = values.len(),
-                _ => bounds.push((k, values.len())),
+                Some((gk, end)) if *gk == k => *end = values.len() + 1,
+                Some((gk, _)) if *gk > k => {
+                    // Out of order: pair what was moved with its keys again.
+                    let mut undone = Vec::with_capacity(len);
+                    let mut moved = values.into_iter();
+                    let mut start = 0;
+                    for (gk, end) in bounds {
+                        undone.extend(moved.by_ref().take(end - start).map(|v| (gk.clone(), v)));
+                        start = end;
+                    }
+                    undone.push((k, v));
+                    undone.extend(pairs);
+                    return Err(undone);
+                }
+                _ => bounds.push((k, values.len() + 1)),
             }
+            values.push(v);
         }
-        Self { bounds, values }
+        Ok(Self { bounds, values })
     }
 
     /// Groups an *unsorted* pair vector in first-encounter key order,
@@ -1536,6 +1584,13 @@ impl<K: MrKey, V> FlatGroups<K, V> {
             (key, group)
         })
     }
+
+    /// Takes the groups apart without copying: each group's key with the
+    /// index one past its last value, and the value column — group `i` is
+    /// `column[bounds[i - 1].1 .. bounds[i].1]`, from 0 for the first.
+    pub fn into_parts(self) -> (Vec<(K, usize)>, Vec<V>) {
+        (self.bounds, self.values)
+    }
 }
 
 /// Groups a key-sorted pair vector into `(key, values)` runs, *moving*
@@ -1544,7 +1599,7 @@ impl<K: MrKey, V> FlatGroups<K, V> {
 /// each run's values keep their map-task emission order.
 ///
 /// The nested shape: one `Vec` per key. The reduce path groups flat
-/// ([`FlatGroups::sorted`]); this remains for the combiner and as the
+/// ([`FlatGroups::sorted_runs`]); this remains for the combiner and as the
 /// reference the flat grouping is tested against.
 pub fn group_sorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut groups: Vec<(K, Vec<V>)> = Vec::new();
@@ -2450,6 +2505,45 @@ mod partitioner_tests {
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
         assert_eq!(keys.len(), 100);
+    }
+
+    /// `(key, arrival index)` pairs whose keys come in runs: each draw is a
+    /// key and how many times it repeats.
+    fn runs_of_keys(draws: &[(u64, usize)]) -> Vec<(u64, usize)> {
+        draws
+            .iter()
+            .flat_map(|&(key, repeat)| std::iter::repeat_n(key, repeat))
+            .enumerate()
+            .map(|(i, key)| (key, i))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// A map task's buckets are its output filtered by each pair's own
+        /// partition, in emission order: the per-run memo answers what a
+        /// partitioner call per pair would, for the default hash and a
+        /// custom partitioner.
+        fn map_task_buckets_are_the_per_pair_partitions(
+            draws in proptest::collection::vec((0u64..12, 1usize..5), 0..40),
+            reducers in 1usize..7,
+        ) {
+            let pairs = runs_of_keys(&draws);
+            let custom: Partitioner<u64> = Arc::new(|k: &u64, n: usize| (*k as usize * 7 + 3) % n);
+            for partitioner in [None, Some(&custom)] {
+                let partition = |k: &u64| partitioner.map_or_else(
+                    || default_partition(k, reducers),
+                    |f| f(k, reducers),
+                );
+                let buckets = partition_pairs(pairs.clone(), reducers, partitioner);
+                for (p, bucket) in buckets.iter().enumerate() {
+                    let want: Vec<(u64, usize)> =
+                        pairs.iter().copied().filter(|(k, _)| partition(k) == p).collect();
+                    assert_eq!(*bucket, want);
+                }
+            }
+        }
     }
 
     #[test]

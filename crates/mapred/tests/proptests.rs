@@ -110,16 +110,114 @@ proptest! {
         prop_assert_eq!(sorted.is_empty(), draws.is_empty());
     }
 
+    /// Runs in key order end to end are grouped in place as the sorted
+    /// grouping of their concatenation; any other concatenation is handed
+    /// back unchanged, and its stable sort groups the same way — equal
+    /// keys keep run order. Runs are cut from one arrival sequence at
+    /// arbitrary points, so empty runs, a single run, runs out of order
+    /// after any number of moved groups, and (`key_space` 1) a single key
+    /// all occur; `presorted` sorts the sequence first, for runs in order
+    /// with ties at their seams.
+    #[test]
+    fn sorted_runs_group_in_place_or_hand_back_the_concatenation(
+        draws in prop::collection::vec(0u64..1000, 0..200),
+        key_space in 0u64..9,
+        cuts in prop::collection::vec(0usize..60, 0..8),
+        presorted in 0u64..2,
+    ) {
+        let mut pairs = keyed(&draws, key_space);
+        if presorted == 1 {
+            pairs.sort_by_key(|&(k, _)| k);
+        }
+        let mut runs = Vec::new();
+        let mut rest = pairs.as_slice();
+        for &cut in cuts.iter().chain([&usize::MAX]) {
+            let (run, tail) = rest.split_at(cut.min(rest.len()));
+            runs.push(run.to_vec());
+            rest = tail;
+        }
+        let grouped = FlatGroups::sorted_runs(runs);
+        prop_assert_eq!(grouped.is_ok(), pairs.is_sorted_by_key(|&(k, _)| k));
+        let groups = match grouped {
+            Ok(groups) => groups,
+            Err(mut concatenation) => {
+                prop_assert_eq!(&concatenation, &pairs);
+                concatenation.sort_by_key(|&(k, _)| k);
+                FlatGroups::sorted(concatenation)
+            }
+        };
+        let mut by_key = pairs;
+        by_key.sort_by_key(|&(k, _)| k);
+        prop_assert_eq!(flat_to_nested(&groups), group_sorted(by_key));
+    }
+
+    /// A budget anywhere between "everything spills" and "nothing does"
+    /// — most draws keep some partitions in memory and spill others in
+    /// the same job — hands every reducer the groups of the unbudgeted run:
+    /// the in-memory partitions group their map tasks' buckets, the
+    /// spilled ones merge sealed runs, and both keep map-task order within
+    /// a key.
+    #[test]
+    fn partly_spilled_jobs_hand_reducers_the_in_memory_groups(
+        draws in prop::collection::vec(0u64..1000, 0..200),
+        key_space in 0u64..9,
+        chunk in 8usize..64,
+        budget in 1usize..2048,
+    ) {
+        let pairs = keyed(&draws, key_space);
+        let cluster = Cluster::local(3, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), chunk, 2);
+        dfs.put_fixed("r", pairs, 4).unwrap();
+        let identity = FnMapper::new(|_off: u64, p: &(u64, u64), out: &mut Emitter<u64, u64>| {
+            out.emit(p.0, p.1);
+        });
+        let run = |budget: Option<usize>| {
+            let job = MapReduceJob::new("s", &cluster, &dfs, "r", identity.clone(), RecordSorted)
+                .reducers(3);
+            match budget {
+                Some(bytes) => job.memory_budget(bytes).run().unwrap().output,
+                None => job.run().unwrap().output,
+            }
+        };
+        prop_assert_eq!(run(Some(budget)), run(None));
+    }
+
+    /// The default `reduce_partition` hands a reducer exactly the `(key,
+    /// slice)` sequence that calling `reduce` per group does.
+    #[test]
+    fn default_reduce_partition_is_reduce_per_group(
+        draws in prop::collection::vec(0u64..1000, 0..200),
+        key_space in 0u64..9,
+    ) {
+        let mut pairs = keyed(&draws, key_space);
+        pairs.sort_by_key(|&(k, _)| k);
+        let groups = FlatGroups::sorted(pairs.clone());
+        let mut per_group = Emitter::new();
+        for (key, values) in groups.iter() {
+            RecordSorted.reduce(key, values, &mut per_group);
+        }
+        let mut whole = Emitter::new();
+        RecordSorted.reduce_partition(FlatGroups::sorted(pairs), &mut whole);
+        prop_assert_eq!(whole.into_pairs(), per_group.into_pairs());
+    }
+
     /// What a reducer is handed, on both `SORTED_INPUT` values: the slices
     /// of one partition, in call order, are the nested grouping of the map
     /// outputs concatenated in task order (stably sorted first, or not).
+    /// `presorted` stores the input in key order, so the map tasks' buckets
+    /// arrive in order end to end and the sorted path groups them without
+    /// a sort.
     #[test]
     fn reducers_are_handed_the_nested_groups_as_slices(
         draws in prop::collection::vec(0u64..1000, 0..200),
         key_space in 0u64..9,
         chunk in 8usize..64,
+        presorted in 0u64..2,
     ) {
-        let pairs = keyed(&draws, key_space);
+        let mut pairs = keyed(&draws, key_space);
+        if presorted == 1 {
+            pairs.sort_by_key(|&(k, _)| k);
+        }
         let cluster = Cluster::local(3, 2);
         let mut dfs = Dfs::new(cluster.topology.clone(), chunk, 2);
         dfs.put_fixed("r", pairs.clone(), 4).unwrap();

@@ -3,68 +3,209 @@
 use crate::{MobilityTrace, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::mem::ManuallyDrop;
+use std::sync::Arc;
 
 /// A trail of traces: the movements of a single individual over time,
 /// ordered by timestamp (ties broken arbitrarily but deterministically).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Two storages behind one behaviour. A trail built by [`Trail::new`] or
+/// [`Trail::empty`] owns its traces in one `Vec`. A trail cut from a
+/// column ([`Trail::cut_column`] — what [`Dataset::from_traces`] and the
+/// by-user regroup build) is a range of a shared, immutable column
+/// (`Arc`): cloning it bumps a reference count, and the column stays
+/// allocated while any trail of it lives, so a shared trail pins its
+/// column until it is dropped or detached. Every reader goes through
+/// [`Trail::traces`]; equality and `Debug` are by content, so the storage
+/// never shows. [`Trail::push`] and [`Trail::into_traces`] detach a
+/// shared trail first by copying its range into a `Vec` of its own; the
+/// column and the trails sharing it are untouched. Either way a trail is
+/// 32 bytes.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Trail {
     /// Owner of the trail.
     pub user: UserId,
-    traces: Vec<MobilityTrace>,
+    traces: Traces,
+}
+
+#[derive(Clone)]
+enum Traces {
+    Owned(Vec<MobilityTrace>),
+    /// `column[start..end]`. `u32` bounds keep the variant inside the
+    /// bytes `Vec`'s layout leaves free, which is what keeps a trail at
+    /// 32 bytes; [`Trail::cut_column`] shares only columns they can index.
+    Shared {
+        column: Column,
+        start: u32,
+        end: u32,
+    },
+}
+
+/// A reference to a shared column whose release — `Arc`'s atomic
+/// decrement — is one out-of-line call. Inlined into a trail's drop glue,
+/// it stopped std's iterators from inlining moves of trails: building a
+/// dataset's tree from 150 k trails took 2 ms longer than with `Vec`s.
+#[derive(Clone)]
+struct Column(ManuallyDrop<Option<Arc<Vec<MobilityTrace>>>>);
+
+impl Column {
+    fn new(column: &Arc<Vec<MobilityTrace>>) -> Self {
+        Self(ManuallyDrop::new(Some(Arc::clone(column))))
+    }
+
+    #[inline]
+    fn traces(&self) -> &[MobilityTrace] {
+        self.0
+            .as_deref()
+            .expect("a column is released only on drop")
+    }
+}
+
+impl Drop for Column {
+    #[inline(never)]
+    fn drop(&mut self) {
+        drop(self.0.take());
+    }
+}
+
+impl Default for Traces {
+    fn default() -> Self {
+        Traces::Owned(Vec::new())
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Trail>() == 32);
+
+impl PartialEq for Trail {
+    fn eq(&self, other: &Self) -> bool {
+        self.user == other.user && self.traces() == other.traces()
+    }
+}
+
+impl fmt::Debug for Trail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trail")
+            .field("user", &self.user)
+            .field("traces", &self.traces())
+            .finish()
+    }
 }
 
 impl Trail {
     /// Creates a trail, sorting the traces by timestamp.
     pub fn new(user: UserId, mut traces: Vec<MobilityTrace>) -> Self {
         traces.sort_by_key(|t| t.timestamp);
-        Self { user, traces }
+        Self {
+            user,
+            traces: Traces::Owned(traces),
+        }
     }
 
     /// An empty trail for `user`.
     pub fn empty(user: UserId) -> Self {
-        Self {
-            user,
-            traces: Vec::new(),
+        Self::new(user, Vec::new())
+    }
+
+    /// Cuts a user-grouped column into trails without copying it: trail
+    /// `i` belongs to `ends[i].0` and holds `column[ends[i - 1].1 ..
+    /// ends[i].1]` (from 0 for the first), stably time-sorted in place —
+    /// what [`Trail::new`] does to its vector — and every trail shares the
+    /// column. A column longer than `u32::MAX` traces is cut into owned
+    /// trails instead.
+    ///
+    /// # Panics
+    /// If the ends decrease or do not finish at the column's end.
+    pub fn cut_column(
+        mut column: Vec<MobilityTrace>,
+        ends: &[(UserId, usize)],
+    ) -> impl Iterator<Item = Trail> + '_ {
+        assert_eq!(
+            ends.last().map_or(0, |&(_, end)| end),
+            column.len(),
+            "the last trail must end at the column's end"
+        );
+        let mut start = 0;
+        for &(_, end) in ends {
+            let own = &mut column[start..end];
+            if !own.is_sorted_by_key(|t| t.timestamp) {
+                own.sort_by_key(|t| t.timestamp);
+            }
+            start = end;
         }
+        let indexable = u32::try_from(column.len()).is_ok();
+        let column = Arc::new(column);
+        let mut start = 0;
+        ends.iter().map(move |&(user, end)| {
+            let traces = if indexable {
+                // Both bounds are at most `column.len()`, checked above.
+                Traces::Shared {
+                    column: Column::new(&column),
+                    start: start as u32,
+                    end: end as u32,
+                }
+            } else {
+                Traces::Owned(column[start..end].to_vec())
+            };
+            start = end;
+            Trail { user, traces }
+        })
+    }
+
+    /// The owned vector, detaching a shared trail first.
+    fn owned_mut(&mut self) -> &mut Vec<MobilityTrace> {
+        if let Traces::Shared { .. } = self.traces {
+            self.traces = Traces::Owned(self.traces().to_vec());
+        }
+        let Traces::Owned(traces) = &mut self.traces else {
+            unreachable!("detached above")
+        };
+        traces
     }
 
     /// Appends a trace, keeping the trail sorted. Appending in timestamp
     /// order is O(1); out-of-order appends fall back to a sorted insert.
     pub fn push(&mut self, trace: MobilityTrace) {
-        match self.traces.last() {
+        let traces = self.owned_mut();
+        match traces.last() {
             Some(last) if last.timestamp > trace.timestamp => {
-                let idx = self
-                    .traces
-                    .partition_point(|t| t.timestamp <= trace.timestamp);
-                self.traces.insert(idx, trace);
+                let idx = traces.partition_point(|t| t.timestamp <= trace.timestamp);
+                traces.insert(idx, trace);
             }
-            _ => self.traces.push(trace),
+            _ => traces.push(trace),
         }
     }
 
     /// The traces, sorted by timestamp.
+    #[inline]
     pub fn traces(&self) -> &[MobilityTrace] {
-        &self.traces
+        match &self.traces {
+            Traces::Owned(traces) => traces,
+            Traces::Shared { column, start, end } => {
+                &column.traces()[*start as usize..*end as usize]
+            }
+        }
     }
 
     /// Number of traces.
     pub fn len(&self) -> usize {
-        self.traces.len()
+        self.traces().len()
     }
 
     /// Whether the trail holds no trace.
     pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
+        self.traces().is_empty()
     }
 
     /// Consumes the trail, returning its sorted traces.
-    pub fn into_traces(self) -> Vec<MobilityTrace> {
-        self.traces
+    pub fn into_traces(mut self) -> Vec<MobilityTrace> {
+        std::mem::take(self.owned_mut())
     }
 
     /// Total time span covered, in seconds (0 for fewer than two traces).
     pub fn duration_secs(&self) -> i64 {
-        match (self.traces.first(), self.traces.last()) {
+        let traces = self.traces();
+        match (traces.first(), traces.last()) {
             (Some(a), Some(b)) => b.timestamp.delta(a.timestamp),
             _ => 0,
         }
@@ -72,10 +213,10 @@ impl Trail {
 
     /// Mean interval between consecutive traces, in seconds.
     pub fn mean_period_secs(&self) -> f64 {
-        if self.traces.len() < 2 {
+        if self.len() < 2 {
             return 0.0;
         }
-        self.duration_secs() as f64 / (self.traces.len() - 1) as f64
+        self.duration_secs() as f64 / (self.len() - 1) as f64
     }
 
     /// Splits the trail into recording sessions: maximal runs of traces
@@ -83,16 +224,17 @@ impl Trail {
     /// "trajectories" — the logger was on continuously).
     pub fn sessions(&self, max_gap_secs: i64) -> Vec<&[MobilityTrace]> {
         assert!(max_gap_secs > 0, "session gap must be positive");
+        let traces = self.traces();
         let mut out = Vec::new();
         let mut start = 0usize;
-        for i in 1..self.traces.len() {
-            if self.traces[i].timestamp.delta(self.traces[i - 1].timestamp) > max_gap_secs {
-                out.push(&self.traces[start..i]);
+        for i in 1..traces.len() {
+            if traces[i].timestamp.delta(traces[i - 1].timestamp) > max_gap_secs {
+                out.push(&traces[start..i]);
                 start = i;
             }
         }
-        if start < self.traces.len() {
-            out.push(&self.traces[start..]);
+        if start < traces.len() {
+            out.push(&traces[start..]);
         }
         out
     }
@@ -115,22 +257,35 @@ impl Dataset {
     /// sorting each trail by time — the shape a map-only job's output or a
     /// raw DFS scan comes in.
     ///
-    /// Run-aware: the traces are cut into maximal same-user runs, the runs
-    /// are stably sorted by user, and each user's runs are concatenated
-    /// into one exactly-sized trail, so a user-major scan (the DFS layout)
-    /// costs one comparison per trace and one allocation per user, and no
-    /// trace is looked up in a tree. Any arrival order gives the same
-    /// dataset: traces of one user with equal timestamps keep their
-    /// arrival order.
+    /// Run-aware and one column for all users: the traces are cut into
+    /// maximal same-user runs; runs already in ascending user order (a
+    /// user-major scan, the DFS layout) are kept where they arrived,
+    /// anything else is stably sorted by user into one new column; the
+    /// trails are then cut from that column ([`Trail::cut_column`]) and
+    /// share it. No trace is looked up in a tree and no vector is
+    /// allocated per user. Any arrival order gives the same dataset:
+    /// traces of one user with equal timestamps keep their arrival order.
     pub fn from_traces(traces: impl IntoIterator<Item = MobilityTrace>) -> Self {
         let traces: Vec<MobilityTrace> = traces.into_iter().collect();
         let mut runs: Vec<&[MobilityTrace]> = traces.chunk_by(|a, b| a.user == b.user).collect();
-        runs.sort_by_key(|run| run[0].user);
-        let trails = runs
-            .chunk_by(|a, b| a[0].user == b[0].user)
-            .map(|of_user| Trail::new(of_user[0][0].user, of_user.concat()))
+        let column = if runs.is_sorted_by(|a, b| a[0].user < b[0].user) {
+            traces
+        } else {
+            runs.sort_by_key(|run| run[0].user);
+            runs.concat()
+        };
+        let ends: Vec<(UserId, usize)> = column
+            .chunk_by(|a, b| a.user == b.user)
+            .scan(0, |end, run| {
+                *end += run.len();
+                Some((run[0].user, *end))
+            })
             .collect();
-        Self::from_sorted_trails(trails)
+        Self::from_sorted(
+            Trail::cut_column(column, &ends)
+                .map(|t| (t.user, t))
+                .collect(),
+        )
     }
 
     /// Builds a dataset from complete trails, e.g. the by-user regroup's
@@ -140,28 +295,29 @@ impl Dataset {
     /// The trails are stably sorted by user, duplicates are folded into
     /// their first occurrence, and the tree is bulk-built from the sorted
     /// run — no per-trail insert, and no trace is touched unless its user
-    /// appears twice.
+    /// appears twice. The `(user, trail)` entries are collected once (into
+    /// the input's own buffer when it is a job's `(user, trail)` output)
+    /// and merged in place.
     pub fn from_trails(trails: impl IntoIterator<Item = Trail>) -> Self {
-        let mut trails: Vec<Trail> = trails.into_iter().collect();
-        trails.sort_by_key(|t| t.user);
-        let mut merged: Vec<Trail> = Vec::with_capacity(trails.len());
-        for trail in trails {
-            match merged.last_mut() {
-                Some(last) if last.user == trail.user => {
-                    last.traces.extend(trail.traces);
-                    last.traces.sort_by_key(|t| t.timestamp);
-                }
-                _ => merged.push(trail),
+        let mut entries: Vec<(UserId, Trail)> = trails.into_iter().map(|t| (t.user, t)).collect();
+        entries.sort_by_key(|&(user, _)| user);
+        entries.dedup_by(|(user, later), (kept_user, kept)| {
+            let duplicate = user == kept_user;
+            if duplicate {
+                let traces = kept.owned_mut();
+                traces.extend_from_slice(later.traces());
+                traces.sort_by_key(|t| t.timestamp);
             }
-        }
-        Self::from_sorted_trails(merged)
+            duplicate
+        });
+        Self::from_sorted(entries)
     }
 
-    /// Bulk-builds the tree from trails in strictly ascending user order.
-    fn from_sorted_trails(trails: Vec<Trail>) -> Self {
-        debug_assert!(trails.windows(2).all(|w| w[0].user < w[1].user));
+    /// Bulk-builds the tree from entries in strictly ascending user order.
+    fn from_sorted(entries: Vec<(UserId, Trail)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Self {
-            trails: trails.into_iter().map(|t| (t.user, t)).collect(),
+            trails: entries.into_iter().collect(),
         }
     }
 
@@ -193,7 +349,11 @@ impl Dataset {
 
     /// All traces flattened into one vector (user order, then time order).
     pub fn to_traces(&self) -> Vec<MobilityTrace> {
-        self.iter_traces().copied().collect()
+        let mut traces = Vec::with_capacity(self.num_traces());
+        for trail in self.trails.values() {
+            traces.extend_from_slice(trail.traces());
+        }
+        traces
     }
 
     /// Number of distinct users.
@@ -214,6 +374,25 @@ impl Dataset {
     /// Approximate serialized size in bytes if written as PLT text.
     pub fn approx_plt_bytes(&self) -> usize {
         self.iter_traces().map(|t| t.approx_plt_bytes()).sum()
+    }
+
+    /// Distinct buffers holding the traces: one per shared column, one per
+    /// non-empty owned trail. For tests that pin how many allocations a
+    /// builder leaves behind.
+    #[doc(hidden)]
+    pub fn column_count(&self) -> usize {
+        let mut buffers: Vec<*const MobilityTrace> = self
+            .trails
+            .values()
+            .filter(|t| !t.is_empty())
+            .map(|t| match &t.traces {
+                Traces::Owned(traces) => traces.as_ptr(),
+                Traces::Shared { column, .. } => column.traces().as_ptr(),
+            })
+            .collect();
+        buffers.sort_unstable();
+        buffers.dedup();
+        buffers.len()
     }
 }
 
@@ -270,6 +449,110 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn sessions_reject_zero_gap() {
         let _ = Trail::empty(1).sessions(0);
+    }
+
+    /// Users 1, 2 and 3 cut from one column; user 2's traces arrive out of
+    /// time order and come out sorted.
+    fn three_shared() -> Vec<Trail> {
+        let column = vec![
+            t(1, 0),
+            t(1, 10),
+            t(2, 500),
+            t(2, 5),
+            t(2, 10),
+            t(2, 505),
+            t(3, 7),
+        ];
+        Trail::cut_column(column, &[(1, 2), (2, 6), (3, 7)]).collect()
+    }
+
+    #[test]
+    fn shared_trails_compare_and_print_by_content() {
+        let shared = three_shared();
+        let owned = Trail::new(2, vec![t(2, 500), t(2, 5), t(2, 10), t(2, 505)]);
+        assert!(matches!(shared[1].traces, Traces::Shared { .. }));
+        assert_eq!(shared[1], owned);
+        assert_ne!(shared[0], owned);
+        assert_ne!(Trail::empty(2), Trail::empty(3));
+
+        let derived = {
+            /// The shape `#[derive(Debug)]` printed before trails could
+            /// share.
+            #[derive(Debug)]
+            #[allow(dead_code)]
+            struct Trail {
+                user: UserId,
+                traces: Vec<MobilityTrace>,
+            }
+            Trail {
+                user: 2,
+                traces: owned.traces().to_vec(),
+            }
+        };
+        assert_eq!(format!("{:?}", shared[1]), format!("{derived:?}"));
+        assert_eq!(format!("{:#?}", shared[1]), format!("{derived:#?}"));
+        assert_eq!(format!("{owned:?}"), format!("{derived:?}"));
+    }
+
+    #[test]
+    fn cloning_a_shared_trail_only_bumps_a_count() {
+        let shared = three_shared();
+        let count = |trail: &Trail| match &trail.traces {
+            Traces::Shared { column, .. } => Arc::strong_count(column.0.as_ref().unwrap()),
+            Traces::Owned(_) => panic!("expected a shared trail"),
+        };
+        assert_eq!(count(&shared[1]), 3);
+        let clone = shared[1].clone();
+        assert_eq!(count(&shared[1]), 4);
+        assert_eq!(clone.traces().as_ptr(), shared[1].traces().as_ptr());
+        drop(clone);
+        assert_eq!(count(&shared[1]), 3);
+    }
+
+    #[test]
+    fn detaching_a_shared_trail_leaves_its_siblings_untouched() {
+        let mut shared = three_shared();
+        let before = shared.clone();
+        let column = shared[0].traces().as_ptr();
+
+        shared[1].push(t(2, 7));
+        assert!(matches!(shared[1].traces, Traces::Owned(_)));
+        let secs: Vec<i64> = shared[1]
+            .traces()
+            .iter()
+            .map(|x| x.timestamp.secs())
+            .collect();
+        assert_eq!(secs, vec![5, 7, 10, 500, 505]);
+
+        let sibling = shared.remove(2);
+        assert_eq!(sibling.clone().into_traces(), before[2].traces());
+        assert_eq!(shared[0], before[0]);
+        assert_eq!(
+            shared[0].traces().as_ptr(),
+            column,
+            "the column did not move"
+        );
+        assert_eq!(sibling, before[2]);
+        assert_eq!(before[1].len(), 4);
+    }
+
+    #[test]
+    fn sessions_and_duration_read_the_range() {
+        let shared = three_shared();
+        assert_eq!(shared[1].duration_secs(), 500);
+        assert!((shared[1].mean_period_secs() - 500.0 / 3.0).abs() < 1e-12);
+        let sessions = shared[1].sessions(300);
+        assert_eq!(sessions.len(), 2);
+        assert_eq!(sessions[0], &shared[1].traces()[..2]);
+        assert_eq!(sessions[1], &shared[1].traces()[2..]);
+        assert_eq!(shared[0].sessions(300).len(), 1);
+        assert_eq!(shared[2].duration_secs(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "column's end")]
+    fn cut_column_rejects_ends_short_of_the_column() {
+        let _ = Trail::cut_column(vec![t(1, 0), t(2, 0)], &[(1, 1)]);
     }
 
     #[test]
@@ -375,10 +658,9 @@ mod tests {
             draws in prop::collection::vec((0u32..6, 0i64..8), 0..120),
         ) {
             let traces = numbered(&draws);
-            prop_assert_eq!(
-                Dataset::from_traces(traces.iter().copied()),
-                from_traces_reference(traces),
-            );
+            let ds = Dataset::from_traces(traces.iter().copied());
+            prop_assert_eq!(ds.column_count(), usize::from(!draws.is_empty()));
+            prop_assert_eq!(ds, from_traces_reference(traces));
         }
 
         /// User-major input with long runs — the DFS layout — plus a few

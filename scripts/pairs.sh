@@ -11,9 +11,17 @@
 # first in odd pairs, change first in even ones, workloads interleaved —
 # through each tree's own `benchmark/run.sh run`. Result files land in
 # target/pairs/results/{parent,change}/; the script ends with a per-pair
-# table and `benchmark/run.sh agree --a parent --b change` (which *fails*
-# a pair of sets whose medians differ by more than the metric's bound:
-# for the workload a PR speeds up that is the point, not an error).
+# table, a verdict table and `benchmark/run.sh agree --a parent --b
+# change` (which *fails* a pair of sets whose medians differ by more than
+# the metric's bound: for the workload a PR speeds up that is the point,
+# not an error).
+#
+# The verdict table has one row per workload and end-to-end metric of
+# BENCHMARK.json: the median of the per-pair change/parent ratios, pairs
+# won / lost / tied by the change (ties count for neither), both sides'
+# medians, the parent's inter-quartile distance over its runs, and the
+# rule a gain is claimed by — the change wins at least nine tenths of the
+# pairs and the medians differ by more than that distance.
 #
 # Defaults: 10 pairs, BENCHMARK.json's run length, its gated workloads,
 # seed base 9100. Everything is written under target/pairs/; `benchmark/`
@@ -22,7 +30,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'; }
 
 case "${1:-}" in
     "" | -h | --help | help) usage; exit 0 ;;
@@ -99,6 +107,45 @@ for w in ${workloads//,/ }; do
             "$(ratio cpu_s) | $(ratio peak_heap_mb) | $(ratio setup_s) |" \
             "$(failed "$p") / $(failed "$c") | $same |"
     done
+done
+
+# The end-to-end metrics and which way is better, as "name better" lines.
+metrics=$(sed -n '/"end_to_end"/,/^  \]/p' BENCHMARK.json | grep -o '"\(name\|better\)": "[^"]*"' |
+    cut -d'"' -f4 | paste -d' ' - -)
+
+echo
+echo "| workload | metric | change/parent (median of pairs) | won / lost / tied | parent median [q1, q3] | change median | parent IQR | \|Δ median\| > IQR | gain |"
+echo "|---|---|---|---|---|---|---|---|---|"
+for w in ${workloads//,/ }; do
+    while read -r m better; do
+        for i in $(seq 1 "$pairs"); do
+            seed=$((seed_base + i))
+            echo "$(field "$root/results/parent/$w-$seed.json" "$m") $(field "$root/results/change/$w-$seed.json" "$m")"
+        done | awk -v w="$w" -v m="$m" -v lower="$([ "$better" = lower ] && echo 1 || echo 0)" '
+            # The harness quartile (benchmark/src/stats.rs): position q·(n+1),
+            # interpolated, clamped to the sample ends.
+            function quantile(a, n, q,   pos, lo, hi, f) {
+                pos = q * (n + 1); lo = int(pos); if (lo < 1) lo = 1; if (lo > n) lo = n
+                hi = lo + 1 > n ? n : lo + 1; f = pos - lo; f = f < 0 ? 0 : (f > 1 ? 1 : f)
+                return a[lo] + f * (a[hi] - a[lo])
+            }
+            function sort(a, n,   i, j, t) {
+                for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
+            }
+            {
+                n++; p[n] = $1; c[n] = $2; r[n] = $2 / $1
+                if ($1 == $2) tied++; else if (lower == ($2 < $1)) won++; else lost++
+            }
+            END {
+                sort(p, n); sort(c, n); sort(r, n)
+                pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5); iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+                delta = cm - pm; beyond = (delta < 0 ? -delta : delta) > iqr
+                better = lower ? cm < pm : cm > pm
+                printf "| %s | %s | %.3f | %d / %d / %d | %.4g [%.4g, %.4g] | %.4g | %.4g | %s | %s |\n", w, m,
+                    quantile(r, n, 0.5), won, lost, tied, pm, quantile(p, n, 0.25), quantile(p, n, 0.75), cm, iqr,
+                    beyond ? "yes" : "no", (better && beyond && won >= 0.9 * n) ? "**yes**" : "no"
+            }'
+    done <<< "$metrics"
 done
 echo
 echo "A = parent ($parent_commit), B = change (working tree):"
