@@ -792,12 +792,20 @@ pub fn synth(args: &Args) -> Result<(), String> {
     if users == 0 || users > u64::from(u32::MAX) {
         return Err(format!("--users {users}: want 1..=u32::MAX"));
     }
+    let days = args.get_or("days", 1u32)?;
+    if days == 0 {
+        return Err("--days 0: want 1..=u32::MAX".into());
+    }
+    let chunk_mb: usize = args.get_or("chunk-mb", 64usize)?;
+    let Some(chunk_bytes) = chunk_mb.checked_mul(1 << 20).filter(|&b| b > 0) else {
+        let max = usize::MAX >> 20;
+        return Err(format!("--chunk-mb {chunk_mb}: want 1..={max}"));
+    };
     let cfg = gepeto_synth::SynthConfig::new(users)
         .seed(args.get_or("seed", 20130520u64)?)
-        .days(args.get_or("days", 1u32)?);
+        .days(days);
     let cluster = cluster_from(args)?;
-    let chunk_mb: usize = args.get_or("chunk-mb", 64usize)?;
-    let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, chunk_mb << 20);
+    let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, chunk_bytes);
     println!(
         "synth: {} users x {} day(s), seed {} -> ~{} traces (~{:.1} MB as PLT)",
         cfg.users,
@@ -806,16 +814,20 @@ pub fn synth(args: &Args) -> Result<(), String> {
         cfg.estimated_traces(),
         cfg.estimated_plt_bytes() as f64 / (1024.0 * 1024.0),
     );
-    let t0 = std::time::Instant::now();
-    cfg.to_dfs(&mut dfs, "synth").map_err(|e| e.to_string())?;
-    println!(
-        "synth: streamed into DFS in {:.2?} ({} blocks, {} B)",
-        t0.elapsed(),
-        dfs.num_blocks("synth").unwrap_or(0),
-        dfs.file_bytes("synth").unwrap_or(0),
-    );
     let workload = args.get("workload").unwrap_or("sampling").to_string();
     observed(args, &cluster, Some("synth"), |ctx| {
+        let t0 = std::time::Instant::now();
+        let (n, blocks) = (users.to_string(), cfg.ingest_blocks().to_string());
+        let labels = [("users", n.as_str()), ("blocks", blocks.as_str())];
+        let ingest = ctx.telemetry.span("synth.ingest", &labels);
+        cfg.to_dfs(&mut dfs, "synth").map_err(|e| e.to_string())?;
+        ingest.end();
+        println!(
+            "synth: streamed into DFS in {:.2?} ({} blocks, {} B)",
+            t0.elapsed(),
+            dfs.num_blocks("synth").unwrap_or(0),
+            dfs.file_bytes("synth").unwrap_or(0),
+        );
         match workload.as_str() {
             "sampling" => {
                 let scfg = sampling::SamplingConfig::new(
@@ -1315,6 +1327,24 @@ mod tests {
     #[test]
     fn synth_rejects_zero_users() {
         assert!(synth(&args("--users 0")).is_err());
+    }
+
+    #[test]
+    fn synth_rejects_a_zero_or_overflowing_chunk_size() {
+        // `1 << 44` MB shifted into bytes wraps to exactly zero.
+        for mb in ["0".to_string(), (1usize << 44).to_string()] {
+            let err = synth(&args(&format!("--users 10 --chunk-mb {mb}"))).unwrap_err();
+            assert!(
+                err.starts_with(&format!("--chunk-mb {mb}: want 1..=")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn synth_rejects_zero_days() {
+        let err = synth(&args("--users 10 --days 0")).unwrap_err();
+        assert_eq!(err, "--days 0: want 1..=u32::MAX");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::topology::{NodeId, Topology};
 use gepeto_telemetry::Recorder;
 use std::collections::BTreeMap;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Identifier of a stored chunk.
 pub type BlockId = u64;
@@ -92,6 +92,61 @@ struct FileMeta {
     blocks: Vec<BlockId>,
     records: usize,
     bytes: usize,
+}
+
+/// Blocks each pool thread generates per wave of [`Dfs::put_blocks`].
+const WAVE_BLOCKS_PER_THREAD: usize = 4;
+
+/// The one chunk-sealing rule of every put: a chunk takes records until
+/// its bytes reach the chunk size, then is sealed at its exact length.
+struct ChunkWriter<T> {
+    block_bytes: usize,
+    current: Vec<T>,
+    current_bytes: usize,
+    current_sum: FnvHasher,
+    /// Sealed chunks (records, bytes, content sum), placed at commit.
+    sealed: Vec<(Vec<T>, usize, u64)>,
+}
+
+impl<T> ChunkWriter<T> {
+    fn new(block_bytes: usize) -> Self {
+        Self {
+            block_bytes,
+            current: Vec::new(),
+            current_bytes: 0,
+            current_sum: FnvHasher::default(),
+            sealed: Vec::new(),
+        }
+    }
+
+    /// Appends `records`. A new chunk reserves what the chunk size fits of
+    /// its first record (exact for fixed-size records), capped by the
+    /// source's upper size bound; sealing shrinks it to its length.
+    fn write(&mut self, records: impl IntoIterator<Item = T>, sizer: &impl Fn(&T) -> usize) {
+        let mut records = records.into_iter();
+        while let Some(r) = records.next() {
+            let b = sizer(&r).max(1);
+            if self.current.capacity() == 0 {
+                let left = records.size_hint().1.unwrap_or(usize::MAX);
+                let fits = self.block_bytes.div_ceil(b);
+                self.current.reserve_exact(fits.min(left.saturating_add(1)));
+            }
+            self.current.push(r);
+            self.current_bytes += b;
+            self.current_sum.write(&(b as u64).to_le_bytes());
+            if self.current_bytes >= self.block_bytes {
+                self.seal();
+            }
+        }
+    }
+
+    fn seal(&mut self) {
+        let mut data = std::mem::take(&mut self.current);
+        data.shrink_to_fit();
+        let bytes = std::mem::take(&mut self.current_bytes);
+        let sum = std::mem::take(&mut self.current_sum).finish();
+        self.sealed.push((data, bytes, sum));
+    }
 }
 
 /// The distributed file system, generic over the record type it stores.
@@ -178,48 +233,9 @@ impl<T: Clone> Dfs<T> {
         if self.files.contains_key(name) {
             return Err(DfsError::FileExists(name.to_string()));
         }
-        let mut total_records = 0usize;
-        let mut total_bytes = 0usize;
-        let mut block_ids = Vec::new();
-        let mut current: Vec<T> = Vec::new();
-        let mut current_bytes = 0usize;
-        let mut current_sum = FnvHasher::default();
-        for r in records {
-            let b = sizer(&r).max(1);
-            current.push(r);
-            total_records += 1;
-            current_bytes += b;
-            total_bytes += b;
-            current_sum.write(&(b as u64).to_le_bytes());
-            if current_bytes >= self.block_bytes {
-                block_ids.push(self.store_block(
-                    name,
-                    block_ids.len(),
-                    std::mem::take(&mut current),
-                    current_bytes,
-                    std::mem::take(&mut current_sum).finish(),
-                ));
-                current_bytes = 0;
-            }
-        }
-        if !current.is_empty() || block_ids.is_empty() {
-            let checksum = current_sum.finish();
-            block_ids.push(self.store_block(
-                name,
-                block_ids.len(),
-                current,
-                current_bytes,
-                checksum,
-            ));
-        }
-        self.files.insert(
-            name.to_string(),
-            FileMeta {
-                blocks: block_ids,
-                records: total_records,
-                bytes: total_bytes,
-            },
-        );
+        let mut writer = ChunkWriter::new(self.block_bytes);
+        writer.write(records, &sizer);
+        self.commit_file(name, writer);
         Ok(())
     }
 
@@ -232,6 +248,26 @@ impl<T: Clone> Dfs<T> {
         bytes_per_record: usize,
     ) -> Result<(), DfsError> {
         self.put_with_sizer(name, records, |_| bytes_per_record)
+    }
+
+    /// Seals the last chunk — an empty file still gets one, empty chunk —
+    /// places the chunks in file order, and records the file.
+    fn commit_file(&mut self, name: &str, mut writer: ChunkWriter<T>) {
+        if !writer.current.is_empty() || writer.sealed.is_empty() {
+            writer.seal();
+        }
+        let mut ids = Vec::new();
+        for (data, bytes, sum) in writer.sealed {
+            ids.push(self.store_block(name, ids.len(), data, bytes, sum));
+        }
+        let records = ids.iter().map(|id| self.blocks[id].data.len()).sum();
+        let bytes = ids.iter().map(|id| self.blocks[id].bytes).sum();
+        let meta = FileMeta {
+            blocks: ids,
+            records,
+            bytes,
+        };
+        self.files.insert(name.to_string(), meta);
     }
 
     fn store_block(
@@ -620,6 +656,56 @@ impl<T: Clone> Dfs<T> {
     }
 }
 
+impl<T: Clone + Send> Dfs<T> {
+    /// Writes `gen(0) ++ … ++ gen(blocks - 1)` chunk for chunk as
+    /// [`Dfs::put_from_iter`] would, generating waves of blocks on the
+    /// global pool while one task seals the previous wave in block order:
+    /// memory stays at one chunk plus two waves.
+    pub fn put_blocks(
+        &mut self,
+        name: &str,
+        blocks: usize,
+        gen: impl Fn(usize) -> Vec<T> + Sync,
+        sizer: impl Fn(&T) -> usize + Sync,
+    ) -> Result<(), DfsError> {
+        self.put_blocks_on(gepeto_pool::global(), name, blocks, gen, sizer)
+    }
+
+    fn put_blocks_on(
+        &mut self,
+        pool: &gepeto_pool::Pool,
+        name: &str,
+        blocks: usize,
+        gen: impl Fn(usize) -> Vec<T> + Sync,
+        sizer: impl Fn(&T) -> usize + Sync,
+    ) -> Result<(), DfsError> {
+        if self.files.contains_key(name) {
+            return Err(DfsError::FileExists(name.to_string()));
+        }
+        let wave = pool.threads() * WAVE_BLOCKS_PER_THREAD;
+        let mut writer = ChunkWriter::new(self.block_bytes);
+        let mut generated: Vec<Vec<T>> = Vec::new();
+        for start in (0..=blocks.next_multiple_of(wave)).step_by(wave) {
+            let (start, end) = (start.min(blocks), (start + wave).min(blocks));
+            // The last wave in hand bounds the last chunk's reservation.
+            let left = (start == blocks).then(|| generated.iter().map(Vec::len).sum());
+            // The sealing task takes the previous wave; the rest generate.
+            let sealing = Mutex::new((&mut writer, std::mem::take(&mut generated)));
+            generated = pool.map_indexed(end - start + 1, |i| match i {
+                0 => {
+                    let (writer, prev) = &mut *sealing.lock().expect("one sealing task");
+                    let records = std::mem::take(prev).into_iter().flatten();
+                    writer.write(records.take(left.unwrap_or(usize::MAX)), &sizer);
+                    Vec::new()
+                }
+                i => gen(start + i - 1),
+            });
+        }
+        self.commit_file(name, writer);
+        Ok(())
+    }
+}
+
 /// Chunk-at-a-time iterator over a file (see [`Dfs::stream`]). Each
 /// `next()` yields one chunk's shared payload; dropping the stream
 /// early releases nothing beyond the iterator itself, so consumers can
@@ -799,6 +885,97 @@ mod tests {
         assert_eq!(a.num_blocks("f").unwrap(), b.num_blocks("f").unwrap());
         assert_eq!(b.read("f").unwrap(), records);
         assert_eq!(b.file_bytes("f").unwrap(), 4_000);
+    }
+
+    /// Everything a put decides about a file: per chunk its id, records,
+    /// bytes, checksum and replicas, then the file's record and byte
+    /// totals.
+    type Layout = (
+        Vec<(BlockId, Vec<u32>, usize, u64, Vec<NodeId>)>,
+        usize,
+        usize,
+    );
+
+    fn layout(d: &Dfs<u32>, name: &str) -> Layout {
+        let chunks = d.blocks_of(name).unwrap().iter().map(|&id| {
+            let b = d.block(id);
+            let data = b.data.to_vec();
+            (b.id, data, b.bytes, b.checksum, b.replicas.clone())
+        });
+        let records = d.num_records(name).unwrap();
+        (chunks.collect(), records, d.file_bytes(name).unwrap())
+    }
+
+    fn assert_exact_chunks(d: &Dfs<u32>, name: &str) {
+        for &id in d.blocks_of(name).unwrap() {
+            let data = &d.block(id).data;
+            assert_eq!(data.capacity(), data.len(), "{name}: chunk {id} has slack");
+        }
+    }
+
+    #[test]
+    fn put_blocks_matches_put_from_iter_over_the_concatenation() {
+        // Each record weighs its own value in bytes (0 counts as 1) and a
+        // chunk holds 40.
+        let sizer = |r: &u32| *r as usize;
+        let waves: Vec<Vec<u32>> = (0..40u32)
+            .map(|b| (0..b % 6).map(|i| (b * 7 + i * 3) % 13).collect())
+            .collect();
+        let cases: Vec<(&str, Vec<Vec<u32>>)> = vec![
+            ("no blocks", vec![]),
+            ("empty blocks only", vec![vec![], vec![]]),
+            (
+                "empty and 1-record blocks",
+                vec![vec![1], vec![], vec![2], vec![3], vec![]],
+            ),
+            (
+                "chunk ends with a block",
+                vec![vec![20, 20], vec![15, 25], vec![3]],
+            ),
+            (
+                "record larger than a chunk",
+                vec![vec![1, 100, 2], vec![50], vec![90]],
+            ),
+            ("several waves", waves),
+        ];
+        for threads in [1, 3] {
+            let pool = gepeto_pool::Pool::new(threads);
+            for (case, blocks) in &cases {
+                let mut serial = dfs(40);
+                serial.put_from_iter("f", blocks.concat(), sizer).unwrap();
+                let mut blocked = dfs(40);
+                blocked
+                    .put_blocks_on(&pool, "f", blocks.len(), |b| blocks[b].clone(), sizer)
+                    .unwrap();
+                assert_eq!(
+                    layout(&blocked, "f"),
+                    layout(&serial, "f"),
+                    "{case}, {threads} threads"
+                );
+                assert_exact_chunks(&blocked, "f");
+                assert_eq!(
+                    blocked.put_blocks_on(&pool, "f", 0, |_| vec![], sizer),
+                    Err(DfsError::FileExists("f".into()))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_put_stores_exact_size_chunks() {
+        let mut d = dfs(40);
+        d.put_fixed("fixed", (0..100).collect(), 4).unwrap();
+        d.put_with_sizer("sized", (0..100).collect(), |r| *r as usize % 9)
+            .unwrap();
+        // No upper size bound: reservations come from chunk lengths alone.
+        d.put_from_iter("filtered", (0..300).filter(|r| r % 3 > 0), |_| 3)
+            .unwrap();
+        d.put_blocks("blocks", 9, |b| (0..b as u32 * 5).collect(), |_| 4)
+            .unwrap();
+        for name in ["fixed", "sized", "filtered", "blocks"] {
+            assert!(d.num_blocks(name).unwrap() > 1, "{name}");
+            assert_exact_chunks(&d, name);
+        }
     }
 
     #[test]

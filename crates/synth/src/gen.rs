@@ -18,6 +18,10 @@ const M_PER_DEG: f64 = 111_194.93;
 /// Bytes one trace occupies as a PLT text line (the DFS sizing unit).
 const PLT_LINE_BYTES: u64 = 64;
 
+/// Users per generation block of [`SynthConfig::to_dfs`]. A constant,
+/// so the blocks depend on the input alone, never on the thread count.
+const INGEST_BLOCK_USERS: u64 = 1_024;
+
 /// Configuration of the synthetic workload. All knobs are plain data;
 /// the generator is a pure function of this struct.
 #[derive(Debug, Clone)]
@@ -127,22 +131,38 @@ impl SynthConfig {
     /// Generates one user's trail deterministically — a pure function of
     /// `(seed, user)`, independent of every other user.
     pub fn generate_user(&self, user: UserId) -> Trail {
+        let mut traces = Vec::with_capacity(self.max_traces_per_user());
+        self.emit_user(user, &mut traces);
+        Trail::new(user, traces)
+    }
+
+    /// Upper bound on the traces one user emits over all days.
+    fn max_traces_per_user(&self) -> usize {
+        (self.max_traces_per_day() * u64::from(self.days)) as usize
+    }
+
+    /// Appends `user`'s traces to `out` in the order of
+    /// [`SynthConfig::generate_user`]'s trail: stably time-sorted, as
+    /// `Trail::new` leaves them.
+    fn emit_user(&self, user: UserId, out: &mut Vec<MobilityTrace>) {
+        let first = out.len();
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(u64::from(user) + 1),
         );
         let profile = UserProfile::derive(self, &mut rng);
-        let capacity = (self.max_traces_per_day() * u64::from(self.days)) as usize;
-        let mut traces = Vec::with_capacity(capacity);
         // Strictly advancing clock; days that spill past midnight push
         // the next wake-up instead of rewinding time.
         let mut clock = self.start;
         for day in 0..self.days {
             let midnight = self.start.plus(i64::from(day) * 86_400);
-            self.emit_day(&mut rng, user, &profile, midnight, &mut clock, &mut traces);
+            self.emit_day(&mut rng, user, &profile, midnight, &mut clock, out);
         }
-        Trail::new(user, traces)
+        let own = &mut out[first..];
+        if !own.is_sorted_by_key(|t| t.timestamp) {
+            own.sort_by_key(|t| t.timestamp);
+        }
     }
 
     /// One day: wake at home, commute, work dwell, optional evening POI
@@ -217,14 +237,33 @@ impl SynthConfig {
         out.push(MobilityTrace::with_altitude(user, noisy, ts, altitude));
     }
 
-    /// Streams the whole workload into a DFS file without ever holding
-    /// more than one chunk plus one user's trail in memory.
+    /// Writes the whole workload into a DFS file, generating blocks of
+    /// 1 024 users on every pool thread (`Dfs::put_blocks`). The file is
+    /// chunk for chunk the one `put_from_iter(self.stream())` writes, at
+    /// any thread count, and memory stays at one chunk plus two waves of
+    /// blocks.
     pub fn to_dfs(
         &self,
         dfs: &mut gepeto_mapred::Dfs<MobilityTrace>,
         name: &str,
     ) -> Result<(), gepeto_mapred::DfsError> {
-        dfs.put_from_iter(name, self.stream(), |t| t.approx_plt_bytes())
+        let gen = |block: usize| {
+            let first = block as u64 * INGEST_BLOCK_USERS;
+            let end = (first + INGEST_BLOCK_USERS).min(self.users);
+            let mut traces =
+                Vec::with_capacity((end - first) as usize * self.max_traces_per_user());
+            for user in first..end {
+                self.emit_user(user as UserId, &mut traces);
+            }
+            traces
+        };
+        dfs.put_blocks(name, self.ingest_blocks(), gen, |t| t.approx_plt_bytes())
+    }
+
+    /// How many generation blocks [`SynthConfig::to_dfs`] splits the
+    /// users into.
+    pub fn ingest_blocks(&self) -> usize {
+        self.users.div_ceil(INGEST_BLOCK_USERS) as usize
     }
 }
 
@@ -405,16 +444,35 @@ mod tests {
 
     #[test]
     fn streams_into_dfs_chunks() {
+        // The block-parallel ingest writes the serial stream's chunks,
+        // around the 1 024-user block edges; 500 traces per chunk.
         let cluster = Cluster::local(3, 2);
-        let c = SynthConfig::new(32);
-        let mut dfs: Dfs<MobilityTrace> = Dfs::new(cluster.topology.clone(), 4_096, 3);
-        c.to_dfs(&mut dfs, "synth").unwrap();
-        let streamed: Vec<MobilityTrace> = c.stream().collect();
-        assert_eq!(dfs.read("synth").unwrap(), streamed);
-        assert!(
-            dfs.num_blocks("synth").unwrap() > 1,
-            "expected multiple chunks"
-        );
+        for users in [1, 1023, 1024, 1025, 2049] {
+            let c = SynthConfig::new(users).seed(users);
+            let mut serial: Dfs<MobilityTrace> = Dfs::new(cluster.topology.clone(), 32_000, 3);
+            serial
+                .put_from_iter("synth", c.stream(), |t| t.approx_plt_bytes())
+                .unwrap();
+            let mut blocked = Dfs::new(cluster.topology.clone(), 32_000, 3);
+            c.to_dfs(&mut blocked, "synth").unwrap();
+            let (ids, blocked_ids) = (
+                serial.blocks_of("synth").unwrap(),
+                blocked.blocks_of("synth").unwrap(),
+            );
+            assert_eq!(ids, blocked_ids, "{users} users");
+            assert!(users == 1 || ids.len() > 1, "expected multiple chunks");
+            for &id in ids {
+                let (s, b) = (serial.block(id), blocked.block(id));
+                assert_eq!(
+                    (&s.data, s.bytes, s.checksum, &s.replicas),
+                    (&b.data, b.bytes, b.checksum, &b.replicas),
+                    "{users} users, chunk {id}"
+                );
+                assert_eq!(b.data.capacity(), b.data.len());
+            }
+            assert_eq!(serial.num_records("synth"), blocked.num_records("synth"));
+            assert_eq!(serial.file_bytes("synth"), blocked.file_bytes("synth"));
+        }
     }
 
     #[test]

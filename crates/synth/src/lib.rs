@@ -25,10 +25,13 @@
 //!    of users, generated in any order, on any thread count, is
 //!    identical bit for bit.
 //! 2. **Streaming.** [`TraceStream`] yields traces user by user in time
-//!    order while holding at most one user's trail in memory, and
-//!    [`SynthConfig::to_dfs`] pours that stream straight into DFS chunk
-//!    placement via `Dfs::put_from_iter` — one million users never exist
-//!    as a single `Vec` anywhere on the write path.
+//!    order while holding at most one user's trail in memory — the serial
+//!    reference. [`SynthConfig::to_dfs`] writes the same records through
+//!    `Dfs::put_blocks`: 1 024-user blocks generated on every pool thread
+//!    and sealed, in block order, into exactly the chunks
+//!    `Dfs::put_from_iter` would cut from the stream. Memory stays at one
+//!    chunk plus two waves of blocks — one million users never exist as a
+//!    single `Vec` anywhere on the write path.
 
 pub mod dwell;
 pub mod gen;

@@ -164,7 +164,26 @@ fn spilling_synth_run_is_thread_count_invariant() {
             events.contains(r#""name":"mapred.reduce.output.records","value":300}"#),
             "{tag}: reduce output records is not the user count"
         );
+        assert!(
+            events.contains(r#""name":"synth.ingest""#),
+            "{tag}: no ingest span"
+        );
     }
+}
+
+#[test]
+fn block_parallel_synth_ingest_is_thread_count_invariant() {
+    // 5 000 users are five 1 024-user generation blocks — more than one
+    // wave at --threads 1 — sealed into four 1 MB chunks, so any slip in
+    // block order or chunk cuts would change the OUTPUT.
+    let argv = ["synth", "--users", "5000", "--chunk-mb", "1"];
+    let outs = outputs_at_thread_counts("synth-blocks", &argv, &["1", "2", "4"]);
+    assert_eq!(outs[0], outs[1], "synth OUTPUT diverged at 1 vs 2 threads");
+    assert_eq!(outs[0], outs[2], "synth OUTPUT diverged at 1 vs 4 threads");
+    let out = run(&argv);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stdout.contains(" (4 blocks, "), "{stdout}");
 }
 
 #[test]
