@@ -425,10 +425,11 @@ gepeto_task_map_us_count 12
     #[test]
     fn validates_the_live_monitor_exposition() {
         // End-to-end: the telemetry monitor's own output must pass.
+        use gepeto_telemetry::registry::{JOBS_STARTED, MAP_TASKS_DONE, MAP_TASKS_SCHEDULED};
         let monitor = gepeto_telemetry::Monitor::new();
-        monitor.job_started();
-        monitor.add_map_tasks(4);
-        monitor.map_task_done();
+        monitor.add(JOBS_STARTED, 1);
+        monitor.add(MAP_TASKS_SCHEDULED, 4);
+        monitor.add(MAP_TASKS_DONE, 1);
         monitor.node_busy(0, 12.5);
         monitor.observe("task.map.us", 1500);
         monitor.observe("task.map.us", 90);

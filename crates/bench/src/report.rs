@@ -7,6 +7,10 @@
 
 use crate::json::{Json, Writer};
 use gepeto_mapred::JobStats;
+use gepeto_telemetry::registry::{
+    HOST_IDLE_MS, MEM_ACCOUNTED_PEAK, MEM_ALLOCATED_BYTES, MEM_BUDGET_BYTES, MEM_PEAK_BYTES,
+    MEM_PEAK_OVER_BUDGET, RUNS_QUARANTINED, SPILL_ESTIMATE_ERROR,
+};
 use gepeto_telemetry::{MemDelta, Recorder};
 
 /// Current schema identifier, bumped on breaking field changes.
@@ -153,21 +157,13 @@ impl BenchReport {
         host: HostBlock,
     ) -> Self {
         let summary = telemetry.summary();
-        let counter = |name: &str| {
-            summary
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
         let mem = MemBlock {
             peak_bytes: mem.peak_bytes,
             allocated_bytes: mem.allocated,
             allocs: mem.allocs,
-            accounted_peak: counter(gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER),
-            budget_bytes: counter(gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER),
-            peak_over_budget_bytes: counter(gepeto_telemetry::MEM_PEAK_OVER_BUDGET_COUNTER),
+            accounted_peak: summary.counter(MEM_ACCOUNTED_PEAK),
+            budget_bytes: summary.counter(MEM_BUDGET_BYTES),
+            peak_over_budget_bytes: summary.counter(MEM_PEAK_OVER_BUDGET),
         };
         let critical_path = telemetry
             .virtual_critical_path()
@@ -291,11 +287,11 @@ impl BenchReport {
     pub fn profile(&self, label: &str) -> gepeto_telemetry::RunProfile {
         // Host-pool activity rides along as synthetic counters so the
         // diff engine can attribute a slowdown to idling executors
-        // (`host.idle_ms` is special-cased there as a timed cause).
+        // ([`HOST_IDLE_MS`] is special-cased there as a timed cause).
         let mut counters = self.counters.clone();
         if self.host.threads > 0 {
             counters.push(("host.busy_ms".to_string(), (self.host.busy_s * 1e3) as u64));
-            counters.push(("host.idle_ms".to_string(), (self.host.idle_s * 1e3) as u64));
+            counters.push((HOST_IDLE_MS.to_string(), (self.host.idle_s * 1e3) as u64));
             counters.push(("host.steals".to_string(), self.host.steals));
             counters.push(("host.threads".to_string(), self.host.threads));
         }
@@ -575,22 +571,22 @@ pub fn compare_ignoring(
     // overshoot appearing where the baseline had none is an infinite
     // regression — the run started spilling.
     cost(
-        "mem.peak_bytes",
+        MEM_PEAK_BYTES,
         old.mem.peak_bytes as f64,
         new.mem.peak_bytes as f64,
     );
     cost(
-        "mem.allocated_bytes",
+        MEM_ALLOCATED_BYTES,
         old.mem.allocated_bytes as f64,
         new.mem.allocated_bytes as f64,
     );
     cost(
-        "mem.accounted_peak",
+        MEM_ACCOUNTED_PEAK,
         old.mem.accounted_peak as f64,
         new.mem.accounted_peak as f64,
     );
     cost(
-        "mem.peak_over_budget_bytes",
+        MEM_PEAK_OVER_BUDGET,
         old.mem.peak_over_budget_bytes as f64,
         new.mem.peak_over_budget_bytes as f64,
     );
@@ -660,9 +656,9 @@ pub fn compare_ignoring(
 const DURABILITY_COUNTER_PREFIXES: &[&str] = &[
     "io.",
     "journal.",
-    "spill.runs_quarantined",
+    RUNS_QUARANTINED,
     "mem.",
-    "spill.estimate_error_bytes",
+    SPILL_ESTIMATE_ERROR,
 ];
 
 #[cfg(test)]

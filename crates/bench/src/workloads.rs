@@ -227,6 +227,7 @@ pub fn run_djcluster(cfg: &BenchConfig) -> Result<BenchReport, String> {
 mod tests {
     use super::*;
     use crate::report::{compare, BenchReport, SCHEMA};
+    use gepeto_mapred::counters::builtin;
 
     fn tiny() -> BenchConfig {
         BenchConfig {
@@ -294,8 +295,8 @@ mod tests {
                 .find(|(k, _)| k == key)
                 .map_or(0, |(_, v)| *v)
         };
-        let spilled = counter("shuffle.spilled_bytes");
-        let files = counter("shuffle.spill_files");
+        let spilled = counter(builtin::SPILLED_BYTES);
+        let files = counter(builtin::SPILL_FILES);
         assert!(
             spilled > 0 && files > 0,
             "the synth tier must exercise the out-of-core shuffle, got {:?}",

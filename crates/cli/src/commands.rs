@@ -819,7 +819,7 @@ pub fn synth(args: &Args) -> Result<(), String> {
         let t0 = std::time::Instant::now();
         let (n, blocks) = (users.to_string(), cfg.ingest_blocks().to_string());
         let labels = [("users", n.as_str()), ("blocks", blocks.as_str())];
-        let ingest = ctx.telemetry.span("synth.ingest", &labels);
+        let ingest = ctx.telemetry.span("phase.ingest", &labels);
         cfg.to_dfs(&mut dfs, "synth").map_err(|e| e.to_string())?;
         ingest.end();
         println!(

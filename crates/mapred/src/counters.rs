@@ -1,6 +1,8 @@
 //! Hadoop-style job counters: named `u64` accumulators that tasks bump
 //! concurrently and the driver reads after the job completes.
 
+use gepeto_telemetry::registry::{self, Kind};
+use gepeto_telemetry::Monitor;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,11 +23,17 @@ pub mod phase {
     pub const SORT: &str = "sort";
 }
 
-/// Built-in counter names used by the engine itself.
+/// Built-in counter names used by the engine itself: the Hadoop record
+/// counters, plus the engine metrics of the telemetry registry
+/// ([`gepeto_telemetry::registry`]) under the names callers know them by.
 pub mod builtin {
-    /// Total intermediate bytes shuffled from mappers to reducers (same
-    /// name the telemetry summary surfaces as its shuffle line).
-    pub const SHUFFLE_BYTES: &str = gepeto_telemetry::SHUFFLE_BYTES_COUNTER;
+    pub use gepeto_telemetry::registry::{
+        BLACKLISTED_NODES, DISTANCE_EVALS, FAILED_OVER_READS, IO_RETRIES, IO_STALL_MS,
+        JOURNAL_REPLAYED, MEM_ACCOUNTED_PEAK, MEM_ALLOCATED_BYTES, MEM_ALLOCS, MEM_BUDGET_BYTES,
+        MEM_PEAK_BYTES, MEM_PEAK_OVER_BUDGET, REEXECUTED_MAPS, RUNS_QUARANTINED, SHUFFLE_BYTES,
+        SHUFFLE_BYTES_SAVED, SORT_SKIPPED, SPILLED_BYTES, SPILLED_GROUPS, SPILL_ESTIMATE_ERROR,
+        SPILL_FILES, TASK_RETRIES, TORN_WRITES,
+    };
     /// Intermediate pairs written out by map tasks after combining —
     /// what Hadoop would spill to local disk for the shuffle.
     pub const SPILLED_RECORDS: &str = "mapred.spilled.records";
@@ -43,86 +51,19 @@ pub mod builtin {
     pub const REDUCE_INPUT_RECORDS: &str = "mapred.reduce.input.records";
     /// Pairs emitted by all reduce tasks.
     pub const REDUCE_OUTPUT_RECORDS: &str = "mapred.reduce.output.records";
-    /// Task attempts lost to (injected) failures and rescheduled.
-    pub const TASK_RETRIES: &str = gepeto_telemetry::TASK_RETRIES_COUNTER;
-    /// Completed map tasks re-executed because their node crashed and
-    /// took the locally-stored map outputs with it.
-    pub const REEXECUTED_MAPS: &str = gepeto_telemetry::REEXECUTED_MAPS_COUNTER;
-    /// Chunk reads served by a secondary replica after the preferred one
-    /// was dead or failed checksum verification.
-    pub const FAILED_OVER_READS: &str = gepeto_telemetry::FAILED_OVER_READS_COUNTER;
-    /// Nodes the jobtracker blacklisted after repeated task failures.
-    pub const BLACKLISTED_NODES: &str = gepeto_telemetry::BLACKLISTED_NODES_COUNTER;
-    /// Point-to-centroid distance evaluations performed by the clustering
-    /// kernels (the k-means inner-loop cost driver).
-    pub const DISTANCE_EVALS: &str = gepeto_telemetry::DISTANCE_EVALS_COUNTER;
-    /// Reduce partitions whose stable sort was skipped because the
-    /// reducer declared order-insensitive input (`Reducer::SORTED_INPUT
-    /// = false`).
-    pub const SORT_SKIPPED: &str = gepeto_telemetry::SORT_SKIPPED_COUNTER;
-    /// Shuffle bytes avoided by compressed payload encodings, relative to
-    /// the raw representation the job would otherwise ship.
-    pub const SHUFFLE_BYTES_SAVED: &str = gepeto_telemetry::SHUFFLE_BYTES_SAVED_COUNTER;
-    /// Intermediate bytes actually written to spill runs by
-    /// memory-bounded shuffles (encoded size, unlike the estimated
-    /// [`SPILLED_RECORDS`] Hadoop mirror above).
-    pub const SPILLED_BYTES: &str = gepeto_telemetry::SPILLED_BYTES_COUNTER;
-    /// Sorted spill runs written to local disk.
-    pub const SPILL_FILES: &str = gepeto_telemetry::SPILL_FILES_COUNTER;
-    /// Reduce groups whose value lists overflowed the memory budget and
-    /// were staged on disk until their reduce call.
-    pub const SPILLED_GROUPS: &str = gepeto_telemetry::SPILLED_GROUPS_COUNTER;
-    /// Storage operations retried after a transient injected IO fault
-    /// (EIO on write/read, or a rebuilt spill seal).
-    pub const IO_RETRIES: &str = gepeto_telemetry::IO_RETRIES_COUNTER;
-    /// Torn (partial) writes caught by commit-footer verification.
-    pub const TORN_WRITES: &str = gepeto_telemetry::TORN_WRITES_COUNTER;
-    /// Corrupt spill runs moved aside to `.quarantined` files instead of
-    /// being fed to a merge.
-    pub const RUNS_QUARANTINED: &str = gepeto_telemetry::RUNS_QUARANTINED_COUNTER;
-    /// Reduce tasks whose output was loaded from a committed artifact on
-    /// resume instead of re-executing.
-    pub const JOURNAL_REPLAYED: &str = gepeto_telemetry::JOURNAL_REPLAYED_COUNTER;
-    /// Virtual milliseconds stalled on storage: EIO retry backoff plus
-    /// simulated slow-disk write penalties, accumulated per commit.
-    pub const IO_STALL_MS: &str = gepeto_telemetry::IO_STALL_MS_COUNTER;
-    /// The configured per-task memory budget in bytes (0 = unbudgeted).
-    pub const MEM_BUDGET_BYTES: &str = gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER;
-    /// Highest buffered intermediate size the engine's own accounting
-    /// observed — the value the spill machinery compares against the
-    /// budget (max across tasks and iterations, not a sum).
-    pub const MEM_ACCOUNTED_PEAK: &str = gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER;
-    /// How far [`MEM_ACCOUNTED_PEAK`] overshot [`MEM_BUDGET_BYTES`]
-    /// (0 when the run stayed inside its budget or had none).
-    pub const MEM_PEAK_OVER_BUDGET: &str = gepeto_telemetry::MEM_PEAK_OVER_BUDGET_COUNTER;
-    /// Tracking-allocator peak live bytes observed over the job's span
-    /// (max, not a sum).
-    pub const MEM_PEAK_BYTES: &str = gepeto_telemetry::MEM_PEAK_BYTES_COUNTER;
-    /// Tracking-allocator bytes allocated over the job's span.
-    pub const MEM_ALLOCATED_BYTES: &str = gepeto_telemetry::MEM_ALLOCATED_BYTES_COUNTER;
-    /// Tracking-allocator allocation calls over the job's span.
-    pub const MEM_ALLOCS: &str = gepeto_telemetry::MEM_ALLOCS_COUNTER;
-    /// Absolute error between the estimated buffered size that triggered
-    /// each spill and the bytes the sealed run actually wrote.
-    pub const SPILL_ESTIMATE_ERROR: &str = gepeto_telemetry::SPILL_ESTIMATE_ERROR_COUNTER;
 }
-
-/// Counters that carry a high-water mark rather than a running total:
-/// folding them across tasks, iterations or jobs must take the max, not
-/// the sum.
-pub const MAX_MERGED_COUNTERS: &[&str] = &[
-    builtin::MEM_BUDGET_BYTES,
-    builtin::MEM_ACCOUNTED_PEAK,
-    builtin::MEM_PEAK_OVER_BUDGET,
-    builtin::MEM_PEAK_BYTES,
-];
 
 /// A concurrent set of named counters. Cloning shares the underlying
 /// storage (it is an `Arc` internally), matching how every task of a job
 /// reports into the same jobtracker-side counters.
+///
+/// A set built with [`Counters::live`] also folds every bump of a
+/// registry metric into the run's live [`Monitor`], so the monitor and
+/// the job's counters are fed by the same call.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
     inner: Arc<Mutex<BTreeMap<String, u64>>>,
+    monitor: Option<Arc<Monitor>>,
 }
 
 impl Counters {
@@ -131,18 +72,35 @@ impl Counters {
         Self::default()
     }
 
+    /// A fresh, empty counter set that also updates `monitor`, when
+    /// there is one.
+    pub fn live(monitor: Option<Arc<Monitor>>) -> Self {
+        Self {
+            monitor,
+            ..Self::default()
+        }
+    }
+
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn inc(&self, name: &str, delta: u64) {
         let mut map = self.inner.lock();
         *map.entry(name.to_string()).or_insert(0) += delta;
+        drop(map);
+        if let Some(m) = &self.monitor {
+            m.add(name, delta);
+        }
     }
 
     /// Raises counter `name` to `value` if it is currently lower — the
-    /// fold for [`MAX_MERGED_COUNTERS`]-style high-water marks.
+    /// fold for [`Kind::Max`] high-water marks.
     pub fn set_max(&self, name: &str, value: u64) {
         let mut map = self.inner.lock();
         let entry = map.entry(name.to_string()).or_insert(0);
         *entry = (*entry).max(value);
+        drop(map);
+        if let Some(m) = &self.monitor {
+            m.max(name, value);
+        }
     }
 
     /// Current value of `name` (0 when never incremented).
@@ -155,19 +113,19 @@ impl Counters {
         self.inner.lock().clone()
     }
 
-    /// Merges another counter set into this one: high-water marks
-    /// ([`MAX_MERGED_COUNTERS`]) fold by max, everything else by
-    /// addition.
+    /// Merges another counter set into this one: [`Kind::Max`] rows of
+    /// the registry fold by max, everything else by addition. The other
+    /// set's bumps already reached its own monitor, so this one's is left
+    /// alone.
     pub fn merge(&self, other: &Counters) {
         let other_snapshot = other.snapshot();
         let mut map = self.inner.lock();
         for (k, v) in other_snapshot {
-            let max_merged = MAX_MERGED_COUNTERS.contains(&k.as_str());
+            let kind = registry::kind(&k);
             let entry = map.entry(k).or_insert(0);
-            if max_merged {
-                *entry = (*entry).max(v);
-            } else {
-                *entry += v;
+            match kind {
+                Kind::Max => *entry = (*entry).max(v),
+                Kind::Sum => *entry += v,
             }
         }
     }
@@ -224,6 +182,16 @@ mod tests {
         assert_eq!(snap["x"], 1);
         assert_eq!(snap["y"], 5);
         assert_eq!(snap["z"], 4);
+    }
+
+    #[test]
+    fn names_the_frozen_benchmark_reads_are_unchanged() {
+        assert_eq!(builtin::MAP_OUTPUT_RECORDS, "mapred.map.output.records");
+        assert_eq!(builtin::SPILLED_BYTES, "shuffle.spilled_bytes");
+        assert_eq!(builtin::SPILL_FILES, "shuffle.spill_files");
+        assert_eq!(builtin::MEM_ACCOUNTED_PEAK, "mem.accounted_peak");
+        assert_eq!(builtin::DISTANCE_EVALS, "kernel.distance_evals");
+        assert_eq!(builtin::SHUFFLE_BYTES_SAVED, "shuffle.bytes_saved");
     }
 
     #[test]

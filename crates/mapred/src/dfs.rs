@@ -7,6 +7,7 @@
 //! "the computation as close as possible to the data".
 
 use crate::chaos::ChaosPlan;
+use crate::counters::builtin;
 use crate::hash::{fnv_hash, FnvHasher};
 use crate::topology::{NodeId, Topology};
 use gepeto_telemetry::Recorder;
@@ -477,8 +478,7 @@ impl<T: Clone> Dfs<T> {
                 let site = format!("dfs-read-{id}-{n}");
                 let mut attempt = 0u32;
                 while io.read_fault(&site, attempt).is_some() {
-                    self.telemetry
-                        .count(gepeto_telemetry::IO_RETRIES_COUNTER, 1);
+                    self.telemetry.count(builtin::IO_RETRIES, 1);
                     chaos.advance(crate::commit::EIO_BACKOFF_S * f64::from(1u32 << attempt.min(6)));
                     attempt += 1;
                 }
@@ -487,7 +487,7 @@ impl<T: Clone> Dfs<T> {
             self.telemetry.observe("dfs.read.bytes", block.bytes as u64);
             if skipped > 0 {
                 self.telemetry
-                    .count(gepeto_telemetry::FAILED_OVER_READS_COUNTER, skipped as u64);
+                    .count(builtin::FAILED_OVER_READS, skipped as u64);
             }
             return Ok((block, n, skipped));
         }
@@ -1171,10 +1171,7 @@ mod tests {
         // Only chunks whose replica list *reaches* node 0 before a live
         // one count; with node 0 primary on some chunks this is nonzero.
         assert!(failovers > 0);
-        assert_eq!(
-            rec.counter(gepeto_telemetry::FAILED_OVER_READS_COUNTER),
-            failovers as u64
-        );
+        assert_eq!(rec.counter(builtin::FAILED_OVER_READS), failovers as u64);
     }
 
     #[test]

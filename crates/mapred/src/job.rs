@@ -30,6 +30,7 @@ use crate::spill::{
     SpilledPartition,
 };
 use crate::topology::Cluster;
+use gepeto_telemetry::registry::{self, Kind};
 use gepeto_telemetry::{LedgerScope, Recorder, Span};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -463,11 +464,11 @@ where
     /// Runs the job to completion.
     pub fn run(self) -> Result<JobResult<R::KOut, R::VOut>, JobError> {
         let started = Instant::now();
-        let counters = Counters::new();
-        let job_ledger = LedgerScope::open();
         let monitor = self.telemetry.monitor();
+        let counters = Counters::live(monitor.clone());
+        let job_ledger = LedgerScope::open();
         if let Some(m) = &monitor {
-            m.job_started();
+            m.add(registry::JOBS_STARTED, 1);
         }
         let group_budget = self.spill.as_ref().map_or(usize::MAX, |s| s.budget);
         let job_span = self.telemetry.span(
@@ -507,8 +508,10 @@ where
         let shuffled: u64 = partition_bytes.iter().copied().sum();
         counters.inc(builtin::SHUFFLE_BYTES, shuffled);
         if let Some(m) = &monitor {
-            m.add_shuffle_bytes(shuffled);
-            m.add_reduce_tasks(partition_bytes.len() as u64);
+            m.add(
+                registry::REDUCE_TASKS_SCHEDULED,
+                partition_bytes.len() as u64,
+            );
         }
         let reduce_span = job_span.child("phase.reduce", &[]);
         let reducer_clones: Vec<R> = (0..partition_bytes.len())
@@ -541,8 +544,7 @@ where
                             counters.inc(builtin::JOURNAL_REPLAYED, 1);
                             counters.inc(builtin::REDUCE_OUTPUT_RECORDS, output.len() as u64);
                             if let Some(m) = &monitor {
-                                m.add_journal_replayed(1);
-                                m.reduce_task_done();
+                                m.add(registry::REDUCE_TASKS_DONE, 1);
                             }
                             self.telemetry.point(
                                 "task.reduce.replayed",
@@ -562,9 +564,6 @@ where
                             // recompute, which recommits below.
                             commit::quarantine(&art.path, chaos);
                             counters.inc(builtin::RUNS_QUARANTINED, 1);
-                            if let Some(m) = &monitor {
-                                m.add_runs_quarantined(1);
-                            }
                         }
                     }
                 }
@@ -580,9 +579,6 @@ where
                 )) < fail.reduce_fail_prob
                 {
                     counters.inc(builtin::TASK_RETRIES, 1);
-                    if let Some(m) = &monitor {
-                        m.add_task_retry();
-                    }
                     self.telemetry.point(
                         "task.retry",
                         attempt as f64,
@@ -668,9 +664,6 @@ where
                             if let Err(e) = verify_run(run, false) {
                                 quarantine_run(run, &sp.dir, chaos);
                                 counters.inc(builtin::RUNS_QUARANTINED, 1);
-                                if let Some(m) = &monitor {
-                                    m.add_runs_quarantined(1);
-                                }
                                 return Err(JobError::Io(format!(
                                     "spill run failed verification: {e}"
                                 )));
@@ -697,9 +690,6 @@ where
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups_count);
                         if spilled_groups > 0 {
                             counters.inc(builtin::SPILLED_GROUPS, spilled_groups);
-                            if let Some(m) = &monitor {
-                                m.add_spilled_groups(spilled_groups);
-                            }
                         }
                     }
                 }
@@ -707,7 +697,7 @@ where
                 let host_secs = t0.elapsed().as_secs_f64();
                 task_span.end();
                 if let Some(m) = &monitor {
-                    m.reduce_task_done();
+                    m.add(registry::REDUCE_TASKS_DONE, 1);
                     m.observe("task.reduce.us", (host_secs * 1e6) as u64);
                 }
                 let output = out.into_pairs();
@@ -721,7 +711,7 @@ where
                         .partitions_dir()
                         .join(format!("{}-p{task_id}.part", sanitize(&self.name)));
                     let (run, seal) = seal_run_at(&d.codec, &art_path, &output, chaos)?;
-                    note_seal_stats(&seal, &counters, &monitor);
+                    note_seal_stats(&seal, &counters);
                     d.journal
                         .append(&JournalEntry::ReduceCommit {
                             job: self.name.clone(),
@@ -849,10 +839,11 @@ where
     /// Runs the job to completion.
     pub fn run(self) -> Result<JobResult<M::KOut, M::VOut>, JobError> {
         let started = Instant::now();
-        let counters = Counters::new();
+        let monitor = self.telemetry.monitor();
+        let counters = Counters::live(monitor.clone());
         let job_ledger = LedgerScope::open();
-        if let Some(m) = self.telemetry.monitor() {
-            m.job_started();
+        if let Some(m) = &monitor {
+            m.add(registry::JOBS_STARTED, 1);
         }
         let job_span = self
             .telemetry
@@ -933,9 +924,9 @@ fn note_job_mem(ledger: LedgerScope, counters: &Counters) {
     }
 }
 
-/// Folds the sim report's recovery tallies into the job counters,
-/// mirrors everything into telemetry, and assembles the final
-/// [`JobStats`].
+/// Folds the sim report's recovery tallies into the job counters (and
+/// through them the live monitor), mirrors everything into telemetry,
+/// and assembles the final [`JobStats`].
 ///
 /// The counters are the single source of truth: the sim's recovery
 /// tallies are folded in once, and every `JobStats` mirror field is then
@@ -961,7 +952,7 @@ fn finish_stats(
     let counters_snapshot = counters.snapshot();
     if telemetry.is_enabled() {
         for (k, &v) in &counters_snapshot {
-            if crate::counters::MAX_MERGED_COUNTERS.contains(&k.as_str()) {
+            if registry::kind(k) == Kind::Max {
                 // High-water marks: raise the recorder's aggregate to
                 // this job's watermark instead of summing watermarks
                 // across jobs and iterations.
@@ -976,13 +967,7 @@ fn finish_stats(
     }
     let mirror = |name: &str| counters_snapshot.get(name).copied().unwrap_or(0);
     if let Some(m) = telemetry.monitor() {
-        // Fast-path counters accumulate per job; fold this job's totals
-        // into the cumulative live gauges (shuffle bytes and retries are
-        // already bumped in place on their hot paths).
-        m.add_distance_evals(mirror(builtin::DISTANCE_EVALS));
-        m.add_sorts_skipped(mirror(builtin::SORT_SKIPPED));
-        m.add_shuffle_bytes_saved(mirror(builtin::SHUFFLE_BYTES_SAVED));
-        m.job_finished();
+        m.add(registry::JOBS_FINISHED, 1);
     }
     JobStats {
         name,
@@ -1045,7 +1030,7 @@ where
     let block_ids = dfs.blocks_of(input)?.to_vec();
     let monitor = telemetry.monitor();
     if let Some(m) = &monitor {
-        m.add_map_tasks(block_ids.len() as u64);
+        m.add(registry::MAP_TASKS_SCHEDULED, block_ids.len() as u64);
     }
     // Global record offset of each chunk.
     let mut offsets = Vec::with_capacity(block_ids.len());
@@ -1076,9 +1061,6 @@ where
                 < fail.map_fail_prob
             {
                 counters.inc(builtin::TASK_RETRIES, 1);
-                if let Some(m) = &monitor {
-                    m.add_task_retry();
-                }
                 telemetry.point(
                     "task.retry",
                     attempt as f64,
@@ -1157,7 +1139,7 @@ where
             let host_secs = t0.elapsed().as_secs_f64();
             task_span.end();
             if let Some(m) = &monitor {
-                m.map_task_done();
+                m.add(registry::MAP_TASKS_DONE, 1);
                 m.observe("task.map.us", (host_secs * 1e6) as u64);
             }
             Ok(MapTaskResult {
@@ -1238,7 +1220,6 @@ where
                         journal,
                         job_name,
                         counters,
-                        &monitor,
                         mem_bytes[p],
                     )?);
                     mem_bytes[p] = 0;
@@ -1264,7 +1245,6 @@ where
                         journal,
                         job_name,
                         counters,
-                        &monitor,
                         tail_estimate,
                     )?);
                 }
@@ -1338,13 +1318,8 @@ fn lazy_spill_dir(
     Ok(Arc::clone(slot.as_ref().unwrap()))
 }
 
-/// Folds one seal's storage-fault tallies into the job counters and the
-/// live monitor.
-fn note_seal_stats(
-    seal: &SealStats,
-    counters: &Counters,
-    monitor: &Option<Arc<gepeto_telemetry::Monitor>>,
-) {
+/// Folds one seal's storage-fault tallies into the job counters.
+fn note_seal_stats(seal: &SealStats, counters: &Counters) {
     if seal.io_retries > 0 {
         counters.inc(builtin::IO_RETRIES, seal.io_retries);
     }
@@ -1357,17 +1332,11 @@ fn note_seal_stats(
     if seal.stall_ms > 0 {
         counters.inc(builtin::IO_STALL_MS, seal.stall_ms);
     }
-    if let Some(m) = monitor {
-        m.add_io_retries(seal.io_retries);
-        m.add_torn_writes(seal.torn_detected);
-        m.add_runs_quarantined(seal.quarantined);
-        m.add_io_stall_ms(seal.stall_ms);
-    }
 }
 
 /// Stably sorts one partition buffer, seals it as a verified spill run
 /// (absorbing injected storage faults), frees it, journals the seal on
-/// durable runs, and accounts the spill in counters and the live monitor.
+/// durable runs, and accounts the spill in the job counters.
 ///
 /// `estimated_bytes` is the buffered size the spill trigger believed it
 /// was flushing; its gap to the run's real encoded size accumulates in
@@ -1382,13 +1351,12 @@ fn spill_buffer<K: MrKey, V: MrValue>(
     journal: Option<&RunJournal>,
     job_name: &str,
     counters: &Counters,
-    monitor: &Option<Arc<gepeto_telemetry::Monitor>>,
     estimated_bytes: u64,
 ) -> Result<SpillRun, JobError> {
     buf.sort_by(|a, b| a.0.cmp(&b.0));
     let (run, seal) = seal_run(&spill.codec, dir, "run", &buf, chaos)?;
     drop(buf);
-    note_seal_stats(&seal, counters, monitor);
+    note_seal_stats(&seal, counters);
     counters.inc(
         builtin::SPILL_ESTIMATE_ERROR,
         estimated_bytes.abs_diff(run.bytes),
@@ -1405,10 +1373,6 @@ fn spill_buffer<K: MrKey, V: MrValue>(
     }
     counters.inc(builtin::SPILLED_BYTES, run.bytes);
     counters.inc(builtin::SPILL_FILES, 1);
-    if let Some(m) = monitor {
-        m.add_spilled_bytes(run.bytes);
-        m.add_spill_files(1);
-    }
     Ok(run)
 }
 
@@ -2402,8 +2366,86 @@ mod tests {
         let summary = rec.summary();
         assert!(summary.phases.iter().any(|p| p.name == "map"));
         assert_eq!(
-            summary.shuffle_bytes,
-            Some(result.stats.counters[builtin::SHUFFLE_BYTES])
+            summary.counter(builtin::SHUFFLE_BYTES),
+            result.stats.counters[builtin::SHUFFLE_BYTES]
+        );
+    }
+
+    /// The word count under a spill budget, injected task failures and a
+    /// mid-job node crash, reporting into `rec`.
+    fn spilling_retrying_job(rec: &Recorder, budget: usize) -> JobStats {
+        let mut cluster = Cluster::local(2, 1)
+            .with_failures(FailurePlan {
+                map_fail_prob: 0.5,
+                reduce_fail_prob: 0.5,
+                seed: 13,
+                max_attempts: 50,
+            })
+            .with_chaos(ChaosPlan::none().crash_node(0, 1.5));
+        cluster.sim = crate::sim::SimParams::unit_time();
+        let dfs = word_dfs(&cluster);
+        MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
+            .reducers(2)
+            .memory_budget(budget)
+            .telemetry(rec.clone())
+            .run()
+            .unwrap()
+            .stats
+    }
+
+    #[test]
+    fn the_live_monitor_agrees_with_the_recorded_counters() {
+        let rec = Recorder::monitored();
+        let jobs = [
+            spilling_retrying_job(&rec, 256),
+            spilling_retrying_job(&rec, 1),
+        ];
+        let snap = rec.monitor().unwrap().snapshot();
+        assert!(snap.get(builtin::SPILLED_BYTES) > 0);
+        assert!(snap.get(builtin::TASK_RETRIES) > 0);
+        assert!(snap.get(builtin::REEXECUTED_MAPS) > 0);
+        assert_eq!(snap.get(registry::JOBS_FINISHED), 2);
+        // What `Counters::merge` makes of the two jobs' counters.
+        let merged = Counters::new();
+        for job in &jobs {
+            let one = Counters::new();
+            for (k, &v) in &job.counters {
+                one.inc(k, v);
+            }
+            merged.merge(&one);
+        }
+        // Progress and crash rows are the Monitor's own; every other row
+        // reaches it through the job counters, one bump per event, and
+        // folds across the two jobs by its kind in all three places.
+        let monitor_only = [
+            registry::JOBS_STARTED,
+            registry::JOBS_FINISHED,
+            registry::MAP_TASKS_SCHEDULED,
+            registry::MAP_TASKS_DONE,
+            registry::REDUCE_TASKS_SCHEDULED,
+            registry::REDUCE_TASKS_DONE,
+            registry::CRASH_KILLED,
+        ];
+        for row in registry::METRICS {
+            if monitor_only.contains(&row.name) {
+                continue;
+            }
+            let per_job = jobs
+                .iter()
+                .map(|j| j.counters.get(row.name).copied().unwrap_or(0));
+            let expected = match row.kind {
+                Kind::Sum => per_job.sum(),
+                Kind::Max => per_job.max().unwrap_or(0),
+            };
+            assert_eq!(rec.counter(row.name), expected, "recorder: {}", row.name);
+            assert_eq!(snap.get(row.name), expected, "monitor: {}", row.name);
+            assert_eq!(merged.get(row.name), expected, "merge: {}", row.name);
+        }
+        let (a, b) = (&jobs[0].counters, &jobs[1].counters);
+        assert_ne!(
+            a[builtin::MEM_BUDGET_BYTES],
+            b[builtin::MEM_BUDGET_BYTES],
+            "the two jobs must differ on a max-folded row"
         );
     }
 

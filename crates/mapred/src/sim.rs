@@ -22,7 +22,7 @@
 use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::dfs::BlockId;
 use crate::topology::{NodeId, Topology};
-use gepeto_telemetry::Recorder;
+use gepeto_telemetry::{registry, Recorder};
 use serde::{Deserialize, Serialize};
 
 /// Where a map task ran relative to its input chunk.
@@ -515,7 +515,7 @@ pub fn simulate_chaos(
                 report.failed_attempt_s += death[node] - at;
                 report.crash_killed_attempts += 1;
                 if let Some(m) = &monitor {
-                    m.add_crash_killed();
+                    m.add(registry::CRASH_KILLED, 1);
                     m.node_busy(node, death[node] - at);
                 }
                 if telemetry.is_enabled() {
@@ -560,9 +560,6 @@ pub fn simulate_chaos(
             }
             if let Some(m) = &monitor {
                 m.node_busy(node, dur);
-                if failover {
-                    m.add_failed_over_read();
-                }
             }
             pool.occupy(node, slot, end);
             completed[tid] = Some((node, end));
@@ -590,9 +587,6 @@ pub fn simulate_chaos(
             break;
         }
         report.reexecuted_maps += requeued;
-        if let Some(m) = &monitor {
-            m.add_reexecuted_maps(requeued as u64);
-        }
         if telemetry.is_enabled() {
             telemetry.point("sched.map.invalidated", requeued as f64, &[]);
         }
@@ -670,7 +664,7 @@ pub fn simulate_chaos(
                 report.failed_attempt_s += death[node] - at;
                 report.crash_killed_attempts += 1;
                 if let Some(m) = &monitor {
-                    m.add_crash_killed();
+                    m.add(registry::CRASH_KILLED, 1);
                     m.node_busy(node, death[node] - at);
                 }
                 if telemetry.is_enabled() {
@@ -734,9 +728,6 @@ fn maybe_blacklist(
     if another_usable {
         blacklisted[node] = true;
         report.blacklisted_nodes += 1;
-        if let Some(m) = telemetry.monitor() {
-            m.add_blacklisted();
-        }
         if telemetry.is_enabled() {
             telemetry.point("chaos.blacklist", at, &[("node", &node.to_string())]);
         }

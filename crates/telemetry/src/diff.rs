@@ -18,7 +18,8 @@ use crate::analysis::{CriticalPath, VirtualCriticalPath};
 use crate::event::Event;
 use crate::json::Writer;
 use crate::monitor::fmt_bytes;
-use crate::summary::{SummaryReport, IO_STALL_MS_COUNTER, MEM_PEAK_OVER_BUDGET_COUNTER};
+use crate::registry::{HOST_IDLE_MS, IO_STALL_MS, MEM_LIVE_BYTES, MEM_PEAK_OVER_BUDGET};
+use crate::summary::SummaryReport;
 use std::fmt::Write as _;
 
 /// Task-duration quantiles for one task kind, as carried by a profile.
@@ -90,7 +91,7 @@ pub fn profile_from_events(label: &str, events: &[Event]) -> RunProfile {
                 // The live-heap gauge is sampled at every phase
                 // boundary; its profile value is the peak sample, not
                 // the sum of samples.
-                Some((_, total)) if e.name == "mem.live_bytes" => *total = (*total).max(v),
+                Some((_, total)) if e.name == MEM_LIVE_BYTES => *total = (*total).max(v),
                 Some((_, total)) => *total += v,
                 None => counters.push((e.name.to_owned(), v)),
             }
@@ -193,11 +194,6 @@ const TIME_SIGNIFICANCE: f64 = 0.01;
 /// A raw counter swing is significant past this relative change.
 const COUNTER_SIGNIFICANCE: f64 = 0.10;
 
-/// Executor-milliseconds the host thread pool spent NOT running tasks
-/// (bench reports inject this from their `host` block). Milliseconds of
-/// real time, so it attributes as a timed cause.
-pub const HOST_IDLE_MS_COUNTER: &str = "host.idle_ms";
-
 /// Attributes the performance delta between `base` and `cand`.
 pub fn diff(base: &RunProfile, cand: &RunProfile) -> PerfDiff {
     // The baseline's dominant time scale: virtual makespan when a
@@ -292,7 +288,7 @@ pub fn diff(base: &RunProfile, cand: &RunProfile) -> PerfDiff {
             continue;
         }
         let delta = c as f64 - b as f64;
-        if name == IO_STALL_MS_COUNTER {
+        if name == IO_STALL_MS {
             let delta_s = delta / 1e3;
             if delta_s.abs() >= significant_s {
                 causes.push(Cause {
@@ -312,7 +308,7 @@ pub fn diff(base: &RunProfile, cand: &RunProfile) -> PerfDiff {
                     ),
                 });
             }
-        } else if name == HOST_IDLE_MS_COUNTER {
+        } else if name == HOST_IDLE_MS {
             let delta_s = delta / 1e3;
             if delta_s.abs() >= significant_s {
                 causes.push(Cause {
@@ -339,7 +335,7 @@ pub fn diff(base: &RunProfile, cand: &RunProfile) -> PerfDiff {
                     },
                 });
             }
-        } else if name == MEM_PEAK_OVER_BUDGET_COUNTER {
+        } else if name == MEM_PEAK_OVER_BUDGET {
             // Crossing the memory budget is the canonical "why did it
             // start spilling" explanation — call it out by name instead
             // of burying it in the generic counter list.
@@ -538,15 +534,14 @@ mod tests {
         let base = profile("clean");
         let mut cand = profile("slow-disk");
         cand.makespan_s = 250.0;
-        cand.counters
-            .push((IO_STALL_MS_COUNTER.to_owned(), 150_000));
+        cand.counters.push((IO_STALL_MS.to_owned(), 150_000));
         cand.counters.sort();
         // A small decoy phase wiggle that must NOT outrank the stall.
         cand.phases[0].1 = 2.0;
         let d = diff(&base, &cand);
         assert!(!d.causes.is_empty());
         assert_eq!(d.causes[0].kind, "stall");
-        assert_eq!(d.causes[0].name, IO_STALL_MS_COUNTER);
+        assert_eq!(d.causes[0].name, IO_STALL_MS);
         assert!((d.causes[0].delta - 150.0).abs() < 1e-9);
         assert!(d.causes[0].note.contains("shuffle"), "{}", d.causes[0].note);
         assert!(
@@ -590,7 +585,7 @@ mod tests {
         let base = profile("fits");
         let mut cand = profile("spills");
         cand.counters
-            .push((MEM_PEAK_OVER_BUDGET_COUNTER.to_owned(), 27_000_000));
+            .push((MEM_PEAK_OVER_BUDGET.to_owned(), 27_000_000));
         cand.counters.sort();
         let d = diff(&base, &cand);
         let mem = d
@@ -598,13 +593,13 @@ mod tests {
             .iter()
             .find(|c| c.kind == "memory")
             .expect("memory cause");
-        assert_eq!(mem.name, MEM_PEAK_OVER_BUDGET_COUNTER);
+        assert_eq!(mem.name, MEM_PEAK_OVER_BUDGET);
         assert!(mem.note.contains("started spilling"), "{}", mem.note);
         assert!(mem.note.contains("27.0 MB"), "{}", mem.note);
         // A further overshoot reads as growth, not a fresh crossing.
         let mut worse = cand.clone();
         for (n, v) in worse.counters.iter_mut() {
-            if n == MEM_PEAK_OVER_BUDGET_COUNTER {
+            if n == MEM_PEAK_OVER_BUDGET {
                 *v = 54_000_000;
             }
         }
@@ -621,8 +616,7 @@ mod tests {
     fn idling_pool_workers_read_as_got_slower_because_workers_idled() {
         let base = profile("busy");
         let mut cand = profile("starved");
-        cand.counters
-            .push((HOST_IDLE_MS_COUNTER.to_owned(), 40_000));
+        cand.counters.push((HOST_IDLE_MS.to_owned(), 40_000));
         cand.counters.sort();
         let d = diff(&base, &cand);
         let idle = d
@@ -630,7 +624,7 @@ mod tests {
             .iter()
             .find(|c| c.kind == "idle")
             .expect("idle cause");
-        assert_eq!(idle.name, HOST_IDLE_MS_COUNTER);
+        assert_eq!(idle.name, HOST_IDLE_MS);
         assert_eq!(idle.unit, "s");
         assert!((idle.delta - 40.0).abs() < 1e-9);
         assert!(

@@ -25,6 +25,10 @@
 //! wall time, task-time p50/p95/max, straggler list, retries, shuffle
 //! bytes) with a plain-text [`SummaryReport::render`].
 //!
+//! Every engine metric is declared once, as a row of [`registry`]; the
+//! live [`Monitor`], its Prometheus exposition and the summary read
+//! their names, folds and help text from there.
+//!
 //! A process-wide [`TrackingAllocator`] (installed as the global
 //! allocator by this crate) counts live/peak/total-allocated bytes, and
 //! every span carries a [`LedgerScope`] window over those counters: its
@@ -58,6 +62,7 @@ mod flamegraph;
 mod histogram;
 pub mod json;
 mod monitor;
+pub mod registry;
 mod summary;
 mod timeline;
 pub mod trace_event;
@@ -71,16 +76,7 @@ pub use flamegraph::{alloc_folded, host_folded, virtual_folded};
 pub use histogram::Histogram;
 pub use json::{event_to_json, write_jsonl};
 pub use monitor::{MetricsSnapshot, Monitor, Reporter};
-pub use summary::{
-    PhaseStat, Straggler, SummaryReport, TaskStats, BLACKLISTED_NODES_COUNTER,
-    DISTANCE_EVALS_COUNTER, FAILED_OVER_READS_COUNTER, IO_RETRIES_COUNTER, IO_STALL_MS_COUNTER,
-    JOURNAL_REPLAYED_COUNTER, MEM_ACCOUNTED_PEAK_COUNTER, MEM_ALLOCATED_BYTES_COUNTER,
-    MEM_ALLOCS_COUNTER, MEM_BUDGET_BYTES_COUNTER, MEM_PEAK_BYTES_COUNTER,
-    MEM_PEAK_OVER_BUDGET_COUNTER, REEXECUTED_MAPS_COUNTER, RUNS_QUARANTINED_COUNTER,
-    SHUFFLE_BYTES_COUNTER, SHUFFLE_BYTES_SAVED_COUNTER, SORT_SKIPPED_COUNTER,
-    SPILLED_BYTES_COUNTER, SPILLED_GROUPS_COUNTER, SPILL_ESTIMATE_ERROR_COUNTER,
-    SPILL_FILES_COUNTER, TASK_RETRIES_COUNTER, TORN_WRITES_COUNTER,
-};
+pub use summary::{PhaseStat, Straggler, SummaryReport, TaskStats};
 pub use timeline::{NodeLane, Timeline};
 pub use trace_event::write_chrome_trace;
 
@@ -416,7 +412,7 @@ impl Drop for Span {
                 let mem = ledger.close();
                 labels.push(("mem.peak_delta".to_owned(), mem.peak_delta.to_string()));
                 labels.push(("mem.allocated".to_owned(), mem.allocated.to_string()));
-                labels.push(("mem.allocs".to_owned(), mem.allocs.to_string()));
+                labels.push((registry::MEM_ALLOCS.to_owned(), mem.allocs.to_string()));
                 if let Some(phase) = self.name.strip_prefix("phase.") {
                     // Sample the live heap into the stream (rendered as a
                     // `C` counter track by the Chrome-trace exporter) and
@@ -426,7 +422,7 @@ impl Drop for Span {
                         Event {
                             ts_us: Recorder::now_us(inner),
                             kind: EventKind::Count,
-                            name: "mem.live_bytes",
+                            name: registry::MEM_LIVE_BYTES,
                             span_id: 0,
                             parent_id: 0,
                             dur_us: None,

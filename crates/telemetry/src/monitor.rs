@@ -13,6 +13,7 @@
 //! the run completes.
 
 use crate::histogram::Histogram;
+use crate::registry::{self, Kind, METRICS};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -23,34 +24,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The live progress registry shared between the engine's hot paths and
-/// the reporter thread. All counter updates are relaxed atomic bumps;
-/// per-node occupancy and histograms take a short `parking_lot` lock on
-/// the (rare) task-completion path only.
-#[derive(Debug, Default)]
+/// the reporter thread. Every [`registry`] row has one relaxed atomic
+/// cell; per-node occupancy and histograms take a short `parking_lot`
+/// lock on the (rare) task-completion path only.
+#[derive(Debug)]
 pub struct Monitor {
-    jobs_started: AtomicU64,
-    jobs_finished: AtomicU64,
-    map_tasks_total: AtomicU64,
-    map_tasks_done: AtomicU64,
-    reduce_tasks_total: AtomicU64,
-    reduce_tasks_done: AtomicU64,
-    shuffle_bytes: AtomicU64,
-    task_retries: AtomicU64,
-    reexecuted_maps: AtomicU64,
-    failed_over_reads: AtomicU64,
-    blacklisted_nodes: AtomicU64,
-    crash_killed_attempts: AtomicU64,
-    distance_evals: AtomicU64,
-    sorts_skipped: AtomicU64,
-    shuffle_bytes_saved: AtomicU64,
-    spilled_bytes: AtomicU64,
-    spill_files: AtomicU64,
-    spilled_groups: AtomicU64,
-    io_retries: AtomicU64,
-    torn_writes_detected: AtomicU64,
-    runs_quarantined: AtomicU64,
-    io_stall_ms: AtomicU64,
-    journal_replayed_tasks: AtomicU64,
+    /// One cell per registry row, in table order.
+    values: [AtomicU64; METRICS.len()],
     driver_iteration: AtomicU64,
     /// The driver's latest convergence delta, stored as `f64` bits.
     driver_delta_bits: AtomicU64,
@@ -65,139 +45,49 @@ pub struct Monitor {
     run_info: Mutex<Option<(String, String)>>,
 }
 
+impl Default for Monitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Monitor {
     /// An empty registry (all zeros).
     pub fn new() -> Self {
         Self {
+            values: [const { AtomicU64::new(0) }; METRICS.len()],
+            driver_iteration: AtomicU64::new(0),
             driver_delta_bits: AtomicU64::new(f64::NAN.to_bits()),
-            ..Self::default()
+            node_busy_us: Mutex::default(),
+            phase_peak_bytes: Mutex::default(),
+            histograms: Mutex::default(),
+            run_info: Mutex::default(),
         }
     }
 
-    /// A job entered its run loop.
-    pub fn job_started(&self) {
-        self.jobs_started.fetch_add(1, Ordering::Relaxed);
+    fn cell(&self, metric: &str) -> Option<&AtomicU64> {
+        registry::position(metric).map(|i| &self.values[i])
     }
 
-    /// A job finished (its stats were folded).
-    pub fn job_finished(&self) {
-        self.jobs_finished.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to registry metric `metric` (names outside the registry
+    /// are ignored).
+    pub fn add(&self, metric: &str, n: u64) {
+        if let Some(cell) = self.cell(metric) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
-    /// `n` map tasks were scheduled for the current job.
-    pub fn add_map_tasks(&self, n: u64) {
-        self.map_tasks_total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One map task completed.
-    pub fn map_task_done(&self) {
-        self.map_tasks_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` reduce tasks were scheduled for the current job.
-    pub fn add_reduce_tasks(&self, n: u64) {
-        self.reduce_tasks_total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One reduce task completed.
-    pub fn reduce_task_done(&self) {
-        self.reduce_tasks_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` more bytes crossed the shuffle.
-    pub fn add_shuffle_bytes(&self, n: u64) {
-        self.shuffle_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A task attempt failed and was retried.
-    pub fn add_task_retry(&self) {
-        self.task_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` map tasks were re-executed after losing their output.
-    pub fn add_reexecuted_maps(&self, n: u64) {
-        self.reexecuted_maps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A block read failed over to a replica.
-    pub fn add_failed_over_read(&self) {
-        self.failed_over_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A node was blacklisted.
-    pub fn add_blacklisted(&self) {
-        self.blacklisted_nodes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An in-flight attempt was killed by a node crash.
-    pub fn add_crash_killed(&self) {
-        self.crash_killed_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` more point-to-centroid distances were evaluated by the
-    /// clustering kernels.
-    pub fn add_distance_evals(&self, n: u64) {
-        self.distance_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` reduce partitions took the sort-skipping fast path.
-    pub fn add_sorts_skipped(&self, n: u64) {
-        self.sorts_skipped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` shuffle bytes were avoided by a compressed payload encoding.
-    pub fn add_shuffle_bytes_saved(&self, n: u64) {
-        self.shuffle_bytes_saved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more intermediate bytes were spilled to local disk by a
-    /// memory-bounded shuffle.
-    pub fn add_spilled_bytes(&self, n: u64) {
-        self.spilled_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more sorted spill runs were written to local disk.
-    pub fn add_spill_files(&self, n: u64) {
-        self.spill_files.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more reduce groups spilled their value lists past the
-    /// per-group memory budget.
-    pub fn add_spilled_groups(&self, n: u64) {
-        self.spilled_groups.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more IO operations were retried after a transient storage
-    /// fault.
-    pub fn add_io_retries(&self, n: u64) {
-        self.io_retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more torn (partial) writes were caught by commit verification.
-    pub fn add_torn_writes(&self, n: u64) {
-        self.torn_writes_detected.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more corrupt spill runs were quarantined.
-    pub fn add_runs_quarantined(&self, n: u64) {
-        self.runs_quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` more virtual milliseconds were stalled on storage (EIO
-    /// backoff, simulated slow-disk penalties).
-    pub fn add_io_stall_ms(&self, n: u64) {
-        self.io_stall_ms.fetch_add(n, Ordering::Relaxed);
+    /// Raises registry metric `metric` to `n` if it is lower — the fold
+    /// of [`Kind::Max`] rows.
+    pub fn max(&self, metric: &str, n: u64) {
+        if let Some(cell) = self.cell(metric) {
+            cell.fetch_max(n, Ordering::Relaxed);
+        }
     }
 
     /// Records the run's identity for the `gepeto_run_info` family.
     pub fn set_run_info(&self, run_id: &str, command: &str) {
         *self.run_info.lock() = Some((run_id.to_owned(), command.to_owned()));
-    }
-
-    /// `n` more reduce tasks were replayed from committed artifacts
-    /// instead of re-executing.
-    pub fn add_journal_replayed(&self, n: u64) {
-        self.journal_replayed_tasks.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The iterative driver finished an iteration with this delta.
@@ -246,35 +136,12 @@ impl Monitor {
     /// global `gepeto-pool` counters (all zero until something creates
     /// the pool — the snapshot never forces its creation).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mem = crate::alloc::mem_stats();
         let pool = gepeto_pool::global_stats();
         MetricsSnapshot {
-            jobs_started: load(&self.jobs_started),
-            jobs_finished: load(&self.jobs_finished),
-            map_tasks_total: load(&self.map_tasks_total),
-            map_tasks_done: load(&self.map_tasks_done),
-            reduce_tasks_total: load(&self.reduce_tasks_total),
-            reduce_tasks_done: load(&self.reduce_tasks_done),
-            shuffle_bytes: load(&self.shuffle_bytes),
-            task_retries: load(&self.task_retries),
-            reexecuted_maps: load(&self.reexecuted_maps),
-            failed_over_reads: load(&self.failed_over_reads),
-            blacklisted_nodes: load(&self.blacklisted_nodes),
-            crash_killed_attempts: load(&self.crash_killed_attempts),
-            distance_evals: load(&self.distance_evals),
-            sorts_skipped: load(&self.sorts_skipped),
-            shuffle_bytes_saved: load(&self.shuffle_bytes_saved),
-            spilled_bytes: load(&self.spilled_bytes),
-            spill_files: load(&self.spill_files),
-            spilled_groups: load(&self.spilled_groups),
-            io_retries: load(&self.io_retries),
-            torn_writes_detected: load(&self.torn_writes_detected),
-            runs_quarantined: load(&self.runs_quarantined),
-            io_stall_ms: load(&self.io_stall_ms),
-            journal_replayed_tasks: load(&self.journal_replayed_tasks),
-            driver_iteration: load(&self.driver_iteration),
-            driver_delta: f64::from_bits(load(&self.driver_delta_bits)),
+            values: self.values.each_ref().map(|v| v.load(Ordering::Relaxed)),
+            driver_iteration: self.driver_iteration.load(Ordering::Relaxed),
+            driver_delta: f64::from_bits(self.driver_delta_bits.load(Ordering::Relaxed)),
             mem_live_bytes: mem.live_bytes,
             mem_peak_bytes: mem.peak_bytes,
             mem_allocated_bytes: mem.total_allocated,
@@ -315,52 +182,8 @@ impl Monitor {
 /// One consistent-enough copy of the [`Monitor`]'s state.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Jobs that entered their run loop.
-    pub jobs_started: u64,
-    /// Jobs whose stats were folded.
-    pub jobs_finished: u64,
-    /// Map tasks scheduled so far.
-    pub map_tasks_total: u64,
-    /// Map tasks completed so far.
-    pub map_tasks_done: u64,
-    /// Reduce tasks scheduled so far.
-    pub reduce_tasks_total: u64,
-    /// Reduce tasks completed so far.
-    pub reduce_tasks_done: u64,
-    /// Bytes shuffled so far.
-    pub shuffle_bytes: u64,
-    /// Failure-injected task retries so far.
-    pub task_retries: u64,
-    /// Map tasks re-executed after output loss.
-    pub reexecuted_maps: u64,
-    /// Block reads failed over to a replica.
-    pub failed_over_reads: u64,
-    /// Nodes blacklisted so far.
-    pub blacklisted_nodes: u64,
-    /// Attempts killed mid-flight by node crashes.
-    pub crash_killed_attempts: u64,
-    /// Point-to-centroid distance evaluations in the clustering kernels.
-    pub distance_evals: u64,
-    /// Reduce partitions that took the sort-skipping fast path.
-    pub sorts_skipped: u64,
-    /// Shuffle bytes avoided by compressed payload encodings.
-    pub shuffle_bytes_saved: u64,
-    /// Intermediate bytes spilled to disk by memory-bounded shuffles.
-    pub spilled_bytes: u64,
-    /// Sorted spill runs written to disk by memory-bounded map tasks.
-    pub spill_files: u64,
-    /// Reduce groups whose values were spilled past the memory budget.
-    pub spilled_groups: u64,
-    /// IO operations retried after transient storage faults.
-    pub io_retries: u64,
-    /// Torn (partial) writes caught by commit verification.
-    pub torn_writes_detected: u64,
-    /// Corrupt spill runs quarantined.
-    pub runs_quarantined: u64,
-    /// Virtual milliseconds stalled on storage faults and slow disks.
-    pub io_stall_ms: u64,
-    /// Reduce tasks replayed from committed artifacts on resume.
-    pub journal_replayed_tasks: u64,
+    /// Every registry row's value, in table order (see [`Self::get`]).
+    values: [u64; METRICS.len()],
     /// The driver's current iteration (0 before the first completes).
     pub driver_iteration: u64,
     /// The driver's latest convergence delta (NaN before the first).
@@ -406,12 +229,20 @@ pub(crate) fn fmt_bytes(n: u64) -> String {
 }
 
 impl MetricsSnapshot {
+    /// Registry metric `metric`'s value (0 for names outside the
+    /// registry).
+    pub fn get(&self, metric: &str) -> u64 {
+        registry::position(metric).map_or(0, |i| self.values[i])
+    }
+
     /// One Hadoop-jobtracker-style heartbeat line, e.g.
     ///
     /// ```text
     /// maps 12/16 75% | reduces 2/4 50% | shuffle 1.2 MB | retries 3 reexec 2 blacklist 1 killed 0 | iter 3 delta 0.00123
     /// ```
     pub fn status_line(&self) -> String {
+        use registry::*;
+        let get = |metric| self.get(metric);
         let progress = |done: u64, total: u64| -> String {
             if total == 0 {
                 format!("{done}/{total}")
@@ -421,34 +252,35 @@ impl MetricsSnapshot {
         };
         let mut line = format!(
             "maps {} | reduces {} | shuffle {} | retries {} reexec {} blacklist {} killed {}",
-            progress(self.map_tasks_done, self.map_tasks_total),
-            progress(self.reduce_tasks_done, self.reduce_tasks_total),
-            fmt_bytes(self.shuffle_bytes),
-            self.task_retries,
-            self.reexecuted_maps,
-            self.blacklisted_nodes,
-            self.crash_killed_attempts,
+            progress(get(MAP_TASKS_DONE), get(MAP_TASKS_SCHEDULED)),
+            progress(get(REDUCE_TASKS_DONE), get(REDUCE_TASKS_SCHEDULED)),
+            fmt_bytes(get(SHUFFLE_BYTES)),
+            get(TASK_RETRIES),
+            get(REEXECUTED_MAPS),
+            get(BLACKLISTED_NODES),
+            get(CRASH_KILLED),
         );
-        if self.spilled_bytes > 0 || self.spill_files > 0 {
+        let (spilled, spill_files) = (get(SPILLED_BYTES), get(SPILL_FILES));
+        if spilled > 0 || spill_files > 0 {
             let _ = write!(
                 line,
-                " | spill {} in {} runs",
-                fmt_bytes(self.spilled_bytes),
-                self.spill_files
+                " | spill {} in {spill_files} runs",
+                fmt_bytes(spilled)
             );
         }
-        if self.io_retries > 0 || self.torn_writes_detected > 0 || self.runs_quarantined > 0 {
+        let (io_retries, torn, quarantined) =
+            (get(IO_RETRIES), get(TORN_WRITES), get(RUNS_QUARANTINED));
+        if io_retries > 0 || torn > 0 || quarantined > 0 {
             let _ = write!(
                 line,
-                " | io retries {} torn {} quarantined {}",
-                self.io_retries, self.torn_writes_detected, self.runs_quarantined
+                " | io retries {io_retries} torn {torn} quarantined {quarantined}"
             );
         }
-        if self.io_stall_ms > 0 {
-            let _ = write!(line, " stall {:.1}s", self.io_stall_ms as f64 / 1e3);
+        if get(IO_STALL_MS) > 0 {
+            let _ = write!(line, " stall {:.1}s", get(IO_STALL_MS) as f64 / 1e3);
         }
-        if self.journal_replayed_tasks > 0 {
-            let _ = write!(line, " | replayed {}", self.journal_replayed_tasks);
+        if get(JOURNAL_REPLAYED) > 0 {
+            let _ = write!(line, " | replayed {}", get(JOURNAL_REPLAYED));
         }
         if self.mem_live_bytes > 0 || self.mem_peak_bytes > 0 {
             let _ = write!(
@@ -483,149 +315,21 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {value}");
         };
-        metric(
-            "gepeto_jobs_started_total",
-            "counter",
-            "Jobs that entered their run loop.",
-            self.jobs_started as f64,
-        );
-        metric(
-            "gepeto_jobs_finished_total",
-            "counter",
-            "Jobs whose stats were folded.",
-            self.jobs_finished as f64,
-        );
-        metric(
-            "gepeto_map_tasks_total",
-            "counter",
-            "Map tasks scheduled.",
-            self.map_tasks_total as f64,
-        );
-        metric(
-            "gepeto_map_tasks_done",
-            "counter",
-            "Map tasks completed.",
-            self.map_tasks_done as f64,
-        );
-        metric(
-            "gepeto_reduce_tasks_total",
-            "counter",
-            "Reduce tasks scheduled.",
-            self.reduce_tasks_total as f64,
-        );
-        metric(
-            "gepeto_reduce_tasks_done",
-            "counter",
-            "Reduce tasks completed.",
-            self.reduce_tasks_done as f64,
-        );
-        metric(
-            "gepeto_shuffle_bytes_total",
-            "counter",
-            "Bytes shuffled between map and reduce.",
-            self.shuffle_bytes as f64,
-        );
-        metric(
-            "gepeto_task_retries_total",
-            "counter",
-            "Failure-injected task retries.",
-            self.task_retries as f64,
-        );
-        metric(
-            "gepeto_reexecuted_maps_total",
-            "counter",
-            "Map tasks re-executed after output loss.",
-            self.reexecuted_maps as f64,
-        );
-        metric(
-            "gepeto_failed_over_reads_total",
-            "counter",
-            "Block reads failed over to a replica.",
-            self.failed_over_reads as f64,
-        );
-        metric(
-            "gepeto_blacklisted_nodes_total",
-            "counter",
-            "Nodes blacklisted by the failure policy.",
-            self.blacklisted_nodes as f64,
-        );
-        metric(
-            "gepeto_crash_killed_attempts_total",
-            "counter",
-            "Attempts killed mid-flight by node crashes.",
-            self.crash_killed_attempts as f64,
-        );
-        metric(
-            "gepeto_kernel_distance_evals_total",
-            "counter",
-            "Point-to-centroid distance evaluations in the clustering kernels.",
-            self.distance_evals as f64,
-        );
-        metric(
-            "gepeto_shuffle_sort_skipped_total",
-            "counter",
-            "Reduce partitions that took the sort-skipping fast path.",
-            self.sorts_skipped as f64,
-        );
-        metric(
-            "gepeto_shuffle_bytes_saved_total",
-            "counter",
-            "Shuffle bytes avoided by compressed payload encodings.",
-            self.shuffle_bytes_saved as f64,
-        );
-        metric(
-            "gepeto_shuffle_spilled_bytes_total",
-            "counter",
-            "Intermediate bytes spilled to disk by memory-bounded shuffles.",
-            self.spilled_bytes as f64,
-        );
-        metric(
-            "gepeto_shuffle_spill_files_total",
-            "counter",
-            "Sorted spill runs written to disk by memory-bounded map tasks.",
-            self.spill_files as f64,
-        );
-        metric(
-            "gepeto_reduce_spilled_groups_total",
-            "counter",
-            "Reduce groups whose value lists spilled past the memory budget.",
-            self.spilled_groups as f64,
-        );
-        metric(
-            "gepeto_io_retries_total",
-            "counter",
-            "IO operations retried after transient storage faults.",
-            self.io_retries as f64,
-        );
-        metric(
-            "gepeto_io_torn_writes_detected_total",
-            "counter",
-            "Torn (partial) writes caught by commit verification.",
-            self.torn_writes_detected as f64,
-        );
-        metric(
-            "gepeto_spill_runs_quarantined_total",
-            "counter",
-            "Corrupt spill runs quarantined by verifying reads.",
-            self.runs_quarantined as f64,
-        );
-        metric(
-            "gepeto_io_stall_ms_total",
-            "counter",
-            "Virtual milliseconds stalled on storage faults and slow disks.",
-            self.io_stall_ms as f64,
-        );
-        metric(
-            "gepeto_journal_replayed_tasks_total",
-            "counter",
-            "Reduce tasks replayed from committed artifacts on resume.",
-            self.journal_replayed_tasks as f64,
-        );
+        for (row, &value) in METRICS.iter().zip(&self.values) {
+            if let Some(family) = row.family {
+                let kind = match row.kind {
+                    Kind::Sum => "counter",
+                    Kind::Max => "gauge",
+                };
+                metric(family, kind, row.help, value as f64);
+            }
+        }
         metric(
             "gepeto_jobs_running",
             "gauge",
             "Jobs started but not yet finished.",
-            self.jobs_started.saturating_sub(self.jobs_finished) as f64,
+            self.get(registry::JOBS_STARTED)
+                .saturating_sub(self.get(registry::JOBS_FINISHED)) as f64,
         );
         metric(
             "gepeto_driver_iteration",
@@ -879,37 +583,38 @@ impl Drop for Reporter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::*;
 
     #[test]
     fn snapshot_reflects_updates_and_progress_is_monotonic() {
         let m = Monitor::new();
-        m.job_started();
-        m.add_map_tasks(4);
+        m.add(JOBS_STARTED, 1);
+        m.add(MAP_TASKS_SCHEDULED, 4);
         let mut last_done = 0;
         for _ in 0..4 {
-            m.map_task_done();
+            m.add(MAP_TASKS_DONE, 1);
             let s = m.snapshot();
-            assert!(s.map_tasks_done > last_done);
-            last_done = s.map_tasks_done;
+            assert!(s.get(MAP_TASKS_DONE) > last_done);
+            last_done = s.get(MAP_TASKS_DONE);
         }
-        m.add_shuffle_bytes(1_000);
-        m.add_task_retry();
-        m.add_blacklisted();
+        m.add(SHUFFLE_BYTES, 1_000);
+        m.add(TASK_RETRIES, 1);
+        m.add(BLACKLISTED_NODES, 1);
         m.set_driver_progress(3, 0.125);
         m.node_busy(2, 1.5);
-        m.job_finished();
+        m.add(JOBS_FINISHED, 1);
         let s = m.snapshot();
-        assert_eq!(s.map_tasks_done, 4);
-        assert_eq!(s.map_tasks_total, 4);
-        assert_eq!(s.shuffle_bytes, 1_000);
-        assert_eq!(s.task_retries, 1);
-        assert_eq!(s.blacklisted_nodes, 1);
+        assert_eq!(s.get(MAP_TASKS_DONE), 4);
+        assert_eq!(s.get(MAP_TASKS_SCHEDULED), 4);
+        assert_eq!(s.get(SHUFFLE_BYTES), 1_000);
+        assert_eq!(s.get(TASK_RETRIES), 1);
+        assert_eq!(s.get(BLACKLISTED_NODES), 1);
         assert_eq!(s.driver_iteration, 3);
         assert_eq!(s.driver_delta, 0.125);
         assert_eq!(s.node_busy_s.len(), 3);
         assert!((s.node_busy_s[2] - 1.5).abs() < 1e-9);
-        assert_eq!(s.jobs_started, 1);
-        assert_eq!(s.jobs_finished, 1);
+        assert_eq!(s.get(JOBS_STARTED), 1);
+        assert_eq!(s.get(JOBS_FINISHED), 1);
     }
 
     #[test]
@@ -919,9 +624,9 @@ mod tests {
         assert!(empty.contains("maps 0/0"), "{empty}");
         assert!(!empty.contains('%'), "{empty}");
         assert!(!empty.contains("iter"), "{empty}");
-        m.add_map_tasks(4);
-        m.map_task_done();
-        m.map_task_done();
+        m.add(MAP_TASKS_SCHEDULED, 4);
+        m.add(MAP_TASKS_DONE, 1);
+        m.add(MAP_TASKS_DONE, 1);
         m.set_driver_progress(2, 0.5);
         let line = m.snapshot().status_line();
         assert!(line.contains("maps 2/4 50%"), "{line}");
@@ -935,13 +640,13 @@ mod tests {
         assert!(!quiet.contains("spill"), "{quiet}");
         assert!(!quiet.contains("io retries"), "{quiet}");
         assert!(!quiet.contains("replayed"), "{quiet}");
-        m.add_spilled_bytes(65_536);
-        m.add_spill_files(3);
-        m.add_io_retries(5);
-        m.add_torn_writes(1);
-        m.add_runs_quarantined(2);
-        m.add_io_stall_ms(2_500);
-        m.add_journal_replayed(4);
+        m.add(SPILLED_BYTES, 65_536);
+        m.add(SPILL_FILES, 3);
+        m.add(IO_RETRIES, 5);
+        m.add(TORN_WRITES, 1);
+        m.add(RUNS_QUARANTINED, 2);
+        m.add(IO_STALL_MS, 2_500);
+        m.add(JOURNAL_REPLAYED, 4);
         let line = m.snapshot().status_line();
         assert!(line.contains("spill 65.5 KB in 3 runs"), "{line}");
         assert!(line.contains("io retries 5 torn 1 quarantined 2"), "{line}");
@@ -952,7 +657,7 @@ mod tests {
     #[test]
     fn run_info_labels_are_escaped() {
         let m = Monitor::new();
-        m.add_io_stall_ms(7);
+        m.add(IO_STALL_MS, 7);
         m.set_run_info("r\"1\"\n", "kmeans --run-dir C:\\tmp");
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("gepeto_io_stall_ms_total 7"), "{text}");
@@ -965,94 +670,6 @@ mod tests {
             assert!(!line.contains('\r'));
         }
         assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
-    }
-
-    #[test]
-    fn prometheus_exposition_has_families_and_cumulative_buckets() {
-        let m = Monitor::new();
-        m.add_map_tasks(2);
-        m.map_task_done();
-        m.add_shuffle_bytes(4096);
-        m.add_distance_evals(7);
-        m.add_sorts_skipped(2);
-        m.add_shuffle_bytes_saved(100);
-        m.add_spilled_bytes(8192);
-        m.add_spill_files(3);
-        m.add_spilled_groups(1);
-        m.add_io_retries(5);
-        m.add_torn_writes(2);
-        m.add_runs_quarantined(1);
-        m.add_journal_replayed(4);
-        m.node_busy(0, 2.0);
-        m.observe("task.map.us", 10);
-        m.observe("task.map.us", 1000);
-        let text = m.snapshot().to_prometheus();
-        assert!(
-            text.contains("gepeto_kernel_distance_evals_total 7"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_shuffle_sort_skipped_total 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_shuffle_bytes_saved_total 100"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_shuffle_spilled_bytes_total 8192"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_shuffle_spill_files_total 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_reduce_spilled_groups_total 1"),
-            "{text}"
-        );
-        assert!(text.contains("gepeto_io_retries_total 5"), "{text}");
-        assert!(
-            text.contains("gepeto_io_torn_writes_detected_total 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_spill_runs_quarantined_total 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_journal_replayed_tasks_total 4"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE gepeto_map_tasks_done counter"),
-            "{text}"
-        );
-        assert!(text.contains("gepeto_map_tasks_done 1"), "{text}");
-        assert!(text.contains("gepeto_shuffle_bytes_total 4096"), "{text}");
-        assert!(
-            text.contains("gepeto_node_busy_seconds{node=\"0\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE gepeto_task_map_us histogram"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gepeto_task_map_us_bucket{le=\"+Inf\"} 2"),
-            "{text}"
-        );
-        assert!(text.contains("gepeto_task_map_us_sum 1010"), "{text}");
-        assert!(text.contains("gepeto_task_map_us_count 2"), "{text}");
-        // Buckets are cumulative and non-decreasing.
-        let mut last = 0u64;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("gepeto_task_map_us_bucket{le=\"") {
-                let count: u64 = rest.split("} ").nth(1).unwrap().parse().unwrap();
-                assert!(count >= last, "{text}");
-                last = count;
-            }
-        }
     }
 
     #[test]
@@ -1103,7 +720,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.prom");
         let monitor = Arc::new(Monitor::new());
-        monitor.add_map_tasks(1);
+        monitor.add(MAP_TASKS_SCHEDULED, 1);
         // An interval far longer than the run: only the final tick fires.
         let reporter = Reporter::start(
             Arc::clone(&monitor),
@@ -1111,7 +728,7 @@ mod tests {
             Some(path.clone()),
             false,
         );
-        monitor.map_task_done();
+        monitor.add(MAP_TASKS_DONE, 1);
         reporter.stop();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("gepeto_map_tasks_done 1"), "{text}");

@@ -5,80 +5,8 @@
 use crate::event::{Event, EventKind};
 use crate::histogram::Histogram;
 use crate::monitor::fmt_bytes;
+use crate::registry::*;
 use std::fmt::Write as _;
-
-/// Counter name the engine uses for shuffled bytes (surfaced as its own
-/// line in the report).
-pub const SHUFFLE_BYTES_COUNTER: &str = "mapred.shuffle.bytes";
-/// Counter name the engine uses for task retries.
-pub const TASK_RETRIES_COUNTER: &str = "mapred.task.retries";
-/// Counter name the engine uses for map tasks re-executed because their
-/// node crashed after they completed (their local outputs were lost).
-pub const REEXECUTED_MAPS_COUNTER: &str = "mapred.maps.reexecuted";
-/// Counter name the engine uses for chunk reads that failed over past a
-/// dead or corrupt replica.
-pub const FAILED_OVER_READS_COUNTER: &str = "dfs.reads.failed_over";
-/// Counter name the engine uses for nodes blacklisted by the jobtracker
-/// after repeated task failures.
-pub const BLACKLISTED_NODES_COUNTER: &str = "mapred.nodes.blacklisted";
-/// Counter name the clustering kernels use for point-to-centroid distance
-/// evaluations (the k-means inner-loop cost driver).
-pub const DISTANCE_EVALS_COUNTER: &str = "kernel.distance_evals";
-/// Counter name the engine uses for reduce partitions whose stable sort
-/// was skipped because the reducer declared order-insensitive input.
-pub const SORT_SKIPPED_COUNTER: &str = "shuffle.sort_skipped";
-/// Counter name the engine uses for shuffle bytes avoided by compressed
-/// payload encodings (e.g. delta-varint neighborhoods), versus the raw
-/// representation.
-pub const SHUFFLE_BYTES_SAVED_COUNTER: &str = "shuffle.bytes_saved";
-/// Counter name the engine uses for intermediate bytes spilled to local
-/// disk when a shuffle partition exceeded the job's memory budget.
-pub const SPILLED_BYTES_COUNTER: &str = "shuffle.spilled_bytes";
-/// Counter name the engine uses for sorted spill runs written to local
-/// disk by memory-bounded map tasks.
-pub const SPILL_FILES_COUNTER: &str = "shuffle.spill_files";
-/// Counter name the engine uses for reduce groups whose value list was
-/// spilled to disk because it exceeded the per-group memory budget.
-pub const SPILLED_GROUPS_COUNTER: &str = "reduce.spilled_groups";
-/// Counter name the engine uses for transient storage IO errors absorbed
-/// by commit retry loops (injected EIOs and simulated slow-disk stalls).
-pub const IO_RETRIES_COUNTER: &str = "io.retries";
-/// Counter name the engine uses for torn (partial) writes caught by
-/// commit-footer verification.
-pub const TORN_WRITES_COUNTER: &str = "io.torn_writes_detected";
-/// Counter name the engine uses for spill runs quarantined after failing
-/// verification (torn or corrupt) and rewritten from memory.
-pub const RUNS_QUARANTINED_COUNTER: &str = "spill.runs_quarantined";
-/// Counter name the engine uses for reduce tasks replayed from committed
-/// journal artifacts on `gepeto resume` instead of being recomputed.
-pub const JOURNAL_REPLAYED_COUNTER: &str = "journal.replayed_tasks";
-/// Counter name the engine uses for virtual milliseconds stalled on
-/// storage: EIO retry backoff plus simulated slow-disk write penalties,
-/// accumulated across every spill-seal and artifact commit.
-pub const IO_STALL_MS_COUNTER: &str = "io.stall_ms";
-/// Counter name the engine uses for the configured per-partition spill
-/// budget, in bytes (the `--memory-budget` value threaded into the job).
-pub const MEM_BUDGET_BYTES_COUNTER: &str = "mem.budget_bytes";
-/// Counter name the engine uses for the high-water mark of its
-/// budget-accounted buffers (per-partition shuffle buffers), in bytes —
-/// the "actual peak" half of the budget-vs-actual line.
-pub const MEM_ACCOUNTED_PEAK_COUNTER: &str = "mem.accounted_peak";
-/// Counter name the engine uses for how far the accounted peak crossed
-/// the configured budget (0 when the run stayed within it).
-pub const MEM_PEAK_OVER_BUDGET_COUNTER: &str = "mem.peak_over_budget_bytes";
-/// Counter name the engine uses for the allocator-measured peak live
-/// heap observed over the run's driver window, in bytes.
-pub const MEM_PEAK_BYTES_COUNTER: &str = "mem.peak_bytes";
-/// Counter name the engine uses for cumulative bytes allocated over the
-/// run's driver window.
-pub const MEM_ALLOCATED_BYTES_COUNTER: &str = "mem.allocated_bytes";
-/// Counter name the engine uses for cumulative allocation calls over
-/// the run's driver window.
-pub const MEM_ALLOCS_COUNTER: &str = "mem.allocs";
-/// Counter name the engine uses for the absolute error between the
-/// estimated buffered size that triggers a spill and the encoded bytes
-/// the spill run actually wrote.
-pub const SPILL_ESTIMATE_ERROR_COUNTER: &str = "spill.estimate_error_bytes";
 
 /// Wall time attributed to one phase (summed across repeats, e.g.
 /// k-means iterations each contributing a map phase).
@@ -129,53 +57,10 @@ pub struct SummaryReport {
     pub tasks: Vec<TaskStats>,
     /// Tasks slower than 2x their cohort median (and ≥ 1 ms).
     pub stragglers: Vec<Straggler>,
-    /// Total task retries.
+    /// Total task retries: the [`TASK_RETRIES`] counter, or the
+    /// `task.retry` points when they are more.
     pub retries: u64,
-    /// Map tasks re-executed after losing their outputs to a node crash.
-    pub reexecuted_maps: u64,
-    /// Chunk reads that failed over past a dead or corrupt replica.
-    pub failed_over_reads: u64,
-    /// Nodes blacklisted by the jobtracker.
-    pub blacklisted_nodes: u64,
-    /// Total shuffled bytes, when the engine reported them.
-    pub shuffle_bytes: Option<u64>,
-    /// Point-to-centroid distance evaluations in the clustering kernels.
-    pub distance_evals: u64,
-    /// Reduce partitions that took the sort-skipping fast path.
-    pub sort_skipped: u64,
-    /// Shuffle bytes avoided by compressed payload encodings.
-    pub shuffle_bytes_saved: u64,
-    /// Intermediate bytes spilled to disk by memory-bounded shuffles.
-    pub spilled_bytes: u64,
-    /// Sorted spill runs written to disk by memory-bounded map tasks.
-    pub spill_files: u64,
-    /// Reduce groups whose values were spilled past the memory budget.
-    pub spilled_groups: u64,
-    /// Transient storage IO errors absorbed by commit retry loops.
-    pub io_retries: u64,
-    /// Torn writes caught by commit-footer verification.
-    pub torn_writes_detected: u64,
-    /// Spill runs quarantined after failing verification.
-    pub runs_quarantined: u64,
-    /// Virtual milliseconds stalled on storage (EIO backoff, slow disk).
-    pub io_stall_ms: u64,
-    /// Reduce tasks replayed from committed journal artifacts on resume.
-    pub journal_replayed_tasks: u64,
-    /// Configured per-partition spill budget, bytes (0 = unbudgeted).
-    pub mem_budget_bytes: u64,
-    /// High-water mark of the engine's budget-accounted buffers, bytes.
-    pub mem_accounted_peak: u64,
-    /// Bytes the accounted peak crossed the budget by (0 when within).
-    pub mem_peak_over_budget: u64,
-    /// Allocator-measured peak live heap over the run, bytes.
-    pub mem_peak_bytes: u64,
-    /// Cumulative bytes allocated over the run.
-    pub mem_allocated_bytes: u64,
-    /// Cumulative allocation calls over the run.
-    pub mem_allocs: u64,
-    /// |estimated spill size − actual encoded spill bytes|, summed.
-    pub spill_estimate_error_bytes: u64,
-    /// Every counter, sorted by name.
+    /// Every counter, sorted by name (see [`Self::counter`]).
     pub counters: Vec<(String, u64)>,
 }
 
@@ -189,7 +74,7 @@ impl SummaryReport {
     /// Conventions: spans named `phase.<p>` feed the phase table; spans
     /// named `task.<kind>` feed the task-time table (their `span_start`
     /// labels identify the task); `task.retry` points count as retries
-    /// in addition to [`TASK_RETRIES_COUNTER`].
+    /// in addition to [`TASK_RETRIES`].
     pub fn from_events(events: &[Event], counters: &[(String, u64)]) -> Self {
         let mut phases: Vec<PhaseStat> = Vec::new();
         let mut task_hists: Vec<(String, Histogram)> = Vec::new();
@@ -266,36 +151,28 @@ impl SummaryReport {
         }
         stragglers.sort_by_key(|s| std::cmp::Reverse(s.dur_us));
 
-        let counter = |name: &str| counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
-        Self {
+        let mut report = Self {
             phases,
             tasks,
             stragglers,
-            retries: counter(TASK_RETRIES_COUNTER).unwrap_or(0).max(retry_points),
-            reexecuted_maps: counter(REEXECUTED_MAPS_COUNTER).unwrap_or(0),
-            failed_over_reads: counter(FAILED_OVER_READS_COUNTER).unwrap_or(0),
-            blacklisted_nodes: counter(BLACKLISTED_NODES_COUNTER).unwrap_or(0),
-            shuffle_bytes: counter(SHUFFLE_BYTES_COUNTER),
-            distance_evals: counter(DISTANCE_EVALS_COUNTER).unwrap_or(0),
-            sort_skipped: counter(SORT_SKIPPED_COUNTER).unwrap_or(0),
-            shuffle_bytes_saved: counter(SHUFFLE_BYTES_SAVED_COUNTER).unwrap_or(0),
-            spilled_bytes: counter(SPILLED_BYTES_COUNTER).unwrap_or(0),
-            spill_files: counter(SPILL_FILES_COUNTER).unwrap_or(0),
-            spilled_groups: counter(SPILLED_GROUPS_COUNTER).unwrap_or(0),
-            io_retries: counter(IO_RETRIES_COUNTER).unwrap_or(0),
-            torn_writes_detected: counter(TORN_WRITES_COUNTER).unwrap_or(0),
-            runs_quarantined: counter(RUNS_QUARANTINED_COUNTER).unwrap_or(0),
-            io_stall_ms: counter(IO_STALL_MS_COUNTER).unwrap_or(0),
-            journal_replayed_tasks: counter(JOURNAL_REPLAYED_COUNTER).unwrap_or(0),
-            mem_budget_bytes: counter(MEM_BUDGET_BYTES_COUNTER).unwrap_or(0),
-            mem_accounted_peak: counter(MEM_ACCOUNTED_PEAK_COUNTER).unwrap_or(0),
-            mem_peak_over_budget: counter(MEM_PEAK_OVER_BUDGET_COUNTER).unwrap_or(0),
-            mem_peak_bytes: counter(MEM_PEAK_BYTES_COUNTER).unwrap_or(0),
-            mem_allocated_bytes: counter(MEM_ALLOCATED_BYTES_COUNTER).unwrap_or(0),
-            mem_allocs: counter(MEM_ALLOCS_COUNTER).unwrap_or(0),
-            spill_estimate_error_bytes: counter(SPILL_ESTIMATE_ERROR_COUNTER).unwrap_or(0),
+            retries: 0,
             counters: counters.to_vec(),
-        }
+        };
+        report.retries = report.counter(TASK_RETRIES).max(retry_points);
+        report
+    }
+
+    /// The named counter, when the run reported it.
+    fn reported(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// The named counter's value (0 when the run never reported it).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.reported(name).unwrap_or(0)
     }
 
     /// Renders the report as an aligned plain-text table.
@@ -347,91 +224,97 @@ impl SummaryReport {
             }
         }
         let _ = writeln!(out, "retries: {}", self.retries);
-        if self.reexecuted_maps > 0 || self.failed_over_reads > 0 || self.blacklisted_nodes > 0 {
+        let c = |name| self.counter(name);
+        let (reexecuted, failed_over, blacklisted) = (
+            c(REEXECUTED_MAPS),
+            c(FAILED_OVER_READS),
+            c(BLACKLISTED_NODES),
+        );
+        if reexecuted > 0 || failed_over > 0 || blacklisted > 0 {
             let _ = writeln!(
                 out,
-                "recovery: {} reexecuted maps, {} failed-over reads, {} blacklisted nodes",
-                self.reexecuted_maps, self.failed_over_reads, self.blacklisted_nodes
+                "recovery: {reexecuted} reexecuted maps, {failed_over} failed-over reads, \
+                 {blacklisted} blacklisted nodes"
             );
         }
-        if let Some(bytes) = self.shuffle_bytes {
+        if let Some(bytes) = self.reported(SHUFFLE_BYTES) {
             let _ = writeln!(out, "shuffle bytes: {bytes}");
         }
-        if self.shuffle_bytes_saved > 0 {
-            let _ = writeln!(out, "shuffle bytes saved: {}", self.shuffle_bytes_saved);
+        if c(SHUFFLE_BYTES_SAVED) > 0 {
+            let _ = writeln!(out, "shuffle bytes saved: {}", c(SHUFFLE_BYTES_SAVED));
         }
-        if self.sort_skipped > 0 {
-            let _ = writeln!(out, "sorts skipped: {}", self.sort_skipped);
+        if c(SORT_SKIPPED) > 0 {
+            let _ = writeln!(out, "sorts skipped: {}", c(SORT_SKIPPED));
         }
-        if self.spilled_bytes > 0 || self.spill_files > 0 {
-            let _ = writeln!(
-                out,
-                "spill: {} bytes in {} files",
-                self.spilled_bytes, self.spill_files
-            );
+        let (spilled, spill_files) = (c(SPILLED_BYTES), c(SPILL_FILES));
+        if spilled > 0 || spill_files > 0 {
+            let _ = writeln!(out, "spill: {spilled} bytes in {spill_files} files");
         }
-        if self.spill_estimate_error_bytes > 0 {
+        if c(SPILL_ESTIMATE_ERROR) > 0 {
             let _ = writeln!(
                 out,
                 "spill estimate error: {} bytes (|estimated - written| across runs)",
-                self.spill_estimate_error_bytes
+                c(SPILL_ESTIMATE_ERROR)
             );
         }
-        if self.spilled_groups > 0 {
-            let _ = writeln!(out, "spilled reduce groups: {}", self.spilled_groups);
+        if c(SPILLED_GROUPS) > 0 {
+            let _ = writeln!(out, "spilled reduce groups: {}", c(SPILLED_GROUPS));
         }
-        if self.mem_budget_bytes > 0 {
+        let (budget, accounted) = (c(MEM_BUDGET_BYTES), c(MEM_ACCOUNTED_PEAK));
+        if budget > 0 {
+            let over = c(MEM_PEAK_OVER_BUDGET);
             let _ = writeln!(
                 out,
                 "memory: budget {}, actual peak {} ({:.2}x){}",
-                fmt_bytes(self.mem_budget_bytes),
-                fmt_bytes(self.mem_accounted_peak),
-                self.mem_accounted_peak as f64 / self.mem_budget_bytes as f64,
-                if self.mem_peak_over_budget > 0 {
-                    format!(" — {} over budget", fmt_bytes(self.mem_peak_over_budget))
+                fmt_bytes(budget),
+                fmt_bytes(accounted),
+                accounted as f64 / budget as f64,
+                if over > 0 {
+                    format!(" — {} over budget", fmt_bytes(over))
                 } else {
                     String::new()
                 }
             );
-        } else if self.mem_accounted_peak > 0 {
+        } else if accounted > 0 {
             let _ = writeln!(
                 out,
                 "memory: unbudgeted, accounted peak {}",
-                fmt_bytes(self.mem_accounted_peak)
+                fmt_bytes(accounted)
             );
         }
-        if self.mem_peak_bytes > 0 {
+        if c(MEM_PEAK_BYTES) > 0 {
             let _ = writeln!(
                 out,
                 "heap: peak {}, allocated {} in {} calls",
-                fmt_bytes(self.mem_peak_bytes),
-                fmt_bytes(self.mem_allocated_bytes),
-                self.mem_allocs
+                fmt_bytes(c(MEM_PEAK_BYTES)),
+                fmt_bytes(c(MEM_ALLOCATED_BYTES)),
+                c(MEM_ALLOCS)
             );
         }
-        if self.io_retries > 0 || self.torn_writes_detected > 0 || self.runs_quarantined > 0 {
+        let (io_retries, torn, quarantined) = (c(IO_RETRIES), c(TORN_WRITES), c(RUNS_QUARANTINED));
+        if io_retries > 0 || torn > 0 || quarantined > 0 {
             let _ = writeln!(
                 out,
-                "storage: {} io retries, {} torn writes detected, {} runs quarantined",
-                self.io_retries, self.torn_writes_detected, self.runs_quarantined
+                "storage: {io_retries} io retries, {torn} torn writes detected, \
+                 {quarantined} runs quarantined"
             );
         }
-        if self.io_stall_ms > 0 {
+        if c(IO_STALL_MS) > 0 {
             let _ = writeln!(
                 out,
                 "storage stall: {} of virtual time",
-                fmt_us(self.io_stall_ms.saturating_mul(1_000))
+                fmt_us(c(IO_STALL_MS).saturating_mul(1_000))
             );
         }
-        if self.journal_replayed_tasks > 0 {
+        if c(JOURNAL_REPLAYED) > 0 {
             let _ = writeln!(
                 out,
                 "journal: {} reduce tasks replayed from committed artifacts",
-                self.journal_replayed_tasks
+                c(JOURNAL_REPLAYED)
             );
         }
-        if self.distance_evals > 0 {
-            let _ = writeln!(out, "distance evals: {}", self.distance_evals);
+        if c(DISTANCE_EVALS) > 0 {
+            let _ = writeln!(out, "distance evals: {}", c(DISTANCE_EVALS));
         }
         out
     }
@@ -500,8 +383,8 @@ mod tests {
             ));
         }
         let counters = vec![
-            (TASK_RETRIES_COUNTER.to_owned(), 2),
-            (SHUFFLE_BYTES_COUNTER.to_owned(), 4096),
+            (TASK_RETRIES.to_owned(), 2),
+            (SHUFFLE_BYTES.to_owned(), 4096),
         ];
         let report = SummaryReport::from_events(&events, &counters);
 
@@ -522,129 +405,13 @@ mod tests {
         assert_eq!(report.stragglers[0].labels[0].1, "4");
 
         assert_eq!(report.retries, 2);
-        assert_eq!(report.shuffle_bytes, Some(4096));
+        assert_eq!(report.counter(SHUFFLE_BYTES), 4096);
 
         let text = report.render();
         assert!(text.contains("phase"));
         assert!(text.contains("map"));
         assert!(text.contains("stragglers (1)"));
         assert!(text.contains("shuffle bytes: 4096"));
-    }
-
-    #[test]
-    fn fast_path_counters_surface_in_report() {
-        let counters = vec![
-            (DISTANCE_EVALS_COUNTER.to_owned(), 123_456),
-            (SORT_SKIPPED_COUNTER.to_owned(), 4),
-            (SHUFFLE_BYTES_SAVED_COUNTER.to_owned(), 999),
-        ];
-        let report = SummaryReport::from_events(&[], &counters);
-        assert_eq!(report.distance_evals, 123_456);
-        assert_eq!(report.sort_skipped, 4);
-        assert_eq!(report.shuffle_bytes_saved, 999);
-        let text = report.render();
-        assert!(text.contains("distance evals: 123456"));
-        assert!(text.contains("sorts skipped: 4"));
-        assert!(text.contains("shuffle bytes saved: 999"));
-
-        // Absent counters stay silent.
-        let empty = SummaryReport::from_events(&[], &[]).render();
-        assert!(!empty.contains("distance evals"));
-        assert!(!empty.contains("sorts skipped"));
-        assert!(!empty.contains("shuffle bytes saved"));
-    }
-
-    #[test]
-    fn spill_counters_surface_in_report() {
-        let counters = vec![
-            (SPILLED_BYTES_COUNTER.to_owned(), 65_536),
-            (SPILL_FILES_COUNTER.to_owned(), 3),
-            (SPILLED_GROUPS_COUNTER.to_owned(), 2),
-        ];
-        let report = SummaryReport::from_events(&[], &counters);
-        assert_eq!(report.spilled_bytes, 65_536);
-        assert_eq!(report.spill_files, 3);
-        assert_eq!(report.spilled_groups, 2);
-        let text = report.render();
-        assert!(text.contains("spill: 65536 bytes in 3 files"));
-        assert!(text.contains("spilled reduce groups: 2"));
-
-        // Jobs that never spilled stay silent.
-        let empty = SummaryReport::from_events(&[], &[]).render();
-        assert!(!empty.contains("spill"));
-    }
-
-    #[test]
-    fn storage_counters_surface_in_report() {
-        let counters = vec![
-            (IO_RETRIES_COUNTER.to_owned(), 7),
-            (TORN_WRITES_COUNTER.to_owned(), 2),
-            (RUNS_QUARANTINED_COUNTER.to_owned(), 3),
-            (JOURNAL_REPLAYED_COUNTER.to_owned(), 5),
-            (IO_STALL_MS_COUNTER.to_owned(), 4_500),
-        ];
-        let report = SummaryReport::from_events(&[], &counters);
-        assert_eq!(report.io_retries, 7);
-        assert_eq!(report.torn_writes_detected, 2);
-        assert_eq!(report.runs_quarantined, 3);
-        assert_eq!(report.journal_replayed_tasks, 5);
-        assert_eq!(report.io_stall_ms, 4_500);
-        let text = report.render();
-        assert!(text.contains("storage: 7 io retries, 2 torn writes detected, 3 runs quarantined"));
-        assert!(text.contains("journal: 5 reduce tasks replayed"));
-        assert!(text.contains("storage stall: 4.500 s"));
-
-        // Fault-free runs stay silent.
-        let empty = SummaryReport::from_events(&[], &[]).render();
-        assert!(!empty.contains("storage:"));
-        assert!(!empty.contains("storage stall"));
-        assert!(!empty.contains("journal:"));
-    }
-
-    #[test]
-    fn memory_counters_surface_budget_vs_actual() {
-        let counters = vec![
-            (MEM_BUDGET_BYTES_COUNTER.to_owned(), 64_000_000),
-            (MEM_ACCOUNTED_PEAK_COUNTER.to_owned(), 91_000_000),
-            (MEM_PEAK_OVER_BUDGET_COUNTER.to_owned(), 27_000_000),
-            (MEM_PEAK_BYTES_COUNTER.to_owned(), 120_000_000),
-            (MEM_ALLOCATED_BYTES_COUNTER.to_owned(), 500_000_000),
-            (MEM_ALLOCS_COUNTER.to_owned(), 1_234),
-            (SPILL_ESTIMATE_ERROR_COUNTER.to_owned(), 4_096),
-        ];
-        let report = SummaryReport::from_events(&[], &counters);
-        assert_eq!(report.mem_budget_bytes, 64_000_000);
-        assert_eq!(report.mem_accounted_peak, 91_000_000);
-        assert_eq!(report.mem_peak_over_budget, 27_000_000);
-        assert_eq!(report.mem_peak_bytes, 120_000_000);
-        assert_eq!(report.spill_estimate_error_bytes, 4_096);
-        let text = report.render();
-        assert!(
-            text.contains("memory: budget 64.0 MB, actual peak 91.0 MB (1.42x)"),
-            "{text}"
-        );
-        assert!(text.contains("27.0 MB over budget"), "{text}");
-        assert!(
-            text.contains("heap: peak 120.0 MB, allocated 500.0 MB in 1234 calls"),
-            "{text}"
-        );
-        assert!(text.contains("spill estimate error: 4096 bytes"), "{text}");
-
-        // Runs without memory accounting stay silent.
-        let empty = SummaryReport::from_events(&[], &[]).render();
-        assert!(!empty.contains("memory:"), "{empty}");
-        assert!(!empty.contains("heap:"), "{empty}");
-        assert!(!empty.contains("spill estimate error"), "{empty}");
-    }
-
-    #[test]
-    fn unbudgeted_runs_report_the_accounted_peak_alone() {
-        let counters = vec![(MEM_ACCOUNTED_PEAK_COUNTER.to_owned(), 50_000_000)];
-        let text = SummaryReport::from_events(&[], &counters).render();
-        assert!(
-            text.contains("memory: unbudgeted, accounted peak 50.0 MB"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Timeline {
         let mut timeline = Self::build(&seg, makespan_s, width.max(10));
         timeline.peak_live_bytes = events
             .iter()
-            .filter(|e| e.kind == EventKind::Count && e.name == "mem.live_bytes")
+            .filter(|e| e.kind == EventKind::Count && e.name == crate::registry::MEM_LIVE_BYTES)
             .filter_map(|e| e.value)
             .fold(0.0, f64::max) as u64;
         Some(timeline)

@@ -17,6 +17,8 @@ cargo test -q --no-fail-fast
 # The number the next simplicity PR has to beat.
 echo "non-blank lines in crates/{mapred,core,cli}/src: $(
     find crates/{mapred,core,cli}/src -name '*.rs' -exec cat {} + | grep -c '[^[:space:]]')"
+echo "non-blank lines in crates/telemetry/src: $(
+    find crates/telemetry/src -name '*.rs' -exec cat {} + | grep -c '[^[:space:]]')"
 # Which lane kernel the k-means numbers below were taken on (chosen from
 # this CPU at run time; it changes times, never output).
 echo "k-means $(./target/release/gepeto kmeans --users 2 --scale 0.002 --k 2 --max-iter 1 \
@@ -115,6 +117,8 @@ grep -q '^gepeto_mem_allocated_bytes_total [1-9]' target/bench-smoke/synth.prom
 # estimator's cumulative error.
 ./target/release/gepeto synth --users 200 --chunk-mb 1 --memory-budget 4k \
     --summary 2> target/bench-smoke/memgate.summary
+# The DFS ingest is a phase of its own in the summary's phase table.
+grep -q '^ingest' target/bench-smoke/memgate.summary
 grep -q 'memory: budget' target/bench-smoke/memgate.summary
 grep -q 'heap: peak' target/bench-smoke/memgate.summary
 # An injected memory regression (10x heap peak) must fail the compare

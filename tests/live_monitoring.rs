@@ -8,6 +8,7 @@
 
 use gepeto::prelude::*;
 use gepeto_mapred::{ChaosPlan, SimParams};
+use gepeto_telemetry::registry::*;
 use gepeto_telemetry::Recorder;
 
 fn dataset() -> Dataset {
@@ -49,17 +50,20 @@ fn crash_recovery_is_visible_in_the_live_gauges() {
     let snap = monitor.snapshot();
     // The injected node-0 crash forces map re-execution; the registry
     // must have seen it, not just the post-hoc JobStats.
-    assert!(snap.reexecuted_maps > 0, "snapshot: {snap:?}");
+    assert!(snap.get(REEXECUTED_MAPS) > 0, "snapshot: {snap:?}");
     assert!(
-        snap.crash_killed_attempts + snap.task_retries > 0,
+        snap.get(CRASH_KILLED) + snap.get(TASK_RETRIES) > 0,
         "snapshot: {snap:?}"
     );
     // All work drained: one job per iteration (plus none leaked).
-    assert_eq!(snap.jobs_started, snap.jobs_finished);
-    assert_eq!(snap.jobs_started, result.iterations as u64);
-    assert_eq!(snap.map_tasks_done, snap.map_tasks_total);
-    assert_eq!(snap.reduce_tasks_done, snap.reduce_tasks_total);
-    assert!(snap.shuffle_bytes > 0);
+    assert_eq!(snap.get(JOBS_STARTED), snap.get(JOBS_FINISHED));
+    assert_eq!(snap.get(JOBS_STARTED), result.iterations as u64);
+    assert_eq!(snap.get(MAP_TASKS_DONE), snap.get(MAP_TASKS_SCHEDULED));
+    assert_eq!(
+        snap.get(REDUCE_TASKS_DONE),
+        snap.get(REDUCE_TASKS_SCHEDULED)
+    );
+    assert!(snap.get(SHUFFLE_BYTES) > 0);
     // The k-means driver published its convergence state.
     assert_eq!(snap.driver_iteration, result.iterations as u64);
     assert!(snap.driver_delta.is_finite());
@@ -81,12 +85,12 @@ fn progress_counters_never_run_ahead_of_their_totals() {
     // Interleave snapshots with work: totals are announced before
     // completions are counted, so done <= total at every observation.
     let before = monitor.snapshot();
-    assert_eq!(before.map_tasks_done, 0);
+    assert_eq!(before.get(MAP_TASKS_DONE), 0);
     run_kmeans(ChaosPlan::none(), &rec);
     let after = monitor.snapshot();
-    assert!(after.map_tasks_done >= before.map_tasks_done);
-    assert!(after.map_tasks_done <= after.map_tasks_total);
-    assert!(after.reduce_tasks_done <= after.reduce_tasks_total);
+    assert!(after.get(MAP_TASKS_DONE) >= before.get(MAP_TASKS_DONE));
+    assert!(after.get(MAP_TASKS_DONE) <= after.get(MAP_TASKS_SCHEDULED));
+    assert!(after.get(REDUCE_TASKS_DONE) <= after.get(REDUCE_TASKS_SCHEDULED));
 }
 
 #[test]
@@ -110,11 +114,9 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     // accounted peak is the largest partition.
     let free_rec = Recorder::enabled();
     let (free_out, free_stats) = run(None, &free_rec);
-    let free_peak = free_stats.counters[gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER];
+    let free_peak = free_stats.counters[MEM_ACCOUNTED_PEAK];
     assert!(free_peak > 0);
-    assert!(!free_stats
-        .counters
-        .contains_key(gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER));
+    assert!(!free_stats.counters.contains_key(MEM_BUDGET_BYTES));
 
     // A budget well below that peak engages spilling, which keeps the
     // buffered watermark strictly under the unbudgeted one — the
@@ -122,11 +124,8 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     let budget = (free_peak / 4).max(64) as usize;
     let rec = Recorder::enabled();
     let (out, stats) = run(Some(budget), &rec);
-    let peak = stats.counters[gepeto_telemetry::MEM_ACCOUNTED_PEAK_COUNTER];
-    assert_eq!(
-        stats.counters[gepeto_telemetry::MEM_BUDGET_BYTES_COUNTER],
-        budget as u64
-    );
+    let peak = stats.counters[MEM_ACCOUNTED_PEAK];
+    assert_eq!(stats.counters[MEM_BUDGET_BYTES], budget as u64);
     assert!(
         peak < free_peak,
         "budgeted {peak} vs unbudgeted {free_peak}"
@@ -136,7 +135,7 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     // recorded as exactly peak - budget.
     let over = stats
         .counters
-        .get(gepeto_telemetry::MEM_PEAK_OVER_BUDGET_COUNTER)
+        .get(MEM_PEAK_OVER_BUDGET)
         .copied()
         .unwrap_or(0);
     assert_eq!(over, peak.saturating_sub(budget as u64));

@@ -165,7 +165,7 @@ fn spilling_synth_run_is_thread_count_invariant() {
             "{tag}: reduce output records is not the user count"
         );
         assert!(
-            events.contains(r#""name":"synth.ingest""#),
+            events.contains(r#""name":"phase.ingest""#),
             "{tag}: no ingest span"
         );
     }
