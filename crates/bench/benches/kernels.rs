@@ -2,19 +2,23 @@
 //! paths: SoA fused assignment vs the scalar AoS loop, the k-means map
 //! task per record vs per block, hash grouping vs sort-then-group, nested
 //! vs flat reduce groups, `Dataset::from_traces` on user-major vs
-//! interleaved input, varint-delta neighborhood payloads vs raw ids, and
-//! DJ-Cluster's radius query and R-tree merge.
+//! interleaved input, varint-delta neighborhood payloads vs raw ids,
+//! DJ-Cluster's radius query and R-tree merge, and the Hilbert index of
+//! the MapReduce R-tree's partitioning.
 //!
 //! These isolate the three optimizations gated end-to-end by
 //! `gepeto-bench compare`; run them with
 //! `cargo bench --bench kernels -- --measure`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gepeto::djcluster::EncodedNeighborhood;
+use gepeto::djcluster::{sequential_preprocess, DjConfig, EncodedNeighborhood};
 use gepeto::kmeans::{nearest_centroid, KMeansMapper, CENTROIDS_CACHE_KEY};
+use gepeto::sampling::{sequential_sample, SamplingConfig, Technique};
 use gepeto_geo::rtree::radius_bounding_rect;
+use gepeto_geo::sfc::{hilbert_xy_to_d, hilbert_xy_to_d_bitwise, GridMapper};
 use gepeto_geo::soa::kernels_available;
-use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa, RTree};
+use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa, RTree, Rect};
+use gepeto_geolife::{GeneratorConfig, SyntheticGeoLife};
 use gepeto_mapred::{
     group_sorted, group_unsorted, Counters, DistributedCache, Emitter, FlatGroups, JobConfig,
     Mapper, TaskContext,
@@ -359,6 +363,46 @@ fn bench_rtree_merge(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hilbert_index(c: &mut Criterion) {
+    // The djcluster-poi benchmark input (712 GeoLife-like users, seed
+    // 1000) sampled at 60 s and preprocessed: the ~81 k points R-tree
+    // phase 2 routes, as cells of the build's order-16 grid. `bitwise` is
+    // the per-bit descent, `table-walk` the nibble table the build uses.
+    let ds = SyntheticGeoLife::new(GeneratorConfig {
+        users: 712,
+        scale: 1.0,
+        seed: 1000,
+        ..GeneratorConfig::paper()
+    })
+    .generate();
+    let sampling = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
+    let pre = sequential_preprocess(&sequential_sample(&ds, &sampling), &DjConfig::default());
+    let bounds = pre
+        .iter_traces()
+        .fold(Rect::empty(), |r, t| r.union(&Rect::point(t.point)));
+    let grid = GridMapper::new(bounds, 16);
+    let cells: Vec<(u32, u32)> = pre.iter_traces().map(|t| grid.cell(t.point)).collect();
+
+    let mut group = c.benchmark_group("hilbert-index-dj-poi-order16");
+    for (name, index) in [
+        (
+            "bitwise",
+            hilbert_xy_to_d_bitwise as fn(u32, u32, u32) -> u64,
+        ),
+        ("table-walk", hilbert_xy_to_d),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let xor = cells
+                    .iter()
+                    .fold(0u64, |acc, &(x, y)| acc ^ index(16, x, y));
+                black_box((cells.len(), xor))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_assignment,
@@ -369,6 +413,7 @@ criterion_group!(
     bench_dataset_from_traces,
     bench_neighborhood_codec,
     bench_radius_query,
-    bench_rtree_merge
+    bench_rtree_merge,
+    bench_hilbert_index
 );
 criterion_main!(kernels);

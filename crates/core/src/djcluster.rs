@@ -228,6 +228,11 @@ impl Mapper<MobilityTrace> for SpeedFilterMapper {
         let threshold = self.threshold;
         self.state.flush(threshold, &mut |t| out.emit(t.user, t));
     }
+
+    /// A user switch flushes the run just as `cleanup` does.
+    fn splits_between(&self, prev: &MobilityTrace, next: &MobilityTrace) -> bool {
+        prev.user != next.user
+    }
 }
 
 /// Map-only job 2: keep the first trace of each redundant run.
@@ -263,6 +268,11 @@ impl Mapper<MobilityTrace> for DedupMapper {
             out.emit(value.user, *value);
             self.last_kept = Some(*value);
         }
+    }
+
+    /// A new user's first trace is kept whatever came before.
+    fn splits_between(&self, prev: &MobilityTrace, next: &MobilityTrace) -> bool {
+        prev.user != next.user
     }
 }
 
@@ -325,16 +335,17 @@ pub fn mapreduce_preprocess_in(
             .telemetry(telemetry.clone())
             .run()
     })?;
-    let stationary: Vec<MobilityTrace> = job1.output.into_iter().map(|(_, t)| t).collect();
-    let after_speed_filter = stationary.len();
+    let after_speed_filter = job1.output.len();
     jobs.add(job1.stats);
+    let sizer = |t: &MobilityTrace| t.approx_plt_bytes();
 
     // Pipeline hop: job 1's output becomes job 2's input.
     let intermediate = format!("{output}.stationary");
     if dfs.exists(&intermediate) {
         dfs.delete(&intermediate)?;
     }
-    dfs.put_with_sizer(&intermediate, stationary, |t| t.approx_plt_bytes())?;
+    let stationary = job1.output.into_iter().map(|(_, t)| t);
+    dfs.put_from_iter(&intermediate, stationary, sizer)?;
 
     // Job 2: remove redundant consecutive traces.
     let (job2, retries2) = ctx.submit("dj-dedup", &mut *dfs, |name, dfs, _| {
@@ -347,14 +358,13 @@ pub fn mapreduce_preprocess_in(
             .telemetry(telemetry.clone())
             .run()
     })?;
-    let deduped: Vec<MobilityTrace> = job2.output.into_iter().map(|(_, t)| t).collect();
-    let after_dedup = deduped.len();
+    let after_dedup = job2.output.len();
     jobs.add(job2.stats);
 
     if dfs.exists(output) {
         dfs.delete(output)?;
     }
-    dfs.put_with_sizer(output, deduped, |t| t.approx_plt_bytes())?;
+    dfs.put_from_iter(output, job2.output.into_iter().map(|(_, t)| t), sizer)?;
     telemetry.point(
         "djcluster.preprocessed",
         after_dedup as f64,
@@ -1037,6 +1047,28 @@ mod tests {
         let ds = Dataset::from_traces(traces);
         let pre = sequential_preprocess(&ds, &DjConfig::default());
         assert_eq!(pre.num_traces(), 1);
+    }
+
+    #[test]
+    fn preprocessing_mappers_cut_only_where_the_user_changes() {
+        use crate::test_splits::{assert_cuts_change_nothing, seam_traces};
+        let cache = DistributedCache::new();
+        let speed = SpeedFilterMapper {
+            threshold: 1.0,
+            state: SpeedFilterState::default(),
+        };
+        assert_eq!(
+            assert_cuts_change_nothing(&speed, &cache, 0, &seam_traces()),
+            3
+        );
+        let dedup = DedupMapper {
+            threshold_m: 0.5,
+            last_kept: None,
+        };
+        assert_eq!(
+            assert_cuts_change_nothing(&dedup, &cache, 0, &seam_traces()),
+            3
+        );
     }
 
     #[test]

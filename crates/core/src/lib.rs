@@ -80,6 +80,9 @@ pub mod spill_codecs;
 pub mod textio;
 pub mod viz;
 
+#[cfg(test)]
+mod test_splits;
+
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use crate::dfs_io::{put_dataset, trace_dfs};

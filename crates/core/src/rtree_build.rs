@@ -134,6 +134,11 @@ impl Mapper<MobilityTrace> for SampleMapper {
             out.emit(0, g.0.scalar(g.1, value.point));
         }
     }
+
+    /// Stateless and keyed on global offsets: cuts anywhere.
+    fn splits_between(&self, _prev: &MobilityTrace, _next: &MobilityTrace) -> bool {
+        true
+    }
 }
 
 /// Algorithm 7: a single reducer orders the sampled scalars and emits the
@@ -183,6 +188,11 @@ impl Mapper<MobilityTrace> for PartitionMapper {
         let scalar = g.0.scalar(g.1, value.point);
         let pid = self.boundaries.partition_point(|&b| b <= scalar) as u32;
         out.emit(pid, (offset, value.point.lat, value.point.lon));
+    }
+
+    /// Stateless and keyed on global offsets: cuts anywhere.
+    fn splits_between(&self, _prev: &MobilityTrace, _next: &MobilityTrace) -> bool {
+        true
     }
 }
 
@@ -449,6 +459,36 @@ mod tests {
         let (tree, report) = build(&cluster, &dfs, "empty", &RTreeBuildConfig::default());
         assert!(tree.is_empty());
         assert!(report.partition_sizes.is_empty());
+    }
+
+    #[test]
+    fn sample_and_partition_mappers_cut_anywhere() {
+        use crate::test_splits::{assert_cuts_change_nothing, seam_traces};
+        let traces = seam_traces();
+        let bounds = traces
+            .iter()
+            .fold(Rect::empty(), |r, t| r.union(&Rect::point(t.point)));
+        let grid = GridMapper::new(bounds, 16);
+        let cache = DistributedCache::new()
+            .with(GRID_CACHE_KEY, (grid, SpaceFillingCurve::Hilbert))
+            .with(BOUNDARIES_CACHE_KEY, vec![1u64 << 20, 1 << 28]);
+        let every_seam = traces.len() - 1;
+        let sample = SampleMapper {
+            grid: None,
+            stride: 3,
+        };
+        assert_eq!(
+            assert_cuts_change_nothing(&sample, &cache, 1_000, &traces),
+            every_seam
+        );
+        let partition = PartitionMapper {
+            grid: None,
+            boundaries: Arc::new(Vec::new()),
+        };
+        assert_eq!(
+            assert_cuts_change_nothing(&partition, &cache, 1_000, &traces),
+            every_seam
+        );
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! ```
 
 use gepeto_mapred::{
-    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, FlatGroups, JobError, JobStats, MapOnlyJob,
-    MapReduceJob, Mapper, Reducer,
+    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, FlatGroups, JobError, JobResult, JobStats,
+    MapOnlyJob, MapReduceJob, Mapper, Reducer,
 };
 use gepeto_model::{Dataset, MobilityTrace, Trail, UserId};
 use gepeto_telemetry::Recorder;
@@ -207,6 +207,11 @@ impl Mapper<MobilityTrace> for SamplingMapper {
             out.emit(s.best.user, s.best);
         }
     }
+
+    /// A user switch closes the window just as `cleanup` does.
+    fn splits_between(&self, prev: &MobilityTrace, next: &MobilityTrace) -> bool {
+        prev.user != next.user
+    }
 }
 
 /// Runs sampling as a map-only MapReduce job over `input`, submitted
@@ -225,7 +230,19 @@ pub fn mapreduce_sample_in<'d>(
     input: &str,
     cfg: &SamplingConfig,
 ) -> Result<(Dataset, JobStats, u32), JobError> {
-    let mut dfs = dfs.into();
+    let (result, retries) = sample_job(ctx, dfs.into(), input, cfg)?;
+    let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
+    Ok((dataset, result.stats, retries))
+}
+
+/// The job behind [`mapreduce_sample_in`], its output pairs in emission
+/// order.
+fn sample_job(
+    ctx: &ExecCtx<'_>,
+    mut dfs: DfsAccess<'_, MobilityTrace>,
+    input: &str,
+    cfg: &SamplingConfig,
+) -> Result<(JobResult<UserId, MobilityTrace>, u32), JobError> {
     let telemetry = &ctx.telemetry;
     let span = telemetry.span(
         "sampling",
@@ -247,8 +264,7 @@ pub fn mapreduce_sample_in<'d>(
             &[("input", input)],
         );
     }
-    let dataset = Dataset::from_traces(result.output.into_iter().map(|(_, t)| t));
-    Ok((dataset, result.stats, retries))
+    Ok((result, retries))
 }
 
 /// Regroups sampled traces per user — the reduce-side variant of sampling
@@ -345,7 +361,9 @@ pub fn mapreduce_sample_by_user(
 
 /// [`mapreduce_sample_in`] under [`ExecCtx::new`], the result written
 /// back to the DFS under `output` (the paper's jobs read and write HDFS
-/// folders).
+/// folders) in [`Dataset`] order: by user, then by time. The job's pairs
+/// are stably sorted into that order in place — one pass over the
+/// user-major output of a user-major input — and put as they are.
 pub fn mapreduce_sample_to_dfs(
     cluster: &Cluster,
     dfs: &mut Dfs<MobilityTrace>,
@@ -353,9 +371,11 @@ pub fn mapreduce_sample_to_dfs(
     output: &str,
     cfg: &SamplingConfig,
 ) -> Result<JobStats, JobError> {
-    let (dataset, stats, _) = mapreduce_sample_in(&ExecCtx::new(cluster), &mut *dfs, input, cfg)?;
-    dfs.put_with_sizer(output, dataset.to_traces(), |t| t.approx_plt_bytes())?;
-    Ok(stats)
+    let (mut result, _) = sample_job(&ExecCtx::new(cluster), (&mut *dfs).into(), input, cfg)?;
+    result.output.sort_by_key(|(_, t)| (t.user, t.timestamp));
+    let traces = result.output.into_iter().map(|(_, t)| t);
+    dfs.put_from_iter(output, traces, |t| t.approx_plt_bytes())?;
+    Ok(result.stats)
 }
 
 #[cfg(test)]
@@ -493,6 +513,57 @@ mod tests {
         assert!(dfs.exists("out"));
         assert!(stats.map_tasks >= 1);
         assert!(dfs.num_records("out").unwrap() < 100);
+    }
+
+    #[test]
+    fn sampling_mapper_cuts_only_where_the_user_changes() {
+        use crate::test_splits::{assert_cuts_change_nothing, seam_traces};
+        let cache = gepeto_mapred::DistributedCache::new();
+        for technique in [Technique::ClosestToUpperLimit, Technique::ClosestToMiddle] {
+            let mapper = SamplingMapper::new(SamplingConfig::new(60, technique));
+            assert_eq!(
+                assert_cuts_change_nothing(&mapper, &cache, 0, &seam_traces()),
+                3
+            );
+        }
+    }
+
+    /// The blocks of `name`: records, bytes and checksum, in file order.
+    fn chunks(dfs: &Dfs<MobilityTrace>, name: &str) -> Vec<(Vec<MobilityTrace>, usize, u64)> {
+        let ids = dfs.blocks_of(name).unwrap();
+        ids.iter()
+            .map(|&id| dfs.block(id))
+            .map(|b| (b.data.to_vec(), b.bytes, b.checksum))
+            .collect()
+    }
+
+    #[test]
+    fn to_dfs_writes_the_dataset_order_chunk_for_chunk() {
+        // User-major input samples to output already in dataset order;
+        // interleaved users (a new user every trace, in falling order)
+        // come out of the job unordered. Both files must be the one the
+        // dataset round trip writes.
+        let user_major: Vec<MobilityTrace> = (0..300u32)
+            .map(|i| tr(1 + i / 100, i64::from(i % 100) * 25))
+            .collect();
+        let interleaved: Vec<MobilityTrace> = (0..300u32)
+            .map(|i| tr(3 - i % 3, i64::from(i / 3) * 25))
+            .collect();
+        let cluster = Cluster::local(2, 2);
+        let cfg = SamplingConfig::new(60, Technique::ClosestToMiddle);
+        for input in [user_major, interleaved] {
+            let mut dfs = trace_dfs(&cluster, 2_000);
+            dfs.put_with_sizer("in", input, |t| t.approx_plt_bytes())
+                .unwrap();
+            mapreduce_sample_to_dfs(&cluster, &mut dfs, "in", "out", &cfg).unwrap();
+            let (dataset, _, _) =
+                mapreduce_sample_in(&ExecCtx::new(&cluster), &dfs, "in", &cfg).unwrap();
+            let mut want = trace_dfs(&cluster, 2_000);
+            want.put_with_sizer("out", dataset.to_traces(), |t| t.approx_plt_bytes())
+                .unwrap();
+            assert!(want.num_blocks("out").unwrap() > 1);
+            assert_eq!(chunks(&dfs, "out"), chunks(&want, "out"));
+        }
     }
 
     #[test]

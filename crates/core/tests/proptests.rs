@@ -1,10 +1,16 @@
 //! Property-based tests on the toolkit's algorithmic invariants.
 
-use gepeto::djcluster::{sequential_djcluster, sequential_preprocess, DjConfig};
+use gepeto::dfs_io::{put_dataset, trace_dfs};
+use gepeto::djcluster::{
+    mapreduce_preprocess_in, sequential_djcluster, sequential_preprocess, DjConfig,
+};
 use gepeto::kmeans::{assign_points, initial_centroids, sequential_iteration, within_cluster_cost};
-use gepeto::sampling::{sample_trail, SamplingConfig, Technique};
+use gepeto::sampling::{
+    mapreduce_sample_in, sample_trail, sequential_sample, SamplingConfig, Technique,
+};
 use gepeto::sanitize::{GaussianMask, Sanitizer, SpatialAggregation, UniformMask};
 use gepeto_geo::{haversine_m, DistanceMetric};
+use gepeto_mapred::{Cluster, ExecCtx};
 use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp, Trail};
 use proptest::prelude::*;
 
@@ -176,5 +182,33 @@ proptest! {
                 prop_assert_eq!(t.user, trail.user);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// One chunk of several thousand traces is cut into input splits
+    /// wherever the pool has two executors. The MapReduce sampling and
+    /// preprocessing must still equal the sequential references exactly,
+    /// which they do only if every cut their mappers declare is at a user
+    /// switch.
+    #[test]
+    fn one_chunk_jobs_equal_the_sequential_references_when_split(
+        traces in prop::collection::vec(trace_strategy(), 4_000..12_000),
+        window in 60i64..600,
+    ) {
+        let ds = Dataset::from_traces(traces);
+        let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
+        let mut dfs = trace_dfs(&cluster, 1 << 30);
+        put_dataset(&mut dfs, "d", &ds).unwrap();
+        let cfg = SamplingConfig::new(window, Technique::ClosestToUpperLimit);
+        let (sampled, stats, _) = mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
+        prop_assert_eq!(stats.map_tasks, 1);
+        prop_assert_eq!(sampled, sequential_sample(&ds, &cfg));
+        let dj = DjConfig::default();
+        mapreduce_preprocess_in(&ctx, &mut dfs, "d", "pre", &dj).unwrap();
+        prop_assert_eq!(dfs.read("pre").unwrap(), sequential_preprocess(&ds, &dj).to_traces());
     }
 }

@@ -103,9 +103,64 @@ pub fn morton_decode(d: u64) -> (u32, u32) {
     (collapse_bits(d), collapse_bits(d >> 1))
 }
 
-/// Hilbert curve distance of cell `(x, y)` on a `2^order` grid
-/// (iterative algorithm, Lawder & King / Wikipedia formulation).
-pub fn hilbert_xy_to_d(order: u32, mut x: u32, mut y: u32) -> u64 {
+/// Hilbert curve distance of cell `(x, y)` on a `2^order` grid: the
+/// per-bit descent of [`hilbert_xy_to_d_bitwise`], taken a nibble of `x`
+/// and `y` at a time through a 1 024-entry table.
+///
+/// The descent's state is the transform the quadrants so far applied to
+/// the remaining bits: swap the coordinates or not, complement both or
+/// not. An order that is not a multiple of 4 is padded with leading zero
+/// bits; each zero level swaps and adds nothing, so an odd padding starts
+/// the walk swapped and leaves it unswapped when the real bits begin.
+pub fn hilbert_xy_to_d(order: u32, x: u32, y: u32) -> u64 {
+    let steps = order.div_ceil(4);
+    let mut state = (steps * 4 - order) & 1;
+    let mut d = 0u64;
+    for step in (0..steps).rev() {
+        let (xn, yn) = ((x >> (4 * step)) & 15, (y >> (4 * step)) & 15);
+        let entry = HILBERT_NIBBLES[(state << 8 | xn << 4 | yn) as usize];
+        d = d << 8 | u64::from(entry >> 2);
+        state = u32::from(entry & 3);
+    }
+    d
+}
+
+/// One Hilbert descent over 4 bit levels, per entry state (bit 0: swap,
+/// bit 1: complement) and 4-bit `x` and `y` nibbles, indexed
+/// `state << 8 | x << 4 | y`: the 8 bits of curve distance the levels add,
+/// shifted left by 2, or'ed with the state they leave.
+const HILBERT_NIBBLES: [u16; 1024] = {
+    let mut table = [0u16; 1024];
+    let mut i = 0;
+    while i < 1024 {
+        let mut state = i >> 8;
+        let mut d = 0;
+        let mut level = 4;
+        while level > 0 {
+            level -= 1;
+            let (mut rx, mut ry) = ((i >> (4 + level)) & 1, (i >> level) & 1);
+            if state & 1 == 1 {
+                (rx, ry) = (ry, rx);
+            }
+            if state & 2 == 2 {
+                (rx, ry) = (rx ^ 1, ry ^ 1);
+            }
+            d = d << 2 | ((3 * rx) ^ ry);
+            if ry == 0 {
+                state ^= 1 | (rx << 1);
+            }
+        }
+        table[i] = (d << 2 | state) as u16;
+        i += 1;
+    }
+    table
+};
+
+/// The per-bit Hilbert descent (iterative algorithm, Lawder & King /
+/// Wikipedia formulation): the reference [`hilbert_xy_to_d`] is tested
+/// against, and its speed baseline.
+#[doc(hidden)]
+pub fn hilbert_xy_to_d_bitwise(order: u32, mut x: u32, mut y: u32) -> u64 {
     let n: u64 = 1u64 << order; // grid side
     let mut d: u64 = 0;
     let mut s: u64 = n / 2;
@@ -227,6 +282,22 @@ mod tests {
         assert_eq!(hilbert_xy_to_d(1, 0, 1), 1);
         assert_eq!(hilbert_xy_to_d(1, 1, 1), 2);
         assert_eq!(hilbert_xy_to_d(1, 1, 0), 3);
+    }
+
+    #[test]
+    fn hilbert_table_walk_equals_the_bitwise_descent_exhaustively() {
+        for order in 0..=8u32 {
+            let side = 1u32 << order;
+            for x in 0..side {
+                for y in 0..side {
+                    assert_eq!(
+                        hilbert_xy_to_d(order, x, y),
+                        hilbert_xy_to_d_bitwise(order, x, y),
+                        "order={order} x={x} y={y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

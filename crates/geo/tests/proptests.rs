@@ -3,7 +3,10 @@
 
 use gepeto_geo::distance::equirectangular_m;
 use gepeto_geo::rtree::{radius_bounding_rect, Entry, Hit};
-use gepeto_geo::sfc::{hilbert_d_to_xy, hilbert_xy_to_d, morton_decode, morton_encode, GridMapper};
+use gepeto_geo::sfc::{
+    hilbert_d_to_xy, hilbert_xy_to_d, hilbert_xy_to_d_bitwise, morton_decode, morton_encode,
+    GridMapper,
+};
 use gepeto_geo::{haversine_m, DistanceMetric, RTree, Rect, SpaceFillingCurve};
 use gepeto_model::GeoPoint;
 use proptest::prelude::*;
@@ -97,6 +100,17 @@ proptest! {
         let d = hilbert_xy_to_d(order, x, y);
         prop_assert!(d < 1u64 << (2 * order));
         prop_assert_eq!(hilbert_d_to_xy(order, d), (x, y));
+    }
+
+    #[test]
+    fn hilbert_table_walk_equals_the_bitwise_descent(
+        widest in any::<bool>(),
+        xy in any::<(u32, u32)>(),
+    ) {
+        let order = if widest { 31 } else { 16 };
+        let mask = (1u32 << order) - 1;
+        let (x, y) = (xy.0 & mask, xy.1 & mask);
+        prop_assert_eq!(hilbert_xy_to_d(order, x, y), hilbert_xy_to_d_bitwise(order, x, y));
     }
 
     #[test]

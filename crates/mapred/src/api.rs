@@ -106,7 +106,9 @@ pub trait Mapper<V1>: Clone + Send {
     fn map(&mut self, offset: u64, value: &V1, out: &mut Emitter<Self::KOut, Self::VOut>);
 
     /// Processes the task's whole chunk; `base_offset` is the global
-    /// offset of `block[0]`. The engine calls this once per map task. The
+    /// offset of `block[0]`. The engine calls this once per map task, or
+    /// once per input split for a mapper that declares cut points
+    /// ([`Self::splits_between`]). The
     /// default is [`map_records`]; a mapper whose work vectorizes or
     /// pre-aggregates across records (the fused k-means assignment)
     /// overrides it and emits whatever the per-record loop followed by a
@@ -123,6 +125,21 @@ pub trait Mapper<V1>: Clone + Send {
     /// Once-per-task teardown; may emit trailing pairs (used by windowed
     /// mappers to flush their last window).
     fn cleanup(&mut self, _out: &mut Emitter<Self::KOut, Self::VOut>) {}
+
+    /// Whether the engine may cut a chunk between the adjacent records
+    /// `prev` and `next` (Hadoop's input split, taken inside one chunk).
+    ///
+    /// Return `true` only if the cut changes no emitted pair. Each side of
+    /// a cut runs on a fresh clone — `setup`, then `map_block(base +
+    /// start, range)`, then `cleanup` — and the two sides' pairs,
+    /// concatenated in order, must be exactly the pairs, in the same
+    /// order, that one clone emits for the whole chunk. The default never
+    /// cuts. The engine splits only a job with fewer chunks than pool
+    /// executors and no combiner, and still counts, retries and simulates
+    /// one task per chunk.
+    fn splits_between(&self, _prev: &V1, _next: &V1) -> bool {
+        false
+    }
 }
 
 /// The per-record loop behind the default [`Mapper::map_block`]: reserves

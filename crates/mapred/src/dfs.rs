@@ -8,11 +8,10 @@
 
 use crate::chaos::ChaosPlan;
 use crate::counters::builtin;
-use crate::hash::{fnv_hash, FnvHasher};
+use crate::hash::{fnv_hash, FNV_OFFSET, FNV_PRIME};
 use crate::topology::{NodeId, Topology};
 use gepeto_telemetry::Recorder;
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
 /// Identifier of a stored chunk.
@@ -60,11 +59,12 @@ pub struct Block<T> {
     pub data: Arc<Vec<T>>,
     /// Serialized size of the chunk in bytes.
     pub bytes: usize,
-    /// Content checksum computed at `put` (FNV-1a over the chunk's
-    /// per-record serialized sizes — the stand-in for HDFS's CRC32 over
-    /// the chunk bytes, since records are held in memory, not
-    /// serialized). Reads verify each replica's observed checksum
-    /// against this value and fail over on mismatch.
+    /// Content checksum computed at `put`: one FNV xor-multiply per record
+    /// on its 64-bit serialized size, mixed with the file name and chunk
+    /// index — the stand-in for HDFS's CRC32, since records are held in
+    /// memory. Reads verify each replica against it and fail over on
+    /// mismatch. It lives only in memory (no committed artifact or
+    /// baseline carries it), so its fold may change between versions.
     pub checksum: u64,
     /// Replica locations; `replicas[0]` is the writer-local copy.
     pub replicas: Vec<NodeId>,
@@ -104,7 +104,8 @@ struct ChunkWriter<T> {
     block_bytes: usize,
     current: Vec<T>,
     current_bytes: usize,
-    current_sum: FnvHasher,
+    /// FNV-style fold of the records' sizes, one 64-bit word each.
+    current_sum: u64,
     /// Sealed chunks (records, bytes, content sum), placed at commit.
     sealed: Vec<(Vec<T>, usize, u64)>,
 }
@@ -115,7 +116,7 @@ impl<T> ChunkWriter<T> {
             block_bytes,
             current: Vec::new(),
             current_bytes: 0,
-            current_sum: FnvHasher::default(),
+            current_sum: FNV_OFFSET,
             sealed: Vec::new(),
         }
     }
@@ -134,7 +135,7 @@ impl<T> ChunkWriter<T> {
             }
             self.current.push(r);
             self.current_bytes += b;
-            self.current_sum.write(&(b as u64).to_le_bytes());
+            self.current_sum = (self.current_sum ^ b as u64).wrapping_mul(FNV_PRIME);
             if self.current_bytes >= self.block_bytes {
                 self.seal();
             }
@@ -145,7 +146,7 @@ impl<T> ChunkWriter<T> {
         let mut data = std::mem::take(&mut self.current);
         data.shrink_to_fit();
         let bytes = std::mem::take(&mut self.current_bytes);
-        let sum = std::mem::take(&mut self.current_sum).finish();
+        let sum = std::mem::replace(&mut self.current_sum, FNV_OFFSET);
         self.sealed.push((data, bytes, sum));
     }
 }

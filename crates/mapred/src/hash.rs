@@ -7,8 +7,8 @@
 
 use std::hash::{Hash, Hasher};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A FNV-1a [`Hasher`] with a fixed offset basis — deterministic across
 /// processes and platforms.

@@ -19,7 +19,7 @@ use crate::chaos::ChaosPlan;
 use crate::commit::{self, CommitError};
 use crate::config::JobConfig;
 use crate::counters::{builtin, phase, Counters};
-use crate::dfs::{Dfs, DfsError};
+use crate::dfs::{BlockId, Dfs, DfsError};
 use crate::exec::ExecCtx;
 use crate::hash::{default_partition, unit_hash, FnvBuildHasher};
 use crate::journal::{JournalEntry, RunJournal};
@@ -34,8 +34,10 @@ use gepeto_telemetry::registry::{self, Kind};
 use gepeto_telemetry::{LedgerScope, Recorder, Span};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Deterministic task-failure injection. A map attempt `(task, attempt)`
@@ -567,39 +569,14 @@ where
                         }
                     }
                 }
-                let fail = &self.cluster.failures;
-                let mut attempt = 1u32;
-                let mut failed_attempts = Vec::new();
-                while unit_hash(&(
-                    self.name.as_str(),
+                let (attempt, failed_attempts) = draw_attempts(
+                    &self.name,
                     phase::REDUCE,
                     task_id,
-                    attempt,
-                    fail.seed,
-                )) < fail.reduce_fail_prob
-                {
-                    counters.inc(builtin::TASK_RETRIES, 1);
-                    self.telemetry.point(
-                        "task.retry",
-                        attempt as f64,
-                        &[("phase", phase::REDUCE), ("task", &task_id.to_string())],
-                    );
-                    failed_attempts.push(failed_attempt_fraction(
-                        self.name.as_str(),
-                        phase::REDUCE,
-                        task_id,
-                        attempt,
-                        fail.seed,
-                    ));
-                    attempt += 1;
-                    if attempt > fail.max_attempts {
-                        return Err(JobError::TaskFailed {
-                            phase: phase::REDUCE,
-                            task: task_id,
-                            attempts: fail.max_attempts,
-                        });
-                    }
-                }
+                    self.cluster,
+                    &counters,
+                    &self.telemetry,
+                )?;
                 let task_span = reduce_span.child(
                     "task.reduce",
                     &[
@@ -870,10 +847,12 @@ where
             None,
             None,
         )?;
-        let output = partitions
-            .into_iter()
-            .flat_map(PartitionInput::into_memory)
-            .collect();
+        let output = concat_buckets(
+            partitions
+                .into_iter()
+                .flat_map(PartitionInput::into_buckets)
+                .collect(),
+        );
         let sim = simulate_chaos(
             &self.cluster.topology,
             &self.cluster.sim,
@@ -897,6 +876,47 @@ where
         );
         Ok(JobResult { output, stats })
     }
+}
+
+/// Draws a task's injected failures under the cluster's [`FailurePlan`]:
+/// the attempt that succeeds and the runtime fractions of those that died
+/// before it, or the error once `max_attempts` are spent.
+fn draw_attempts(
+    job: &str,
+    phase_name: &'static str,
+    task: usize,
+    cluster: &Cluster,
+    counters: &Counters,
+    telemetry: &Recorder,
+) -> Result<(u32, Vec<f64>), JobError> {
+    let fail = &cluster.failures;
+    let prob = if phase_name == phase::MAP {
+        fail.map_fail_prob
+    } else {
+        fail.reduce_fail_prob
+    };
+    let mut attempt = 1u32;
+    let mut failed_attempts = Vec::new();
+    while unit_hash(&(job, phase_name, task, attempt, fail.seed)) < prob {
+        counters.inc(builtin::TASK_RETRIES, 1);
+        telemetry.point(
+            "task.retry",
+            attempt as f64,
+            &[("phase", phase_name), ("task", &task.to_string())],
+        );
+        failed_attempts.push(failed_attempt_fraction(
+            job, phase_name, task, attempt, fail.seed,
+        ));
+        attempt += 1;
+        if attempt > fail.max_attempts {
+            return Err(JobError::TaskFailed {
+                phase: phase_name,
+                task,
+                attempts: fail.max_attempts,
+            });
+        }
+    }
+    Ok((attempt, failed_attempts))
 }
 
 /// Runtime fraction a failed attempt consumed before dying: a
@@ -1041,72 +1061,73 @@ where
     }
 
     let default_pair_size = std::mem::size_of::<(M::KOut, M::VOut)>();
-    let mapper_clones: Vec<(M, Option<C>)> = (0..block_ids.len())
-        .map(|_| (mapper.clone(), combiner.cloned()))
-        .collect();
     let map_span = job_span.child("phase.map", &[("tasks", &block_ids.len().to_string())]);
-    type MapResults<K, V> = Vec<Result<MapTaskResult<K, V>, JobError>>;
-    let map_inputs: Vec<_> = block_ids
-        .iter()
-        .copied()
-        .zip(mapper_clones)
-        .enumerate()
-        .collect();
-    let results: MapResults<M::KOut, M::VOut> =
-        gepeto_pool::global().map_vec(map_inputs, |(task_id, (block_id, (mut m, combiner)))| {
-            let fail = &cluster.failures;
-            let mut attempt = 1u32;
-            let mut failed_attempts = Vec::new();
-            while unit_hash(&(job_name, phase::MAP, task_id, attempt, fail.seed))
-                < fail.map_fail_prob
-            {
-                counters.inc(builtin::TASK_RETRIES, 1);
-                telemetry.point(
-                    "task.retry",
-                    attempt as f64,
-                    &[("phase", phase::MAP), ("task", &task_id.to_string())],
-                );
-                failed_attempts.push(failed_attempt_fraction(
-                    job_name,
-                    phase::MAP,
-                    task_id,
-                    attempt,
-                    fail.seed,
-                ));
-                attempt += 1;
-                if attempt > fail.max_attempts {
-                    return Err(JobError::TaskFailed {
-                        phase: phase::MAP,
-                        task: task_id,
-                        attempts: fail.max_attempts,
-                    });
-                }
-            }
-            let block = dfs.block(block_id);
-            let task_span = map_span.child(
-                "task.map",
-                &[
-                    ("task", &task_id.to_string()),
-                    ("block", &block_id.to_string()),
-                    ("attempt", &attempt.to_string()),
-                ],
-            );
+    let pool = gepeto_pool::global();
+    // Input splits: a job with fewer chunks than executors cuts each chunk
+    // into record ranges at the mapper's declared cut points and runs the
+    // ranges as pool items. A combiner folds a whole task's output, so it
+    // keeps its tasks whole.
+    let split = combiner.is_none() && block_ids.len() < pool.threads();
+    let mut tasks = Vec::with_capacity(block_ids.len());
+    let mut items = Vec::with_capacity(block_ids.len());
+    for (task_id, &block_id) in block_ids.iter().enumerate() {
+        let (attempt, failed_attempts) =
+            draw_attempts(job_name, phase::MAP, task_id, cluster, counters, telemetry)?;
+        let data = &dfs.block(block_id).data;
+        let ranges = if split {
+            split_ranges(data, SPLIT_RECORDS, |a, b| mapper.splits_between(a, b))
+        } else {
+            std::iter::once(0..data.len()).collect()
+        };
+        tasks.push(MapTaskRun {
+            block_id,
+            attempt,
+            failed_attempts,
+            ranges: ranges.len(),
+            remaining: AtomicUsize::new(ranges.len()),
+            busy_ns: AtomicU64::new(0),
+            span: Mutex::new(None),
+        });
+        items.extend(
+            ranges
+                .into_iter()
+                .map(|range| (task_id, range, mapper.clone(), combiner.cloned())),
+        );
+    }
+    let outputs: Vec<RangeOutput<M::KOut, M::VOut>> =
+        pool.map_vec(items, |(task_id, range, mut m, combiner)| {
+            let task = &tasks[task_id];
+            let block = dfs.block(task.block_id);
             let t0 = Instant::now();
+            // The task's first range to start opens its span, its last
+            // range to finish closes it.
+            task.span.lock().unwrap().get_or_insert_with(|| {
+                map_span.child(
+                    "task.map",
+                    &[
+                        ("task", &task_id.to_string()),
+                        ("block", &task.block_id.to_string()),
+                        ("attempt", &task.attempt.to_string()),
+                        ("ranges", &task.ranges.to_string()),
+                    ],
+                )
+            });
             let ctx = TaskContext {
                 task_id,
-                attempt,
+                attempt: task.attempt,
                 config,
                 cache,
                 counters,
             };
             m.setup(&ctx);
             let mut out = Emitter::new();
-            m.map_block(offsets[task_id], &block.data, &mut out);
+            let base = offsets[task_id] + range.start as u64;
+            counters.inc(builtin::MAP_INPUT_RECORDS, range.len() as u64);
+            m.map_block(base, &block.data[range], &mut out);
             m.cleanup(&mut out);
-            counters.inc(builtin::MAP_INPUT_RECORDS, block.data.len() as u64);
             counters.inc(builtin::MAP_OUTPUT_RECORDS, out.len() as u64);
 
-            // Partition (and optionally combine) this task's output.
+            // Partition (and optionally combine) this range's output.
             let pairs = out.into_pairs();
             let (buckets, bytes) = if num_reducers == 0 {
                 let sz: u64 = pairs
@@ -1117,7 +1138,8 @@ where
             } else {
                 let mut buckets = partition_pairs(pairs, num_reducers, partitioner.as_ref());
                 if let Some(c) = &combiner {
-                    let _combine_span = task_span.child("phase.combine", &[]);
+                    let task_span = task.span.lock().unwrap();
+                    let _combine_span = task_span.as_ref().map(|s| s.child("phase.combine", &[]));
                     for bucket in buckets.iter_mut() {
                         *bucket = run_combiner(c, std::mem::take(bucket), counters);
                     }
@@ -1136,29 +1158,16 @@ where
                     .collect();
                 (buckets, bytes)
             };
-            let host_secs = t0.elapsed().as_secs_f64();
-            task_span.end();
-            if let Some(m) = &monitor {
-                m.add(registry::MAP_TASKS_DONE, 1);
-                m.observe("task.map.us", (host_secs * 1e6) as u64);
+            let busy_ns = t0.elapsed().as_nanos() as u64;
+            task.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+            if task.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                drop(task.span.lock().unwrap().take());
+                if let Some(m) = &monitor {
+                    m.add(registry::MAP_TASKS_DONE, 1);
+                    m.observe("task.map.us", task.busy_ns.load(Ordering::Relaxed) / 1_000);
+                }
             }
-            Ok(MapTaskResult {
-                buckets,
-                bucket_bytes: bytes,
-                sim: MapTaskSim {
-                    host_secs,
-                    input_bytes: block.bytes as u64,
-                    records: block.data.len() as u64,
-                    block: block_id,
-                    replicas: block.replicas.clone(),
-                    corrupted: block
-                        .replicas
-                        .iter()
-                        .map(|&n| cluster.chaos.is_corrupted(block_id, n))
-                        .collect(),
-                    failed_attempts,
-                },
-            })
+            RangeOutput { buckets, bytes }
         });
 
     map_span.end();
@@ -1171,9 +1180,40 @@ where
     // only hands bucket ownership over (the copy runs inside the reduce
     // tasks); with one it is the memory-bounded copy step.
     let _shuffle_span = (num_reducers > 0).then(|| job_span.child("phase.shuffle", &[]));
+    // One result per task: its ranges' buckets, per partition in range
+    // order, and its busy time summed over them.
     let mut ok_results = Vec::with_capacity(block_ids.len());
-    for r in results {
-        ok_results.push(r?);
+    let mut outputs = outputs.into_iter();
+    for task in tasks {
+        let parts = num_reducers.max(1);
+        let mut buckets: Vec<Buckets<M::KOut, M::VOut>> = (0..parts)
+            .map(|_| Vec::with_capacity(task.ranges))
+            .collect();
+        let mut bucket_bytes = vec![0u64; parts];
+        for range in outputs.by_ref().take(task.ranges) {
+            for (p, (bucket, bytes)) in range.buckets.into_iter().zip(range.bytes).enumerate() {
+                buckets[p].push(bucket);
+                bucket_bytes[p] += bytes;
+            }
+        }
+        let block = dfs.block(task.block_id);
+        ok_results.push(MapTaskResult {
+            buckets,
+            bucket_bytes,
+            sim: MapTaskSim {
+                host_secs: task.busy_ns.into_inner() as f64 / 1e9,
+                input_bytes: block.bytes as u64,
+                records: block.data.len() as u64,
+                block: task.block_id,
+                replicas: block.replicas.clone(),
+                corrupted: block
+                    .replicas
+                    .iter()
+                    .map(|&n| cluster.chaos.is_corrupted(task.block_id, n))
+                    .collect(),
+                failed_attempts: task.failed_attempts,
+            },
+        });
     }
     let mut partition_bytes = vec![0u64; num_partitions];
     let mut sim_tasks = Vec::with_capacity(block_ids.len());
@@ -1182,10 +1222,10 @@ where
     let mut acct_peak = 0u64;
     let partitions: Vec<PartitionInput<M::KOut, M::VOut>> = if num_reducers == 0 {
         let mut partitions = Vec::with_capacity(num_partitions);
-        for (task_id, r) in ok_results.into_iter().enumerate() {
+        for (task_id, mut r) in ok_results.into_iter().enumerate() {
             sim_tasks.push(r.sim);
             partition_bytes[task_id] = r.bucket_bytes[0];
-            partitions.push(PartitionInput::Memory(r.buckets));
+            partitions.push(PartitionInput::Memory(r.buckets.swap_remove(0)));
         }
         acct_peak = partition_bytes.iter().copied().max().unwrap_or(0);
         partitions
@@ -1202,13 +1242,11 @@ where
         let mut spill_dir: Option<Arc<SpillDir>> = None;
         for r in ok_results {
             sim_tasks.push(r.sim);
-            for (p, bucket) in r.buckets.into_iter().enumerate() {
+            for (p, ranges) in r.buckets.into_iter().enumerate() {
                 partition_bytes[p] += r.bucket_bytes[p];
                 mem_bytes[p] += r.bucket_bytes[p];
                 acct_peak = acct_peak.max(mem_bytes[p]);
-                if !bucket.is_empty() {
-                    bufs[p].push(bucket);
-                }
+                bufs[p].extend(ranges.into_iter().filter(|b| !b.is_empty()));
                 if mem_bytes[p] > sp.budget as u64 && !bufs[p].is_empty() {
                     let dir =
                         lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
@@ -1258,14 +1296,15 @@ where
         partitions
     } else {
         // No copy here: each partition is handed its map tasks' buckets
-        // in task order, and its reduce task moves them into its column.
+        // in task and range order, and its reduce task moves them into
+        // its column.
         let mut partitions: Vec<Vec<_>> = (0..num_partitions)
             .map(|_| Vec::with_capacity(ok_results.len()))
             .collect();
         for r in ok_results {
             sim_tasks.push(r.sim);
-            for (p, bucket) in r.buckets.into_iter().enumerate() {
-                partitions[p].push(bucket);
+            for (p, ranges) in r.buckets.into_iter().enumerate() {
+                partitions[p].extend(ranges);
                 partition_bytes[p] += r.bucket_bytes[p];
             }
         }
@@ -1377,9 +1416,58 @@ fn spill_buffer<K: MrKey, V: MrValue>(
 }
 
 struct MapTaskResult<K, V> {
-    buckets: Vec<Vec<(K, V)>>,
+    /// Per partition (one for a map-only job), the task's range buckets
+    /// in range order.
+    buckets: Vec<Buckets<K, V>>,
     bucket_bytes: Vec<u64>,
     sim: MapTaskSim,
+}
+
+/// Records per input split: a chunk of a job that splits is cut about
+/// this often, at its mapper's declared cut points.
+const SPLIT_RECORDS: usize = 4_096;
+
+/// A map task on its way through the pool: its identity, and what its
+/// ranges share while they run.
+struct MapTaskRun {
+    block_id: BlockId,
+    attempt: u32,
+    failed_attempts: Vec<f64>,
+    ranges: usize,
+    /// Ranges still running; the one that takes this to zero closes the
+    /// task.
+    remaining: AtomicUsize,
+    /// Busy time summed over the ranges — the task's `host_secs`.
+    busy_ns: AtomicU64,
+    /// The `task.map` span, opened by the first range to start.
+    span: Mutex<Option<Span>>,
+}
+
+/// One range's output: per partition its bucket, and the bucket's bytes.
+struct RangeOutput<K, V> {
+    buckets: Buckets<K, V>,
+    bytes: Vec<u64>,
+}
+
+/// Cuts `records` into consecutive ranges. A cut is due every `every`
+/// records, counted from the start, and moves forward to the first
+/// position `i` with `legal(&records[i - 1], &records[i])`; once no legal
+/// position is left, the last range runs to the end. The ranges depend on
+/// the records alone, never on the thread count.
+fn split_ranges<V>(
+    records: &[V],
+    every: usize,
+    legal: impl Fn(&V, &V) -> bool,
+) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let (mut start, mut due) = (0, every);
+    while let Some(cut) = (due..records.len()).find(|&i| legal(&records[i - 1], &records[i])) {
+        ranges.push(start..cut);
+        start = cut;
+        due = (cut / every + 1) * every;
+    }
+    ranges.push(start..records.len());
+    ranges
 }
 
 /// Splits one map task's output into one bucket per reduce partition,
@@ -2060,6 +2148,65 @@ mod tests {
             plain.stats.sim.shuffle_bytes
         );
         assert!(combined.stats.counters[builtin::COMBINE_INPUT_RECORDS] > 0);
+    }
+
+    /// The ranges `split_ranges` must return, by a plain scan: a cut at
+    /// the first legal position at or past each due point.
+    fn scanned_ranges(users: &[u64], every: usize) -> Vec<Range<usize>> {
+        let (mut ranges, mut start, mut due) = (Vec::new(), 0, every);
+        for i in 1..users.len() {
+            if i >= due && users[i - 1] != users[i] {
+                ranges.push(start..i);
+                start = i;
+                due = (i / every + 1) * every;
+            }
+        }
+        ranges.push(start..users.len());
+        ranges
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Cuts fall only between different users, at the first such
+        /// position from each due point, and the ranges tile the chunk —
+        /// at every range size from one record to the whole chunk.
+        fn split_ranges_cut_at_the_first_legal_position(
+            runs in proptest::collection::vec((0u64..4, 1usize..1_500), 0..12),
+            size in 0usize..5,
+        ) {
+            let users: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(user, len)| std::iter::repeat_n(user, len))
+                .collect();
+            let every = [1, 2, 7, SPLIT_RECORDS, users.len().max(1)][size];
+            let ranges = split_ranges(&users, every, |a, b| a != b);
+            assert_eq!(ranges, scanned_ranges(&users, every));
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert_eq!(ranges.last().map(|r| r.end), Some(users.len()));
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+                assert!(pair[0].end >= every && users[pair[0].end - 1] != users[pair[0].end]);
+            }
+        }
+    }
+
+    #[test]
+    fn split_ranges_without_a_legal_cut_or_with_the_last_record_alone() {
+        let one_user = vec![7u64; 10_000];
+        assert_eq!(split_ranges(&one_user, 7, |a, b| a != b), vec![0..10_000]);
+        assert_eq!(split_ranges(&one_user, 7, |_, _| false), vec![0..10_000]);
+        let mut last_apart = one_user;
+        last_apart[9_999] = 8;
+        assert_eq!(
+            split_ranges(&last_apart, SPLIT_RECORDS, |a, b| a != b),
+            vec![0..9_999, 9_999..10_000]
+        );
+        assert_eq!(
+            split_ranges(&[1u64, 2, 3], 1, |_, _| true),
+            vec![0..1, 1..2, 2..3]
+        );
+        assert_eq!(split_ranges(&[] as &[u64], 4, |_, _| true), vec![0..0]);
     }
 
     #[test]

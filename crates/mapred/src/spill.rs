@@ -726,13 +726,13 @@ impl<K, V> PartitionInput<K, V> {
         }
     }
 
-    /// Unwraps the in-memory pairs of a never-spilled partition.
+    /// Unwraps the in-memory buckets of a never-spilled partition.
     ///
     /// # Panics
     /// If the partition was spilled (map-only jobs never spill).
-    pub fn into_memory(self) -> Vec<(K, V)> {
+    pub fn into_buckets(self) -> Vec<Vec<(K, V)>> {
         match self {
-            PartitionInput::Memory(buckets) => concat_buckets(buckets),
+            PartitionInput::Memory(buckets) => buckets,
             PartitionInput::Spilled(_) => unreachable!("map-only partitions never spill"),
         }
     }

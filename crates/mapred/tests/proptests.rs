@@ -5,8 +5,9 @@
 
 use gepeto_mapred::{
     group_sorted, group_unsorted, Cluster, Combiner, Dfs, Emitter, FailurePlan, FlatGroups,
-    FnMapper, MapOnlyJob, MapReduceJob, Reducer, Topology,
+    FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, Topology,
 };
+use gepeto_telemetry::{EventKind, Recorder};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -79,6 +80,74 @@ fn keyed(draws: &[u64], key_space: u64) -> Vec<(u64, u64)> {
 
 fn flat_to_nested(groups: &FlatGroups<u64, u64>) -> Vec<(u64, Vec<u64>)> {
     groups.iter().map(|(k, vs)| (*k, vs.to_vec())).collect()
+}
+
+/// Run-length encodes the input's `v / 1_000` groups: emits `(group,
+/// first offset << 16 | run length)` when the group changes and in
+/// `cleanup`. Its state resets exactly where the group changes, so it may
+/// declare those cut points; `declares = false` is the same mapper that
+/// never splits.
+#[derive(Clone)]
+struct RunProbe {
+    declares: bool,
+    run: Option<(u64, u64, u64)>,
+}
+
+impl RunProbe {
+    fn new(declares: bool) -> Self {
+        Self {
+            declares,
+            run: None,
+        }
+    }
+
+    fn flush(&mut self, out: &mut Emitter<u64, u64>) {
+        if let Some((group, first, n)) = self.run.take() {
+            out.emit(group, first << 16 | n);
+        }
+    }
+}
+
+impl Mapper<u64> for RunProbe {
+    type KOut = u64;
+    type VOut = u64;
+
+    fn map(&mut self, offset: u64, v: &u64, out: &mut Emitter<u64, u64>) {
+        match &mut self.run {
+            Some((group, _, n)) if *group == v / 1_000 => *n += 1,
+            _ => {
+                self.flush(out);
+                self.run = Some((v / 1_000, offset, 1));
+            }
+        }
+    }
+
+    fn cleanup(&mut self, out: &mut Emitter<u64, u64>) {
+        self.flush(out);
+    }
+
+    fn splits_between(&self, prev: &u64, next: &u64) -> bool {
+        self.declares && prev / 1_000 != next / 1_000
+    }
+}
+
+/// The counters a split must not move: every engine count except the
+/// allocator's, which measure the host.
+fn record_counters(stats: &JobStats) -> BTreeMap<String, u64> {
+    let mut counters = stats.counters.clone();
+    counters.retain(|name, _| !name.contains("mem"));
+    counters
+}
+
+/// The `ranges` label of each `task.map` span the recorder saw.
+fn map_task_ranges(recorder: &Recorder) -> Vec<usize> {
+    recorder
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanStart && e.name == "task.map")
+        .filter_map(|e| e.labels.iter().find(|(k, _)| k == "ranges"))
+        .map(|(_, v)| v.parse().unwrap())
+        .collect()
 }
 
 fn key_mapper() -> impl gepeto_mapred::Mapper<u64, KOut = u64, VOut = u64> {
@@ -236,6 +305,56 @@ proptest! {
         let mut by_key = pairs;
         by_key.sort_by_key(|&(k, _)| k);
         prop_assert_eq!(sorted.output, group_sorted(by_key));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Input splits change nothing but the cores a chunk runs on: a job
+    /// whose mapper declares its cut points equals the same job that never
+    /// splits — output, record counters and map-task count — map-only and
+    /// with 1 or 3 reducers. The input is one chunk of runs of `v / 1_000`
+    /// groups, so it splits wherever the pool has two executors, at cuts
+    /// that land anywhere from inside the first 4 096 records to nowhere.
+    #[test]
+    fn declared_splits_equal_the_unsplit_job(
+        runs in prop::collection::vec((0u64..40, 1usize..2_500), 1..14),
+    ) {
+        let records: Vec<u64> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(group, len))| (0..len as u64).map(move |j| group * 1_000 + (i as u64 + j) % 1_000))
+            .collect();
+        let cluster = Cluster::local(3, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), 1 << 30, 2);
+        dfs.put_fixed("r", records.clone(), 8).unwrap();
+        let late_cut = (4_096..records.len()).any(|i| records[i - 1] / 1_000 != records[i] / 1_000);
+        let splits = gepeto_pool::global().threads() > 1 && late_cut;
+
+        let recorder = Recorder::enabled();
+        let split = MapOnlyJob::new("m", &cluster, &dfs, "r", RunProbe::new(true))
+            .telemetry(recorder.clone())
+            .run()
+            .unwrap();
+        let whole = MapOnlyJob::new("m", &cluster, &dfs, "r", RunProbe::new(false)).run().unwrap();
+        prop_assert_eq!(&split.output, &whole.output);
+        prop_assert_eq!(record_counters(&split.stats), record_counters(&whole.stats));
+        prop_assert_eq!(split.stats.map_tasks, whole.stats.map_tasks);
+        prop_assert_eq!(map_task_ranges(&recorder)[0] > 1, splits);
+
+        for reducers in [1, 3] {
+            let run = |declares: bool| {
+                MapReduceJob::new("r", &cluster, &dfs, "r", RunProbe::new(declares), RecordSorted)
+                    .reducers(reducers)
+                    .run()
+                    .unwrap()
+            };
+            let (split, whole) = (run(true), run(false));
+            prop_assert_eq!(split.output, whole.output);
+            prop_assert_eq!(record_counters(&split.stats), record_counters(&whole.stats));
+            prop_assert_eq!(split.stats.map_tasks, whole.stats.map_tasks);
+        }
     }
 }
 

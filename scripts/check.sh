@@ -78,6 +78,19 @@ cmp target/bench-smoke/pool-t1/OUTPUT target/bench-smoke/pool-t2/OUTPUT
 grep -q '^gepeto_pool_threads 2' target/bench-smoke/pool.prom
 grep -q '^gepeto_pool_tasks_total [1-9]' target/bench-smoke/pool.prom
 grep -q '^gepeto_pool_steals_total [0-9]' target/bench-smoke/pool.prom
+# DJ-Cluster's one-chunk jobs run as input splits on the pool: the same
+# result lines at --threads 1 and 2, and at 2 a map task of several
+# ranges, so a split that silently stopped happening fails here.
+DJ_FLAGS=(djcluster --users 40 --scale 0.2 --mr-rtree true)
+./target/release/gepeto "${DJ_FLAGS[@]}" --threads 1 \
+    | grep -E '^(DJ-Cluster|preprocessing):' > target/bench-smoke/dj-t1.txt
+./target/release/gepeto "${DJ_FLAGS[@]}" --threads 2 \
+    --metrics-out target/bench-smoke/dj-t2.jsonl \
+    | grep -E '^(DJ-Cluster|preprocessing):' > target/bench-smoke/dj-t2.txt
+cmp target/bench-smoke/dj-t1.txt target/bench-smoke/dj-t2.txt
+split_tasks=$(grep '"kind":"span_start","name":"task.map"' target/bench-smoke/dj-t2.jsonl \
+    | grep -cv '"ranges":"1"' || true)
+test "$split_tasks" -gt 0
 
 echo "== kernel bench smoke: every micro-bench body runs once =="
 # Smoke mode (no --bench flag): each benchmark body executes exactly

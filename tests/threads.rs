@@ -246,3 +246,54 @@ fn djcluster_results_are_thread_count_invariant() {
     assert!(!one.is_empty(), "expected result lines in stdout");
     assert_eq!(one, four, "djcluster results diverged across thread counts");
 }
+
+#[test]
+fn djcluster_with_split_map_tasks_is_thread_count_invariant() {
+    // Large enough that the dedup job and R-tree phases 1–2 read one
+    // chunk of 4+ input splits: at --threads 2 and 4 their map tasks run
+    // on several cores, at 1 whole. The results must not move.
+    let argv = [
+        "djcluster",
+        "--users",
+        "40",
+        "--scale",
+        "0.2",
+        "--mr-rtree",
+        "true",
+    ];
+    let result_lines = |threads: &str, metrics: Option<&str>| -> Vec<String> {
+        let mut full = argv.to_vec();
+        full.extend_from_slice(&["--threads", threads]);
+        if let Some(path) = metrics {
+            full.extend_from_slice(&["--metrics-out", path]);
+        }
+        let out = run(&full);
+        assert!(
+            out.status.success(),
+            "djcluster --threads {threads} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("DJ-Cluster:") || l.starts_with("preprocessing:"))
+            .map(str::to_string)
+            .collect()
+    };
+    let metrics = scratch("dj-splits").with_extension("jsonl");
+    let metrics_s = metrics.display().to_string();
+    let one = result_lines("1", None);
+    assert_eq!(one.len(), 2, "expected result lines in stdout");
+    assert_eq!(one, result_lines("2", Some(&metrics_s)));
+    assert_eq!(one, result_lines("4", None));
+    let events = std::fs::read_to_string(&metrics).expect("metrics file");
+    let _ = std::fs::remove_file(&metrics);
+    let split_tasks = events
+        .lines()
+        .filter(|l| l.contains(r#""kind":"span_start","name":"task.map""#))
+        .filter(|l| !l.contains(r#""ranges":"1""#))
+        .count();
+    assert!(
+        split_tasks >= 3,
+        "expected the dedup and R-tree map tasks to split, {split_tasks} did"
+    );
+}
