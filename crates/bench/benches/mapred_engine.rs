@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gepeto_mapred::{
-    Cluster, Combiner, Dfs, Emitter, FailurePlan, FnMapper, MapOnlyJob, MapReduceJob, Reducer,
+    ChaosPlan, Cluster, Combiner, Dfs, Emitter, FnMapper, MapOnlyJob, MapReduceJob, Reducer,
 };
 use std::hint::black_box;
 
@@ -87,12 +87,7 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    let flaky = Cluster::local(5, 4).with_failures(FailurePlan {
-        map_fail_prob: 0.2,
-        reduce_fail_prob: 0.2,
-        seed: 11,
-        max_attempts: 100,
-    });
+    let flaky = Cluster::local(5, 4).with_chaos(ChaosPlan::none().fail_tasks(0.2, 0.2, 11, 100));
     group.bench_function("shuffle-heavy-20pct-failures", |b| {
         b.iter(|| {
             let r = MapReduceJob::new("sum", &flaky, &dfs, "r", mapper(), SumReducer)

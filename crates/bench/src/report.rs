@@ -9,7 +9,7 @@ use crate::json::{Json, Writer};
 use gepeto_mapred::JobStats;
 use gepeto_telemetry::registry::{
     HOST_IDLE_MS, MEM_ACCOUNTED_PEAK, MEM_ALLOCATED_BYTES, MEM_BUDGET_BYTES, MEM_PEAK_BYTES,
-    MEM_PEAK_OVER_BUDGET, RUNS_QUARANTINED, SPILL_ESTIMATE_ERROR,
+    MEM_PEAK_OVER_BUDGET, REEXECUTED_MAPS, RUNS_QUARANTINED, SPILL_ESTIMATE_ERROR, TASK_RETRIES,
 };
 use gepeto_telemetry::{MemDelta, Recorder};
 
@@ -195,8 +195,8 @@ impl BenchReport {
             map_tasks: jobs.iter().map(|s| s.map_tasks as u64).sum(),
             reduce_tasks: jobs.iter().map(|s| s.reduce_tasks as u64).sum(),
             shuffle_bytes: jobs.iter().map(|s| s.sim.shuffle_bytes).sum(),
-            retries: jobs.iter().map(|s| s.retries).sum(),
-            reexecuted_maps: jobs.iter().map(|s| s.reexecuted_maps).sum(),
+            retries: jobs.iter().map(|s| s.counter(TASK_RETRIES)).sum(),
+            reexecuted_maps: jobs.iter().map(|s| s.counter(REEXECUTED_MAPS)).sum(),
             mem,
             host,
             critical_path,

@@ -4,6 +4,7 @@ use crate::args::Args;
 use gepeto::prelude::*;
 use gepeto::sanitize::Sanitizer;
 use gepeto_geo::{CentroidsSoa, DistanceMetric};
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::journal::JournalEntry;
 use gepeto_mapred::{commit, ChaosPlan, IoFaultPlan, JobError, RetryPolicy, RunJournal};
 use gepeto_model::plt;
@@ -593,6 +594,8 @@ fn finish_metrics(args: &Args, rec: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints a job's shape, then its recovery, durability and out-of-core
+/// counters where any is non-zero.
 fn print_job(label: &str, stats: &gepeto_mapred::JobStats) {
     println!(
         "{label}: {} map tasks, {} reduce tasks | real {:.2?} | sim makespan {:.1} s \
@@ -607,32 +610,34 @@ fn print_job(label: &str, stats: &gepeto_mapred::JobStats) {
         stats.sim.remote,
         stats.sim.shuffle_bytes,
     );
-    if stats.retries + stats.reexecuted_maps + stats.failed_over_reads + stats.blacklisted_nodes > 0
-    {
+    use builtin::*;
+    let [retries, reexecuted, failed_over, blacklisted] = [
+        TASK_RETRIES,
+        REEXECUTED_MAPS,
+        FAILED_OVER_READS,
+        BLACKLISTED_NODES,
+    ]
+    .map(|c| stats.counter(c));
+    if retries + reexecuted + failed_over + blacklisted > 0 {
         println!(
-            "  recovery: {} task retries | {} re-executed maps | {} failed-over reads \
-             | {} blacklisted nodes | {:.1} s burned by failed attempts",
-            stats.retries,
-            stats.reexecuted_maps,
-            stats.failed_over_reads,
-            stats.blacklisted_nodes,
+            "  recovery: {retries} task retries | {reexecuted} re-executed maps \
+             | {failed_over} failed-over reads | {blacklisted} blacklisted nodes \
+             | {:.1} s burned by failed attempts",
             stats.sim.failed_attempt_s,
         );
     }
-    if stats.io_retries
-        + stats.torn_writes_detected
-        + stats.runs_quarantined
-        + stats.journal_replayed_tasks
-        > 0
-    {
+    let [io, torn, quarantined, replayed] =
+        [IO_RETRIES, TORN_WRITES, RUNS_QUARANTINED, JOURNAL_REPLAYED].map(|c| stats.counter(c));
+    if io + torn + quarantined + replayed > 0 {
         println!(
-            "  durability: {} io retries | {} torn writes detected | {} runs quarantined \
-             | {} reduce tasks replayed from artifacts",
-            stats.io_retries,
-            stats.torn_writes_detected,
-            stats.runs_quarantined,
-            stats.journal_replayed_tasks,
+            "  durability: {io} io retries | {torn} torn writes detected \
+             | {quarantined} runs quarantined | {replayed} reduce tasks replayed from artifacts"
         );
+    }
+    let [bytes, files, groups] =
+        [SPILLED_BYTES, SPILL_FILES, SPILLED_GROUPS].map(|c| stats.counter(c));
+    if bytes + files + groups > 0 {
+        println!("  out-of-core: {bytes} B spilled across {files} run files | {groups} reduce groups overflowed");
     }
 }
 
@@ -754,7 +759,6 @@ pub fn sample(args: &Args) -> Result<(), String> {
             100.0 * sampled.num_traces() as f64 / ds.num_traces().max(1) as f64
         );
         print_job("job", &stats);
-        print_spill(&stats);
         if let Some(j) = &ctx.journal {
             commit_output(j, &cluster.chaos, &dataset_output_text("sample", &sampled))?;
         }
@@ -766,20 +770,6 @@ pub fn sample(args: &Args) -> Result<(), String> {
 fn print_job_retries(job_retries: u64) {
     if job_retries > 0 {
         println!("driver: {job_retries} whole-job re-submissions recovered from checkpoints");
-    }
-}
-
-/// Prints the out-of-core shuffle/reduce counters when the job spilled.
-fn print_spill(stats: &gepeto_mapred::JobStats) {
-    use gepeto_mapred::counters::builtin;
-    let get = |key: &str| stats.counters.get(key).copied().unwrap_or(0);
-    let (bytes, files, groups) = (
-        get(builtin::SPILLED_BYTES),
-        get(builtin::SPILL_FILES),
-        get(builtin::SPILLED_GROUPS),
-    );
-    if bytes + files + groups > 0 {
-        println!("  out-of-core: {bytes} B spilled across {files} run files | {groups} reduce groups overflowed");
     }
 }
 
@@ -845,7 +835,6 @@ pub fn synth(args: &Args) -> Result<(), String> {
                     sampled.num_users(),
                 );
                 print_job("job", &stats);
-                print_spill(&stats);
                 if let Some(j) = &ctx.journal {
                     commit_output(j, &cluster.chaos, &dataset_output_text("synth", &sampled))?;
                 }
@@ -868,7 +857,6 @@ pub fn synth(args: &Args) -> Result<(), String> {
                 );
                 if let Some(last) = result.per_iteration.last() {
                     print_job("last iteration", &last.job);
-                    print_spill(&last.job);
                 }
                 if let Some(j) = &ctx.journal {
                     commit_output(j, &cluster.chaos, &kmeans_output_text(&result))?;
@@ -919,7 +907,6 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
         println!("mean simulated iteration time: {mean_iter_sim:.1} s");
         if let Some(last) = result.per_iteration.last() {
             print_job("last iteration", &last.job);
-            print_spill(&last.job);
         }
         for (i, c) in result.centroids.iter().enumerate() {
             println!("  centroid {i}: ({:.6}, {:.6})", c.lat, c.lon);

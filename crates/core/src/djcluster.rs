@@ -325,14 +325,14 @@ pub fn mapreduce_preprocess_in(
     let mut jobs = PipelineReport::new();
 
     // Job 1: filter moving traces.
-    let (job1, retries1) = ctx.submit("dj-filter-moving", &mut *dfs, |name, dfs, _| {
+    let (job1, retries1) = ctx.submit("dj-filter-moving", &mut *dfs, |name, dfs, budget| {
         let mapper = SpeedFilterMapper {
             threshold: cfg.speed_threshold_mps,
             state: SpeedFilterState::default(),
         };
         MapOnlyJob::new(name, cluster, dfs, input, mapper)
             .pair_bytes(|_, t| t.approx_plt_bytes())
-            .telemetry(telemetry.clone())
+            .exec(ctx, budget)
             .run()
     })?;
     let after_speed_filter = job1.output.len();
@@ -348,14 +348,14 @@ pub fn mapreduce_preprocess_in(
     dfs.put_from_iter(&intermediate, stationary, sizer)?;
 
     // Job 2: remove redundant consecutive traces.
-    let (job2, retries2) = ctx.submit("dj-dedup", &mut *dfs, |name, dfs, _| {
+    let (job2, retries2) = ctx.submit("dj-dedup", &mut *dfs, |name, dfs, budget| {
         let mapper = DedupMapper {
             threshold_m: cfg.dup_threshold_m,
             last_kept: None,
         };
         MapOnlyJob::new(name, cluster, dfs, &intermediate, mapper)
             .pair_bytes(|_, t| t.approx_plt_bytes())
-            .telemetry(telemetry.clone())
+            .exec(ctx, budget)
             .run()
     })?;
     let after_dedup = job2.output.len();
@@ -867,13 +867,13 @@ pub fn mapreduce_djcluster_in<'d>(
         c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
         c
     };
-    let (result, job_retries) = ctx.submit("dj-cluster", &mut dfs, |name, dfs, _| {
+    let (result, job_retries) = ctx.submit("dj-cluster", &mut dfs, |name, dfs, budget| {
         let mapper = NeighborhoodMapper::new(cfg);
         MapReduceJob::new(name, ctx.cluster, dfs, input, mapper, MergeReducer)
             .reducers(1) // the merge "must be done by a centralized entity"
             .cache(cache.clone())
             .pair_bytes(|_, n| n.encoded_len())
-            .telemetry(telemetry.clone())
+            .exec(ctx, budget)
             .run()
     })?;
 

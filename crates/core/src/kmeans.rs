@@ -597,12 +597,11 @@ pub fn mapreduce_iteration_in<'d>(
             .config(config)
             .cache(cache)
             .pair_bytes(|_, _| std::mem::size_of::<(u32, ClusterSum)>())
-            .exec(
-                ctx,
-                budget,
+            .codecs(
                 crate::spill_codecs::point_sum_codec(),
                 crate::spill_codecs::centroid_codec(),
             )
+            .exec(ctx, budget)
             .run()
     })?;
     // Clusters that received no point keep their previous centroid.

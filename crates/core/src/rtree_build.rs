@@ -236,13 +236,13 @@ pub fn mapreduce_build_rtree<'d>(
     assert!(cfg.partitions >= 1, "need at least one partition");
     assert!(cfg.samples_per_chunk >= 1);
     let mut dfs = dfs.into();
-    let (cluster, telemetry) = (ctx.cluster, &ctx.telemetry);
+    let cluster = ctx.cluster;
 
     // Phase 0: dataset MBR (anchors the curve grid).
     let (bounds_result, bounds_retries) =
-        ctx.submit("rtree-bounds", &mut dfs, |name, dfs, _| {
+        ctx.submit("rtree-bounds", &mut dfs, |name, dfs, budget| {
             MapOnlyJob::new(name, cluster, dfs, input, BoundsMapper::default())
-                .telemetry(telemetry.clone())
+                .exec(ctx, budget)
                 .run()
         })?;
     let bounds = bounds_result
@@ -268,7 +268,7 @@ pub fn mapreduce_build_rtree<'d>(
     let chunks = dfs.num_blocks(input)?.max(1);
     let per_chunk = records.div_ceil(chunks);
     let stride = (per_chunk / cfg.samples_per_chunk).max(1) as u64;
-    let (phase1, phase1_retries) = ctx.submit("rtree-phase1", &mut dfs, |name, dfs, _| {
+    let (phase1, phase1_retries) = ctx.submit("rtree-phase1", &mut dfs, |name, dfs, budget| {
         let reducer = BoundaryReducer {
             partitions: cfg.partitions,
         };
@@ -282,7 +282,7 @@ pub fn mapreduce_build_rtree<'d>(
         )
         .reducers(1)
         .cache(cache.clone())
-        .telemetry(telemetry.clone())
+        .exec(ctx, budget)
         .run()
     })?;
     let boundaries: Vec<u64> = phase1
@@ -297,7 +297,7 @@ pub fn mapreduce_build_rtree<'d>(
         c.insert(BOUNDARIES_CACHE_KEY, boundaries.clone());
         c
     };
-    let (phase2, phase2_retries) = ctx.submit("rtree-phase2", &mut dfs, |name, dfs, _| {
+    let (phase2, phase2_retries) = ctx.submit("rtree-phase2", &mut dfs, |name, dfs, budget| {
         let mapper = PartitionMapper {
             grid: None,
             boundaries: Arc::new(Vec::new()),
@@ -309,7 +309,7 @@ pub fn mapreduce_build_rtree<'d>(
             .reducers(cfg.partitions)
             .cache(cache2.clone())
             .pair_bytes(|_, _| 24)
-            .telemetry(telemetry.clone())
+            .exec(ctx, budget)
             .run()
     })?;
 

@@ -248,10 +248,10 @@ fn sample_job(
         "sampling",
         &[("input", input), ("window", &cfg.window_secs.to_string())],
     );
-    let (result, retries) = ctx.submit("sampling", &mut dfs, |job_name, dfs, _| {
+    let (result, retries) = ctx.submit("sampling", &mut dfs, |job_name, dfs, budget| {
         MapOnlyJob::new(job_name, ctx.cluster, dfs, input, SamplingMapper::new(*cfg))
             .pair_bytes(|_, t| t.approx_plt_bytes())
-            .telemetry(telemetry.clone())
+            .exec(ctx, budget)
             .run()
     })?;
     span.end();
@@ -326,12 +326,11 @@ pub fn mapreduce_sample_by_user_in<'d>(
         MapReduceJob::new(job_name, ctx.cluster, dfs, input, mapper, RegroupReducer)
             .reducers(ctx.cluster.topology.num_nodes())
             .pair_bytes(|_, t| t.approx_plt_bytes())
-            .exec(
-                ctx,
-                budget,
+            .codecs(
                 crate::spill_codecs::trace_codec(),
                 crate::spill_codecs::trail_codec(),
             )
+            .exec(ctx, budget)
             .run()
     })?;
     span.end();
@@ -382,6 +381,7 @@ pub fn mapreduce_sample_to_dfs(
 mod tests {
     use super::*;
     use crate::dfs_io::{put_dataset, trace_dfs};
+    use gepeto_mapred::counters::builtin;
     use gepeto_model::{GeoPoint, Timestamp};
 
     fn tr(user: UserId, secs: i64) -> MobilityTrace {
@@ -609,7 +609,7 @@ mod tests {
         };
         let run = || mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
         let (first, stats, _) = run();
-        assert_eq!(stats.journal_replayed_tasks, 0);
+        assert_eq!(stats.counter(builtin::JOURNAL_REPLAYED), 0);
         let partitions = journal.committed_reduces(JOB).len() as u64;
         assert_eq!(partitions, stats.reduce_tasks as u64);
 
@@ -617,7 +617,7 @@ mod tests {
         // The fresh trails are ranges of one column per reduce partition,
         // the replayed ones decode into a vector each; equal by content.
         let (replayed, stats, _) = run();
-        assert_eq!(stats.journal_replayed_tasks, partitions);
+        assert_eq!(stats.counter(builtin::JOURNAL_REPLAYED), partitions);
         assert!(first.column_count() <= stats.reduce_tasks);
         assert_eq!(replayed.column_count(), replayed.num_users());
         assert_eq!(replayed, first);
@@ -655,8 +655,8 @@ mod tests {
             .unwrap();
         let (recomputed, stats, _) = run();
         assert_eq!(recomputed, first);
-        assert_eq!(stats.journal_replayed_tasks, partitions - 1);
-        assert!(stats.runs_quarantined >= 1);
+        assert_eq!(stats.counter(builtin::JOURNAL_REPLAYED), partitions - 1);
+        assert!(stats.counter(builtin::RUNS_QUARANTINED) >= 1);
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 

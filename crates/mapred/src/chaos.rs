@@ -6,7 +6,8 @@
 //! failures against *virtual* cluster time, so every recovery path — replica
 //! failover, map re-execution, node blacklisting, driver checkpoint/resume —
 //! is exercised by ordinary unit tests and replays bit-identically on every
-//! run. Three event kinds are modeled:
+//! run. Task attempts die at random but reproducibly
+//! ([`ChaosPlan::fail_tasks`]), and three event kinds are modeled:
 //!
 //! - **node crash** at virtual time `t`: the node stops accepting tasks,
 //!   in-flight attempts are killed, its local map outputs and chunk
@@ -246,6 +247,11 @@ pub struct ChaosPlan {
     /// (Hadoop's `mapred.max.tracker.failures`; default 3). The last
     /// live node is never blacklisted.
     blacklist_after: u32,
+    /// The task-attempt failures of [`Self::fail_tasks`].
+    map_fail_prob: f64,
+    reduce_fail_prob: f64,
+    task_seed: u64,
+    pub(crate) max_task_attempts: u32,
     clock: Arc<Mutex<f64>>,
     io: Option<IoFaultPlan>,
 }
@@ -262,6 +268,10 @@ impl ChaosPlan {
         Self {
             events: Vec::new(),
             blacklist_after: 3,
+            map_fail_prob: 0.0,
+            reduce_fail_prob: 0.0,
+            task_seed: 0,
+            max_task_attempts: 4,
             clock: Arc::new(Mutex::new(0.0)),
             io: None,
         }
@@ -315,14 +325,50 @@ impl ChaosPlan {
         self
     }
 
+    /// Fails task attempts: an attempt of a map task dies iff a fixed hash
+    /// of `(job, phase, task, attempt, seed)` falls below `map_prob`
+    /// (`reduce_prob` for a reduce task) — reproducible across runs, so
+    /// tests can assert exact retry counts. The jobtracker reschedules a
+    /// dead attempt until the task has died `max_attempts` times (Hadoop:
+    /// 4), which fails the job (builder style; probabilities clamped to
+    /// [0, 1], attempts min 1).
+    pub fn fail_tasks(
+        mut self,
+        map_prob: f64,
+        reduce_prob: f64,
+        seed: u64,
+        max_attempts: u32,
+    ) -> Self {
+        self.map_fail_prob = map_prob.clamp(0.0, 1.0);
+        self.reduce_fail_prob = reduce_prob.clamp(0.0, 1.0);
+        self.task_seed = seed;
+        self.max_task_attempts = max_attempts.max(1);
+        self
+    }
+
+    /// Whether attempt `attempt` (from 1) of `phase` task `task` of `job`
+    /// dies under [`Self::fail_tasks`], and if so the fraction of its
+    /// runtime it burned first: a hash of the attempt mapped into
+    /// `[0.2, 0.95)`, a visible but partial share of the task body.
+    pub(crate) fn attempt_dies(
+        &self,
+        job: &str,
+        phase: &'static str,
+        task: usize,
+        attempt: u32,
+    ) -> Option<f64> {
+        let prob = match phase {
+            crate::counters::phase::MAP => self.map_fail_prob,
+            _ => self.reduce_fail_prob,
+        };
+        let seed = self.task_seed;
+        (unit_hash(&(job, phase, task, attempt, seed)) < prob)
+            .then(|| 0.2 + 0.75 * unit_hash(&(job, phase, task, attempt, seed, "runtime")))
+    }
+
     /// The scripted events, in insertion order.
     pub fn events(&self) -> &[ChaosEvent] {
         &self.events
-    }
-
-    /// Whether any failure is scripted at all (fast path check).
-    pub fn is_active(&self) -> bool {
-        !self.events.is_empty()
     }
 
     /// The blacklisting threshold.
@@ -395,7 +441,7 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let p = ChaosPlan::none();
-        assert!(!p.is_active());
+        assert!(p.events().is_empty());
         assert!(!p.is_dead(0, 1e9));
         assert!(!p.is_corrupted(42, 0));
         assert_eq!(p.slowdown(0, 1e9), 1.0);
@@ -406,7 +452,6 @@ mod tests {
     #[test]
     fn crash_takes_effect_at_its_time() {
         let p = ChaosPlan::none().crash_node(2, 40.0);
-        assert!(p.is_active());
         assert!(!p.is_dead(2, 39.9));
         assert!(p.is_dead(2, 40.0));
         assert!(p.is_dead(2, 1e9));
@@ -490,7 +535,7 @@ mod tests {
         assert!(!c.io_active());
         let c = c.io_faults(IoFaultPlan::new(1).slow(2.0));
         assert!(c.io_active());
-        assert!(!c.is_active(), "io faults do not imply node chaos");
+        assert!(c.events().is_empty(), "io faults do not imply node chaos");
         let penalty = c.io_plan().unwrap().slow_penalty_s(1024 * 1024);
         assert!((penalty - 2.0).abs() < 1e-9);
     }

@@ -47,12 +47,6 @@ impl JobConfig {
         self.get(key)?.parse().ok()
     }
 
-    /// `key` parsed as `bool` (`true`/`false`); `None` when absent or
-    /// malformed.
-    pub fn get_bool(&self, key: &str) -> Option<bool> {
-        self.get(key)?.parse().ok()
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -84,7 +78,7 @@ mod tests {
         assert_eq!(c.get_usize("k"), Some(11));
         assert_eq!(c.get_f64("convergence.delta"), Some(0.5));
         assert_eq!(c.get("distance"), Some("haversine"));
-        assert_eq!(c.get_bool("verbose"), Some(true));
+        assert_eq!(c.get("verbose"), Some("true"));
     }
 
     #[test]
@@ -93,7 +87,6 @@ mod tests {
         assert_eq!(c.get("y"), None);
         assert_eq!(c.get_f64("x"), None);
         assert_eq!(c.get_i64("x"), None);
-        assert_eq!(c.get_bool("x"), None);
     }
 
     #[test]

@@ -57,9 +57,9 @@ use std::sync::Arc;
 /// ```
 ///
 /// What stays in [`Cluster`]: the topology, the virtual-time model and
-/// the fault plans ([`crate::FailurePlan`], [`crate::ChaosPlan`] with its
-/// [`crate::IoFaultPlan`] and the shared virtual clock) — properties of
-/// the machines, not of one run on them.
+/// the fault plan ([`crate::ChaosPlan`], with its task-attempt failures,
+/// its [`crate::IoFaultPlan`] and the shared virtual clock) — properties
+/// of the machines, not of one run on them.
 pub struct ExecCtx<'a> {
     /// The cluster every job of the run is scheduled on.
     pub cluster: &'a Cluster,
@@ -100,7 +100,8 @@ impl<'a> ExecCtx<'a> {
     ///
     /// `run` receives the attempt's job name (`base_name`, then
     /// `{base_name}.r1`, `.r2`, …), the DFS, and the memory budget this
-    /// attempt should give its shuffle: [`Self::memory_budget`], grown by
+    /// attempt should give its shuffle (see [`crate::MapReduceJob::exec`]):
+    /// [`Self::memory_budget`], grown by
     /// the policy's ENOSPC factor once per disk-full failure so far.
     /// Returns the successful value with the number of re-submissions it
     /// took (0 = first attempt succeeded).

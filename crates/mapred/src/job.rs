@@ -3,15 +3,17 @@
 //!
 //! A [`MapReduceJob`] mirrors the paper's `Driver` class (§IV): it names
 //! the input file, the mapper, the reducer, an optional combiner, and the
-//! runtime configuration, then `run()`s the whole thing. Tasks execute in
+//! runtime configuration, then `run()`s the whole thing; a map-only job
+//! ([`MapOnlyJob`]) is one without reduce tasks. Tasks execute in
 //! parallel on the `gepeto-pool` work-stealing thread pool; every task's
-//! wall time is measured and fed to [`crate::sim::simulate`] so the result
-//! carries both the real elapsed time and the virtual-cluster makespan.
+//! wall time is measured and replayed by [`crate::sim::simulate_chaos`],
+//! so the result carries both the real elapsed time and the
+//! virtual-cluster makespan.
 //!
 //! Failure handling follows Hadoop: a task attempt may be killed (here:
-//! deterministically injected via [`FailurePlan`]), and the jobtracker
-//! reschedules it until `max_attempts` is exhausted, at which point the
-//! job fails.
+//! deterministically injected via [`ChaosPlan::fail_tasks`]), and the
+//! jobtracker reschedules it until the task has died as often as the
+//! plan allows, at which point the job fails.
 
 use crate::api::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer, TaskContext};
 use crate::cache::DistributedCache;
@@ -21,13 +23,12 @@ use crate::config::JobConfig;
 use crate::counters::{builtin, phase, Counters};
 use crate::dfs::{BlockId, Dfs, DfsError};
 use crate::exec::ExecCtx;
-use crate::hash::{default_partition, unit_hash, FnvBuildHasher};
+use crate::hash::{default_partition, FnvBuildHasher};
 use crate::journal::{JournalEntry, RunJournal};
 use crate::sim::{simulate_chaos, MapTaskSim, ReduceTaskSim, SimError, SimReport};
 use crate::spill::{
     concat_buckets, load_artifact, quarantine_run, sanitize, seal_run, seal_run_at, verify_run,
-    PartitionInput, SealStats, SpillCodec, SpillDir, SpillEncode, SpillRun, SpillSpec,
-    SpilledPartition,
+    PartitionInput, SealStats, SpillCodec, SpillDir, SpillRun, SpillSpec, SpilledPartition,
 };
 use crate::topology::Cluster;
 use gepeto_telemetry::registry::{self, Kind};
@@ -39,44 +40,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Deterministic task-failure injection. A map attempt `(task, attempt)`
-/// fails iff a fixed hash of `(job, phase, task, attempt, seed)` falls
-/// below the configured probability — reproducible across runs, so tests
-/// can assert exact retry counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailurePlan {
-    /// Probability that any single map attempt fails.
-    pub map_fail_prob: f64,
-    /// Probability that any single reduce attempt fails.
-    pub reduce_fail_prob: f64,
-    /// Seed mixed into the per-attempt hash.
-    pub seed: u64,
-    /// Attempts per task before the whole job is failed (Hadoop: 4).
-    pub max_attempts: u32,
-}
-
-impl FailurePlan {
-    /// No injected failures.
-    pub fn none() -> Self {
-        Self {
-            map_fail_prob: 0.0,
-            reduce_fail_prob: 0.0,
-            seed: 0,
-            max_attempts: 4,
-        }
-    }
-
-    /// Fail both phases' attempts with probability `p`.
-    pub fn with_probability(p: f64, seed: u64) -> Self {
-        Self {
-            map_fail_prob: p,
-            reduce_fail_prob: p,
-            seed,
-            max_attempts: 4,
-        }
-    }
-}
 
 /// Why a job did not complete.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,34 +151,21 @@ pub struct JobStats {
     pub real_elapsed: Duration,
     /// Virtual-cluster replay of the measured task times.
     pub sim: SimReport,
-    /// Task attempts lost to injected failures and rescheduled
-    /// (mirror of [`builtin::TASK_RETRIES`]).
-    pub retries: u64,
-    /// Completed map tasks re-run because their node crashed before the
-    /// map phase finished, taking its locally-stored outputs with it.
-    pub reexecuted_maps: u64,
-    /// Successful map attempts that had to skip at least one dead or
-    /// checksum-failing replica of their input chunk.
-    pub failed_over_reads: u64,
-    /// Nodes the jobtracker blacklisted after repeated task failures.
-    pub blacklisted_nodes: u64,
-    /// Injected transient IO errors absorbed by commit retry loops.
-    pub io_retries: u64,
-    /// Torn writes caught by seal-time/read-time verification.
-    pub torn_writes_detected: u64,
-    /// Spill runs quarantined (torn or corrupt) and rewritten.
-    pub runs_quarantined: u64,
-    /// Reduce partitions loaded from committed journal artifacts
-    /// instead of being recomputed on resume.
-    pub journal_replayed_tasks: u64,
-    /// Final counter values.
+    /// Final counter values, the replay's recovery tallies included.
     pub counters: BTreeMap<String, u64>,
+}
+
+impl JobStats {
+    /// Counter `name`'s final value (0 if the job never counted it).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
 }
 
 /// A finished job: its output pairs plus [`JobStats`].
 #[derive(Debug, Clone)]
 pub struct JobResult<K, V> {
-    /// Output pairs, deterministically ordered (see the job types' docs).
+    /// Output pairs, deterministically ordered (see [`MapReduceJob`]).
     pub output: Vec<(K, V)>,
     /// Execution statistics.
     pub stats: JobStats,
@@ -231,12 +181,27 @@ impl<K2: MrKey, V2: MrValue> Combiner<K2, V2> for NoCombiner {
     }
 }
 
+/// Placeholder reducer type of a [`MapOnlyJob`]: its output types are the
+/// map output types, and it never runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoReducer;
+
+impl<K2: MrKey, V2: MrValue> Reducer<K2, V2> for NoReducer {
+    type KOut = K2;
+    type VOut = V2;
+
+    fn reduce(&mut self, _key: &K2, _values: &[V2], _out: &mut Emitter<K2, V2>) {
+        unreachable!("a map-only job has no reduce phase")
+    }
+}
+
 type PairBytes<K, V> = Arc<dyn Fn(&K, &V) -> usize + Send + Sync>;
 /// A partition's map-task buckets, in task order.
 type Buckets<K, V> = Vec<Vec<(K, V)>>;
 type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 
-/// A full map+shuffle+reduce job.
+/// A job: map, shuffle and reduce — or, built by [`MapOnlyJob::new`],
+/// map only.
 ///
 /// Output ordering: reduce partitions in partition-index order; within a
 /// partition, key groups in ascending key order — fully deterministic.
@@ -244,7 +209,9 @@ type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 /// ([`Reducer::SORTED_INPUT`]` = false`), key groups appear in
 /// first-encounter order over the concatenated map outputs instead —
 /// still deterministic, just not key-ascending; value order within each
-/// group is identical on both paths.
+/// group is identical on both paths. A map-only job outputs its map tasks'
+/// pairs in chunk order, each task's in emission order.
+#[allow(clippy::type_complexity)]
 pub struct MapReduceJob<'a, V1, M, R, C = NoCombiner>
 where
     M: Mapper<V1>,
@@ -263,15 +230,12 @@ where
     telemetry: Recorder,
     pair_bytes: Option<PairBytes<M::KOut, M::VOut>>,
     partitioner: Option<Partitioner<M::KOut>>,
-    spill: Option<SpillSpec<M::KOut, M::VOut>>,
-    journal: Option<DurableSpec<R::KOut, R::VOut>>,
-}
-
-/// Journal-backed durability for a job's reduce outputs: where to log
-/// commits, and how to encode the output pairs into artifact files.
-struct DurableSpec<K, V> {
-    journal: Arc<RunJournal>,
-    codec: SpillCodec<K, V>,
+    budget: Option<usize>,
+    journal: Option<Arc<RunJournal>>,
+    codecs: Option<(SpillCodec<M::KOut, M::VOut>, SpillCodec<R::KOut, R::VOut>)>,
+    /// Set on a map-only job, which has no reduce phase: the identity from
+    /// its map output to its output.
+    map_only: Option<fn(Vec<(M::KOut, M::VOut)>) -> Vec<(R::KOut, R::VOut)>>,
 }
 
 impl<'a, V1, M, R> MapReduceJob<'a, V1, M, R, NoCombiner>
@@ -304,8 +268,10 @@ where
             telemetry: Recorder::disabled(),
             pair_bytes: None,
             partitioner: None,
-            spill: None,
+            budget: None,
             journal: None,
+            codecs: None,
+            map_only: None,
         }
     }
 }
@@ -336,14 +302,20 @@ where
             telemetry: self.telemetry,
             pair_bytes: self.pair_bytes,
             partitioner: self.partitioner,
-            spill: self.spill,
+            budget: self.budget,
             journal: self.journal,
+            codecs: self.codecs,
+            map_only: self.map_only,
         }
     }
 
-    /// Sets the number of reduce tasks (≥ 1; use [`MapOnlyJob`] for 0).
+    /// Sets the number of reduce tasks (≥ 1; a job without any is a
+    /// [`MapOnlyJob`]).
     pub fn reducers(mut self, n: usize) -> Self {
-        assert!(n >= 1, "MapReduceJob needs >= 1 reducer");
+        assert!(
+            n >= 1 && self.map_only.is_none(),
+            "a job with reduce tasks has at least one; a map-only job has none"
+        );
         self.num_reducers = n;
         self
     }
@@ -360,14 +332,6 @@ where
         self
     }
 
-    /// Attaches a telemetry recorder; phases, tasks, retries and
-    /// scheduling decisions are captured through it. The default
-    /// (disabled) recorder makes all instrumentation a no-op.
-    pub fn telemetry(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
     /// Overrides the intermediate-pair size estimator used for shuffle
     /// accounting (default: `size_of::<(K, V)>()`).
     pub fn pair_bytes(
@@ -378,77 +342,39 @@ where
         self
     }
 
-    /// Bounds the shuffle's per-partition memory to `bytes`: when a
-    /// reduce partition's buffered pairs exceed the budget during the
-    /// regroup step, they are stably sorted and spilled to a local run
-    /// file, and the reduce task replays the partition as an external
-    /// k-way merge — with output bit-identical to the in-memory sorted
-    /// path. Requires the pair types to carry a derived codec; domain
-    /// types without one go through [`Self::exec`]. A budget of `0`
-    /// spills after every map task's contribution.
+    /// Gives the job codecs for its map output pairs (`shuffle`) and its
+    /// reduce output pairs (`output`), which the memory budget and the
+    /// journal of [`Self::exec`] need:
     ///
-    /// Spilled partitions always take the sorted path: a reducer's
-    /// [`Reducer::SORTED_INPUT`]` = false` opt-out applies only to
-    /// partitions that stayed in memory.
-    pub fn memory_budget(mut self, bytes: usize) -> Self
-    where
-        M::KOut: SpillEncode,
-        M::VOut: SpillEncode,
-    {
-        self.spill = Some(SpillSpec {
-            codec: SpillCodec::of(),
-            budget: bytes,
-        });
-        self
-    }
-
-    /// Makes the job durable against the given run journal: every
-    /// reduce partition's output is committed to the run directory's
-    /// `partitions/` through the atomic commit protocol and journaled,
-    /// spill runs are journaled as they seal, and on resume a partition
-    /// whose committed artifact still verifies is loaded from disk
-    /// (bumping [`builtin::JOURNAL_REPLAYED`]) instead of recomputed.
-    ///
-    /// Job names must be unique within a run directory — an iterative
-    /// driver reusing one name across iterations would replay the wrong
-    /// iteration's artifact.
-    ///
-    /// Requires the reduce output pair to carry a derived codec; domain
-    /// types without one go through [`Self::exec`].
-    pub fn durable(mut self, journal: Arc<RunJournal>) -> Self
-    where
-        R::KOut: SpillEncode,
-        R::VOut: SpillEncode,
-    {
-        self.journal = Some(DurableSpec {
-            journal,
-            codec: SpillCodec::of(),
-        });
+    /// - Past the budget, a reduce partition's buffered pairs are stably
+    ///   sorted and spilled as a run file, and the reduce task merges its
+    ///   runs — bit-identical to the in-memory sorted path, whatever a
+    ///   reducer's [`Reducer::SORTED_INPUT`] says. A budget of `0` spills
+    ///   after every map task's contribution.
+    /// - Under a journal, every reduce partition's output is committed to
+    ///   the run directory and journaled, as are sealed spill runs; on
+    ///   resume a partition whose artifact still verifies is loaded
+    ///   (bumping [`builtin::JOURNAL_REPLAYED`]) instead of recomputed, so
+    ///   job names must be unique within a run directory.
+    pub fn codecs(
+        mut self,
+        shuffle: SpillCodec<M::KOut, M::VOut>,
+        output: SpillCodec<R::KOut, R::VOut>,
+    ) -> Self {
+        self.codecs = Some((shuffle, output));
         self
     }
 
     /// Runs the job the way `ctx` says, as one attempt of
-    /// [`ExecCtx::submit`]: telemetry goes to the context's recorder, the
-    /// shuffle spills through `shuffle` past `budget` (the attempt's
-    /// budget `submit` handed out — see [`Self::memory_budget`]), and
-    /// under a journal the reduce output is committed through `output`
-    /// (see [`Self::durable`]).
-    pub fn exec(
-        mut self,
-        ctx: &ExecCtx<'_>,
-        budget: Option<usize>,
-        shuffle: SpillCodec<M::KOut, M::VOut>,
-        output: SpillCodec<R::KOut, R::VOut>,
-    ) -> Self {
+    /// [`ExecCtx::submit`]: phases, tasks, retries and scheduling decisions
+    /// go to the context's recorder; with [`Self::codecs`] and a reduce
+    /// phase, the shuffle spills past `budget` (the attempt's budget
+    /// `submit` handed out) and the reduce output is committed to the
+    /// context's journal.
+    pub fn exec(mut self, ctx: &ExecCtx<'_>, budget: Option<usize>) -> Self {
         self.telemetry = ctx.telemetry.clone();
-        self.spill = budget.map(|budget| SpillSpec {
-            codec: shuffle,
-            budget,
-        });
-        self.journal = ctx.journal.clone().map(|journal| DurableSpec {
-            journal,
-            codec: output,
-        });
+        self.budget = budget;
+        self.journal = ctx.journal.clone();
         self
     }
 
@@ -464,7 +390,7 @@ where
     }
 
     /// Runs the job to completion.
-    pub fn run(self) -> Result<JobResult<R::KOut, R::VOut>, JobError> {
+    pub fn run(mut self) -> Result<JobResult<R::KOut, R::VOut>, JobError> {
         let started = Instant::now();
         let monitor = self.telemetry.monitor();
         let counters = Counters::live(monitor.clone());
@@ -472,7 +398,18 @@ where
         if let Some(m) = &monitor {
             m.add(registry::JOBS_STARTED, 1);
         }
-        let group_budget = self.spill.as_ref().map_or(usize::MAX, |s| s.budget);
+        // Budget and journal need codecs and a reduce phase; `durable` is
+        // where reduce outputs are committed and how they are encoded.
+        let (spill, durable) = match self.codecs.take() {
+            Some((shuffle, output)) if self.map_only.is_none() => (
+                self.budget.map(|budget| SpillSpec {
+                    codec: shuffle,
+                    budget,
+                }),
+                self.journal.take().map(|journal| (journal, output)),
+            ),
+            _ => (None, None),
+        };
         let job_span = self.telemetry.span(
             "job",
             &[
@@ -480,7 +417,11 @@ where
                 ("reducers", &self.num_reducers.to_string()),
             ],
         );
-        let map_phase = run_map_phase(
+        let MapPhaseOutput {
+            partitions,
+            sim_tasks: map_sim,
+            partition_bytes,
+        } = run_map_phase(
             &self.name,
             self.cluster,
             self.dfs,
@@ -495,18 +436,70 @@ where
             &job_span,
             self.pair_bytes.as_ref(),
             self.partitioner.clone(),
-            self.spill.as_ref(),
-            self.journal.as_ref().map(|d| d.journal.as_ref()),
+            spill.as_ref(),
+            durable.as_ref().map(|(journal, _)| journal.as_ref()),
         )?;
+        let (output, reduce_sim) = match self.map_only {
+            // No reduce phase: the task buckets in chunk and range order
+            // are the output.
+            Some(pass_through) => {
+                let buckets = partitions
+                    .into_iter()
+                    .flat_map(PartitionInput::into_buckets);
+                (pass_through(concat_buckets(buckets.collect())), Vec::new())
+            }
+            None => self.reduce_phase(
+                partitions,
+                &partition_bytes,
+                spill.map_or(usize::MAX, |s| s.budget),
+                durable
+                    .as_ref()
+                    .map(|(journal, codec)| (journal.as_ref(), codec)),
+                &counters,
+                &job_span,
+            )?,
+        };
+        let sim = simulate_chaos(
+            &self.cluster.topology,
+            &self.cluster.sim,
+            &self.cluster.chaos,
+            self.cluster.chaos.now(),
+            &map_sim,
+            &reduce_sim,
+            &self.telemetry,
+        )?;
+        self.cluster.chaos.advance(sim.makespan_s);
+        job_span.end();
+        note_job_mem(job_ledger, &counters);
+        let stats = finish_stats(
+            self.name,
+            map_sim.len(),
+            reduce_sim.len(),
+            started.elapsed(),
+            sim,
+            &counters,
+            &self.telemetry,
+        );
+        Ok(JobResult { output, stats })
+    }
 
-        // ---- shuffle: regroup per reduce partition, sort, group ----
-        let MapPhaseOutput {
-            partitions,
-            sim_tasks: map_sim,
-            partition_bytes,
-        } = map_phase;
-
-        // ---- reduce tasks, in parallel ----
+    /// The shuffle's copy step and the reduce tasks, in parallel: one task
+    /// per partition, its output and virtual-replay inputs in partition
+    /// order.
+    #[allow(clippy::type_complexity)]
+    fn reduce_phase(
+        &self,
+        partitions: Vec<PartitionInput<M::KOut, M::VOut>>,
+        partition_bytes: &[u64],
+        group_budget: usize,
+        durable: Option<(&RunJournal, &SpillCodec<R::KOut, R::VOut>)>,
+        counters: &Counters,
+        job_span: &Span,
+    ) -> Result<(Vec<(R::KOut, R::VOut)>, Vec<ReduceTaskSim>), JobError> {
+        // What the pool's tasks share (the job itself need not be `Sync`).
+        let (name, cluster, config, cache) = (&self.name, self.cluster, &self.config, &self.cache);
+        let telemetry = &self.telemetry;
+        let monitor = telemetry.monitor();
         let shuffled: u64 = partition_bytes.iter().copied().sum();
         counters.inc(builtin::SHUFFLE_BYTES, shuffled);
         if let Some(m) = &monitor {
@@ -519,10 +512,9 @@ where
         let reducer_clones: Vec<R> = (0..partition_bytes.len())
             .map(|_| self.reducer.clone())
             .collect();
-        let chaos = &self.cluster.chaos;
-        let durable = self.journal.as_ref();
+        let chaos = &cluster.chaos;
         let committed = durable
-            .map(|d| d.journal.committed_reduces(&self.name))
+            .map(|(journal, _)| journal.committed_reduces(name))
             .unwrap_or_default();
         type ReduceResults<K, V> = Vec<Result<ReduceTaskOutput<K, V>, JobError>>;
         // Each task owns one partition, so spilled partitions run their
@@ -539,19 +531,19 @@ where
                 // artifact still passes a verifying read is loaded from
                 // disk instead of re-executed — no failure injection,
                 // no reducer run, bit-identical output by construction.
-                if let (Some(d), Some(art)) = (durable, committed.get(&task_id)) {
+                if let (Some((_, codec)), Some(art)) = (durable, committed.get(&task_id)) {
                     let t0 = Instant::now();
-                    match load_artifact(&d.codec, &art.path, art.records as u64, art.checksum) {
+                    match load_artifact(codec, &art.path, art.records as u64, art.checksum) {
                         Ok(output) => {
                             counters.inc(builtin::JOURNAL_REPLAYED, 1);
                             counters.inc(builtin::REDUCE_OUTPUT_RECORDS, output.len() as u64);
                             if let Some(m) = &monitor {
                                 m.add(registry::REDUCE_TASKS_DONE, 1);
                             }
-                            self.telemetry.point(
+                            telemetry.point(
                                 "task.reduce.replayed",
                                 task_id as f64,
-                                &[("job", &self.name)],
+                                &[("job", name)],
                             );
                             return Ok(ReduceTaskOutput {
                                 output,
@@ -569,14 +561,8 @@ where
                         }
                     }
                 }
-                let (attempt, failed_attempts) = draw_attempts(
-                    &self.name,
-                    phase::REDUCE,
-                    task_id,
-                    self.cluster,
-                    &counters,
-                    &self.telemetry,
-                )?;
+                let (attempt, failed_attempts) =
+                    draw_attempts(name, phase::REDUCE, task_id, cluster, counters, telemetry)?;
                 let task_span = reduce_span.child(
                     "task.reduce",
                     &[
@@ -590,9 +576,9 @@ where
                 let ctx = TaskContext {
                     task_id,
                     attempt,
-                    config: &self.config,
-                    cache: &self.cache,
-                    counters: &counters,
+                    config,
+                    cache,
+                    counters,
                 };
                 reducer.setup(&ctx);
                 let mut out = Emitter::new();
@@ -679,19 +665,18 @@ where
                 }
                 let output = out.into_pairs();
                 counters.inc(builtin::REDUCE_OUTPUT_RECORDS, output.len() as u64);
-                if let Some(d) = durable {
+                if let Some((journal, codec)) = durable {
                     // Commit this partition's output as a run-directory
                     // artifact and journal it; a resumed run replays
                     // from here instead of re-reducing.
-                    let art_path = d
-                        .journal
+                    let art_path = journal
                         .partitions_dir()
-                        .join(format!("{}-p{task_id}.part", sanitize(&self.name)));
-                    let (run, seal) = seal_run_at(&d.codec, &art_path, &output, chaos)?;
-                    note_seal_stats(&seal, &counters);
-                    d.journal
+                        .join(format!("{}-p{task_id}.part", sanitize(name)));
+                    let (run, seal) = seal_run_at(codec, &art_path, &output, chaos)?;
+                    note_seal_stats(&seal, counters);
+                    journal
                         .append(&JournalEntry::ReduceCommit {
-                            job: self.name.clone(),
+                            job: name.clone(),
                             partition: task_id,
                             path: art_path.display().to_string(),
                             records: output.len(),
@@ -720,167 +705,40 @@ where
             });
             output.extend(r.output);
         }
-
-        let sim = simulate_chaos(
-            &self.cluster.topology,
-            &self.cluster.sim,
-            &self.cluster.chaos,
-            self.cluster.chaos.now(),
-            &map_sim,
-            &reduce_sim,
-            &self.telemetry,
-        )?;
-        self.cluster.chaos.advance(sim.makespan_s);
-        job_span.end();
-        note_job_mem(job_ledger, &counters);
-        let stats = finish_stats(
-            self.name,
-            map_sim.len(),
-            reduce_sim.len(),
-            started.elapsed(),
-            sim,
-            &counters,
-            &self.telemetry,
-        );
-        Ok(JobResult { output, stats })
+        Ok((output, reduce_sim))
     }
 }
 
 /// A map-only job (the paper's sampling and DJ-Cluster preprocessing:
-/// "the reduce phase is not necessary").
-///
-/// Output ordering: map tasks in chunk order, pairs in emission order —
-/// i.e. input order is preserved for record-to-record filters.
-pub struct MapOnlyJob<'a, V1, M>
-where
-    M: Mapper<V1>,
-{
-    name: String,
-    cluster: &'a Cluster,
-    dfs: &'a Dfs<V1>,
-    input: String,
-    mapper: M,
-    config: JobConfig,
-    cache: DistributedCache,
-    telemetry: Recorder,
-    pair_bytes: Option<PairBytes<M::KOut, M::VOut>>,
-}
+/// "the reduce phase is not necessary"): [`MapOnlyJob::new`] builds a
+/// [`MapReduceJob`] without reduce tasks, configured and run like any
+/// other. Its output is its map output, in chunk order with pairs in
+/// emission order — i.e. input order is preserved for record-to-record
+/// filters.
+pub enum MapOnlyJob {}
 
-impl<'a, V1, M> MapOnlyJob<'a, V1, M>
-where
-    V1: MrValue,
-    M: Mapper<V1>,
-{
+impl MapOnlyJob {
     /// A map-only job reading `input` from `dfs`.
-    pub fn new(name: &str, cluster: &'a Cluster, dfs: &'a Dfs<V1>, input: &str, mapper: M) -> Self {
-        Self {
-            name: name.to_string(),
-            cluster,
-            dfs,
-            input: input.to_string(),
-            mapper,
-            config: JobConfig::new(),
-            cache: DistributedCache::new(),
-            telemetry: Recorder::disabled(),
-            pair_bytes: None,
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, V1: MrValue, M: Mapper<V1>>(
+        name: &str,
+        cluster: &'a Cluster,
+        dfs: &'a Dfs<V1>,
+        input: &str,
+        mapper: M,
+    ) -> MapReduceJob<'a, V1, M, NoReducer> {
+        MapReduceJob {
+            num_reducers: 0,
+            map_only: Some(|pairs| pairs),
+            ..MapReduceJob::new(name, cluster, dfs, input, mapper, NoReducer)
         }
-    }
-
-    /// Sets the job configuration.
-    pub fn config(mut self, config: JobConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the distributed cache.
-    pub fn cache(mut self, cache: DistributedCache) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Attaches a telemetry recorder (see [`MapReduceJob::telemetry`]).
-    pub fn telemetry(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
-    /// Overrides the output-pair size estimator.
-    pub fn pair_bytes(
-        mut self,
-        f: impl Fn(&M::KOut, &M::VOut) -> usize + Send + Sync + 'static,
-    ) -> Self {
-        self.pair_bytes = Some(Arc::new(f));
-        self
-    }
-
-    /// Runs the job to completion.
-    pub fn run(self) -> Result<JobResult<M::KOut, M::VOut>, JobError> {
-        let started = Instant::now();
-        let monitor = self.telemetry.monitor();
-        let counters = Counters::live(monitor.clone());
-        let job_ledger = LedgerScope::open();
-        if let Some(m) = &monitor {
-            m.add(registry::JOBS_STARTED, 1);
-        }
-        let job_span = self
-            .telemetry
-            .span("job", &[("job", &self.name), ("reducers", "0")]);
-        let MapPhaseOutput {
-            partitions,
-            sim_tasks,
-            ..
-        } = run_map_phase(
-            &self.name,
-            self.cluster,
-            self.dfs,
-            &self.input,
-            &self.mapper,
-            None::<&NoCombiner>,
-            0,
-            &self.config,
-            &self.cache,
-            &counters,
-            &self.telemetry,
-            &job_span,
-            self.pair_bytes.as_ref(),
-            None,
-            None,
-            None,
-        )?;
-        let output = concat_buckets(
-            partitions
-                .into_iter()
-                .flat_map(PartitionInput::into_buckets)
-                .collect(),
-        );
-        let sim = simulate_chaos(
-            &self.cluster.topology,
-            &self.cluster.sim,
-            &self.cluster.chaos,
-            self.cluster.chaos.now(),
-            &sim_tasks,
-            &[],
-            &self.telemetry,
-        )?;
-        self.cluster.chaos.advance(sim.makespan_s);
-        job_span.end();
-        note_job_mem(job_ledger, &counters);
-        let stats = finish_stats(
-            self.name,
-            sim_tasks.len(),
-            0,
-            started.elapsed(),
-            sim,
-            &counters,
-            &self.telemetry,
-        );
-        Ok(JobResult { output, stats })
     }
 }
 
-/// Draws a task's injected failures under the cluster's [`FailurePlan`]:
-/// the attempt that succeeds and the runtime fractions of those that died
-/// before it, or the error once `max_attempts` are spent.
+/// Draws a task's injected failures under the cluster's
+/// [`ChaosPlan::fail_tasks`]: the attempt that succeeds and the runtime
+/// fractions of those that died before it, or the error once the task has
+/// died as often as the plan allows.
 fn draw_attempts(
     job: &str,
     phase_name: &'static str,
@@ -889,48 +747,27 @@ fn draw_attempts(
     counters: &Counters,
     telemetry: &Recorder,
 ) -> Result<(u32, Vec<f64>), JobError> {
-    let fail = &cluster.failures;
-    let prob = if phase_name == phase::MAP {
-        fail.map_fail_prob
-    } else {
-        fail.reduce_fail_prob
-    };
+    let chaos = &cluster.chaos;
     let mut attempt = 1u32;
     let mut failed_attempts = Vec::new();
-    while unit_hash(&(job, phase_name, task, attempt, fail.seed)) < prob {
+    while let Some(fraction) = chaos.attempt_dies(job, phase_name, task, attempt) {
         counters.inc(builtin::TASK_RETRIES, 1);
         telemetry.point(
             "task.retry",
             attempt as f64,
             &[("phase", phase_name), ("task", &task.to_string())],
         );
-        failed_attempts.push(failed_attempt_fraction(
-            job, phase_name, task, attempt, fail.seed,
-        ));
-        attempt += 1;
-        if attempt > fail.max_attempts {
+        failed_attempts.push(fraction);
+        if attempt == chaos.max_task_attempts {
             return Err(JobError::TaskFailed {
                 phase: phase_name,
                 task,
-                attempts: fail.max_attempts,
+                attempts: attempt,
             });
         }
+        attempt += 1;
     }
     Ok((attempt, failed_attempts))
-}
-
-/// Runtime fraction a failed attempt consumed before dying: a
-/// deterministic hash of the attempt identity mapped into `[0.2, 0.95)`,
-/// so every injected failure charges a visible but partial share of the
-/// task body to the virtual replay.
-fn failed_attempt_fraction(
-    job: &str,
-    phase_name: &'static str,
-    task: usize,
-    attempt: u32,
-    seed: u64,
-) -> f64 {
-    0.2 + 0.75 * unit_hash(&(job, phase_name, task, attempt, seed, "runtime"))
 }
 
 /// Closes the job-level memory ledger into the job counters: the
@@ -947,10 +784,6 @@ fn note_job_mem(ledger: LedgerScope, counters: &Counters) {
 /// Folds the sim report's recovery tallies into the job counters (and
 /// through them the live monitor), mirrors everything into telemetry,
 /// and assembles the final [`JobStats`].
-///
-/// The counters are the single source of truth: the sim's recovery
-/// tallies are folded in once, and every `JobStats` mirror field is then
-/// read back from the same snapshot — the two views cannot drift.
 fn finish_stats(
     name: String,
     map_tasks: usize,
@@ -969,9 +802,9 @@ fn finish_stats(
             counters.inc(counter, tally as u64);
         }
     }
-    let counters_snapshot = counters.snapshot();
+    let counters = counters.snapshot();
     if telemetry.is_enabled() {
-        for (k, &v) in &counters_snapshot {
+        for (k, &v) in &counters {
             if registry::kind(k) == Kind::Max {
                 // High-water marks: raise the recorder's aggregate to
                 // this job's watermark instead of summing watermarks
@@ -985,7 +818,6 @@ fn finish_stats(
             }
         }
     }
-    let mirror = |name: &str| counters_snapshot.get(name).copied().unwrap_or(0);
     if let Some(m) = telemetry.monitor() {
         m.add(registry::JOBS_FINISHED, 1);
     }
@@ -994,16 +826,8 @@ fn finish_stats(
         map_tasks,
         reduce_tasks,
         real_elapsed,
-        retries: mirror(builtin::TASK_RETRIES),
-        reexecuted_maps: mirror(builtin::REEXECUTED_MAPS),
-        failed_over_reads: mirror(builtin::FAILED_OVER_READS),
-        blacklisted_nodes: mirror(builtin::BLACKLISTED_NODES),
-        io_retries: mirror(builtin::IO_RETRIES),
-        torn_writes_detected: mirror(builtin::TORN_WRITES),
-        runs_quarantined: mirror(builtin::RUNS_QUARANTINED),
-        journal_replayed_tasks: mirror(builtin::JOURNAL_REPLAYED),
         sim,
-        counters: counters_snapshot,
+        counters,
     }
 }
 
@@ -1716,6 +1540,23 @@ fn run_combiner<K: MrKey, V: MrValue, C: Combiner<K, V>>(
 mod tests {
     use super::*;
     use crate::api::FnMapper;
+    use crate::spill::SpillEncode;
+
+    /// `job` with derived codecs, its shuffle spilling past `bytes`.
+    fn budgeted<'a, V1, M, R, C>(
+        job: MapReduceJob<'a, V1, M, R, C>,
+        bytes: usize,
+    ) -> MapReduceJob<'a, V1, M, R, C>
+    where
+        V1: MrValue,
+        M: Mapper<V1, KOut: SpillEncode, VOut: SpillEncode>,
+        R: Reducer<M::KOut, M::VOut, KOut: SpillEncode, VOut: SpillEncode>,
+        C: Combiner<M::KOut, M::VOut>,
+    {
+        let ctx = ExecCtx::new(job.cluster);
+        job.codecs(SpillCodec::of(), SpillCodec::of())
+            .exec(&ctx, Some(bytes))
+    }
 
     /// Word-count style: map emits (word, 1), reduce sums.
     #[derive(Clone)]
@@ -1800,11 +1641,8 @@ mod tests {
             .run()
             .unwrap();
         // A 1-byte budget forces a spill after every map contribution.
-        let spilled = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .memory_budget(1)
-            .run()
-            .unwrap();
+        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
+        let spilled = budgeted(job.reducers(2), 1).run().unwrap();
         assert_eq!(in_memory.output, spilled.output);
         assert!(spilled.stats.counters[builtin::SPILL_FILES] > 0);
         assert!(spilled.stats.counters[builtin::SPILLED_BYTES] > 0);
@@ -1822,11 +1660,8 @@ mod tests {
         // group overflows to its own file before the reduce call (a
         // group's first value always stays in memory, so the lone "e"
         // never overflows).
-        let spilled = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(1)
-            .memory_budget(1)
-            .run()
-            .unwrap();
+        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
+        let spilled = budgeted(job.reducers(1), 1).run().unwrap();
         assert_eq!(spilled.stats.counters[builtin::SPILLED_GROUPS], 4);
         let counts = word_counts(&spilled);
         assert_eq!(counts["a"], 4);
@@ -1842,12 +1677,10 @@ mod tests {
             .reducers(2)
             .run()
             .unwrap();
-        let spilled = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
+        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
             .with_combiner(SumCombiner)
-            .reducers(2)
-            .memory_budget(1)
-            .run()
-            .unwrap();
+            .reducers(2);
+        let spilled = budgeted(job, 1).run().unwrap();
         assert_eq!(in_memory.output, spilled.output);
     }
 
@@ -1855,11 +1688,8 @@ mod tests {
     fn generous_budget_never_spills() {
         let cluster = Cluster::local(3, 2);
         let dfs = word_dfs(&cluster);
-        let result = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .memory_budget(1 << 30)
-            .run()
-            .unwrap();
+        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
+        let result = budgeted(job.reducers(2), 1 << 30).run().unwrap();
         assert!(!result.stats.counters.contains_key(builtin::SPILL_FILES));
         assert_eq!(word_counts(&result)["a"], 4);
     }
@@ -1869,11 +1699,8 @@ mod tests {
         let cluster = Cluster::local(3, 2);
         let dfs = word_dfs(&cluster);
         let budget = 64;
-        let result = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .memory_budget(budget)
-            .run()
-            .unwrap();
+        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
+        let result = budgeted(job.reducers(2), budget).run().unwrap();
         let c = &result.stats.counters;
         assert_eq!(c[builtin::MEM_BUDGET_BYTES], budget as u64);
         let peak = c[builtin::MEM_ACCOUNTED_PEAK];
@@ -1923,29 +1750,36 @@ mod tests {
             ChaosPlan::none().io_faults(IoFaultPlan::new(41).eio(0.4).torn(0.6).bitrot(0.3)),
         );
         let dfs = word_dfs(&cluster);
-        let faulty = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .memory_budget(1)
-            .run()
-            .unwrap();
+        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
+        let faulty = budgeted(job.reducers(2), 1).run().unwrap();
         assert_eq!(
             faulty.output, expected,
             "sealed spills must be bit-identical under fault injection"
         );
         assert!(
-            faulty.stats.io_retries + faulty.stats.torn_writes_detected > 0,
+            faulty.stats.counter(builtin::IO_RETRIES) + faulty.stats.counter(builtin::TORN_WRITES)
+                > 0,
             "fault plan must have fired at least once: {:?}",
             faulty.stats.counters
         );
-        assert_eq!(
-            faulty.stats.runs_quarantined,
-            faulty
-                .stats
-                .counters
-                .get(builtin::RUNS_QUARANTINED)
-                .copied()
-                .unwrap_or(0),
-        );
+    }
+
+    /// The word count with its reduce output committed to `journal`.
+    fn durable_word_count(
+        cluster: &Cluster,
+        dfs: &Dfs<String>,
+        journal: &Arc<RunJournal>,
+    ) -> JobResult<String, u64> {
+        let ctx = ExecCtx {
+            journal: Some(Arc::clone(journal)),
+            ..ExecCtx::new(cluster)
+        };
+        MapReduceJob::new("wc", cluster, dfs, "words", tokenizer(), SumReducer)
+            .reducers(2)
+            .codecs(SpillCodec::of(), SpillCodec::of())
+            .exec(&ctx, None)
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -1956,23 +1790,16 @@ mod tests {
         let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
         let cluster = Cluster::local(3, 2);
         let dfs = word_dfs(&cluster);
-        let first = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .durable(Arc::clone(&journal))
-            .run()
-            .unwrap();
-        assert_eq!(first.stats.journal_replayed_tasks, 0);
+        let run = || durable_word_count(&cluster, &dfs, &journal);
+        let first = run();
+        assert_eq!(first.stats.counter(builtin::JOURNAL_REPLAYED), 0);
         assert_eq!(journal.committed_reduces("wc").len(), 2);
 
         // A second run against the same journal (what `resume` does
         // after a kill) loads both partitions from their artifacts.
-        let second = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .durable(Arc::clone(&journal))
-            .run()
-            .unwrap();
+        let second = run();
         assert_eq!(second.output, first.output);
-        assert_eq!(second.stats.journal_replayed_tasks, 2);
+        assert_eq!(second.stats.counter(builtin::JOURNAL_REPLAYED), 2);
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 
@@ -1986,13 +1813,7 @@ mod tests {
         let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
         let cluster = Cluster::local(3, 2);
         let dfs = word_dfs(&cluster);
-        let run = |j: &Arc<RunJournal>| {
-            MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-                .reducers(2)
-                .durable(Arc::clone(j))
-                .run()
-                .unwrap()
-        };
+        let run = |j: &Arc<RunJournal>| durable_word_count(&cluster, &dfs, j);
         let first = run(&journal);
         // Rot one committed artifact at rest: flip a payload byte.
         let art = journal.committed_reduces("wc")[&0].path.clone();
@@ -2002,10 +1823,11 @@ mod tests {
         let second = run(&journal);
         assert_eq!(second.output, first.output);
         assert_eq!(
-            second.stats.journal_replayed_tasks, 1,
+            second.stats.counter(builtin::JOURNAL_REPLAYED),
+            1,
             "only the intact partition replays"
         );
-        assert!(second.stats.runs_quarantined >= 1);
+        assert!(second.stats.counter(builtin::RUNS_QUARANTINED) >= 1);
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 
@@ -2316,7 +2138,7 @@ mod tests {
             let job =
                 MapReduceJob::new("wc", &cluster, &dfs, "words", mapper, SumReducer).reducers(2);
             let job = match budget {
-                Some(bytes) => job.memory_budget(bytes),
+                Some(bytes) => budgeted(job, bytes),
                 None => job,
             };
             match combiner {
@@ -2412,49 +2234,170 @@ mod tests {
             .run()
             .unwrap();
 
-        let flaky = base.clone().with_failures(FailurePlan {
-            map_fail_prob: 0.7,
-            reduce_fail_prob: 0.7,
-            seed: 13,
-            max_attempts: 50,
-        });
+        let flaky = base
+            .clone()
+            .with_chaos(ChaosPlan::none().fail_tasks(0.7, 0.7, 13, 50));
+        let rec = Recorder::enabled();
         let retried = MapReduceJob::new("wc", &flaky, &dfs, "words", tokenizer(), SumReducer)
             .reducers(2)
+            .exec(&ExecCtx::new(&flaky).traced(&rec), None)
             .run()
             .unwrap();
         assert_eq!(word_counts(&clean), word_counts(&retried));
-        assert!(
-            retried
-                .stats
-                .counters
-                .get(builtin::TASK_RETRIES)
-                .copied()
-                .unwrap_or(0)
-                > 0,
-            "with p=0.7 over several tasks some retries must occur"
+        // The draw is a pure function of (job, phase, task, attempt, seed):
+        // these numbers move only if the draw itself does.
+        let points = rec
+            .events()
+            .iter()
+            .filter(|e| e.name == "task.retry")
+            .count();
+        assert_eq!(retried.stats.counters[builtin::TASK_RETRIES], 2);
+        assert_eq!(points, 2);
+    }
+
+    /// What a map-only job shows the outside: its spans, its counters and
+    /// its monitor rows — and, run under a budgeted, journaled context,
+    /// that neither the budget nor the journal touches it.
+    #[test]
+    fn map_only_outside_view() {
+        let cluster = Cluster::local(2, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), 16, 2);
+        dfs.put_fixed("nums", (0..100u64).collect(), 4).unwrap();
+        let chunks = dfs.num_blocks("nums").unwrap();
+        let mapper = FnMapper::new(|off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
+            if v.is_multiple_of(3) {
+                out.emit(off, *v);
+            }
+        });
+        let plain = MapOnlyJob::new("filter", &cluster, &dfs, "nums", mapper.clone())
+            .run()
+            .unwrap();
+
+        let run_dir =
+            std::env::temp_dir().join(format!("gepeto-map-only-view-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
+        let rec = Recorder::monitored();
+        let ctx = ExecCtx {
+            journal: Some(Arc::clone(&journal)),
+            memory_budget: Some(1),
+            ..ExecCtx::new(&cluster)
+        }
+        .traced(&rec);
+        let (result, _) = ctx
+            .submit("filter", &dfs, |name, dfs, budget| {
+                MapOnlyJob::new(name, &cluster, dfs, "nums", mapper.clone())
+                    .exec(&ctx, budget)
+                    .run()
+            })
+            .unwrap();
+        assert_eq!(result.output, plain.output);
+        assert_eq!(result.stats.map_tasks, chunks);
+        assert_eq!(result.stats.reduce_tasks, 0);
+
+        // Spans: the job, its map phase and one task per chunk — nothing
+        // of a shuffle or a reduce.
+        use gepeto_telemetry::EventKind;
+        let events = rec.events();
+        let starts: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::SpanStart)
+            .collect();
+        let named = |name: &'static str| starts.iter().filter(move |e| e.name == name);
+        let job: Vec<_> = named("job").collect();
+        assert_eq!(job.len(), 1);
+        assert_eq!(
+            job[0].labels,
+            [
+                ("job".to_string(), "filter".to_string()),
+                ("reducers".to_string(), "0".to_string())
+            ]
         );
+        let map: Vec<_> = named("phase.map").collect();
+        assert_eq!(map.len(), 1);
+        assert_eq!(map[0].label("tasks"), Some(chunks.to_string().as_str()));
+        let mut tasks: Vec<usize> = named("task.map")
+            .map(|e| e.label("task").unwrap().parse().unwrap())
+            .collect();
+        tasks.sort_unstable();
+        assert_eq!(tasks, (0..chunks).collect::<Vec<_>>());
+        assert!(starts
+            .iter()
+            .all(|e| matches!(e.name, "job" | "phase.map" | "task.map")));
+
+        // Counters: everything but the process-wide allocator readings.
+        let heap = [
+            builtin::MEM_PEAK_BYTES,
+            builtin::MEM_ALLOCATED_BYTES,
+            builtin::MEM_ALLOCS,
+        ];
+        let mut counters = result.stats.counters.clone();
+        counters.retain(|name, _| !heap.contains(&name.as_str()));
+        let expected: BTreeMap<String, u64> = [
+            (builtin::MAP_INPUT_RECORDS, 100),
+            (builtin::MAP_OUTPUT_RECORDS, 34),
+            (builtin::MEM_ACCOUNTED_PEAK, 32),
+        ]
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect();
+        assert_eq!(counters, expected);
+
+        // Monitor rows: map progress only, and every other registry row as
+        // the job counted it.
+        let snap = rec.monitor().unwrap().snapshot();
+        let progress = [
+            (registry::JOBS_STARTED, 1),
+            (registry::JOBS_FINISHED, 1),
+            (registry::MAP_TASKS_SCHEDULED, chunks as u64),
+            (registry::MAP_TASKS_DONE, chunks as u64),
+            (registry::REDUCE_TASKS_SCHEDULED, 0),
+            (registry::REDUCE_TASKS_DONE, 0),
+            (registry::CRASH_KILLED, 0),
+        ];
+        for row in registry::METRICS {
+            let expected = match progress.iter().find(|(name, _)| *name == row.name) {
+                Some(&(_, v)) => v,
+                None => result.stats.counters.get(row.name).copied().unwrap_or(0),
+            };
+            assert_eq!(snap.get(row.name), expected, "monitor: {}", row.name);
+        }
+
+        // Neither a spill run nor a journal entry.
+        assert!(journal.entries().is_empty());
+        let spilled = std::fs::read_dir(journal.spill_root()).map_or(0, |d| d.count());
+        assert_eq!(spilled, 0);
+        let _ = std::fs::remove_dir_all(&run_dir);
     }
 
     #[test]
     fn exhausted_attempts_fail_the_job() {
-        let cluster = Cluster::local(2, 2).with_failures(FailurePlan {
-            map_fail_prob: 1.0, // every attempt fails
-            reduce_fail_prob: 0.0,
-            seed: 1,
-            max_attempts: 3,
-        });
-        let dfs = word_dfs(&cluster);
-        let err = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .run()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            JobError::TaskFailed {
-                phase: "map",
-                attempts: 3,
-                ..
-            }
-        ));
+        // Every map attempt dies; a cap below one attempt means one.
+        for (cap, ran) in [(0, 1), (1, 1), (3, 3)] {
+            let chaos = ChaosPlan::none().fail_tasks(1.0, 0.0, 1, cap);
+            let cluster = Cluster::local(2, 2).with_chaos(chaos);
+            let dfs = word_dfs(&cluster);
+            let rec = Recorder::enabled();
+            let err = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
+                .exec(&ExecCtx::new(&cluster).traced(&rec), None)
+                .run()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                JobError::TaskFailed {
+                    phase: "map",
+                    task: 0,
+                    attempts: ran,
+                },
+                "cap {cap}"
+            );
+            let died = rec
+                .events()
+                .iter()
+                .filter(|e| e.name == "task.retry")
+                .count();
+            assert_eq!(died, ran as usize, "cap {cap}");
+        }
     }
 
     #[test]
@@ -2475,7 +2418,7 @@ mod tests {
         let result = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
             .with_combiner(SumCombiner)
             .reducers(2)
-            .telemetry(rec.clone())
+            .exec(&ExecCtx::new(&cluster).traced(&rec), None)
             .run()
             .unwrap();
         let events = rec.events();
@@ -2521,20 +2464,16 @@ mod tests {
     /// The word count under a spill budget, injected task failures and a
     /// mid-job node crash, reporting into `rec`.
     fn spilling_retrying_job(rec: &Recorder, budget: usize) -> JobStats {
-        let mut cluster = Cluster::local(2, 1)
-            .with_failures(FailurePlan {
-                map_fail_prob: 0.5,
-                reduce_fail_prob: 0.5,
-                seed: 13,
-                max_attempts: 50,
-            })
-            .with_chaos(ChaosPlan::none().crash_node(0, 1.5));
+        let chaos = ChaosPlan::none()
+            .fail_tasks(0.5, 0.5, 13, 50)
+            .crash_node(0, 1.5);
+        let mut cluster = Cluster::local(2, 1).with_chaos(chaos);
         cluster.sim = crate::sim::SimParams::unit_time();
         let dfs = word_dfs(&cluster);
         MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
             .reducers(2)
-            .memory_budget(budget)
-            .telemetry(rec.clone())
+            .codecs(SpillCodec::of(), SpillCodec::of())
+            .exec(&ExecCtx::new(&cluster).traced(rec), Some(budget))
             .run()
             .unwrap()
             .stats
@@ -2598,17 +2537,13 @@ mod tests {
 
     #[test]
     fn telemetry_records_retry_points() {
-        let cluster = Cluster::local(3, 2).with_failures(FailurePlan {
-            map_fail_prob: 0.7,
-            reduce_fail_prob: 0.7,
-            seed: 13,
-            max_attempts: 50,
-        });
+        let cluster =
+            Cluster::local(3, 2).with_chaos(ChaosPlan::none().fail_tasks(0.7, 0.7, 13, 50));
         let dfs = word_dfs(&cluster);
         let rec = Recorder::enabled();
         let result = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
             .reducers(2)
-            .telemetry(rec.clone())
+            .exec(&ExecCtx::new(&cluster).traced(&rec), None)
             .run()
             .unwrap();
         let retries = result.stats.counters[builtin::TASK_RETRIES];

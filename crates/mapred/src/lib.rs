@@ -24,11 +24,11 @@
 //!   scheduler onto a virtual cluster (default: the 7-node *Parapluie*
 //!   profile of the paper) to produce Hadoop-like makespans, startup
 //!   overhead and shuffle-volume accounting.
-//! - **Fault handling** ([`job::FailurePlan`], [`chaos::ChaosPlan`],
-//!   [`recover`]): deterministic task-failure injection with bounded
-//!   retries, scripted node crashes / replica corruption / node
-//!   degradation with replica failover, map re-execution and node
-//!   blacklisting, plus driver-level checkpoint-and-retry — mirroring the
+//! - **Fault handling** ([`chaos::ChaosPlan`], [`recover`]): one plan per
+//!   cluster scripts deterministic task-attempt failures with bounded
+//!   retries, node crashes / replica corruption / node degradation with
+//!   replica failover, map re-execution and node blacklisting, and storage
+//!   faults, plus driver-level checkpoint-and-retry — mirroring the
 //!   jobtracker's "monitoring tasks and handling failures" role.
 //! - **The execution context** ([`exec`]): one [`ExecCtx`] carries how a
 //!   driver's jobs run — recorder, retry policy, run journal, shuffle
@@ -94,8 +94,8 @@ pub use counters::Counters;
 pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
 pub use exec::{DfsAccess, ExecCtx};
 pub use job::{
-    group_sorted, group_unsorted, FailurePlan, FlatGroups, JobError, JobResult, JobStats,
-    MapOnlyJob, MapReduceJob,
+    group_sorted, group_unsorted, FlatGroups, JobError, JobResult, JobStats, MapOnlyJob,
+    MapReduceJob,
 };
 pub use journal::{JournalEntry, ReduceArtifact, RunJournal};
 pub use pipeline::PipelineReport;

@@ -1,16 +1,14 @@
-//! Aggregate reporting for multi-job pipelines.
+//! The statistics of multi-job pipelines.
 //!
 //! DJ-Cluster's preprocessing runs "two MapReduce jobs executed in
 //! pipeline: the output of the first job constitutes the input of the
 //! second one" (§VII-A), and k-means submits one job per iteration. This
-//! module accumulates the per-job statistics of such a chain into a single
-//! report: total virtual time (cluster startup counted once), locality
-//! totals and shuffle volume.
+//! module keeps the per-job statistics of such a chain together, in
+//! execution order.
 
 use crate::job::JobStats;
-use std::time::Duration;
 
-/// Accumulated statistics of a chain of jobs.
+/// The statistics of a chain of jobs.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     stages: Vec<JobStats>,
@@ -36,81 +34,6 @@ impl PipelineReport {
     pub fn num_jobs(&self) -> usize {
         self.stages.len()
     }
-
-    /// Total real wall-clock time across jobs.
-    pub fn real_elapsed(&self) -> Duration {
-        self.stages.iter().map(|s| s.real_elapsed).sum()
-    }
-
-    /// Total virtual makespan across jobs, *excluding* cluster startup.
-    pub fn sim_makespan_s(&self) -> f64 {
-        self.stages.iter().map(|s| s.sim.makespan_s).sum()
-    }
-
-    /// Virtual end-to-end time: one cluster startup plus every job's
-    /// makespan (daemons stay up between chained jobs, §VI).
-    pub fn sim_total_s(&self) -> f64 {
-        let startup = self.stages.first().map_or(0.0, |s| s.sim.cluster_startup_s);
-        startup + self.sim_makespan_s()
-    }
-
-    /// Total bytes shuffled across all jobs.
-    pub fn shuffle_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.sim.shuffle_bytes).sum()
-    }
-
-    /// Sum of map tasks across all jobs.
-    pub fn map_tasks(&self) -> usize {
-        self.stages.iter().map(|s| s.map_tasks).sum()
-    }
-
-    /// `(data_local, rack_local, remote)` totals across all jobs.
-    pub fn locality(&self) -> (usize, usize, usize) {
-        self.stages.iter().fold((0, 0, 0), |acc, s| {
-            (
-                acc.0 + s.sim.data_local,
-                acc.1 + s.sim.rack_local,
-                acc.2 + s.sim.remote,
-            )
-        })
-    }
-
-    /// Total task-attempt retries across all jobs.
-    pub fn retries(&self) -> u64 {
-        self.stages.iter().map(|s| s.retries).sum()
-    }
-
-    /// Total map tasks re-executed after node crashes across all jobs.
-    pub fn reexecuted_maps(&self) -> u64 {
-        self.stages.iter().map(|s| s.reexecuted_maps).sum()
-    }
-
-    /// Total chunk reads that failed over past a dead or corrupt replica.
-    pub fn failed_over_reads(&self) -> u64 {
-        self.stages.iter().map(|s| s.failed_over_reads).sum()
-    }
-
-    /// Total intermediate bytes spilled to disk across all jobs.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.counter_total(crate::counters::builtin::SPILLED_BYTES)
-    }
-
-    /// Total spill runs written across all jobs.
-    pub fn spill_files(&self) -> u64 {
-        self.counter_total(crate::counters::builtin::SPILL_FILES)
-    }
-
-    /// Total reduce groups spilled past the memory budget across all jobs.
-    pub fn spilled_groups(&self) -> u64 {
-        self.counter_total(crate::counters::builtin::SPILLED_GROUPS)
-    }
-
-    fn counter_total(&self, name: &str) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.counters.get(name).copied().unwrap_or(0))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -118,30 +41,15 @@ mod tests {
     use super::*;
     use crate::sim::SimReport;
     use std::collections::BTreeMap;
+    use std::time::Duration;
 
-    fn stats(name: &str, makespan: f64, startup: f64) -> JobStats {
+    fn stats(name: &str) -> JobStats {
         JobStats {
             name: name.into(),
             map_tasks: 4,
             reduce_tasks: 1,
             real_elapsed: Duration::from_millis(10),
-            sim: SimReport {
-                makespan_s: makespan,
-                cluster_startup_s: startup,
-                data_local: 3,
-                rack_local: 1,
-                remote: 0,
-                shuffle_bytes: 100,
-                ..SimReport::default()
-            },
-            retries: 1,
-            reexecuted_maps: 2,
-            failed_over_reads: 1,
-            blacklisted_nodes: 0,
-            io_retries: 0,
-            torn_writes_detected: 0,
-            runs_quarantined: 0,
-            journal_replayed_tasks: 0,
+            sim: SimReport::default(),
             counters: BTreeMap::new(),
         }
     }
@@ -150,25 +58,16 @@ mod tests {
     fn empty_report() {
         let r = PipelineReport::new();
         assert_eq!(r.num_jobs(), 0);
-        assert_eq!(r.sim_total_s(), 0.0);
-        assert_eq!(r.real_elapsed(), Duration::ZERO);
+        assert!(r.stages().is_empty());
     }
 
     #[test]
-    fn accumulates_jobs_with_single_startup() {
+    fn keeps_jobs_in_execution_order() {
         let mut r = PipelineReport::new();
-        r.add(stats("filter-moving", 10.0, 25.0));
-        r.add(stats("dedup", 5.0, 25.0));
+        r.add(stats("filter-moving"));
+        r.add(stats("dedup"));
         assert_eq!(r.num_jobs(), 2);
-        assert_eq!(r.sim_makespan_s(), 15.0);
-        assert_eq!(r.sim_total_s(), 40.0); // 25 counted once
-        assert_eq!(r.shuffle_bytes(), 200);
-        assert_eq!(r.map_tasks(), 8);
-        assert_eq!(r.locality(), (6, 2, 0));
-        assert_eq!(r.real_elapsed(), Duration::from_millis(20));
-        assert_eq!(r.stages()[1].name, "dedup");
-        assert_eq!(r.retries(), 2);
-        assert_eq!(r.reexecuted_maps(), 4);
-        assert_eq!(r.failed_over_reads(), 2);
+        let names: Vec<&str> = r.stages().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["filter-moving", "dedup"]);
     }
 }

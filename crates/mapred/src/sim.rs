@@ -149,7 +149,7 @@ pub struct MapTaskSim {
     /// verification (empty ⇒ all intact).
     pub corrupted: Vec<bool>,
     /// One entry per injected failed attempt (from
-    /// [`crate::job::FailurePlan`]): the fraction of the attempt's
+    /// [`ChaosPlan::fail_tasks`]): the fraction of the attempt's
     /// nominal post-startup runtime it burned before dying. Each entry
     /// is charged to the virtual schedule before the task can succeed.
     pub failed_attempts: Vec<f64>,
@@ -283,54 +283,21 @@ impl SlotPool {
     }
 }
 
-/// Replays a job's measured task times on the virtual cluster.
+/// Replays a job's measured task times on the virtual cluster, under a
+/// [`ChaosPlan`].
 ///
 /// Scheduling model: whenever a slot frees (pull-based, like tasktracker
 /// heartbeats), the jobtracker hands it the first still-pending map task
 /// that is data-local to that node, else rack-local, else any pending
-/// task — Hadoop's locality waterfall.
-pub fn simulate(
-    topology: &Topology,
-    params: &SimParams,
-    map_tasks: &[MapTaskSim],
-    reduce_tasks: &[ReduceTaskSim],
-) -> SimReport {
-    simulate_with(
-        topology,
-        params,
-        map_tasks,
-        reduce_tasks,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`simulate`] with telemetry: every slot assignment is recorded as a
-/// `sched.map` / `sched.reduce` point event carrying the simulated task
-/// duration (seconds) and `task` / `node` / `locality` labels — the
+/// task — Hadoop's locality waterfall. Every slot assignment is recorded
+/// as a `sched.map` / `sched.reduce` point event carrying the simulated
+/// task duration (seconds) and `task` / `node` / `locality` labels — the
 /// jobtracker-side scheduling log the paper's locality analysis reads.
-/// Injected failed attempts still charge their partial runtime.
-pub fn simulate_with(
-    topology: &Topology,
-    params: &SimParams,
-    map_tasks: &[MapTaskSim],
-    reduce_tasks: &[ReduceTaskSim],
-    telemetry: &Recorder,
-) -> SimReport {
-    simulate_chaos(
-        topology,
-        params,
-        &ChaosPlan::none(),
-        0.0,
-        map_tasks,
-        reduce_tasks,
-        telemetry,
-    )
-    .expect("an empty chaos plan cannot kill nodes or lose replicas")
-}
-
-/// [`simulate_with`] under a [`ChaosPlan`]: nodes crash at scripted
-/// virtual times (`start_s` maps the plan's absolute clock onto this
-/// job's local timeline), killing in-flight attempts, invalidating
+///
+/// Chaos: injected failed attempts charge their partial runtime; nodes
+/// crash at scripted virtual times (`start_s` maps the plan's absolute
+/// clock onto this job's local timeline), killing in-flight attempts,
+/// invalidating
 /// completed map outputs held on the crashed node (which the jobtracker
 /// re-executes on survivors), and making the node's chunk replicas
 /// unreadable so map-input reads fail over to surviving replicas.
@@ -469,7 +436,7 @@ pub fn simulate_chaos(
                     * (task.records as f64 * params.per_record_us * 1e-6
                         + task.host_secs * params.cpu_scale);
             let nominal = params.task_startup_s + body;
-            // Injected (FailurePlan) failure: the attempt burns part of
+            // Injected (`ChaosPlan::fail_tasks`) failure: the attempt burns part of
             // its runtime, occupies the slot for it, and is requeued.
             if let Some(&fraction) = task.failed_attempts.get(fail_cursor[tid]) {
                 fail_cursor[tid] += 1;
@@ -774,6 +741,26 @@ fn straggler_adjusted(
 mod tests {
     use super::*;
 
+    /// The untraced replay without chaos.
+    fn simulate(
+        topology: &Topology,
+        params: &SimParams,
+        map_tasks: &[MapTaskSim],
+        reduce_tasks: &[ReduceTaskSim],
+    ) -> SimReport {
+        let (chaos, untraced) = (ChaosPlan::none(), Recorder::disabled());
+        simulate_chaos(
+            topology,
+            params,
+            &chaos,
+            0.0,
+            map_tasks,
+            reduce_tasks,
+            &untraced,
+        )
+        .unwrap()
+    }
+
     fn map_task(secs: f64, replicas: Vec<NodeId>) -> MapTaskSim {
         MapTaskSim {
             host_secs: secs,
@@ -963,7 +950,17 @@ mod tests {
         let tasks = vec![map_task(1.0, vec![0]), map_task(1.0, vec![0])];
         let reduces = vec![reduce_task(1.0, 8)];
         let rec = Recorder::enabled();
-        simulate_with(&topo, &SimParams::instant(), &tasks, &reduces, &rec);
+        let params = SimParams::instant();
+        simulate_chaos(
+            &topo,
+            &params,
+            &ChaosPlan::none(),
+            0.0,
+            &tasks,
+            &reduces,
+            &rec,
+        )
+        .unwrap();
         let events = rec.events();
         let map_points: Vec<_> = events.iter().filter(|e| e.name == "sched.map").collect();
         assert_eq!(map_points.len(), 2);

@@ -2,7 +2,7 @@
 //! external k-way merge.
 //!
 //! When a job carries a memory budget (see
-//! [`crate::MapReduceJob::memory_budget`]), the shuffle's regroup step
+//! [`crate::MapReduceJob::codecs`]), the shuffle's regroup step
 //! stops concatenating map outputs into one giant in-memory partition.
 //! Instead, whenever a partition's buffered pairs exceed the budget, the
 //! buffer is stably sorted by key and written to a local *spill run* — a
@@ -17,7 +17,7 @@
 //! telling it how to encode and decode one `(K, V)` pair. Primitive and
 //! common composite types get one for free through [`SpillEncode`];
 //! domain types plug in an explicit codec via
-//! [`crate::MapReduceJob::exec`] without `mapred` needing to know their
+//! [`crate::MapReduceJob::codecs`] without `mapred` needing to know their
 //! layout.
 
 use crate::chaos::{ChaosPlan, IoFaultPlan};
@@ -677,9 +677,8 @@ impl<K, V> GroupSpill<K, V> {
     }
 }
 
-/// The spill configuration carried by a job builder: the pair codec and
-/// the per-partition in-memory byte budget past which the shuffle
-/// spills.
+/// A job run's spill configuration: the pair codec and the per-partition
+/// in-memory byte budget past which the shuffle spills.
 pub struct SpillSpec<K, V> {
     /// Pair codec for spill files.
     pub codec: SpillCodec<K, V>,

@@ -45,11 +45,6 @@ impl Topology {
         Self::new(5, 2, 24)
     }
 
-    /// A single-node "cluster" (pseudo-distributed Hadoop).
-    pub fn single_node(slots: usize) -> Self {
-        Self::new(1, 1, slots.max(1))
-    }
-
     /// Number of worker nodes.
     pub fn num_nodes(&self) -> usize {
         self.racks.len()
@@ -70,11 +65,6 @@ impl Topology {
         self.slots_per_node
     }
 
-    /// Total slots across the cluster.
-    pub fn total_slots(&self) -> usize {
-        self.num_nodes() * self.slots_per_node
-    }
-
     /// Nodes in `rack` other than `exclude`.
     pub fn rack_peers(&self, rack: RackId, exclude: NodeId) -> Vec<NodeId> {
         (0..self.num_nodes())
@@ -91,17 +81,16 @@ impl Topology {
 }
 
 /// A runnable cluster: topology plus the time-model parameters and the
-/// failure-injection plan applied to every job submitted to it.
+/// fault plan applied to every job submitted to it.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// Worker nodes, racks and slots.
     pub topology: Topology,
     /// Virtual-cluster time-model parameters.
     pub sim: crate::sim::SimParams,
-    /// Failure-injection plan applied to every job.
-    pub failures: crate::job::FailurePlan,
-    /// Scripted node/replica chaos plan (crashes, corruption,
-    /// degradation) plus the cluster's shared virtual clock.
+    /// Fault plan applied to every job (task-attempt failures, node
+    /// crashes, replica corruption, degradation, storage faults) plus the
+    /// cluster's shared virtual clock.
     pub chaos: crate::chaos::ChaosPlan,
 }
 
@@ -112,7 +101,6 @@ impl Cluster {
         Self {
             topology: Topology::parapluie(),
             sim: crate::sim::SimParams::parapluie(),
-            failures: crate::job::FailurePlan::none(),
             chaos: crate::chaos::ChaosPlan::none(),
         }
     }
@@ -123,15 +111,8 @@ impl Cluster {
         Self {
             topology: Topology::new(nodes.max(1), 1, slots.max(1)),
             sim: crate::sim::SimParams::instant(),
-            failures: crate::job::FailurePlan::none(),
             chaos: crate::chaos::ChaosPlan::none(),
         }
-    }
-
-    /// Replaces the failure plan (builder style).
-    pub fn with_failures(mut self, failures: crate::job::FailurePlan) -> Self {
-        self.failures = failures;
-        self
     }
 
     /// Replaces the chaos plan (builder style).
@@ -153,7 +134,7 @@ mod tests {
         assert_eq!(t.rack_of(0), 0);
         assert_eq!(t.rack_of(1), 1);
         assert_eq!(t.rack_of(4), 0);
-        assert_eq!(t.total_slots(), 20);
+        assert_eq!(t.slots_per_node(), 4);
     }
 
     #[test]
@@ -181,9 +162,9 @@ mod tests {
 
     #[test]
     fn single_node_topology() {
-        let t = Topology::single_node(8);
+        let t = Topology::new(1, 1, 8);
         assert_eq!(t.num_nodes(), 1);
-        assert_eq!(t.total_slots(), 8);
+        assert_eq!(t.slots_per_node(), 8);
         assert!(t.rack_peers(0, 0).is_empty());
         assert!(t.other_racks(0).is_empty());
     }

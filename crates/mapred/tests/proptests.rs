@@ -4,8 +4,8 @@
 //! results (only retry counts).
 
 use gepeto_mapred::{
-    group_sorted, group_unsorted, Cluster, Combiner, Dfs, Emitter, FailurePlan, FlatGroups,
-    FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, Topology,
+    group_sorted, group_unsorted, ChaosPlan, Cluster, Combiner, Dfs, Emitter, ExecCtx, FlatGroups,
+    FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec, Topology,
 };
 use gepeto_telemetry::{EventKind, Recorder};
 use proptest::prelude::*;
@@ -244,7 +244,10 @@ proptest! {
             let job = MapReduceJob::new("s", &cluster, &dfs, "r", identity.clone(), RecordSorted)
                 .reducers(3);
             match budget {
-                Some(bytes) => job.memory_budget(bytes).run().unwrap().output,
+                Some(bytes) => {
+                    let job = job.codecs(SpillCodec::of(), SpillCodec::of());
+                    job.exec(&ExecCtx::new(&cluster), Some(bytes)).run().unwrap().output
+                }
                 None => job.run().unwrap().output,
             }
         };
@@ -334,7 +337,7 @@ proptest! {
 
         let recorder = Recorder::enabled();
         let split = MapOnlyJob::new("m", &cluster, &dfs, "r", RunProbe::new(true))
-            .telemetry(recorder.clone())
+            .exec(&ExecCtx::new(&cluster).traced(&recorder), None)
             .run()
             .unwrap();
         let whole = MapOnlyJob::new("m", &cluster, &dfs, "r", RunProbe::new(false)).run().unwrap();
@@ -438,12 +441,9 @@ proptest! {
         dfs.put_fixed("r", records, 4).unwrap();
         let clean = MapReduceJob::new("s", &clean_cluster, &dfs, "r", key_mapper(), SumReducer)
             .reducers(2).run().unwrap();
-        let flaky_cluster = Cluster::local(3, 2).with_failures(FailurePlan {
-            map_fail_prob: p,
-            reduce_fail_prob: p,
-            seed,
-            max_attempts: 1000, // never exhaust
-        });
+        // 1000 attempts per task: never exhausted.
+        let flaky_cluster =
+            Cluster::local(3, 2).with_chaos(ChaosPlan::none().fail_tasks(p, p, seed, 1000));
         let flaky = MapReduceJob::new("s", &flaky_cluster, &dfs, "r", key_mapper(), SumReducer)
             .reducers(2).run().unwrap();
         prop_assert_eq!(clean.output, flaky.output);

@@ -8,6 +8,7 @@
 
 use gepeto::prelude::*;
 use gepeto_geo::DistanceMetric;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{ChaosPlan, SimParams, Topology};
 
 fn main() {
@@ -70,8 +71,12 @@ fn main() {
             .iter()
             .map(|i| i.job.sim.makespan_s)
             .sum();
-        let sum = |f: fn(&gepeto_mapred::JobStats) -> u64| -> u64 {
-            result.per_iteration.iter().map(|i| f(&i.job)).sum()
+        let sum = |counter: &str| -> u64 {
+            result
+                .per_iteration
+                .iter()
+                .map(|i| i.job.counter(counter))
+                .sum()
         };
         let bits: Vec<(u64, u64)> = result
             .centroids
@@ -90,8 +95,8 @@ fn main() {
         };
         println!(
             "{label:<42} {makespan:>8.1} s {overhead:>9} {:>8} {:>9} {:>9}",
-            sum(|j| j.reexecuted_maps),
-            sum(|j| j.failed_over_reads),
+            sum(builtin::REEXECUTED_MAPS),
+            sum(builtin::FAILED_OVER_READS),
             result
                 .per_iteration
                 .iter()

@@ -37,7 +37,6 @@ fn main() {
             let cluster = Cluster {
                 topology: Topology::new(nodes, 2.min(nodes), 4),
                 sim: SimParams::parapluie(),
-                failures: gepeto_mapred::FailurePlan::none(),
                 chaos: gepeto_mapred::ChaosPlan::none(),
             };
             let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, chunk_kb * 1024);

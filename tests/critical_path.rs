@@ -4,6 +4,7 @@
 //! timeline must show the crash and the recovery.
 
 use gepeto::prelude::*;
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{ChaosPlan, RetryPolicy, SimParams};
 use gepeto_telemetry::Recorder;
 
@@ -42,10 +43,8 @@ fn crash_critical_path_attributes_makespan_delta_to_reexecuted_maps() {
     // Node 1 dies 1.5 virtual seconds in: wave-1 maps it finished are
     // invalidated (their outputs died with it) and re-executed.
     let (chaos_stats, chaos_rec) = run_sampling(ChaosPlan::none().crash_node(1, 1.5));
-    assert!(
-        chaos_stats.reexecuted_maps > 0,
-        "crash must cost re-executions"
-    );
+    let reexecuted = chaos_stats.counter(builtin::REEXECUTED_MAPS);
+    assert!(reexecuted > 0, "crash must cost re-executions");
 
     let clean = clean_rec.virtual_critical_path().expect("clean vcp");
     let chaotic = chaos_rec.virtual_critical_path().expect("chaotic vcp");
@@ -61,7 +60,7 @@ fn crash_critical_path_attributes_makespan_delta_to_reexecuted_maps() {
     let delta = chaotic.makespan_s - clean.makespan_s;
     assert!(delta > 0.0, "recovery must cost virtual time");
     assert_eq!(
-        chaotic.reexecuted_maps, chaos_stats.reexecuted_maps as usize,
+        chaotic.reexecuted_maps as u64, reexecuted,
         "report and JobStats must agree on re-executed maps"
     );
     assert!(

@@ -4,7 +4,8 @@
 //! and handling failures" role, §III).
 
 use gepeto::prelude::*;
-use gepeto_mapred::{FailurePlan, SimParams};
+use gepeto_mapred::counters::builtin;
+use gepeto_mapred::{ChaosPlan, SimParams};
 
 fn dataset() -> Dataset {
     SyntheticGeoLife::new(GeneratorConfig {
@@ -17,12 +18,7 @@ fn dataset() -> Dataset {
 
 fn clusters() -> (Cluster, Cluster) {
     let clean = Cluster::local(3, 2);
-    let flaky = Cluster::local(3, 2).with_failures(FailurePlan {
-        map_fail_prob: 0.3,
-        reduce_fail_prob: 0.3,
-        seed: 99,
-        max_attempts: 200,
-    });
+    let flaky = Cluster::local(3, 2).with_chaos(ChaosPlan::none().fail_tasks(0.3, 0.3, 99, 200));
     (clean, flaky)
 }
 
@@ -40,12 +36,7 @@ fn sampling_survives_failures_unchanged() {
     let (b, stats, _) = run(&flaky);
     assert_eq!(a, b);
     assert!(
-        stats
-            .counters
-            .get("mapred.task.retries")
-            .copied()
-            .unwrap_or(0)
-            > 0,
+        stats.counter(builtin::TASK_RETRIES) > 0,
         "p=0.3 over many tasks must trigger retries"
     );
 }
@@ -103,12 +94,9 @@ fn injected_failures_charge_virtual_time_and_move_the_makespan() {
     let ds = dataset();
     let mut clean = Cluster::local(3, 2);
     clean.sim = SimParams::unit_time();
-    let flaky = clean.clone().with_failures(FailurePlan {
-        map_fail_prob: 0.3,
-        reduce_fail_prob: 0.3,
-        seed: 99,
-        max_attempts: 200,
-    });
+    let flaky = clean
+        .clone()
+        .with_chaos(ChaosPlan::none().fail_tasks(0.3, 0.3, 99, 200));
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToMiddle);
     let run = |cluster: &Cluster| {
         let mut dfs = gepeto::dfs_io::trace_dfs(cluster, 32 * 1024);
@@ -118,16 +106,7 @@ fn injected_failures_charge_virtual_time_and_move_the_makespan() {
     let (a, clean_stats, _) = run(&clean);
     let (b, flaky_stats, _) = run(&flaky);
     assert_eq!(a, b, "failures must never change the output");
-    assert!(flaky_stats.retries > 0);
-    assert_eq!(
-        flaky_stats.retries,
-        flaky_stats
-            .counters
-            .get("mapred.task.retries")
-            .copied()
-            .unwrap_or(0),
-        "JobStats.retries must mirror the builtin counter"
-    );
+    assert!(flaky_stats.counter(builtin::TASK_RETRIES) > 0);
     assert!(
         flaky_stats.sim.failed_attempt_s > 0.0,
         "failed attempts must charge virtual runtime"
@@ -143,12 +122,7 @@ fn injected_failures_charge_virtual_time_and_move_the_makespan() {
 #[test]
 fn job_fails_cleanly_when_attempts_exhausted() {
     let ds = dataset();
-    let doomed = Cluster::local(2, 2).with_failures(FailurePlan {
-        map_fail_prob: 1.0,
-        reduce_fail_prob: 0.0,
-        seed: 1,
-        max_attempts: 2,
-    });
+    let doomed = Cluster::local(2, 2).with_chaos(ChaosPlan::none().fail_tasks(1.0, 0.0, 1, 2));
     let mut dfs = gepeto::dfs_io::trace_dfs(&doomed, 32 * 1024);
     gepeto::dfs_io::put_dataset(&mut dfs, "d", &ds).unwrap();
     let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);

@@ -133,11 +133,7 @@ fn memory_budget_accounting_bounds_the_shuffle_peak() {
     assert!(free_peak > budget as u64);
     // Overshoot (if any — trigger granularity is one map bucket) is
     // recorded as exactly peak - budget.
-    let over = stats
-        .counters
-        .get(MEM_PEAK_OVER_BUDGET)
-        .copied()
-        .unwrap_or(0);
+    let over = stats.counter(MEM_PEAK_OVER_BUDGET);
     assert_eq!(over, peak.saturating_sub(budget as u64));
 
     // Spilling changes memory, never results: outputs are identical.

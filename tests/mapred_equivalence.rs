@@ -267,7 +267,7 @@ fn trace_bits(t: &MobilityTrace) -> (u32, i64, u64, u64, u32) {
 /// budget and all absent without one.
 fn assert_spilled_iff_starved(ctx: &ExecCtx<'_>, jobs: &[&gepeto_mapred::JobStats], keys: &[&str]) {
     for key in keys {
-        let total: u64 = jobs.iter().filter_map(|j| j.counters.get(*key)).sum();
+        let total: u64 = jobs.iter().map(|j| j.counter(key)).sum();
         assert_eq!(total > 0, ctx.memory_budget.is_some(), "{key} = {total}");
     }
 }
