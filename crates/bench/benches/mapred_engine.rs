@@ -1,10 +1,12 @@
 //! Engine benchmarks: the MapReduce substrate itself — chunk-size
 //! scaling of map-only jobs, shuffle-heavy jobs, combiner effect, DFS
-//! ingestion, and failure-injection overhead.
+//! ingestion, failure-injection overhead, and how `map_records` sizes a
+//! block's output.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gepeto_mapred::{
-    ChaosPlan, Cluster, Combiner, Dfs, Emitter, FnMapper, MapOnlyJob, MapReduceJob, Reducer,
+    map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, FnMapper, MapOnlyJob, MapReduceJob,
+    Mapper, Reducer,
 };
 use std::hint::black_box;
 
@@ -100,5 +102,44 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine);
+/// A record-level map function: `FnMapper` over a plain `fn`.
+type MapFn = fn(u64, &u64, &mut Emitter<u64, u64>);
+
+/// `map_records` over a 1 M-record block against the policy it replaced,
+/// one reservation of a pair per input record, for a 1:1 mapper (what the
+/// sized policy may cost) and a 1-in-12 filter (what it saves).
+fn bench_map_records(c: &mut Criterion) {
+    let block: Vec<u64> = (0..1_000_000).collect();
+    let one_to_one: MapFn = |off, v, out| out.emit(off, *v);
+    let filter: MapFn = |off, v, out| {
+        if off.is_multiple_of(12) {
+            out.emit(off, *v);
+        }
+    };
+    let mut group = c.benchmark_group("map-records-1m");
+    group.sample_size(20);
+    for (name, f) in [("1to1", one_to_one), ("filter12", filter)] {
+        group.bench_function(BenchmarkId::new("reserve-per-record", name), |b| {
+            b.iter(|| {
+                let mut mapper = FnMapper::new(f);
+                let mut out = Emitter::new();
+                out.reserve(block.len());
+                for (j, record) in block.iter().enumerate() {
+                    mapper.map(j as u64, record, &mut out);
+                }
+                black_box(out.into_pairs())
+            })
+        });
+        group.bench_function(BenchmarkId::new("sized-by-output", name), |b| {
+            b.iter(|| {
+                let mut out = Emitter::new();
+                map_records(&mut FnMapper::new(f), 0, &block, &mut out);
+                black_box(out.into_pairs())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine, bench_map_records);
 criterion_main!(benches);

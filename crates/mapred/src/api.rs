@@ -9,7 +9,7 @@
 use crate::cache::DistributedCache;
 use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::job::FlatGroups;
+use crate::job::{FlatGroups, SPLIT_RECORDS};
 use std::hash::Hash;
 
 /// Bound for intermediate keys: they are hashed to pick a reduce
@@ -56,9 +56,10 @@ impl<K, V> Emitter<K, V> {
         Self::default()
     }
 
-    /// Makes room for exactly `additional` more pairs — what the default
-    /// [`Mapper::map_block`] calls with the chunk length, so per-record
-    /// mappers never reallocate in the hot loop.
+    /// Makes room for exactly `additional` more pairs — what
+    /// [`map_records`] calls with the rest of the block once its first
+    /// window shows a near one-to-one mapper, so such a mapper stops
+    /// reallocating after that window.
     ///
     /// This is `reserve_exact`: it skips the amortised doubling, so call it
     /// once per task with the task's total, never once per group or per
@@ -142,9 +143,13 @@ pub trait Mapper<V1>: Clone + Send {
     }
 }
 
-/// The per-record loop behind the default [`Mapper::map_block`]: reserves
-/// one pair per record (most mappers emit at most that), then calls `map`
-/// on every record with its global offset. Public so that a mapper which
+/// The per-record loop behind the default [`Mapper::map_block`]: calls
+/// `map` on every record with its global offset. It sizes the output by
+/// what the mapper emits, not by what it reads: the first 4 096 records
+/// (an input split's length) map without a reservation, and only if they
+/// emitted at least one pair per two records is the rest of the block
+/// reserved exactly; a filter's output grows by amortised doubling, so its
+/// capacity stays under twice what it keeps. Public so that a mapper which
 /// overrides `map_block` for one mode can fall back to it for the other.
 pub fn map_records<V1, M: Mapper<V1>>(
     mapper: &mut M,
@@ -152,9 +157,17 @@ pub fn map_records<V1, M: Mapper<V1>>(
     block: &[V1],
     out: &mut Emitter<M::KOut, M::VOut>,
 ) {
-    out.reserve(block.len());
-    for (j, record) in block.iter().enumerate() {
+    let (head, rest) = block.split_at(block.len().min(SPLIT_RECORDS));
+    let emitted_before = out.len();
+    for (j, record) in head.iter().enumerate() {
         mapper.map(base_offset + j as u64, record, out);
+    }
+    if 2 * (out.len() - emitted_before) >= head.len() {
+        out.reserve(rest.len());
+    }
+    let rest_offset = base_offset + head.len() as u64;
+    for (j, record) in rest.iter().enumerate() {
+        mapper.map(rest_offset + j as u64, record, out);
     }
 }
 
@@ -262,6 +275,71 @@ mod tests {
         e.emit(1, "a");
         assert_eq!(e.len(), 2);
         assert_eq!(e.into_pairs(), vec![(2, "b"), (1, "a")]);
+    }
+
+    /// Block lengths around the unreserved window, and one well past it.
+    const LENGTHS: [usize; 6] = [0, 1, 4_095, 4_096, 4_097, 10_000];
+
+    /// `map_records` of `f` over the records `0..len`: its pairs, with the
+    /// capacity they were emitted into.
+    fn mapped<F>(len: usize, f: F) -> Vec<(u64, u64)>
+    where
+        F: FnMut(u64, &u64, &mut Emitter<u64, u64>) + Clone + Send,
+    {
+        let block: Vec<u64> = (0..len as u64).collect();
+        let mut out = Emitter::new();
+        map_records(&mut FnMapper::new(f), 0, &block, &mut out);
+        out.into_pairs()
+    }
+
+    #[test]
+    fn a_one_to_one_mapper_reserves_its_block_once_exactly() {
+        for len in LENGTHS {
+            let pairs = mapped(len, |off, v, out| out.emit(off, *v));
+            assert_eq!(pairs.len(), len);
+            if len >= SPLIT_RECORDS {
+                assert_eq!(pairs.capacity(), len);
+            } else {
+                assert!(pairs.capacity() <= SPLIT_RECORDS, "{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_filter_holds_under_twice_what_it_keeps() {
+        for len in LENGTHS {
+            let pairs = mapped(len, |off, v, out| {
+                if off.is_multiple_of(12) {
+                    out.emit(off, *v);
+                }
+            });
+            assert_eq!(pairs.len(), len.div_ceil(12));
+            // std's smallest non-empty vector holds four pairs.
+            let bound = (2 * pairs.len()).max(4);
+            assert!(pairs.capacity() <= bound, "{len}: {}", pairs.capacity());
+        }
+    }
+
+    #[test]
+    fn a_mapper_that_emits_nothing_allocates_nothing() {
+        for len in LENGTHS {
+            assert_eq!(mapped(len, |_, _, _| {}).capacity(), 0, "{len}");
+        }
+    }
+
+    #[test]
+    fn a_two_pair_mapper_emits_what_the_per_record_loop_emits() {
+        let twice = |off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
+            out.emit(off, *v);
+            out.emit(*v, off + 1);
+        };
+        for len in LENGTHS {
+            let mut looped = Emitter::new();
+            for j in 0..len as u64 {
+                twice(j, &j, &mut looped);
+            }
+            assert_eq!(mapped(len, twice), looped.into_pairs(), "{len}");
+        }
     }
 
     #[test]

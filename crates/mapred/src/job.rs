@@ -1248,8 +1248,10 @@ struct MapTaskResult<K, V> {
 }
 
 /// Records per input split: a chunk of a job that splits is cut about
-/// this often, at its mapper's declared cut points.
-const SPLIT_RECORDS: usize = 4_096;
+/// this often, at its mapper's declared cut points; the default
+/// [`map_records`](crate::map_records) maps this many records before it
+/// sizes its output.
+pub(crate) const SPLIT_RECORDS: usize = 4_096;
 
 /// A map task on its way through the pool: its identity, and what its
 /// ranges share while they run.
@@ -2096,7 +2098,8 @@ mod tests {
 
     #[test]
     fn default_map_block_is_the_per_record_loop() {
-        /// The tokenizer with `map_block` spelled out by hand.
+        /// The tokenizer with `map_block` spelled out by hand as the plain
+        /// per-record loop; `map_records` differs from it in capacity only.
         #[derive(Clone)]
         struct ExplicitLoop;
         impl Mapper<String> for ExplicitLoop {
@@ -2106,7 +2109,6 @@ mod tests {
                 out.emit(w.clone(), 1);
             }
             fn map_block(&mut self, base: u64, block: &[String], out: &mut Emitter<String, u64>) {
-                out.reserve(block.len());
                 for (j, w) in block.iter().enumerate() {
                     self.map(base + j as u64, w, out);
                 }

@@ -4,8 +4,9 @@
 //! results (only retry counts).
 
 use gepeto_mapred::{
-    group_sorted, group_unsorted, ChaosPlan, Cluster, Combiner, Dfs, Emitter, ExecCtx, FlatGroups,
-    FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec, Topology,
+    group_sorted, group_unsorted, map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, ExecCtx,
+    FlatGroups, FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec,
+    Topology,
 };
 use gepeto_telemetry::{EventKind, Recorder};
 use proptest::prelude::*;
@@ -391,6 +392,42 @@ proptest! {
             vs.sort_unstable();
         }
         prop_assert_eq!(got, want);
+    }
+
+    /// `map_records` sizes a task's output by what its mapper keeps: over
+    /// any keep-mask its pairs are the plain per-record loop's, and its
+    /// capacity is at most the block, twice the kept pairs, or one
+    /// unreserved window — whichever is largest.
+    #[test]
+    fn map_records_sizes_its_output_by_what_it_keeps(
+        len in 0usize..12_000,
+        keep_per_256 in 0u64..257,
+        seed in any::<u64>(),
+        base in 0u64..1_000_000,
+    ) {
+        let keeps =
+            move |off: u64| ((off ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) < keep_per_256;
+        let block: Vec<u64> = (0..len as u64).map(|j| j * 3).collect();
+        let mut mapper = FnMapper::new(move |off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
+            if keeps(off) {
+                out.emit(off, *v);
+            }
+        });
+        let mut out = Emitter::new();
+        map_records(&mut mapper, base, &block, &mut out);
+        let pairs = out.into_pairs();
+        let want: Vec<(u64, u64)> = (0..len as u64)
+            .filter(|&j| keeps(base + j))
+            .map(|j| (base + j, j * 3))
+            .collect();
+        prop_assert_eq!(&pairs, &want);
+        let bound = len.max(2 * pairs.len()).max(4_096);
+        prop_assert!(
+            pairs.capacity() <= bound,
+            "{len} records, {} kept: capacity {}",
+            pairs.len(),
+            pairs.capacity()
+        );
     }
 
     #[test]
