@@ -1,12 +1,13 @@
 //! Engine benchmarks: the MapReduce substrate itself — chunk-size
 //! scaling of map-only jobs, shuffle-heavy jobs, combiner effect, DFS
-//! ingestion, failure-injection overhead, and how `map_records` sizes a
-//! block's output.
+//! ingestion, failure-injection overhead, how `map_records` sizes a
+//! block's output, and how a map task partitions it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
-    map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, FnMapper, MapOnlyJob, MapReduceJob,
-    Mapper, Reducer,
+    map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, FnMapper, KeyRuns, MapOnlyJob,
+    MapReduceJob, Mapper, Reducer,
 };
 use std::hint::black_box;
 
@@ -141,5 +142,111 @@ fn bench_map_records(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_map_records);
+/// A 32-byte value under a 4-byte user key: a trace in a by-user job.
+type UserPair = (u32, [u64; 4]);
+
+/// Pairs per map task's output in [`bench_partition`], and the reduce
+/// partitions they go to (the Parapluie profile's node count).
+const TASK_PAIRS: usize = 500_000;
+const PARTITIONS: usize = 5;
+
+/// Records per input split, as the engine cuts a chunk.
+const SPLIT: usize = 4_096;
+
+/// What a one-to-one by-user mapper emits for `records`: users of twelve
+/// consecutive records, so keys come in runs.
+fn user_pairs(records: std::ops::Range<usize>) -> Vec<UserPair> {
+    records.map(|i| ((i / 12) as u32, [i as u64; 4])).collect()
+}
+
+/// The partition step before key runs: a partition per pair (the
+/// partitioner called once per run of equal keys), then one
+/// exactly-sized bucket of keyed pairs per partition.
+fn keyed_buckets(pairs: Vec<UserPair>) -> Vec<Vec<UserPair>> {
+    let mut run: Option<(u32, usize)> = None;
+    let targets: Vec<usize> = pairs
+        .iter()
+        .map(|&(k, _)| match run {
+            Some((run_key, p)) if run_key == k => p,
+            _ => {
+                let p = default_partition(&k, PARTITIONS);
+                run = Some((k, p));
+                p
+            }
+        })
+        .collect();
+    let mut counts = [0usize; PARTITIONS];
+    for &p in &targets {
+        counts[p] += 1;
+    }
+    let mut buckets: Vec<Vec<UserPair>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (pair, p) in pairs.into_iter().zip(targets) {
+        buckets[p].push(pair);
+    }
+    buckets
+}
+
+fn key_run_buckets(pairs: Vec<UserPair>) -> Vec<KeyRuns<u32, [u64; 4]>> {
+    KeyRuns::partitioned(pairs, PARTITIONS, |k| default_partition(k, PARTITIONS))
+}
+
+/// One map task's 500 k-pair one-to-one output partitioned four ways:
+/// whole, as one task that does not split does, or range by range as
+/// 4 096-record input splits do, each range partitioned right after it
+/// is emitted; into buckets of keyed pairs, as the engine did, or of key
+/// runs, as it does. Every variant emits its pairs inside the timed body,
+/// so the times differ by partitioning and by what staying in cache saves
+/// it. Each variant prints the bytes its buckets hold.
+fn bench_partition(c: &mut Criterion) {
+    let ranges: Vec<std::ops::Range<usize>> = (0..TASK_PAIRS)
+        .step_by(SPLIT)
+        .map(|start| start..(start + SPLIT).min(TASK_PAIRS))
+        .collect();
+    let keyed_bytes = |buckets: &[Vec<UserPair>]| -> usize {
+        let pairs: usize = buckets.iter().map(Vec::capacity).sum();
+        pairs * std::mem::size_of::<UserPair>()
+    };
+    let run_bytes = |buckets: &[KeyRuns<u32, [u64; 4]>]| -> usize {
+        buckets.iter().map(KeyRuns::heap_bytes).sum()
+    };
+    let whole = || user_pairs(0..TASK_PAIRS);
+    let by_range = |range: &std::ops::Range<usize>| user_pairs(range.clone());
+    let mut group = c.benchmark_group("partition-500k");
+    group.sample_size(20);
+    println!(
+        "partition-500k bucket bytes: whole/keyed-pairs {}, whole/key-runs {}, \
+         4096-ranges/keyed-pairs {}, 4096-ranges/key-runs {}",
+        keyed_bytes(&keyed_buckets(whole())),
+        run_bytes(&key_run_buckets(whole())),
+        ranges
+            .iter()
+            .map(|r| keyed_bytes(&keyed_buckets(by_range(r))))
+            .sum::<usize>(),
+        ranges
+            .iter()
+            .map(|r| run_bytes(&key_run_buckets(by_range(r))))
+            .sum::<usize>(),
+    );
+    group.bench_function("whole/keyed-pairs", |b| b.iter(|| keyed_buckets(whole())));
+    group.bench_function("whole/key-runs", |b| b.iter(|| key_run_buckets(whole())));
+    group.bench_function("4096-ranges/keyed-pairs", |b| {
+        b.iter(|| {
+            ranges
+                .iter()
+                .map(|r| keyed_buckets(by_range(r)))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("4096-ranges/key-runs", |b| {
+        b.iter(|| {
+            ranges
+                .iter()
+                .map(|r| key_run_buckets(by_range(r)))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine, bench_map_records, bench_partition);
 criterion_main!(benches);

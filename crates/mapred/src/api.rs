@@ -9,7 +9,7 @@
 use crate::cache::DistributedCache;
 use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::job::{FlatGroups, SPLIT_RECORDS};
+use crate::job::FlatGroups;
 use std::hash::Hash;
 
 /// Bound for intermediate keys: they are hashed to pick a reduce
@@ -57,13 +57,15 @@ impl<K, V> Emitter<K, V> {
     }
 
     /// Makes room for exactly `additional` more pairs — what
-    /// [`map_records`] calls with the rest of the block once its first
-    /// window shows a near one-to-one mapper, so such a mapper stops
-    /// reallocating after that window.
+    /// [`map_records`] calls, for one pair per record of the block, once
+    /// its first few records show a near one-to-one mapper, so such a
+    /// mapper stops reallocating after them.
     ///
     /// This is `reserve_exact`: it skips the amortised doubling, so call it
-    /// once per task with the task's total, never once per group or per
-    /// record — repeated exact reservations reallocate every time.
+    /// once per range — per `map_block` call, which is one per input split
+    /// or one per task that does not split — with that range's total,
+    /// never once per group or per record: repeated exact reservations
+    /// reallocate every time.
     pub fn reserve(&mut self, additional: usize) {
         self.pairs.reserve_exact(additional);
     }
@@ -109,11 +111,10 @@ pub trait Mapper<V1>: Clone + Send {
     /// Processes the task's whole chunk; `base_offset` is the global
     /// offset of `block[0]`. The engine calls this once per map task, or
     /// once per input split for a mapper that declares cut points
-    /// ([`Self::splits_between`]). The
-    /// default is [`map_records`]; a mapper whose work vectorizes or
-    /// pre-aggregates across records (the fused k-means assignment)
-    /// overrides it and emits whatever the per-record loop followed by a
-    /// per-chunk fold would have.
+    /// ([`Self::splits_between`]). The default is [`map_records`]; a
+    /// mapper whose work vectorizes or pre-aggregates across records (the
+    /// fused k-means assignment) overrides it and emits whatever the
+    /// per-record loop followed by a per-chunk fold would have.
     fn map_block(
         &mut self,
         base_offset: u64,
@@ -135,35 +136,50 @@ pub trait Mapper<V1>: Clone + Send {
     /// start, range)`, then `cleanup` — and the two sides' pairs,
     /// concatenated in order, must be exactly the pairs, in the same
     /// order, that one clone emits for the whole chunk. The default never
-    /// cuts. The engine splits only a job with fewer chunks than pool
-    /// executors and no combiner, and still counts, retries and simulates
-    /// one task per chunk.
+    /// cuts, so such a mapper runs each chunk as one range.
+    ///
+    /// A job with a reduce phase splits every chunk, whatever its chunk and
+    /// thread counts, about every 4 096 records at the first legal cut, so
+    /// each range's output is partitioned while it is still in cache. A
+    /// map-only job splits only while it has fewer chunks than the pool has
+    /// executors. A combiner folds a whole task's output, so a job with one
+    /// keeps its tasks whole. A split job still counts, retries and
+    /// simulates one task per chunk.
     fn splits_between(&self, _prev: &V1, _next: &V1) -> bool {
         false
     }
 }
 
+/// Records [`map_records`] maps before it sizes its output: few, so that
+/// a one-to-one input split of about 4 096 records makes a handful of
+/// small allocations and then one of its size, instead of doubling
+/// through a dozen.
+const SIZING_RECORDS: usize = 32;
+
 /// The per-record loop behind the default [`Mapper::map_block`]: calls
 /// `map` on every record with its global offset. It sizes the output by
-/// what the mapper emits, not by what it reads: the first 4 096 records
-/// (an input split's length) map without a reservation, and only if they
-/// emitted at least one pair per two records is the rest of the block
-/// reserved exactly; a filter's output grows by amortised doubling, so its
-/// capacity stays under twice what it keeps. Public so that a mapper which
-/// overrides `map_block` for one mode can fall back to it for the other.
+/// what the mapper emits, not by what it reads: the first 32 records map
+/// without a reservation, and only if they emitted at least one pair per
+/// two records is the output reserved exactly to one pair per record of
+/// the block — which also holds a mapper that emits each pair a record
+/// late and the last in `cleanup`. A filter's output grows by amortised
+/// doubling, so its capacity stays under twice what it keeps. Public so
+/// that a mapper which overrides `map_block` for one mode can fall back
+/// to it for the other.
 pub fn map_records<V1, M: Mapper<V1>>(
     mapper: &mut M,
     base_offset: u64,
     block: &[V1],
     out: &mut Emitter<M::KOut, M::VOut>,
 ) {
-    let (head, rest) = block.split_at(block.len().min(SPLIT_RECORDS));
+    let (head, rest) = block.split_at(block.len().min(SIZING_RECORDS));
     let emitted_before = out.len();
     for (j, record) in head.iter().enumerate() {
         mapper.map(base_offset + j as u64, record, out);
     }
-    if 2 * (out.len() - emitted_before) >= head.len() {
-        out.reserve(rest.len());
+    let emitted = out.len() - emitted_before;
+    if 2 * emitted >= head.len() {
+        out.reserve(block.len().saturating_sub(emitted));
     }
     let rest_offset = base_offset + head.len() as u64;
     for (j, record) in rest.iter().enumerate() {
@@ -277,8 +293,9 @@ mod tests {
         assert_eq!(e.into_pairs(), vec![(2, "b"), (1, "a")]);
     }
 
-    /// Block lengths around the unreserved window, and one well past it.
-    const LENGTHS: [usize; 6] = [0, 1, 4_095, 4_096, 4_097, 10_000];
+    /// Block lengths around the unreserved window, an input split's, and
+    /// one well past both.
+    const LENGTHS: [usize; 8] = [0, 1, 31, 32, 33, 4_096, 4_097, 10_000];
 
     /// `map_records` of `f` over the records `0..len`: its pairs, with the
     /// capacity they were emitted into.
@@ -297,10 +314,48 @@ mod tests {
         for len in LENGTHS {
             let pairs = mapped(len, |off, v, out| out.emit(off, *v));
             assert_eq!(pairs.len(), len);
-            if len >= SPLIT_RECORDS {
+            if len >= SIZING_RECORDS {
                 assert_eq!(pairs.capacity(), len);
             } else {
-                assert!(pairs.capacity() <= SPLIT_RECORDS, "{len}");
+                assert!(pairs.capacity() <= SIZING_RECORDS, "{len}");
+            }
+        }
+    }
+
+    /// Emits each record's pair one record late and the last one in
+    /// `cleanup`, as the sampling mapper does.
+    #[derive(Clone, Default)]
+    struct Lagged(Option<u64>);
+
+    impl Mapper<u64> for Lagged {
+        type KOut = u64;
+        type VOut = u64;
+
+        fn map(&mut self, offset: u64, _v: &u64, out: &mut Emitter<u64, u64>) {
+            if let Some(prev) = self.0.replace(offset) {
+                out.emit(prev, prev);
+            }
+        }
+
+        fn cleanup(&mut self, out: &mut Emitter<u64, u64>) {
+            if let Some(last) = self.0.take() {
+                out.emit(last, last);
+            }
+        }
+    }
+
+    #[test]
+    fn a_lagged_one_to_one_mapper_fits_its_cleanup_in_the_reservation() {
+        for len in LENGTHS {
+            let block: Vec<u64> = (0..len as u64).collect();
+            let mut mapper = Lagged::default();
+            let mut out = Emitter::new();
+            map_records(&mut mapper, 0, &block, &mut out);
+            mapper.cleanup(&mut out);
+            let pairs = out.into_pairs();
+            assert_eq!(pairs.len(), len);
+            if len >= SIZING_RECORDS {
+                assert_eq!(pairs.capacity(), len, "{len}");
             }
         }
     }

@@ -27,10 +27,11 @@ use crate::hash::{default_partition, FnvBuildHasher};
 use crate::journal::{JournalEntry, RunJournal};
 use crate::sim::{simulate_chaos, MapTaskSim, ReduceTaskSim, SimError, SimReport};
 use crate::spill::{
-    concat_buckets, load_artifact, quarantine_run, sanitize, seal_run, seal_run_at, verify_run,
-    PartitionInput, SealStats, SpillCodec, SpillDir, SpillRun, SpillSpec, SpilledPartition,
+    load_artifact, quarantine_run, sanitize, seal_run, seal_run_at, verify_run, PartitionInput,
+    SealStats, SpillCodec, SpillDir, SpillRun, SpillSpec, SpilledPartition,
 };
 use crate::topology::Cluster;
+use gepeto_pool::Pool;
 use gepeto_telemetry::registry::{self, Kind};
 use gepeto_telemetry::{LedgerScope, Recorder, Span};
 use std::collections::hash_map::Entry;
@@ -197,7 +198,7 @@ impl<K2: MrKey, V2: MrValue> Reducer<K2, V2> for NoReducer {
 
 type PairBytes<K, V> = Arc<dyn Fn(&K, &V) -> usize + Send + Sync>;
 /// A partition's map-task buckets, in task order.
-type Buckets<K, V> = Vec<Vec<(K, V)>>;
+type Buckets<K, V> = Vec<KeyRuns<K, V>>;
 type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 
 /// A job: map, shuffle and reduce — or, built by [`MapOnlyJob::new`],
@@ -446,7 +447,7 @@ where
                 let buckets = partitions
                     .into_iter()
                     .flat_map(PartitionInput::into_buckets);
-                (pass_through(concat_buckets(buckets.collect())), Vec::new())
+                (pass_through(concat_pairs(buckets.collect())), Vec::new())
             }
             None => self.reduce_phase(
                 partitions,
@@ -513,6 +514,7 @@ where
             .map(|_| self.reducer.clone())
             .collect();
         let chaos = &cluster.chaos;
+        let copy_turn = Mutex::new(());
         let committed = durable
             .map(|(journal, _)| journal.committed_reduces(name))
             .unwrap_or_default();
@@ -586,32 +588,40 @@ where
                     PartitionInput::Memory(buckets) => {
                         // The shuffle's copy step, on the pool: this task
                         // moves its partition's map-task buckets into one
-                        // exactly-sized value column itself.
-                        let groups = if R::SORTED_INPUT {
-                            // Sort-based grouping: buckets already in key
-                            // order end to end go straight into the
-                            // column; otherwise their concatenation is
-                            // stably sorted, which keeps the map-task
-                            // emission order within a key.
-                            FlatGroups::sorted_runs(buckets).unwrap_or_else(|mut pairs| {
-                                {
-                                    let _sort_span = task_span.child("phase.sort", &[]);
-                                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                                }
-                                FlatGroups::sorted(pairs)
-                            })
-                        } else {
-                            // The reducer declared order-insensitive
-                            // input: group by hash in first-encounter
-                            // order and skip the partition sort. Value
-                            // order within a group is the same as on the
-                            // sorted path (both scan the same
-                            // concatenation, and the stable sort
-                            // preserves the relative order of equal
-                            // keys).
-                            counters.inc(builtin::SORT_SKIPPED, 1);
-                            FlatGroups::unsorted(concat_buckets(buckets))
+                        // exactly-sized value column itself. A column is
+                        // allocated whole while the buckets it empties
+                        // are still held, so tasks take turns: the heap
+                        // holds one partition twice, never two.
+                        let copied = {
+                            let _turn = copy_turn.lock().unwrap();
+                            if R::SORTED_INPUT {
+                                // Sort-based grouping: buckets already in
+                                // key order end to end go straight into
+                                // the column; otherwise their
+                                // concatenation comes back as pairs.
+                                FlatGroups::sorted_runs(buckets)
+                            } else {
+                                // The reducer declared order-insensitive
+                                // input: group by hash in first-encounter
+                                // order and skip the partition sort.
+                                // Value order within a group is the same
+                                // as on the sorted path (both scan the
+                                // same concatenation, and the stable sort
+                                // preserves the relative order of equal
+                                // keys).
+                                counters.inc(builtin::SORT_SKIPPED, 1);
+                                Ok(FlatGroups::unsorted(buckets))
+                            }
                         };
+                        // A stable sort keeps the map-task emission order
+                        // within a key.
+                        let groups = copied.unwrap_or_else(|mut pairs| {
+                            {
+                                let _sort_span = task_span.child("phase.sort", &[]);
+                                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                            }
+                            FlatGroups::sorted(pairs)
+                        });
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups.len() as u64);
                         reducer.reduce_partition(groups, &mut out);
                     }
@@ -887,22 +897,31 @@ where
     let default_pair_size = std::mem::size_of::<(M::KOut, M::VOut)>();
     let map_span = job_span.child("phase.map", &[("tasks", &block_ids.len().to_string())]);
     let pool = gepeto_pool::global();
-    // Input splits: a job with fewer chunks than executors cuts each chunk
-    // into record ranges at the mapper's declared cut points and runs the
-    // ranges as pool items. A combiner folds a whole task's output, so it
+    // Input splits: a job with a reduce phase cuts each chunk into record
+    // ranges at the mapper's declared cut points and runs the ranges as
+    // pool items, so a range's output is partitioned while it is still in
+    // cache and no task holds its whole output more than once. A map-only
+    // job has nothing to partition, so it splits only to occupy executors
+    // its chunks leave idle. A combiner folds a whole task's output, so it
     // keeps its tasks whole.
-    let split = combiner.is_none() && block_ids.len() < pool.threads();
+    let chunks: Vec<&[V1]> = block_ids
+        .iter()
+        .map(|&id| dfs.block(id).data.as_slice())
+        .collect();
+    let split = combiner.is_none() && (num_reducers > 0 || chunks.len() < pool.threads());
+    let planned = if split {
+        plan_splits(pool, &chunks, mapper, SPLIT_RECORDS)
+    } else {
+        chunks
+            .iter()
+            .map(|c| std::iter::once(0..c.len()).collect())
+            .collect()
+    };
     let mut tasks = Vec::with_capacity(block_ids.len());
     let mut items = Vec::with_capacity(block_ids.len());
-    for (task_id, &block_id) in block_ids.iter().enumerate() {
+    for (task_id, (&block_id, ranges)) in block_ids.iter().zip(planned).enumerate() {
         let (attempt, failed_attempts) =
             draw_attempts(job_name, phase::MAP, task_id, cluster, counters, telemetry)?;
-        let data = &dfs.block(block_id).data;
-        let ranges = if split {
-            split_ranges(data, SPLIT_RECORDS, |a, b| mapper.splits_between(a, b))
-        } else {
-            std::iter::once(0..data.len()).collect()
-        };
         tasks.push(MapTaskRun {
             block_id,
             attempt,
@@ -951,37 +970,44 @@ where
             m.cleanup(&mut out);
             counters.inc(builtin::MAP_OUTPUT_RECORDS, out.len() as u64);
 
-            // Partition (and optionally combine) this range's output.
-            let pairs = out.into_pairs();
-            let (buckets, bytes) = if num_reducers == 0 {
-                let sz: u64 = pairs
-                    .iter()
-                    .map(|(k, v)| pair_bytes.map_or(default_pair_size, |f| f(k, v)) as u64)
-                    .sum();
-                (vec![pairs], vec![sz])
+            // Combine, then partition this range's output into key runs.
+            let mut pairs = out.into_pairs();
+            let buckets = if num_reducers == 0 {
+                vec![KeyRuns::from(pairs)]
             } else {
-                let mut buckets = partition_pairs(pairs, num_reducers, partitioner.as_ref());
                 if let Some(c) = &combiner {
                     let task_span = task.span.lock().unwrap();
                     let _combine_span = task_span.as_ref().map(|s| s.child("phase.combine", &[]));
-                    for bucket in buckets.iter_mut() {
-                        *bucket = run_combiner(c, std::mem::take(bucket), counters);
-                    }
+                    pairs = run_combiner(c, pairs, counters);
                 }
+                let buckets = KeyRuns::partitioned(pairs, num_reducers, |k| {
+                    let p = partitioner.as_ref().map_or_else(
+                        || default_partition(k, num_reducers),
+                        |f| f(k, num_reducers),
+                    );
+                    assert!(
+                        p < num_reducers,
+                        "partitioner returned {p} for {num_reducers} reducers"
+                    );
+                    p
+                });
                 counters.inc(
                     builtin::SPILLED_RECORDS,
                     buckets.iter().map(|b| b.len() as u64).sum(),
                 );
-                let bytes = buckets
-                    .iter()
-                    .map(|b| {
-                        b.iter()
-                            .map(|(k, v)| pair_bytes.map_or(default_pair_size, |f| f(k, v)) as u64)
-                            .sum()
-                    })
-                    .collect();
-                (buckets, bytes)
+                buckets
             };
+            let bytes = buckets
+                .iter()
+                .map(|b| {
+                    b.iter()
+                        .map(|(k, values)| match pair_bytes {
+                            Some(f) => values.iter().map(|v| f(k, v) as u64).sum(),
+                            None => (default_pair_size * values.len()) as u64,
+                        })
+                        .sum()
+                })
+                .collect();
             let busy_ns = t0.elapsed().as_nanos() as u64;
             task.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
             if task.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -1075,7 +1101,7 @@ where
                     let dir =
                         lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
                     runs[p].push(spill_buffer(
-                        concat_buckets(std::mem::take(&mut bufs[p])),
+                        concat_pairs(std::mem::take(&mut bufs[p])),
                         sp,
                         &dir,
                         &cluster.chaos,
@@ -1100,7 +1126,7 @@ where
                     let dir =
                         lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
                     partition_runs.push(spill_buffer(
-                        concat_buckets(buf),
+                        concat_pairs(buf),
                         sp,
                         &dir,
                         &cluster.chaos,
@@ -1248,10 +1274,9 @@ struct MapTaskResult<K, V> {
 }
 
 /// Records per input split: a chunk of a job that splits is cut about
-/// this often, at its mapper's declared cut points; the default
-/// [`map_records`](crate::map_records) maps this many records before it
-/// sizes its output.
-pub(crate) const SPLIT_RECORDS: usize = 4_096;
+/// this often, at its mapper's declared cut points — a range of pairs
+/// small enough to partition while it is still in cache.
+const SPLIT_RECORDS: usize = 4_096;
 
 /// A map task on its way through the pool: its identity, and what its
 /// ranges share while they run.
@@ -1275,65 +1300,174 @@ struct RangeOutput<K, V> {
     bytes: Vec<u64>,
 }
 
-/// Cuts `records` into consecutive ranges. A cut is due every `every`
-/// records, counted from the start, and moves forward to the first
-/// position `i` with `legal(&records[i - 1], &records[i])`; once no legal
-/// position is left, the last range runs to the end. The ranges depend on
-/// the records alone, never on the thread count.
-fn split_ranges<V>(
-    records: &[V],
+/// Plans every chunk's input splits, on the pool. A cut is due every
+/// `every` records ([`SPLIT_RECORDS`] in a job), counted from the chunk's
+/// start, and lands on the first position `i` with
+/// `mapper.splits_between(&records[i - 1], &records[i])` at or past its
+/// due point; the next cut is due at the first multiple past it. So
+/// window `w` of a chunk — its records `w × every .. (w + 1) × every`,
+/// for `w ≥ 1` — holds a cut exactly when it holds a legal position, at
+/// its first one: a window without one defers its due point to the next
+/// window's cut. Windows are therefore scanned independently, each
+/// chunk's as about `threads / chunks` pool items that each own a clone
+/// of the mapper, and no two records are compared twice. A mapper that
+/// declares no cut points runs each chunk as one range, and its scan
+/// compiles away. The ranges depend on the records alone, never on the
+/// thread count.
+fn plan_splits<V1: MrValue, M: Mapper<V1>>(
+    pool: &Pool,
+    chunks: &[&[V1]],
+    mapper: &M,
     every: usize,
-    legal: impl Fn(&V, &V) -> bool,
-) -> Vec<Range<usize>> {
-    let mut ranges = Vec::new();
-    let (mut start, mut due) = (0, every);
-    while let Some(cut) = (due..records.len()).find(|&i| legal(&records[i - 1], &records[i])) {
-        ranges.push(start..cut);
-        start = cut;
-        due = (cut / every + 1) * every;
+) -> Vec<Vec<Range<usize>>> {
+    let slices = pool.threads().div_ceil(chunks.len().max(1));
+    let mut items = Vec::new();
+    for (chunk, records) in chunks.iter().enumerate() {
+        let windows = records.len().div_ceil(every);
+        let per_slice = windows.saturating_sub(1).div_ceil(slices).max(1);
+        for first in (1..windows).step_by(per_slice) {
+            items.push((
+                chunk,
+                first..(first + per_slice).min(windows),
+                mapper.clone(),
+            ));
+        }
     }
-    ranges.push(start..records.len());
-    ranges
+    let found = pool.map_vec(items, |(chunk, windows, m)| {
+        let records = chunks[chunk];
+        let cuts: Vec<usize> = windows
+            .filter_map(|w| {
+                // The window's records and the one before its first.
+                let scanned = &records[w * every - 1..((w + 1) * every).min(records.len())];
+                let cut = scanned
+                    .windows(2)
+                    .position(|p| m.splits_between(&p[0], &p[1]));
+                cut.map(|j| w * every + j)
+            })
+            .collect();
+        (chunk, cuts)
+    });
+    let mut starts: Vec<Vec<usize>> = vec![vec![0]; chunks.len()];
+    for (chunk, cuts) in found {
+        starts[chunk].extend(cuts);
+    }
+    starts
+        .into_iter()
+        .zip(chunks)
+        .map(|(starts, records)| {
+            let ends = starts.iter().skip(1).copied().chain([records.len()]);
+            starts.iter().zip(ends).map(|(&s, e)| s..e).collect()
+        })
+        .collect()
 }
 
-/// Splits one map task's output into one bucket per reduce partition,
-/// in emission order: a count pass picks every pair's partition, so each
-/// bucket is allocated once, at its exact size — no guess to outgrow when
-/// the keys skew — and a scatter pass fills them. The partitioner is a
-/// function of the key alone, so it runs once per run of equal keys.
-fn partition_pairs<K: MrKey, V>(
-    pairs: Vec<(K, V)>,
-    num_reducers: usize,
-    partitioner: Option<&Partitioner<K>>,
-) -> Buckets<K, V> {
-    let mut run: Option<(&K, usize)> = None;
-    let targets: Vec<usize> = pairs
-        .iter()
-        .map(|(k, _)| match run {
-            Some((run_key, p)) if run_key == k => p,
-            _ => {
-                let p = partitioner.map_or_else(
-                    || default_partition(k, num_reducers),
-                    |f| f(k, num_reducers),
-                );
-                assert!(
-                    p < num_reducers,
-                    "partitioner returned {p} for {num_reducers} reducers"
-                );
-                run = Some((k, p));
-                p
-            }
+/// Pairs stored as runs of one key: each run's key with the index one
+/// past its last value, beside one column of all the values — the shape
+/// of [`FlatGroups`], whose runs are its groups. A map task keeps each
+/// input split's output for a reduce partition this way, so a key that
+/// adjacent pairs share (a user's traces) is stored once per run instead
+/// of once per pair. A run never mixes keys; adjacent runs may share one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyRuns<K, V> {
+    runs: Vec<(K, usize)>,
+    values: Vec<V>,
+}
+
+impl<K, V> KeyRuns<K, V> {
+    /// Number of values, one per pair.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether no pair is held.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The runs in order, each as its key and its slice of the column.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> {
+        let mut start = 0;
+        self.runs.iter().map(move |(key, end)| {
+            let run = &self.values[start..*end];
+            start = *end;
+            (key, run)
         })
-        .collect();
-    let mut counts = vec![0usize; num_reducers];
-    for &p in &targets {
-        counts[p] += 1;
     }
-    let mut buckets: Buckets<K, V> = counts.into_iter().map(Vec::with_capacity).collect();
-    for (pair, p) in pairs.into_iter().zip(targets) {
-        buckets[p].push(pair);
+
+    /// Heap bytes held: the run bounds and the value column.
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(K, usize)>()
+            + self.values.capacity() * std::mem::size_of::<V>()
     }
-    buckets
+}
+
+impl<K: MrKey, V> KeyRuns<K, V> {
+    /// Splits `pairs` into `parts` key runs, keeping emission order within
+    /// each: `partition(key)` (`< parts`) picks a run's part, once per run
+    /// of equal adjacent keys. A count pass sizes every part exactly —
+    /// no guess to outgrow when the keys skew — and a move pass fills
+    /// them.
+    pub fn partitioned(
+        pairs: Vec<(K, V)>,
+        parts: usize,
+        mut partition: impl FnMut(&K) -> usize,
+    ) -> Vec<Self> {
+        // Each run's part and length.
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut prev: Option<&K> = None;
+        for (k, _) in &pairs {
+            match runs.last_mut() {
+                Some((_, len)) if prev == Some(k) => *len += 1,
+                _ => runs.push((partition(k), 1)),
+            }
+            prev = Some(k);
+        }
+        let mut sizes = vec![(0, 0); parts];
+        for &(p, len) in &runs {
+            sizes[p].0 += 1;
+            sizes[p].1 += len;
+        }
+        let mut out: Vec<Self> = sizes
+            .into_iter()
+            .map(|(runs, values)| KeyRuns {
+                runs: Vec::with_capacity(runs),
+                values: Vec::with_capacity(values),
+            })
+            .collect();
+        let mut pairs = pairs.into_iter();
+        for (p, len) in runs {
+            let part = &mut out[p];
+            let (key, first) = pairs.next().expect("counted");
+            part.values.push(first);
+            part.values
+                .extend(pairs.by_ref().take(len - 1).map(|(_, v)| v));
+            part.runs.push((key, part.values.len()));
+        }
+        out
+    }
+}
+
+impl<K: MrKey, V> From<Vec<(K, V)>> for KeyRuns<K, V> {
+    /// One run per stretch of equal adjacent keys, in order.
+    fn from(pairs: Vec<(K, V)>) -> Self {
+        Self::partitioned(pairs, 1, |_| 0).pop().expect("one part")
+    }
+}
+
+/// Expands a partition's buckets back to pairs, each value with a clone
+/// of its run's key: their concatenation, in order, in one exactly-sized
+/// buffer.
+pub(crate) fn concat_pairs<K: MrKey, V>(buckets: Vec<KeyRuns<K, V>>) -> Vec<(K, V)> {
+    let mut pairs = Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum());
+    for bucket in buckets {
+        let mut values = bucket.values.into_iter();
+        let mut start = 0;
+        for (key, end) in bucket.runs {
+            pairs.extend(values.by_ref().take(end - start).map(|v| (key.clone(), v)));
+            start = end;
+        }
+    }
+    pairs
 }
 
 /// One reduce partition grouped *flat*: every value in a single column,
@@ -1343,79 +1477,93 @@ fn partition_pairs<K: MrKey, V>(
 /// order ([`FlatGroups::sorted_runs`], [`FlatGroups::sorted`]) or, for
 /// reducers with [`Reducer::SORTED_INPUT`]` = false`, in first-encounter
 /// order ([`FlatGroups::unsorted`]). [`MapReduceJob::run`] groups every
-/// in-memory partition into this shape and hands it to
-/// [`Reducer::reduce_partition`], which may keep the column whole
-/// ([`FlatGroups::into_parts`]).
+/// in-memory partition into this shape — the map tasks' [`KeyRuns`] with
+/// each key in one run — and hands it to [`Reducer::reduce_partition`],
+/// which may keep the column whole ([`FlatGroups::into_parts`]).
 #[derive(Debug)]
 pub struct FlatGroups<K, V> {
-    /// Each group's key and the index one past its last value.
-    bounds: Vec<(K, usize)>,
-    values: Vec<V>,
+    groups: KeyRuns<K, V>,
 }
 
 impl<K: MrKey, V> FlatGroups<K, V> {
-    /// Splits a key-sorted pair vector, moving the values. Same groups, in
+    /// Groups a key-sorted pair vector, moving the values. Same groups, in
     /// the same order with the same value order, as [`group_sorted`].
     ///
     /// # Panics
     /// If the pairs are not key-sorted.
     pub fn sorted(pairs: Vec<(K, V)>) -> Self {
-        Self::sorted_runs(vec![pairs]).unwrap_or_else(|_| panic!("pairs out of key order"))
+        Self::sorted_runs(vec![pairs.into()]).unwrap_or_else(|_| panic!("pairs out of key order"))
     }
 
-    /// [`FlatGroups::sorted`] of the runs' concatenation, without building
-    /// it: the values are moved straight into the column while the keys
-    /// are checked. At the first key out of order the concatenation is
-    /// built after all and handed back, for the caller to sort.
-    pub fn sorted_runs(runs: Vec<Vec<(K, V)>>) -> Result<Self, Vec<(K, V)>> {
-        let len = runs.iter().map(Vec::len).sum();
-        let mut bounds: Vec<(K, usize)> = Vec::new();
-        let mut values = Vec::with_capacity(len);
-        let mut pairs = runs.into_iter().flatten();
-        while let Some((k, v)) = pairs.next() {
-            match bounds.last_mut() {
-                Some((gk, end)) if *gk == k => *end = values.len() + 1,
-                Some((gk, _)) if *gk > k => {
-                    // Out of order: pair what was moved with its keys again.
-                    let mut undone = Vec::with_capacity(len);
-                    let mut moved = values.into_iter();
-                    let mut start = 0;
-                    for (gk, end) in bounds {
-                        undone.extend(moved.by_ref().take(end - start).map(|v| (gk.clone(), v)));
-                        start = end;
-                    }
-                    undone.push((k, v));
-                    undone.extend(pairs);
-                    return Err(undone);
-                }
-                _ => bounds.push((k, values.len() + 1)),
-            }
-            values.push(v);
+    /// [`FlatGroups::sorted`] of the buckets' concatenation, without
+    /// expanding it: when the run keys are in order end to end, the values
+    /// are moved straight into the column and runs of one key merge into
+    /// its group. Otherwise the concatenation is expanded to pairs and
+    /// handed back, for the caller to sort.
+    pub fn sorted_runs(mut buckets: Vec<KeyRuns<K, V>>) -> Result<Self, Vec<(K, V)>> {
+        // One pass over the run keys: are they in order, into how many
+        // groups?
+        let groups = buckets
+            .iter()
+            .flat_map(|b| b.runs.iter().map(|(k, _)| k))
+            .try_fold((None, 0), |(prev, groups), k| match prev {
+                Some(p) if p > k => None,
+                Some(p) if p == k => Some((Some(k), groups)),
+                _ => Some((Some(k), groups + 1)),
+            })
+            .map(|(_, groups)| groups);
+        let Some(groups) = groups else {
+            return Err(concat_pairs(buckets));
+        };
+        if buckets.len() == 1 && buckets[0].runs.len() == groups {
+            // One bucket whose runs are already the groups.
+            let groups = buckets.pop().expect("one bucket");
+            return Ok(Self { groups });
         }
-        Ok(Self { bounds, values })
+        let mut runs: Vec<(K, usize)> = Vec::with_capacity(groups);
+        let mut values = Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum());
+        for bucket in buckets {
+            let base = values.len();
+            values.extend(bucket.values);
+            for (k, end) in bucket.runs {
+                match runs.last_mut() {
+                    Some((gk, group_end)) if *gk == k => *group_end = base + end,
+                    _ => runs.push((k, base + end)),
+                }
+            }
+        }
+        Ok(Self {
+            groups: KeyRuns { runs, values },
+        })
     }
 
-    /// Groups an *unsorted* pair vector in first-encounter key order,
-    /// moving the values. Same groups, in the same order with the same
-    /// value order, as [`group_unsorted`].
-    pub fn unsorted(pairs: Vec<(K, V)>) -> Self {
+    /// Groups the buckets' concatenation in first-encounter key order,
+    /// moving the values: one hash lookup per run, not per pair. Same
+    /// groups, in the same order with the same value order, as
+    /// [`group_unsorted`] of the expanded pairs.
+    pub fn unsorted(buckets: Vec<KeyRuns<K, V>>) -> Self {
+        let len = buckets.iter().map(KeyRuns::len).sum();
         let mut index: HashMap<K, usize, FnvBuildHasher> =
             HashMap::with_capacity_and_hasher(16, FnvBuildHasher::default());
         // First pass: number the groups, count their values.
         let mut bounds: Vec<(K, usize)> = Vec::new();
-        let mut dest = Vec::with_capacity(pairs.len());
-        let mut values = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            let group = match index.entry(k) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    bounds.push((e.key().clone(), 0));
-                    *e.insert(bounds.len() - 1)
-                }
-            };
-            bounds[group].1 += 1;
-            dest.push(group);
-            values.push(v);
+        let mut dest = Vec::with_capacity(len);
+        let mut values = Vec::with_capacity(len);
+        for bucket in buckets {
+            let mut start = 0;
+            for (k, end) in bucket.runs {
+                let group = match index.entry(k) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        bounds.push((e.key().clone(), 0));
+                        *e.insert(bounds.len() - 1)
+                    }
+                };
+                bounds[group].1 += end - start;
+                dest.extend(std::iter::repeat_n(group, end - start));
+                start = end;
+            }
+            values.extend(bucket.values);
         }
         // Counts become ends; `next[g]` is where group g's next value goes.
         let mut next = Vec::with_capacity(bounds.len());
@@ -1440,34 +1588,34 @@ impl<K: MrKey, V> FlatGroups<K, V> {
                 dest.swap(i, j);
             }
         }
-        Self { bounds, values }
+        Self {
+            groups: KeyRuns {
+                runs: bounds,
+                values,
+            },
+        }
     }
 
     /// Number of groups.
     pub fn len(&self) -> usize {
-        self.bounds.len()
+        self.groups.runs.len()
     }
 
     /// Whether there is no group.
     pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.groups.runs.is_empty()
     }
 
     /// The groups in order, each as its key and its slice of the column.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> {
-        let mut start = 0;
-        self.bounds.iter().map(move |(key, end)| {
-            let group = &self.values[start..*end];
-            start = *end;
-            (key, group)
-        })
+        self.groups.iter()
     }
 
     /// Takes the groups apart without copying: each group's key with the
     /// index one past its last value, and the value column — group `i` is
     /// `column[bounds[i - 1].1 .. bounds[i].1]`, from 0 for the first.
     pub fn into_parts(self) -> (Vec<(K, usize)>, Vec<V>) {
-        (self.bounds, self.values)
+        (self.groups.runs, self.groups.values)
     }
 }
 
@@ -1515,8 +1663,8 @@ pub fn group_unsorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     groups
 }
 
-/// Sorts one bucket by key, groups runs, and applies the combiner to each
-/// group.
+/// Sorts one map task's output by key, groups runs, and applies the
+/// combiner to each group; the result, in key order, is then partitioned.
 fn run_combiner<K: MrKey, V: MrValue, C: Combiner<K, V>>(
     combiner: &C,
     mut pairs: Vec<(K, V)>,
@@ -1974,6 +2122,27 @@ mod tests {
         assert!(combined.stats.counters[builtin::COMBINE_INPUT_RECORDS] > 0);
     }
 
+    /// The serial plan [`plan_splits`] must reproduce: cuts `records` into
+    /// consecutive ranges. A cut is due every `every` records, counted
+    /// from the start, and moves forward to the first position `i` with
+    /// `legal(&records[i - 1], &records[i])`; once no legal position is
+    /// left, the last range runs to the end.
+    fn split_ranges<V>(
+        records: &[V],
+        every: usize,
+        legal: impl Fn(&V, &V) -> bool,
+    ) -> Vec<Range<usize>> {
+        let mut ranges = Vec::new();
+        let (mut start, mut due) = (0, every);
+        while let Some(cut) = (due..records.len()).find(|&i| legal(&records[i - 1], &records[i])) {
+            ranges.push(start..cut);
+            start = cut;
+            due = (cut / every + 1) * every;
+        }
+        ranges.push(start..records.len());
+        ranges
+    }
+
     /// The ranges `split_ranges` must return, by a plain scan: a cut at
     /// the first legal position at or past each due point.
     fn scanned_ranges(users: &[u64], every: usize) -> Vec<Range<usize>> {
@@ -1989,6 +2158,30 @@ mod tests {
         ranges
     }
 
+    /// Declares a cut wherever the record — a user id — changes.
+    #[derive(Clone)]
+    struct UserSwitch;
+    impl Mapper<u64> for UserSwitch {
+        type KOut = u64;
+        type VOut = u64;
+        fn map(&mut self, _off: u64, _user: &u64, _out: &mut Emitter<u64, u64>) {}
+        fn splits_between(&self, prev: &u64, next: &u64) -> bool {
+            prev != next
+        }
+    }
+
+    /// Chunks of user ids, each from `(user, run length)` draws.
+    fn user_chunks(draws: &[Vec<(u64, usize)>]) -> Vec<Vec<u64>> {
+        draws
+            .iter()
+            .map(|runs| {
+                runs.iter()
+                    .flat_map(|&(user, len)| std::iter::repeat_n(user, len))
+                    .collect()
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -1999,10 +2192,7 @@ mod tests {
             runs in proptest::collection::vec((0u64..4, 1usize..1_500), 0..12),
             size in 0usize..5,
         ) {
-            let users: Vec<u64> = runs
-                .iter()
-                .flat_map(|&(user, len)| std::iter::repeat_n(user, len))
-                .collect();
+            let users = user_chunks(&[runs]).pop().unwrap();
             let every = [1, 2, 7, SPLIT_RECORDS, users.len().max(1)][size];
             let ranges = split_ranges(&users, every, |a, b| a != b);
             assert_eq!(ranges, scanned_ranges(&users, every));
@@ -2011,6 +2201,30 @@ mod tests {
             for pair in ranges.windows(2) {
                 assert_eq!(pair[0].end, pair[1].start);
                 assert!(pair[0].end >= every && users[pair[0].end - 1] != users[pair[0].end]);
+            }
+        }
+
+        /// The plan made window by window on the pool is the serial plan,
+        /// chunk for chunk, whatever the thread count: for several chunks
+        /// and one, empty ones, users longer than many windows, and range
+        /// sizes from one record to past the chunk.
+        fn pool_planned_ranges_are_the_serial_plan(
+            draws in proptest::collection::vec(
+                proptest::collection::vec((0u64..4, 1usize..1_500), 0..12),
+                1..5,
+            ),
+            size in 0usize..5,
+        ) {
+            let chunks = user_chunks(&draws);
+            let every = [1, 2, 7, 300, SPLIT_RECORDS][size];
+            let serial: Vec<Vec<Range<usize>>> = chunks
+                .iter()
+                .map(|users| split_ranges(users, every, |a, b| a != b))
+                .collect();
+            let slices: Vec<&[u64]> = chunks.iter().map(Vec::as_slice).collect();
+            for threads in [1, 2, 5] {
+                let pool = Pool::new(threads);
+                assert_eq!(plan_splits(&pool, &slices, &UserSwitch, every), serial, "{threads}");
             }
         }
     }
@@ -2648,27 +2862,33 @@ mod partitioner_tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         /// A map task's buckets are its output filtered by each pair's own
-        /// partition, in emission order: the per-run memo answers what a
-        /// partitioner call per pair would, for the default hash and a
-        /// custom partitioner.
+        /// partition, in emission order, sized exactly: one partitioner
+        /// call per run of equal adjacent keys answers what a call per
+        /// pair would, and each bucket stores a key once per run.
         fn map_task_buckets_are_the_per_pair_partitions(
             draws in proptest::collection::vec((0u64..12, 1usize..5), 0..40),
             reducers in 1usize..7,
         ) {
             let pairs = runs_of_keys(&draws);
-            let custom: Partitioner<u64> = Arc::new(|k: &u64, n: usize| (*k as usize * 7 + 3) % n);
-            for partitioner in [None, Some(&custom)] {
-                let partition = |k: &u64| partitioner.map_or_else(
-                    || default_partition(k, reducers),
-                    |f| f(k, reducers),
-                );
-                let buckets = partition_pairs(pairs.clone(), reducers, partitioner);
-                for (p, bucket) in buckets.iter().enumerate() {
-                    let want: Vec<(u64, usize)> =
-                        pairs.iter().copied().filter(|(k, _)| partition(k) == p).collect();
-                    assert_eq!(*bucket, want);
-                }
+            let partition = |k: &u64| (*k as usize * 7 + 3) % reducers;
+            let mut calls = 0;
+            let buckets = KeyRuns::partitioned(pairs.clone(), reducers, |k| {
+                calls += 1;
+                partition(k)
+            });
+            let runs = pairs.chunk_by(|a, b| a.0 == b.0).count();
+            assert_eq!(calls, runs);
+            assert_eq!(buckets.len(), reducers);
+            let mut bucket_runs = 0;
+            for (p, bucket) in buckets.into_iter().enumerate() {
+                let want: Vec<(u64, usize)> =
+                    pairs.iter().copied().filter(|(k, _)| partition(k) == p).collect();
+                bucket_runs += bucket.iter().count();
+                assert_eq!(bucket.runs.capacity(), bucket.runs.len());
+                assert_eq!(bucket.values.capacity(), want.len());
+                assert_eq!(concat_pairs(vec![bucket]), want);
             }
+            assert_eq!(bucket_runs, runs);
         }
     }
 

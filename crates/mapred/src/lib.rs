@@ -94,7 +94,7 @@ pub use counters::Counters;
 pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
 pub use exec::{DfsAccess, ExecCtx};
 pub use job::{
-    group_sorted, group_unsorted, FlatGroups, JobError, JobResult, JobStats, MapOnlyJob,
+    group_sorted, group_unsorted, FlatGroups, JobError, JobResult, JobStats, KeyRuns, MapOnlyJob,
     MapReduceJob,
 };
 pub use journal::{JournalEntry, ReduceArtifact, RunJournal};

@@ -22,6 +22,7 @@
 
 use crate::chaos::{ChaosPlan, IoFaultPlan};
 use crate::commit::{self, CommitError};
+use crate::job::KeyRuns;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -707,11 +708,11 @@ impl<K, V> SpilledPartition<K, V> {
 
 /// One reduce partition's input: fully in memory, or spilled to runs.
 pub enum PartitionInput<K, V> {
-    /// The partition fit the budget (or no budget was set): the buckets
-    /// the map tasks filled for it, in task order. Their concatenation is
-    /// the partition; the reduce task builds it, so the copy runs on the
-    /// pool instead of between the phases.
-    Memory(Vec<Vec<(K, V)>>),
+    /// The partition fit the budget (or no budget was set): the key-run
+    /// buckets the map tasks filled for it, in task and range order. Their
+    /// concatenation is the partition; the reduce task groups it, so the
+    /// copy runs on the pool instead of between the phases.
+    Memory(Vec<KeyRuns<K, V>>),
     /// The partition overflowed and lives on disk.
     Spilled(SpilledPartition<K, V>),
 }
@@ -729,25 +730,12 @@ impl<K, V> PartitionInput<K, V> {
     ///
     /// # Panics
     /// If the partition was spilled (map-only jobs never spill).
-    pub fn into_buckets(self) -> Vec<Vec<(K, V)>> {
+    pub fn into_buckets(self) -> Vec<KeyRuns<K, V>> {
         match self {
             PartitionInput::Memory(buckets) => buckets,
             PartitionInput::Spilled(_) => unreachable!("map-only partitions never spill"),
         }
     }
-}
-
-/// Concatenates a partition's buckets, in order, into one exactly-sized
-/// buffer. A lone bucket is returned as it is.
-pub(crate) fn concat_buckets<K, V>(mut buckets: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    if buckets.len() == 1 {
-        return buckets.pop().expect("one bucket");
-    }
-    let mut pairs = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-    for bucket in buckets {
-        pairs.extend(bucket);
-    }
-    pairs
 }
 
 /// Streams the merged runs of a spilled partition back as `(key,

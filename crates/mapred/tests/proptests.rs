@@ -3,6 +3,7 @@
 //! combiners never change results, and failure injection never changes
 //! results (only retry counts).
 
+use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
     group_sorted, group_unsorted, map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, ExecCtx,
     FlatGroups, FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec,
@@ -141,14 +142,20 @@ fn record_counters(stats: &JobStats) -> BTreeMap<String, u64> {
 }
 
 /// The `ranges` label of each `task.map` span the recorder saw.
+/// The `ranges` label of each `task.map` span the recorder saw, in task
+/// order.
 fn map_task_ranges(recorder: &Recorder) -> Vec<usize> {
-    recorder
+    let mut ranges: Vec<(usize, usize)> = recorder
         .events()
         .iter()
         .filter(|e| e.kind == EventKind::SpanStart && e.name == "task.map")
-        .filter_map(|e| e.labels.iter().find(|(k, _)| k == "ranges"))
-        .map(|(_, v)| v.parse().unwrap())
-        .collect()
+        .map(|e| {
+            let label = |key| e.label(key).unwrap().parse().unwrap();
+            (label("task"), label("ranges"))
+        })
+        .collect();
+    ranges.sort_unstable();
+    ranges.into_iter().map(|(_, n)| n).collect()
 }
 
 fn key_mapper() -> impl gepeto_mapred::Mapper<u64, KOut = u64, VOut = u64> {
@@ -169,7 +176,7 @@ proptest! {
         key_space in 0u64..9,
     ) {
         let pairs = keyed(&draws, key_space);
-        let unsorted = FlatGroups::unsorted(pairs.clone());
+        let unsorted = FlatGroups::unsorted(vec![pairs.clone().into()]);
         prop_assert_eq!(flat_to_nested(&unsorted), group_unsorted(pairs.clone()));
         prop_assert_eq!(unsorted.len(), unsorted.iter().count());
 
@@ -180,14 +187,14 @@ proptest! {
         prop_assert_eq!(sorted.is_empty(), draws.is_empty());
     }
 
-    /// Runs in key order end to end are grouped in place as the sorted
+    /// Buckets in key order end to end are grouped in place as the sorted
     /// grouping of their concatenation; any other concatenation is handed
     /// back unchanged, and its stable sort groups the same way — equal
-    /// keys keep run order. Runs are cut from one arrival sequence at
-    /// arbitrary points, so empty runs, a single run, runs out of order
-    /// after any number of moved groups, and (`key_space` 1) a single key
-    /// all occur; `presorted` sorts the sequence first, for runs in order
-    /// with ties at their seams.
+    /// keys keep bucket order. Buckets are cut from one arrival sequence at
+    /// arbitrary points, so empty buckets, a single bucket, buckets out of
+    /// order after any number of moved groups, and (`key_space` 1) a single
+    /// key all occur; `presorted` sorts the sequence first, for buckets in
+    /// order with ties at their seams.
     #[test]
     fn sorted_runs_group_in_place_or_hand_back_the_concatenation(
         draws in prop::collection::vec(0u64..1000, 0..200),
@@ -203,7 +210,7 @@ proptest! {
         let mut rest = pairs.as_slice();
         for &cut in cuts.iter().chain([&usize::MAX]) {
             let (run, tail) = rest.split_at(cut.min(rest.len()));
-            runs.push(run.to_vec());
+            runs.push(run.to_vec().into());
             rest = tail;
         }
         let grouped = FlatGroups::sorted_runs(runs);
@@ -318,23 +325,31 @@ proptest! {
     /// Input splits change nothing but the cores a chunk runs on: a job
     /// whose mapper declares its cut points equals the same job that never
     /// splits — output, record counters and map-task count — map-only and
-    /// with 1 or 3 reducers. The input is one chunk of runs of `v / 1_000`
-    /// groups, so it splits wherever the pool has two executors, at cuts
-    /// that land anywhere from inside the first 4 096 records to nowhere.
+    /// with 1 or 3 reducers. The input is one to four chunks of runs of
+    /// `v / 1_000` groups: fewer chunks than executors, as many, or more.
+    /// A job with reducers splits each chunk whatever the counts; a
+    /// map-only job only while executors outnumber its chunks. A chunk
+    /// splits at cuts that land anywhere from inside its first 4 096
+    /// records to nowhere.
     #[test]
     fn declared_splits_equal_the_unsplit_job(
         runs in prop::collection::vec((0u64..40, 1usize..2_500), 1..14),
+        chunks in 1usize..5,
     ) {
         let records: Vec<u64> = runs
             .iter()
             .enumerate()
             .flat_map(|(i, &(group, len))| (0..len as u64).map(move |j| group * 1_000 + (i as u64 + j) % 1_000))
             .collect();
+        let per_chunk = records.len().div_ceil(chunks);
         let cluster = Cluster::local(3, 2);
-        let mut dfs = Dfs::new(cluster.topology.clone(), 1 << 30, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), per_chunk * 8, 2);
         dfs.put_fixed("r", records.clone(), 8).unwrap();
-        let late_cut = (4_096..records.len()).any(|i| records[i - 1] / 1_000 != records[i] / 1_000);
-        let splits = gepeto_pool::global().threads() > 1 && late_cut;
+        let late_cut = |chunk: &[u64]| {
+            (4_096..chunk.len()).any(|i| chunk[i - 1] / 1_000 != chunk[i] / 1_000)
+        };
+        let splits: Vec<bool> = records.chunks(per_chunk).map(late_cut).collect();
+        let map_only_splits = dfs.num_blocks("r").unwrap() < gepeto_pool::global().threads();
 
         let recorder = Recorder::enabled();
         let split = MapOnlyJob::new("m", &cluster, &dfs, "r", RunProbe::new(true))
@@ -345,20 +360,111 @@ proptest! {
         prop_assert_eq!(&split.output, &whole.output);
         prop_assert_eq!(record_counters(&split.stats), record_counters(&whole.stats));
         prop_assert_eq!(split.stats.map_tasks, whole.stats.map_tasks);
-        prop_assert_eq!(map_task_ranges(&recorder)[0] > 1, splits);
+        let want: Vec<bool> = splits.iter().map(|&s| s && map_only_splits).collect();
+        let ranges: Vec<bool> = map_task_ranges(&recorder).iter().map(|&n| n > 1).collect();
+        prop_assert_eq!(ranges, want);
 
         for reducers in [1, 3] {
+            let recorder = Recorder::enabled();
             let run = |declares: bool| {
-                MapReduceJob::new("r", &cluster, &dfs, "r", RunProbe::new(declares), RecordSorted)
-                    .reducers(reducers)
-                    .run()
-                    .unwrap()
+                let job = MapReduceJob::new("r", &cluster, &dfs, "r", RunProbe::new(declares), RecordSorted)
+                    .reducers(reducers);
+                match declares {
+                    true => job.exec(&ExecCtx::new(&cluster).traced(&recorder), None).run(),
+                    false => job.run(),
+                }
+                .unwrap()
             };
             let (split, whole) = (run(true), run(false));
             prop_assert_eq!(split.output, whole.output);
             prop_assert_eq!(record_counters(&split.stats), record_counters(&whole.stats));
             prop_assert_eq!(split.stats.map_tasks, whole.stats.map_tasks);
+            let ranges: Vec<bool> = map_task_ranges(&recorder).iter().map(|&n| n > 1).collect();
+            prop_assert_eq!(&ranges, &splits);
         }
+    }
+}
+
+/// Emits a `(key, arrival index)` record as it is, and may cut wherever
+/// the key changes: the output comes in runs of one key, split or not.
+#[derive(Clone)]
+struct KeyedRecords;
+
+impl Mapper<(u64, u64)> for KeyedRecords {
+    type KOut = u64;
+    type VOut = u64;
+
+    fn map(&mut self, _offset: u64, record: &(u64, u64), out: &mut Emitter<u64, u64>) {
+        out.emit(record.0, record.1);
+    }
+
+    fn splits_between(&self, prev: &(u64, u64), next: &(u64, u64)) -> bool {
+        prev.0 != next.0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Map outputs stored as key runs hand every path the groups the
+    /// per-pair references make of the same pairs: each reduce partition
+    /// (its pairs in map order) grouped by `group_sorted` after a stable
+    /// sort — for buckets in key order end to end (`presorted`) and out of
+    /// it (the sort fallback), and spilled past `budget` — or by
+    /// `group_unsorted` for a `SORTED_INPUT = false` reducer; a map-only
+    /// job outputs the pairs themselves. Runs of one key are up to 700
+    /// long and chunks up to 9 000 records, so chunks split into ranges
+    /// and a key's run can span a cut, a range or a chunk.
+    #[test]
+    fn key_run_buckets_group_as_the_per_pair_references(
+        draws in prop::collection::vec((0u64..9, 1usize..700), 0..24),
+        chunk in 100usize..9_000,
+        reducers in 1usize..4,
+        budget in 1usize..200_000,
+        presorted in 0u64..2,
+    ) {
+        let mut records: Vec<(u64, u64)> = draws
+            .iter()
+            .flat_map(|&(key, len)| std::iter::repeat_n(key, len))
+            .enumerate()
+            .map(|(i, key)| (key, i as u64))
+            .collect();
+        if presorted == 1 {
+            records.sort_by_key(|&(k, _)| k);
+        }
+        let cluster = Cluster::local(3, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), chunk * 16, 2);
+        dfs.put_fixed("r", records.clone(), 16).unwrap();
+        let partition = |p: usize| -> Vec<(u64, u64)> {
+            records.iter().copied().filter(|(k, _)| default_partition(k, reducers) == p).collect()
+        };
+        let (mut sorted_groups, mut unsorted_groups) = (Vec::new(), Vec::new());
+        for p in 0..reducers {
+            unsorted_groups.extend(group_unsorted(partition(p)));
+            let mut by_key = partition(p);
+            by_key.sort_by_key(|&(k, _)| k);
+            sorted_groups.extend(group_sorted(by_key));
+        }
+
+        let sorted = MapReduceJob::new("s", &cluster, &dfs, "r", KeyedRecords, RecordSorted)
+            .reducers(reducers)
+            .run()
+            .unwrap();
+        prop_assert_eq!(&sorted.output, &sorted_groups);
+        let spilled = MapReduceJob::new("s", &cluster, &dfs, "r", KeyedRecords, RecordSorted)
+            .reducers(reducers)
+            .codecs(SpillCodec::of(), SpillCodec::of())
+            .exec(&ExecCtx::new(&cluster), Some(budget))
+            .run()
+            .unwrap();
+        prop_assert_eq!(&spilled.output, &sorted_groups);
+        let unsorted = MapReduceJob::new("u", &cluster, &dfs, "r", KeyedRecords, RecordUnsorted)
+            .reducers(reducers)
+            .run()
+            .unwrap();
+        prop_assert_eq!(&unsorted.output, &unsorted_groups);
+        let map_only = MapOnlyJob::new("m", &cluster, &dfs, "r", KeyedRecords).run().unwrap();
+        prop_assert_eq!(&map_only.output, &records);
     }
 }
 
@@ -421,7 +527,7 @@ proptest! {
             .map(|j| (base + j, j * 3))
             .collect();
         prop_assert_eq!(&pairs, &want);
-        let bound = len.max(2 * pairs.len()).max(4_096);
+        let bound = len.max(2 * pairs.len()).max(32);
         prop_assert!(
             pairs.capacity() <= bound,
             "{len} records, {} kept: capacity {}",

@@ -98,6 +98,20 @@ cmp target/bench-smoke/dj-t1.txt target/bench-smoke/dj-t2.txt
 split_tasks=$(grep '"kind":"span_start","name":"task.map"' target/bench-smoke/dj-t2.jsonl \
     | grep -cv '"ranges":"1"' || true)
 test "$split_tasks" -gt 0
+# A by-user job splits every chunk at user switches, however many chunks
+# it has: the same OUTPUT at --threads 1 and 2 from a sixteen-chunk
+# regroup, and at 2 a map task of several ranges.
+rm -rf target/bench-smoke/synth-t1 target/bench-smoke/synth-t2
+SYNTH_FLAGS=(synth --users 20000 --chunk-mb 1)
+./target/release/gepeto "${SYNTH_FLAGS[@]}" --threads 1 \
+    --run-dir target/bench-smoke/synth-t1
+./target/release/gepeto "${SYNTH_FLAGS[@]}" --threads 2 \
+    --run-dir target/bench-smoke/synth-t2 \
+    --metrics-out target/bench-smoke/synth-t2.jsonl
+cmp target/bench-smoke/synth-t1/OUTPUT target/bench-smoke/synth-t2/OUTPUT
+split_tasks=$(grep '"kind":"span_start","name":"task.map"' target/bench-smoke/synth-t2.jsonl \
+    | grep -cv '"ranges":"1"' || true)
+test "$split_tasks" -gt 0
 
 echo "== kernel bench smoke: every micro-bench body runs once =="
 # Smoke mode (no --bench flag): each benchmark body executes exactly
