@@ -72,30 +72,39 @@ fn bench_djcluster(c: &mut Criterion) {
 
     // One map task over the whole preprocessed file, then the single
     // reducer: Algorithm 4 as published (a neighborhood per dense trace,
-    // what the per-record `map` still emits) vs the tiled partial merge
-    // of `map_block` (a pre-merged component per tile and dwell spot).
+    // what the per-record `map` still emits) vs the partial merge of
+    // `map_block` over the engine's 4 096-trace input splits (a
+    // pre-merged component per split and dwell spot), each split on a
+    // fresh clone of one mapper as the engine runs them — here serially.
     let mut cache = DistributedCache::new();
     let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
     cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
     let (config, counters) = (JobConfig::new(), Counters::new());
+    let ctx = TaskContext {
+        task_id: 0,
+        attempt: 1,
+        config: &config,
+        cache: &cache,
+        counters: &counters,
+    };
     for (name, per_trace) in [("merge/per-trace", true), ("merge/partial", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut mapper = NeighborhoodMapper::new(&cfg);
-                mapper.setup(&TaskContext {
-                    task_id: 0,
-                    attempt: 1,
-                    config: &config,
-                    cache: &cache,
-                    counters: &counters,
-                });
+                let job_mapper = NeighborhoodMapper::new(&cfg);
                 let mut shuffled = Emitter::new();
                 if per_trace {
+                    let mut mapper = job_mapper.clone();
+                    mapper.setup(&ctx);
                     map_records(&mut mapper, 0, &traces, &mut shuffled);
+                    mapper.cleanup(&mut shuffled);
                 } else {
-                    mapper.map_block(0, &traces, &mut shuffled);
+                    for (split, range) in traces.chunks(4_096).enumerate() {
+                        let mut mapper = job_mapper.clone();
+                        mapper.setup(&ctx);
+                        mapper.map_block((split * 4_096) as u64, range, &mut shuffled);
+                        mapper.cleanup(&mut shuffled);
+                    }
                 }
-                mapper.cleanup(&mut shuffled);
                 let sets: Vec<_> = shuffled.into_pairs().into_iter().map(|(_, v)| v).collect();
                 let mut clusters = Emitter::new();
                 MergeReducer.reduce(&0, &sets, &mut clusters);

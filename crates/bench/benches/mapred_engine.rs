@@ -1,13 +1,13 @@
 //! Engine benchmarks: the MapReduce substrate itself — chunk-size
-//! scaling of map-only jobs, shuffle-heavy jobs, combiner effect, DFS
-//! ingestion, failure-injection overhead, how `map_records` sizes a
-//! block's output, and how a map task partitions it.
+//! scaling of map-only jobs, shuffle-heavy jobs, DFS ingestion,
+//! failure-injection overhead, how `map_records` sizes a block's output,
+//! and how a map task partitions it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
-    map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, FnMapper, KeyRuns, MapOnlyJob,
-    MapReduceJob, Mapper, Reducer,
+    map_records, ChaosPlan, Cluster, Dfs, Emitter, FnMapper, KeyRuns, MapOnlyJob, MapReduceJob,
+    Mapper, Reducer,
 };
 use std::hint::black_box;
 
@@ -18,14 +18,6 @@ impl Reducer<u64, u64> for SumReducer {
     type VOut = u64;
     fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, u64>) {
         out.emit(*key, values.iter().sum());
-    }
-}
-
-#[derive(Clone)]
-struct SumCombiner;
-impl Combiner<u64, u64> for SumCombiner {
-    fn combine(&mut self, _key: &u64, values: &[u64]) -> Vec<u64> {
-        vec![values.iter().sum()]
     }
 }
 
@@ -79,17 +71,6 @@ fn bench_engine(c: &mut Criterion) {
             black_box(r.output.len())
         })
     });
-    group.bench_function("shuffle-heavy-combined", |b| {
-        b.iter(|| {
-            let r = MapReduceJob::new("sum", &cluster, &dfs, "r", mapper(), SumReducer)
-                .with_combiner(SumCombiner)
-                .reducers(5)
-                .run()
-                .unwrap();
-            black_box(r.output.len())
-        })
-    });
-
     let flaky = Cluster::local(5, 4).with_chaos(ChaosPlan::none().fail_tasks(0.2, 0.2, 11, 100));
     group.bench_function("shuffle-heavy-20pct-failures", |b| {
         b.iter(|| {

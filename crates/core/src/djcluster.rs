@@ -24,7 +24,7 @@
 //! Algorithm 5's "centralized" reducer merges a few thousand sets and is
 //! no longer the job's critical path. Joining sets that share a trace is
 //! associative, so the clusters are those of the per-trace shuffle. The
-//! radius join itself runs through one cursor per tile: a user's
+//! radius join itself runs through one cursor per input split: a user's
 //! consecutive traces are served from a cached leaf list, and a leaf
 //! inside the disc arrives as a block that is unioned id by id once.
 //! Trace ids are global record offsets, kept in dense `u32` arrays; the
@@ -492,33 +492,30 @@ impl Iterator for NeighborhoodIds<'_> {
     }
 }
 
-/// Traces per tile of [`NeighborhoodMapper::map_block`]. A constant, so
-/// what a map task emits — and with it every counter — does not depend
-/// on the thread count.
-const NEIGHBORHOOD_TILE: usize = 4_096;
-
 /// Algorithm 4 with the merge started early. Loads the R-tree in
 /// `setup`, queries each trace's radius-`r` neighborhood and marks sparse
 /// traces as noise (nothing is emitted for them; the driver counts what
 /// no cluster claims) — but a dense neighborhood is never materialised
-/// and shipped on its own. The task cuts its chunk into
-/// [`NEIGHBORHOOD_TILE`]-trace tiles, runs them on the host pool, unions
-/// each dense neighborhood into the tile's [`UnionFind`] the moment the
-/// query returns, and emits `(const, members)` once per *local
-/// component*: the sorted ids of every trace the tile's dense
-/// neighborhoods chained together. That is exactly the merge
-/// Algorithm 5 would have done on those neighborhoods, so the single
-/// reducer computes the same clusters from a few thousand pre-merged
-/// sets instead of one set per trace. Payloads shuffle delta-encoded
-/// (see [`EncodedNeighborhood`]); the bytes saved versus raw ids
-/// accumulate into [`builtin::SHUFFLE_BYTES_SAVED`] on task cleanup.
+/// and shipped on its own. Any cut is legal, so the engine runs each
+/// chunk as ~4 096-trace input splits on its pool; a split unions each
+/// dense neighborhood into a [`UnionFind`] the moment the query returns,
+/// and emits `(const, members)` once per *local component*: the sorted
+/// ids of every trace the split's dense neighborhoods chained together.
+/// That is exactly the merge Algorithm 5 would have done on those
+/// neighborhoods, so the single reducer computes the same clusters from
+/// a few thousand pre-merged sets instead of one set per trace. Payloads
+/// shuffle delta-encoded (see [`EncodedNeighborhood`]); the bytes saved
+/// versus raw ids accumulate into [`builtin::SHUFFLE_BYTES_SAVED`] on
+/// cleanup.
 #[derive(Clone)]
 pub struct NeighborhoodMapper {
     radius_m: f64,
     min_pts: usize,
-    /// [`NEIGHBORHOOD_TILE`]; the tests shrink it to their point clouds.
-    tile: usize,
     rtree: Option<Arc<RTree<u64>>>,
+    /// Drained tree-sized union-finds, shared by every clone for the life
+    /// of the job: a split borrows one and hands it back drained, so each
+    /// executor allocates 8 B × N once, not once per split.
+    idle: Arc<Mutex<Vec<UnionFind>>>,
     bytes_saved: u64,
     counters: Option<Counters>,
 }
@@ -530,8 +527,8 @@ impl NeighborhoodMapper {
         Self {
             radius_m: cfg.radius_m,
             min_pts: cfg.min_pts,
-            tile: NEIGHBORHOOD_TILE,
             rtree: None,
+            idle: Arc::default(),
             bytes_saved: 0,
             counters: None,
         }
@@ -570,30 +567,20 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
         out: &mut Emitter<u8, EncodedNeighborhood>,
     ) {
         let tree = self.rtree.as_deref().expect("setup ran");
-        let (radius_m, min_pts) = (self.radius_m, self.min_pts);
-        let tiles: Vec<&[MobilityTrace]> = block.chunks(self.tile).collect();
-        // One union-find per executor, not per tile: a tile hands its
-        // scratch back drained, so which one it borrowed never shows.
-        let scratch: Mutex<Vec<UnionFind>> = Mutex::new(Vec::new());
-        let merged = gepeto_pool::global().map_indexed(tiles.len(), |tile| {
-            let idle = scratch.lock().expect("no tile panicked").pop();
-            let mut uf = idle.unwrap_or_else(|| UnionFind::with_len(tree.len()));
-            uf.join_dense_neighborhoods(tree, tiles[tile], radius_m, min_pts);
-            let (mut components, mut bytes_saved) = (Vec::new(), 0);
-            uf.drain_groups(|members| {
-                let encoded = EncodedNeighborhood::encode_sorted(members);
-                bytes_saved += (8 * members.len()).saturating_sub(encoded.encoded_len());
-                components.push(encoded);
-            });
-            scratch.lock().expect("no tile panicked").push(uf);
-            (components, bytes_saved)
+        // Which union-find a split borrowed never shows: it comes drained.
+        let idle = self.idle.lock().expect("no split panicked").pop();
+        let mut uf = idle.unwrap_or_else(|| UnionFind::with_len(tree.len()));
+        uf.join_dense_neighborhoods(tree, block, self.radius_m, self.min_pts);
+        uf.drain_groups(|members| {
+            let encoded = EncodedNeighborhood::encode_sorted(members);
+            self.bytes_saved += (8 * members.len()).saturating_sub(encoded.encoded_len()) as u64;
+            out.emit(0, encoded);
         });
-        for (components, bytes_saved) in merged {
-            self.bytes_saved += bytes_saved as u64;
-            for encoded in components {
-                out.emit(0, encoded);
-            }
-        }
+        self.idle.lock().expect("no split panicked").push(uf);
+    }
+
+    fn splits_between(&self, _prev: &MobilityTrace, _next: &MobilityTrace) -> bool {
+        true
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<u8, EncodedNeighborhood>) {
@@ -641,7 +628,8 @@ impl Reducer<u8, EncodedNeighborhood> for MergeReducer {
 /// u32::MAX` (the driver checks) — as a plain parent array: no hashing,
 /// and the components come back out of an ascending walk over a bitmap
 /// of the ids it was shown, not a sort of everything it was fed. Shared
-/// by the map tasks' tiles, [`MergeReducer`] and [`sequential_djcluster`].
+/// by the map tasks' input splits, [`MergeReducer`] and
+/// [`sequential_djcluster`].
 ///
 /// Links always point at the smaller id, so a component's root is its
 /// smallest member.
@@ -1501,9 +1489,11 @@ mod partial_merge_props {
             .collect()
     }
 
-    /// The clustering job by hand: one map task per `chunk`-trace block
-    /// with `tile`-trace tiles, then the reducer. `tile = 1` makes every
-    /// trace its own tile, i.e. the per-trace emit of Algorithm 4.
+    /// The clustering job by hand: one map task per `chunk`-trace block,
+    /// each cut into `tile`-trace input splits that run on fresh clones of
+    /// one mapper, as the engine runs them, then the reducer. `tile = 1`
+    /// makes every trace its own split, i.e. the per-trace emit of
+    /// Algorithm 4.
     fn run_job(
         traces: &[MobilityTrace],
         cfg: &DjConfig,
@@ -1511,33 +1501,13 @@ mod partial_merge_props {
         tile: usize,
         per_record: bool,
     ) -> (Vec<Vec<u64>>, usize) {
-        let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
-        let mut cache = DistributedCache::new();
-        cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
-        let (config, counters) = (JobConfig::new(), Counters::new());
-        let mut shuffled = Vec::new();
-        for (task_id, block) in traces.chunks(chunk).enumerate() {
-            let mut mapper = NeighborhoodMapper {
-                tile,
-                ..NeighborhoodMapper::new(cfg)
-            };
-            mapper.setup(&TaskContext {
-                task_id,
-                attempt: 1,
-                config: &config,
-                cache: &cache,
-                counters: &counters,
-            });
-            let mut out = Emitter::new();
-            let base = (task_id * chunk) as u64;
-            if per_record {
-                gepeto_mapred::map_records(&mut mapper, base, block, &mut out);
-            } else {
-                mapper.map_block(base, block, &mut out);
-            }
-            mapper.cleanup(&mut out);
-            shuffled.extend(out.into_pairs().into_iter().map(|(_, v)| v));
-        }
+        let shuffled = map_splits(
+            &NeighborhoodMapper::new(cfg),
+            traces,
+            chunk,
+            tile,
+            per_record,
+        );
         let pairs = shuffled.len();
         let mut out = Emitter::new();
         MergeReducer.reduce(&0, &shuffled, &mut out);
@@ -1546,6 +1516,63 @@ mod partial_merge_props {
             pairs,
         )
     }
+
+    /// The map side of [`run_job`], on clones of `job_mapper`: every
+    /// split's payloads, in split order.
+    fn map_splits(
+        job_mapper: &NeighborhoodMapper,
+        traces: &[MobilityTrace],
+        chunk: usize,
+        tile: usize,
+        per_record: bool,
+    ) -> Vec<EncodedNeighborhood> {
+        let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
+        let mut cache = DistributedCache::new();
+        cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
+        let (config, counters) = (JobConfig::new(), Counters::new());
+        let mut shuffled = Vec::new();
+        for (task_id, block) in traces.chunks(chunk).enumerate() {
+            for (split, range) in block.chunks(tile).enumerate() {
+                let mut mapper = job_mapper.clone();
+                mapper.setup(&TaskContext {
+                    task_id,
+                    attempt: 1,
+                    config: &config,
+                    cache: &cache,
+                    counters: &counters,
+                });
+                let mut out = Emitter::new();
+                let base = (task_id * chunk + split * tile) as u64;
+                if per_record {
+                    gepeto_mapred::map_records(&mut mapper, base, range, &mut out);
+                } else {
+                    mapper.map_block(base, range, &mut out);
+                }
+                mapper.cleanup(&mut out);
+                shuffled.extend(out.into_pairs().into_iter().map(|(_, v)| v));
+            }
+        }
+        shuffled
+    }
+
+    /// Splits that run one after another on clones of one mapper borrow
+    /// the union-find the first split allocated: however many ran, the
+    /// job ends with one on the shared free list, and it is drained.
+    #[test]
+    fn serial_splits_share_one_drained_union_find() {
+        let traces = cloud(200, 3, 5, 7);
+        let mapper = NeighborhoodMapper::new(&DjConfig::default());
+        let payloads = map_splits(&mapper, &traces, 100, 16, false);
+        assert!(!payloads.is_empty());
+        let mut idle = mapper.idle.lock().unwrap();
+        assert_eq!(idle.len(), 1);
+        let mut groups = 0;
+        idle[0].drain_groups(|_| groups += 1);
+        assert_eq!(groups, 0);
+    }
+
+    /// Records per input split of a job with a reduce phase.
+    const SPLIT: usize = 4_096;
 
     fn as_clustering(traces: &[MobilityTrace], clusters: &[Vec<u64>]) -> Clustering {
         let clusters: Vec<Vec<MobilityTrace>> = clusters
@@ -1583,13 +1610,13 @@ mod partial_merge_props {
             prop_assert_eq!(paper.canonical_ids(), want.canonical_ids());
             prop_assert_eq!(paper.noise, want.noise);
             // `map` is the one-record `map_block`: same pairs either way.
-            let (via_map, via_map_pairs) = run_job(&traces, &cfg, chunk, NEIGHBORHOOD_TILE, true);
+            let (via_map, via_map_pairs) = run_job(&traces, &cfg, chunk, SPLIT, true);
             prop_assert_eq!(&via_map, &per_trace);
             prop_assert_eq!(via_map_pairs, per_trace_pairs);
 
-            // One tile per chunk, the production tile, a tile dividing the
+            // One split per chunk, the engine's split, a split dividing the
             // chunk when it can, and an arbitrary one.
-            for tile in [chunk, NEIGHBORHOOD_TILE, chunk.div_ceil(2), odd_tile] {
+            for tile in [chunk, SPLIT, chunk.div_ceil(2), odd_tile] {
                 let (merged, pairs) = run_job(&traces, &cfg, chunk, tile, false);
                 prop_assert_eq!(&merged, &per_trace, "tile {}", tile);
                 prop_assert!(pairs <= per_trace_pairs, "tile {} shipped more", tile);

@@ -16,12 +16,12 @@
 //! the fused assign + partial-sum kernel
 //! ([`CentroidsSoa::assign_sum_points`], as wide as the host's vector
 //! registers), so a task emits at most `k` pairs instead of one per
-//! trace. An engine-level
-//! [`gepeto_mapred::Combiner`] was measured first and bought nothing —
-//! the per-trace pairs were still emitted, bucketed and grouped, only
-//! earlier (EXPERIMENTS.md) — which is why the sums are taken before any
-//! pair exists. `use_combiner: false` keeps the paper's Algorithm 1
-//! verbatim (one pair per trace) for the Table III shuffle volumes.
+//! trace. An engine-level combiner was measured first and bought nothing
+//! — the per-trace pairs were still emitted, bucketed and grouped, only
+//! earlier (EXPERIMENTS.md) — and the engine no longer has one; this is
+//! why the sums are taken before any pair exists. `use_combiner: false`
+//! keeps the paper's Algorithm 1 verbatim (one pair per trace) for the
+//! Table III shuffle volumes.
 //!
 //! ```
 //! use gepeto::kmeans::{sequential_kmeans, KMeansConfig};

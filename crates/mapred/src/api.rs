@@ -1,4 +1,4 @@
-//! The user-facing programming model: `Mapper`, `Reducer`, `Combiner`.
+//! The user-facing programming model: `Mapper` and `Reducer`.
 //!
 //! "A developer designing a MapReduce-based application is left with the
 //! task of specifying two primary functions, map and reduce" (§III). As in
@@ -113,8 +113,9 @@ pub trait Mapper<V1>: Clone + Send {
     /// once per input split for a mapper that declares cut points
     /// ([`Self::splits_between`]). The default is [`map_records`]; a
     /// mapper whose work vectorizes or pre-aggregates across records (the
-    /// fused k-means assignment) overrides it and emits whatever the
-    /// per-record loop followed by a per-chunk fold would have.
+    /// fused k-means assignment, DJ-Cluster's local components) overrides
+    /// it. This is the one place a job pre-aggregates: the engine has no
+    /// separate combiner.
     fn map_block(
         &mut self,
         base_offset: u64,
@@ -131,19 +132,22 @@ pub trait Mapper<V1>: Clone + Send {
     /// Whether the engine may cut a chunk between the adjacent records
     /// `prev` and `next` (Hadoop's input split, taken inside one chunk).
     ///
-    /// Return `true` only if the cut changes no emitted pair. Each side of
-    /// a cut runs on a fresh clone — `setup`, then `map_block(base +
-    /// start, range)`, then `cleanup` — and the two sides' pairs,
-    /// concatenated in order, must be exactly the pairs, in the same
-    /// order, that one clone emits for the whole chunk. The default never
-    /// cuts, so such a mapper runs each chunk as one range.
+    /// Each side of a cut runs on a fresh clone — `setup`, then
+    /// `map_block(base + start, range)`, then `cleanup` — and the two
+    /// sides' pairs are concatenated in order. Return `true` only if:
     ///
-    /// A job with a reduce phase splits every chunk, whatever its chunk and
-    /// thread counts, about every 4 096 records at the first legal cut, so
-    /// each range's output is partitioned while it is still in cache. A
-    /// map-only job splits only while it has fewer chunks than the pool has
-    /// executors. A combiner folds a whole task's output, so a job with one
-    /// keeps its tasks whole. A split job still counts, retries and
+    /// - in a map-only job, the cut changes no emitted pair: the
+    ///   concatenation is exactly what one clone emits for the whole chunk;
+    /// - in a job with a reduce phase, the cut changes no reduce output.
+    ///   The pairs themselves may differ, as a pre-aggregating
+    ///   `map_block`'s partial results do — what Hadoop asks of a combiner.
+    ///
+    /// The default never cuts, so such a mapper runs each chunk as one
+    /// range. A job with a reduce phase splits every chunk, whatever its
+    /// chunk and thread counts, about every 4 096 records at the first
+    /// legal cut, so each range's output is partitioned while it is still
+    /// in cache. A map-only job splits only while it has fewer chunks than
+    /// the pool has executors. A split job still counts, retries and
     /// simulates one task per chunk.
     fn splits_between(&self, _prev: &V1, _next: &V1) -> bool {
         false
@@ -236,15 +240,6 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
     /// single-reducer cluster-merging phase of DJ-Cluster to emit the
     /// final clusters).
     fn cleanup(&mut self, _out: &mut Emitter<Self::KOut, Self::VOut>) {}
-}
-
-/// A map-side pre-aggregator (the *combiner* of §VI's related work): runs
-/// on each map task's local output, per key, to shrink the data shuffled
-/// to reducers. Must be algebraically compatible with the reducer.
-pub trait Combiner<K2: MrKey, V2: MrValue>: Clone + Send {
-    /// Combines the values of one key emitted by a single map task into a
-    /// (usually shorter) list of values.
-    fn combine(&mut self, key: &K2, values: &[V2]) -> Vec<V2>;
 }
 
 /// Adapts a closure into a [`Mapper`] — handy for map-only filters where a

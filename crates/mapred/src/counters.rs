@@ -15,12 +15,6 @@ pub mod phase {
     pub const MAP: &str = "map";
     /// The reduce phase.
     pub const REDUCE: &str = "reduce";
-    /// The shuffle (map-output regrouping) phase.
-    pub const SHUFFLE: &str = "shuffle";
-    /// The map-side combine phase.
-    pub const COMBINE: &str = "combine";
-    /// The reduce-side sort/group phase.
-    pub const SORT: &str = "sort";
 }
 
 /// Built-in counter names used by the engine itself: the Hadoop record
@@ -34,17 +28,13 @@ pub mod builtin {
         SHUFFLE_BYTES_SAVED, SORT_SKIPPED, SPILLED_BYTES, SPILLED_GROUPS, SPILL_ESTIMATE_ERROR,
         SPILL_FILES, TASK_RETRIES, TORN_WRITES,
     };
-    /// Intermediate pairs written out by map tasks after combining —
-    /// what Hadoop would spill to local disk for the shuffle.
+    /// Intermediate pairs written out by map tasks — what Hadoop would
+    /// spill to local disk for the shuffle.
     pub const SPILLED_RECORDS: &str = "mapred.spilled.records";
     /// Records read by all map tasks.
     pub const MAP_INPUT_RECORDS: &str = "mapred.map.input.records";
-    /// Pairs emitted by all map tasks (before combining).
+    /// Pairs emitted by all map tasks.
     pub const MAP_OUTPUT_RECORDS: &str = "mapred.map.output.records";
-    /// Pairs entering combiners.
-    pub const COMBINE_INPUT_RECORDS: &str = "mapred.combine.input.records";
-    /// Pairs leaving combiners (what actually shuffles).
-    pub const COMBINE_OUTPUT_RECORDS: &str = "mapred.combine.output.records";
     /// Distinct keys presented to reduce calls.
     pub const REDUCE_INPUT_GROUPS: &str = "mapred.reduce.input.groups";
     /// Pairs consumed by all reduce tasks.

@@ -2,9 +2,9 @@
 //! and retry logic, and the shuffle.
 //!
 //! A [`MapReduceJob`] mirrors the paper's `Driver` class (§IV): it names
-//! the input file, the mapper, the reducer, an optional combiner, and the
-//! runtime configuration, then `run()`s the whole thing; a map-only job
-//! ([`MapOnlyJob`]) is one without reduce tasks. Tasks execute in
+//! the input file, the mapper, the reducer and the runtime configuration,
+//! then `run()`s the whole thing; a map-only job ([`MapOnlyJob`]) is one
+//! without reduce tasks. Tasks execute in
 //! parallel on the `gepeto-pool` work-stealing thread pool; every task's
 //! wall time is measured and replayed by [`crate::sim::simulate_chaos`],
 //! so the result carries both the real elapsed time and the
@@ -15,7 +15,7 @@
 //! jobtracker reschedules it until the task has died as often as the
 //! plan allows, at which point the job fails.
 
-use crate::api::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer, TaskContext};
+use crate::api::{Emitter, Mapper, MrKey, MrValue, Reducer, TaskContext};
 use crate::cache::DistributedCache;
 use crate::chaos::ChaosPlan;
 use crate::commit::{self, CommitError};
@@ -172,16 +172,6 @@ pub struct JobResult<K, V> {
     pub stats: JobStats,
 }
 
-/// Placeholder combiner type for jobs that do not use one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoCombiner;
-
-impl<K2: MrKey, V2: MrValue> Combiner<K2, V2> for NoCombiner {
-    fn combine(&mut self, _key: &K2, values: &[V2]) -> Vec<V2> {
-        values.to_vec()
-    }
-}
-
 /// Placeholder reducer type of a [`MapOnlyJob`]: its output types are the
 /// map output types, and it never runs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -213,7 +203,7 @@ type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 /// group is identical on both paths. A map-only job outputs its map tasks'
 /// pairs in chunk order, each task's in emission order.
 #[allow(clippy::type_complexity)]
-pub struct MapReduceJob<'a, V1, M, R, C = NoCombiner>
+pub struct MapReduceJob<'a, V1, M, R>
 where
     M: Mapper<V1>,
     R: Reducer<M::KOut, M::VOut>,
@@ -224,7 +214,6 @@ where
     input: String,
     mapper: M,
     reducer: R,
-    combiner: Option<C>,
     num_reducers: usize,
     config: JobConfig,
     cache: DistributedCache,
@@ -239,7 +228,7 @@ where
     map_only: Option<fn(Vec<(M::KOut, M::VOut)>) -> Vec<(R::KOut, R::VOut)>>,
 }
 
-impl<'a, V1, M, R> MapReduceJob<'a, V1, M, R, NoCombiner>
+impl<'a, V1, M, R> MapReduceJob<'a, V1, M, R>
 where
     V1: MrValue,
     M: Mapper<V1>,
@@ -262,7 +251,6 @@ where
             input: input.to_string(),
             mapper,
             reducer,
-            combiner: None,
             num_reducers: cluster.topology.num_nodes(),
             config: JobConfig::new(),
             cache: DistributedCache::new(),
@@ -273,40 +261,6 @@ where
             journal: None,
             codecs: None,
             map_only: None,
-        }
-    }
-}
-
-impl<'a, V1, M, R, C> MapReduceJob<'a, V1, M, R, C>
-where
-    V1: MrValue,
-    M: Mapper<V1>,
-    R: Reducer<M::KOut, M::VOut>,
-    C: Combiner<M::KOut, M::VOut>,
-{
-    /// Adds a map-side combiner.
-    pub fn with_combiner<C2>(self, combiner: C2) -> MapReduceJob<'a, V1, M, R, C2>
-    where
-        C2: Combiner<M::KOut, M::VOut>,
-    {
-        MapReduceJob {
-            name: self.name,
-            cluster: self.cluster,
-            dfs: self.dfs,
-            input: self.input,
-            mapper: self.mapper,
-            reducer: self.reducer,
-            combiner: Some(combiner),
-            num_reducers: self.num_reducers,
-            config: self.config,
-            cache: self.cache,
-            telemetry: self.telemetry,
-            pair_bytes: self.pair_bytes,
-            partitioner: self.partitioner,
-            budget: self.budget,
-            journal: self.journal,
-            codecs: self.codecs,
-            map_only: self.map_only,
         }
     }
 
@@ -428,7 +382,6 @@ where
             self.dfs,
             &self.input,
             &self.mapper,
-            self.combiner.as_ref(),
             self.num_reducers,
             &self.config,
             &self.cache,
@@ -858,13 +811,12 @@ struct MapPhaseOutput<K, V> {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_map_phase<V1, M, C>(
+fn run_map_phase<V1, M>(
     job_name: &str,
     cluster: &Cluster,
     dfs: &Dfs<V1>,
     input: &str,
     mapper: &M,
-    combiner: Option<&C>,
     num_reducers: usize,
     config: &JobConfig,
     cache: &DistributedCache,
@@ -879,7 +831,6 @@ fn run_map_phase<V1, M, C>(
 where
     V1: MrValue,
     M: Mapper<V1>,
-    C: Combiner<M::KOut, M::VOut>,
 {
     let block_ids = dfs.blocks_of(input)?.to_vec();
     let monitor = telemetry.monitor();
@@ -902,13 +853,12 @@ where
     // pool items, so a range's output is partitioned while it is still in
     // cache and no task holds its whole output more than once. A map-only
     // job has nothing to partition, so it splits only to occupy executors
-    // its chunks leave idle. A combiner folds a whole task's output, so it
-    // keeps its tasks whole.
+    // its chunks leave idle.
     let chunks: Vec<&[V1]> = block_ids
         .iter()
         .map(|&id| dfs.block(id).data.as_slice())
         .collect();
-    let split = combiner.is_none() && (num_reducers > 0 || chunks.len() < pool.threads());
+    let split = num_reducers > 0 || chunks.len() < pool.threads();
     let planned = if split {
         plan_splits(pool, &chunks, mapper, SPLIT_RECORDS)
     } else {
@@ -934,11 +884,11 @@ where
         items.extend(
             ranges
                 .into_iter()
-                .map(|range| (task_id, range, mapper.clone(), combiner.cloned())),
+                .map(|range| (task_id, range, mapper.clone())),
         );
     }
     let outputs: Vec<RangeOutput<M::KOut, M::VOut>> =
-        pool.map_vec(items, |(task_id, range, mut m, combiner)| {
+        pool.map_vec(items, |(task_id, range, mut m)| {
             let task = &tasks[task_id];
             let block = dfs.block(task.block_id);
             let t0 = Instant::now();
@@ -970,16 +920,11 @@ where
             m.cleanup(&mut out);
             counters.inc(builtin::MAP_OUTPUT_RECORDS, out.len() as u64);
 
-            // Combine, then partition this range's output into key runs.
-            let mut pairs = out.into_pairs();
+            // Partition this range's output into key runs.
+            let pairs = out.into_pairs();
             let buckets = if num_reducers == 0 {
                 vec![KeyRuns::from(pairs)]
             } else {
-                if let Some(c) = &combiner {
-                    let task_span = task.span.lock().unwrap();
-                    let _combine_span = task_span.as_ref().map(|s| s.child("phase.combine", &[]));
-                    pairs = run_combiner(c, pairs, counters);
-                }
                 let buckets = KeyRuns::partitioned(pairs, num_reducers, |k| {
                     let p = partitioner.as_ref().map_or_else(
                         || default_partition(k, num_reducers),
@@ -1625,8 +1570,8 @@ impl<K: MrKey, V> FlatGroups<K, V> {
 /// each run's values keep their map-task emission order.
 ///
 /// The nested shape: one `Vec` per key. The reduce path groups flat
-/// ([`FlatGroups::sorted_runs`]); this remains for the combiner and as the
-/// reference the flat grouping is tested against.
+/// ([`FlatGroups::sorted_runs`]); this remains as the reference the flat
+/// grouping is tested against.
 pub fn group_sorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut groups: Vec<(K, Vec<V>)> = Vec::new();
     for (k, v) in pairs {
@@ -1663,29 +1608,6 @@ pub fn group_unsorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     groups
 }
 
-/// Sorts one map task's output by key, groups runs, and applies the
-/// combiner to each group; the result, in key order, is then partitioned.
-fn run_combiner<K: MrKey, V: MrValue, C: Combiner<K, V>>(
-    combiner: &C,
-    mut pairs: Vec<(K, V)>,
-    counters: &Counters,
-) -> Vec<(K, V)> {
-    if pairs.is_empty() {
-        return pairs;
-    }
-    counters.inc(builtin::COMBINE_INPUT_RECORDS, pairs.len() as u64);
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut c = combiner.clone();
-    let mut out = Vec::with_capacity(pairs.len());
-    for (key, values) in group_sorted(pairs) {
-        for v in c.combine(&key, &values) {
-            out.push((key.clone(), v));
-        }
-    }
-    counters.inc(builtin::COMBINE_OUTPUT_RECORDS, out.len() as u64);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1693,15 +1615,14 @@ mod tests {
     use crate::spill::SpillEncode;
 
     /// `job` with derived codecs, its shuffle spilling past `bytes`.
-    fn budgeted<'a, V1, M, R, C>(
-        job: MapReduceJob<'a, V1, M, R, C>,
+    fn budgeted<'a, V1, M, R>(
+        job: MapReduceJob<'a, V1, M, R>,
         bytes: usize,
-    ) -> MapReduceJob<'a, V1, M, R, C>
+    ) -> MapReduceJob<'a, V1, M, R>
     where
         V1: MrValue,
         M: Mapper<V1, KOut: SpillEncode, VOut: SpillEncode>,
         R: Reducer<M::KOut, M::VOut, KOut: SpillEncode, VOut: SpillEncode>,
-        C: Combiner<M::KOut, M::VOut>,
     {
         let ctx = ExecCtx::new(job.cluster);
         job.codecs(SpillCodec::of(), SpillCodec::of())
@@ -1716,14 +1637,6 @@ mod tests {
         type VOut = u64;
         fn reduce(&mut self, key: &String, values: &[u64], out: &mut Emitter<String, u64>) {
             out.emit(key.clone(), values.iter().sum());
-        }
-    }
-
-    #[derive(Clone)]
-    struct SumCombiner;
-    impl Combiner<String, u64> for SumCombiner {
-        fn combine(&mut self, _key: &String, values: &[u64]) -> Vec<u64> {
-            vec![values.iter().sum()]
         }
     }
 
@@ -1816,22 +1729,6 @@ mod tests {
         let counts = word_counts(&spilled);
         assert_eq!(counts["a"], 4);
         assert_eq!(counts["b"], 3);
-    }
-
-    #[test]
-    fn spill_with_combiner_still_matches_in_memory() {
-        let cluster = Cluster::local(3, 2);
-        let dfs = word_dfs(&cluster);
-        let in_memory = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .with_combiner(SumCombiner)
-            .reducers(2)
-            .run()
-            .unwrap();
-        let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .with_combiner(SumCombiner)
-            .reducers(2);
-        let spilled = budgeted(job, 1).run().unwrap();
-        assert_eq!(in_memory.output, spilled.output);
     }
 
     #[test]
@@ -2099,29 +1996,6 @@ mod tests {
         assert_eq!(by_key(&sorted), by_key(&hashed));
     }
 
-    #[test]
-    fn combiner_shrinks_shuffle_without_changing_result() {
-        let cluster = Cluster::local(3, 2);
-        let dfs = word_dfs(&cluster);
-        let plain = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .run()
-            .unwrap();
-        let combined = MapReduceJob::new("wc+c", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .with_combiner(SumCombiner)
-            .reducers(2)
-            .run()
-            .unwrap();
-        assert_eq!(word_counts(&plain), word_counts(&combined));
-        assert!(
-            combined.stats.sim.shuffle_bytes < plain.stats.sim.shuffle_bytes,
-            "combiner should cut shuffle volume: {} vs {}",
-            combined.stats.sim.shuffle_bytes,
-            plain.stats.sim.shuffle_bytes
-        );
-        assert!(combined.stats.counters[builtin::COMBINE_INPUT_RECORDS] > 0);
-    }
-
     /// The serial plan [`plan_splits`] must reproduce: cuts `records` into
     /// consecutive ranges. A cut is due every `every` records, counted
     /// from the start, and moves forward to the first position `i` with
@@ -2340,40 +2214,24 @@ mod tests {
             counters.retain(|name, _| !heap.contains(&name.as_str()));
             counters
         }
-        fn run<M, C>(
-            mapper: M,
-            combiner: Option<C>,
-            budget: Option<usize>,
-        ) -> JobResult<String, u64>
+        fn run<M>(mapper: M, budget: Option<usize>) -> JobResult<String, u64>
         where
             M: Mapper<String, KOut = String, VOut = u64>,
-            C: Combiner<String, u64>,
         {
             let cluster = Cluster::local(3, 2);
             let dfs = word_dfs(&cluster);
             let job =
                 MapReduceJob::new("wc", &cluster, &dfs, "words", mapper, SumReducer).reducers(2);
-            let job = match budget {
-                Some(bytes) => budgeted(job, bytes),
-                None => job,
-            };
-            match combiner {
-                Some(c) => job.with_combiner(c).run().unwrap(),
+            match budget {
+                Some(bytes) => budgeted(job, bytes).run().unwrap(),
                 None => job.run().unwrap(),
             }
         }
         for budget in [None, Some(1)] {
-            for combine in [false, true] {
-                let combiner = combine.then_some(SumCombiner);
-                let default = run(tokenizer(), combiner.clone(), budget);
-                let explicit = run(ExplicitLoop, combiner, budget);
-                assert_eq!(default.output, explicit.output, "{budget:?} {combine}");
-                assert_eq!(
-                    counters(&default),
-                    counters(&explicit),
-                    "{budget:?} {combine}"
-                );
-            }
+            let default = run(tokenizer(), budget);
+            let explicit = run(ExplicitLoop, budget);
+            assert_eq!(default.output, explicit.output, "{budget:?}");
+            assert_eq!(counters(&default), counters(&explicit), "{budget:?}");
         }
     }
 
@@ -2632,7 +2490,6 @@ mod tests {
         let dfs = word_dfs(&cluster);
         let rec = Recorder::enabled();
         let result = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .with_combiner(SumCombiner)
             .reducers(2)
             .exec(&ExecCtx::new(&cluster).traced(&rec), None)
             .run()
@@ -2651,7 +2508,6 @@ mod tests {
         assert_eq!(ends("phase.reduce"), 1);
         assert_eq!(ends("task.map"), result.stats.map_tasks);
         assert_eq!(ends("task.reduce"), 2);
-        assert!(ends("phase.combine") >= 1, "combiner span missing");
         assert_eq!(ends("phase.sort"), 2, "one sort span per reducer");
         // Every task span carries its identity labels.
         for e in events

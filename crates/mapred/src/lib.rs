@@ -14,10 +14,10 @@
 //!   locations.
 //! - **The programming model** ([`api`], [`job`]): user-defined
 //!   [`api::Mapper`]s and [`api::Reducer`]s with Hadoop-style
-//!   `setup`/`map`/`cleanup` lifecycles, optional [`api::Combiner`]s,
-//!   hash partitioning, a sort-based shuffle that presents all values of a
-//!   key to a single reduce call, job configuration strings, counters and
-//!   a typed distributed cache.
+//!   `setup`/`map`/`cleanup` lifecycles, map-side pre-aggregation in
+//!   [`api::Mapper::map_block`], hash partitioning, a sort-based shuffle
+//!   that presents all values of a key to a single reduce call, job
+//!   configuration strings, counters and a typed distributed cache.
 //! - **Scheduling and the cluster-time model** ([`sim`]): map tasks are
 //!   one-per-chunk and really execute in parallel on host threads; their
 //!   measured durations are then replayed by a locality-aware slot
@@ -85,7 +85,7 @@ pub mod sim;
 pub mod spill;
 pub mod topology;
 
-pub use api::{map_records, Combiner, Emitter, FnMapper, Mapper, Reducer, TaskContext};
+pub use api::{map_records, Emitter, FnMapper, Mapper, Reducer, TaskContext};
 pub use cache::DistributedCache;
 pub use chaos::{ChaosEvent, ChaosPlan, IoFault, IoFaultPlan};
 pub use commit::{CommitError, CommitReceipt};

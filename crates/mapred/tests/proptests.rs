@@ -1,11 +1,12 @@
 //! Engine-level properties: the shuffle groups every value of a key into
 //! exactly one reduce call, map-only jobs are order-preserving filters,
-//! combiners never change results, and failure injection never changes
-//! results (only retry counts).
+//! combining in `map_block` never changes results, and failure injection
+//! never changes results (only retry counts).
 
+use gepeto_mapred::counters::builtin;
 use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
-    group_sorted, group_unsorted, map_records, ChaosPlan, Cluster, Combiner, Dfs, Emitter, ExecCtx,
+    group_sorted, group_unsorted, map_records, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx,
     FlatGroups, FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec,
     Topology,
 };
@@ -32,14 +33,6 @@ impl Reducer<u64, u64> for SumReducer {
     type VOut = u64;
     fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, u64>) {
         out.emit(*key, values.iter().sum());
-    }
-}
-
-#[derive(Clone)]
-struct SumCombiner;
-impl Combiner<u64, u64> for SumCombiner {
-    fn combine(&mut self, _key: &u64, values: &[u64]) -> Vec<u64> {
-        vec![values.iter().sum()]
     }
 }
 
@@ -141,7 +134,6 @@ fn record_counters(stats: &JobStats) -> BTreeMap<String, u64> {
     counters
 }
 
-/// The `ranges` label of each `task.map` span the recorder saw.
 /// The `ranges` label of each `task.map` span the recorder saw, in task
 /// order.
 fn map_task_ranges(recorder: &Recorder) -> Vec<usize> {
@@ -162,6 +154,74 @@ fn key_mapper() -> impl gepeto_mapred::Mapper<u64, KOut = u64, VOut = u64> {
     FnMapper::new(|_off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
         out.emit(v % 7, *v);
     })
+}
+
+/// [`key_mapper`] combining in the mapper: `map_block` sums its block's
+/// values per key and emits one pair per key. A cut only spreads a key's
+/// sum over more pairs, so every position is a legal one.
+#[derive(Clone)]
+struct KeySums;
+
+impl Mapper<u64> for KeySums {
+    type KOut = u64;
+    type VOut = u64;
+
+    fn map(&mut self, _offset: u64, v: &u64, out: &mut Emitter<u64, u64>) {
+        out.emit(v % 7, *v);
+    }
+
+    fn map_block(&mut self, _base: u64, block: &[u64], out: &mut Emitter<u64, u64>) {
+        let mut sums = BTreeMap::new();
+        for v in block {
+            *sums.entry(v % 7).or_insert(0) += v;
+        }
+        for (key, sum) in sums {
+            out.emit(key, sum);
+        }
+    }
+
+    fn splits_between(&self, _prev: &u64, _next: &u64) -> bool {
+        true
+    }
+}
+
+/// Combining in `map_block` cuts what a job emits and shuffles, and not
+/// what it reduces to.
+#[test]
+fn combining_in_map_block_shrinks_the_shuffle() {
+    let cluster = Cluster::local(3, 2);
+    let mut dfs = Dfs::new(cluster.topology.clone(), 256, 2);
+    dfs.put_fixed("r", (0..1_000).collect(), 4).unwrap();
+    let plain = MapReduceJob::new("s", &cluster, &dfs, "r", key_mapper(), SumReducer)
+        .reducers(2)
+        .run()
+        .unwrap();
+    let combined = MapReduceJob::new("s", &cluster, &dfs, "r", KeySums, SumReducer)
+        .reducers(2)
+        .run()
+        .unwrap();
+    assert_eq!(plain.output, combined.output);
+    let emitted = |stats: &JobStats| stats.counter(builtin::MAP_OUTPUT_RECORDS);
+    assert!(emitted(&combined.stats) < emitted(&plain.stats));
+    assert!(combined.stats.sim.shuffle_bytes < plain.stats.sim.shuffle_bytes);
+}
+
+/// A job combining in `map_block` reduces to the same output whether its
+/// shuffle spills or stays in memory.
+#[test]
+fn a_combining_job_spills_to_its_in_memory_output() {
+    let cluster = Cluster::local(3, 2);
+    let mut dfs = Dfs::new(cluster.topology.clone(), 256, 2);
+    dfs.put_fixed("r", (0..1_000).collect(), 4).unwrap();
+    let job = || MapReduceJob::new("s", &cluster, &dfs, "r", KeySums, SumReducer).reducers(2);
+    let in_memory = job().run().unwrap();
+    let spilled = job()
+        .codecs(SpillCodec::of(), SpillCodec::of())
+        .exec(&ExecCtx::new(&cluster), Some(1))
+        .run()
+        .unwrap();
+    assert_eq!(in_memory.output, spilled.output);
+    assert!(spilled.stats.counter(builtin::SPILL_FILES) > 0);
 }
 
 proptest! {
@@ -556,21 +616,30 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// A job that combines in `map_block` and may be cut anywhere reduces
+    /// to what the per-record job reduces to, and never shuffles more.
+    /// Chunks of more than 4 096 records run as one range per 4 096.
     #[test]
     fn combiner_is_transparent(
-        records in prop::collection::vec(0u64..1000, 1..300),
-        chunk in 8usize..64,
+        records in prop::collection::vec(0u64..1000, 1..12_000),
+        chunks in 1usize..4,
     ) {
+        let per_chunk = records.len().div_ceil(chunks);
+        let ranges: Vec<usize> = records.chunks(per_chunk).map(|c| c.len().div_ceil(4_096)).collect();
         let cluster = Cluster::local(3, 2);
-        let mut dfs = Dfs::new(cluster.topology.clone(), chunk, 2);
+        let mut dfs = Dfs::new(cluster.topology.clone(), per_chunk * 4, 2);
         dfs.put_fixed("r", records, 4).unwrap();
         let plain = MapReduceJob::new("s", &cluster, &dfs, "r", key_mapper(), SumReducer)
             .reducers(3).run().unwrap();
-        let combined = MapReduceJob::new("s", &cluster, &dfs, "r", key_mapper(), SumReducer)
-            .with_combiner(SumCombiner)
-            .reducers(3).run().unwrap();
+        let recorder = Recorder::enabled();
+        let combined = MapReduceJob::new("s", &cluster, &dfs, "r", KeySums, SumReducer)
+            .reducers(3)
+            .exec(&ExecCtx::new(&cluster).traced(&recorder), None)
+            .run()
+            .unwrap();
         prop_assert_eq!(plain.output, combined.output);
         prop_assert!(combined.stats.sim.shuffle_bytes <= plain.stats.sim.shuffle_bytes);
+        prop_assert_eq!(map_task_ranges(&recorder), ranges);
     }
 
     #[test]

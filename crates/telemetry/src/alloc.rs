@@ -47,13 +47,25 @@ pub struct TrackingAllocator;
 #[global_allocator]
 static GLOBAL: TrackingAllocator = TrackingAllocator;
 
+/// Counts an allocation of `size` bytes. The live gauge moves first and
+/// the turnover after it, released; a [`LedgerScope`] reads the turnover
+/// before the live gauge, so an allocation whose growth its live reading
+/// missed has its bytes counted in the window too. (On x86 these
+/// orderings cost nothing over relaxed ones.)
 #[inline]
 fn on_alloc(size: usize) {
     let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-    TOTAL_ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
-    ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+    count_turnover(size, live);
+}
+
+/// The turnover half of an allocation whose growth has already moved
+/// the live gauge to `live`.
+#[inline]
+fn count_turnover(size: usize, live: u64) {
+    TOTAL_ALLOCATED.fetch_add(size as u64, Ordering::Release);
+    ALLOC_COUNT.fetch_add(1, Ordering::Release);
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    REGION_PEAK.fetch_max(live, Ordering::Relaxed);
+    REGION_PEAK.fetch_max(live, Ordering::Release);
 }
 
 #[inline]
@@ -89,14 +101,13 @@ unsafe impl GlobalAlloc for TrackingAllocator {
             // A realloc retires the old block and allocates the new one;
             // only the net growth moves the live gauge, but the full new
             // size counts as turnover.
-            TOTAL_ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
-            ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
             if new_size >= layout.size() {
                 let grown = (new_size - layout.size()) as u64;
                 let live = LIVE_BYTES.fetch_add(grown, Ordering::Relaxed) + grown;
-                PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-                REGION_PEAK.fetch_max(live, Ordering::Relaxed);
+                count_turnover(new_size, live);
             } else {
+                TOTAL_ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+                ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
                 LIVE_BYTES.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
             }
         }
@@ -118,11 +129,15 @@ pub struct MemStats {
 }
 
 /// Reads the allocator's counters (relaxed loads; consistent enough for
-/// telemetry, not a synchronization point).
+/// telemetry, not a synchronization point). Another thread may have
+/// raised the live gauge and not yet the peak, so the peak read is
+/// lifted to the live size read before it: a peak below a live size the
+/// heap reached would be no peak.
 pub fn mem_stats() -> MemStats {
+    let live_bytes = LIVE_BYTES.load(Ordering::Relaxed);
     MemStats {
-        live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
-        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
+        live_bytes,
+        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed).max(live_bytes),
         total_allocated: TOTAL_ALLOCATED.load(Ordering::Relaxed),
         allocs: ALLOC_COUNT.load(Ordering::Relaxed),
     }
@@ -160,12 +175,15 @@ impl LedgerScope {
     /// Snapshots the counters and restarts the windowed peak at the
     /// current live size.
     pub fn open() -> Self {
+        // Turnover before the live gauge: see `on_alloc`.
+        let total_at_open = TOTAL_ALLOCATED.load(Ordering::Acquire);
+        let allocs_at_open = ALLOC_COUNT.load(Ordering::Acquire);
         let live = LIVE_BYTES.load(Ordering::Relaxed);
         let outer = REGION_PEAK.swap(live, Ordering::Relaxed);
         Self {
             live_at_open: live,
-            total_at_open: TOTAL_ALLOCATED.load(Ordering::Relaxed),
-            allocs_at_open: ALLOC_COUNT.load(Ordering::Relaxed),
+            total_at_open,
+            allocs_at_open,
             outer_region_peak: outer,
         }
     }
@@ -174,7 +192,8 @@ impl LedgerScope {
     /// the enclosing window (so a parent's peak is never below its
     /// children's), and returns the attribution.
     pub fn close(self) -> MemDelta {
-        let scope_peak = REGION_PEAK.load(Ordering::Relaxed).max(self.live_at_open);
+        // Acquired, so the turnover read below covers the peak read here.
+        let scope_peak = REGION_PEAK.load(Ordering::Acquire).max(self.live_at_open);
         REGION_PEAK.fetch_max(self.outer_region_peak.max(scope_peak), Ordering::Relaxed);
         MemDelta {
             peak_bytes: scope_peak,
@@ -207,6 +226,30 @@ mod tests {
         let freed = mem_stats();
         assert!(freed.total_allocated >= after.total_allocated);
         assert!(freed.peak_bytes >= after.peak_bytes);
+    }
+
+    #[test]
+    fn a_snapshot_never_shows_live_above_peak() {
+        // Another thread sets a new peak with nearly every allocation
+        // while this one takes snapshots, so snapshots land between its
+        // raising the live gauge and raising the peak.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let torn = std::thread::scope(|s| {
+            s.spawn(|| {
+                let held: Vec<Box<u64>> = (0..200_000).map(Box::new).collect();
+                done.store(true, Ordering::Relaxed);
+                drop(held);
+            });
+            let mut torn = None;
+            while !done.load(Ordering::Relaxed) {
+                let m = mem_stats();
+                if m.peak_bytes < m.live_bytes {
+                    torn.get_or_insert(m);
+                }
+            }
+            torn
+        });
+        assert_eq!(torn, None);
     }
 
     #[test]

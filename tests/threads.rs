@@ -7,6 +7,8 @@
 //! Parallelism here is an execution detail; results are pinned to the
 //! sequential semantics bit for bit.
 
+use gepeto_telemetry::json::Json;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
@@ -249,9 +251,10 @@ fn djcluster_results_are_thread_count_invariant() {
 
 #[test]
 fn djcluster_with_split_map_tasks_is_thread_count_invariant() {
-    // Large enough that the dedup job and R-tree phases 1–2 read one
-    // chunk of 4+ input splits: at --threads 2 and 4 their map tasks run
-    // on several cores, at 1 whole. The results must not move.
+    // Large enough that the dedup job, R-tree phases 1–2 and the
+    // neighbourhood job read one chunk of 4+ input splits: at --threads 2
+    // and 4 their map tasks run on several cores, at 1 whole. The results
+    // and the cluster job's shuffle bytes must not move.
     let argv = [
         "djcluster",
         "--users",
@@ -275,25 +278,63 @@ fn djcluster_with_split_map_tasks_is_thread_count_invariant() {
         );
         String::from_utf8_lossy(&out.stdout)
             .lines()
-            .filter(|l| l.starts_with("DJ-Cluster:") || l.starts_with("preprocessing:"))
-            .map(str::to_string)
+            .filter_map(|l| match l.strip_prefix("cluster job:") {
+                // The `shuffle … B` field only: the rest is timing.
+                Some(stats) => stats.rsplit(" | ").next().map(str::to_string),
+                None => (l.starts_with("DJ-Cluster:") || l.starts_with("preprocessing:"))
+                    .then(|| l.to_string()),
+            })
             .collect()
     };
     let metrics = scratch("dj-splits").with_extension("jsonl");
     let metrics_s = metrics.display().to_string();
     let one = result_lines("1", None);
-    assert_eq!(one.len(), 2, "expected result lines in stdout");
+    assert_eq!(
+        one.len(),
+        3,
+        "expected result and cluster job lines in stdout"
+    );
+    assert!(one[2].starts_with("shuffle "), "{one:?}");
     assert_eq!(one, result_lines("2", Some(&metrics_s)));
     assert_eq!(one, result_lines("4", None));
     let events = std::fs::read_to_string(&metrics).expect("metrics file");
     let _ = std::fs::remove_file(&metrics);
-    let split_tasks = events
+    // Every `task.map` span, attributed to the job whose `job` span is
+    // its nearest ancestor, with its range count.
+    let starts: HashMap<u64, Json> = events
         .lines()
-        .filter(|l| l.contains(r#""kind":"span_start","name":"task.map""#))
-        .filter(|l| !l.contains(r#""ranges":"1""#))
-        .count();
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{l}: {e:?}")))
+        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("span_start"))
+        .map(|e| (e.get("span").and_then(Json::as_u64).expect("span id"), e))
+        .collect();
+    let name = |e: &Json| e.get("name").and_then(Json::as_str).map(str::to_string);
+    let label = |e: &Json, key: &str| {
+        e.get("labels")
+            .and_then(|l| l.get(key))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    let split_tasks: Vec<String> = starts
+        .values()
+        .filter(|e| name(e).as_deref() == Some("task.map"))
+        .filter(|e| label(e, "ranges").as_deref() != Some("1"))
+        .map(|task| {
+            let mut span = task;
+            while name(span).as_deref() != Some("job") {
+                let parent = span.get("parent").and_then(Json::as_u64);
+                span = parent
+                    .and_then(|p| starts.get(&p))
+                    .expect("a job span above");
+            }
+            label(span, "job").expect("job label")
+        })
+        .collect();
     assert!(
-        split_tasks >= 3,
-        "expected the dedup and R-tree map tasks to split, {split_tasks} did"
+        split_tasks.len() >= 4,
+        "expected the dedup, R-tree and neighbourhood map tasks to split: {split_tasks:?}"
+    );
+    assert!(
+        split_tasks.iter().any(|job| job == "dj-cluster"),
+        "the dj-cluster map task ran as one range: {split_tasks:?}"
     );
 }
