@@ -274,11 +274,12 @@ fn sample_job(
 /// Emits what it computes: one `(user, Trail)` per key, time-sorted
 /// inside the (parallel) reduce task — the stable sort
 /// [`Dataset::from_traces`] would apply to the same values in the same
-/// order. A partition grouped in memory keeps its value column whole:
-/// each user's values are sorted in place and its trail is a range of
-/// the shared column ([`Trail::cut_column`]), so the partition costs no
-/// allocation per user. A group merged from spill runs is copied into a
-/// trail of its own. The driver only has to hand the trails to
+/// order. A partition grouped in memory keeps its value columns whole —
+/// for a user-major input, the map tasks' buckets themselves: each
+/// user's values are sorted in place and its trail is a range of its
+/// shared column ([`Trail::cut_column`]), so the partition costs no
+/// allocation per user and no copy. A group merged from spill runs is
+/// copied into a trail of its own. The driver only has to hand the trails to
 /// [`Dataset::from_trails`]; no per-trace pair leaves the reducer.
 #[derive(Clone)]
 pub struct RegroupReducer;
@@ -296,9 +297,10 @@ impl Reducer<UserId, MobilityTrace> for RegroupReducer {
         groups: FlatGroups<UserId, MobilityTrace>,
         out: &mut Emitter<UserId, Trail>,
     ) {
-        let (ends, column) = groups.into_parts();
-        out.reserve(ends.len());
-        Trail::cut_column(column, &ends).for_each(|trail| out.emit(trail.user, trail));
+        out.reserve(groups.len());
+        for (ends, column) in groups.into_columns() {
+            Trail::cut_column(column, &ends).for_each(|trail| out.emit(trail.user, trail));
+        }
     }
 }
 
@@ -566,21 +568,41 @@ mod tests {
         }
     }
 
+    /// Columns a by-user regroup's trails share: the map buckets (a map
+    /// task's output for one reduce partition) they were grouped in — at
+    /// most one per bucket, more than one per reduce partition — and
+    /// fewer than there are trails.
+    fn assert_trails_share_map_buckets(grouped: &Dataset, stats: &JobStats) {
+        let buckets = stats.map_tasks * stats.reduce_tasks;
+        let columns = grouped.column_count();
+        assert!(
+            (stats.reduce_tasks + 1..=buckets).contains(&columns),
+            "{columns} columns for {buckets} map buckets in {} partitions",
+            stats.reduce_tasks
+        );
+        assert!(
+            columns < grouped.num_users(),
+            "{columns} columns for {} trails",
+            grouped.num_users()
+        );
+    }
+
     #[test]
-    fn by_user_regroup_shares_one_column_per_partition() {
-        let traces: Vec<MobilityTrace> = (0..900).map(|i| tr(1 + (i % 9) as u32, i * 7)).collect();
+    fn by_user_regroup_shares_the_map_buckets_as_columns() {
+        let traces: Vec<MobilityTrace> = (0..900).map(|i| tr(1 + (i % 30) as u32, i * 7)).collect();
         let ds = Dataset::from_traces(traces);
         assert_eq!(ds.column_count(), 1);
         let cluster = Cluster::local(3, 2);
         let ctx = ExecCtx::new(&cluster);
-        let mut dfs = trace_dfs(&cluster, 4_096);
+        let mut dfs = trace_dfs(&cluster, 16_384);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
         let (grouped, stats, _) = mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
         let (map_only, _, _) = mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
         assert_eq!(grouped, map_only);
-        assert_eq!(grouped.num_users(), 9);
-        assert!((1..=stats.reduce_tasks).contains(&grouped.column_count()));
+        assert_eq!(grouped.num_users(), 30);
+        assert!(stats.map_tasks > 1);
+        assert_trails_share_map_buckets(&grouped, &stats);
         assert_eq!(map_only.column_count(), 1);
     }
 
@@ -597,10 +619,10 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&run_dir);
         let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
-        let traces: Vec<MobilityTrace> = (0..800).map(|i| tr(1 + (i % 7) as u32, i * 9)).collect();
+        let traces: Vec<MobilityTrace> = (0..800).map(|i| tr(1 + (i % 28) as u32, i * 9)).collect();
         let ds = Dataset::from_traces(traces);
         let cluster = Cluster::local(3, 2);
-        let mut dfs = trace_dfs(&cluster, 4_096);
+        let mut dfs = trace_dfs(&cluster, 16_384);
         put_dataset(&mut dfs, "d", &ds).unwrap();
         let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
         let ctx = ExecCtx {
@@ -614,11 +636,11 @@ mod tests {
         assert_eq!(partitions, stats.reduce_tasks as u64);
 
         // What `resume` does: every partition comes back from its artifact.
-        // The fresh trails are ranges of one column per reduce partition,
-        // the replayed ones decode into a vector each; equal by content.
+        // The fresh trails are ranges of the map buckets they were grouped
+        // in, the replayed ones decode into a vector each; equal by content.
+        assert_trails_share_map_buckets(&first, &stats);
         let (replayed, stats, _) = run();
         assert_eq!(stats.counter(builtin::JOURNAL_REPLAYED), partitions);
-        assert!(first.column_count() <= stats.reduce_tasks);
         assert_eq!(replayed.column_count(), replayed.num_users());
         assert_eq!(replayed, first);
 

@@ -215,17 +215,18 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
 
     /// Reduces one key group. `values` holds all of the key's values in
     /// map-task emission order. For a partition grouped in memory it is a
-    /// slice of the partition's value column, handed over by the default
-    /// [`Self::reduce_partition`]; a partition merged from spill runs
-    /// hands over one buffer per group, always through this method.
+    /// slice of one of the partition's value columns, handed over by the
+    /// default [`Self::reduce_partition`]; a partition merged from spill
+    /// runs hands over one buffer per group, always through this method.
     fn reduce(&mut self, key: &K2, values: &[V2], out: &mut Emitter<Self::KOut, Self::VOut>);
 
-    /// Reduces a partition grouped in memory: its key groups as one value
-    /// column plus bounds ([`FlatGroups`]), in the order `reduce` would
-    /// see them. The default calls [`Self::reduce`] once per group, in
-    /// order. A reducer that keeps its values overrides it to take the
-    /// column whole instead of copying slices out of it; it must emit
-    /// what the per-group calls would.
+    /// Reduces a partition grouped in memory: its key groups as value
+    /// columns plus bounds, each group inside one column ([`FlatGroups`]),
+    /// in the order `reduce` would see them. The default calls
+    /// [`Self::reduce`] once per group, in order. A reducer that keeps its
+    /// values overrides it to take the columns whole
+    /// ([`FlatGroups::into_columns`]) instead of copying slices out of
+    /// them; it must emit what the per-group calls would.
     fn reduce_partition(
         &mut self,
         groups: FlatGroups<K2, V2>,

@@ -539,42 +539,42 @@ where
                 let mut out = Emitter::new();
                 match payload {
                     PartitionInput::Memory(buckets) => {
-                        // The shuffle's copy step, on the pool: this task
-                        // moves its partition's map-task buckets into one
-                        // exactly-sized value column itself. A column is
-                        // allocated whole while the buckets it empties
-                        // are still held, so tasks take turns: the heap
-                        // holds one partition twice, never two.
-                        let copied = {
-                            let _turn = copy_turn.lock().unwrap();
-                            if R::SORTED_INPUT {
-                                // Sort-based grouping: buckets already in
-                                // key order end to end go straight into
-                                // the column; otherwise their
-                                // concatenation comes back as pairs.
-                                FlatGroups::sorted_runs(buckets)
-                            } else {
-                                // The reducer declared order-insensitive
-                                // input: group by hash in first-encounter
-                                // order and skip the partition sort.
-                                // Value order within a group is the same
-                                // as on the sorted path (both scan the
-                                // same concatenation, and the stable sort
-                                // preserves the relative order of equal
-                                // keys).
-                                counters.inc(builtin::SORT_SKIPPED, 1);
-                                Ok(FlatGroups::unsorted(buckets))
-                            }
+                        // Grouping, on the pool. Buckets in key order end
+                        // to end (a by-user regroup of a user-major input)
+                        // are the reduce columns as they are. The two
+                        // other paths allocate a buffer the size of the
+                        // partition while the buckets it empties are
+                        // still held, so they take turns: the heap holds
+                        // one partition twice, never two.
+                        let groups = if R::SORTED_INPUT {
+                            FlatGroups::sorted_runs(buckets).unwrap_or_else(|buckets| {
+                                // The sort fallback: a stable sort of the
+                                // concatenation keeps the map-task
+                                // emission order within a key.
+                                let pairs = {
+                                    let _turn = copy_turn
+                                        .lock()
+                                        .expect("no reduce task panics at its turn");
+                                    let mut pairs = concat_pairs(buckets);
+                                    let _sort_span = task_span.child("phase.sort", &[]);
+                                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                                    pairs
+                                };
+                                FlatGroups::sorted(pairs)
+                            })
+                        } else {
+                            // The reducer declared order-insensitive
+                            // input: group by hash in first-encounter
+                            // order and skip the partition sort. Value
+                            // order within a group is the same as on the
+                            // sorted path (both scan the same
+                            // concatenation, and the stable sort
+                            // preserves the relative order of equal keys).
+                            counters.inc(builtin::SORT_SKIPPED, 1);
+                            let _turn =
+                                copy_turn.lock().expect("no reduce task panics at its turn");
+                            FlatGroups::unsorted(buckets)
                         };
-                        // A stable sort keeps the map-task emission order
-                        // within a key.
-                        let groups = copied.unwrap_or_else(|mut pairs| {
-                            {
-                                let _sort_span = task_span.child("phase.sort", &[]);
-                                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                            }
-                            FlatGroups::sorted(pairs)
-                        });
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups.len() as u64);
                         reducer.reduce_partition(groups, &mut out);
                     }
@@ -656,10 +656,12 @@ where
             });
 
         reduce_span.end();
-        let mut output = Vec::new();
-        let mut reduce_sim = Vec::new();
+        let reduce_results = reduce_results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Sized exactly: the job's output is often collected in place
+        // downstream, where spare capacity would stay alive.
+        let mut output = Vec::with_capacity(reduce_results.iter().map(|r| r.output.len()).sum());
+        let mut reduce_sim = Vec::with_capacity(reduce_results.len());
         for (task_id, r) in reduce_results.into_iter().enumerate() {
-            let r = r?;
             reduce_sim.push(ReduceTaskSim {
                 host_secs: r.host_secs,
                 shuffle_bytes: partition_bytes[task_id],
@@ -972,8 +974,8 @@ where
         num_reducers
     };
     // Routing map outputs to reduce partitions. Without a budget this
-    // only hands bucket ownership over (the copy runs inside the reduce
-    // tasks); with one it is the memory-bounded copy step.
+    // only hands bucket ownership over (the reduce tasks group them);
+    // with one it is the memory-bounded copy step.
     let _shuffle_span = (num_reducers > 0).then(|| job_span.child("phase.shuffle", &[]));
     // One result per task: its ranges' buckets, per partition in range
     // order, and its busy time summed over them.
@@ -1091,8 +1093,7 @@ where
         partitions
     } else {
         // No copy here: each partition is handed its map tasks' buckets
-        // in task and range order, and its reduce task moves them into
-        // its column.
+        // in task and range order, and its reduce task groups them.
         let mut partitions: Vec<Vec<_>> = (0..num_partitions)
             .map(|_| Vec::with_capacity(ok_results.len()))
             .collect();
@@ -1308,10 +1309,12 @@ fn plan_splits<V1: MrValue, M: Mapper<V1>>(
 
 /// Pairs stored as runs of one key: each run's key with the index one
 /// past its last value, beside one column of all the values — the shape
-/// of [`FlatGroups`], whose runs are its groups. A map task keeps each
-/// input split's output for a reduce partition this way, so a key that
-/// adjacent pairs share (a user's traces) is stored once per run instead
-/// of once per pair. A run never mixes keys; adjacent runs may share one.
+/// of a [`FlatGroups`] column, whose runs are its groups. A map task
+/// keeps each input split's output for a reduce partition this way, so a
+/// key that adjacent pairs share (a user's traces) is stored once per run
+/// instead of once per pair, and a bucket whose keys arrive in order
+/// becomes a reduce column without being copied. A run never mixes keys;
+/// adjacent runs may share one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyRuns<K, V> {
     runs: Vec<(K, usize)>,
@@ -1415,24 +1418,27 @@ pub(crate) fn concat_pairs<K: MrKey, V>(buckets: Vec<KeyRuns<K, V>>) -> Vec<(K, 
     pairs
 }
 
-/// One reduce partition grouped *flat*: every value in a single column,
-/// plus one `(key, end)` bound per group, so a group is a slice of the
-/// column and grouping allocates twice per partition instead of once per
-/// key. Groups follow in key order with the values of a key in map-task
-/// order ([`FlatGroups::sorted_runs`], [`FlatGroups::sorted`]) or, for
-/// reducers with [`Reducer::SORTED_INPUT`]` = false`, in first-encounter
-/// order ([`FlatGroups::unsorted`]). [`MapReduceJob::run`] groups every
-/// in-memory partition into this shape — the map tasks' [`KeyRuns`] with
-/// each key in one run — and hands it to [`Reducer::reduce_partition`],
-/// which may keep the column whole ([`FlatGroups::into_parts`]).
+/// One reduce partition grouped *flat*: its values in a few columns, each
+/// with one `(key, end)` bound per group, so a group is a slice of one
+/// column and grouping allocates nothing per key. Groups follow in key
+/// order with the values of a key in map-task order
+/// ([`FlatGroups::sorted_runs`], [`FlatGroups::sorted`]) or, for reducers
+/// with [`Reducer::SORTED_INPUT`]` = false`, in first-encounter order
+/// ([`FlatGroups::unsorted`]). [`MapReduceJob::run`] groups every
+/// in-memory partition into this shape — when its map tasks' [`KeyRuns`]
+/// are in key order end to end, those buckets *are* the columns — and
+/// hands it to [`Reducer::reduce_partition`], which may keep the columns
+/// whole ([`FlatGroups::into_columns`]).
 #[derive(Debug)]
 pub struct FlatGroups<K, V> {
-    groups: KeyRuns<K, V>,
+    /// Non-empty columns whose runs are the groups: no key has two runs.
+    columns: Vec<KeyRuns<K, V>>,
 }
 
 impl<K: MrKey, V> FlatGroups<K, V> {
-    /// Groups a key-sorted pair vector, moving the values. Same groups, in
-    /// the same order with the same value order, as [`group_sorted`].
+    /// Groups a key-sorted pair vector into one column, moving the values.
+    /// Same groups, in the same order with the same value order, as
+    /// [`group_sorted`].
     ///
     /// # Panics
     /// If the pairs are not key-sorted.
@@ -1441,50 +1447,64 @@ impl<K: MrKey, V> FlatGroups<K, V> {
     }
 
     /// [`FlatGroups::sorted`] of the buckets' concatenation, without
-    /// expanding it: when the run keys are in order end to end, the values
-    /// are moved straight into the column and runs of one key merge into
-    /// its group. Otherwise the concatenation is expanded to pairs and
-    /// handed back, for the caller to sort.
-    pub fn sorted_runs(mut buckets: Vec<KeyRuns<K, V>>) -> Result<Self, Vec<(K, V)>> {
-        // One pass over the run keys: are they in order, into how many
-        // groups?
-        let groups = buckets
+    /// copying it: when the run keys are in order end to end, every
+    /// non-empty bucket becomes a column as it is — adjacent runs of one
+    /// key merge by their bounds, and a key continuing from the previous
+    /// bucket moves only its own values onto that column. Otherwise the
+    /// buckets are handed back untouched, for the caller to concatenate
+    /// and sort.
+    pub fn sorted_runs(buckets: Vec<KeyRuns<K, V>>) -> Result<Self, Vec<KeyRuns<K, V>>> {
+        let in_order = buckets
             .iter()
             .flat_map(|b| b.runs.iter().map(|(k, _)| k))
-            .try_fold((None, 0), |(prev, groups), k| match prev {
-                Some(p) if p > k => None,
-                Some(p) if p == k => Some((Some(k), groups)),
-                _ => Some((Some(k), groups + 1)),
-            })
-            .map(|(_, groups)| groups);
-        let Some(groups) = groups else {
-            return Err(concat_pairs(buckets));
-        };
-        if buckets.len() == 1 && buckets[0].runs.len() == groups {
-            // One bucket whose runs are already the groups.
-            let groups = buckets.pop().expect("one bucket");
-            return Ok(Self { groups });
+            .is_sorted();
+        if !in_order {
+            return Err(buckets);
         }
-        let mut runs: Vec<(K, usize)> = Vec::with_capacity(groups);
-        let mut values = Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum());
-        for bucket in buckets {
-            let base = values.len();
-            values.extend(bucket.values);
-            for (k, end) in bucket.runs {
-                match runs.last_mut() {
-                    Some((gk, group_end)) if *gk == k => *group_end = base + end,
-                    _ => runs.push((k, base + end)),
+        let mut columns: Vec<KeyRuns<K, V>> = Vec::with_capacity(buckets.len());
+        // Values of the last column's last key that later buckets carry,
+        // appended in one reservation once the column is complete.
+        let mut carried: Vec<Vec<V>> = Vec::new();
+        for mut bucket in buckets {
+            if let Some(column) = columns.last() {
+                let (last_key, _) = column.runs.last().expect("a column is not empty");
+                let runs = bucket
+                    .runs
+                    .iter()
+                    .take_while(|(k, _)| k == last_key)
+                    .count();
+                if runs > 0 {
+                    let moved = bucket.runs[runs - 1].1;
+                    carried.push(if moved == bucket.values.len() {
+                        std::mem::take(&mut bucket.values)
+                    } else {
+                        bucket.values.drain(..moved).collect()
+                    });
+                    bucket.runs.drain(..runs);
+                    for (_, end) in &mut bucket.runs {
+                        *end -= moved;
+                    }
                 }
             }
+            bucket.runs.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 = later.1;
+                }
+                same
+            });
+            if !bucket.is_empty() {
+                append_to_last_group(columns.last_mut(), &mut carried);
+                columns.push(bucket);
+            }
         }
-        Ok(Self {
-            groups: KeyRuns { runs, values },
-        })
+        append_to_last_group(columns.last_mut(), &mut carried);
+        Ok(Self { columns })
     }
 
-    /// Groups the buckets' concatenation in first-encounter key order,
-    /// moving the values: one hash lookup per run, not per pair. Same
-    /// groups, in the same order with the same value order, as
+    /// Groups the buckets' concatenation in first-encounter key order into
+    /// one column, moving the values: one hash lookup per run, not per
+    /// pair. Same groups, in the same order with the same value order, as
     /// [`group_unsorted`] of the expanded pairs.
     pub fn unsorted(buckets: Vec<KeyRuns<K, V>>) -> Self {
         let len = buckets.iter().map(KeyRuns::len).sum();
@@ -1533,35 +1553,51 @@ impl<K: MrKey, V> FlatGroups<K, V> {
                 dest.swap(i, j);
             }
         }
-        Self {
-            groups: KeyRuns {
-                runs: bounds,
-                values,
-            },
-        }
+        let mut columns = vec![KeyRuns {
+            runs: bounds,
+            values,
+        }];
+        columns.retain(|c| !c.is_empty());
+        Self { columns }
     }
 
     /// Number of groups.
     pub fn len(&self) -> usize {
-        self.groups.runs.len()
+        self.columns.iter().map(|c| c.runs.len()).sum()
     }
 
     /// Whether there is no group.
     pub fn is_empty(&self) -> bool {
-        self.groups.runs.is_empty()
+        self.columns.is_empty()
     }
 
-    /// The groups in order, each as its key and its slice of the column.
+    /// The groups in order, each as its key and its slice of its column.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> {
-        self.groups.iter()
+        self.columns.iter().flat_map(KeyRuns::iter)
     }
 
-    /// Takes the groups apart without copying: each group's key with the
-    /// index one past its last value, and the value column — group `i` is
-    /// `column[bounds[i - 1].1 .. bounds[i].1]`, from 0 for the first.
-    pub fn into_parts(self) -> (Vec<(K, usize)>, Vec<V>) {
-        (self.groups.runs, self.groups.values)
+    /// Takes the groups apart without copying, one column at a time: each
+    /// group's key with the index one past its last value, and the value
+    /// column — group `i` of a column is `column[bounds[i - 1].1 ..
+    /// bounds[i].1]`, from 0 for the first. Every column holds at least
+    /// one group, and no group spans two columns.
+    pub fn into_columns(self) -> impl Iterator<Item = (Vec<(K, usize)>, Vec<V>)> {
+        self.columns.into_iter().map(|c| (c.runs, c.values))
     }
+}
+
+/// Moves `carried` onto the end of `column`'s last group, reserving once.
+fn append_to_last_group<K, V>(column: Option<&mut KeyRuns<K, V>>, carried: &mut Vec<Vec<V>>) {
+    let Some(column) = column.filter(|_| !carried.is_empty()) else {
+        return;
+    };
+    column
+        .values
+        .reserve_exact(carried.iter().map(Vec::len).sum());
+    for values in carried.drain(..) {
+        column.values.extend(values);
+    }
+    column.runs.last_mut().expect("a column is not empty").1 = column.values.len();
 }
 
 /// Groups a key-sorted pair vector into `(key, values)` runs, *moving*

@@ -1,5 +1,7 @@
 //! The heap a map phase holds is sized by what its mappers emit, not by
-//! what they read, and not by how many tasks partition at once.
+//! what they read, and not by how many tasks partition at once; a reduce
+//! phase whose buckets arrive in key order allocates no copy of them, and
+//! at most one of a key that spans them all.
 //!
 //! The allocator's ledger is process-global, so the tests of this binary
 //! take turns: each holds `LEDGER` while its window is open, and no other
@@ -8,7 +10,7 @@
 use gepeto_mapred::{
     Cluster, Dfs, Emitter, ExecCtx, FnMapper, MapOnlyJob, MapReduceJob, Mapper, Reducer,
 };
-use gepeto_telemetry::{mem_stats, EventKind, LedgerScope, Recorder};
+use gepeto_telemetry::{mem_stats, Event, EventKind, LedgerScope, Recorder};
 use std::sync::Mutex;
 
 static LEDGER: Mutex<()> = Mutex::new(());
@@ -106,28 +108,150 @@ fn a_keyed_map_phase_peaks_at_what_it_hands_the_shuffle() {
     assert_eq!(result.output.len(), (200_000 / TRACES_PER_USER) as usize);
 
     // The map phase's own peak, and what it still held when it ended: the
-    // buckets it hands the shuffle (the live heap is sampled right after
-    // the phase's span closes).
+    // buckets it hands the shuffle.
     let events = recorder.events();
-    let end = events
-        .iter()
-        .position(|e| e.kind == EventKind::SpanEnd && e.name == "phase.map")
-        .expect("a map phase");
-    let peak_delta: u64 = events[end]
-        .label("mem.peak_delta")
-        .expect("a traced span carries its ledger")
-        .parse()
-        .unwrap();
-    let live_after = events[end..]
-        .iter()
-        .find(|e| e.kind == EventKind::Count && e.name == "mem.live_bytes")
-        .and_then(|e| e.value)
-        .expect("a phase samples the live heap") as u64;
-    let bucket_bytes = live_after - live_at_start;
+    let peak_delta = span_ledger(&events, "phase.map", "mem.peak_delta");
+    let bucket_bytes = map_output_bytes(&events, live_at_start);
     assert!(
         peak_delta as f64 <= 1.15 * bucket_bytes as f64,
         "map phase peaked {peak_delta} B above its start for {bucket_bytes} B of buckets \
          ({:.2} x)",
         peak_delta as f64 / bucket_bytes as f64
     );
+}
+
+/// Adds up a partition's values: one pair out per reduce task, so what
+/// the reduce phase allocates is its grouping.
+#[derive(Clone)]
+struct CountAll(usize);
+
+impl Reducer<u32, [u64; 4]> for CountAll {
+    type KOut = u32;
+    type VOut = usize;
+
+    fn reduce(&mut self, _key: &u32, values: &[[u64; 4]], _out: &mut Emitter<u32, usize>) {
+        self.0 += values.len();
+    }
+
+    fn cleanup(&mut self, out: &mut Emitter<u32, usize>) {
+        out.emit(0, self.0);
+    }
+}
+
+#[test]
+fn an_in_order_reduce_phase_groups_its_buckets_without_copying_them() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    two_executors();
+    // A user-major input: every partition's buckets are in key order end
+    // to end, users cross the chunk seams, and each partition is fed by
+    // several buckets.
+    let records: Vec<u64> = (8..200_008).collect();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = Dfs::new(cluster.topology.clone(), 50_000 * 8, 2);
+    dfs.put_fixed("r", records, 8).unwrap();
+    assert_eq!(dfs.num_blocks("r").unwrap(), 4);
+
+    let recorder = Recorder::enabled();
+    let live_at_start = mem_stats().live_bytes;
+    let result = MapReduceJob::new("by-user", &cluster, &dfs, "r", ByUser, CountAll(0))
+        .reducers(3)
+        .exec(&ExecCtx::new(&cluster).traced(&recorder), None)
+        .run()
+        .unwrap();
+    let counted: usize = result.output.iter().map(|&(_, n)| n).sum();
+    assert_eq!(counted, 200_000);
+
+    let events = recorder.events();
+    let bucket_bytes = map_output_bytes(&events, live_at_start);
+    let allocated = span_ledger(&events, "phase.reduce", "mem.allocated");
+    assert!(
+        (allocated as f64) < 0.05 * bucket_bytes as f64,
+        "reduce phase allocated {allocated} B for {bucket_bytes} B of buckets ({:.2} x)",
+        allocated as f64 / bucket_bytes as f64
+    );
+}
+
+/// Every record under one key, cut anywhere: one partition fed by dozens
+/// of buckets, each continuing the key of the one before.
+#[derive(Clone)]
+struct OneKey;
+
+impl Mapper<u64> for OneKey {
+    type KOut = u32;
+    type VOut = [u64; 4];
+
+    fn map(&mut self, _offset: u64, v: &u64, out: &mut Emitter<u32, [u64; 4]>) {
+        out.emit(0, [*v; 4]);
+    }
+
+    fn splits_between(&self, _prev: &u64, _next: &u64) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_key_across_every_bucket_is_gathered_in_one_copy() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    two_executors();
+    let records: Vec<u64> = (0..200_000).collect();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = Dfs::new(cluster.topology.clone(), 50_000 * 8, 2);
+    dfs.put_fixed("r", records, 8).unwrap();
+
+    let recorder = Recorder::enabled();
+    let live_at_start = mem_stats().live_bytes;
+    let result = MapReduceJob::new("one-key", &cluster, &dfs, "r", OneKey, CountAll(0))
+        .reducers(1)
+        .exec(&ExecCtx::new(&cluster).traced(&recorder), None)
+        .run()
+        .unwrap();
+    assert_eq!(result.output, vec![(0, 200_000)]);
+
+    let events = recorder.events();
+    let ranges: usize = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanStart && e.name == "task.map")
+        .map(|e| {
+            e.label("ranges")
+                .expect("a map task's ranges")
+                .parse::<usize>()
+                .unwrap()
+        })
+        .sum();
+    assert!(ranges > 40, "{ranges} buckets");
+    let bucket_bytes = map_output_bytes(&events, live_at_start);
+    let allocated = span_ledger(&events, "phase.reduce", "mem.allocated");
+    assert!(
+        (allocated as f64) < 1.1 * bucket_bytes as f64,
+        "reduce phase allocated {allocated} B for {bucket_bytes} B of buckets ({:.2} x)",
+        allocated as f64 / bucket_bytes as f64
+    );
+}
+
+/// The ledger label `key` of the first span `name` to end.
+fn span_ledger(events: &[Event], name: &str, key: &str) -> u64 {
+    events
+        .iter()
+        .find(|e| e.kind == EventKind::SpanEnd && e.name == name)
+        .unwrap_or_else(|| panic!("a {name} span"))
+        .label(key)
+        .expect("a traced span carries its ledger")
+        .parse()
+        .unwrap()
+}
+
+/// What the map phase still held when it ended, above `live_at_start`:
+/// the buckets it hands the shuffle (the live heap is sampled right after
+/// the phase's span closes).
+fn map_output_bytes(events: &[Event], live_at_start: u64) -> u64 {
+    let end = events
+        .iter()
+        .position(|e| e.kind == EventKind::SpanEnd && e.name == "phase.map")
+        .expect("a map phase");
+    let live_after = events[end..]
+        .iter()
+        .find(|e| e.kind == EventKind::Count && e.name == "mem.live_bytes")
+        .and_then(|e| e.value)
+        .expect("a phase samples the live heap") as u64;
+    live_after - live_at_start
 }

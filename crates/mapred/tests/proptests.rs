@@ -7,7 +7,7 @@ use gepeto_mapred::counters::builtin;
 use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
     group_sorted, group_unsorted, map_records, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx,
-    FlatGroups, FnMapper, JobStats, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec,
+    FlatGroups, FnMapper, JobStats, KeyRuns, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec,
     Topology,
 };
 use gepeto_telemetry::{EventKind, Recorder};
@@ -47,6 +47,24 @@ impl Reducer<u64, u64> for RecordSorted {
     }
 }
 
+/// [`RecordSorted`] that takes an in-memory partition apart column by
+/// column ([`column_groups`]): a group split across two columns would be
+/// emitted twice.
+#[derive(Clone)]
+struct RecordColumns;
+impl Reducer<u64, u64> for RecordColumns {
+    type KOut = u64;
+    type VOut = Vec<u64>;
+    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
+        out.emit(*key, values.to_vec());
+    }
+    fn reduce_partition(&mut self, groups: FlatGroups<u64, u64>, out: &mut Emitter<u64, Vec<u64>>) {
+        for (key, values) in column_groups(groups).into_iter().flatten() {
+            out.emit(key, values);
+        }
+    }
+}
+
 /// [`RecordSorted`] for the sort-skipping path.
 #[derive(Clone)]
 struct RecordUnsorted;
@@ -75,6 +93,27 @@ fn keyed(draws: &[u64], key_space: u64) -> Vec<(u64, u64)> {
 
 fn flat_to_nested(groups: &FlatGroups<u64, u64>) -> Vec<(u64, Vec<u64>)> {
     groups.iter().map(|(k, vs)| (*k, vs.to_vec())).collect()
+}
+
+/// The groups of each column, taken apart by [`FlatGroups::into_columns`]:
+/// a group split across two columns shows as its key twice, and every
+/// column holds at least one group.
+fn column_groups(groups: FlatGroups<u64, u64>) -> Vec<Vec<(u64, Vec<u64>)>> {
+    groups
+        .into_columns()
+        .map(|(ends, column)| {
+            assert!(!ends.is_empty(), "an empty column");
+            assert_eq!(ends.last().map(|&(_, end)| end), Some(column.len()));
+            let mut start = 0;
+            ends.into_iter()
+                .map(|(key, end)| {
+                    let values = column[start..end].to_vec();
+                    start = end;
+                    (key, values)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Run-length encodes the input's `v / 1_000` groups: emits `(group,
@@ -248,9 +287,10 @@ proptest! {
     }
 
     /// Buckets in key order end to end are grouped in place as the sorted
-    /// grouping of their concatenation; any other concatenation is handed
-    /// back unchanged, and its stable sort groups the same way — equal
-    /// keys keep bucket order. Buckets are cut from one arrival sequence at
+    /// grouping of their concatenation, each non-empty bucket a column;
+    /// any other buckets are handed back unchanged, and the stable sort of
+    /// their concatenation groups the same way — equal keys keep bucket
+    /// order. Buckets are cut from one arrival sequence at
     /// arbitrary points, so empty buckets, a single bucket, buckets out of
     /// order after any number of moved groups, and (`key_space` 1) a single
     /// key all occur; `presorted` sorts the sequence first, for buckets in
@@ -266,26 +306,31 @@ proptest! {
         if presorted == 1 {
             pairs.sort_by_key(|&(k, _)| k);
         }
-        let mut runs = Vec::new();
+        let mut runs: Vec<KeyRuns<u64, u64>> = Vec::new();
         let mut rest = pairs.as_slice();
         for &cut in cuts.iter().chain([&usize::MAX]) {
             let (run, tail) = rest.split_at(cut.min(rest.len()));
             runs.push(run.to_vec().into());
             rest = tail;
         }
-        let grouped = FlatGroups::sorted_runs(runs);
-        prop_assert_eq!(grouped.is_ok(), pairs.is_sorted_by_key(|&(k, _)| k));
-        let groups = match grouped {
-            Ok(groups) => groups,
-            Err(mut concatenation) => {
-                prop_assert_eq!(&concatenation, &pairs);
-                concatenation.sort_by_key(|&(k, _)| k);
-                FlatGroups::sorted(concatenation)
-            }
-        };
-        let mut by_key = pairs;
+        let non_empty = runs.iter().filter(|b| !b.is_empty()).count();
+        let mut by_key = pairs.clone();
         by_key.sort_by_key(|&(k, _)| k);
-        prop_assert_eq!(flat_to_nested(&groups), group_sorted(by_key));
+        let want = group_sorted(by_key.clone());
+        match FlatGroups::sorted_runs(runs.clone()) {
+            Ok(groups) => {
+                prop_assert!(pairs.is_sorted_by_key(|&(k, _)| k));
+                prop_assert_eq!(flat_to_nested(&groups), want.clone());
+                let columns = column_groups(groups);
+                prop_assert!(columns.len() <= non_empty);
+                prop_assert_eq!(columns.concat(), want);
+            }
+            Err(buckets) => {
+                prop_assert!(!pairs.is_sorted_by_key(|&(k, _)| k));
+                prop_assert_eq!(&buckets, &runs);
+                prop_assert_eq!(flat_to_nested(&FlatGroups::sorted(by_key)), want);
+            }
+        }
     }
 
     /// A budget anywhere between "everything spills" and "nothing does"
@@ -474,7 +519,14 @@ proptest! {
     /// `group_unsorted` for a `SORTED_INPUT = false` reducer; a map-only
     /// job outputs the pairs themselves. Runs of one key are up to 700
     /// long and chunks up to 9 000 records, so chunks split into ranges
-    /// and a key's run can span a cut, a range or a chunk.
+    /// and a key's run can span a cut, a range or a chunk. A reducer that
+    /// takes its partition apart by column sees every group whole.
+    ///
+    /// The same pairs in key order, cut into buckets at `seams` (so a key
+    /// spans one bucket or several, and a repeated seam leaves a bucket
+    /// empty) with a bucket's run of one key broken in two at each of
+    /// `breaks`, group in place as `group_sorted` of their concatenation:
+    /// at most one column per non-empty bucket, every group in one.
     #[test]
     fn key_run_buckets_group_as_the_per_pair_references(
         draws in prop::collection::vec((0u64..9, 1usize..700), 0..24),
@@ -482,6 +534,8 @@ proptest! {
         reducers in 1usize..4,
         budget in 1usize..200_000,
         presorted in 0u64..2,
+        seams in prop::collection::vec(0.0f64..1.0, 0..6),
+        breaks in prop::collection::vec(0.0f64..1.0, 0..6),
     ) {
         let mut records: Vec<(u64, u64)> = draws
             .iter()
@@ -511,6 +565,11 @@ proptest! {
             .run()
             .unwrap();
         prop_assert_eq!(&sorted.output, &sorted_groups);
+        let columns = MapReduceJob::new("c", &cluster, &dfs, "r", KeyedRecords, RecordColumns)
+            .reducers(reducers)
+            .run()
+            .unwrap();
+        prop_assert_eq!(&columns.output, &sorted_groups);
         let spilled = MapReduceJob::new("s", &cluster, &dfs, "r", KeyedRecords, RecordSorted)
             .reducers(reducers)
             .codecs(SpillCodec::of(), SpillCodec::of())
@@ -525,6 +584,36 @@ proptest! {
         prop_assert_eq!(&unsorted.output, &unsorted_groups);
         let map_only = MapOnlyJob::new("m", &cluster, &dfs, "r", KeyedRecords).run().unwrap();
         prop_assert_eq!(&map_only.output, &records);
+
+        let mut in_order = records;
+        in_order.sort_by_key(|&(k, _)| k);
+        let at = |f: f64| (f * in_order.len() as f64) as usize;
+        let mut seams: Vec<usize> = seams.into_iter().map(at).collect();
+        seams.sort_unstable();
+        let breaks: Vec<usize> = breaks.into_iter().map(at).collect();
+        let mut buckets = Vec::new();
+        let mut start = 0;
+        for end in seams.into_iter().chain([in_order.len()]) {
+            // A sentinel pair at each break, dropped with its own part,
+            // leaves two adjacent runs of one key in the kept part.
+            let mut pairs = Vec::new();
+            for (i, &pair) in in_order.iter().enumerate().take(end).skip(start) {
+                if breaks.contains(&i) {
+                    pairs.push((u64::MAX, 0));
+                }
+                pairs.push(pair);
+            }
+            let parts = KeyRuns::partitioned(pairs, 2, |&k| usize::from(k == u64::MAX));
+            buckets.push(parts.into_iter().next().expect("two parts"));
+            start = end;
+        }
+        let non_empty = buckets.iter().filter(|b| !b.is_empty()).count();
+        let want = group_sorted(in_order);
+        let groups = FlatGroups::sorted_runs(buckets).expect("buckets in key order");
+        prop_assert_eq!(groups.len(), want.len());
+        let columns = column_groups(groups);
+        prop_assert!(columns.len() <= non_empty);
+        prop_assert_eq!(columns.concat(), want);
     }
 }
 

@@ -377,8 +377,10 @@ impl Dataset {
     }
 
     /// Distinct buffers holding the traces: one per shared column, one per
-    /// non-empty owned trail. For tests that pin how many allocations a
-    /// builder leaves behind.
+    /// non-empty owned trail — one for [`Dataset::from_traces`], one per
+    /// map bucket the trails were grouped in for an in-memory by-user
+    /// regroup. For tests that pin how many allocations a builder leaves
+    /// behind.
     #[doc(hidden)]
     pub fn column_count(&self) -> usize {
         let mut buffers: Vec<*const MobilityTrace> = self

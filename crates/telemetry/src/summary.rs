@@ -278,7 +278,8 @@ impl SummaryReport {
         } else if accounted > 0 {
             let _ = writeln!(
                 out,
-                "memory: unbudgeted, accounted peak {}",
+                "memory: unbudgeted, accounted peak {} (shuffle buffers only; \
+                 heap: counts the whole process)",
                 fmt_bytes(accounted)
             );
         }

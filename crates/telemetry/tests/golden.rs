@@ -321,7 +321,8 @@ distance evals: 123456
     let unbudgeted = [(MEM_ACCOUNTED_PEAK.to_owned(), 50_000_000)];
     assert_eq!(
         SummaryReport::from_events(&[], &unbudgeted).render(),
-        "== run summary ==\nretries: 0\nmemory: unbudgeted, accounted peak 50.0 MB\n"
+        "== run summary ==\nretries: 0\nmemory: unbudgeted, accounted peak 50.0 MB \
+         (shuffle buffers only; heap: counts the whole process)\n"
     );
     assert_eq!(
         SummaryReport::from_events(&[], &[]).render(),

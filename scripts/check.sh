@@ -120,6 +120,16 @@ cmp target/bench-smoke/synth-t1/OUTPUT target/bench-smoke/synth-t2/OUTPUT
 split_tasks=$(grep '"kind":"span_start","name":"task.map"' target/bench-smoke/synth-t2.jsonl \
     | grep -cv '"ranges":"1"' || true)
 test "$split_tasks" -gt 0
+# Buckets in key order are the reduce columns: a non-durable by-user
+# run's reduce phase allocates under a quarter of the bytes it shuffles
+# (copying its partitions into new columns allocated over half).
+./target/release/gepeto "${SYNTH_FLAGS[@]}" --threads 2 \
+    --metrics-out target/bench-smoke/synth-mem.jsonl > target/bench-smoke/synth-mem.txt
+shuffled=$(sed -nE 's/^job: .*\| shuffle ([0-9]+) B$/\1/p' target/bench-smoke/synth-mem.txt)
+reduce_allocated=$(grep '"kind":"span_end","name":"phase.reduce"' target/bench-smoke/synth-mem.jsonl \
+    | sed -nE 's/.*"mem\.allocated":"([0-9]+)".*/\1/p')
+echo "by-user reduce phase: allocated $reduce_allocated B for $shuffled B shuffled"
+test "$reduce_allocated" -lt $((shuffled / 4))
 
 echo "== kernel bench smoke: every micro-bench body runs once =="
 # Smoke mode (no --bench flag): each benchmark body executes exactly
