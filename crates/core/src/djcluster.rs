@@ -600,17 +600,14 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
 /// off their varint payloads; there are a few thousand of them where
 /// there used to be one per dense trace, which is why this "centralized
 /// entity" of the paper is no longer the job's critical path. There
-/// being a single key, the reducer opts out of the shuffle sort.
+/// being a single key, the map buckets are in key order end to end and
+/// the engine groups them without a sort.
 #[derive(Clone)]
 pub struct MergeReducer;
 
 impl Reducer<u8, EncodedNeighborhood> for MergeReducer {
     type KOut = u32;
     type VOut = Vec<u64>;
-
-    /// Every pair lands in the one `key = 0` group and the output is
-    /// ordered by the union-find, so sorted shuffle input buys nothing.
-    const SORTED_INPUT: bool = false;
 
     fn reduce(
         &mut self,
@@ -1214,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn clustering_shuffle_is_compressed_and_sort_skipped() {
+    fn clustering_shuffle_is_compressed() {
         let ds = dwell_trip_dwell();
         let cfg = DjConfig::default();
         let cluster = Cluster::local(3, 2);
@@ -1244,8 +1241,6 @@ mod tests {
             saved >= 2 * shuffled,
             "saved {saved} vs shuffled {shuffled}"
         );
-        // The single-key merge reducer skips the shuffle sort.
-        assert_eq!(job.counters[builtin::SORT_SKIPPED], 1);
     }
 
     #[test]

@@ -400,18 +400,14 @@ impl Mapper<MobilityTrace> for KMeansMapper {
 }
 
 /// Algorithm 2: the update reducer — averages a cluster's points into the
-/// new centroid.
-///
-/// Declares `SORTED_INPUT = false`: each cluster id is reduced
-/// independently and the driver writes the result by id, so key-ordered
-/// groups buy nothing — the engine skips the partition sort.
+/// new centroid. Each cluster id is reduced independently and the driver
+/// writes the result by id.
 #[derive(Clone)]
 pub struct KMeansReducer;
 
 impl Reducer<u32, ClusterSum> for KMeansReducer {
     type KOut = u32;
     type VOut = GeoPoint;
-    const SORTED_INPUT: bool = false;
 
     fn reduce(&mut self, key: &u32, values: &[ClusterSum], out: &mut Emitter<u32, GeoPoint>) {
         let mut acc = ClusterSum::default();
@@ -1010,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn mapreduce_iteration_counts_evals_and_skips_sorts() {
+    fn mapreduce_iteration_counts_evals() {
         let ds = blob_dataset();
         let cluster = Cluster::local(3, 2);
         let ctx = ExecCtx::new(&cluster);
@@ -1024,11 +1020,6 @@ mod tests {
         assert_eq!(
             stats.counters[builtin::DISTANCE_EVALS],
             (points.len() * centroids.len()) as u64
-        );
-        // KMeansReducer opts out of sorting: every reduce task skips.
-        assert_eq!(
-            stats.counters[builtin::SORT_SKIPPED],
-            stats.reduce_tasks as u64
         );
     }
 

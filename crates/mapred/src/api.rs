@@ -199,17 +199,6 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
     /// Final output value type.
     type VOut: MrValue;
 
-    /// Whether this reducer requires its key groups in ascending key
-    /// order (Hadoop's sorted-shuffle contract). Defaults to `true` for
-    /// fidelity. Reducers whose final result does not depend on group
-    /// order (e.g. k-means centroid updates written by cluster id, or a
-    /// single-key merge) may set this to `false`; the engine then groups
-    /// by hash in first-encounter order and skips the partition sort
-    /// entirely, which removes the dominant `O(n log n)` shuffle cost.
-    /// Within each group, value order is unchanged: it is the same
-    /// deterministic map-task-order concatenation either way.
-    const SORTED_INPUT: bool = true;
-
     /// Once-per-task initialization.
     fn setup(&mut self, _ctx: &TaskContext<'_>) {}
 

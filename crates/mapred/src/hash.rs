@@ -36,7 +36,7 @@ impl Hasher for FnvHasher {
 
 /// A [`std::hash::BuildHasher`] producing [`FnvHasher`]s — plug this into
 /// `HashMap` when iteration-independent, process-stable hashing matters
-/// (the sort-skipping reduce path groups keys with it).
+/// ([`crate::group_unsorted`] groups keys with it).
 pub type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
 
 /// Deterministic 64-bit hash of any `Hash` value.

@@ -34,7 +34,6 @@ use crate::topology::Cluster;
 use gepeto_pool::Pool;
 use gepeto_telemetry::registry::{self, Kind};
 use gepeto_telemetry::{LedgerScope, Recorder, Span};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::path::PathBuf;
@@ -195,13 +194,11 @@ type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 /// map only.
 ///
 /// Output ordering: reduce partitions in partition-index order; within a
-/// partition, key groups in ascending key order — fully deterministic.
-/// When the reducer opts out of the sorted-shuffle contract
-/// ([`Reducer::SORTED_INPUT`]` = false`), key groups appear in
-/// first-encounter order over the concatenated map outputs instead —
-/// still deterministic, just not key-ascending; value order within each
-/// group is identical on both paths. A map-only job outputs its map tasks'
-/// pairs in chunk order, each task's in emission order.
+/// partition, key groups in ascending key order, each group's values in
+/// map-task emission order — fully deterministic, and the same whether
+/// the partition was grouped in memory or merged from spill runs. A
+/// map-only job outputs its map tasks' pairs in chunk order, each task's
+/// in emission order.
 #[allow(clippy::type_complexity)]
 pub struct MapReduceJob<'a, V1, M, R>
 where
@@ -303,9 +300,8 @@ where
     ///
     /// - Past the budget, a reduce partition's buffered pairs are stably
     ///   sorted and spilled as a run file, and the reduce task merges its
-    ///   runs — bit-identical to the in-memory sorted path, whatever a
-    ///   reducer's [`Reducer::SORTED_INPUT`] says. A budget of `0` spills
-    ///   after every map task's contribution.
+    ///   runs — bit-identical to the in-memory grouping. A budget of `0`
+    ///   spills after every map task's contribution.
     /// - Under a journal, every reduce partition's output is committed to
     ///   the run directory and journaled, as are sealed spill runs; on
     ///   resume a partition whose artifact still verifies is loaded
@@ -540,41 +536,25 @@ where
                 match payload {
                     PartitionInput::Memory(buckets) => {
                         // Grouping, on the pool. Buckets in key order end
-                        // to end (a by-user regroup of a user-major input)
-                        // are the reduce columns as they are. The two
-                        // other paths allocate a buffer the size of the
-                        // partition while the buckets it empties are
-                        // still held, so they take turns: the heap holds
-                        // one partition twice, never two.
-                        let groups = if R::SORTED_INPUT {
-                            FlatGroups::sorted_runs(buckets).unwrap_or_else(|buckets| {
-                                // The sort fallback: a stable sort of the
-                                // concatenation keeps the map-task
-                                // emission order within a key.
-                                let pairs = {
-                                    let _turn = copy_turn
-                                        .lock()
-                                        .expect("no reduce task panics at its turn");
-                                    let mut pairs = concat_pairs(buckets);
-                                    let _sort_span = task_span.child("phase.sort", &[]);
-                                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                                    pairs
-                                };
-                                FlatGroups::sorted(pairs)
-                            })
-                        } else {
-                            // The reducer declared order-insensitive
-                            // input: group by hash in first-encounter
-                            // order and skip the partition sort. Value
-                            // order within a group is the same as on the
-                            // sorted path (both scan the same
-                            // concatenation, and the stable sort
-                            // preserves the relative order of equal keys).
-                            counters.inc(builtin::SORT_SKIPPED, 1);
+                        // to end (a by-user regroup of a user-major input,
+                        // a single-key merge) are the reduce columns as
+                        // they are. The sort fallback allocates the
+                        // partition's pairs while the buckets they empty
+                        // are still held, and then its value column while
+                        // the sorted pairs are, so it takes turns for
+                        // both: the heap holds one partition twice, never
+                        // two.
+                        let groups = FlatGroups::sorted_runs(buckets).unwrap_or_else(|buckets| {
                             let _turn =
                                 copy_turn.lock().expect("no reduce task panics at its turn");
-                            FlatGroups::unsorted(buckets)
-                        };
+                            // A stable sort of the concatenation keeps the
+                            // map-task emission order within a key.
+                            let mut pairs = concat_pairs(buckets);
+                            let sort_span = task_span.child("phase.sort", &[]);
+                            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                            sort_span.end();
+                            FlatGroups::sorted(pairs)
+                        });
                         counters.inc(builtin::REDUCE_INPUT_GROUPS, groups.len() as u64);
                         reducer.reduce_partition(groups, &mut out);
                     }
@@ -599,9 +579,7 @@ where
                         // equal keys break toward the earlier run, which
                         // reproduces the stable sort of the in-memory
                         // concatenation — spilled output is bit-identical
-                        // to the sorted path. (A `SORTED_INPUT = false`
-                        // opt-out does not apply once a partition is on
-                        // disk.)
+                        // to the in-memory grouping.
                         let _merge_span =
                             task_span.child("phase.merge", &[("runs", &sp.runs.len().to_string())]);
                         let mut groups_count = 0u64;
@@ -1421,14 +1399,13 @@ pub(crate) fn concat_pairs<K: MrKey, V>(buckets: Vec<KeyRuns<K, V>>) -> Vec<(K, 
 /// One reduce partition grouped *flat*: its values in a few columns, each
 /// with one `(key, end)` bound per group, so a group is a slice of one
 /// column and grouping allocates nothing per key. Groups follow in key
-/// order with the values of a key in map-task order
-/// ([`FlatGroups::sorted_runs`], [`FlatGroups::sorted`]) or, for reducers
-/// with [`Reducer::SORTED_INPUT`]` = false`, in first-encounter order
-/// ([`FlatGroups::unsorted`]). [`MapReduceJob::run`] groups every
-/// in-memory partition into this shape — when its map tasks' [`KeyRuns`]
-/// are in key order end to end, those buckets *are* the columns — and
-/// hands it to [`Reducer::reduce_partition`], which may keep the columns
-/// whole ([`FlatGroups::into_columns`]).
+/// order with the values of a key in map-task order. [`MapReduceJob::run`]
+/// groups every in-memory partition into this shape — when its map tasks'
+/// [`KeyRuns`] are in key order end to end, those buckets *are* the
+/// columns ([`FlatGroups::sorted_runs`]), otherwise their stable sort is
+/// one column ([`FlatGroups::sorted`]) — and hands it to
+/// [`Reducer::reduce_partition`], which may keep the columns whole
+/// ([`FlatGroups::into_columns`]).
 #[derive(Debug)]
 pub struct FlatGroups<K, V> {
     /// Non-empty columns whose runs are the groups: no key has two runs.
@@ -1502,65 +1479,6 @@ impl<K: MrKey, V> FlatGroups<K, V> {
         Ok(Self { columns })
     }
 
-    /// Groups the buckets' concatenation in first-encounter key order into
-    /// one column, moving the values: one hash lookup per run, not per
-    /// pair. Same groups, in the same order with the same value order, as
-    /// [`group_unsorted`] of the expanded pairs.
-    pub fn unsorted(buckets: Vec<KeyRuns<K, V>>) -> Self {
-        let len = buckets.iter().map(KeyRuns::len).sum();
-        let mut index: HashMap<K, usize, FnvBuildHasher> =
-            HashMap::with_capacity_and_hasher(16, FnvBuildHasher::default());
-        // First pass: number the groups, count their values.
-        let mut bounds: Vec<(K, usize)> = Vec::new();
-        let mut dest = Vec::with_capacity(len);
-        let mut values = Vec::with_capacity(len);
-        for bucket in buckets {
-            let mut start = 0;
-            for (k, end) in bucket.runs {
-                let group = match index.entry(k) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        bounds.push((e.key().clone(), 0));
-                        *e.insert(bounds.len() - 1)
-                    }
-                };
-                bounds[group].1 += end - start;
-                dest.extend(std::iter::repeat_n(group, end - start));
-                start = end;
-            }
-            values.extend(bucket.values);
-        }
-        // Counts become ends; `next[g]` is where group g's next value goes.
-        let mut next = Vec::with_capacity(bounds.len());
-        let mut end = 0;
-        for (_, count) in &mut bounds {
-            next.push(end);
-            end += *count;
-            *count = end;
-        }
-        for d in &mut dest {
-            let group = *d;
-            *d = next[group];
-            next[group] += 1;
-        }
-        // Second pass: apply the permutation in place, cycle by cycle —
-        // every swap puts one value where it belongs. Input that arrives
-        // already grouped (a single key, say) costs one comparison each.
-        for i in 0..values.len() {
-            while dest[i] != i {
-                let j = dest[i];
-                values.swap(i, j);
-                dest.swap(i, j);
-            }
-        }
-        let mut columns = vec![KeyRuns {
-            runs: bounds,
-            values,
-        }];
-        columns.retain(|c| !c.is_empty());
-        Self { columns }
-    }
-
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.columns.iter().map(|c| c.runs.len()).sum()
@@ -1620,14 +1538,12 @@ pub fn group_sorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
 }
 
 /// Groups an *unsorted* pair vector by key in first-encounter order,
-/// moving the values. The input is the deterministic concatenation of map
-/// outputs in task order, so both the group order and each group's value
-/// order are reproducible across runs — and the value order is identical
-/// to what the stable-sort path produces.
+/// moving the values; each group's values keep their input order, as
+/// after the stable sort of [`group_sorted`].
 ///
-/// The nested shape: one `Vec` per key. The reduce path groups flat
-/// ([`FlatGroups::unsorted`]); this remains as the reference the flat
-/// grouping is tested against.
+/// The nested shape: one `Vec` per key. No reduce path groups by hash;
+/// this remains as the baseline the sorted grouping's cost is timed
+/// against.
 pub fn group_unsorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut index: HashMap<K, usize, FnvBuildHasher> =
         HashMap::with_capacity_and_hasher(16, FnvBuildHasher::default());
@@ -1914,19 +1830,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 
-    /// Same arithmetic as [`SumReducer`], but declares it does not need
-    /// key-ordered groups — the engine takes the sort-skipping path.
-    #[derive(Clone)]
-    struct UnsortedSumReducer;
-    impl Reducer<String, u64> for UnsortedSumReducer {
-        type KOut = String;
-        type VOut = u64;
-        const SORTED_INPUT: bool = false;
-        fn reduce(&mut self, key: &String, values: &[u64], out: &mut Emitter<String, u64>) {
-            out.emit(key.clone(), values.iter().sum());
-        }
-    }
-
     #[test]
     fn grouping_helpers_agree_and_preserve_value_order() {
         let pairs = vec![(2, 'a'), (1, 'b'), (2, 'c'), (3, 'd'), (1, 'e')];
@@ -1945,91 +1848,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sort_skipping_reducer_matches_sorted_results() {
-        let cluster = Cluster::local(3, 2);
-        let dfs = word_dfs(&cluster);
-        let sorted = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer)
-            .reducers(2)
-            .run()
-            .unwrap();
-        let hashed = MapReduceJob::new(
-            "wc-fast",
-            &cluster,
-            &dfs,
-            "words",
-            tokenizer(),
-            UnsortedSumReducer,
-        )
-        .reducers(2)
-        .run()
-        .unwrap();
-        assert_eq!(word_counts(&sorted), word_counts(&hashed));
-        assert_eq!(
-            sorted.stats.counters[builtin::REDUCE_INPUT_GROUPS],
-            hashed.stats.counters[builtin::REDUCE_INPUT_GROUPS]
-        );
-        assert_eq!(hashed.stats.counters[builtin::SORT_SKIPPED], 2);
-        assert!(
-            !sorted.stats.counters.contains_key(builtin::SORT_SKIPPED),
-            "sorted path must not report skipped sorts"
-        );
-        // Deterministic across repeats, like the sorted path.
-        let rerun = MapReduceJob::new(
-            "wc-fast",
-            &cluster,
-            &dfs,
-            "words",
-            tokenizer(),
-            UnsortedSumReducer,
-        )
-        .reducers(2)
-        .run()
-        .unwrap();
-        assert_eq!(hashed.output, rerun.output);
+    /// Hands each group back whole, so a job's output shows the order of
+    /// the reduce calls and of the values inside each group.
+    #[derive(Clone)]
+    struct CollectGroups;
+    impl Reducer<u64, u64> for CollectGroups {
+        type KOut = u64;
+        type VOut = Vec<u64>;
+        fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
+            out.emit(*key, values.to_vec());
+        }
     }
 
-    #[test]
-    fn sort_skipping_preserves_within_group_value_order() {
-        #[derive(Clone)]
-        struct CollectSorted;
-        impl Reducer<u64, u64> for CollectSorted {
-            type KOut = u64;
-            type VOut = Vec<u64>;
-            fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-                out.emit(*key, values.to_vec());
-            }
-        }
-        #[derive(Clone)]
-        struct CollectHashed;
-        impl Reducer<u64, u64> for CollectHashed {
-            type KOut = u64;
-            type VOut = Vec<u64>;
-            const SORTED_INPUT: bool = false;
-            fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-                out.emit(*key, values.to_vec());
-            }
-        }
+    /// `0..200` in 4-record chunks, each record `v` mapped to `(key(v), v)`,
+    /// collected in memory and with a 1-byte budget.
+    fn collected_in_memory_and_spilled(
+        key: fn(u64) -> u64,
+        reducers: usize,
+    ) -> [JobResult<u64, Vec<u64>>; 2] {
         let cluster = Cluster::local(4, 2);
         let mut dfs = Dfs::new(cluster.topology.clone(), 8, 2);
         dfs.put_fixed("r", (0..200u64).collect(), 4).unwrap();
-        let mapper = FnMapper::new(|_off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
-            out.emit(v % 5, *v);
+        let mapper = FnMapper::new(move |_off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
+            out.emit(key(*v), *v);
         });
-        let sorted = MapReduceJob::new("col", &cluster, &dfs, "r", mapper.clone(), CollectSorted)
-            .reducers(3)
-            .run()
-            .unwrap();
-        let hashed = MapReduceJob::new("col-fast", &cluster, &dfs, "r", mapper, CollectHashed)
-            .reducers(3)
-            .run()
-            .unwrap();
-        let by_key = |r: &JobResult<u64, Vec<u64>>| -> BTreeMap<u64, Vec<u64>> {
-            r.output.iter().cloned().collect()
-        };
-        // The stable sort and the first-encounter scan walk the same
-        // concatenation, so each group's values match element for element.
-        assert_eq!(by_key(&sorted), by_key(&hashed));
+        let job = || MapReduceJob::new("col", &cluster, &dfs, "r", mapper.clone(), CollectGroups);
+        let in_memory = job().reducers(reducers).run().unwrap();
+        let spilled = budgeted(job().reducers(reducers), 1).run().unwrap();
+        assert!(spilled.stats.counters[builtin::SPILL_FILES] > 0);
+        [in_memory, spilled]
+    }
+
+    #[test]
+    fn every_reducer_sees_its_groups_in_key_order() {
+        // Descending keys put every map bucket out of order (the sort
+        // fallback); `v / 10` keeps them in order with keys running across
+        // buckets (grouped in place). One reducer makes the output one
+        // partition, so its keys must strictly ascend.
+        for key in [|v: u64| 1_000 - v, |v: u64| v / 10] {
+            let [in_memory, spilled] = collected_in_memory_and_spilled(key, 1);
+            let keys: Vec<u64> = in_memory.output.iter().map(|(k, _)| *k).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+            let mut expected: Vec<u64> = (0..200).map(key).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(keys, expected);
+            assert_eq!(in_memory.output, spilled.output);
+        }
+    }
+
+    #[test]
+    fn sort_fallback_keeps_each_groups_values_in_map_order() {
+        // `v % 5` gives every 4-record bucket a wrap-around (3, 4, 0, 1),
+        // so each partition takes the stable sort; a group's values must
+        // still come in input order, in memory and spilled alike.
+        let [in_memory, spilled] = collected_in_memory_and_spilled(|v| v % 5, 3);
+        assert_eq!(in_memory.output, spilled.output);
+        let by_key: BTreeMap<u64, Vec<u64>> = in_memory.output.into_iter().collect();
+        let expected: BTreeMap<u64, Vec<u64>> = (0..5)
+            .map(|k| (k, (0..200).filter(|v| v % 5 == k).collect()))
+            .collect();
+        assert_eq!(by_key, expected);
     }
 
     /// The serial plan [`plan_splits`] must reproduce: cuts `records` into

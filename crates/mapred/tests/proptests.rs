@@ -6,9 +6,8 @@
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
-    group_sorted, group_unsorted, map_records, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx,
-    FlatGroups, FnMapper, JobStats, KeyRuns, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec,
-    Topology,
+    group_sorted, map_records, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FlatGroups, FnMapper,
+    JobStats, KeyRuns, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec, Topology,
 };
 use gepeto_telemetry::{EventKind, Recorder};
 use proptest::prelude::*;
@@ -62,18 +61,6 @@ impl Reducer<u64, u64> for RecordColumns {
         for (key, values) in column_groups(groups).into_iter().flatten() {
             out.emit(key, values);
         }
-    }
-}
-
-/// [`RecordSorted`] for the sort-skipping path.
-#[derive(Clone)]
-struct RecordUnsorted;
-impl Reducer<u64, u64> for RecordUnsorted {
-    type KOut = u64;
-    type VOut = Vec<u64>;
-    const SORTED_INPUT: bool = false;
-    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-        out.emit(*key, values.to_vec());
     }
 }
 
@@ -274,15 +261,11 @@ proptest! {
         draws in prop::collection::vec(0u64..1000, 0..200),
         key_space in 0u64..9,
     ) {
-        let pairs = keyed(&draws, key_space);
-        let unsorted = FlatGroups::unsorted(vec![pairs.clone().into()]);
-        prop_assert_eq!(flat_to_nested(&unsorted), group_unsorted(pairs.clone()));
-        prop_assert_eq!(unsorted.len(), unsorted.iter().count());
-
-        let mut by_key = pairs;
+        let mut by_key = keyed(&draws, key_space);
         by_key.sort_by_key(|&(k, _)| k);
         let sorted = FlatGroups::sorted(by_key.clone());
         prop_assert_eq!(flat_to_nested(&sorted), group_sorted(by_key));
+        prop_assert_eq!(sorted.len(), sorted.iter().count());
         prop_assert_eq!(sorted.is_empty(), draws.is_empty());
     }
 
@@ -386,12 +369,11 @@ proptest! {
         prop_assert_eq!(whole.into_pairs(), per_group.into_pairs());
     }
 
-    /// What a reducer is handed, on both `SORTED_INPUT` values: the slices
-    /// of one partition, in call order, are the nested grouping of the map
-    /// outputs concatenated in task order (stably sorted first, or not).
-    /// `presorted` stores the input in key order, so the map tasks' buckets
-    /// arrive in order end to end and the sorted path groups them without
-    /// a sort.
+    /// What a reducer is handed: the slices of one partition, in call
+    /// order, are the nested grouping of the map outputs concatenated in
+    /// task order and stably sorted. `presorted` stores the input in key
+    /// order, so the map tasks' buckets arrive in order end to end and are
+    /// grouped without a sort.
     #[test]
     fn reducers_are_handed_the_nested_groups_as_slices(
         draws in prop::collection::vec(0u64..1000, 0..200),
@@ -409,11 +391,6 @@ proptest! {
         let identity = FnMapper::new(|_off: u64, p: &(u64, u64), out: &mut Emitter<u64, u64>| {
             out.emit(p.0, p.1);
         });
-        let hashed = MapReduceJob::new("h", &cluster, &dfs, "r", identity.clone(), RecordUnsorted)
-            .reducers(1)
-            .run()
-            .unwrap();
-        prop_assert_eq!(hashed.output, group_unsorted(pairs.clone()));
         let sorted = MapReduceJob::new("s", &cluster, &dfs, "r", identity, RecordSorted)
             .reducers(1)
             .run()
@@ -515,9 +492,8 @@ proptest! {
     /// per-pair references make of the same pairs: each reduce partition
     /// (its pairs in map order) grouped by `group_sorted` after a stable
     /// sort — for buckets in key order end to end (`presorted`) and out of
-    /// it (the sort fallback), and spilled past `budget` — or by
-    /// `group_unsorted` for a `SORTED_INPUT = false` reducer; a map-only
-    /// job outputs the pairs themselves. Runs of one key are up to 700
+    /// it (the sort fallback), and spilled past `budget`; a map-only job
+    /// outputs the pairs themselves. Runs of one key are up to 700
     /// long and chunks up to 9 000 records, so chunks split into ranges
     /// and a key's run can span a cut, a range or a chunk. A reducer that
     /// takes its partition apart by column sees every group whole.
@@ -552,9 +528,8 @@ proptest! {
         let partition = |p: usize| -> Vec<(u64, u64)> {
             records.iter().copied().filter(|(k, _)| default_partition(k, reducers) == p).collect()
         };
-        let (mut sorted_groups, mut unsorted_groups) = (Vec::new(), Vec::new());
+        let mut sorted_groups = Vec::new();
         for p in 0..reducers {
-            unsorted_groups.extend(group_unsorted(partition(p)));
             let mut by_key = partition(p);
             by_key.sort_by_key(|&(k, _)| k);
             sorted_groups.extend(group_sorted(by_key));
@@ -577,11 +552,6 @@ proptest! {
             .run()
             .unwrap();
         prop_assert_eq!(&spilled.output, &sorted_groups);
-        let unsorted = MapReduceJob::new("u", &cluster, &dfs, "r", KeyedRecords, RecordUnsorted)
-            .reducers(reducers)
-            .run()
-            .unwrap();
-        prop_assert_eq!(&unsorted.output, &unsorted_groups);
         let map_only = MapOnlyJob::new("m", &cluster, &dfs, "r", KeyedRecords).run().unwrap();
         prop_assert_eq!(&map_only.output, &records);
 

@@ -76,8 +76,6 @@ metrics! {
         "Attempts killed mid-flight by node crashes.";
     DISTANCE_EVALS: Sum, "kernel.distance_evals", "gepeto_kernel_distance_evals_total",
         "Point-to-centroid distance evaluations in the clustering kernels.";
-    SORT_SKIPPED: Sum, "shuffle.sort_skipped", "gepeto_shuffle_sort_skipped_total",
-        "Reduce partitions that took the sort-skipping fast path.";
     SHUFFLE_BYTES_SAVED: Sum, "shuffle.bytes_saved", "gepeto_shuffle_bytes_saved_total",
         "Shuffle bytes avoided by compressed payload encodings.";
     SPILLED_BYTES: Sum, "shuffle.spilled_bytes", "gepeto_shuffle_spilled_bytes_total",

@@ -243,9 +243,6 @@ impl SummaryReport {
         if c(SHUFFLE_BYTES_SAVED) > 0 {
             let _ = writeln!(out, "shuffle bytes saved: {}", c(SHUFFLE_BYTES_SAVED));
         }
-        if c(SORT_SKIPPED) > 0 {
-            let _ = writeln!(out, "sorts skipped: {}", c(SORT_SKIPPED));
-        }
         let (spilled, spill_files) = (c(SPILLED_BYTES), c(SPILL_FILES));
         if spilled > 0 || spill_files > 0 {
             let _ = writeln!(out, "spill: {spilled} bytes in {spill_files} files");

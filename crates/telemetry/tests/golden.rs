@@ -30,7 +30,6 @@ fn busy_monitor() -> Monitor {
     m.add(BLACKLISTED_NODES, 1);
     m.add(CRASH_KILLED, 1);
     m.add(DISTANCE_EVALS, 1_000_000);
-    m.add(SORT_SKIPPED, 5);
     m.add(SHUFFLE_BYTES_SAVED, 2_048);
     m.add(SPILLED_BYTES, 65_536);
     m.add(SPILL_FILES, 3);
@@ -116,9 +115,6 @@ gepeto_crash_killed_attempts_total 1
 # HELP gepeto_kernel_distance_evals_total Point-to-centroid distance evaluations in the clustering kernels.
 # TYPE gepeto_kernel_distance_evals_total counter
 gepeto_kernel_distance_evals_total 1000000
-# HELP gepeto_shuffle_sort_skipped_total Reduce partitions that took the sort-skipping fast path.
-# TYPE gepeto_shuffle_sort_skipped_total counter
-gepeto_shuffle_sort_skipped_total 5
 # HELP gepeto_shuffle_bytes_saved_total Shuffle bytes avoided by compressed payload encodings.
 # TYPE gepeto_shuffle_bytes_saved_total counter
 gepeto_shuffle_bytes_saved_total 2048
@@ -268,7 +264,6 @@ fn summary_render_is_pinned() {
         (BLACKLISTED_NODES, 1),
         (SHUFFLE_BYTES, 4_096),
         (SHUFFLE_BYTES_SAVED, 999),
-        (SORT_SKIPPED, 4),
         (SPILLED_BYTES, 65_536),
         (SPILL_FILES, 3),
         (SPILL_ESTIMATE_ERROR, 512),
@@ -304,7 +299,6 @@ retries: 3
 recovery: 2 reexecuted maps, 1 failed-over reads, 1 blacklisted nodes
 shuffle bytes: 4096
 shuffle bytes saved: 999
-sorts skipped: 4
 spill: 65536 bytes in 3 files
 spill estimate error: 512 bytes (|estimated - written| across runs)
 spilled reduce groups: 2

@@ -233,6 +233,23 @@ grep -q '^gepeto_journal_replayed_tasks_total [0-9]' target/bench-smoke/resume.p
 ./target/release/gepeto-bench validate-trace "$RESUME_B/trace.json"
 grep -q 'attempt 1' "$RESUME_B/trace.json"
 
+echo "== artifact smoke: spilled and in-memory runs commit the same partitions =="
+# Verbatim k-means (one pair per trace) with several clusters per reduce
+# partition, durable in memory and under a 1-byte budget: every committed
+# reduce artifact must be byte-equal, not just OUTPUT.
+PARTS_MEM=target/bench-smoke/parts-mem
+PARTS_SPILL=target/bench-smoke/parts-spill
+rm -rf "$PARTS_MEM" "$PARTS_SPILL"
+KM_FLAGS=(--users 20 --scale 0.05 --k 11 --max-iter 2 --delta 0 --combiner false --threads 2)
+./target/release/gepeto kmeans "${KM_FLAGS[@]}" --run-dir "$PARTS_MEM" > /dev/null
+./target/release/gepeto kmeans "${KM_FLAGS[@]}" --run-dir "$PARTS_SPILL" --memory-budget 1 \
+    > /dev/null
+PARTS=("$PARTS_MEM"/partitions/*.part)
+test "${#PARTS[@]}" -eq "$(ls "$PARTS_SPILL"/partitions/*.part | wc -l)"
+for part in "${PARTS[@]}"; do
+    cmp "$part" "$PARTS_SPILL/partitions/$(basename "$part")"
+done
+
 echo "== live monitoring smoke: watch + exposition + flamegraph + trace =="
 # A chaos k-means under the heartbeat reporter must leave a well-formed
 # Prometheus exposition, folded flamegraph stacks, and a structurally

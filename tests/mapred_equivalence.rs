@@ -8,6 +8,7 @@ use gepeto_geo::DistanceMetric;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{RetryPolicy, RunJournal};
 use gepeto_telemetry::Recorder;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn dataset() -> Dataset {
@@ -220,7 +221,9 @@ fn pool_from_env() {
 /// Runs `body` once per execution context — plain, retrying (nothing
 /// fails, so nothing is retried), traced, starved to a 1-byte shuffle
 /// budget, journaled (each in a fresh run directory), and all four at
-/// once — and checks that every run returned what the plain one did.
+/// once — and checks that every run returned what the plain one did, and
+/// that the journaled run and the starved one committed the same bytes
+/// for every reduce partition.
 fn same_in_every_context<T: PartialEq + std::fmt::Debug>(
     tag: &str,
     cluster: &Cluster,
@@ -249,8 +252,34 @@ fn same_in_every_context<T: PartialEq + std::fmt::Debug>(
     ] {
         assert_eq!(body(&ctx), plain, "{tag}: '{name}' differs from 'plain'");
     }
+    let (in_memory, spilled) = (
+        committed_parts(&root, "journal"),
+        committed_parts(&root, "all"),
+    );
+    assert_eq!(
+        in_memory.keys().collect::<Vec<_>>(),
+        spilled.keys().collect::<Vec<_>>(),
+        "{tag}: committed partitions"
+    );
+    for (part, bytes) in &in_memory {
+        assert!(spilled[part] == *bytes, "{tag}: {part} spilled ≠ in memory");
+    }
     let _ = std::fs::remove_dir_all(&root);
     plain
+}
+
+/// The reduce-partition artifacts the run in `root/dir` committed, by
+/// file name.
+fn committed_parts(root: &std::path::Path, dir: &str) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(root.join(dir).join("partitions"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "part"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
 }
 
 fn trace_bits(t: &MobilityTrace) -> (u32, i64, u64, u64, u32) {
@@ -277,15 +306,17 @@ fn configurations_of_kmeans_land_on_the_same_bits() {
     pool_from_env();
     let cluster = Cluster::local(4, 2);
     let mut dfs = dfs_with_chunks(&cluster, &dataset(), 16 * 1024);
-    for use_combiner in [true, false] {
+    // k = 11 without the combiner puts several keys in a partition, each
+    // spread over every map task's bucket.
+    for (k, use_combiner) in [(5, true), (5, false), (11, false)] {
         let cfg = kmeans::KMeansConfig {
-            k: 5,
+            k,
             max_iterations: 4,
             convergence_delta: 0.0,
             use_combiner,
             ..kmeans::KMeansConfig::paper(DistanceMetric::SquaredEuclidean)
         };
-        let tag = format!("kmeans-{use_combiner}");
+        let tag = format!("kmeans-{k}-{use_combiner}");
         let (_, iterations, _, retries) = same_in_every_context(&tag, &cluster, |ctx| {
             let result = kmeans::mapreduce_kmeans_in(ctx, &mut dfs, "d", &cfg).unwrap();
             let jobs: Vec<_> = result.per_iteration.iter().map(|it| &it.job).collect();
