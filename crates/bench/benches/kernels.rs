@@ -207,7 +207,7 @@ fn bench_flat_grouping(c: &mut Criterion) {
     });
     group.bench_function("flat", |b| {
         b.iter(|| {
-            let groups = FlatGroups::sorted(pairs.clone());
+            let groups = FlatGroups::from_runs(vec![pairs.clone().into()]);
             black_box(groups.iter().map(|(_, vs)| vs.len()).sum::<usize>())
         })
     });

@@ -278,8 +278,9 @@ fn sample_job(
 /// for a user-major input, the map tasks' buckets themselves: each
 /// user's values are sorted in place and its trail is a range of its
 /// shared column ([`Trail::cut_column`]), so the partition costs no
-/// allocation per user and no copy. A group merged from spill runs is
-/// copied into a trail of its own. The driver only has to hand the trails to
+/// allocation per user and no copy. A partition merged from spill runs
+/// arrives in windows of one column each, and its trails are cut from
+/// them the same way. The driver only has to hand the trails to
 /// [`Dataset::from_trails`]; no per-trace pair leaves the reducer.
 #[derive(Clone)]
 pub struct RegroupReducer;
@@ -604,6 +605,33 @@ mod tests {
         assert!(stats.map_tasks > 1);
         assert_trails_share_map_buckets(&grouped, &stats);
         assert_eq!(map_only.column_count(), 1);
+    }
+
+    #[test]
+    fn a_spilled_by_user_regroup_cuts_its_trails_from_shared_windows() {
+        let traces: Vec<MobilityTrace> = (0..900).map(|i| tr(1 + (i % 30) as u32, i * 7)).collect();
+        let ds = Dataset::from_traces(traces);
+        let cluster = Cluster::local(3, 2);
+        let mut dfs = trace_dfs(&cluster, 16_384);
+        put_dataset(&mut dfs, "d", &ds).unwrap();
+        let cfg = SamplingConfig::new(60, Technique::ClosestToUpperLimit);
+        let (in_memory, _, _) =
+            mapreduce_sample_by_user_in(&ExecCtx::new(&cluster), &dfs, "d", &cfg).unwrap();
+        // Every partition spills; a window of its merge holds several users.
+        let ctx = ExecCtx {
+            memory_budget: Some(8_192),
+            ..ExecCtx::new(&cluster)
+        };
+        let (spilled, stats, _) = mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
+        assert!(stats.counter(builtin::SPILL_FILES) >= stats.reduce_tasks as u64);
+        assert_eq!(stats.counter(builtin::SPILLED_GROUPS), 0);
+        assert!(
+            spilled.column_count() < spilled.num_users(),
+            "{} columns for {} trails",
+            spilled.column_count(),
+            spilled.num_users()
+        );
+        assert_eq!(spilled, in_memory);
     }
 
     #[test]

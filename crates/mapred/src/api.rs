@@ -203,15 +203,17 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
     fn setup(&mut self, _ctx: &TaskContext<'_>) {}
 
     /// Reduces one key group. `values` holds all of the key's values in
-    /// map-task emission order. For a partition grouped in memory it is a
-    /// slice of one of the partition's value columns, handed over by the
-    /// default [`Self::reduce_partition`]; a partition merged from spill
-    /// runs hands over one buffer per group, always through this method.
+    /// map-task emission order: a slice of one of the partition's value
+    /// columns, handed over by the default [`Self::reduce_partition`]. The
+    /// engine calls only `reduce_partition`, so a reducer that overrides it
+    /// is reduced through its override alone.
     fn reduce(&mut self, key: &K2, values: &[V2], out: &mut Emitter<Self::KOut, Self::VOut>);
 
-    /// Reduces a partition grouped in memory: its key groups as value
-    /// columns plus bounds, each group inside one column ([`FlatGroups`]),
-    /// in the order `reduce` would see them. The default calls
+    /// Reduces key groups in key order: value columns plus bounds, each
+    /// group inside one column ([`FlatGroups`]). A partition grouped in
+    /// memory is handed over in one call; one merged from spill runs in
+    /// several, one per window of whole groups that fits the memory
+    /// budget — so a group never spans two calls. The default calls
     /// [`Self::reduce`] once per group, in order. A reducer that keeps its
     /// values overrides it to take the columns whole
     /// ([`FlatGroups::into_columns`]) instead of copying slices out of

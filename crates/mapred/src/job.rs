@@ -27,7 +27,7 @@ use crate::hash::{default_partition, FnvBuildHasher};
 use crate::journal::{JournalEntry, RunJournal};
 use crate::sim::{simulate_chaos, MapTaskSim, ReduceTaskSim, SimError, SimReport};
 use crate::spill::{
-    load_artifact, quarantine_run, sanitize, seal_run, seal_run_at, verify_run, PartitionInput,
+    load_artifact, quarantine_run, sanitize, seal_groups, seal_run_at, verify_run, PartitionInput,
     SealStats, SpillCodec, SpillDir, SpillRun, SpillSpec, SpilledPartition,
 };
 use crate::topology::Cluster;
@@ -393,9 +393,10 @@ where
             // No reduce phase: the task buckets in chunk and range order
             // are the output.
             Some(pass_through) => {
-                let buckets = partitions
-                    .into_iter()
-                    .flat_map(PartitionInput::into_buckets);
+                let buckets = partitions.into_iter().flat_map(|p| match p {
+                    PartitionInput::Memory(buckets) => buckets,
+                    PartitionInput::Spilled(_) => unreachable!("map-only partitions never spill"),
+                });
                 (pass_through(concat_pairs(buckets.collect())), Vec::new())
             }
             None => self.reduce_phase(
@@ -533,30 +534,26 @@ where
                 };
                 reducer.setup(&ctx);
                 let mut out = Emitter::new();
+                let mut groups = 0u64;
+                let mut reduce = |flat: FlatGroups<M::KOut, M::VOut>| {
+                    groups += flat.len() as u64;
+                    reducer.reduce_partition(flat, &mut out);
+                };
                 match payload {
                     PartitionInput::Memory(buckets) => {
                         // Grouping, on the pool. Buckets in key order end
                         // to end (a by-user regroup of a user-major input,
                         // a single-key merge) are the reduce columns as
-                        // they are. The sort fallback allocates the
-                        // partition's pairs while the buckets they empty
-                        // are still held, and then its value column while
-                        // the sorted pairs are, so it takes turns for
-                        // both: the heap holds one partition twice, never
-                        // two.
-                        let groups = FlatGroups::sorted_runs(buckets).unwrap_or_else(|buckets| {
-                            let _turn =
-                                copy_turn.lock().expect("no reduce task panics at its turn");
-                            // A stable sort of the concatenation keeps the
-                            // map-task emission order within a key.
-                            let mut pairs = concat_pairs(buckets);
-                            let sort_span = task_span.child("phase.sort", &[]);
-                            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                            sort_span.end();
-                            FlatGroups::sorted(pairs)
-                        });
-                        counters.inc(builtin::REDUCE_INPUT_GROUPS, groups.len() as u64);
-                        reducer.reduce_partition(groups, &mut out);
+                        // they are. Any other partition is gathered into
+                        // one column while its buckets are still held, so
+                        // those take turns: the heap holds one partition
+                        // twice, never two.
+                        let gather = !in_key_order(&buckets);
+                        let turn = gather.then(|| copy_turn.lock().expect("no panic at a turn"));
+                        let sort_span = gather.then(|| task_span.child("phase.sort", &[]));
+                        let flat = FlatGroups::from_runs(buckets);
+                        drop((sort_span, turn));
+                        reduce(flat);
                     }
                     PartitionInput::Spilled(sp) => {
                         // Verifying read: every sealed run must still be
@@ -582,21 +579,14 @@ where
                         // to the in-memory grouping.
                         let _merge_span =
                             task_span.child("phase.merge", &[("runs", &sp.runs.len().to_string())]);
-                        let mut groups_count = 0u64;
-                        let mut spilled_groups = 0u64;
-                        crate::spill::merge_groups(&sp, group_budget, |key, values, spilled| {
-                            groups_count += 1;
-                            spilled_groups += u64::from(spilled);
-                            reducer.reduce(&key, &values, &mut out);
-                            Ok(())
-                        })
-                        .map_err(JobError::Spill)?;
-                        counters.inc(builtin::REDUCE_INPUT_GROUPS, groups_count);
-                        if spilled_groups > 0 {
-                            counters.inc(builtin::SPILLED_GROUPS, spilled_groups);
+                        let spilled = crate::spill::merge_groups(&sp, group_budget, &mut reduce)
+                            .map_err(JobError::Spill)?;
+                        if spilled > 0 {
+                            counters.inc(builtin::SPILLED_GROUPS, spilled);
                         }
                     }
                 }
+                counters.inc(builtin::REDUCE_INPUT_GROUPS, groups);
                 reducer.cleanup(&mut out);
                 let host_secs = t0.elapsed().as_secs_f64();
                 task_span.end();
@@ -1006,15 +996,42 @@ where
         partitions
     } else if let Some(sp) = spill {
         // Memory-bounded copy step: partitions buffer their buckets only
-        // until the budget; past it the buffered buckets are concatenated,
-        // stably sorted and spilled as one run. Runs are consecutive
-        // chunks of the map-order concatenation, which is what lets the
-        // reduce-side merge reproduce the stable sort exactly.
+        // until the budget; past it the buffered buckets are grouped as
+        // their stable sort would order them and spilled as one run. Runs
+        // are consecutive chunks of the map-order concatenation, which is
+        // what lets the reduce-side merge reproduce the stable sort
+        // exactly.
         let mut bufs: Vec<Buckets<M::KOut, M::VOut>> =
             (0..num_partitions).map(|_| Vec::new()).collect();
         let mut mem_bytes = vec![0u64; num_partitions];
         let mut runs: Vec<Vec<SpillRun>> = vec![Vec::new(); num_partitions];
         let mut spill_dir: Option<Arc<SpillDir>> = None;
+        // Groups one buffer, seals it as a verified spill run (absorbing
+        // injected storage faults), frees it, journals the seal on durable
+        // runs, and accounts the spill. `estimate` is the buffered size the
+        // trigger believed it was flushing; its gap to the run's encoded
+        // size accumulates in `SPILL_ESTIMATE_ERROR`, so chronically wrong
+        // estimators are visible.
+        let spill_run = |buf, dir: &SpillDir, estimate: u64| -> Result<SpillRun, JobError> {
+            let groups = FlatGroups::from_runs(buf);
+            let (run, seal) = seal_groups(&sp.codec, dir, "run", &groups, &cluster.chaos)?;
+            drop(groups);
+            note_seal_stats(&seal, counters);
+            counters.inc(builtin::SPILL_ESTIMATE_ERROR, estimate.abs_diff(run.bytes));
+            if let Some(j) = journal {
+                j.append(&JournalEntry::SpillSealed {
+                    job: job_name.to_string(),
+                    path: run.path.display().to_string(),
+                    records: run.records as usize,
+                    bytes: run.bytes as usize,
+                    checksum: run.checksum,
+                })
+                .map_err(JobError::Io)?;
+            }
+            counters.inc(builtin::SPILLED_BYTES, run.bytes);
+            counters.inc(builtin::SPILL_FILES, 1);
+            Ok(run)
+        };
         for r in ok_results {
             sim_tasks.push(r.sim);
             for (p, ranges) in r.buckets.into_iter().enumerate() {
@@ -1025,16 +1042,7 @@ where
                 if mem_bytes[p] > sp.budget as u64 && !bufs[p].is_empty() {
                     let dir =
                         lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
-                    runs[p].push(spill_buffer(
-                        concat_pairs(std::mem::take(&mut bufs[p])),
-                        sp,
-                        &dir,
-                        &cluster.chaos,
-                        journal,
-                        job_name,
-                        counters,
-                        mem_bytes[p],
-                    )?);
+                    runs[p].push(spill_run(std::mem::take(&mut bufs[p]), &dir, mem_bytes[p])?);
                     mem_bytes[p] = 0;
                 }
             }
@@ -1047,24 +1055,14 @@ where
             } else {
                 // Once any run exists the whole partition merges from
                 // disk, so the in-memory tail becomes the final run.
+                let dir = Arc::clone(spill_dir.as_ref().expect("spill dir exists once runs do"));
                 if !buf.is_empty() {
-                    let dir =
-                        lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
-                    partition_runs.push(spill_buffer(
-                        concat_pairs(buf),
-                        sp,
-                        &dir,
-                        &cluster.chaos,
-                        journal,
-                        job_name,
-                        counters,
-                        tail_estimate,
-                    )?);
+                    partition_runs.push(spill_run(buf, &dir, tail_estimate)?);
                 }
                 partitions.push(PartitionInput::Spilled(SpilledPartition {
                     runs: partition_runs,
                     codec: sp.codec.clone(),
-                    dir: Arc::clone(spill_dir.as_ref().expect("spill dir exists once runs do")),
+                    dir,
                 }));
             }
         }
@@ -1145,48 +1143,6 @@ fn note_seal_stats(seal: &SealStats, counters: &Counters) {
     if seal.stall_ms > 0 {
         counters.inc(builtin::IO_STALL_MS, seal.stall_ms);
     }
-}
-
-/// Stably sorts one partition buffer, seals it as a verified spill run
-/// (absorbing injected storage faults), frees it, journals the seal on
-/// durable runs, and accounts the spill in the job counters.
-///
-/// `estimated_bytes` is the buffered size the spill trigger believed it
-/// was flushing; its gap to the run's real encoded size accumulates in
-/// [`builtin::SPILL_ESTIMATE_ERROR`] so chronically wrong estimators
-/// are visible.
-#[allow(clippy::too_many_arguments)]
-fn spill_buffer<K: MrKey, V: MrValue>(
-    mut buf: Vec<(K, V)>,
-    spill: &SpillSpec<K, V>,
-    dir: &SpillDir,
-    chaos: &ChaosPlan,
-    journal: Option<&RunJournal>,
-    job_name: &str,
-    counters: &Counters,
-    estimated_bytes: u64,
-) -> Result<SpillRun, JobError> {
-    buf.sort_by(|a, b| a.0.cmp(&b.0));
-    let (run, seal) = seal_run(&spill.codec, dir, "run", &buf, chaos)?;
-    drop(buf);
-    note_seal_stats(&seal, counters);
-    counters.inc(
-        builtin::SPILL_ESTIMATE_ERROR,
-        estimated_bytes.abs_diff(run.bytes),
-    );
-    if let Some(j) = journal {
-        j.append(&JournalEntry::SpillSealed {
-            job: job_name.to_string(),
-            path: run.path.display().to_string(),
-            records: run.records as usize,
-            bytes: run.bytes as usize,
-            checksum: run.checksum,
-        })
-        .map_err(JobError::Io)?;
-    }
-    counters.inc(builtin::SPILLED_BYTES, run.bytes);
-    counters.inc(builtin::SPILL_FILES, 1);
-    Ok(run)
 }
 
 struct MapTaskResult<K, V> {
@@ -1295,8 +1251,8 @@ fn plan_splits<V1: MrValue, M: Mapper<V1>>(
 /// adjacent runs may share one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyRuns<K, V> {
-    runs: Vec<(K, usize)>,
-    values: Vec<V>,
+    pub(crate) runs: Vec<(K, usize)>,
+    pub(crate) values: Vec<V>,
 }
 
 impl<K, V> KeyRuns<K, V> {
@@ -1380,9 +1336,9 @@ impl<K: MrKey, V> From<Vec<(K, V)>> for KeyRuns<K, V> {
     }
 }
 
-/// Expands a partition's buckets back to pairs, each value with a clone
-/// of its run's key: their concatenation, in order, in one exactly-sized
-/// buffer.
+/// Expands a map-only job's buckets back to pairs, each value with a
+/// clone of its run's key: their concatenation, in order, in one
+/// exactly-sized buffer.
 pub(crate) fn concat_pairs<K: MrKey, V>(buckets: Vec<KeyRuns<K, V>>) -> Vec<(K, V)> {
     let mut pairs = Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum());
     for bucket in buckets {
@@ -1400,11 +1356,10 @@ pub(crate) fn concat_pairs<K: MrKey, V>(buckets: Vec<KeyRuns<K, V>>) -> Vec<(K, 
 /// with one `(key, end)` bound per group, so a group is a slice of one
 /// column and grouping allocates nothing per key. Groups follow in key
 /// order with the values of a key in map-task order. [`MapReduceJob::run`]
-/// groups every in-memory partition into this shape — when its map tasks'
-/// [`KeyRuns`] are in key order end to end, those buckets *are* the
-/// columns ([`FlatGroups::sorted_runs`]), otherwise their stable sort is
-/// one column ([`FlatGroups::sorted`]) — and hands it to
-/// [`Reducer::reduce_partition`], which may keep the columns whole
+/// groups every partition into this shape with [`FlatGroups::from_runs`]
+/// — an in-memory partition from its map tasks' [`KeyRuns`], a spilled
+/// one in windows of its merged runs, each window a column — and hands it
+/// to [`Reducer::reduce_partition`], which may keep the columns whole
 /// ([`FlatGroups::into_columns`]).
 #[derive(Debug)]
 pub struct FlatGroups<K, V> {
@@ -1412,31 +1367,19 @@ pub struct FlatGroups<K, V> {
     columns: Vec<KeyRuns<K, V>>,
 }
 
-impl<K: MrKey, V> FlatGroups<K, V> {
-    /// Groups a key-sorted pair vector into one column, moving the values.
-    /// Same groups, in the same order with the same value order, as
-    /// [`group_sorted`].
-    ///
-    /// # Panics
-    /// If the pairs are not key-sorted.
-    pub fn sorted(pairs: Vec<(K, V)>) -> Self {
-        Self::sorted_runs(vec![pairs.into()]).unwrap_or_else(|_| panic!("pairs out of key order"))
-    }
-
-    /// [`FlatGroups::sorted`] of the buckets' concatenation, without
-    /// copying it: when the run keys are in order end to end, every
-    /// non-empty bucket becomes a column as it is — adjacent runs of one
-    /// key merge by their bounds, and a key continuing from the previous
-    /// bucket moves only its own values onto that column. Otherwise the
-    /// buckets are handed back untouched, for the caller to concatenate
-    /// and sort.
-    pub fn sorted_runs(buckets: Vec<KeyRuns<K, V>>) -> Result<Self, Vec<KeyRuns<K, V>>> {
-        let in_order = buckets
-            .iter()
-            .flat_map(|b| b.runs.iter().map(|(k, _)| k))
-            .is_sorted();
-        if !in_order {
-            return Err(buckets);
+impl<K: MrKey, V: Clone> FlatGroups<K, V> {
+    /// Groups the concatenation of `buckets` as its stable sort by key
+    /// would: same groups, in the same order with the same value order, as
+    /// [`group_sorted`] of the sorted pairs. When the run keys are in
+    /// order end to end, every non-empty bucket becomes a column as it is
+    /// — adjacent runs of one key merge by their bounds, and a key
+    /// continuing from the previous bucket moves only its own values onto
+    /// that column. Otherwise the runs, not their pairs, are stably sorted
+    /// by key (ties keep concatenation order), and their values are cloned
+    /// into one column of exactly their number.
+    pub fn from_runs(buckets: Vec<KeyRuns<K, V>>) -> Self {
+        if !in_key_order(&buckets) {
+            return Self::gathered(&buckets);
         }
         let mut columns: Vec<KeyRuns<K, V>> = Vec::with_capacity(buckets.len());
         // Values of the last column's last key that later buckets carry,
@@ -1476,9 +1419,34 @@ impl<K: MrKey, V> FlatGroups<K, V> {
             }
         }
         append_to_last_group(columns.last_mut(), &mut carried);
-        Ok(Self { columns })
+        Self { columns }
     }
 
+    /// The out-of-order case of [`FlatGroups::from_runs`]: one column
+    /// gathered from the stably sorted runs.
+    fn gathered(buckets: &[KeyRuns<K, V>]) -> Self {
+        let mut runs: Vec<(&K, &[V])> =
+            Vec::with_capacity(buckets.iter().map(|b| b.runs.len()).sum());
+        runs.extend(buckets.iter().flat_map(KeyRuns::iter));
+        runs.sort_by(|a, b| a.0.cmp(b.0));
+        let groups = runs.chunk_by(|a, b| a.0 == b.0);
+        let mut column = KeyRuns {
+            runs: Vec::with_capacity(groups.clone().count()),
+            values: Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum()),
+        };
+        for group in groups {
+            for (_, values) in group {
+                column.values.extend_from_slice(values);
+            }
+            column.runs.push((group[0].0.clone(), column.values.len()));
+        }
+        Self {
+            columns: Vec::from_iter((!column.is_empty()).then_some(column)),
+        }
+    }
+}
+
+impl<K, V> FlatGroups<K, V> {
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.columns.iter().map(|c| c.runs.len()).sum()
@@ -1504,6 +1472,16 @@ impl<K: MrKey, V> FlatGroups<K, V> {
     }
 }
 
+/// Whether the buckets' run keys are in order end to end, which
+/// [`FlatGroups::from_runs`] groups without a copy.
+pub(crate) fn in_key_order<K: Ord, V>(buckets: &[KeyRuns<K, V>]) -> bool {
+    buckets
+        .iter()
+        .flat_map(|b| &b.runs)
+        .map(|(k, _)| k)
+        .is_sorted()
+}
+
 /// Moves `carried` onto the end of `column`'s last group, reserving once.
 fn append_to_last_group<K, V>(column: Option<&mut KeyRuns<K, V>>, carried: &mut Vec<Vec<V>>) {
     let Some(column) = column.filter(|_| !carried.is_empty()) else {
@@ -1524,7 +1502,7 @@ fn append_to_last_group<K, V>(column: Option<&mut KeyRuns<K, V>>, carried: &mut 
 /// each run's values keep their map-task emission order.
 ///
 /// The nested shape: one `Vec` per key. The reduce path groups flat
-/// ([`FlatGroups::sorted_runs`]); this remains as the reference the flat
+/// ([`FlatGroups::from_runs`]); this remains as the reference the flat
 /// grouping is tested against.
 pub fn group_sorted<K: MrKey, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut groups: Vec<(K, Vec<V>)> = Vec::new();

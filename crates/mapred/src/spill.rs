@@ -4,14 +4,16 @@
 //! When a job carries a memory budget (see
 //! [`crate::MapReduceJob::codecs`]), the shuffle's regroup step
 //! stops concatenating map outputs into one giant in-memory partition.
-//! Instead, whenever a partition's buffered pairs exceed the budget, the
-//! buffer is stably sorted by key and written to a local *spill run* — a
+//! Instead, whenever a partition's buffered buckets exceed the budget,
+//! they are grouped as their stable sort by key would order them
+//! ([`FlatGroups::from_runs`]) and written to a local *spill run* — a
 //! length-prefixed record file under a per-job temp directory. The reduce
 //! task then replays the partition as an external k-way merge over its
-//! runs, which reproduces **bit-identical** output to the in-memory
-//! sorted path: runs are consecutive chunks of the map-order
-//! concatenation, each stably sorted, and the merge breaks key ties by
-//! run index — exactly the stable sort of the whole concatenation.
+//! runs, decoded into windows of whole groups, which reproduces
+//! **bit-identical** output to the in-memory path: runs are consecutive
+//! chunks of the map-order concatenation, each stably sorted, and the
+//! merge breaks key ties by run index — exactly the stable sort of the
+//! whole concatenation.
 //!
 //! Because spill files hold raw bytes, the job needs a [`SpillCodec`]
 //! telling it how to encode and decode one `(K, V)` pair. Primitive and
@@ -20,9 +22,10 @@
 //! [`crate::MapReduceJob::codecs`] without `mapred` needing to know their
 //! layout.
 
+use crate::api::MrKey;
 use crate::chaos::{ChaosPlan, IoFaultPlan};
 use crate::commit::{self, CommitError};
-use crate::job::KeyRuns;
+use crate::job::{FlatGroups, KeyRuns};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -214,11 +217,6 @@ pub struct SpillDir {
 }
 
 impl SpillDir {
-    /// Creates a fresh unique directory under the OS temp dir.
-    pub fn create(job: &str) -> Result<Self, String> {
-        Self::create_in(&std::env::temp_dir(), job, None, None)
-    }
-
     /// Creates a fresh spill directory under `root`, namespaced by an
     /// optional per-run id (so concurrent runs sharing one tmpdir, or a
     /// run directory's `spill/` root, never collide) and tied to the
@@ -302,61 +300,24 @@ pub struct SpillRun {
     pub checksum: u64,
 }
 
-/// Encodes an already-sorted pair slice into one length-prefixed record
+/// Encodes `records` pairs, in order, into one length-prefixed record
 /// stream.
-fn encode_run<K, V>(codec: &SpillCodec<K, V>, pairs: &[(K, V)]) -> Result<Vec<u8>, String> {
-    let mut payload = Vec::with_capacity(pairs.len() * 16);
+fn encode_run<'a, K: 'a, V: 'a>(
+    codec: &SpillCodec<K, V>,
+    records: usize,
+    pairs: impl Iterator<Item = (&'a K, &'a V)>,
+) -> Result<Vec<u8>, CommitError> {
+    let mut payload = Vec::with_capacity(records * 16);
     let mut buf = Vec::with_capacity(256);
     for (k, v) in pairs {
         buf.clear();
         codec.encode(k, v, &mut buf);
-        let len = u32::try_from(buf.len()).map_err(|_| "spill record over 4 GiB".to_string())?;
+        let len = u32::try_from(buf.len())
+            .map_err(|_| CommitError::Io("spill record over 4 GiB".to_string()))?;
         payload.extend_from_slice(&len.to_le_bytes());
         payload.extend_from_slice(&buf);
     }
     Ok(payload)
-}
-
-/// Writes an already-sorted pair slice as one spill run through the
-/// atomic commit protocol, without fault injection.
-pub fn write_run<K, V>(
-    codec: &SpillCodec<K, V>,
-    path: PathBuf,
-    pairs: &[(K, V)],
-) -> Result<SpillRun, String> {
-    write_run_committed(codec, path, pairs, 0, &ChaosPlan::none())
-        .map(|(run, _)| run)
-        .map_err(|e| e.to_string())
-}
-
-/// Writes an already-sorted pair slice as one committed spill run,
-/// injecting any storage faults the chaos plan scripts for this path at
-/// retry number `attempt`.
-///
-/// # Errors
-/// [`CommitError::DiskFull`] / [`CommitError::Io`] from the commit;
-/// injected torn writes and bit-rot do *not* error here — they are
-/// materialized into the file for [`verify_run`] to catch.
-#[allow(clippy::type_complexity)]
-pub fn write_run_committed<K, V>(
-    codec: &SpillCodec<K, V>,
-    path: PathBuf,
-    pairs: &[(K, V)],
-    attempt: u32,
-    chaos: &ChaosPlan,
-) -> Result<(SpillRun, commit::CommitReceipt), CommitError> {
-    let payload = encode_run(codec, pairs).map_err(CommitError::Io)?;
-    let site = path.display().to_string();
-    let receipt = commit::commit_bytes(&path, &payload, &site, attempt, chaos)?;
-    Ok((
-        SpillRun {
-            path,
-            records: pairs.len() as u64,
-            bytes: receipt.payload_bytes,
-            checksum: receipt.checksum,
-        },
-        receipt,
-    ))
 }
 
 /// Verifies a committed spill run: structural always (footer intact,
@@ -423,9 +384,27 @@ pub fn seal_run<K, V>(
     pairs: &[(K, V)],
     chaos: &ChaosPlan,
 ) -> Result<(SpillRun, SealStats), CommitError> {
-    let (run, stats) = seal_at(codec, dir.next_file(prefix), pairs, chaos)?;
-    dir.note_commit(run.bytes);
-    Ok((run, stats))
+    let payload = encode_run(codec, pairs.len(), pairs.iter().map(|(k, v)| (k, v)))?;
+    seal_at(dir.next_file(prefix), &payload, pairs.len(), chaos)
+        .inspect(|(run, _)| dir.note_commit(run.bytes))
+}
+
+/// [`seal_run`] of a partition's groups, each key's values in order: the
+/// records a key-sorted pair slice of them would seal.
+pub(crate) fn seal_groups<K: MrKey, V>(
+    codec: &SpillCodec<K, V>,
+    dir: &SpillDir,
+    prefix: &str,
+    groups: &FlatGroups<K, V>,
+    chaos: &ChaosPlan,
+) -> Result<(SpillRun, SealStats), CommitError> {
+    let records = groups.iter().map(|(_, values)| values.len()).sum();
+    let pairs = groups
+        .iter()
+        .flat_map(|(key, values)| values.iter().map(move |value| (key, value)));
+    let payload = encode_run(codec, records, pairs)?;
+    seal_at(dir.next_file(prefix), &payload, records, chaos)
+        .inspect(|(run, _)| dir.note_commit(run.bytes))
 }
 
 /// Like [`seal_run`], at an explicit path outside any [`SpillDir`] —
@@ -442,21 +421,33 @@ pub fn seal_run_at<K, V>(
     if path.exists() {
         commit::quarantine(path, chaos);
     }
-    seal_at(codec, path.to_path_buf(), pairs, chaos)
+    let payload = encode_run(codec, pairs.len(), pairs.iter().map(|(k, v)| (k, v)))?;
+    seal_at(path.to_path_buf(), &payload, pairs.len(), chaos)
 }
 
-fn seal_at<K, V>(
-    codec: &SpillCodec<K, V>,
+/// Seals one encoded payload at `path`: every rebuild attempt commits the
+/// same bytes, encoded once.
+fn seal_at(
     path: PathBuf,
-    pairs: &[(K, V)],
+    payload: &[u8],
+    records: usize,
     chaos: &ChaosPlan,
 ) -> Result<(SpillRun, SealStats), CommitError> {
     let deep = chaos.io_active();
     let mut stats = SealStats::default();
+    let site = path.display().to_string();
     for attempt in 0..=MAX_SEAL_REBUILDS {
-        let (run, receipt) = write_run_committed(codec, path.clone(), pairs, attempt, chaos)?;
+        // Injected torn writes and bit-rot do not error here: they are
+        // materialized into the file for `verify_run` to catch.
+        let receipt = commit::commit_bytes(&path, payload, &site, attempt, chaos)?;
         stats.io_retries += receipt.io_retries;
         stats.stall_ms += receipt.stall_ms;
+        let run = SpillRun {
+            path: path.clone(),
+            records: records as u64,
+            bytes: receipt.payload_bytes,
+            checksum: receipt.checksum,
+        };
         match verify_run(&run, deep) {
             Ok(()) => return Ok((run, stats)),
             Err(CommitError::Torn(_)) => {
@@ -611,8 +602,8 @@ impl<K: Ord, V> SpillMerge<K, V> {
 }
 
 /// A reduce group whose value list outgrew the memory budget: the
-/// overflow goes to its own spill file and is read back only for the
-/// duration of the group's `reduce` call.
+/// overflow goes to its own spill file while the merge runs, and is read
+/// back into the group's window once the group is complete.
 pub struct GroupSpill<K, V> {
     writer: BufWriter<File>,
     path: PathBuf,
@@ -699,19 +690,14 @@ pub struct SpilledPartition<K, V> {
     pub dir: Arc<SpillDir>,
 }
 
-impl<K, V> SpilledPartition<K, V> {
-    /// Total pairs across all runs.
-    pub fn records(&self) -> u64 {
-        self.runs.iter().map(|r| r.records).sum()
-    }
-}
-
 /// One reduce partition's input: fully in memory, or spilled to runs.
 pub enum PartitionInput<K, V> {
     /// The partition fit the budget (or no budget was set): the key-run
     /// buckets the map tasks filled for it, in task and range order. Their
-    /// concatenation is the partition; the reduce task groups it, so the
-    /// copy runs on the pool instead of between the phases.
+    /// concatenation is the partition; the reduce task groups it
+    /// ([`FlatGroups::from_runs`]) — without a copy when the buckets are
+    /// in key order end to end, otherwise into one gathered column, on
+    /// the pool instead of between the phases.
     Memory(Vec<KeyRuns<K, V>>),
     /// The partition overflowed and lives on disk.
     Spilled(SpilledPartition<K, V>),
@@ -722,77 +708,95 @@ impl<K, V> PartitionInput<K, V> {
     pub fn records(&self) -> u64 {
         match self {
             PartitionInput::Memory(buckets) => buckets.iter().map(|b| b.len() as u64).sum(),
-            PartitionInput::Spilled(sp) => sp.records(),
-        }
-    }
-
-    /// Unwraps the in-memory buckets of a never-spilled partition.
-    ///
-    /// # Panics
-    /// If the partition was spilled (map-only jobs never spill).
-    pub fn into_buckets(self) -> Vec<KeyRuns<K, V>> {
-        match self {
-            PartitionInput::Memory(buckets) => buckets,
-            PartitionInput::Spilled(_) => unreachable!("map-only partitions never spill"),
+            PartitionInput::Spilled(sp) => sp.runs.iter().map(|r| r.records).sum(),
         }
     }
 }
 
-/// Streams the merged runs of a spilled partition back as `(key,
-/// values)` groups, spilling any single group whose values outgrow
-/// `group_budget` bytes to its own overflow file. Calls `emit(key,
-/// values, spilled)` once per group, in ascending key order, where
-/// `spilled` reports whether that group overflowed.
-#[allow(clippy::type_complexity)]
-pub fn merge_groups<K: Ord, V>(
+/// Streams the merged runs of a spilled partition back as windows of
+/// whole groups, in ascending key order with each key's values in map
+/// order, and hands each window to `reduce` as [`FlatGroups`] of one
+/// column. A window holds as many groups as fit `group_budget` encoded
+/// bytes together. A group that alone outgrows the budget writes the rest
+/// of its values to an overflow file of its own while the merge runs,
+/// and is read back into a window by itself. Returns how many groups
+/// overflowed.
+pub fn merge_groups<K: MrKey, V: Clone>(
     partition: &SpilledPartition<K, V>,
     group_budget: usize,
-    mut emit: impl FnMut(K, Vec<V>, bool) -> Result<(), String>,
-) -> Result<(), String> {
+    mut reduce: impl FnMut(FlatGroups<K, V>),
+) -> Result<u64, String> {
     let mut merge = SpillMerge::open(&partition.runs, &partition.codec)?;
-    let mut current: Option<(K, Vec<V>)> = None;
-    let mut group_bytes = 0usize;
+    let mut window: KeyRuns<K, V> = Vec::new().into();
+    // Encoded bytes of the window, and of its last group.
+    let (mut bytes, mut last_bytes) = (0, 0);
     let mut overflow: Option<GroupSpill<K, V>> = None;
-    while let Some((k, v, len)) = merge.next_pair()? {
-        if current.as_ref().is_some_and(|(ck, _)| *ck != k) {
-            let (key, mut values) = current.take().unwrap();
-            let spilled = overflow.is_some();
-            if let Some(file) = overflow.take() {
-                values.extend(file.into_values()?);
+    let mut overflowed = 0;
+    while let Some((key, value, len)) = merge.next_pair()? {
+        if window.runs.last().is_none_or(|(last, _)| *last != key) {
+            // The last group is complete: an overflowed one is reduced
+            // alone, any other when this group's first value would not fit.
+            if overflow.is_some() || (bytes > 0 && bytes + len > group_budget) {
+                overflowed += reduce_window(&mut window, overflow.take(), &mut reduce)?;
+                bytes = 0;
             }
-            emit(key, values, spilled)?;
-            group_bytes = 0;
+            window.runs.push((key, window.values.len()));
+            last_bytes = 0;
+        } else if overflow.is_none() && bytes + len > group_budget {
+            if last_bytes < bytes {
+                // Earlier groups fill the window: they are reduced, and
+                // this group starts the next window.
+                let (key, _) = window.runs.pop().expect("a group is open");
+                let start = window.runs.last().map_or(0, |&(_, end)| end);
+                let values = window.values.split_off(start);
+                reduce_window(&mut window, None, &mut reduce)?;
+                window = KeyRuns {
+                    runs: vec![(key, values.len())],
+                    values,
+                };
+                bytes = last_bytes;
+            }
+            if bytes + len > group_budget {
+                overflow = Some(GroupSpill::create(
+                    partition.dir.next_file("group"),
+                    partition.codec.clone(),
+                )?);
+            }
         }
-        match &mut current {
+        let (key, end) = window.runs.last_mut().expect("a group is open");
+        match &mut overflow {
+            Some(file) => file.push(key, &value)?,
             None => {
-                current = Some((k, vec![v]));
-                group_bytes = len;
-            }
-            Some((ck, values)) => {
-                if overflow.is_none() && group_bytes + len > group_budget {
-                    overflow = Some(GroupSpill::create(
-                        partition.dir.next_file("group"),
-                        partition.codec.clone(),
-                    )?);
-                }
-                match &mut overflow {
-                    Some(file) => file.push(ck, &v)?,
-                    None => {
-                        values.push(v);
-                        group_bytes += len;
-                    }
-                }
+                window.values.push(value);
+                *end = window.values.len();
+                bytes += len;
+                last_bytes += len;
             }
         }
     }
-    if let Some((key, mut values)) = current.take() {
-        let spilled = overflow.is_some();
-        if let Some(file) = overflow.take() {
-            values.extend(file.into_values()?);
-        }
-        emit(key, values, spilled)?;
+    Ok(overflowed + reduce_window(&mut window, overflow, &mut reduce)?)
+}
+
+/// Hands the window's groups to `reduce` and empties it, its last group
+/// first completed from `overflow`; returns how many groups overflowed.
+fn reduce_window<K: MrKey, V: Clone>(
+    window: &mut KeyRuns<K, V>,
+    overflow: Option<GroupSpill<K, V>>,
+    reduce: &mut impl FnMut(FlatGroups<K, V>),
+) -> Result<u64, String> {
+    let overflowed = overflow.is_some();
+    if let Some(file) = overflow {
+        window.values.extend(file.into_values()?);
+        window.runs.last_mut().expect("a group is open").1 = window.values.len();
     }
-    Ok(())
+    if !window.is_empty() {
+        // A reducer may keep the column (trails cut from it), so it keeps
+        // none of the slack the column grew by.
+        let mut column = std::mem::replace(window, Vec::new().into());
+        column.values.shrink_to_fit();
+        reduce(FlatGroups::from_runs(vec![column]));
+    }
+    Ok(u64::from(overflowed))
 }
 
 #[cfg(test)]
@@ -804,7 +808,14 @@ mod tests {
     }
 
     fn dir() -> Arc<SpillDir> {
-        Arc::new(SpillDir::create("spill-test").unwrap())
+        Arc::new(SpillDir::create_in(&std::env::temp_dir(), "spill-test", None, None).unwrap())
+    }
+
+    /// Seals `pairs` as a run in `d`, without fault injection.
+    fn write_run(d: &SpillDir, prefix: &str, pairs: &[(String, u64)]) -> SpillRun {
+        seal_run(&codec(), d, prefix, pairs, &ChaosPlan::none())
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -831,7 +842,7 @@ mod tests {
     fn run_round_trips_in_order() {
         let d = dir();
         let pairs: Vec<(String, u64)> = (0..100).map(|i| (format!("k{i:03}"), i)).collect();
-        let run = write_run(&codec(), d.next_file("t"), &pairs).unwrap();
+        let run = write_run(&d, "t", &pairs);
         assert_eq!(run.records, 100);
         assert!(run.bytes > 0);
         let mut reader = SpillRunReader::open(&run, codec()).unwrap();
@@ -860,7 +871,7 @@ mod tests {
         let mut runs = Vec::new();
         for mut chunk in chunks {
             chunk.sort_by(|a, b| a.0.cmp(&b.0));
-            runs.push(write_run(&codec(), d.next_file("m"), &chunk).unwrap());
+            runs.push(write_run(&d, "m", &chunk));
         }
         let mut merge = SpillMerge::open(&runs, &codec()).unwrap();
         let mut got = Vec::new();
@@ -874,35 +885,45 @@ mod tests {
     fn merge_groups_spills_oversized_group_and_preserves_value_order() {
         let d = dir();
         let mut pairs: Vec<(String, u64)> = (0..50).map(|i| ("big".to_string(), i)).collect();
-        pairs.push(("tiny".into(), 99));
+        for (i, key) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            pairs.push((key.into(), i as u64));
+        }
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let run = write_run(&codec(), d.next_file("g"), &pairs).unwrap();
+        let run = write_run(&d, "g", &pairs);
         let partition = SpilledPartition {
             runs: vec![run],
             codec: codec(),
             dir: Arc::clone(&d),
         };
-        let mut groups = Vec::new();
-        // Budget fits ~4 records: the 50-value group must overflow.
-        merge_groups(&partition, 64, |k, vs, spilled| {
-            groups.push((k, vs, spilled));
-            Ok(())
+        let mut windows = Vec::new();
+        // Records of 17–19 B against a budget of 64: "a" and "b" share a
+        // window, the 50-value group overflows and sits alone in its own,
+        // and "c" and "d" share the last.
+        let overflowed = merge_groups(&partition, 64, |groups| {
+            let window: Vec<(String, Vec<u64>)> = groups
+                .iter()
+                .map(|(k, vs)| (k.clone(), vs.to_vec()))
+                .collect();
+            assert_eq!(groups.into_columns().count(), 1, "a window is one column");
+            windows.push(window);
         })
         .unwrap();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, "big");
-        assert_eq!(groups[0].1, (0..50).collect::<Vec<u64>>());
-        assert!(groups[0].2, "oversized group must report spilled");
-        assert_eq!(groups[1].0, "tiny");
-        assert_eq!(groups[1].1, vec![99]);
-        assert!(!groups[1].2);
+        assert_eq!(overflowed, 1, "only the oversized group overflows");
+        let keys: Vec<Vec<&str>> = windows
+            .iter()
+            .map(|w| w.iter().map(|(k, _)| k.as_str()).collect())
+            .collect();
+        assert_eq!(keys, [vec!["a", "b"], vec!["big"], vec!["c", "d"]]);
+        assert_eq!(windows[1][0].1, (0..50).collect::<Vec<u64>>());
+        assert_eq!(windows[0][1].1, vec![1]);
+        assert_eq!(windows[2][1].1, vec![3]);
     }
 
     #[test]
     fn truncated_run_surfaces_an_error_not_a_panic() {
         let d = dir();
         let pairs: Vec<(String, u64)> = (0..10).map(|i| (format!("k{i}"), i)).collect();
-        let run = write_run(&codec(), d.next_file("trunc"), &pairs).unwrap();
+        let run = write_run(&d, "trunc", &pairs);
         // Simulate a crash mid-spill: the file is cut short.
         let data = fs::read(&run.path).unwrap();
         fs::write(&run.path, &data[..data.len() / 2]).unwrap();
@@ -1001,9 +1022,9 @@ mod tests {
 
     #[test]
     fn spill_dir_cleans_up_on_drop() {
-        let d = SpillDir::create("cleanup").unwrap();
+        let d = SpillDir::create_in(&std::env::temp_dir(), "cleanup", None, None).unwrap();
         let path = d.path().to_path_buf();
-        write_run(&codec(), d.next_file("x"), &[("k".to_string(), 1u64)]).unwrap();
+        write_run(&d, "x", &[("k".to_string(), 1u64)]);
         assert!(path.exists());
         drop(d);
         assert!(!path.exists(), "spill dir must be removed on drop");

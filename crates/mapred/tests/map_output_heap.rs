@@ -1,7 +1,8 @@
 //! The heap a map phase holds is sized by what its mappers emit, not by
 //! what they read, and not by how many tasks partition at once; a reduce
 //! phase whose buckets arrive in key order allocates no copy of them, and
-//! at most one of a key that spans them all.
+//! at most one of a key that spans them all; one whose buckets do not
+//! allocates one copy of their values.
 //!
 //! The allocator's ledger is process-global, so the tests of this binary
 //! take turns: each holds `LEDGER` while its window is open, and no other
@@ -225,6 +226,53 @@ fn a_key_across_every_bucket_is_gathered_in_one_copy() {
         (allocated as f64) < 1.1 * bucket_bytes as f64,
         "reduce phase allocated {allocated} B for {bucket_bytes} B of buckets ({:.2} x)",
         allocated as f64 / bucket_bytes as f64
+    );
+}
+
+/// [`ByUser`] with the users in falling order: every bucket's runs are
+/// out of key order, so each partition's values are gathered.
+#[derive(Clone)]
+struct ByUserFalling;
+
+impl Mapper<u64> for ByUserFalling {
+    type KOut = u32;
+    type VOut = [u64; 4];
+
+    fn map(&mut self, _offset: u64, v: &u64, out: &mut Emitter<u32, [u64; 4]>) {
+        out.emit(u32::MAX - (v / TRACES_PER_USER) as u32, [*v; 4]);
+    }
+
+    fn splits_between(&self, prev: &u64, next: &u64) -> bool {
+        prev / TRACES_PER_USER != next / TRACES_PER_USER
+    }
+}
+
+#[test]
+fn an_out_of_order_reduce_phase_allocates_one_value_column() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    two_executors();
+    let records: Vec<u64> = (0..200_000).collect();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = Dfs::new(cluster.topology.clone(), 50_000 * 8, 2);
+    dfs.put_fixed("r", records, 8).unwrap();
+
+    let recorder = Recorder::enabled();
+    let result = MapReduceJob::new("falling", &cluster, &dfs, "r", ByUserFalling, CountAll(0))
+        .reducers(3)
+        .exec(&ExecCtx::new(&cluster).traced(&recorder), None)
+        .run()
+        .unwrap();
+    let counted: usize = result.output.iter().map(|&(_, n)| n).sum();
+    assert_eq!(counted, 200_000);
+
+    // The runs are sorted, not the pairs: the phase allocates the value
+    // column and little besides — no `(key, value)` pair per record.
+    let value_bytes = (200_000 * std::mem::size_of::<[u64; 4]>()) as f64;
+    let allocated = span_ledger(&recorder.events(), "phase.reduce", "mem.allocated");
+    assert!(
+        (allocated as f64) <= 1.2 * value_bytes,
+        "reduce phase allocated {allocated} B for {value_bytes} B of values ({:.2} x)",
+        allocated as f64 / value_bytes
     );
 }
 

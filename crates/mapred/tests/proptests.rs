@@ -263,7 +263,7 @@ proptest! {
     ) {
         let mut by_key = keyed(&draws, key_space);
         by_key.sort_by_key(|&(k, _)| k);
-        let sorted = FlatGroups::sorted(by_key.clone());
+        let sorted = FlatGroups::from_runs(vec![by_key.clone().into()]);
         prop_assert_eq!(flat_to_nested(&sorted), group_sorted(by_key));
         prop_assert_eq!(sorted.len(), sorted.iter().count());
         prop_assert_eq!(sorted.is_empty(), draws.is_empty());
@@ -271,15 +271,15 @@ proptest! {
 
     /// Buckets in key order end to end are grouped in place as the sorted
     /// grouping of their concatenation, each non-empty bucket a column;
-    /// any other buckets are handed back unchanged, and the stable sort of
-    /// their concatenation groups the same way — equal keys keep bucket
-    /// order. Buckets are cut from one arrival sequence at
-    /// arbitrary points, so empty buckets, a single bucket, buckets out of
-    /// order after any number of moved groups, and (`key_space` 1) a single
-    /// key all occur; `presorted` sorts the sequence first, for buckets in
-    /// order with ties at their seams.
+    /// any other buckets are gathered into one column grouped as the
+    /// stable sort of their concatenation — equal keys keep bucket order.
+    /// Buckets are cut from one arrival sequence at arbitrary points, so
+    /// empty buckets, a single bucket, buckets out of order after any
+    /// number of moved groups, and (`key_space` 1) a single key all occur;
+    /// `presorted` sorts the sequence first, for buckets in order with
+    /// ties at their seams.
     #[test]
-    fn sorted_runs_group_in_place_or_hand_back_the_concatenation(
+    fn from_runs_groups_in_place_or_gathers_one_column(
         draws in prop::collection::vec(0u64..1000, 0..200),
         key_space in 0u64..9,
         cuts in prop::collection::vec(0usize..60, 0..8),
@@ -299,21 +299,48 @@ proptest! {
         let non_empty = runs.iter().filter(|b| !b.is_empty()).count();
         let mut by_key = pairs.clone();
         by_key.sort_by_key(|&(k, _)| k);
-        let want = group_sorted(by_key.clone());
-        match FlatGroups::sorted_runs(runs.clone()) {
-            Ok(groups) => {
-                prop_assert!(pairs.is_sorted_by_key(|&(k, _)| k));
-                prop_assert_eq!(flat_to_nested(&groups), want.clone());
-                let columns = column_groups(groups);
-                prop_assert!(columns.len() <= non_empty);
-                prop_assert_eq!(columns.concat(), want);
-            }
-            Err(buckets) => {
-                prop_assert!(!pairs.is_sorted_by_key(|&(k, _)| k));
-                prop_assert_eq!(&buckets, &runs);
-                prop_assert_eq!(flat_to_nested(&FlatGroups::sorted(by_key)), want);
-            }
+        let want = group_sorted(by_key);
+        let groups = FlatGroups::from_runs(runs);
+        prop_assert_eq!(flat_to_nested(&groups), want.clone());
+        let columns = column_groups(groups);
+        if pairs.is_sorted_by_key(|&(k, _)| k) {
+            prop_assert!(columns.len() <= non_empty);
+        } else {
+            prop_assert_eq!(columns.len(), 1);
         }
+        prop_assert_eq!(columns.concat(), want);
+    }
+
+    /// Out-of-order buckets are grouped by sorting their runs, not their
+    /// pairs: the result is still the nested grouping of the stably
+    /// sorted concatenation, for runs of one pair up to a whole bucket,
+    /// keys that come back later in their bucket and in later buckets,
+    /// and empty buckets.
+    #[test]
+    fn gathered_runs_are_the_stably_sorted_groups(
+        buckets in prop::collection::vec(
+            prop::collection::vec((0u64..6, 1usize..24), 0..6),
+            0..8,
+        ),
+    ) {
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        let mut runs: Vec<KeyRuns<u64, u64>> = Vec::new();
+        for bucket in &buckets {
+            let start = pairs.len();
+            for &(key, len) in bucket {
+                for _ in 0..len {
+                    pairs.push((key, pairs.len() as u64));
+                }
+            }
+            runs.push(pairs[start..].to_vec().into());
+        }
+        let mut by_key = pairs.clone();
+        by_key.sort_by_key(|&(k, _)| k);
+        let columns = column_groups(FlatGroups::from_runs(runs));
+        if !pairs.is_sorted_by_key(|&(k, _)| k) {
+            prop_assert_eq!(columns.len(), 1);
+        }
+        prop_assert_eq!(columns.concat(), group_sorted(by_key));
     }
 
     /// A budget anywhere between "everything spills" and "nothing does"
@@ -359,13 +386,13 @@ proptest! {
     ) {
         let mut pairs = keyed(&draws, key_space);
         pairs.sort_by_key(|&(k, _)| k);
-        let groups = FlatGroups::sorted(pairs.clone());
+        let groups = FlatGroups::from_runs(vec![pairs.clone().into()]);
         let mut per_group = Emitter::new();
         for (key, values) in groups.iter() {
             RecordSorted.reduce(key, values, &mut per_group);
         }
         let mut whole = Emitter::new();
-        RecordSorted.reduce_partition(FlatGroups::sorted(pairs), &mut whole);
+        RecordSorted.reduce_partition(FlatGroups::from_runs(vec![pairs.into()]), &mut whole);
         prop_assert_eq!(whole.into_pairs(), per_group.into_pairs());
     }
 
@@ -492,8 +519,8 @@ proptest! {
     /// per-pair references make of the same pairs: each reduce partition
     /// (its pairs in map order) grouped by `group_sorted` after a stable
     /// sort — for buckets in key order end to end (`presorted`) and out of
-    /// it (the sort fallback), and spilled past `budget`; a map-only job
-    /// outputs the pairs themselves. Runs of one key are up to 700
+    /// it (gathered from their sorted runs), and spilled past `budget`; a
+    /// map-only job outputs the pairs themselves. Runs of one key are up to 700
     /// long and chunks up to 9 000 records, so chunks split into ranges
     /// and a key's run can span a cut, a range or a chunk. A reducer that
     /// takes its partition apart by column sees every group whole.
@@ -579,7 +606,7 @@ proptest! {
         }
         let non_empty = buckets.iter().filter(|b| !b.is_empty()).count();
         let want = group_sorted(in_order);
-        let groups = FlatGroups::sorted_runs(buckets).expect("buckets in key order");
+        let groups = FlatGroups::from_runs(buckets);
         prop_assert_eq!(groups.len(), want.len());
         let columns = column_groups(groups);
         prop_assert!(columns.len() <= non_empty);
