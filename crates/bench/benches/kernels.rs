@@ -21,7 +21,7 @@ use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSo
 use gepeto_geolife::{GeneratorConfig, SyntheticGeoLife};
 use gepeto_mapred::{
     group_sorted, group_unsorted, Counters, DistributedCache, Emitter, FlatGroups, JobConfig,
-    Mapper, TaskContext,
+    KeyRuns, Mapper, TaskContext,
 };
 use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp};
 use std::hint::black_box;
@@ -207,7 +207,7 @@ fn bench_flat_grouping(c: &mut Criterion) {
     });
     group.bench_function("flat", |b| {
         b.iter(|| {
-            let groups = FlatGroups::from_runs(vec![pairs.clone().into()]);
+            let groups = FlatGroups::from_runs(KeyRuns::partitioned(pairs.clone(), 1, |_| 0));
             black_box(groups.iter().map(|(_, vs)| vs.len()).sum::<usize>())
         })
     });

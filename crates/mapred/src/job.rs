@@ -369,6 +369,7 @@ where
             ],
         );
         let MapPhaseOutput {
+            pairs,
             partitions,
             sim_tasks: map_sim,
             partition_bytes,
@@ -390,15 +391,9 @@ where
             durable.as_ref().map(|(journal, _)| journal.as_ref()),
         )?;
         let (output, reduce_sim) = match self.map_only {
-            // No reduce phase: the task buckets in chunk and range order
-            // are the output.
-            Some(pass_through) => {
-                let buckets = partitions.into_iter().flat_map(|p| match p {
-                    PartitionInput::Memory(buckets) => buckets,
-                    PartitionInput::Spilled(_) => unreachable!("map-only partitions never spill"),
-                });
-                (pass_through(concat_pairs(buckets.collect())), Vec::new())
-            }
+            // No reduce phase: the map pairs in chunk and range order are
+            // the output.
+            Some(pass_through) => (pass_through(pairs), Vec::new()),
             None => self.reduce_phase(
                 partitions,
                 &partition_bytes,
@@ -464,7 +459,6 @@ where
             .map(|_| self.reducer.clone())
             .collect();
         let chaos = &cluster.chaos;
-        let copy_turn = Mutex::new(());
         let committed = durable
             .map(|(journal, _)| journal.committed_reduces(name))
             .unwrap_or_default();
@@ -545,14 +539,11 @@ where
                         // to end (a by-user regroup of a user-major input,
                         // a single-key merge) are the reduce columns as
                         // they are. Any other partition is gathered into
-                        // one column while its buckets are still held, so
-                        // those take turns: the heap holds one partition
-                        // twice, never two.
-                        let gather = !in_key_order(&buckets);
-                        let turn = gather.then(|| copy_turn.lock().expect("no panic at a turn"));
-                        let sort_span = gather.then(|| task_span.child("phase.sort", &[]));
+                        // one column while its buckets are still held.
+                        let sort_span =
+                            (!in_key_order(&buckets)).then(|| task_span.child("phase.sort", &[]));
                         let flat = FlatGroups::from_runs(buckets);
-                        drop((sort_span, turn));
+                        drop(sort_span);
                         reduce(flat);
                     }
                     PartitionInput::Spilled(sp) => {
@@ -772,9 +763,11 @@ struct ReduceTaskOutput<K, V> {
 }
 
 struct MapPhaseOutput<K, V> {
-    /// One bucket per reduce partition (`num_reducers == 0` → a bucket
-    /// per map task, preserving chunk order). Partitions that overflowed
-    /// the memory budget live on disk as sorted spill runs.
+    /// A map-only job's output: its pairs in chunk and range order, as
+    /// emitted (empty in a job with a reduce phase).
+    pairs: Vec<(K, V)>,
+    /// One input per reduce partition (none in a map-only job). Partitions
+    /// that overflowed the memory budget live on disk as sorted spill runs.
     partitions: Vec<PartitionInput<K, V>>,
     sim_tasks: Vec<MapTaskSim>,
     partition_bytes: Vec<u64>,
@@ -890,12 +883,15 @@ where
             m.cleanup(&mut out);
             counters.inc(builtin::MAP_OUTPUT_RECORDS, out.len() as u64);
 
-            // Partition this range's output into key runs.
-            let pairs = out.into_pairs();
+            // Partition this range's output into key runs; a map-only
+            // job keeps it as emitted, without the slack a filter's
+            // emitter grew by, since it is held until the join.
+            let mut pairs = out.into_pairs();
             let buckets = if num_reducers == 0 {
-                vec![KeyRuns::from(pairs)]
+                pairs.shrink_to_fit();
+                Vec::new()
             } else {
-                let buckets = KeyRuns::partitioned(pairs, num_reducers, |k| {
+                let buckets = KeyRuns::partitioned(std::mem::take(&mut pairs), num_reducers, |k| {
                     let p = partitioner.as_ref().map_or_else(
                         || default_partition(k, num_reducers),
                         |f| f(k, num_reducers),
@@ -923,6 +919,10 @@ where
                         .sum()
                 })
                 .collect();
+            let pairs_bytes = match pair_bytes {
+                Some(f) => pairs.iter().map(|(k, v)| f(k, v) as u64).sum(),
+                None => (default_pair_size * pairs.len()) as u64,
+            };
             let busy_ns = t0.elapsed().as_nanos() as u64;
             task.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
             if task.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -932,35 +932,44 @@ where
                     m.observe("task.map.us", task.busy_ns.load(Ordering::Relaxed) / 1_000);
                 }
             }
-            RangeOutput { buckets, bytes }
+            RangeOutput {
+                pairs,
+                pairs_bytes,
+                buckets,
+                bytes,
+            }
         });
 
     map_span.end();
-    let num_partitions = if num_reducers == 0 {
-        block_ids.len()
-    } else {
-        num_reducers
-    };
-    // Routing map outputs to reduce partitions. Without a budget this
-    // only hands bucket ownership over (the reduce tasks group them);
-    // with one it is the memory-bounded copy step.
+    // Routing map outputs to reduce partitions: each partition buffers its
+    // map tasks' buckets in task and range order, and its reduce task
+    // groups them; under a budget, this is the memory-bounded copy step.
     let _shuffle_span = (num_reducers > 0).then(|| job_span.child("phase.shuffle", &[]));
+    // A map-only job's ranges, joined in chunk and range order.
+    let mut pairs = Vec::with_capacity(outputs.iter().map(|r| r.pairs.len()).sum());
+    // Highest buffered intermediate size the copy step's own accounting
+    // saw — the value the spill trigger compares against the budget; a
+    // map-only job's largest task.
+    let mut acct_peak = 0u64;
     // One result per task: its ranges' buckets, per partition in range
     // order, and its busy time summed over them.
     let mut ok_results = Vec::with_capacity(block_ids.len());
     let mut outputs = outputs.into_iter();
     for task in tasks {
-        let parts = num_reducers.max(1);
-        let mut buckets: Vec<Buckets<M::KOut, M::VOut>> = (0..parts)
+        let mut buckets: Vec<Buckets<M::KOut, M::VOut>> = (0..num_reducers)
             .map(|_| Vec::with_capacity(task.ranges))
             .collect();
-        let mut bucket_bytes = vec![0u64; parts];
+        let mut bucket_bytes = vec![0u64; num_reducers];
+        let mut pairs_bytes = 0;
         for range in outputs.by_ref().take(task.ranges) {
+            pairs.extend(range.pairs);
+            pairs_bytes += range.pairs_bytes;
             for (p, (bucket, bytes)) in range.buckets.into_iter().zip(range.bytes).enumerate() {
                 buckets[p].push(bucket);
                 bucket_bytes[p] += bytes;
             }
         }
+        acct_peak = acct_peak.max(pairs_bytes);
         let block = dfs.block(task.block_id);
         ok_results.push(MapTaskResult {
             buckets,
@@ -980,84 +989,77 @@ where
             },
         });
     }
-    let mut partition_bytes = vec![0u64; num_partitions];
+    let mut partition_bytes = vec![0u64; num_reducers];
     let mut sim_tasks = Vec::with_capacity(block_ids.len());
-    // Highest buffered intermediate size the copy step's own accounting
-    // saw — the value the spill trigger compares against the budget.
-    let mut acct_peak = 0u64;
-    let partitions: Vec<PartitionInput<M::KOut, M::VOut>> = if num_reducers == 0 {
-        let mut partitions = Vec::with_capacity(num_partitions);
-        for (task_id, mut r) in ok_results.into_iter().enumerate() {
-            sim_tasks.push(r.sim);
-            partition_bytes[task_id] = r.bucket_bytes[0];
-            partitions.push(PartitionInput::Memory(r.buckets.swap_remove(0)));
+    // Partitions buffer their buckets; past the budget, if any, a
+    // partition's buffered buckets are grouped as their stable sort would
+    // order them and spilled as one run. Runs are consecutive chunks of the
+    // map-order concatenation, which is what lets the reduce-side merge
+    // reproduce the stable sort exactly.
+    let mut bufs: Vec<Buckets<M::KOut, M::VOut>> = (0..num_reducers)
+        .map(|_| Vec::with_capacity(ok_results.len()))
+        .collect();
+    let mut mem_bytes = vec![0u64; num_reducers];
+    let mut runs: Vec<Vec<SpillRun>> = vec![Vec::new(); num_reducers];
+    let mut spill_dir: Option<Arc<SpillDir>> = None;
+    // Groups one buffer, seals it as a verified spill run (absorbing
+    // injected storage faults), frees it, journals the seal on durable
+    // runs, and accounts the spill. `estimate` is the buffered size the
+    // trigger believed it was flushing; its gap to the run's encoded size
+    // accumulates in `SPILL_ESTIMATE_ERROR`, so chronically wrong
+    // estimators are visible.
+    let spill_run = |sp: &SpillSpec<M::KOut, M::VOut>,
+                     buf,
+                     dir: &SpillDir,
+                     estimate: u64|
+     -> Result<SpillRun, JobError> {
+        let groups = FlatGroups::from_runs(buf);
+        let (run, seal) = seal_groups(&sp.codec, dir, "run", &groups, &cluster.chaos)?;
+        drop(groups);
+        note_seal_stats(&seal, counters);
+        counters.inc(builtin::SPILL_ESTIMATE_ERROR, estimate.abs_diff(run.bytes));
+        if let Some(j) = journal {
+            j.append(&JournalEntry::SpillSealed {
+                job: job_name.to_string(),
+                path: run.path.display().to_string(),
+                records: run.records as usize,
+                bytes: run.bytes as usize,
+                checksum: run.checksum,
+            })
+            .map_err(JobError::Io)?;
         }
-        acct_peak = partition_bytes.iter().copied().max().unwrap_or(0);
-        partitions
-    } else if let Some(sp) = spill {
-        // Memory-bounded copy step: partitions buffer their buckets only
-        // until the budget; past it the buffered buckets are grouped as
-        // their stable sort would order them and spilled as one run. Runs
-        // are consecutive chunks of the map-order concatenation, which is
-        // what lets the reduce-side merge reproduce the stable sort
-        // exactly.
-        let mut bufs: Vec<Buckets<M::KOut, M::VOut>> =
-            (0..num_partitions).map(|_| Vec::new()).collect();
-        let mut mem_bytes = vec![0u64; num_partitions];
-        let mut runs: Vec<Vec<SpillRun>> = vec![Vec::new(); num_partitions];
-        let mut spill_dir: Option<Arc<SpillDir>> = None;
-        // Groups one buffer, seals it as a verified spill run (absorbing
-        // injected storage faults), frees it, journals the seal on durable
-        // runs, and accounts the spill. `estimate` is the buffered size the
-        // trigger believed it was flushing; its gap to the run's encoded
-        // size accumulates in `SPILL_ESTIMATE_ERROR`, so chronically wrong
-        // estimators are visible.
-        let spill_run = |buf, dir: &SpillDir, estimate: u64| -> Result<SpillRun, JobError> {
-            let groups = FlatGroups::from_runs(buf);
-            let (run, seal) = seal_groups(&sp.codec, dir, "run", &groups, &cluster.chaos)?;
-            drop(groups);
-            note_seal_stats(&seal, counters);
-            counters.inc(builtin::SPILL_ESTIMATE_ERROR, estimate.abs_diff(run.bytes));
-            if let Some(j) = journal {
-                j.append(&JournalEntry::SpillSealed {
-                    job: job_name.to_string(),
-                    path: run.path.display().to_string(),
-                    records: run.records as usize,
-                    bytes: run.bytes as usize,
-                    checksum: run.checksum,
-                })
-                .map_err(JobError::Io)?;
-            }
-            counters.inc(builtin::SPILLED_BYTES, run.bytes);
-            counters.inc(builtin::SPILL_FILES, 1);
-            Ok(run)
-        };
-        for r in ok_results {
-            sim_tasks.push(r.sim);
-            for (p, ranges) in r.buckets.into_iter().enumerate() {
-                partition_bytes[p] += r.bucket_bytes[p];
-                mem_bytes[p] += r.bucket_bytes[p];
-                acct_peak = acct_peak.max(mem_bytes[p]);
-                bufs[p].extend(ranges.into_iter().filter(|b| !b.is_empty()));
-                if mem_bytes[p] > sp.budget as u64 && !bufs[p].is_empty() {
-                    let dir =
-                        lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
-                    runs[p].push(spill_run(std::mem::take(&mut bufs[p]), &dir, mem_bytes[p])?);
-                    mem_bytes[p] = 0;
-                }
+        counters.inc(builtin::SPILLED_BYTES, run.bytes);
+        counters.inc(builtin::SPILL_FILES, 1);
+        Ok(run)
+    };
+    for r in ok_results {
+        sim_tasks.push(r.sim);
+        for (p, ranges) in r.buckets.into_iter().enumerate() {
+            partition_bytes[p] += r.bucket_bytes[p];
+            mem_bytes[p] += r.bucket_bytes[p];
+            acct_peak = acct_peak.max(mem_bytes[p]);
+            bufs[p].extend(ranges.into_iter().filter(|b| !b.is_empty()));
+            if let Some(sp) =
+                spill.filter(|sp| mem_bytes[p] > sp.budget as u64 && !bufs[p].is_empty())
+            {
+                let dir =
+                    lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
+                let buf = std::mem::take(&mut bufs[p]);
+                runs[p].push(spill_run(sp, buf, &dir, mem_bytes[p])?);
+                mem_bytes[p] = 0;
             }
         }
-        let mut partitions = Vec::with_capacity(num_partitions);
-        for ((buf, mut partition_runs), tail_estimate) in bufs.into_iter().zip(runs).zip(mem_bytes)
-        {
-            if partition_runs.is_empty() {
-                partitions.push(PartitionInput::Memory(buf));
-            } else {
+    }
+    let mut partitions = Vec::with_capacity(num_reducers);
+    for ((buf, mut partition_runs), tail_estimate) in bufs.into_iter().zip(runs).zip(mem_bytes) {
+        match spill.filter(|_| !partition_runs.is_empty()) {
+            None => partitions.push(PartitionInput::Memory(buf)),
+            Some(sp) => {
                 // Once any run exists the whole partition merges from
                 // disk, so the in-memory tail becomes the final run.
                 let dir = Arc::clone(spill_dir.as_ref().expect("spill dir exists once runs do"));
                 if !buf.is_empty() {
-                    partition_runs.push(spill_run(buf, &dir, tail_estimate)?);
+                    partition_runs.push(spill_run(sp, buf, &dir, tail_estimate)?);
                 }
                 partitions.push(PartitionInput::Spilled(SpilledPartition {
                     runs: partition_runs,
@@ -1066,23 +1068,7 @@ where
                 }));
             }
         }
-        partitions
-    } else {
-        // No copy here: each partition is handed its map tasks' buckets
-        // in task and range order, and its reduce task groups them.
-        let mut partitions: Vec<Vec<_>> = (0..num_partitions)
-            .map(|_| Vec::with_capacity(ok_results.len()))
-            .collect();
-        for r in ok_results {
-            sim_tasks.push(r.sim);
-            for (p, ranges) in r.buckets.into_iter().enumerate() {
-                partitions[p].extend(ranges);
-                partition_bytes[p] += r.bucket_bytes[p];
-            }
-        }
-        acct_peak = partition_bytes.iter().copied().max().unwrap_or(0);
-        partitions.into_iter().map(PartitionInput::Memory).collect()
-    };
+    }
     // Budget-vs-actual accounting: what the spill trigger compared
     // against the budget, and how far past it the buffers got. The
     // budgeted path can overshoot by up to one map task's bucket — the
@@ -1098,6 +1084,7 @@ where
         counters.set_max(builtin::MEM_ACCOUNTED_PEAK, acct_peak);
     }
     Ok(MapPhaseOutput {
+        pairs,
         partitions,
         sim_tasks,
         partition_bytes,
@@ -1146,8 +1133,7 @@ fn note_seal_stats(seal: &SealStats, counters: &Counters) {
 }
 
 struct MapTaskResult<K, V> {
-    /// Per partition (one for a map-only job), the task's range buckets
-    /// in range order.
+    /// Per reduce partition, the task's range buckets in range order.
     buckets: Vec<Buckets<K, V>>,
     bucket_bytes: Vec<u64>,
     sim: MapTaskSim,
@@ -1174,8 +1160,11 @@ struct MapTaskRun {
     span: Mutex<Option<Span>>,
 }
 
-/// One range's output: per partition its bucket, and the bucket's bytes.
+/// One range's output: a map-only job's pairs as emitted and their bytes,
+/// or per reduce partition its bucket and the bucket's bytes.
 struct RangeOutput<K, V> {
+    pairs: Vec<(K, V)>,
+    pairs_bytes: u64,
     buckets: Buckets<K, V>,
     bytes: Vec<u64>,
 }
@@ -1327,29 +1316,6 @@ impl<K: MrKey, V> KeyRuns<K, V> {
         }
         out
     }
-}
-
-impl<K: MrKey, V> From<Vec<(K, V)>> for KeyRuns<K, V> {
-    /// One run per stretch of equal adjacent keys, in order.
-    fn from(pairs: Vec<(K, V)>) -> Self {
-        Self::partitioned(pairs, 1, |_| 0).pop().expect("one part")
-    }
-}
-
-/// Expands a map-only job's buckets back to pairs, each value with a
-/// clone of its run's key: their concatenation, in order, in one
-/// exactly-sized buffer.
-pub(crate) fn concat_pairs<K: MrKey, V>(buckets: Vec<KeyRuns<K, V>>) -> Vec<(K, V)> {
-    let mut pairs = Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum());
-    for bucket in buckets {
-        let mut values = bucket.values.into_iter();
-        let mut start = 0;
-        for (key, end) in bucket.runs {
-            pairs.extend(values.by_ref().take(end - start).map(|v| (key.clone(), v)));
-            start = end;
-        }
-    }
-    pairs
 }
 
 /// One reduce partition grouped *flat*: its values in a few columns, each
@@ -2635,7 +2601,11 @@ mod partitioner_tests {
                 bucket_runs += bucket.iter().count();
                 assert_eq!(bucket.runs.capacity(), bucket.runs.len());
                 assert_eq!(bucket.values.capacity(), want.len());
-                assert_eq!(concat_pairs(vec![bucket]), want);
+                let got: Vec<(u64, usize)> = bucket
+                    .iter()
+                    .flat_map(|(&k, values)| values.iter().map(move |&v| (k, v)))
+                    .collect();
+                assert_eq!(got, want);
             }
             assert_eq!(bucket_runs, runs);
         }

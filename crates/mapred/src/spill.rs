@@ -209,6 +209,8 @@ pub(crate) fn sanitize(tag: &str) -> String {
 #[derive(Debug)]
 pub struct SpillDir {
     path: PathBuf,
+    /// The job's slug, which every file name here starts with.
+    tag: String,
     next_file: AtomicU64,
     /// Payload bytes committed here and still charged against the
     /// virtual disk; released on drop.
@@ -245,6 +247,7 @@ impl SpillDir {
         fs::create_dir_all(&path).map_err(|e| format!("create spill dir {path:?}: {e}"))?;
         Ok(Self {
             path,
+            tag,
             next_file: AtomicU64::new(0),
             charged: AtomicU64::new(0),
             io,
@@ -256,10 +259,11 @@ impl SpillDir {
         &self.path
     }
 
-    /// A fresh unique file path inside the directory.
+    /// A fresh unique file path inside the directory, named
+    /// `{job}-{prefix}-{n}.spill`.
     pub fn next_file(&self, prefix: &str) -> PathBuf {
         let n = self.next_file.fetch_add(1, Ordering::Relaxed);
-        self.path.join(format!("{prefix}-{n}.spill"))
+        self.path.join(format!("{}-{prefix}-{n}.spill", self.tag))
     }
 
     fn note_commit(&self, payload_bytes: u64) {
@@ -426,7 +430,10 @@ pub fn seal_run_at<K, V>(
 }
 
 /// Seals one encoded payload at `path`: every rebuild attempt commits the
-/// same bytes, encoded once.
+/// same bytes, encoded once. Its injected faults are drawn for the file's
+/// name (`{job}-run-{n}.spill`, `{job}-p{task}.part`), never for its
+/// directory, whose name holds the process id: one fault seed injects
+/// the same faults in every process.
 fn seal_at(
     path: PathBuf,
     payload: &[u8],
@@ -435,7 +442,7 @@ fn seal_at(
 ) -> Result<(SpillRun, SealStats), CommitError> {
     let deep = chaos.io_active();
     let mut stats = SealStats::default();
-    let site = path.display().to_string();
+    let site = path.file_name().unwrap_or_default().to_string_lossy();
     for attempt in 0..=MAX_SEAL_REBUILDS {
         // Injected torn writes and bit-rot do not error here: they are
         // materialized into the file for `verify_run` to catch.
@@ -727,7 +734,8 @@ pub fn merge_groups<K: MrKey, V: Clone>(
     mut reduce: impl FnMut(FlatGroups<K, V>),
 ) -> Result<u64, String> {
     let mut merge = SpillMerge::open(&partition.runs, &partition.codec)?;
-    let mut window: KeyRuns<K, V> = Vec::new().into();
+    let (runs, values) = (Vec::new(), Vec::new());
+    let mut window = KeyRuns { runs, values };
     // Encoded bytes of the window, and of its last group.
     let (mut bytes, mut last_bytes) = (0, 0);
     let mut overflow: Option<GroupSpill<K, V>> = None;
@@ -792,9 +800,10 @@ fn reduce_window<K: MrKey, V: Clone>(
     if !window.is_empty() {
         // A reducer may keep the column (trails cut from it), so it keeps
         // none of the slack the column grew by.
-        let mut column = std::mem::replace(window, Vec::new().into());
-        column.values.shrink_to_fit();
-        reduce(FlatGroups::from_runs(vec![column]));
+        let runs = std::mem::take(&mut window.runs);
+        let mut values = std::mem::take(&mut window.values);
+        values.shrink_to_fit();
+        reduce(FlatGroups::from_runs(vec![KeyRuns { runs, values }]));
     }
     Ok(u64::from(overflowed))
 }
@@ -973,6 +982,46 @@ mod tests {
             got.push((k, v));
         }
         assert_eq!(got, pairs, "sealed run is bit-identical to the buffer");
+    }
+
+    #[test]
+    fn fault_sites_name_the_job_and_file_not_the_process() {
+        use crate::chaos::ChaosPlan;
+        // Two spill directories of one job, as two processes (or two
+        // attempts) would create them: their paths differ in the process
+        // id and the directory counter, their faults must not.
+        let chaos = ChaosPlan::none().io_faults(
+            crate::chaos::IoFaultPlan::new(11)
+                .eio(0.3)
+                .torn(0.4)
+                .bitrot(0.2),
+        );
+        let seal_all = || {
+            let d = SpillDir::create_in(
+                &std::env::temp_dir(),
+                "site-test",
+                None,
+                chaos.io_plan().cloned(),
+            )
+            .unwrap();
+            let stats: Vec<SealStats> = (0..16)
+                .map(|i| {
+                    let pairs: Vec<(String, u64)> = (0..50).map(|j| (format!("k{j}"), i)).collect();
+                    seal_run(&codec(), &d, "run", &pairs, &chaos).unwrap().1
+                })
+                .collect();
+            (d.path().to_path_buf(), stats)
+        };
+        let (first_dir, first) = seal_all();
+        let (second_dir, second) = seal_all();
+        assert_ne!(first_dir, second_dir);
+        assert!(
+            first
+                .iter()
+                .any(|s| s.torn_detected > 0 || s.quarantined > 0),
+            "the plan injects faults: {first:?}"
+        );
+        assert_eq!(first, second);
     }
 
     #[test]

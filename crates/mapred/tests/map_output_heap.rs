@@ -54,6 +54,45 @@ fn a_filter_job_holds_what_it_keeps_not_what_it_reads() {
     );
 }
 
+#[test]
+fn a_map_only_job_allocates_its_emitters_and_one_joined_output() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    two_executors();
+    // Four chunks of 50 000 records, one pair out per record, every key
+    // distinct: the emitters' vectors, then the output they are joined
+    // into, and no copy of the pairs between.
+    let records: Vec<u64> = (0..200_000).collect();
+    let cluster = Cluster::local(4, 2);
+    let mut dfs = Dfs::new(cluster.topology.clone(), 50_000 * 8, 2);
+    dfs.put_fixed("r", records, 8).unwrap();
+    assert_eq!(dfs.num_blocks("r").unwrap(), 4);
+    let one_to_one = FnMapper::new(|off: u64, v: &u64, out: &mut Emitter<u64, u64>| {
+        out.emit(off, *v);
+    });
+
+    let recorder = Recorder::enabled();
+    let result = MapOnlyJob::new("one-to-one", &cluster, &dfs, "r", one_to_one)
+        .exec(&ExecCtx::new(&cluster).traced(&recorder), None)
+        .run()
+        .unwrap();
+    assert_eq!(result.output.len(), 200_000);
+    assert!(result
+        .output
+        .iter()
+        .enumerate()
+        .all(|(i, &(k, v))| k == i as u64 && v == k));
+
+    // The emitters reserve their range's pairs exactly, and the output is
+    // reserved once: two copies of the pairs in all.
+    let pair_bytes = (200_000 * std::mem::size_of::<(u64, u64)>()) as f64;
+    let allocated = span_ledger(&recorder.events(), "job", "mem.allocated");
+    assert!(
+        (allocated as f64) <= 2.1 * pair_bytes,
+        "map-only job allocated {allocated} B for {pair_bytes} B of pairs ({:.2} x)",
+        allocated as f64 / pair_bytes
+    );
+}
+
 /// Records of one user: `v / 16` names it, so users come in runs of 16.
 const TRACES_PER_USER: u64 = 16;
 

@@ -78,6 +78,14 @@ fn keyed(draws: &[u64], key_space: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// `pairs` as one map-task bucket: a run per stretch of equal adjacent
+/// keys.
+fn one_bucket(pairs: Vec<(u64, u64)>) -> KeyRuns<u64, u64> {
+    KeyRuns::partitioned(pairs, 1, |_| 0)
+        .pop()
+        .expect("one part")
+}
+
 fn flat_to_nested(groups: &FlatGroups<u64, u64>) -> Vec<(u64, Vec<u64>)> {
     groups.iter().map(|(k, vs)| (*k, vs.to_vec())).collect()
 }
@@ -263,7 +271,7 @@ proptest! {
     ) {
         let mut by_key = keyed(&draws, key_space);
         by_key.sort_by_key(|&(k, _)| k);
-        let sorted = FlatGroups::from_runs(vec![by_key.clone().into()]);
+        let sorted = FlatGroups::from_runs(vec![one_bucket(by_key.clone())]);
         prop_assert_eq!(flat_to_nested(&sorted), group_sorted(by_key));
         prop_assert_eq!(sorted.len(), sorted.iter().count());
         prop_assert_eq!(sorted.is_empty(), draws.is_empty());
@@ -293,7 +301,7 @@ proptest! {
         let mut rest = pairs.as_slice();
         for &cut in cuts.iter().chain([&usize::MAX]) {
             let (run, tail) = rest.split_at(cut.min(rest.len()));
-            runs.push(run.to_vec().into());
+            runs.push(one_bucket(run.to_vec()));
             rest = tail;
         }
         let non_empty = runs.iter().filter(|b| !b.is_empty()).count();
@@ -332,7 +340,7 @@ proptest! {
                     pairs.push((key, pairs.len() as u64));
                 }
             }
-            runs.push(pairs[start..].to_vec().into());
+            runs.push(one_bucket(pairs[start..].to_vec()));
         }
         let mut by_key = pairs.clone();
         by_key.sort_by_key(|&(k, _)| k);
@@ -386,13 +394,13 @@ proptest! {
     ) {
         let mut pairs = keyed(&draws, key_space);
         pairs.sort_by_key(|&(k, _)| k);
-        let groups = FlatGroups::from_runs(vec![pairs.clone().into()]);
+        let groups = FlatGroups::from_runs(vec![one_bucket(pairs.clone())]);
         let mut per_group = Emitter::new();
         for (key, values) in groups.iter() {
             RecordSorted.reduce(key, values, &mut per_group);
         }
         let mut whole = Emitter::new();
-        RecordSorted.reduce_partition(FlatGroups::from_runs(vec![pairs.into()]), &mut whole);
+        RecordSorted.reduce_partition(FlatGroups::from_runs(vec![one_bucket(pairs)]), &mut whole);
         prop_assert_eq!(whole.into_pairs(), per_group.into_pairs());
     }
 

@@ -209,6 +209,16 @@ echo "== io-chaos smoke: storage faults repaired, counters exported =="
 grep -q '^gepeto_io_retries_total [0-9]' target/bench-smoke/iochaos.prom
 grep -q '^gepeto_io_torn_writes_detected_total [0-9]' target/bench-smoke/iochaos.prom
 grep -q '^gepeto_spill_runs_quarantined_total [0-9]' target/bench-smoke/iochaos.prom
+# Faults are drawn per job and file name, never per process: a second
+# process with the same seed repairs the same faults.
+./target/release/gepeto synth --users 200 --chunk-mb 1 --memory-budget 1 \
+    --io-faults eio=0.3,torn=0.4,bitrot=0.2,seed=11 \
+    --prom-out target/bench-smoke/iochaos-again.prom > /dev/null
+for prom in iochaos iochaos-again; do
+    grep -E '^gepeto_(io_retries|io_torn_writes_detected|spill_runs_quarantined)_total ' \
+        "target/bench-smoke/$prom.prom" > "target/bench-smoke/$prom.faults"
+done
+cmp target/bench-smoke/iochaos.faults target/bench-smoke/iochaos-again.faults
 
 echo "== resume smoke: SIGKILL a durable run mid-flight, resume, diff =="
 # Two identical durable k-means runs; one is killed mid-shuffle and
