@@ -253,10 +253,7 @@ fn run_journal_from(args: &Args, command: &str) -> Result<Option<Arc<RunJournal>
 /// is swept.
 fn commit_output(journal: &RunJournal, chaos: &ChaosPlan, text: &str) -> Result<(), String> {
     let path = journal.dir().join("OUTPUT");
-    if path.exists() {
-        commit::quarantine(&path, chaos);
-    }
-    let receipt = commit::commit_bytes_verified(&path, text.as_bytes(), "run-output", chaos)
+    let receipt = commit::commit_bytes_verified(&path, text.as_bytes(), "run-output", true, chaos)
         .map_err(|e| e.to_string())?;
     journal.append(&JournalEntry::ArtifactCommit {
         name: "OUTPUT".to_string(),
@@ -634,10 +631,9 @@ fn print_job(label: &str, stats: &gepeto_mapred::JobStats) {
              | {quarantined} runs quarantined | {replayed} reduce tasks replayed from artifacts"
         );
     }
-    let [bytes, files, groups] =
-        [SPILLED_BYTES, SPILL_FILES, SPILLED_GROUPS].map(|c| stats.counter(c));
-    if bytes + files + groups > 0 {
-        println!("  out-of-core: {bytes} B spilled across {files} run files | {groups} reduce groups overflowed");
+    let [bytes, files] = [SPILLED_BYTES, SPILL_FILES].map(|c| stats.counter(c));
+    if bytes + files > 0 {
+        println!("  out-of-core: {bytes} B spilled across {files} run files");
     }
 }
 

@@ -624,7 +624,6 @@ mod tests {
         };
         let (spilled, stats, _) = mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
         assert!(stats.counter(builtin::SPILL_FILES) >= stats.reduce_tasks as u64);
-        assert_eq!(stats.counter(builtin::SPILLED_GROUPS), 0);
         assert!(
             spilled.column_count() < spilled.num_users(),
             "{} columns for {} trails",

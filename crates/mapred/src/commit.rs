@@ -1,13 +1,15 @@
 //! Atomic, verifiable commits for every durable byte the engine writes.
 //!
-//! Spill runs, reduce partition artifacts, and run outputs all go through
-//! the same protocol: write `payload` to `<path>.tmp`, append a fixed
-//! 24-byte footer — `[payload_len: u64 LE][fnv64: u64 LE][magic: 8 B]` —
-//! fsync, then rename over `path`. The magic sits *last* so structural
+//! Spill runs, reduce partition artifacts, a run's `OUTPUT` and its
+//! `MANIFEST` all go through one write path, [`commit_bytes_verified`]:
+//! write `payload` to `<path>.tmp`, append a fixed 24-byte footer —
+//! `[payload_len: u64 LE][fnv64: u64 LE][magic: 8 B]` — fsync, then
+//! rename over `path`. The magic sits *last* so structural
 //! verification is a single O(1) trailer read: a torn write (any prefix
 //! of the stream) either loses the magic or leaves a length that
 //! disagrees with the file size. Deep verification re-hashes the payload
-//! and catches at-rest bit-rot that a torn-write check cannot.
+//! and catches at-rest bit-rot that a torn-write check cannot. The file is
+//! read back before the commit returns, and rewritten until it verifies.
 //!
 //! Faults from the cluster's [`ChaosPlan`] IO plan are injected *here*,
 //! beneath every caller: transient EIOs are absorbed by a bounded retry
@@ -74,6 +76,10 @@ pub struct CommitReceipt {
     pub checksum: u64,
     /// Injected transient EIOs absorbed before the write stuck.
     pub io_retries: u64,
+    /// Torn writes caught by the verifying read-back.
+    pub torn_detected: u64,
+    /// Damaged (torn or rotten) writes quarantined and rewritten.
+    pub quarantined: u64,
     /// Virtual milliseconds this commit stalled on storage: EIO retry
     /// backoff plus the configured slow-disk write penalty.
     pub stall_ms: u64,
@@ -154,16 +160,18 @@ pub fn commit_bytes(
 
     let err = |e: std::io::Error| CommitError::Io(format!("{}: {e}", path.display()));
     let tmp = tmp_path(path);
-    let mut stream = Vec::with_capacity(payload.len() + FOOTER_BYTES as usize);
-    stream.extend_from_slice(payload);
-    stream.extend_from_slice(&footer(payload.len() as u64, checksum));
+    // The payload, then its footer: a torn write keeps a prefix of the two.
+    let footer = footer(payload.len() as u64, checksum);
+    let mut landed = payload.len() + footer.len();
     if let Some(IoFault::TornWrite { keep_bytes }) = fault {
-        stream.truncate(keep_bytes);
+        landed = landed.min(keep_bytes);
     }
     {
         let mut f = File::create(&tmp).map_err(err)?;
-        f.write_all(&stream).map_err(err)?;
-        f.sync_all().map_err(err)?;
+        f.write_all(&payload[..landed.min(payload.len())])
+            .and_then(|()| f.write_all(&footer[..landed.saturating_sub(payload.len())]))
+            .and_then(|()| f.sync_all())
+            .map_err(err)?;
     }
     fs::rename(&tmp, path).map_err(err)?;
     if let Some(IoFault::BitRot { offset }) = fault {
@@ -175,8 +183,8 @@ pub fn commit_bytes(
         // Charge what actually landed on disk (minus the footer), so a
         // later quarantine — which releases `file_len - FOOTER_BYTES` —
         // returns exactly this charge.
-        p.charge(stream.len().saturating_sub(FOOTER_BYTES as usize) as u64);
-        let penalty_s = p.slow_penalty_s(stream.len() as u64);
+        p.charge(landed.saturating_sub(FOOTER_BYTES as usize) as u64);
+        let penalty_s = p.slow_penalty_s(landed as u64);
         chaos.advance(penalty_s);
         stall_ms += (penalty_s * 1e3).round() as u64;
     }
@@ -184,18 +192,23 @@ pub fn commit_bytes(
         payload_bytes: payload.len() as u64,
         checksum,
         io_retries,
+        torn_detected: 0,
+        quarantined: 0,
         stall_ms,
     })
 }
 
-/// Commits `payload` and then reads it back through [`verify_deep`],
-/// quarantining and re-committing until the bytes on disk verify clean.
-/// This is the write path for *final* artifacts (a run's `OUTPUT`),
-/// where a lying disk must not be able to leave a torn or rotten file
-/// behind for a later reader to trip over.
+/// The engine's one write path for a durable file: quarantines any stale
+/// file at `path`, commits `payload`, and reads it back — structurally,
+/// plus a payload re-hash when `deep` is set — quarantining and
+/// rewriting until the bytes on disk verify. The payload is still in
+/// memory, so a lying disk costs a rewrite, never the caller, and leaves
+/// no torn or rotten file behind for a later reader to trip over.
 ///
-/// The returned receipt accumulates the transient-EIO retries across
-/// all rewrites.
+/// Injected faults are drawn for `site`, which callers name after the
+/// file, never its directory (whose name may hold a process id): one
+/// fault seed injects the same faults in every process. The receipt
+/// sums the tallies of every attempt.
 ///
 /// # Errors
 /// Same classes as [`commit_bytes`], plus [`CommitError::Io`] if the
@@ -204,23 +217,37 @@ pub fn commit_bytes_verified(
     path: &Path,
     payload: &[u8],
     site: &str,
+    deep: bool,
     chaos: &ChaosPlan,
 ) -> Result<CommitReceipt, CommitError> {
-    let mut io_retries = 0u64;
-    let mut stall_ms = 0u64;
+    if path.exists() {
+        quarantine(path, chaos);
+    }
+    let (mut io_retries, mut stall_ms, mut torn_detected, mut quarantined) = (0, 0, 0, 0);
     for attempt in 0..MAX_IO_ATTEMPTS {
+        // Injected torn writes and bit-rot do not error here: they are
+        // materialized into the file for the read-back to catch.
         let receipt = commit_bytes(path, payload, site, attempt, chaos)?;
         io_retries += receipt.io_retries;
         stall_ms += receipt.stall_ms;
-        match verify_deep(path) {
+        let verified = if deep {
+            verify_deep(path)
+        } else {
+            verify_structure(path)
+        };
+        match verified {
             Ok(_) => {
                 return Ok(CommitReceipt {
                     io_retries,
+                    torn_detected,
+                    quarantined,
                     stall_ms,
                     ..receipt
                 })
             }
-            Err(CommitError::Torn(_) | CommitError::Corrupt(_)) => {
+            Err(e @ (CommitError::Torn(_) | CommitError::Corrupt(_))) => {
+                torn_detected += u64::from(matches!(e, CommitError::Torn(_)));
+                quarantined += 1;
                 quarantine(path, chaos);
             }
             Err(e) => return Err(e),
@@ -270,6 +297,8 @@ pub fn verify_structure(path: &Path) -> Result<CommitReceipt, CommitError> {
         payload_bytes: payload_len,
         checksum,
         io_retries: 0,
+        torn_detected: 0,
+        quarantined: 0,
         stall_ms: 0,
     })
 }
@@ -452,8 +481,10 @@ mod tests {
         let d = dir();
         let chaos = ChaosPlan::none().io_faults(IoFaultPlan::new(7).torn(1.0).bitrot(1.0));
         let path = d.path().join("h.run");
-        let r = commit_bytes_verified(&path, &[3u8; 700], "h", &chaos).unwrap();
+        let r = commit_bytes_verified(&path, &[3u8; 700], "h", true, &chaos).unwrap();
         assert_eq!(r.payload_bytes, 700);
+        // The first write tears; the rewrite neither tears nor rots.
+        assert_eq!((r.torn_detected, r.quarantined), (1, 1));
         verify_deep(&path).unwrap();
         assert_eq!(read_committed(&path).unwrap(), vec![3u8; 700]);
     }

@@ -25,8 +25,8 @@ pub mod builtin {
         BLACKLISTED_NODES, DISTANCE_EVALS, FAILED_OVER_READS, IO_RETRIES, IO_STALL_MS,
         JOURNAL_REPLAYED, MEM_ACCOUNTED_PEAK, MEM_ALLOCATED_BYTES, MEM_ALLOCS, MEM_BUDGET_BYTES,
         MEM_PEAK_BYTES, MEM_PEAK_OVER_BUDGET, REEXECUTED_MAPS, RUNS_QUARANTINED, SHUFFLE_BYTES,
-        SHUFFLE_BYTES_SAVED, SPILLED_BYTES, SPILLED_GROUPS, SPILL_ESTIMATE_ERROR, SPILL_FILES,
-        TASK_RETRIES, TORN_WRITES,
+        SHUFFLE_BYTES_SAVED, SPILLED_BYTES, SPILL_ESTIMATE_ERROR, SPILL_FILES, TASK_RETRIES,
+        TORN_WRITES,
     };
     /// Intermediate pairs written out by map tasks — what Hadoop would
     /// spill to local disk for the shuffle.

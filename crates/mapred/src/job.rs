@@ -18,7 +18,7 @@
 use crate::api::{Emitter, Mapper, MrKey, MrValue, Reducer, TaskContext};
 use crate::cache::DistributedCache;
 use crate::chaos::ChaosPlan;
-use crate::commit::{self, CommitError};
+use crate::commit::{self, CommitError, CommitReceipt};
 use crate::config::JobConfig;
 use crate::counters::{builtin, phase, Counters};
 use crate::dfs::{BlockId, Dfs, DfsError};
@@ -28,7 +28,7 @@ use crate::journal::{JournalEntry, RunJournal};
 use crate::sim::{simulate_chaos, MapTaskSim, ReduceTaskSim, SimError, SimReport};
 use crate::spill::{
     load_artifact, quarantine_run, sanitize, seal_groups, seal_run_at, verify_run, PartitionInput,
-    SealStats, SpillCodec, SpillDir, SpillRun, SpillSpec, SpilledPartition,
+    SpillCodec, SpillDir, SpillRun, SpillSpec, SpilledPartition,
 };
 use crate::topology::Cluster;
 use gepeto_pool::Pool;
@@ -570,11 +570,8 @@ where
                         // to the in-memory grouping.
                         let _merge_span =
                             task_span.child("phase.merge", &[("runs", &sp.runs.len().to_string())]);
-                        let spilled = crate::spill::merge_groups(&sp, group_budget, &mut reduce)
+                        crate::spill::merge_groups(&sp, group_budget, &mut reduce)
                             .map_err(JobError::Spill)?;
-                        if spilled > 0 {
-                            counters.inc(builtin::SPILLED_GROUPS, spilled);
-                        }
                     }
                 }
                 counters.inc(builtin::REDUCE_INPUT_GROUPS, groups);
@@ -1117,7 +1114,7 @@ fn lazy_spill_dir(
 }
 
 /// Folds one seal's storage-fault tallies into the job counters.
-fn note_seal_stats(seal: &SealStats, counters: &Counters) {
+fn note_seal_stats(seal: &CommitReceipt, counters: &Counters) {
     if seal.io_retries > 0 {
         counters.inc(builtin::IO_RETRIES, seal.io_retries);
     }
@@ -1615,13 +1612,13 @@ mod tests {
     fn oversized_groups_spill_and_reduce_correctly() {
         let cluster = Cluster::local(3, 2);
         let dfs = word_dfs(&cluster);
-        // Budget 1 byte: every partition spills AND every multi-value
-        // group overflows to its own file before the reduce call (a
-        // group's first value always stays in memory, so the lone "e"
-        // never overflows).
+        // Budget 1 byte: every partition spills, and every group outgrows
+        // the budget and reaches the reducer alone in its window, its
+        // values in memory.
         let job = MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
         let spilled = budgeted(job.reducers(1), 1).run().unwrap();
-        assert_eq!(spilled.stats.counters[builtin::SPILLED_GROUPS], 4);
+        assert!(spilled.stats.counters[builtin::SPILL_FILES] > 0);
+        assert_eq!(spilled.stats.counters[builtin::REDUCE_INPUT_GROUPS], 5);
         let counts = word_counts(&spilled);
         assert_eq!(counts["a"], 4);
         assert_eq!(counts["b"], 3);
@@ -1705,6 +1702,56 @@ mod tests {
             "fault plan must have fired at least once: {:?}",
             faulty.stats.counters
         );
+    }
+
+    #[test]
+    fn a_spilling_job_under_storage_faults_gives_back_its_virtual_disk() {
+        use crate::chaos::IoFaultPlan;
+        let run_dir =
+            std::env::temp_dir().join(format!("gepeto-disk-charge-test-{}", std::process::id()));
+        for seed in [5, 41, 77] {
+            let cluster = Cluster::local(3, 2).with_chaos(
+                ChaosPlan::none().io_faults(
+                    IoFaultPlan::new(seed)
+                        .eio(0.3)
+                        .torn(0.4)
+                        .bitrot(0.2)
+                        .disk_capacity(1 << 30),
+                ),
+            );
+            let io = cluster.chaos.io_plan().unwrap();
+            let dfs = word_dfs(&cluster);
+            let job = || MapReduceJob::new("wc", &cluster, &dfs, "words", tokenizer(), SumReducer);
+            let spilled = budgeted(job().reducers(2), 1).run().unwrap();
+            let repaired = spilled.stats.counter(builtin::RUNS_QUARANTINED);
+            assert!(repaired > 0, "seed {seed}: {:?}", spilled.stats.counters);
+            assert_eq!(io.bytes_in_use(), 0, "seed {seed}: spill runs left charged");
+
+            // Durable: the committed `.part` files, and nothing else, stay
+            // charged.
+            let _ = std::fs::remove_dir_all(&run_dir);
+            let journal = Arc::new(RunJournal::attach(&run_dir).unwrap());
+            let ctx = ExecCtx {
+                journal: Some(Arc::clone(&journal)),
+                ..ExecCtx::new(&cluster)
+            };
+            let durable = job()
+                .reducers(2)
+                .codecs(SpillCodec::of(), SpillCodec::of())
+                .exec(&ctx, Some(1))
+                .run()
+                .unwrap();
+            assert_eq!(durable.output, spilled.output);
+            let parts: u64 = std::fs::read_dir(journal.partitions_dir())
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "part"))
+                .map(|p| std::fs::metadata(p).unwrap().len() - commit::FOOTER_BYTES)
+                .sum();
+            assert!(parts > 0);
+            assert_eq!(io.bytes_in_use(), parts, "seed {seed}");
+        }
+        let _ = std::fs::remove_dir_all(&run_dir);
     }
 
     /// The word count with its reduce output committed to `journal`.

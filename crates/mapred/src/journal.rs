@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! <run-dir>/
-//!   MANIFEST        # the launching argv, one token per line
+//!   MANIFEST        # the launching argv, one token per line (commit-footer file)
 //!   journal.log     # append-only, line-framed, per-line checksummed
 //!   spill/          # this run's spill dirs (swept on resume)
 //!   partitions/     # committed reduce outputs (commit-footer files)
@@ -25,7 +25,8 @@
 //! driver restarts from its last checkpoint — producing bit-identical
 //! output to an uninterrupted run.
 
-use crate::commit::fnv_bytes;
+use crate::chaos::ChaosPlan;
+use crate::commit::{self, fnv_bytes};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -42,16 +43,6 @@ pub enum JournalEntry {
     RunStart {
         /// The CLI command (e.g. `synth`).
         command: String,
-    },
-    /// DFS chunk `index` of `file` was committed with `checksum` —
-    /// resume verifies the regenerated chunk against it.
-    ChunkCommit {
-        /// DFS file name.
-        file: String,
-        /// Chunk index within the file.
-        index: usize,
-        /// The chunk's content checksum.
-        checksum: u64,
     },
     /// A spill run was sealed and verified on disk.
     SpillSealed {
@@ -113,7 +104,6 @@ impl JournalEntry {
     fn kind(&self) -> &'static str {
         match self {
             JournalEntry::RunStart { .. } => "run-start",
-            JournalEntry::ChunkCommit { .. } => "chunk",
             JournalEntry::SpillSealed { .. } => "spill",
             JournalEntry::ReduceCommit { .. } => "reduce",
             JournalEntry::Checkpoint { .. } => "checkpoint",
@@ -138,15 +128,6 @@ impl JournalEntry {
         let mut parts: Vec<String> = vec![VERSION.into(), self.kind().into()];
         match self {
             JournalEntry::RunStart { command } => parts.push(escape(command)),
-            JournalEntry::ChunkCommit {
-                file,
-                index,
-                checksum,
-            } => {
-                parts.push(escape(file));
-                parts.push(index.to_string());
-                parts.push(format!("{checksum:016x}"));
-            }
             JournalEntry::SpillSealed {
                 job,
                 path,
@@ -210,11 +191,6 @@ impl JournalEntry {
         let entry = match kind {
             "run-start" => JournalEntry::RunStart {
                 command: unescape(it.next()?),
-            },
-            "chunk" => JournalEntry::ChunkCommit {
-                file: unescape(it.next()?),
-                index: it.next()?.parse().ok()?,
-                checksum: u64::from_str_radix(it.next()?, 16).ok()?,
             },
             "spill" => JournalEntry::SpillSealed {
                 job: unescape(it.next()?),
@@ -416,24 +392,6 @@ impl RunJournal {
         })
     }
 
-    /// Journaled DFS chunk checksums of `file`, by chunk index.
-    pub fn chunk_commits(&self, file: &str) -> BTreeMap<usize, u64> {
-        let mut out = BTreeMap::new();
-        for e in self.entries() {
-            if let JournalEntry::ChunkCommit {
-                file: f,
-                index,
-                checksum,
-            } = e
-            {
-                if f == file {
-                    out.insert(index, checksum);
-                }
-            }
-        }
-        out
-    }
-
     /// Removes everything under `spill/` — stale runs left by a killed
     /// process. Maps and shuffles re-run deterministically, so nothing
     /// in there is needed to resume.
@@ -451,8 +409,10 @@ impl RunJournal {
         }
     }
 
-    /// Writes the MANIFEST (launch argv, one token per line) if it does
-    /// not already exist — resume re-dispatches from it.
+    /// Commits the MANIFEST (launch argv, one token per line) if it does
+    /// not already exist — resume re-dispatches from it. The commit is
+    /// atomic, so a kill mid-write leaves no MANIFEST rather than a short
+    /// one, and the next launch writes it whole.
     ///
     /// # Errors
     /// Any filesystem error, stringified.
@@ -463,16 +423,21 @@ impl RunJournal {
         }
         let mut body = argv.join("\n");
         body.push('\n');
-        fs::write(&path, body).map_err(|e| format!("{}: {e}", path.display()))
+        let chaos = ChaosPlan::none();
+        commit::commit_bytes_verified(&path, body.as_bytes(), "MANIFEST", true, &chaos)
+            .map(drop)
+            .map_err(|e| e.to_string())
     }
 
-    /// Reads a run directory's MANIFEST back into an argv.
+    /// Reads a run directory's MANIFEST back into an argv, verifying it
+    /// against its commit footer.
     ///
     /// # Errors
-    /// When the MANIFEST is missing or unreadable.
+    /// When the MANIFEST is missing, unreadable, torn or corrupt.
     pub fn read_manifest(dir: &Path) -> Result<Vec<String>, String> {
         let path = dir.join("MANIFEST");
-        let text = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let payload = commit::read_committed(&path).map_err(|e| e.to_string())?;
+        let text = String::from_utf8(payload).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(text.lines().map(str::to_string).collect())
     }
 }
@@ -495,11 +460,6 @@ mod tests {
         let entries = vec![
             JournalEntry::RunStart {
                 command: "synth --users 100".into(),
-            },
-            JournalEntry::ChunkCommit {
-                file: "synth traces".into(),
-                index: 3,
-                checksum: 0xdead_beef,
             },
             JournalEntry::SpillSealed {
                 job: "sampling-by-user".into(),
@@ -539,7 +499,6 @@ mod tests {
         assert_eq!(reduces.len(), 1);
         assert_eq!(reduces[&5].records, 9);
         assert_eq!(j.last_checkpoint("kmeans").unwrap(), "2 0x3ff0 0x4000");
-        assert_eq!(j.chunk_commits("synth traces")[&3], 0xdead_beef);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -571,6 +530,20 @@ mod tests {
         j.write_manifest(&argv).unwrap();
         j.write_manifest(&["other".to_string()]).unwrap();
         assert_eq!(RunJournal::read_manifest(&dir).unwrap(), argv);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cut_manifest_is_an_error_not_a_shorter_argv() {
+        let dir = scratch("cut");
+        let j = RunJournal::attach(&dir).unwrap();
+        let argv = vec!["synth".to_string(), "--users".into(), "100".into()];
+        j.write_manifest(&argv).unwrap();
+        let path = dir.join("MANIFEST");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        let read = RunJournal::read_manifest(&dir);
+        assert!(read.is_err(), "a cut MANIFEST read back as {read:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

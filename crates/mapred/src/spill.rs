@@ -24,10 +24,10 @@
 
 use crate::api::MrKey;
 use crate::chaos::{ChaosPlan, IoFaultPlan};
-use crate::commit::{self, CommitError};
+use crate::commit::{self, CommitError, CommitReceipt};
 use crate::job::{FlatGroups, KeyRuns};
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -305,12 +305,17 @@ pub struct SpillRun {
 }
 
 /// Encodes `records` pairs, in order, into one length-prefixed record
-/// stream.
-fn encode_run<'a, K: 'a, V: 'a>(
+/// stream and commits it at `path` through
+/// [`commit::commit_bytes_verified`], deep-verified whenever storage
+/// faults are active. Faults are drawn for the file's name
+/// (`{job}-run-{n}.spill`, `{job}-p{task}.part`).
+fn commit_run<'a, K: 'a, V: 'a>(
     codec: &SpillCodec<K, V>,
+    path: PathBuf,
     records: usize,
     pairs: impl Iterator<Item = (&'a K, &'a V)>,
-) -> Result<Vec<u8>, CommitError> {
+    chaos: &ChaosPlan,
+) -> Result<(SpillRun, CommitReceipt), CommitError> {
     let mut payload = Vec::with_capacity(records * 16);
     let mut buf = Vec::with_capacity(256);
     for (k, v) in pairs {
@@ -321,7 +326,15 @@ fn encode_run<'a, K: 'a, V: 'a>(
         payload.extend_from_slice(&len.to_le_bytes());
         payload.extend_from_slice(&buf);
     }
-    Ok(payload)
+    let site = path.file_name().unwrap_or_default().to_string_lossy();
+    let receipt = commit::commit_bytes_verified(&path, &payload, &site, chaos.io_active(), chaos)?;
+    let run = SpillRun {
+        path,
+        records: records as u64,
+        bytes: receipt.payload_bytes,
+        checksum: receipt.checksum,
+    };
+    Ok((run, receipt))
 }
 
 /// Verifies a committed spill run: structural always (footer intact,
@@ -356,40 +369,22 @@ pub fn quarantine_run(run: &SpillRun, dir: &SpillDir, chaos: &ChaosPlan) -> Opti
     commit::quarantine(&run.path, chaos)
 }
 
-/// Tallies from sealing one verified spill run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SealStats {
-    /// Injected transient EIOs absorbed by the commit retry loop.
-    pub io_retries: u64,
-    /// Torn writes caught by seal-time verification.
-    pub torn_detected: u64,
-    /// Runs quarantined (torn or corrupt) and rewritten.
-    pub quarantined: u64,
-    /// Virtual milliseconds stalled on storage (EIO backoff and
-    /// slow-disk penalties) across every write attempt.
-    pub stall_ms: u64,
-}
-
-/// Rewrites a torn/corrupt run absorbs per seal before giving up.
-const MAX_SEAL_REBUILDS: u32 = 4;
-
-/// Writes, verifies, and (if damaged) quarantines-and-rewrites one
-/// spill run until it sits intact on disk — the buffer is still in
-/// memory, so a bad write costs a rewrite, never the job. Deep
-/// verification is enabled whenever storage faults are active.
+/// Seals `pairs`, in order, as a verified run in `dir`. Its receipt
+/// carries the storage-fault tallies of every write attempt.
 ///
 /// # Errors
 /// [`CommitError::DiskFull`] / [`CommitError::Io`] when the disk is out
-/// of space, real IO fails, or rebuilds exceed [`MAX_SEAL_REBUILDS`].
+/// of space, real IO fails, or rewrites exceed
+/// [`commit::MAX_IO_ATTEMPTS`].
 pub fn seal_run<K, V>(
     codec: &SpillCodec<K, V>,
     dir: &SpillDir,
     prefix: &str,
     pairs: &[(K, V)],
     chaos: &ChaosPlan,
-) -> Result<(SpillRun, SealStats), CommitError> {
-    let payload = encode_run(codec, pairs.len(), pairs.iter().map(|(k, v)| (k, v)))?;
-    seal_at(dir.next_file(prefix), &payload, pairs.len(), chaos)
+) -> Result<(SpillRun, CommitReceipt), CommitError> {
+    let in_order = pairs.iter().map(|(k, v)| (k, v));
+    commit_run(codec, dir.next_file(prefix), pairs.len(), in_order, chaos)
         .inspect(|(run, _)| dir.note_commit(run.bytes))
 }
 
@@ -401,13 +396,12 @@ pub(crate) fn seal_groups<K: MrKey, V>(
     prefix: &str,
     groups: &FlatGroups<K, V>,
     chaos: &ChaosPlan,
-) -> Result<(SpillRun, SealStats), CommitError> {
+) -> Result<(SpillRun, CommitReceipt), CommitError> {
     let records = groups.iter().map(|(_, values)| values.len()).sum();
     let pairs = groups
         .iter()
         .flat_map(|(key, values)| values.iter().map(move |value| (key, value)));
-    let payload = encode_run(codec, records, pairs)?;
-    seal_at(dir.next_file(prefix), &payload, records, chaos)
+    commit_run(codec, dir.next_file(prefix), records, pairs, chaos)
         .inspect(|(run, _)| dir.note_commit(run.bytes))
 }
 
@@ -421,71 +415,22 @@ pub fn seal_run_at<K, V>(
     path: &Path,
     pairs: &[(K, V)],
     chaos: &ChaosPlan,
-) -> Result<(SpillRun, SealStats), CommitError> {
-    if path.exists() {
-        commit::quarantine(path, chaos);
-    }
-    let payload = encode_run(codec, pairs.len(), pairs.iter().map(|(k, v)| (k, v)))?;
-    seal_at(path.to_path_buf(), &payload, pairs.len(), chaos)
-}
-
-/// Seals one encoded payload at `path`: every rebuild attempt commits the
-/// same bytes, encoded once. Its injected faults are drawn for the file's
-/// name (`{job}-run-{n}.spill`, `{job}-p{task}.part`), never for its
-/// directory, whose name holds the process id: one fault seed injects
-/// the same faults in every process.
-fn seal_at(
-    path: PathBuf,
-    payload: &[u8],
-    records: usize,
-    chaos: &ChaosPlan,
-) -> Result<(SpillRun, SealStats), CommitError> {
-    let deep = chaos.io_active();
-    let mut stats = SealStats::default();
-    let site = path.file_name().unwrap_or_default().to_string_lossy();
-    for attempt in 0..=MAX_SEAL_REBUILDS {
-        // Injected torn writes and bit-rot do not error here: they are
-        // materialized into the file for `verify_run` to catch.
-        let receipt = commit::commit_bytes(&path, payload, &site, attempt, chaos)?;
-        stats.io_retries += receipt.io_retries;
-        stats.stall_ms += receipt.stall_ms;
-        let run = SpillRun {
-            path: path.clone(),
-            records: records as u64,
-            bytes: receipt.payload_bytes,
-            checksum: receipt.checksum,
-        };
-        match verify_run(&run, deep) {
-            Ok(()) => return Ok((run, stats)),
-            Err(CommitError::Torn(_)) => {
-                stats.torn_detected += 1;
-                stats.quarantined += 1;
-                commit::quarantine(&run.path, chaos);
-            }
-            Err(CommitError::Corrupt(_)) => {
-                stats.quarantined += 1;
-                commit::quarantine(&run.path, chaos);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(CommitError::Io(format!(
-        "{}: run still damaged after {MAX_SEAL_REBUILDS} rewrites",
-        path.display()
-    )))
+) -> Result<(SpillRun, CommitReceipt), CommitError> {
+    let in_order = pairs.iter().map(|(k, v)| (k, v));
+    commit_run(codec, path.to_path_buf(), pairs.len(), in_order, chaos)
 }
 
 /// Reloads a committed artifact written by [`seal_run_at`], verifying
-/// structure, the expected checksum, and (always — this is a verifying
-/// read standing in for a full recompute) the deep payload hash before
-/// decoding. Pairs come back in their sealed order.
+/// (always — this is a verifying read standing in for a full recompute)
+/// its structure, its payload hash, and the checksum the journal
+/// recorded, before decoding. Pairs come back in their sealed order.
 pub fn load_artifact<K, V>(
     codec: &SpillCodec<K, V>,
     path: &Path,
     records: u64,
     checksum: u64,
 ) -> Result<Vec<(K, V)>, CommitError> {
-    let receipt = commit::verify_structure(path)?;
+    let receipt = commit::verify_deep(path)?;
     if receipt.checksum != checksum {
         return Err(CommitError::Corrupt(format!(
             "{}: footer checksum {:016x} disagrees with journal {:016x}",
@@ -494,7 +439,6 @@ pub fn load_artifact<K, V>(
             checksum,
         )));
     }
-    commit::verify_deep(path)?;
     let run = SpillRun {
         path: path.to_path_buf(),
         records,
@@ -608,74 +552,6 @@ impl<K: Ord, V> SpillMerge<K, V> {
     }
 }
 
-/// A reduce group whose value list outgrew the memory budget: the
-/// overflow goes to its own spill file while the merge runs, and is read
-/// back into the group's window once the group is complete.
-pub struct GroupSpill<K, V> {
-    writer: BufWriter<File>,
-    path: PathBuf,
-    codec: SpillCodec<K, V>,
-    records: u64,
-    buf: Vec<u8>,
-}
-
-impl<K, V> GroupSpill<K, V> {
-    /// Creates the overflow file for one group.
-    pub fn create(path: PathBuf, codec: SpillCodec<K, V>) -> Result<Self, String> {
-        let file = File::create(&path).map_err(|e| format!("create group spill {path:?}: {e}"))?;
-        Ok(Self {
-            writer: BufWriter::new(file),
-            path,
-            codec,
-            records: 0,
-            buf: Vec::with_capacity(256),
-        })
-    }
-
-    /// Appends one overflow value (keyed for the shared codec).
-    pub fn push(&mut self, key: &K, value: &V) -> Result<(), String> {
-        self.buf.clear();
-        self.codec.encode(key, value, &mut self.buf);
-        let len =
-            u32::try_from(self.buf.len()).map_err(|_| "spill record over 4 GiB".to_string())?;
-        self.writer
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| self.writer.write_all(&self.buf))
-            .map_err(|e| format!("write group spill {:?}: {e}", self.path))?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Finishes the file and reads every overflow value back in write
-    /// order, deleting the file afterwards.
-    pub fn into_values(self) -> Result<Vec<V>, String> {
-        let GroupSpill {
-            writer,
-            path,
-            codec,
-            records,
-            ..
-        } = self;
-        writer
-            .into_inner()
-            .map_err(|e| format!("flush group spill {path:?}: {e}"))?;
-        let run = SpillRun {
-            path: path.clone(),
-            records,
-            bytes: 0,
-            checksum: 0,
-        };
-        let mut reader = SpillRunReader::open(&run, codec)?;
-        let mut values = Vec::with_capacity(records as usize);
-        while let Some((_, v, _)) = reader.next_pair()? {
-            values.push(v);
-        }
-        drop(reader);
-        let _ = fs::remove_file(&path);
-        Ok(values)
-    }
-}
-
 /// A job run's spill configuration: the pair codec and the per-partition
 /// in-memory byte budget past which the shuffle spills.
 pub struct SpillSpec<K, V> {
@@ -724,79 +600,56 @@ impl<K, V> PartitionInput<K, V> {
 /// whole groups, in ascending key order with each key's values in map
 /// order, and hands each window to `reduce` as [`FlatGroups`] of one
 /// column. A window holds as many groups as fit `group_budget` encoded
-/// bytes together. A group that alone outgrows the budget writes the rest
-/// of its values to an overflow file of its own while the merge runs,
-/// and is read back into a window by itself. Returns how many groups
-/// overflowed.
+/// bytes together; a group that alone outgrows the budget sits alone in
+/// its window, its values in memory, since the reducer takes them as one
+/// slice.
 pub fn merge_groups<K: MrKey, V: Clone>(
     partition: &SpilledPartition<K, V>,
     group_budget: usize,
     mut reduce: impl FnMut(FlatGroups<K, V>),
-) -> Result<u64, String> {
+) -> Result<(), String> {
     let mut merge = SpillMerge::open(&partition.runs, &partition.codec)?;
     let (runs, values) = (Vec::new(), Vec::new());
     let mut window = KeyRuns { runs, values };
     // Encoded bytes of the window, and of its last group.
     let (mut bytes, mut last_bytes) = (0, 0);
-    let mut overflow: Option<GroupSpill<K, V>> = None;
-    let mut overflowed = 0;
     while let Some((key, value, len)) = merge.next_pair()? {
         if window.runs.last().is_none_or(|(last, _)| *last != key) {
-            // The last group is complete: an overflowed one is reduced
-            // alone, any other when this group's first value would not fit.
-            if overflow.is_some() || (bytes > 0 && bytes + len > group_budget) {
-                overflowed += reduce_window(&mut window, overflow.take(), &mut reduce)?;
+            // The last group is complete: the window is reduced when this
+            // group's first value would not fit.
+            if bytes > 0 && bytes + len > group_budget {
+                reduce_window(&mut window, &mut reduce);
                 bytes = 0;
             }
             window.runs.push((key, window.values.len()));
             last_bytes = 0;
-        } else if overflow.is_none() && bytes + len > group_budget {
-            if last_bytes < bytes {
-                // Earlier groups fill the window: they are reduced, and
-                // this group starts the next window.
-                let (key, _) = window.runs.pop().expect("a group is open");
-                let start = window.runs.last().map_or(0, |&(_, end)| end);
-                let values = window.values.split_off(start);
-                reduce_window(&mut window, None, &mut reduce)?;
-                window = KeyRuns {
-                    runs: vec![(key, values.len())],
-                    values,
-                };
-                bytes = last_bytes;
-            }
-            if bytes + len > group_budget {
-                overflow = Some(GroupSpill::create(
-                    partition.dir.next_file("group"),
-                    partition.codec.clone(),
-                )?);
-            }
+        } else if last_bytes < bytes && bytes + len > group_budget {
+            // Earlier groups fill the window: they are reduced, and this
+            // group starts the next window.
+            let (key, _) = window.runs.pop().expect("a group is open");
+            let start = window.runs.last().map_or(0, |&(_, end)| end);
+            let values = window.values.split_off(start);
+            reduce_window(&mut window, &mut reduce);
+            window = KeyRuns {
+                runs: vec![(key, values.len())],
+                values,
+            };
+            bytes = last_bytes;
         }
-        let (key, end) = window.runs.last_mut().expect("a group is open");
-        match &mut overflow {
-            Some(file) => file.push(key, &value)?,
-            None => {
-                window.values.push(value);
-                *end = window.values.len();
-                bytes += len;
-                last_bytes += len;
-            }
-        }
+        window.values.push(value);
+        window.runs.last_mut().expect("a group is open").1 = window.values.len();
+        bytes += len;
+        last_bytes += len;
     }
-    Ok(overflowed + reduce_window(&mut window, overflow, &mut reduce)?)
+    reduce_window(&mut window, &mut reduce);
+    Ok(())
 }
 
-/// Hands the window's groups to `reduce` and empties it, its last group
-/// first completed from `overflow`; returns how many groups overflowed.
+/// Hands the window's groups to `reduce` and empties it.
 fn reduce_window<K: MrKey, V: Clone>(
     window: &mut KeyRuns<K, V>,
-    overflow: Option<GroupSpill<K, V>>,
     reduce: &mut impl FnMut(FlatGroups<K, V>),
-) -> Result<u64, String> {
-    let overflowed = overflow.is_some();
-    if let Some(file) = overflow {
-        window.values.extend(file.into_values()?);
-        window.runs.last_mut().expect("a group is open").1 = window.values.len();
-    }
+) {
     if !window.is_empty() {
         // A reducer may keep the column (trails cut from it), so it keeps
         // none of the slack the column grew by.
@@ -805,7 +658,6 @@ fn reduce_window<K: MrKey, V: Clone>(
         values.shrink_to_fit();
         reduce(FlatGroups::from_runs(vec![KeyRuns { runs, values }]));
     }
-    Ok(u64::from(overflowed))
 }
 
 #[cfg(test)]
@@ -906,9 +758,9 @@ mod tests {
         };
         let mut windows = Vec::new();
         // Records of 17–19 B against a budget of 64: "a" and "b" share a
-        // window, the 50-value group overflows and sits alone in its own,
-        // and "c" and "d" share the last.
-        let overflowed = merge_groups(&partition, 64, |groups| {
+        // window, the 50-value group outgrows the budget and sits alone in
+        // its own, and "c" and "d" share the last.
+        merge_groups(&partition, 64, |groups| {
             let window: Vec<(String, Vec<u64>)> = groups
                 .iter()
                 .map(|(k, vs)| (k.clone(), vs.to_vec()))
@@ -917,7 +769,6 @@ mod tests {
             windows.push(window);
         })
         .unwrap();
-        assert_eq!(overflowed, 1, "only the oversized group overflows");
         let keys: Vec<Vec<&str>> = windows
             .iter()
             .map(|w| w.iter().map(|(k, _)| k.as_str()).collect())
@@ -1004,7 +855,7 @@ mod tests {
                 chaos.io_plan().cloned(),
             )
             .unwrap();
-            let stats: Vec<SealStats> = (0..16)
+            let stats: Vec<CommitReceipt> = (0..16)
                 .map(|i| {
                     let pairs: Vec<(String, u64)> = (0..50).map(|j| (format!("k{j}"), i)).collect();
                     seal_run(&codec(), &d, "run", &pairs, &chaos).unwrap().1

@@ -2,14 +2,16 @@
 //! what they read, and not by how many tasks partition at once; a reduce
 //! phase whose buckets arrive in key order allocates no copy of them, and
 //! at most one of a key that spans them all; one whose buckets do not
-//! allocates one copy of their values.
+//! allocates one copy of their values; and a commit writes its payload
+//! without a copy of it.
 //!
 //! The allocator's ledger is process-global, so the tests of this binary
 //! take turns: each holds `LEDGER` while its window is open, and no other
 //! test binary shares the process.
 
 use gepeto_mapred::{
-    Cluster, Dfs, Emitter, ExecCtx, FnMapper, MapOnlyJob, MapReduceJob, Mapper, Reducer,
+    commit, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FnMapper, MapOnlyJob, MapReduceJob, Mapper,
+    Reducer,
 };
 use gepeto_telemetry::{mem_stats, Event, EventKind, LedgerScope, Recorder};
 use std::sync::Mutex;
@@ -312,6 +314,30 @@ fn an_out_of_order_reduce_phase_allocates_one_value_column() {
         (allocated as f64) <= 1.2 * value_bytes,
         "reduce phase allocated {allocated} B for {value_bytes} B of values ({:.2} x)",
         allocated as f64 / value_bytes
+    );
+}
+
+#[test]
+fn a_commit_writes_its_payload_without_copying_it() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("gepeto-commit-heap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("payload.run");
+    let payload = vec![7u8; 4 << 20];
+    let chaos = ChaosPlan::none();
+
+    let scope = LedgerScope::open();
+    let receipt = commit::commit_bytes(&path, &payload, "payload.run", 0, &chaos).unwrap();
+    let delta = scope.close();
+
+    assert_eq!(receipt.payload_bytes, 4 << 20);
+    assert_eq!(commit::read_committed(&path).unwrap(), payload);
+    let _ = std::fs::remove_dir_all(&dir);
+    // The payload, then its footer: no stream holding both.
+    assert!(
+        delta.allocated < 64 << 10,
+        "a 4 MiB commit allocated {} B",
+        delta.allocated
     );
 }
 

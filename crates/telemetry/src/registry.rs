@@ -82,8 +82,6 @@ metrics! {
         "Intermediate bytes spilled to disk by memory-bounded shuffles.";
     SPILL_FILES: Sum, "shuffle.spill_files", "gepeto_shuffle_spill_files_total",
         "Sorted spill runs written to disk by memory-bounded map tasks.";
-    SPILLED_GROUPS: Sum, "reduce.spilled_groups", "gepeto_reduce_spilled_groups_total",
-        "Reduce groups whose value lists spilled past the memory budget.";
     IO_RETRIES: Sum, "io.retries", "gepeto_io_retries_total",
         "IO operations retried after transient storage faults.";
     TORN_WRITES: Sum, "io.torn_writes_detected", "gepeto_io_torn_writes_detected_total",

@@ -254,9 +254,6 @@ impl SummaryReport {
                 c(SPILL_ESTIMATE_ERROR)
             );
         }
-        if c(SPILLED_GROUPS) > 0 {
-            let _ = writeln!(out, "spilled reduce groups: {}", c(SPILLED_GROUPS));
-        }
         let (budget, accounted) = (c(MEM_BUDGET_BYTES), c(MEM_ACCOUNTED_PEAK));
         if budget > 0 {
             let over = c(MEM_PEAK_OVER_BUDGET);

@@ -33,7 +33,6 @@ fn busy_monitor() -> Monitor {
     m.add(SHUFFLE_BYTES_SAVED, 2_048);
     m.add(SPILLED_BYTES, 65_536);
     m.add(SPILL_FILES, 3);
-    m.add(SPILLED_GROUPS, 2);
     m.add(IO_RETRIES, 7);
     m.add(TORN_WRITES, 1);
     m.add(RUNS_QUARANTINED, 2);
@@ -124,9 +123,6 @@ gepeto_shuffle_spilled_bytes_total 65536
 # HELP gepeto_shuffle_spill_files_total Sorted spill runs written to disk by memory-bounded map tasks.
 # TYPE gepeto_shuffle_spill_files_total counter
 gepeto_shuffle_spill_files_total 3
-# HELP gepeto_reduce_spilled_groups_total Reduce groups whose value lists spilled past the memory budget.
-# TYPE gepeto_reduce_spilled_groups_total counter
-gepeto_reduce_spilled_groups_total 2
 # HELP gepeto_io_retries_total IO operations retried after transient storage faults.
 # TYPE gepeto_io_retries_total counter
 gepeto_io_retries_total 7
@@ -267,7 +263,6 @@ fn summary_render_is_pinned() {
         (SPILLED_BYTES, 65_536),
         (SPILL_FILES, 3),
         (SPILL_ESTIMATE_ERROR, 512),
-        (SPILLED_GROUPS, 2),
         (MEM_BUDGET_BYTES, 64_000_000),
         (MEM_ACCOUNTED_PEAK, 91_000_000),
         (MEM_PEAK_OVER_BUDGET, 27_000_000),
@@ -301,7 +296,6 @@ shuffle bytes: 4096
 shuffle bytes saved: 999
 spill: 65536 bytes in 3 files
 spill estimate error: 512 bytes (|estimated - written| across runs)
-spilled reduce groups: 2
 memory: budget 64.0 MB, actual peak 91.0 MB (1.42x) — 27.0 MB over budget
 heap: peak 120.0 MB, allocated 500.0 MB in 1234 calls
 storage: 7 io retries, 2 torn writes detected, 3 runs quarantined

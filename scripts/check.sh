@@ -7,6 +7,32 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== durable writes: one commit path =="
+# Every file the engine writes goes through `commit.rs` (tmp file, footer,
+# fsync, rename, read-back); the one other write is the journal's
+# append-only `journal.log`. Non-test code only, cut as for the line
+# counts below.
+stray_writes=$(find crates/mapred/src -name '*.rs' ! -name commit.rs -exec awk '
+    function check(stmt) {
+        if (FILENAME !~ /\/journal\.rs$/ || stmt !~ /\.append\(true\)/ ||
+            stmt !~ /"journal\.log"/ || stmt ~ /\.write\(true\)|\.truncate\(/)
+            print where
+    }
+    FNR == 1 { test = 0; open_stmt = "" }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test { next }
+    open_stmt != "" { open_stmt = open_stmt $0; if (/;/) { check(open_stmt); open_stmt = "" }; next }
+    /OpenOptions::new|File::options/ {
+        where = FILENAME ":" FNR ": " $0
+        open_stmt = $0; if (/;/) { check(open_stmt); open_stmt = "" }; next
+    }
+    /File::create|fs::write|fs::copy/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$stray_writes" ]; then
+    echo "files written outside commit.rs:" >&2
+    echo "$stray_writes" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -358,11 +358,12 @@ fn configurations_of_sampling_land_on_the_same_bits() {
         let (sampled, stats, retries) =
             sampling::mapreduce_sample_by_user_in(ctx, &mut dfs, "d", &cfg).unwrap();
         assert_eq!((stats.name.as_str(), retries), ("sampling-by-user", 0));
-        // A 1-byte budget forces every partition — and every multi-trace
-        // group — out of core; however a partition reached the reducer,
-        // it takes every sampled trace in and hands one trail per user out.
-        use builtin::{SPILLED_BYTES, SPILLED_GROUPS, SPILL_FILES};
-        let out_of_core = [SPILL_FILES, SPILLED_BYTES, SPILLED_GROUPS];
+        // A 1-byte budget forces every partition out of core, and every
+        // group into a window of its own; however a partition reached the
+        // reducer, it takes every sampled trace in and hands one trail per
+        // user out.
+        use builtin::{SPILLED_BYTES, SPILL_FILES};
+        let out_of_core = [SPILL_FILES, SPILLED_BYTES];
         assert_spilled_iff_starved(ctx, &[&stats], &out_of_core);
         let (users, traces) = (sampled.num_users() as u64, sampled.num_traces() as u64);
         assert_eq!(stats.counters[builtin::REDUCE_OUTPUT_RECORDS], users);
