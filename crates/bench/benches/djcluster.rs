@@ -107,7 +107,7 @@ fn bench_djcluster(c: &mut Criterion) {
                 }
                 let sets: Vec<_> = shuffled.into_pairs().into_iter().map(|(_, v)| v).collect();
                 let mut clusters = Emitter::new();
-                MergeReducer.reduce(&0, &sets, &mut clusters);
+                MergeReducer.reduce(&0, sets.as_slice().into(), &mut clusters);
                 black_box((sets.len(), clusters.len()))
             })
         });

@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
-    map_records, ChaosPlan, Cluster, Dfs, Emitter, FnMapper, KeyRuns, MapOnlyJob, MapReduceJob,
-    Mapper, Reducer,
+    map_records, ChaosPlan, Cluster, Dfs, Emitter, FnMapper, Group, KeyRuns, MapOnlyJob,
+    MapReduceJob, Mapper, Reducer,
 };
 use std::hint::black_box;
 
@@ -16,7 +16,7 @@ struct SumReducer;
 impl Reducer<u64, u64> for SumReducer {
     type KOut = u64;
     type VOut = u64;
-    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, u64>) {
+    fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, u64>) {
         out.emit(*key, values.iter().sum());
     }
 }

@@ -248,13 +248,17 @@ fn run_journal_from(args: &Args, command: &str) -> Result<Option<Arc<RunJournal>
 }
 
 /// Commits `text` as the run's `OUTPUT` artifact through the atomic
-/// commit protocol, journals it, and seals the run: after the
-/// `RunComplete` entry a resume is a no-op, and the per-run spill root
-/// is swept.
-fn commit_output(journal: &RunJournal, chaos: &ChaosPlan, text: &str) -> Result<(), String> {
+/// commit protocol, counts the repairs the write took into the run's
+/// counters, journals it, and seals the run: after the `RunComplete`
+/// entry a resume is a no-op, and the per-run spill root is swept.
+fn commit_output(ctx: &ExecCtx<'_>, journal: &RunJournal, text: &str) -> Result<(), String> {
     let path = journal.dir().join("OUTPUT");
+    let chaos = &ctx.cluster.chaos;
     let receipt = commit::commit_bytes_verified(&path, text.as_bytes(), "run-output", true, chaos)
         .map_err(|e| e.to_string())?;
+    receipt
+        .repairs()
+        .for_each(|(c, n)| ctx.telemetry.count(c, n));
     journal.append(&JournalEntry::ArtifactCommit {
         name: "OUTPUT".to_string(),
         path: path.display().to_string(),
@@ -756,7 +760,7 @@ pub fn sample(args: &Args) -> Result<(), String> {
         );
         print_job("job", &stats);
         if let Some(j) = &ctx.journal {
-            commit_output(j, &cluster.chaos, &dataset_output_text("sample", &sampled))?;
+            commit_output(ctx, j, &dataset_output_text("sample", &sampled))?;
         }
         Ok(())
     })
@@ -832,7 +836,7 @@ pub fn synth(args: &Args) -> Result<(), String> {
                 );
                 print_job("job", &stats);
                 if let Some(j) = &ctx.journal {
-                    commit_output(j, &cluster.chaos, &dataset_output_text("synth", &sampled))?;
+                    commit_output(ctx, j, &dataset_output_text("synth", &sampled))?;
                 }
                 Ok(())
             }
@@ -855,7 +859,7 @@ pub fn synth(args: &Args) -> Result<(), String> {
                     print_job("last iteration", &last.job);
                 }
                 if let Some(j) = &ctx.journal {
-                    commit_output(j, &cluster.chaos, &kmeans_output_text(&result))?;
+                    commit_output(ctx, j, &kmeans_output_text(&result))?;
                 }
                 Ok(())
             }
@@ -908,7 +912,7 @@ pub fn kmeans(args: &Args) -> Result<(), String> {
             println!("  centroid {i}: ({:.6}, {:.6})", c.lat, c.lon);
         }
         if let Some(j) = &ctx.journal {
-            commit_output(j, &cluster.chaos, &kmeans_output_text(&result))?;
+            commit_output(ctx, j, &kmeans_output_text(&result))?;
         }
         Ok(())
     })

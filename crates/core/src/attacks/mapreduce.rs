@@ -14,8 +14,8 @@ use crate::attacks::mmc::{learn_mmc, MobilityMarkovChain};
 use crate::attacks::poi::{extract_pois, Poi};
 use crate::djcluster::DjConfig;
 use gepeto_mapred::{
-    Cluster, Dfs, DistributedCache, Emitter, JobError, JobStats, MapReduceJob, Mapper, Reducer,
-    TaskContext,
+    Cluster, Dfs, DistributedCache, Emitter, Group, JobError, JobStats, MapReduceJob, Mapper,
+    Reducer, TaskContext,
 };
 use gepeto_model::{MobilityTrace, Trail, UserId};
 use std::collections::BTreeMap;
@@ -59,10 +59,10 @@ impl Reducer<UserId, MobilityTrace> for PoiReducer {
     fn reduce(
         &mut self,
         key: &UserId,
-        values: &[MobilityTrace],
+        values: Group<'_, MobilityTrace>,
         out: &mut Emitter<UserId, Vec<Poi>>,
     ) {
-        let trail = Trail::new(*key, values.to_vec());
+        let trail = Trail::new(*key, values.iter().cloned().collect());
         out.emit(*key, extract_pois(&trail, &self.cfg));
     }
 }
@@ -85,10 +85,10 @@ impl Reducer<UserId, MobilityTrace> for MmcReducer {
     fn reduce(
         &mut self,
         key: &UserId,
-        values: &[MobilityTrace],
+        values: Group<'_, MobilityTrace>,
         out: &mut Emitter<UserId, MobilityMarkovChain>,
     ) {
-        let trail = Trail::new(*key, values.to_vec());
+        let trail = Trail::new(*key, values.iter().cloned().collect());
         if let Some(mmc) = learn_mmc(&trail, &self.cfg) {
             out.emit(*key, mmc);
         }

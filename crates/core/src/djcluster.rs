@@ -58,8 +58,8 @@ use gepeto_geo::rtree::Hit;
 use gepeto_geo::RTree;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobError, JobStats,
-    MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, TaskContext,
+    Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, Group, JobError,
+    JobStats, MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, TaskContext,
 };
 use gepeto_model::{Dataset, MobilityTrace, UserId};
 use gepeto_telemetry::Recorder;
@@ -600,8 +600,8 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
 /// off their varint payloads; there are a few thousand of them where
 /// there used to be one per dense trace, which is why this "centralized
 /// entity" of the paper is no longer the job's critical path. There
-/// being a single key, the map buckets are in key order end to end and
-/// the engine groups them without a sort.
+/// being a single key, its group is the map buckets' runs where they lie:
+/// the engine hands them over without a sort or a copy.
 #[derive(Clone)]
 pub struct MergeReducer;
 
@@ -612,12 +612,12 @@ impl Reducer<u8, EncodedNeighborhood> for MergeReducer {
     fn reduce(
         &mut self,
         _key: &u8,
-        values: &[EncodedNeighborhood],
+        values: Group<'_, EncodedNeighborhood>,
         out: &mut Emitter<u32, Vec<u64>>,
     ) {
         // The reducer does not know N: the array grows to the largest id.
         let mut uf = UnionFind::default();
-        for component in values {
+        for component in values.iter() {
             uf.join(component.iter());
         }
         uf.drain_groups(|members| out.emit(out.len() as u32, members.to_vec()));
@@ -1529,7 +1529,7 @@ mod partial_merge_props {
         );
         let pairs = shuffled.len();
         let mut out = Emitter::new();
-        MergeReducer.reduce(&0, &shuffled, &mut out);
+        MergeReducer.reduce(&0, shuffled.as_slice().into(), &mut out);
         (
             out.into_pairs().into_iter().map(|(_, m)| m).collect(),
             pairs,

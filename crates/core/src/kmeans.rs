@@ -43,8 +43,8 @@
 use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric};
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    map_records, Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobConfig,
-    JobError, JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, TaskContext,
+    map_records, Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, Group,
+    JobConfig, JobError, JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, TaskContext,
 };
 use gepeto_model::{GeoPoint, MobilityTrace};
 use gepeto_telemetry::Recorder;
@@ -409,9 +409,9 @@ impl Reducer<u32, ClusterSum> for KMeansReducer {
     type KOut = u32;
     type VOut = GeoPoint;
 
-    fn reduce(&mut self, key: &u32, values: &[ClusterSum], out: &mut Emitter<u32, GeoPoint>) {
+    fn reduce(&mut self, key: &u32, vs: Group<'_, ClusterSum>, out: &mut Emitter<u32, GeoPoint>) {
         let mut acc = ClusterSum::default();
-        for v in values {
+        for v in vs.iter() {
             acc.merge(v);
         }
         if let Some(mean) = acc.mean() {
@@ -750,8 +750,8 @@ impl Reducer<u32, (f64, f64)> for KMediansReducer {
     type KOut = u32;
     type VOut = GeoPoint;
 
-    fn reduce(&mut self, key: &u32, values: &[(f64, f64)], out: &mut Emitter<u32, GeoPoint>) {
-        let mut pts = values.to_vec();
+    fn reduce(&mut self, key: &u32, vs: Group<'_, (f64, f64)>, out: &mut Emitter<u32, GeoPoint>) {
+        let mut pts: Vec<(f64, f64)> = vs.iter().copied().collect();
         if let Some(center) = component_median(&mut pts) {
             out.emit(*key, center);
         }

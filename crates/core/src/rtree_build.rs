@@ -23,7 +23,7 @@
 use gepeto_geo::sfc::GridMapper;
 use gepeto_geo::{RTree, Rect, SpaceFillingCurve};
 use gepeto_mapred::{
-    Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, JobError, JobStats, MapOnlyJob,
+    Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, Group, JobError, JobStats, MapOnlyJob,
     MapReduceJob, Mapper, Reducer, TaskContext,
 };
 use gepeto_model::MobilityTrace;
@@ -152,8 +152,8 @@ impl Reducer<u8, u64> for BoundaryReducer {
     type KOut = u8;
     type VOut = Vec<u64>;
 
-    fn reduce(&mut self, _key: &u8, values: &[u64], out: &mut Emitter<u8, Vec<u64>>) {
-        let mut sorted = values.to_vec();
+    fn reduce(&mut self, _key: &u8, values: Group<'_, u64>, out: &mut Emitter<u8, Vec<u64>>) {
+        let mut sorted: Vec<u64> = values.iter().copied().collect();
         sorted.sort_unstable();
         let p = self.partitions;
         let mut boundaries = Vec::with_capacity(p.saturating_sub(1));
@@ -209,7 +209,7 @@ impl Reducer<u32, (u64, f64, f64)> for TreeBuildReducer {
     fn reduce(
         &mut self,
         key: &u32,
-        values: &[(u64, f64, f64)],
+        values: Group<'_, (u64, f64, f64)>,
         out: &mut Emitter<u32, RTree<u64>>,
     ) {
         let items: Vec<(gepeto_model::GeoPoint, u64)> = values

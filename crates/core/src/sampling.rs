@@ -30,7 +30,7 @@
 //! ```
 
 use gepeto_mapred::{
-    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, FlatGroups, JobError, JobResult, JobStats,
+    Cluster, Dfs, DfsAccess, Emitter, ExecCtx, FlatGroups, Group, JobError, JobResult, JobStats,
     MapOnlyJob, MapReduceJob, Mapper, Reducer,
 };
 use gepeto_model::{Dataset, MobilityTrace, Trail, UserId};
@@ -274,14 +274,14 @@ fn sample_job(
 /// Emits what it computes: one `(user, Trail)` per key, time-sorted
 /// inside the (parallel) reduce task — the stable sort
 /// [`Dataset::from_traces`] would apply to the same values in the same
-/// order. A partition grouped in memory keeps its value columns whole —
-/// for a user-major input, the map tasks' buckets themselves: each
-/// user's values are sorted in place and its trail is a range of its
-/// shared column ([`Trail::cut_column`]), so the partition costs no
-/// allocation per user and no copy. A partition merged from spill runs
-/// arrives in windows of one column each, and its trails are cut from
-/// them the same way. The driver only has to hand the trails to
-/// [`Dataset::from_trails`]; no per-trace pair leaves the reducer.
+/// order. It takes its partition's columns whole — the map tasks' buckets,
+/// or the windows of a spilled merge — and cuts every run into a trail of
+/// its shared column, sorted in place ([`Trail::cut_column`]), so a user
+/// of one run costs no allocation and no copy. A user of several runs
+/// (split across map tasks, or an input that is not user-major) is
+/// gathered alone: its runs being time-sorted, the stable sort of their
+/// concatenation is that of its values. The driver only has to hand the
+/// trails to [`Dataset::from_trails`].
 #[derive(Clone)]
 pub struct RegroupReducer;
 
@@ -289,8 +289,13 @@ impl Reducer<UserId, MobilityTrace> for RegroupReducer {
     type KOut = UserId;
     type VOut = Trail;
 
-    fn reduce(&mut self, key: &UserId, values: &[MobilityTrace], out: &mut Emitter<UserId, Trail>) {
-        out.emit(*key, Trail::new(*key, values.to_vec()));
+    fn reduce(
+        &mut self,
+        key: &UserId,
+        values: Group<'_, MobilityTrace>,
+        out: &mut Emitter<UserId, Trail>,
+    ) {
+        out.emit(*key, Trail::new(*key, values.iter().cloned().collect()));
     }
 
     fn reduce_partition(
@@ -299,8 +304,23 @@ impl Reducer<UserId, MobilityTrace> for RegroupReducer {
         out: &mut Emitter<UserId, Trail>,
     ) {
         out.reserve(groups.len());
-        for (ends, column) in groups.into_columns() {
-            Trail::cut_column(column, &ends).for_each(|trail| out.emit(trail.user, trail));
+        let (columns, runs) = groups.into_runs();
+        let mut trails: Vec<Vec<Trail>> = (columns.into_iter())
+            .map(|(ends, column)| Trail::cut_column(column, &ends).collect())
+            .collect();
+        let mut runs = runs
+            .map(|(column, run)| std::mem::take(&mut trails[column][run]))
+            .peekable();
+        while let Some(trail) = runs.next() {
+            // A user's runs are adjacent, in map order.
+            let user = trail.user;
+            let more: Vec<_> = std::iter::from_fn(|| runs.next_if(|t| t.user == user)).collect();
+            if more.is_empty() {
+                out.emit(user, trail);
+            } else {
+                let traces = std::iter::once(&trail).chain(&more).flat_map(Trail::traces);
+                out.emit(user, Trail::new(user, traces.copied().collect()));
+            }
         }
     }
 }
@@ -571,13 +591,15 @@ mod tests {
 
     /// Columns a by-user regroup's trails share: the map buckets (a map
     /// task's output for one reduce partition) they were grouped in — at
-    /// most one per bucket, more than one per reduce partition — and
-    /// fewer than there are trails.
+    /// most one per bucket, more than one per reduce partition — plus a
+    /// trail of its own for each user a chunk seam splits between two map
+    /// tasks, gathered alone; and fewer than there are trails.
     fn assert_trails_share_map_buckets(grouped: &Dataset, stats: &JobStats) {
         let buckets = stats.map_tasks * stats.reduce_tasks;
+        let split_users = stats.map_tasks - 1;
         let columns = grouped.column_count();
         assert!(
-            (stats.reduce_tasks + 1..=buckets).contains(&columns),
+            (stats.reduce_tasks + 1..=buckets + split_users).contains(&columns),
             "{columns} columns for {buckets} map buckets in {} partitions",
             stats.reduce_tasks
         );

@@ -9,7 +9,7 @@
 use crate::cache::DistributedCache;
 use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::job::FlatGroups;
+use crate::job::{FlatGroups, Group};
 use std::hash::Hash;
 
 /// Bound for intermediate keys: they are hashed to pick a reduce
@@ -202,22 +202,21 @@ pub trait Reducer<K2: MrKey, V2: MrValue>: Clone + Send {
     /// Once-per-task initialization.
     fn setup(&mut self, _ctx: &TaskContext<'_>) {}
 
-    /// Reduces one key group. `values` holds all of the key's values in
-    /// map-task emission order: a slice of one of the partition's value
-    /// columns, handed over by the default [`Self::reduce_partition`]. The
+    /// Reduces one key group. `vs` holds all of the key's values in
+    /// map-task emission order, as the runs of the map tasks' buckets they
+    /// lie in, handed over by the default [`Self::reduce_partition`]. The
     /// engine calls only `reduce_partition`, so a reducer that overrides it
     /// is reduced through its override alone.
-    fn reduce(&mut self, key: &K2, values: &[V2], out: &mut Emitter<Self::KOut, Self::VOut>);
+    fn reduce(&mut self, key: &K2, vs: Group<'_, V2>, out: &mut Emitter<Self::KOut, Self::VOut>);
 
-    /// Reduces key groups in key order: value columns plus bounds, each
-    /// group inside one column ([`FlatGroups`]). A partition grouped in
-    /// memory is handed over in one call; one merged from spill runs in
-    /// several, one per window of whole groups that fits the memory
-    /// budget — so a group never spans two calls. The default calls
+    /// Reduces key groups in key order ([`FlatGroups`]). A partition
+    /// grouped in memory is handed over in one call; one merged from spill
+    /// runs in several, one per window of whole groups that fits the
+    /// memory budget — so a group never spans two calls. The default calls
     /// [`Self::reduce`] once per group, in order. A reducer that keeps its
     /// values overrides it to take the columns whole
-    /// ([`FlatGroups::into_columns`]) instead of copying slices out of
-    /// them; it must emit what the per-group calls would.
+    /// ([`FlatGroups::into_runs`]) instead of copying runs out of them; it
+    /// must emit what the per-group calls would.
     fn reduce_partition(
         &mut self,
         groups: FlatGroups<K2, V2>,

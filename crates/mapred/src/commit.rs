@@ -19,6 +19,7 @@
 //! storage-aware retry policy to handle.
 
 use crate::chaos::{ChaosPlan, IoFault};
+use crate::counters::builtin::{IO_RETRIES, IO_STALL_MS, RUNS_QUARANTINED, TORN_WRITES};
 use crate::hash::FnvHasher;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -83,6 +84,20 @@ pub struct CommitReceipt {
     /// Virtual milliseconds this commit stalled on storage: EIO retry
     /// backoff plus the configured slow-disk write penalty.
     pub stall_ms: u64,
+}
+
+impl CommitReceipt {
+    /// The repairs the commit absorbed, each with the counter it adds to.
+    pub fn repairs(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let counts = [
+            self.io_retries,
+            self.torn_detected,
+            self.quarantined,
+            self.stall_ms,
+        ];
+        let counters = [IO_RETRIES, TORN_WRITES, RUNS_QUARANTINED, IO_STALL_MS];
+        counters.into_iter().zip(counts).filter(|&(_, n)| n > 0)
+    }
 }
 
 /// FNV-1a over raw bytes (byte-stream flavor of [`crate::fnv_hash`]).

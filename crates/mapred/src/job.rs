@@ -18,7 +18,7 @@
 use crate::api::{Emitter, Mapper, MrKey, MrValue, Reducer, TaskContext};
 use crate::cache::DistributedCache;
 use crate::chaos::ChaosPlan;
-use crate::commit::{self, CommitError, CommitReceipt};
+use crate::commit::{self, CommitError};
 use crate::config::JobConfig;
 use crate::counters::{builtin, phase, Counters};
 use crate::dfs::{BlockId, Dfs, DfsError};
@@ -180,7 +180,7 @@ impl<K2: MrKey, V2: MrValue> Reducer<K2, V2> for NoReducer {
     type KOut = K2;
     type VOut = V2;
 
-    fn reduce(&mut self, _key: &K2, _values: &[V2], _out: &mut Emitter<K2, V2>) {
+    fn reduce(&mut self, _key: &K2, _values: Group<'_, V2>, _out: &mut Emitter<K2, V2>) {
         unreachable!("a map-only job has no reduce phase")
     }
 }
@@ -535,16 +535,13 @@ where
                 };
                 match payload {
                     PartitionInput::Memory(buckets) => {
-                        // Grouping, on the pool. Buckets in key order end
-                        // to end (a by-user regroup of a user-major input,
-                        // a single-key merge) are the reduce columns as
-                        // they are. Any other partition is gathered into
-                        // one column while its buckets are still held.
-                        let sort_span =
-                            (!in_key_order(&buckets)).then(|| task_span.child("phase.sort", &[]));
-                        let flat = FlatGroups::from_runs(buckets);
-                        drop(sort_span);
-                        reduce(flat);
+                        // Grouping, on the pool: the buckets stay where
+                        // they are, and only their runs are sorted — not
+                        // even those when they arrive in key order (a
+                        // by-user regroup of a user-major input, a
+                        // single-key merge).
+                        let sort_span = || task_span.child("phase.sort", &[]);
+                        reduce(FlatGroups::from_runs_sorting(buckets, sort_span));
                     }
                     PartitionInput::Spilled(sp) => {
                         // Verifying read: every sealed run must still be
@@ -592,7 +589,7 @@ where
                         .partitions_dir()
                         .join(format!("{}-p{task_id}.part", sanitize(name)));
                     let (run, seal) = seal_run_at(codec, &art_path, &output, chaos)?;
-                    note_seal_stats(&seal, counters);
+                    seal.repairs().for_each(|(c, n)| counters.inc(c, n));
                     journal
                         .append(&JournalEntry::ReduceCommit {
                             job: name.clone(),
@@ -1013,7 +1010,7 @@ where
         let groups = FlatGroups::from_runs(buf);
         let (run, seal) = seal_groups(&sp.codec, dir, "run", &groups, &cluster.chaos)?;
         drop(groups);
-        note_seal_stats(&seal, counters);
+        seal.repairs().for_each(|(c, n)| counters.inc(c, n));
         counters.inc(builtin::SPILL_ESTIMATE_ERROR, estimate.abs_diff(run.bytes));
         if let Some(j) = journal {
             j.append(&JournalEntry::SpillSealed {
@@ -1111,22 +1108,6 @@ fn lazy_spill_dir(
         ));
     }
     Ok(Arc::clone(slot.as_ref().unwrap()))
-}
-
-/// Folds one seal's storage-fault tallies into the job counters.
-fn note_seal_stats(seal: &CommitReceipt, counters: &Counters) {
-    if seal.io_retries > 0 {
-        counters.inc(builtin::IO_RETRIES, seal.io_retries);
-    }
-    if seal.torn_detected > 0 {
-        counters.inc(builtin::TORN_WRITES, seal.torn_detected);
-    }
-    if seal.quarantined > 0 {
-        counters.inc(builtin::RUNS_QUARANTINED, seal.quarantined);
-    }
-    if seal.stall_ms > 0 {
-        counters.inc(builtin::IO_STALL_MS, seal.stall_ms);
-    }
 }
 
 struct MapTaskResult<K, V> {
@@ -1315,148 +1296,173 @@ impl<K: MrKey, V> KeyRuns<K, V> {
     }
 }
 
-/// One reduce partition grouped *flat*: its values in a few columns, each
-/// with one `(key, end)` bound per group, so a group is a slice of one
-/// column and grouping allocates nothing per key. Groups follow in key
-/// order with the values of a key in map-task order. [`MapReduceJob::run`]
-/// groups every partition into this shape with [`FlatGroups::from_runs`]
-/// — an in-memory partition from its map tasks' [`KeyRuns`], a spilled
-/// one in windows of its merged runs, each window a column — and hands it
-/// to [`Reducer::reduce_partition`], which may keep the columns whole
-/// ([`FlatGroups::into_columns`]).
+/// One reduce partition grouped where it lies: the non-empty buckets it
+/// was given, each kept whole as a column with its runs' `(key, end)`
+/// bounds, and one descriptor per run, stably sorted by key. A group is
+/// one stretch of equal keys in that list — groups in key order, a
+/// group's runs in map-task order — so grouping copies no value.
+/// [`MapReduceJob::run`] groups every partition this way: in memory from
+/// its map tasks' [`KeyRuns`], spilled in windows of its merged runs.
 #[derive(Debug)]
 pub struct FlatGroups<K, V> {
-    /// Non-empty columns whose runs are the groups: no key has two runs.
-    columns: Vec<KeyRuns<K, V>>,
+    /// Each column's runs: adjacent ones never share a key.
+    ends: Vec<Vec<(K, usize)>>,
+    columns: Vec<Vec<V>>,
+    slices: Vec<Slice>,
 }
 
-impl<K: MrKey, V: Clone> FlatGroups<K, V> {
+/// A column's runs' `(key, end)` bounds, beside its values.
+type Column<K, V> = (Vec<(K, usize)>, Vec<V>);
+
+/// Run `run` of column `column`: its `len` values from `start`.
+#[derive(Debug, Clone, Copy)]
+struct Slice {
+    column: u32,
+    run: u32,
+    start: u32,
+    len: u32,
+}
+
+impl Slice {
+    fn of<V>(self, columns: &[Vec<V>]) -> &[V] {
+        &columns[self.column as usize][self.start as usize..][..self.len as usize]
+    }
+}
+
+impl<K: MrKey, V> FlatGroups<K, V> {
     /// Groups the concatenation of `buckets` as its stable sort by key
-    /// would: same groups, in the same order with the same value order, as
-    /// [`group_sorted`] of the sorted pairs. When the run keys are in
-    /// order end to end, every non-empty bucket becomes a column as it is
-    /// — adjacent runs of one key merge by their bounds, and a key
-    /// continuing from the previous bucket moves only its own values onto
-    /// that column. Otherwise the runs, not their pairs, are stably sorted
-    /// by key (ties keep concatenation order), and their values are cloned
-    /// into one column of exactly their number.
+    /// would: the groups [`group_sorted`] makes of the sorted pairs, in
+    /// the same order with the same value order. Adjacent runs of one key
+    /// in a bucket merge by their bounds, and the runs, not their pairs,
+    /// are sorted — unless their keys are in order end to end.
     pub fn from_runs(buckets: Vec<KeyRuns<K, V>>) -> Self {
-        if !in_key_order(&buckets) {
-            return Self::gathered(&buckets);
-        }
-        let mut columns: Vec<KeyRuns<K, V>> = Vec::with_capacity(buckets.len());
-        // Values of the last column's last key that later buckets carry,
-        // appended in one reservation once the column is complete.
-        let mut carried: Vec<Vec<V>> = Vec::new();
-        for mut bucket in buckets {
-            if let Some(column) = columns.last() {
-                let (last_key, _) = column.runs.last().expect("a column is not empty");
-                let runs = bucket
-                    .runs
-                    .iter()
-                    .take_while(|(k, _)| k == last_key)
-                    .count();
-                if runs > 0 {
-                    let moved = bucket.runs[runs - 1].1;
-                    carried.push(if moved == bucket.values.len() {
-                        std::mem::take(&mut bucket.values)
-                    } else {
-                        bucket.values.drain(..moved).collect()
-                    });
-                    bucket.runs.drain(..runs);
-                    for (_, end) in &mut bucket.runs {
-                        *end -= moved;
-                    }
-                }
-            }
+        Self::from_runs_sorting(buckets, || ())
+    }
+
+    /// [`Self::from_runs`], holding what `sorting` returns (a span) while
+    /// it sorts the runs, if it has to.
+    pub(crate) fn from_runs_sorting<T>(
+        buckets: Vec<KeyRuns<K, V>>,
+        sorting: impl FnOnce() -> T,
+    ) -> Self {
+        let (mut ends, mut columns) = (Vec::new(), Vec::new());
+        let mut slices = Vec::with_capacity(buckets.iter().map(|b| b.runs.len()).sum());
+        for mut bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
             bucket.runs.dedup_by(|later, kept| {
                 let same = later.0 == kept.0;
-                if same {
-                    kept.1 = later.1;
-                }
+                kept.1 = if same { later.1 } else { kept.1 };
                 same
             });
-            if !bucket.is_empty() {
-                append_to_last_group(columns.last_mut(), &mut carried);
-                columns.push(bucket);
+            let column = columns.len() as u32;
+            assert!(
+                bucket.len() <= u32::MAX as usize,
+                "a column holds under 2^32 values"
+            );
+            let mut start = 0;
+            for (run, &(_, end)) in bucket.runs.iter().enumerate() {
+                let (run, len) = (run as u32, (end - start) as u32);
+                slices.push(Slice {
+                    column,
+                    run,
+                    start: start as u32,
+                    len,
+                });
+                start = end;
             }
+            ends.push(bucket.runs);
+            columns.push(bucket.values);
         }
-        append_to_last_group(columns.last_mut(), &mut carried);
-        Self { columns }
-    }
-
-    /// The out-of-order case of [`FlatGroups::from_runs`]: one column
-    /// gathered from the stably sorted runs.
-    fn gathered(buckets: &[KeyRuns<K, V>]) -> Self {
-        let mut runs: Vec<(&K, &[V])> =
-            Vec::with_capacity(buckets.iter().map(|b| b.runs.len()).sum());
-        runs.extend(buckets.iter().flat_map(KeyRuns::iter));
-        runs.sort_by(|a, b| a.0.cmp(b.0));
-        let groups = runs.chunk_by(|a, b| a.0 == b.0);
-        let mut column = KeyRuns {
-            runs: Vec::with_capacity(groups.clone().count()),
-            values: Vec::with_capacity(buckets.iter().map(KeyRuns::len).sum()),
-        };
-        for group in groups {
-            for (_, values) in group {
-                column.values.extend_from_slice(values);
-            }
-            column.runs.push((group[0].0.clone(), column.values.len()));
+        let key = |s: &Slice| &ends[s.column as usize][s.run as usize].0;
+        if !slices.is_sorted_by(|a, b| key(a) <= key(b)) {
+            let _sorting = sorting();
+            // Ties broken by position: the stable sort, without its buffer.
+            let at = |s: &Slice| (key(s), s.column, s.run);
+            slices.sort_unstable_by(|a, b| at(a).cmp(&at(b)));
         }
         Self {
-            columns: Vec::from_iter((!column.is_empty()).then_some(column)),
+            ends,
+            columns,
+            slices,
         }
     }
 }
 
-impl<K, V> FlatGroups<K, V> {
+impl<K: Eq, V> FlatGroups<K, V> {
     /// Number of groups.
     pub fn len(&self) -> usize {
-        self.columns.iter().map(|c| c.runs.len()).sum()
+        self.iter().count()
     }
 
     /// Whether there is no group.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.slices.is_empty()
     }
 
-    /// The groups in order, each as its key and its slice of its column.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> {
-        self.columns.iter().flat_map(KeyRuns::iter)
+    /// The groups in order, each as its key and its runs.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, Group<'_, V>)> {
+        let key = |s: &Slice| &self.ends[s.column as usize][s.run as usize].0;
+        let groups = self.slices.chunk_by(move |a, b| key(a) == key(b));
+        groups.map(move |runs| (key(&runs[0]), Group::of(runs, &self.columns)))
     }
 
-    /// Takes the groups apart without copying, one column at a time: each
-    /// group's key with the index one past its last value, and the value
-    /// column — group `i` of a column is `column[bounds[i - 1].1 ..
-    /// bounds[i].1]`, from 0 for the first. Every column holds at least
-    /// one group, and no group spans two columns.
-    pub fn into_columns(self) -> impl Iterator<Item = (Vec<(K, usize)>, Vec<V>)> {
-        self.columns.into_iter().map(|c| (c.runs, c.values))
+    /// Takes the groups apart without copying: every column, and every
+    /// run as `(column, run)` in group order — a group's runs adjacent.
+    pub fn into_runs(self) -> (Vec<Column<K, V>>, impl Iterator<Item = (usize, usize)>) {
+        let runs = self.slices.into_iter();
+        let columns = self.ends.into_iter().zip(self.columns).collect();
+        (columns, runs.map(|s| (s.column as usize, s.run as usize)))
     }
 }
 
-/// Whether the buckets' run keys are in order end to end, which
-/// [`FlatGroups::from_runs`] groups without a copy.
-pub(crate) fn in_key_order<K: Ord, V>(buckets: &[KeyRuns<K, V>]) -> bool {
-    buckets
-        .iter()
-        .flat_map(|b| &b.runs)
-        .map(|(k, _)| k)
-        .is_sorted()
+/// The values of one key in map-task order, as the runs they lie in:
+/// what [`Reducer::reduce`] is handed.
+pub struct Group<'a, V> {
+    first: &'a [V],
+    /// The runs after the first, in `columns`.
+    rest: &'a [Slice],
+    columns: &'a [Vec<V>],
 }
 
-/// Moves `carried` onto the end of `column`'s last group, reserving once.
-fn append_to_last_group<K, V>(column: Option<&mut KeyRuns<K, V>>, carried: &mut Vec<Vec<V>>) {
-    let Some(column) = column.filter(|_| !carried.is_empty()) else {
-        return;
-    };
-    column
-        .values
-        .reserve_exact(carried.iter().map(Vec::len).sum());
-    for values in carried.drain(..) {
-        column.values.extend(values);
+impl<'a, V> Group<'a, V> {
+    fn of(runs: &'a [Slice], columns: &'a [Vec<V>]) -> Self {
+        let (first, rest) = (runs[0].of(columns), &runs[1..]);
+        Group {
+            first,
+            rest,
+            columns,
+        }
     }
-    column.runs.last_mut().expect("a column is not empty").1 = column.values.len();
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.first.len() + self.rest.iter().map(|s| s.len as usize).sum::<usize>()
+    }
+
+    /// Whether there is no value: never, for a group the engine hands over.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_empty()
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a V> + 'a {
+        let columns = self.columns;
+        (self.first.iter()).chain(self.rest.iter().flat_map(move |s| s.of(columns)))
+    }
+
+    /// The values as one slice, if they lie in one run.
+    pub fn as_slice(&self) -> Option<&'a [V]> {
+        self.rest.is_empty().then_some(self.first)
+    }
+}
+
+impl<'a, V> From<&'a [V]> for Group<'a, V> {
+    fn from(first: &'a [V]) -> Self {
+        Group {
+            first,
+            rest: &[],
+            columns: &[],
+        }
+    }
 }
 
 /// Groups a key-sorted pair vector into `(key, values)` runs, *moving*
@@ -1528,7 +1534,7 @@ mod tests {
     impl Reducer<String, u64> for SumReducer {
         type KOut = String;
         type VOut = u64;
-        fn reduce(&mut self, key: &String, values: &[u64], out: &mut Emitter<String, u64>) {
+        fn reduce(&mut self, key: &String, values: Group<'_, u64>, out: &mut Emitter<String, u64>) {
             out.emit(key.clone(), values.iter().sum());
         }
     }
@@ -1846,8 +1852,8 @@ mod tests {
     impl Reducer<u64, u64> for CollectGroups {
         type KOut = u64;
         type VOut = Vec<u64>;
-        fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-            out.emit(*key, values.to_vec());
+        fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, Vec<u64>>) {
+            out.emit(*key, values.iter().cloned().collect());
         }
     }
 
@@ -1872,9 +1878,9 @@ mod tests {
 
     #[test]
     fn every_reducer_sees_its_groups_in_key_order() {
-        // Descending keys put every map bucket out of order (the sort
-        // fallback); `v / 10` keeps them in order with keys running across
-        // buckets (grouped in place). One reducer makes the output one
+        // Descending keys put every map bucket out of order (its runs are
+        // sorted); `v / 10` keeps them in order with keys running across
+        // buckets (no sort). One reducer makes the output one
         // partition, so its keys must strictly ascend.
         for key in [|v: u64| 1_000 - v, |v: u64| v / 10] {
             let [in_memory, spilled] = collected_in_memory_and_spilled(key, 1);
@@ -2156,7 +2162,7 @@ mod tests {
         impl Reducer<u64, u64> for CountReducer {
             type KOut = u64;
             type VOut = u64;
-            fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, u64>) {
+            fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, u64>) {
                 // One call per key: emit the group size once.
                 out.emit(*key, values.len() as u64);
             }
@@ -2549,7 +2555,7 @@ mod tests {
             impl Reducer<u64, u64> for Max {
                 type KOut = u64;
                 type VOut = u64;
-                fn reduce(&mut self, k: &u64, vs: &[u64], out: &mut Emitter<u64, u64>) {
+                fn reduce(&mut self, k: &u64, vs: Group<'_, u64>, out: &mut Emitter<u64, u64>) {
                     out.emit(*k, vs.iter().copied().max().unwrap());
                 }
             }
@@ -2579,7 +2585,7 @@ mod partitioner_tests {
         type KOut = usize;
         type VOut = u64;
         fn setup(&mut self, _ctx: &TaskContext<'_>) {}
-        fn reduce(&mut self, key: &u64, _values: &[u64], out: &mut Emitter<usize, u64>) {
+        fn reduce(&mut self, key: &u64, _values: Group<'_, u64>, out: &mut Emitter<usize, u64>) {
             out.emit(0, *key); // keys flow through; partition recovered below
         }
     }

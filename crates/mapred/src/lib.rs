@@ -38,14 +38,14 @@
 //! The canonical example — word count:
 //!
 //! ```
-//! use gepeto_mapred::{Cluster, Dfs, Emitter, FnMapper, MapReduceJob, Reducer};
+//! use gepeto_mapred::{Cluster, Dfs, Emitter, FnMapper, Group, MapReduceJob, Reducer};
 //!
 //! #[derive(Clone)]
 //! struct Sum;
 //! impl Reducer<String, u64> for Sum {
 //!     type KOut = String;
 //!     type VOut = u64;
-//!     fn reduce(&mut self, k: &String, vs: &[u64], out: &mut Emitter<String, u64>) {
+//!     fn reduce(&mut self, k: &String, vs: Group<'_, u64>, out: &mut Emitter<String, u64>) {
 //!         out.emit(k.clone(), vs.iter().sum());
 //!     }
 //! }
@@ -94,8 +94,8 @@ pub use counters::Counters;
 pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
 pub use exec::{DfsAccess, ExecCtx};
 pub use job::{
-    group_sorted, group_unsorted, FlatGroups, JobError, JobResult, JobStats, KeyRuns, MapOnlyJob,
-    MapReduceJob,
+    group_sorted, group_unsorted, FlatGroups, Group, JobError, JobResult, JobStats, KeyRuns,
+    MapOnlyJob, MapReduceJob,
 };
 pub use journal::{JournalEntry, ReduceArtifact, RunJournal};
 pub use pipeline::PipelineReport;

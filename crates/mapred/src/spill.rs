@@ -578,9 +578,8 @@ pub enum PartitionInput<K, V> {
     /// The partition fit the budget (or no budget was set): the key-run
     /// buckets the map tasks filled for it, in task and range order. Their
     /// concatenation is the partition; the reduce task groups it
-    /// ([`FlatGroups::from_runs`]) — without a copy when the buckets are
-    /// in key order end to end, otherwise into one gathered column, on
-    /// the pool instead of between the phases.
+    /// ([`FlatGroups::from_runs`]) on the pool, where the buckets lie:
+    /// only their runs are sorted, and no value is copied.
     Memory(Vec<KeyRuns<K, V>>),
     /// The partition overflowed and lives on disk.
     Spilled(SpilledPartition<K, V>),
@@ -599,11 +598,11 @@ impl<K, V> PartitionInput<K, V> {
 /// Streams the merged runs of a spilled partition back as windows of
 /// whole groups, in ascending key order with each key's values in map
 /// order, and hands each window to `reduce` as [`FlatGroups`] of one
-/// column. A window holds as many groups as fit `group_budget` encoded
-/// bytes together; a group that alone outgrows the budget sits alone in
-/// its window, its values in memory, since the reducer takes them as one
-/// slice.
-pub fn merge_groups<K: MrKey, V: Clone>(
+/// column, each group one run of it. A window holds as many groups as fit
+/// `group_budget` encoded bytes together; a group that alone outgrows the
+/// budget sits alone in its window, its values in memory, since the
+/// reducer takes them as one slice.
+pub fn merge_groups<K: MrKey, V>(
     partition: &SpilledPartition<K, V>,
     group_budget: usize,
     mut reduce: impl FnMut(FlatGroups<K, V>),
@@ -646,7 +645,7 @@ pub fn merge_groups<K: MrKey, V: Clone>(
 }
 
 /// Hands the window's groups to `reduce` and empties it.
-fn reduce_window<K: MrKey, V: Clone>(
+fn reduce_window<K: MrKey, V>(
     window: &mut KeyRuns<K, V>,
     reduce: &mut impl FnMut(FlatGroups<K, V>),
 ) {
@@ -763,9 +762,9 @@ mod tests {
         merge_groups(&partition, 64, |groups| {
             let window: Vec<(String, Vec<u64>)> = groups
                 .iter()
-                .map(|(k, vs)| (k.clone(), vs.to_vec()))
+                .map(|(k, vs)| (k.clone(), vs.as_slice().expect("one run").to_vec()))
                 .collect();
-            assert_eq!(groups.into_columns().count(), 1, "a window is one column");
+            assert_eq!(groups.into_runs().0.len(), 1, "a window is one column");
             windows.push(window);
         })
         .unwrap();

@@ -1,17 +1,16 @@
 //! The heap a map phase holds is sized by what its mappers emit, not by
 //! what they read, and not by how many tasks partition at once; a reduce
-//! phase whose buckets arrive in key order allocates no copy of them, and
-//! at most one of a key that spans them all; one whose buckets do not
-//! allocates one copy of their values; and a commit writes its payload
-//! without a copy of it.
+//! phase allocates no copy of its buckets' values, whether they arrive in
+//! key order or not and whether a key spans one bucket or all of them;
+//! and a commit writes its payload without a copy of it.
 //!
 //! The allocator's ledger is process-global, so the tests of this binary
 //! take turns: each holds `LEDGER` while its window is open, and no other
 //! test binary shares the process.
 
 use gepeto_mapred::{
-    commit, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FnMapper, MapOnlyJob, MapReduceJob, Mapper,
-    Reducer,
+    commit, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FnMapper, Group, MapOnlyJob, MapReduceJob,
+    Mapper, Reducer,
 };
 use gepeto_telemetry::{mem_stats, Event, EventKind, LedgerScope, Recorder};
 use std::sync::Mutex;
@@ -123,7 +122,7 @@ impl Reducer<u32, [u64; 4]> for CountPerUser {
     type KOut = u32;
     type VOut = usize;
 
-    fn reduce(&mut self, key: &u32, values: &[[u64; 4]], out: &mut Emitter<u32, usize>) {
+    fn reduce(&mut self, key: &u32, values: Group<'_, [u64; 4]>, out: &mut Emitter<u32, usize>) {
         out.emit(*key, values.len());
     }
 }
@@ -171,7 +170,7 @@ impl Reducer<u32, [u64; 4]> for CountAll {
     type KOut = u32;
     type VOut = usize;
 
-    fn reduce(&mut self, _key: &u32, values: &[[u64; 4]], _out: &mut Emitter<u32, usize>) {
+    fn reduce(&mut self, _key: &u32, values: Group<'_, [u64; 4]>, _out: &mut Emitter<u32, usize>) {
         self.0 += values.len();
     }
 
@@ -232,7 +231,7 @@ impl Mapper<u64> for OneKey {
 }
 
 #[test]
-fn a_key_across_every_bucket_is_gathered_in_one_copy() {
+fn a_key_across_every_bucket_is_reduced_without_a_copy() {
     let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
     two_executors();
     let records: Vec<u64> = (0..200_000).collect();
@@ -264,14 +263,14 @@ fn a_key_across_every_bucket_is_gathered_in_one_copy() {
     let bucket_bytes = map_output_bytes(&events, live_at_start);
     let allocated = span_ledger(&events, "phase.reduce", "mem.allocated");
     assert!(
-        (allocated as f64) < 1.1 * bucket_bytes as f64,
+        (allocated as f64) < 0.05 * bucket_bytes as f64,
         "reduce phase allocated {allocated} B for {bucket_bytes} B of buckets ({:.2} x)",
         allocated as f64 / bucket_bytes as f64
     );
 }
 
 /// [`ByUser`] with the users in falling order: every bucket's runs are
-/// out of key order, so each partition's values are gathered.
+/// out of key order, so each partition's runs are sorted.
 #[derive(Clone)]
 struct ByUserFalling;
 
@@ -289,7 +288,7 @@ impl Mapper<u64> for ByUserFalling {
 }
 
 #[test]
-fn an_out_of_order_reduce_phase_allocates_one_value_column() {
+fn an_out_of_order_reduce_phase_copies_no_values() {
     let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
     two_executors();
     let records: Vec<u64> = (0..200_000).collect();
@@ -306,12 +305,12 @@ fn an_out_of_order_reduce_phase_allocates_one_value_column() {
     let counted: usize = result.output.iter().map(|&(_, n)| n).sum();
     assert_eq!(counted, 200_000);
 
-    // The runs are sorted, not the pairs: the phase allocates the value
-    // column and little besides — no `(key, value)` pair per record.
+    // Only the run descriptors are sorted: the values are reduced where
+    // the map tasks left them.
     let value_bytes = (200_000 * std::mem::size_of::<[u64; 4]>()) as f64;
     let allocated = span_ledger(&recorder.events(), "phase.reduce", "mem.allocated");
     assert!(
-        (allocated as f64) <= 1.2 * value_bytes,
+        (allocated as f64) < 0.05 * value_bytes,
         "reduce phase allocated {allocated} B for {value_bytes} B of values ({:.2} x)",
         allocated as f64 / value_bytes
     );

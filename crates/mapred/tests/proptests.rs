@@ -7,7 +7,7 @@ use gepeto_mapred::counters::builtin;
 use gepeto_mapred::hash::default_partition;
 use gepeto_mapred::{
     group_sorted, map_records, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FlatGroups, FnMapper,
-    JobStats, KeyRuns, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec, Topology,
+    Group, JobStats, KeyRuns, MapOnlyJob, MapReduceJob, Mapper, Reducer, SpillCodec, Topology,
 };
 use gepeto_telemetry::{EventKind, Recorder};
 use proptest::prelude::*;
@@ -18,8 +18,8 @@ struct CollectReducer;
 impl Reducer<u64, u64> for CollectReducer {
     type KOut = u64;
     type VOut = Vec<u64>;
-    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-        let mut vs = values.to_vec();
+    fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, Vec<u64>>) {
+        let mut vs: Vec<u64> = values.iter().cloned().collect();
         vs.sort_unstable();
         out.emit(*key, vs);
     }
@@ -30,7 +30,7 @@ struct SumReducer;
 impl Reducer<u64, u64> for SumReducer {
     type KOut = u64;
     type VOut = u64;
-    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, u64>) {
+    fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, u64>) {
         out.emit(*key, values.iter().sum());
     }
 }
@@ -41,24 +41,24 @@ struct RecordSorted;
 impl Reducer<u64, u64> for RecordSorted {
     type KOut = u64;
     type VOut = Vec<u64>;
-    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-        out.emit(*key, values.to_vec());
+    fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, Vec<u64>>) {
+        out.emit(*key, values.iter().cloned().collect());
     }
 }
 
-/// [`RecordSorted`] that takes an in-memory partition apart column by
-/// column ([`column_groups`]): a group split across two columns would be
-/// emitted twice.
+/// [`RecordSorted`] that takes its partition apart run by run
+/// ([`run_groups`]): a group whose runs were not adjacent would be emitted
+/// twice.
 #[derive(Clone)]
-struct RecordColumns;
-impl Reducer<u64, u64> for RecordColumns {
+struct RecordRuns;
+impl Reducer<u64, u64> for RecordRuns {
     type KOut = u64;
     type VOut = Vec<u64>;
-    fn reduce(&mut self, key: &u64, values: &[u64], out: &mut Emitter<u64, Vec<u64>>) {
-        out.emit(*key, values.to_vec());
+    fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, Vec<u64>>) {
+        out.emit(*key, values.iter().cloned().collect());
     }
     fn reduce_partition(&mut self, groups: FlatGroups<u64, u64>, out: &mut Emitter<u64, Vec<u64>>) {
-        for (key, values) in column_groups(groups).into_iter().flatten() {
+        for (key, values) in run_groups(groups).1 {
             out.emit(key, values);
         }
     }
@@ -87,28 +87,33 @@ fn one_bucket(pairs: Vec<(u64, u64)>) -> KeyRuns<u64, u64> {
 }
 
 fn flat_to_nested(groups: &FlatGroups<u64, u64>) -> Vec<(u64, Vec<u64>)> {
-    groups.iter().map(|(k, vs)| (*k, vs.to_vec())).collect()
+    groups
+        .iter()
+        .map(|(k, vs)| (*k, vs.iter().cloned().collect()))
+        .collect()
 }
 
-/// The groups of each column, taken apart by [`FlatGroups::into_columns`]:
-/// a group split across two columns shows as its key twice, and every
-/// column holds at least one group.
-fn column_groups(groups: FlatGroups<u64, u64>) -> Vec<Vec<(u64, Vec<u64>)>> {
-    groups
-        .into_columns()
-        .map(|(ends, column)| {
-            assert!(!ends.is_empty(), "an empty column");
-            assert_eq!(ends.last().map(|&(_, end)| end), Some(column.len()));
-            let mut start = 0;
-            ends.into_iter()
-                .map(|(key, end)| {
-                    let values = column[start..end].to_vec();
-                    start = end;
-                    (key, values)
-                })
-                .collect()
-        })
-        .collect()
+/// The number of columns and the groups, taken apart by
+/// [`FlatGroups::into_runs`]: every column is a whole bucket, ends and
+/// all, and runs of one key that follow each other join into its group —
+/// a group whose runs were not adjacent shows as its key twice.
+fn run_groups(groups: FlatGroups<u64, u64>) -> (usize, Vec<(u64, Vec<u64>)>) {
+    let (columns, runs) = groups.into_runs();
+    for (ends, column) in &columns {
+        assert!(!ends.is_empty(), "an empty column");
+        assert_eq!(ends.last().map(|&(_, end)| end), Some(column.len()));
+    }
+    let mut groups: Vec<(u64, Vec<u64>)> = Vec::new();
+    for (column, run) in runs {
+        let (ends, values) = &columns[column];
+        let start = run.checked_sub(1).map_or(0, |before| ends[before].1);
+        let (key, end) = ends[run];
+        match groups.last_mut() {
+            Some((last, group)) if *last == key => group.extend_from_slice(&values[start..end]),
+            _ => groups.push((key, values[start..end].to_vec())),
+        }
+    }
+    (columns.len(), groups)
 }
 
 /// Run-length encodes the input's `v / 1_000` groups: emits `(group,
@@ -263,7 +268,8 @@ proptest! {
 
     /// The flat grouping the reduce path uses is the nested reference,
     /// reshaped: same groups, same order, same values in the same order —
-    /// for no pair at all, one key, a few keys, and all-distinct keys.
+    /// for no pair at all, one key, a few keys, and all-distinct keys. A
+    /// key-sorted bucket makes every group one slice of it.
     #[test]
     fn flat_groups_are_the_nested_groups(
         draws in prop::collection::vec(0u64..1000, 0..200),
@@ -275,19 +281,19 @@ proptest! {
         prop_assert_eq!(flat_to_nested(&sorted), group_sorted(by_key));
         prop_assert_eq!(sorted.len(), sorted.iter().count());
         prop_assert_eq!(sorted.is_empty(), draws.is_empty());
+        prop_assert!(sorted.iter().all(|(_, vs)| vs.as_slice().is_some()));
     }
 
-    /// Buckets in key order end to end are grouped in place as the sorted
-    /// grouping of their concatenation, each non-empty bucket a column;
-    /// any other buckets are gathered into one column grouped as the
-    /// stable sort of their concatenation — equal keys keep bucket order.
-    /// Buckets are cut from one arrival sequence at arbitrary points, so
-    /// empty buckets, a single bucket, buckets out of order after any
-    /// number of moved groups, and (`key_space` 1) a single key all occur;
-    /// `presorted` sorts the sequence first, for buckets in order with
-    /// ties at their seams.
+    /// Buckets are grouped where they lie, as the stable sort of their
+    /// concatenation — equal keys keep bucket order — with every non-empty
+    /// bucket kept whole as a column, in order or not. Buckets are cut
+    /// from one arrival sequence at arbitrary points, so empty buckets, a
+    /// single bucket, buckets out of order after any number of moved
+    /// groups, and (`key_space` 1) a single key all occur; `presorted`
+    /// sorts the sequence first, for buckets in order with ties at their
+    /// seams.
     #[test]
-    fn from_runs_groups_in_place_or_gathers_one_column(
+    fn from_runs_keeps_every_bucket_as_a_column(
         draws in prop::collection::vec(0u64..1000, 0..200),
         key_space in 0u64..9,
         cuts in prop::collection::vec(0usize..60, 0..8),
@@ -310,13 +316,7 @@ proptest! {
         let want = group_sorted(by_key);
         let groups = FlatGroups::from_runs(runs);
         prop_assert_eq!(flat_to_nested(&groups), want.clone());
-        let columns = column_groups(groups);
-        if pairs.is_sorted_by_key(|&(k, _)| k) {
-            prop_assert!(columns.len() <= non_empty);
-        } else {
-            prop_assert_eq!(columns.len(), 1);
-        }
-        prop_assert_eq!(columns.concat(), want);
+        prop_assert_eq!(run_groups(groups), (non_empty, want));
     }
 
     /// Out-of-order buckets are grouped by sorting their runs, not their
@@ -325,7 +325,7 @@ proptest! {
     /// keys that come back later in their bucket and in later buckets,
     /// and empty buckets.
     #[test]
-    fn gathered_runs_are_the_stably_sorted_groups(
+    fn sorted_runs_are_the_stably_sorted_groups(
         buckets in prop::collection::vec(
             prop::collection::vec((0u64..6, 1usize..24), 0..6),
             0..8,
@@ -344,11 +344,11 @@ proptest! {
         }
         let mut by_key = pairs.clone();
         by_key.sort_by_key(|&(k, _)| k);
-        let columns = column_groups(FlatGroups::from_runs(runs));
-        if !pairs.is_sorted_by_key(|&(k, _)| k) {
-            prop_assert_eq!(columns.len(), 1);
-        }
-        prop_assert_eq!(columns.concat(), group_sorted(by_key));
+        let non_empty = runs.iter().filter(|b| !b.is_empty()).count();
+        let groups = FlatGroups::from_runs(runs);
+        let want = group_sorted(by_key);
+        prop_assert_eq!(flat_to_nested(&groups), want.clone());
+        prop_assert_eq!(run_groups(groups), (non_empty, want));
     }
 
     /// A budget anywhere between "everything spills" and "nothing does"
@@ -527,17 +527,18 @@ proptest! {
     /// per-pair references make of the same pairs: each reduce partition
     /// (its pairs in map order) grouped by `group_sorted` after a stable
     /// sort — for buckets in key order end to end (`presorted`) and out of
-    /// it (gathered from their sorted runs), and spilled past `budget`; a
-    /// map-only job outputs the pairs themselves. Runs of one key are up to 700
-    /// long and chunks up to 9 000 records, so chunks split into ranges
-    /// and a key's run can span a cut, a range or a chunk. A reducer that
-    /// takes its partition apart by column sees every group whole.
+    /// it (their runs sorted), and spilled past `budget`; a map-only job
+    /// outputs the pairs themselves. Runs of one key are up to 700 long
+    /// and chunks up to 9 000 records, so chunks split into ranges and a
+    /// key's run can span a cut, a range or a chunk. A reducer that takes
+    /// its partition apart run by run sees every group whole.
     ///
     /// The same pairs in key order, cut into buckets at `seams` (so a key
     /// spans one bucket or several, and a repeated seam leaves a bucket
     /// empty) with a bucket's run of one key broken in two at each of
-    /// `breaks`, group in place as `group_sorted` of their concatenation:
-    /// at most one column per non-empty bucket, every group in one.
+    /// `breaks`, group as `group_sorted` of their concatenation: one
+    /// column per non-empty bucket, and a key one slice of each bucket it
+    /// lies in — one slice in all where it lies in one bucket.
     #[test]
     fn key_run_buckets_group_as_the_per_pair_references(
         draws in prop::collection::vec((0u64..9, 1usize..700), 0..24),
@@ -575,11 +576,11 @@ proptest! {
             .run()
             .unwrap();
         prop_assert_eq!(&sorted.output, &sorted_groups);
-        let columns = MapReduceJob::new("c", &cluster, &dfs, "r", KeyedRecords, RecordColumns)
+        let runs = MapReduceJob::new("c", &cluster, &dfs, "r", KeyedRecords, RecordRuns)
             .reducers(reducers)
             .run()
             .unwrap();
-        prop_assert_eq!(&columns.output, &sorted_groups);
+        prop_assert_eq!(&runs.output, &sorted_groups);
         let spilled = MapReduceJob::new("s", &cluster, &dfs, "r", KeyedRecords, RecordSorted)
             .reducers(reducers)
             .codecs(SpillCodec::of(), SpillCodec::of())
@@ -613,12 +614,21 @@ proptest! {
             start = end;
         }
         let non_empty = buckets.iter().filter(|b| !b.is_empty()).count();
+        let mut buckets_of: BTreeMap<u64, usize> = BTreeMap::new();
+        for bucket in &buckets {
+            let mut keys: Vec<u64> = bucket.iter().map(|(&key, _)| key).collect();
+            keys.dedup();
+            for key in keys {
+                *buckets_of.entry(key).or_default() += 1;
+            }
+        }
         let want = group_sorted(in_order);
         let groups = FlatGroups::from_runs(buckets);
         prop_assert_eq!(groups.len(), want.len());
-        let columns = column_groups(groups);
-        prop_assert!(columns.len() <= non_empty);
-        prop_assert_eq!(columns.concat(), want);
+        for (key, values) in groups.iter() {
+            prop_assert_eq!(values.as_slice().is_some(), buckets_of[key] == 1);
+        }
+        prop_assert_eq!(run_groups(groups), (non_empty, want));
     }
 }
 

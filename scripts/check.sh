@@ -156,13 +156,13 @@ reduce_allocated=$(grep '"kind":"span_end","name":"phase.reduce"' target/bench-s
     | sed -nE 's/.*"mem\.allocated":"([0-9]+)".*/\1/p')
 echo "by-user reduce phase: allocated $reduce_allocated B for $shuffled B shuffled"
 test "$reduce_allocated" -lt $((shuffled / 4))
-# Out-of-order buckets are gathered by sorting their runs, not their
-# pairs: verbatim k-means (one pair per trace, every bucket out of key
-# order) allocates in its reduce phase one value column and the run
-# descriptors, about 0.75 of the bytes it shuffles. The shuffled bytes are
-# one 32-byte (key, value) pair per record, so any phase that expands the
-# buckets into pairs before grouping them (2.75 x the shuffled bytes)
-# fails this.
+# Out-of-order buckets are reduced where they lie: verbatim k-means (one
+# pair per trace, every bucket out of key order) sorts only its run
+# descriptors and hands each reducer its cluster's runs in place, so its
+# reduce phase allocates a small fraction of the bytes it shuffles. The
+# shuffled bytes are one 32-byte (key, value) pair per record; a phase
+# that gathers the values into a column of their own (0.75 x the
+# shuffled bytes) or expands the buckets into pairs (2.75 x) fails this.
 ./target/release/gepeto kmeans --users 20 --scale 0.05 --k 11 --max-iter 2 --delta 0 \
     --combiner false --threads 2 --metrics-out target/bench-smoke/km-mem.jsonl \
     > target/bench-smoke/km-mem.txt
@@ -170,7 +170,7 @@ shuffled=$(sed -nE 's/^last iteration: .*\| shuffle ([0-9]+) B$/\1/p' target/ben
 reduce_allocated=$(grep '"kind":"span_end","name":"phase.reduce"' target/bench-smoke/km-mem.jsonl \
     | sed -nE 's/.*"mem\.allocated":"([0-9]+)".*/\1/p' | tail -1)
 echo "verbatim k-means reduce phase: allocated $reduce_allocated B for $shuffled B shuffled"
-test "$reduce_allocated" -lt "$shuffled"
+test "$reduce_allocated" -lt $((shuffled / 20))
 
 echo "== kernel bench smoke: every micro-bench body runs once =="
 # Smoke mode (no --bench flag): each benchmark body executes exactly

@@ -374,6 +374,38 @@ fn configurations_of_sampling_land_on_the_same_bits() {
     assert_eq!(by_user, map_only);
 }
 
+/// A by-user regroup of input that is not user-major — a new user every
+/// trace, in falling order, so every user's traces lie in many runs of
+/// many buckets — hands back the map-only sample, in memory and spilled.
+#[test]
+fn configurations_of_an_interleaved_regroup_land_on_the_same_bits() {
+    pool_from_env();
+    let cluster = Cluster::local(4, 2);
+    let trails: Vec<Vec<MobilityTrace>> = dataset().trails().map(|t| t.traces().to_vec()).collect();
+    let longest = trails.iter().map(Vec::len).max().unwrap();
+    let interleaved: Vec<MobilityTrace> = (0..longest)
+        .flat_map(|i| trails.iter().rev().filter_map(move |t| t.get(i).copied()))
+        .collect();
+    let mut dfs = gepeto::dfs_io::trace_dfs(&cluster, 16 * 1024);
+    dfs.put_with_sizer("d", interleaved, |t| t.approx_plt_bytes())
+        .unwrap();
+    assert!(dfs.num_blocks("d").unwrap() > 1);
+    let cfg = sampling::SamplingConfig::new(60, sampling::Technique::ClosestToUpperLimit);
+    let bits = |ds: &Dataset| -> Vec<_> { ds.to_traces().iter().map(trace_bits).collect() };
+    let (map_only, _, _) =
+        sampling::mapreduce_sample_in(&ExecCtx::new(&cluster), &dfs, "d", &cfg).unwrap();
+    for memory_budget in [None, Some(8_192)] {
+        let ctx = ExecCtx {
+            memory_budget,
+            ..ExecCtx::new(&cluster)
+        };
+        let (by_user, stats, _) =
+            sampling::mapreduce_sample_by_user_in(&ctx, &dfs, "d", &cfg).unwrap();
+        assert_spilled_iff_starved(&ctx, &[&stats], &[builtin::SPILL_FILES]);
+        assert_eq!(bits(&by_user), bits(&map_only), "budget {memory_budget:?}");
+    }
+}
+
 #[test]
 fn configurations_of_djcluster_land_on_the_same_bits() {
     pool_from_env();
@@ -413,7 +445,7 @@ fn configuration_tables_hold_at_one_and_two_threads() {
             .expect("re-run this test binary");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            out.status.success() && stdout.contains("3 passed"),
+            out.status.success() && stdout.contains("4 passed"),
             "--threads {threads}:\n{stdout}\n{}",
             String::from_utf8_lossy(&out.stderr)
         );

@@ -365,3 +365,62 @@ fn io_chaos_run_is_bit_identical_and_surfaces_counters() {
     let _ = std::fs::remove_dir_all(calm_dir);
     let _ = std::fs::remove_dir_all(chaos_dir);
 }
+
+#[test]
+fn a_repaired_output_reaches_the_run_counters() {
+    // Under `torn=1.0` every first write tears and is rewritten: the spill
+    // runs and `.part` files the job seals, and the `OUTPUT` the command
+    // commits itself. The run's counter holds the job's repairs and the
+    // OUTPUT's.
+    let run_dir = scratch("torn-output");
+    let metrics = run_dir.with_extension("jsonl");
+    let argv: Vec<String> = [
+        "synth",
+        "--users",
+        "200",
+        "--chunk-mb",
+        "1",
+        "--memory-budget",
+        "1",
+        "--io-faults",
+        "torn=1.0,seed=3",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .chain(["--run-dir".into(), run_dir.display().to_string()])
+    .chain(["--metrics-out".into(), metrics.display().to_string()])
+    .collect();
+    let out = run(&argv);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        run_dir.join("OUTPUT.quarantined").exists(),
+        "OUTPUT did not tear"
+    );
+    output_payload(&run_dir);
+
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let job_torn: u64 = stdout
+        .split(" | ")
+        .find_map(|field| field.strip_suffix(" torn writes detected"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no durability line:\n{stdout}"));
+    let events = std::fs::read_to_string(&metrics).unwrap();
+    let counted = events
+        .lines()
+        .map(|l| gepeto_telemetry::json::Json::parse(l).unwrap())
+        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("io.torn_writes_detected"))
+        .filter_map(|e| e.get("value").and_then(|v| v.as_u64()))
+        .next_back()
+        .expect("an io.torn_writes_detected count");
+    assert_eq!(
+        counted,
+        job_torn + 1,
+        "the OUTPUT's torn write went uncounted"
+    );
+    let _ = std::fs::remove_dir_all(run_dir);
+    let _ = std::fs::remove_file(metrics);
+}
