@@ -3,13 +3,11 @@
 //! merge with and without the map tasks' partial merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gepeto::djcluster::{MergeReducer, NeighborhoodMapper, RTREE_CACHE_KEY};
+use gepeto::djcluster::{MergeReducer, NeighborhoodMapper};
 use gepeto::prelude::*;
 use gepeto_bench::{dfs_for, parapluie, scaled_chunk_bytes};
 use gepeto_geo::RTree;
-use gepeto_mapred::{
-    map_records, Counters, DistributedCache, Emitter, JobConfig, Mapper, Reducer, TaskContext,
-};
+use gepeto_mapred::{map_records, Counters, Emitter, Mapper, Reducer, TaskContext};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -76,21 +74,18 @@ fn bench_djcluster(c: &mut Criterion) {
     // `map_block` over the engine's 4 096-trace input splits (a
     // pre-merged component per split and dwell spot), each split on a
     // fresh clone of one mapper as the engine runs them — here serially.
-    let mut cache = DistributedCache::new();
     let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
-    cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
-    let (config, counters) = (JobConfig::new(), Counters::new());
+    let rtree = Arc::new(RTree::bulk_load(items.collect()));
+    let counters = Counters::new();
     let ctx = TaskContext {
         task_id: 0,
         attempt: 1,
-        config: &config,
-        cache: &cache,
         counters: &counters,
     };
     for (name, per_trace) in [("merge/per-trace", true), ("merge/partial", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let job_mapper = NeighborhoodMapper::new(&cfg);
+                let job_mapper = NeighborhoodMapper::new(&cfg, Arc::clone(&rtree));
                 let mut shuffled = Emitter::new();
                 if per_trace {
                     let mut mapper = job_mapper.clone();

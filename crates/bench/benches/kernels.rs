@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gepeto::djcluster::{sequential_preprocess, DjConfig, EncodedNeighborhood};
-use gepeto::kmeans::{nearest_centroid, KMeansMapper, CENTROIDS_CACHE_KEY};
+use gepeto::kmeans::{nearest_centroid, KMeansMapper};
 use gepeto::sampling::{sequential_sample, SamplingConfig, Technique};
 use gepeto_geo::rtree::radius_bounding_rect;
 use gepeto_geo::sfc::{hilbert_xy_to_d, hilbert_xy_to_d_bitwise, GridMapper};
@@ -20,11 +20,11 @@ use gepeto_geo::soa::kernels_available;
 use gepeto_geo::{haversine_m, CentroidsSoa, ClusterSum, DistanceMetric, PointsSoa, RTree, Rect};
 use gepeto_geolife::{GeneratorConfig, SyntheticGeoLife};
 use gepeto_mapred::{
-    group_sorted, group_unsorted, Counters, DistributedCache, Emitter, FlatGroups, JobConfig,
-    KeyRuns, Mapper, TaskContext,
+    group_sorted, group_unsorted, Counters, Emitter, FlatGroups, KeyRuns, Mapper, TaskContext,
 };
 use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn points(n: usize) -> Vec<GeoPoint> {
     (0..n)
@@ -108,20 +108,20 @@ fn bench_map_task(c: &mut Criterion) {
         .enumerate()
         .map(|(i, p)| MobilityTrace::new(1, p, Timestamp(i as i64)))
         .collect();
-    let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids(11));
-    let config = JobConfig::new();
+    let soa = Arc::new(CentroidsSoa::new(
+        &centroids(11),
+        DistanceMetric::SquaredEuclidean,
+    ));
     let counters = Counters::new();
 
     let mut group = c.benchmark_group("kmeans-map-task-100k-k11");
     for (name, fused_sums) in [("per-record", false), ("map_block", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut mapper = KMeansMapper::new(DistanceMetric::SquaredEuclidean, fused_sums);
+                let mut mapper = KMeansMapper::new(Arc::clone(&soa), fused_sums);
                 mapper.setup(&TaskContext {
                     task_id: 0,
                     attempt: 1,
-                    config: &config,
-                    cache: &cache,
                     counters: &counters,
                 });
                 let mut out = Emitter::new();

@@ -125,7 +125,7 @@ fn table2() {
         vec![
             "clusters path".into(),
             "current centroids per iteration".into(),
-            "DistributedCache 'kmeans.centroids'".into(),
+            "KMeansMapper centroids (Arc)".into(),
         ],
         vec![
             "k".into(),

@@ -14,14 +14,11 @@ use crate::attacks::mmc::{learn_mmc, MobilityMarkovChain};
 use crate::attacks::poi::{extract_pois, Poi};
 use crate::djcluster::DjConfig;
 use gepeto_mapred::{
-    Cluster, Dfs, DistributedCache, Emitter, Group, JobError, JobStats, MapReduceJob, Mapper,
-    Reducer, TaskContext,
+    Cluster, Dfs, Emitter, Group, JobError, JobStats, MapReduceJob, Mapper, Reducer,
 };
 use gepeto_model::{MobilityTrace, Trail, UserId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-const DJ_CONFIG_CACHE_KEY: &str = "attack.dj-config";
 
 /// Identity mapper keyed by user id: the shuffle assembles each user's
 /// complete trail at one reducer.
@@ -52,10 +49,6 @@ impl Reducer<UserId, MobilityTrace> for PoiReducer {
     type KOut = UserId;
     type VOut = Vec<Poi>;
 
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        self.cfg = ctx.cache.expect(DJ_CONFIG_CACHE_KEY);
-    }
-
     fn reduce(
         &mut self,
         key: &UserId,
@@ -78,10 +71,6 @@ impl Reducer<UserId, MobilityTrace> for MmcReducer {
     type KOut = UserId;
     type VOut = MobilityMarkovChain;
 
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        self.cfg = ctx.cache.expect(DJ_CONFIG_CACHE_KEY);
-    }
-
     fn reduce(
         &mut self,
         key: &UserId,
@@ -102,7 +91,6 @@ pub fn mapreduce_extract_pois(
     input: &str,
     cfg: &DjConfig,
 ) -> Result<(BTreeMap<UserId, Vec<Poi>>, JobStats), JobError> {
-    let cache = DistributedCache::new().with(DJ_CONFIG_CACHE_KEY, cfg.clone());
     let result = MapReduceJob::new(
         "poi-extraction",
         cluster,
@@ -113,7 +101,6 @@ pub fn mapreduce_extract_pois(
             cfg: Arc::new(cfg.clone()),
         },
     )
-    .cache(cache)
     .pair_bytes(|_, t| t.approx_plt_bytes())
     .run()?;
     Ok((result.output.into_iter().collect(), result.stats))
@@ -127,7 +114,6 @@ pub fn mapreduce_learn_mmcs(
     input: &str,
     cfg: &DjConfig,
 ) -> Result<(BTreeMap<UserId, MobilityMarkovChain>, JobStats), JobError> {
-    let cache = DistributedCache::new().with(DJ_CONFIG_CACHE_KEY, cfg.clone());
     let result = MapReduceJob::new(
         "mmc-learning",
         cluster,
@@ -138,7 +124,6 @@ pub fn mapreduce_learn_mmcs(
             cfg: Arc::new(cfg.clone()),
         },
     )
-    .cache(cache)
     .pair_bytes(|_, t| t.approx_plt_bytes())
     .run()?;
     Ok((result.output.into_iter().collect(), result.stats))

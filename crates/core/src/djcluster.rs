@@ -58,16 +58,12 @@ use gepeto_geo::rtree::Hit;
 use gepeto_geo::RTree;
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, Group, JobError,
-    JobStats, MapOnlyJob, MapReduceJob, Mapper, PipelineReport, Reducer, TaskContext,
+    Cluster, Counters, Dfs, DfsAccess, Emitter, ExecCtx, Group, JobError, JobStats, MapOnlyJob,
+    MapReduceJob, Mapper, PipelineReport, Reducer, TaskContext,
 };
 use gepeto_model::{Dataset, MobilityTrace, UserId};
 use gepeto_telemetry::Recorder;
 use std::sync::{Arc, Mutex};
-
-/// Distributed-cache key under which the driver ships the `RTree<u64>`
-/// over the preprocessed input to the neighborhood mappers.
-pub const RTREE_CACHE_KEY: &str = "djcluster.rtree";
 
 /// DJ-Cluster parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,12 +203,6 @@ impl Mapper<MobilityTrace> for SpeedFilterMapper {
     type KOut = UserId;
     type VOut = MobilityTrace;
 
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        if let Some(t) = ctx.config.get_f64("speed.threshold") {
-            self.threshold = t;
-        }
-    }
-
     fn map(
         &mut self,
         _offset: u64,
@@ -245,12 +235,6 @@ pub struct DedupMapper {
 impl Mapper<MobilityTrace> for DedupMapper {
     type KOut = UserId;
     type VOut = MobilityTrace;
-
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        if let Some(t) = ctx.config.get_f64("dup.threshold") {
-            self.threshold_m = t;
-        }
-    }
 
     fn map(
         &mut self,
@@ -514,7 +498,7 @@ impl Iterator for NeighborhoodIds<'_> {
 pub struct NeighborhoodMapper {
     radius_m: f64,
     min_pts: usize,
-    rtree: Option<Arc<RTree<u64>>>,
+    rtree: Arc<RTree<u64>>,
     /// Drained tree-sized union-finds, shared by every clone for the life
     /// of the job: a split borrows one and hands it back drained, so each
     /// executor allocates 8 B × N once, not once per split.
@@ -524,13 +508,15 @@ pub struct NeighborhoodMapper {
 }
 
 impl NeighborhoodMapper {
-    /// A mapper for `cfg`'s radius and `MinPts`; the R-tree arrives in
-    /// `setup` from the cache entry [`RTREE_CACHE_KEY`].
-    pub fn new(cfg: &DjConfig) -> Self {
+    /// A mapper for `cfg`'s radius and `MinPts`, querying `rtree` — the
+    /// R-tree over the preprocessed input, keyed by trace id, which every
+    /// split's clone shares (the paper's mappers load it from Hadoop's
+    /// distributed cache in `setup`).
+    pub fn new(cfg: &DjConfig, rtree: Arc<RTree<u64>>) -> Self {
         Self {
             radius_m: cfg.radius_m,
             min_pts: cfg.min_pts,
-            rtree: None,
+            rtree,
             idle: Arc::default(),
             bytes_saved: 0,
             counters: None,
@@ -543,13 +529,6 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
     type VOut = EncodedNeighborhood;
 
     fn setup(&mut self, ctx: &TaskContext<'_>) {
-        self.rtree = Some(ctx.cache.expect(RTREE_CACHE_KEY));
-        if let Some(r) = ctx.config.get_f64("dj.radius") {
-            self.radius_m = r;
-        }
-        if let Some(m) = ctx.config.get_usize("dj.minpts") {
-            self.min_pts = m;
-        }
         self.counters = Some(ctx.counters.clone());
     }
 
@@ -569,7 +548,7 @@ impl Mapper<MobilityTrace> for NeighborhoodMapper {
         block: &[MobilityTrace],
         out: &mut Emitter<u8, EncodedNeighborhood>,
     ) {
-        let tree = self.rtree.as_deref().expect("setup ran");
+        let tree = &*self.rtree;
         // Which union-find a split borrowed never shows: it comes drained.
         let idle = self.idle.lock().expect("no split panicked").pop();
         let mut uf = idle.unwrap_or_else(|| UnionFind::with_len(tree.len()));
@@ -816,9 +795,10 @@ pub struct DjClusterStats {
 ///
 /// The R-tree over the input is built with the MapReduce pipeline of
 /// [`crate::rtree_build`] when `rtree_cfg` is given, or directly
-/// otherwise, then shipped to mappers through the distributed cache. It
-/// lives in the driver, so it survives job deaths and is not rebuilt
-/// when the neighborhood+merge job is re-submitted. Everything is
+/// otherwise, then handed to the mapper in an `Arc` that every task's
+/// clone shares — the paper's distributed cache. It lives in the driver,
+/// so it survives job deaths and is not rebuilt when the
+/// neighborhood+merge job is re-submitted. Everything is
 /// captured under a `djcluster.cluster` span, the R-tree build's jobs
 /// under `djcluster.rtree` inside it. Neighborhood sets carry no spill
 /// or artifact codec, so the context's memory budget and journal do not
@@ -850,16 +830,11 @@ pub fn mapreduce_djcluster_in<'d>(
     };
     let traces = dfs.read(input)?;
 
-    let cache = {
-        let mut c = DistributedCache::new();
-        c.insert_arc(RTREE_CACHE_KEY, Arc::new(rtree));
-        c
-    };
+    let rtree = Arc::new(rtree);
     let (result, job_retries) = ctx.submit("dj-cluster", &mut dfs, |name, dfs, budget| {
-        let mapper = NeighborhoodMapper::new(cfg);
+        let mapper = NeighborhoodMapper::new(cfg, Arc::clone(&rtree));
         MapReduceJob::new(name, ctx.cluster, dfs, input, mapper, MergeReducer)
             .reducers(1) // the merge "must be done by a centralized entity"
-            .cache(cache.clone())
             .pair_bytes(|_, n| n.encoded_len())
             .exec(ctx, budget)
             .run()
@@ -1040,23 +1015,16 @@ mod tests {
     #[test]
     fn preprocessing_mappers_cut_only_where_the_user_changes() {
         use crate::test_splits::{assert_cuts_change_nothing, seam_traces};
-        let cache = DistributedCache::new();
         let speed = SpeedFilterMapper {
             threshold: 1.0,
             state: SpeedFilterState::default(),
         };
-        assert_eq!(
-            assert_cuts_change_nothing(&speed, &cache, 0, &seam_traces()),
-            3
-        );
+        assert_eq!(assert_cuts_change_nothing(&speed, 0, &seam_traces()), 3);
         let dedup = DedupMapper {
             threshold_m: 0.5,
             last_kept: None,
         };
-        assert_eq!(
-            assert_cuts_change_nothing(&dedup, &cache, 0, &seam_traces()),
-            3
-        );
+        assert_eq!(assert_cuts_change_nothing(&dedup, 0, &seam_traces()), 3);
     }
 
     #[test]
@@ -1470,7 +1438,6 @@ mod tests {
 mod partial_merge_props {
     use super::*;
     use crate::dfs_io::trace_dfs;
-    use gepeto_mapred::JobConfig;
     use gepeto_model::{GeoPoint, Timestamp};
     use proptest::prelude::*;
 
@@ -1521,7 +1488,7 @@ mod partial_merge_props {
         per_record: bool,
     ) -> (Vec<Vec<u64>>, usize) {
         let shuffled = map_splits(
-            &NeighborhoodMapper::new(cfg),
+            &neighborhood_mapper(traces, cfg),
             traces,
             chunk,
             tile,
@@ -1536,6 +1503,12 @@ mod partial_merge_props {
         )
     }
 
+    /// The job's mapper for `cfg`, over the R-tree of `traces`.
+    fn neighborhood_mapper(traces: &[MobilityTrace], cfg: &DjConfig) -> NeighborhoodMapper {
+        let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
+        NeighborhoodMapper::new(cfg, Arc::new(RTree::bulk_load(items.collect())))
+    }
+
     /// The map side of [`run_job`], on clones of `job_mapper`: every
     /// split's payloads, in split order.
     fn map_splits(
@@ -1545,10 +1518,7 @@ mod partial_merge_props {
         tile: usize,
         per_record: bool,
     ) -> Vec<EncodedNeighborhood> {
-        let items = traces.iter().enumerate().map(|(i, t)| (t.point, i as u64));
-        let mut cache = DistributedCache::new();
-        cache.insert_arc(RTREE_CACHE_KEY, Arc::new(RTree::bulk_load(items.collect())));
-        let (config, counters) = (JobConfig::new(), Counters::new());
+        let counters = Counters::new();
         let mut shuffled = Vec::new();
         for (task_id, block) in traces.chunks(chunk).enumerate() {
             for (split, range) in block.chunks(tile).enumerate() {
@@ -1556,8 +1526,6 @@ mod partial_merge_props {
                 mapper.setup(&TaskContext {
                     task_id,
                     attempt: 1,
-                    config: &config,
-                    cache: &cache,
                     counters: &counters,
                 });
                 let mut out = Emitter::new();
@@ -1580,7 +1548,7 @@ mod partial_merge_props {
     #[test]
     fn serial_splits_share_one_drained_union_find() {
         let traces = cloud(200, 3, 5, 7);
-        let mapper = NeighborhoodMapper::new(&DjConfig::default());
+        let mapper = neighborhood_mapper(&traces, &DjConfig::default());
         let payloads = map_splits(&mapper, &traces, 100, 16, false);
         assert!(!payloads.is_empty());
         let mut idle = mapper.idle.lock().unwrap();

@@ -43,19 +43,14 @@
 use gepeto_geo::{assign_points_pooled, CentroidsSoa, ClusterSum, DistanceMetric};
 use gepeto_mapred::counters::builtin;
 use gepeto_mapred::{
-    map_records, Cluster, Counters, Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, Group,
-    JobConfig, JobError, JobStats, JournalEntry, MapReduceJob, Mapper, Reducer, TaskContext,
+    map_records, Cluster, Counters, Dfs, DfsAccess, Emitter, ExecCtx, Group, JobError, JobStats,
+    JournalEntry, MapReduceJob, Mapper, Reducer, TaskContext,
 };
 use gepeto_model::{GeoPoint, MobilityTrace};
 use gepeto_telemetry::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Cache key under which the current centroids are shipped to mappers
-/// (the paper's mappers `load from file` in `setup`; the distributed
-/// cache is our file).
-pub const CENTROIDS_CACHE_KEY: &str = "kmeans.centroids";
 
 /// The runtime arguments of the paper's Table II.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,18 +311,19 @@ fn max_shift(old: &[GeoPoint], new: &[GeoPoint], metric: DistanceMetric) -> f64 
         .fold(0.0, f64::max)
 }
 
-/// Algorithm 1: the assignment mapper. Loads the centroids in `setup`,
-/// then either emits one `ClusterSum` per trace (`map`, the paper's
-/// formulation) or — with fused sums on — overrides `map_block` to run
-/// the fused assign + partial-sum kernel of [`CentroidsSoa`] over the
-/// whole chunk and emit one `ClusterSum` per non-empty cluster.
+/// Algorithm 1: the assignment mapper. It holds the iteration's centroids
+/// (the paper's mappers `load from file` in `setup`; here every task's
+/// clone shares the driver's one [`CentroidsSoa`]), then either emits one
+/// `ClusterSum` per trace (`map`, the paper's formulation) or — with fused
+/// sums on — overrides `map_block` to run the fused assign + partial-sum
+/// kernel over the whole chunk and emit one `ClusterSum` per non-empty
+/// cluster.
 ///
 /// Distance evaluations are accumulated locally and flushed to the
 /// [`builtin::DISTANCE_EVALS`] counter in `cleanup`, so the hot loop
 /// never touches the shared counter lock.
 #[derive(Clone)]
 pub struct KMeansMapper {
-    metric: DistanceMetric,
     soa: Arc<CentroidsSoa>,
     /// In-mapper fused sums instead of one pair per trace.
     fused_sums: bool,
@@ -336,12 +332,12 @@ pub struct KMeansMapper {
 }
 
 impl KMeansMapper {
-    /// The mapper for `metric`: in-mapper fused sums when `fused_sums`,
-    /// one pair per trace otherwise ([`KMeansConfig::use_combiner`]).
-    pub fn new(metric: DistanceMetric, fused_sums: bool) -> Self {
+    /// The mapper assigning to `soa`'s centroids under its metric:
+    /// in-mapper fused sums when `fused_sums`, one pair per trace otherwise
+    /// ([`KMeansConfig::use_combiner`]).
+    pub fn new(soa: Arc<CentroidsSoa>, fused_sums: bool) -> Self {
         Self {
-            metric,
-            soa: Arc::new(CentroidsSoa::new(&[], metric)),
+            soa,
             fused_sums,
             distance_evals: 0,
             counters: None,
@@ -354,15 +350,6 @@ impl Mapper<MobilityTrace> for KMeansMapper {
     type VOut = ClusterSum;
 
     fn setup(&mut self, ctx: &TaskContext<'_>) {
-        let centroids = ctx.cache.expect::<Vec<GeoPoint>>(CENTROIDS_CACHE_KEY);
-        let metric = ctx
-            .config
-            .get("distanceMeasure")
-            .and_then(DistanceMetric::parse);
-        if let Some(m) = metric {
-            self.metric = m;
-        }
-        self.soa = Arc::new(CentroidsSoa::new(&centroids, self.metric));
         self.counters = Some(ctx.counters.clone());
     }
 
@@ -577,21 +564,11 @@ pub fn mapreduce_iteration_in<'d>(
         Some(_) => format!("kmeans-i{iteration:03}"),
         None => "kmeans-iteration".to_string(),
     };
+    let soa = Arc::new(CentroidsSoa::new(centroids, cfg.distance));
     let (result, retries) = ctx.submit(&base_name, dfs, |job_name, dfs, budget| {
-        let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
-        let config = JobConfig::new()
-            .set("k", cfg.k)
-            .set(
-                "distanceMeasure",
-                format!("{:?}", cfg.distance).to_lowercase(),
-            )
-            .set("convergencedelta", cfg.convergence_delta)
-            .set("maxIter", cfg.max_iterations);
-        let mapper = KMeansMapper::new(cfg.distance, cfg.use_combiner);
+        let mapper = KMeansMapper::new(Arc::clone(&soa), cfg.use_combiner);
         MapReduceJob::new(job_name, ctx.cluster, dfs, input, mapper, KMeansReducer)
             .reducers(ctx.cluster.topology.num_nodes())
-            .config(config)
-            .cache(cache)
             .pair_bytes(|_, _| std::mem::size_of::<(u32, ClusterSum)>())
             .codecs(
                 crate::spill_codecs::point_sum_codec(),
@@ -732,10 +709,6 @@ impl Mapper<MobilityTrace> for KMediansMapper {
     type KOut = u32;
     type VOut = (f64, f64);
 
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        self.centroids = ctx.cache.expect::<Vec<GeoPoint>>(CENTROIDS_CACHE_KEY);
-    }
-
     fn map(&mut self, _offset: u64, value: &MobilityTrace, out: &mut Emitter<u32, (f64, f64)>) {
         let cid = nearest_centroid(value.point, &self.centroids, self.metric);
         out.emit(cid, (value.point.lat, value.point.lon));
@@ -766,7 +739,6 @@ pub fn mapreduce_median_iteration(
     centroids: &[GeoPoint],
     cfg: &KMeansConfig,
 ) -> Result<(Vec<GeoPoint>, JobStats), JobError> {
-    let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
     let result = MapReduceJob::new(
         "kmedians-iteration",
         cluster,
@@ -774,12 +746,11 @@ pub fn mapreduce_median_iteration(
         input,
         KMediansMapper {
             metric: cfg.distance,
-            centroids: Arc::new(Vec::new()),
+            centroids: Arc::new(centroids.to_vec()),
         },
         KMediansReducer,
     )
     .reducers(cluster.topology.num_nodes())
-    .cache(cache)
     .pair_bytes(|_, _| std::mem::size_of::<(u32, (f64, f64))>())
     .run()?;
     let mut next = centroids.to_vec();
@@ -1261,15 +1232,12 @@ mod fused_props {
         centroids: &[GeoPoint],
         block: &[MobilityTrace],
     ) -> (Vec<(u32, ClusterSum)>, u64) {
-        let cache = DistributedCache::new().with(CENTROIDS_CACHE_KEY, centroids.to_vec());
-        let config = JobConfig::new();
         let counters = Counters::new();
-        let mut mapper = KMeansMapper::new(metric, fused_sums);
+        let soa = Arc::new(CentroidsSoa::new(centroids, metric));
+        let mut mapper = KMeansMapper::new(soa, fused_sums);
         mapper.setup(&TaskContext {
             task_id: 0,
             attempt: 1,
-            config: &config,
-            cache: &cache,
             counters: &counters,
         });
         let mut out = Emitter::new();

@@ -91,6 +91,6 @@ pub mod prelude {
     };
     pub use gepeto_geo::{DistanceMetric, RTree, Rect, SpaceFillingCurve};
     pub use gepeto_geolife::{DatasetStats, GeneratorConfig, SyntheticGeoLife};
-    pub use gepeto_mapred::{Cluster, Dfs, ExecCtx, JobConfig, PipelineReport};
+    pub use gepeto_mapred::{Cluster, Dfs, ExecCtx, PipelineReport};
     pub use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp, Trail};
 }

@@ -23,14 +23,11 @@
 use gepeto_geo::sfc::GridMapper;
 use gepeto_geo::{RTree, Rect, SpaceFillingCurve};
 use gepeto_mapred::{
-    Dfs, DfsAccess, DistributedCache, Emitter, ExecCtx, Group, JobError, JobStats, MapOnlyJob,
-    MapReduceJob, Mapper, Reducer, TaskContext,
+    Dfs, DfsAccess, Emitter, ExecCtx, Group, JobError, JobStats, MapOnlyJob, MapReduceJob, Mapper,
+    Reducer,
 };
 use gepeto_model::MobilityTrace;
 use std::sync::Arc;
-
-const GRID_CACHE_KEY: &str = "rtree.grid";
-const BOUNDARIES_CACHE_KEY: &str = "rtree.boundaries";
 
 /// Parameters of the MapReduce R-tree construction.
 #[derive(Debug, Clone)]
@@ -116,7 +113,7 @@ impl Mapper<MobilityTrace> for BoundsMapper {
 /// runs are reproducible.
 #[derive(Clone)]
 struct SampleMapper {
-    grid: Option<Arc<(GridMapper, SpaceFillingCurve)>>,
+    grid: Arc<(GridMapper, SpaceFillingCurve)>,
     stride: u64,
 }
 
@@ -124,14 +121,9 @@ impl Mapper<MobilityTrace> for SampleMapper {
     type KOut = u8;
     type VOut = u64;
 
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        self.grid = Some(ctx.cache.expect(GRID_CACHE_KEY));
-    }
-
     fn map(&mut self, offset: u64, value: &MobilityTrace, out: &mut Emitter<u8, u64>) {
         if offset.is_multiple_of(self.stride) {
-            let g = self.grid.as_ref().expect("setup ran");
-            out.emit(0, g.0.scalar(g.1, value.point));
+            out.emit(0, self.grid.0.scalar(self.grid.1, value.point));
         }
     }
 
@@ -170,7 +162,7 @@ impl Reducer<u8, u64> for BoundaryReducer {
 /// falls in.
 #[derive(Clone)]
 struct PartitionMapper {
-    grid: Option<Arc<(GridMapper, SpaceFillingCurve)>>,
+    grid: Arc<(GridMapper, SpaceFillingCurve)>,
     boundaries: Arc<Vec<u64>>,
 }
 
@@ -178,14 +170,8 @@ impl Mapper<MobilityTrace> for PartitionMapper {
     type KOut = u32;
     type VOut = (u64, f64, f64);
 
-    fn setup(&mut self, ctx: &TaskContext<'_>) {
-        self.grid = Some(ctx.cache.expect(GRID_CACHE_KEY));
-        self.boundaries = ctx.cache.expect::<Vec<u64>>(BOUNDARIES_CACHE_KEY);
-    }
-
     fn map(&mut self, offset: u64, value: &MobilityTrace, out: &mut Emitter<u32, (u64, f64, f64)>) {
-        let g = self.grid.as_ref().expect("setup ran");
-        let scalar = g.0.scalar(g.1, value.point);
+        let scalar = self.grid.0.scalar(self.grid.1, value.point);
         let pid = self.boundaries.partition_point(|&b| b <= scalar) as u32;
         out.emit(pid, (offset, value.point.lat, value.point.lon));
     }
@@ -261,7 +247,7 @@ pub fn mapreduce_build_rtree<'d>(
         return Ok((tree, report, u64::from(bounds_retries)));
     }
     let grid = GridMapper::new(bounds, cfg.grid_order);
-    let cache = DistributedCache::new().with(GRID_CACHE_KEY, (grid, cfg.curve));
+    let grid = Arc::new((grid, cfg.curve));
 
     // Phase 1: sample → boundaries.
     let records = dfs.num_records(input)?.max(1);
@@ -277,37 +263,35 @@ pub fn mapreduce_build_rtree<'d>(
             cluster,
             dfs,
             input,
-            SampleMapper { grid: None, stride },
+            SampleMapper {
+                grid: Arc::clone(&grid),
+                stride,
+            },
             reducer,
         )
         .reducers(1)
-        .cache(cache.clone())
         .exec(ctx, budget)
         .run()
     })?;
-    let boundaries: Vec<u64> = phase1
-        .output
-        .first()
-        .map(|(_, b)| b.clone())
-        .unwrap_or_default();
+    let boundaries: Arc<Vec<u64>> = Arc::new(
+        phase1
+            .output
+            .first()
+            .map(|(_, b)| b.clone())
+            .unwrap_or_default(),
+    );
 
     // Phase 2: partition → small R-trees.
-    let cache2 = {
-        let mut c = cache;
-        c.insert(BOUNDARIES_CACHE_KEY, boundaries.clone());
-        c
-    };
     let (phase2, phase2_retries) = ctx.submit("rtree-phase2", &mut dfs, |name, dfs, budget| {
         let mapper = PartitionMapper {
-            grid: None,
-            boundaries: Arc::new(Vec::new()),
+            grid: Arc::clone(&grid),
+            boundaries: Arc::clone(&boundaries),
         };
         let reducer = TreeBuildReducer {
             max_entries: cfg.max_entries,
         };
         MapReduceJob::new(name, cluster, dfs, input, mapper, reducer)
             .reducers(cfg.partitions)
-            .cache(cache2.clone())
             .pair_bytes(|_, _| 24)
             .exec(ctx, budget)
             .run()
@@ -468,25 +452,22 @@ mod tests {
         let bounds = traces
             .iter()
             .fold(Rect::empty(), |r, t| r.union(&Rect::point(t.point)));
-        let grid = GridMapper::new(bounds, 16);
-        let cache = DistributedCache::new()
-            .with(GRID_CACHE_KEY, (grid, SpaceFillingCurve::Hilbert))
-            .with(BOUNDARIES_CACHE_KEY, vec![1u64 << 20, 1 << 28]);
+        let grid = Arc::new((GridMapper::new(bounds, 16), SpaceFillingCurve::Hilbert));
         let every_seam = traces.len() - 1;
         let sample = SampleMapper {
-            grid: None,
+            grid: Arc::clone(&grid),
             stride: 3,
         };
         assert_eq!(
-            assert_cuts_change_nothing(&sample, &cache, 1_000, &traces),
+            assert_cuts_change_nothing(&sample, 1_000, &traces),
             every_seam
         );
         let partition = PartitionMapper {
-            grid: None,
-            boundaries: Arc::new(Vec::new()),
+            grid,
+            boundaries: Arc::new(vec![1u64 << 20, 1 << 28]),
         };
         assert_eq!(
-            assert_cuts_change_nothing(&partition, &cache, 1_000, &traces),
+            assert_cuts_change_nothing(&partition, 1_000, &traces),
             every_seam
         );
     }

@@ -541,13 +541,9 @@ mod tests {
     #[test]
     fn sampling_mapper_cuts_only_where_the_user_changes() {
         use crate::test_splits::{assert_cuts_change_nothing, seam_traces};
-        let cache = gepeto_mapred::DistributedCache::new();
         for technique in [Technique::ClosestToUpperLimit, Technique::ClosestToMiddle] {
             let mapper = SamplingMapper::new(SamplingConfig::new(60, technique));
-            assert_eq!(
-                assert_cuts_change_nothing(&mapper, &cache, 0, &seam_traces()),
-                3
-            );
+            assert_eq!(assert_cuts_change_nothing(&mapper, 0, &seam_traces()), 3);
         }
     }
 

@@ -2,7 +2,7 @@
 //! declares cut points ([`Mapper::splits_between`]) must emit, as one
 //! fresh clone per range, exactly what one clone emits for the chunk.
 
-use gepeto_mapred::{Counters, DistributedCache, Emitter, JobConfig, Mapper, TaskContext};
+use gepeto_mapred::{Counters, Emitter, Mapper, TaskContext};
 use gepeto_model::{GeoPoint, MobilityTrace, Timestamp, UserId};
 use std::fmt::Debug;
 use std::ops::Range;
@@ -13,7 +13,6 @@ use std::ops::Range;
 /// pairs. Returns the number of cuts.
 pub(crate) fn assert_cuts_change_nothing<M>(
     mapper: &M,
-    cache: &DistributedCache,
     base: u64,
     records: &[MobilityTrace],
 ) -> usize
@@ -22,12 +21,10 @@ where
     M::KOut: Debug + PartialEq,
     M::VOut: Debug + PartialEq,
 {
-    let (config, counters) = (JobConfig::new(), Counters::new());
+    let counters = Counters::new();
     let ctx = TaskContext {
         task_id: 0,
         attempt: 1,
-        config: &config,
-        cache,
         counters: &counters,
     };
     let run = |range: Range<usize>| {

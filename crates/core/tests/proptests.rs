@@ -4,7 +4,10 @@ use gepeto::dfs_io::{put_dataset, trace_dfs};
 use gepeto::djcluster::{
     mapreduce_preprocess_in, sequential_djcluster, sequential_preprocess, DjConfig,
 };
-use gepeto::kmeans::{assign_points, initial_centroids, sequential_iteration, within_cluster_cost};
+use gepeto::kmeans::{
+    assign_points, initial_centroids, mapreduce_iteration_in, sequential_iteration,
+    within_cluster_cost, KMeansConfig,
+};
 use gepeto::sampling::{
     mapreduce_sample_in, sample_trail, sequential_sample, SamplingConfig, Technique,
 };
@@ -197,6 +200,8 @@ proptest! {
     fn one_chunk_jobs_equal_the_sequential_references_when_split(
         traces in prop::collection::vec(trace_strategy(), 4_000..12_000),
         window in 60i64..600,
+        speed in 0.01f64..2_000.0,
+        dup in 0.1f64..20_000.0,
     ) {
         let ds = Dataset::from_traces(traces);
         let cluster = Cluster::local(3, 2);
@@ -207,8 +212,54 @@ proptest! {
         let (sampled, stats, _) = mapreduce_sample_in(&ctx, &dfs, "d", &cfg).unwrap();
         prop_assert_eq!(stats.map_tasks, 1);
         prop_assert_eq!(sampled, sequential_sample(&ds, &cfg));
-        let dj = DjConfig::default();
+        let dj = DjConfig {
+            speed_threshold_mps: speed,
+            dup_threshold_m: dup,
+            ..DjConfig::default()
+        };
         mapreduce_preprocess_in(&ctx, &mut dfs, "d", "pre", &dj).unwrap();
         prop_assert_eq!(dfs.read("pre").unwrap(), sequential_preprocess(&ds, &dj).to_traces());
+    }
+
+    /// A MapReduce k-means iteration over several chunks, with and without
+    /// the in-mapper sums, is the sequential iteration under every metric:
+    /// from centroids drawn among the points and from random positions.
+    #[test]
+    fn a_mapreduce_iteration_is_the_sequential_one_under_every_metric(
+        traces in prop::collection::vec(trace_strategy(), 1..600),
+        drawn in 1usize..6,
+        seed in any::<u64>(),
+        random in prop::collection::vec((39.5f64..40.5, 115.5f64..117.0), 0..4),
+    ) {
+        let cluster = Cluster::local(3, 2);
+        let ctx = ExecCtx::new(&cluster);
+        let mut dfs = trace_dfs(&cluster, 2_048);
+        put_dataset(&mut dfs, "d", &Dataset::from_traces(traces)).unwrap();
+        let points: Vec<GeoPoint> = dfs.read("d").unwrap().iter().map(|t| t.point).collect();
+        let mut c0 = initial_centroids(&points, drawn, seed);
+        c0.extend(random.into_iter().map(|(lat, lon)| GeoPoint::new(lat, lon)));
+        for metric in [
+            DistanceMetric::Euclidean,
+            DistanceMetric::SquaredEuclidean,
+            DistanceMetric::Manhattan,
+            DistanceMetric::Haversine,
+        ] {
+            let expected = sequential_iteration(&points, &c0, metric);
+            for use_combiner in [false, true] {
+                let cfg = KMeansConfig {
+                    k: c0.len(),
+                    use_combiner,
+                    ..KMeansConfig::paper(metric)
+                };
+                let (next, _, _) = mapreduce_iteration_in(&ctx, &dfs, "d", 1, &c0, &cfg).unwrap();
+                prop_assert_eq!(next.len(), expected.len());
+                for (a, b) in next.iter().zip(&expected) {
+                    prop_assert!(
+                        (a.lat - b.lat).abs() < 1e-9 && (a.lon - b.lon).abs() < 1e-9,
+                        "{:?} {}: {:?} vs {:?}", metric, use_combiner, a, b
+                    );
+                }
+            }
+        }
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! "A developer designing a MapReduce-based application is left with the
 //! task of specifying two primary functions, map and reduce" (§III). As in
-//! Hadoop, tasks also get `setup`/`cleanup` lifecycle hooks, a
-//! configuration object, counters and the distributed cache — everything
-//! the paper's Algorithms 1–9 use.
+//! Hadoop, tasks also get `setup`/`cleanup` lifecycle hooks and counters.
+//! What Hadoop ships through a job's string configuration and its
+//! distributed cache — the paper's parameters, centroids and R-tree — are
+//! typed fields of the mapper or reducer here, set by the driver that
+//! builds it; side data larger than a few words sits behind an `Arc`, so
+//! every task's clone shares one copy.
 
-use crate::cache::DistributedCache;
-use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::job::{FlatGroups, Group};
 use std::hash::Hash;
@@ -22,17 +23,13 @@ impl<T: Clone + Send + Sync + Eq + Ord + Hash + 'static> MrKey for T {}
 pub trait MrValue: Clone + Send + Sync + 'static {}
 impl<T: Clone + Send + Sync + 'static> MrValue for T {}
 
-/// Per-task context handed to `setup`: the task's identity, the job
-/// configuration, the distributed cache and the job's counters.
+/// Per-task context handed to `setup`: the task's identity and the job's
+/// counters. Side data and parameters are fields of the mapper or reducer.
 pub struct TaskContext<'a> {
     /// 0-based task index within its phase.
     pub task_id: usize,
     /// 1-based attempt number (> 1 after injected failures).
     pub attempt: u32,
-    /// Job configuration strings.
-    pub config: &'a JobConfig,
-    /// Read-only side data.
-    pub cache: &'a DistributedCache,
     /// Shared job counters.
     pub counters: &'a Counters,
 }
@@ -91,25 +88,27 @@ impl<K, V> Emitter<K, V> {
     }
 }
 
-/// The map phase of a job. One instance is cloned per map task, `setup`
-/// runs once per task, then `map_block` runs once over the task's chunk
-/// (by default: `map` for every input record), then `cleanup`.
+/// The map phase of a job. One instance is cloned per input split (a chunk
+/// the engine does not cut is one split), and on each clone `setup` runs
+/// once, then `map_block` once over the split's records (by default: `map`
+/// for every record), then `cleanup`.
 pub trait Mapper<V1>: Clone + Send {
     /// Intermediate key type.
     type KOut: MrKey;
     /// Intermediate value type.
     type VOut: MrValue;
 
-    /// Once-per-task initialization (load centroids, R-trees, … from the
-    /// cache or configuration).
+    /// Once-per-split initialization, from the per-task context only: the
+    /// counters, the task id and the attempt. Side data (centroids,
+    /// R-trees, …) is already in the mapper's fields.
     fn setup(&mut self, _ctx: &TaskContext<'_>) {}
 
     /// Processes one input record. `offset` is the record's 0-based
     /// position within the whole input file (Hadoop's byte-offset key).
     fn map(&mut self, offset: u64, value: &V1, out: &mut Emitter<Self::KOut, Self::VOut>);
 
-    /// Processes the task's whole chunk; `base_offset` is the global
-    /// offset of `block[0]`. The engine calls this once per map task, or
+    /// Processes one input split; `base_offset` is the global offset of
+    /// `block[0]`. The engine calls this once per map task, or
     /// once per input split for a mapper that declares cut points
     /// ([`Self::splits_between`]). The default is [`map_records`]; a
     /// mapper whose work vectorizes or pre-aggregates across records (the
@@ -125,7 +124,7 @@ pub trait Mapper<V1>: Clone + Send {
         map_records(self, base_offset, block, out);
     }
 
-    /// Once-per-task teardown; may emit trailing pairs (used by windowed
+    /// Once-per-split teardown; may emit trailing pairs (used by windowed
     /// mappers to flush their last window).
     fn cleanup(&mut self, _out: &mut Emitter<Self::KOut, Self::VOut>) {}
 

@@ -16,10 +16,8 @@
 //! plan allows, at which point the job fails.
 
 use crate::api::{Emitter, Mapper, MrKey, MrValue, Reducer, TaskContext};
-use crate::cache::DistributedCache;
 use crate::chaos::ChaosPlan;
 use crate::commit::{self, CommitError};
-use crate::config::JobConfig;
 use crate::counters::{builtin, phase, Counters};
 use crate::dfs::{BlockId, Dfs, DfsError};
 use crate::exec::ExecCtx;
@@ -36,7 +34,6 @@ use gepeto_telemetry::registry::{self, Kind};
 use gepeto_telemetry::{LedgerScope, Recorder, Span};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -212,8 +209,6 @@ where
     mapper: M,
     reducer: R,
     num_reducers: usize,
-    config: JobConfig,
-    cache: DistributedCache,
     telemetry: Recorder,
     pair_bytes: Option<PairBytes<M::KOut, M::VOut>>,
     partitioner: Option<Partitioner<M::KOut>>,
@@ -249,8 +244,6 @@ where
             mapper,
             reducer,
             num_reducers: cluster.topology.num_nodes(),
-            config: JobConfig::new(),
-            cache: DistributedCache::new(),
             telemetry: Recorder::disabled(),
             pair_bytes: None,
             partitioner: None,
@@ -269,18 +262,6 @@ where
             "a job with reduce tasks has at least one; a map-only job has none"
         );
         self.num_reducers = n;
-        self
-    }
-
-    /// Sets the job configuration.
-    pub fn config(mut self, config: JobConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the distributed cache.
-    pub fn cache(mut self, cache: DistributedCache) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -380,8 +361,6 @@ where
             &self.input,
             &self.mapper,
             self.num_reducers,
-            &self.config,
-            &self.cache,
             &counters,
             &self.telemetry,
             &job_span,
@@ -443,7 +422,7 @@ where
         job_span: &Span,
     ) -> Result<(Vec<(R::KOut, R::VOut)>, Vec<ReduceTaskSim>), JobError> {
         // What the pool's tasks share (the job itself need not be `Sync`).
-        let (name, cluster, config, cache) = (&self.name, self.cluster, &self.config, &self.cache);
+        let (name, cluster) = (&self.name, self.cluster);
         let telemetry = &self.telemetry;
         let monitor = telemetry.monitor();
         let shuffled: u64 = partition_bytes.iter().copied().sum();
@@ -522,8 +501,6 @@ where
                 let ctx = TaskContext {
                     task_id,
                     attempt,
-                    config,
-                    cache,
                     counters,
                 };
                 reducer.setup(&ctx);
@@ -775,8 +752,6 @@ fn run_map_phase<V1, M>(
     input: &str,
     mapper: &M,
     num_reducers: usize,
-    config: &JobConfig,
-    cache: &DistributedCache,
     counters: &Counters,
     telemetry: &Recorder,
     job_span: &Span,
@@ -865,8 +840,6 @@ where
             let ctx = TaskContext {
                 task_id,
                 attempt: task.attempt,
-                config,
-                cache,
                 counters,
             };
             m.setup(&ctx);
@@ -1036,8 +1009,7 @@ where
             if let Some(sp) =
                 spill.filter(|sp| mem_bytes[p] > sp.budget as u64 && !bufs[p].is_empty())
             {
-                let dir =
-                    lazy_spill_dir(&mut spill_dir, job_name, config, &cluster.chaos, journal)?;
+                let dir = lazy_spill_dir(&mut spill_dir, job_name, &cluster.chaos, journal)?;
                 let buf = std::mem::take(&mut bufs[p]);
                 runs[p].push(spill_run(sp, buf, &dir, mem_bytes[p])?);
                 mem_bytes[p] = 0;
@@ -1085,25 +1057,20 @@ where
     })
 }
 
-/// Creates the job's spill directory on first use. The root prefers the
-/// run directory's `spill/` (durable runs), then the `mapred.spill.dir`
-/// config key, then the OS temp dir; `mapred.run.id` namespaces the
-/// directory name so concurrent runs sharing a root never collide.
+/// Creates the job's spill directory on first use, under the run
+/// directory's `spill/` (durable runs) or else the OS temp dir, which
+/// honours `TMPDIR`. The directory's name carries the process id and a
+/// per-process sequence number, so runs sharing a root never collide.
 fn lazy_spill_dir(
     slot: &mut Option<Arc<SpillDir>>,
     job_name: &str,
-    config: &JobConfig,
     chaos: &ChaosPlan,
     journal: Option<&RunJournal>,
 ) -> Result<Arc<SpillDir>, JobError> {
     if slot.is_none() {
-        let root = journal
-            .map(|j| j.spill_root())
-            .or_else(|| config.get("mapred.spill.dir").map(PathBuf::from))
-            .unwrap_or_else(std::env::temp_dir);
-        let run_id = config.get("mapred.run.id");
+        let root = journal.map_or_else(std::env::temp_dir, |j| j.spill_root());
         *slot = Some(Arc::new(
-            SpillDir::create_in(&root, job_name, run_id, chaos.io_plan().cloned())
+            SpillDir::create_in(&root, job_name, None, chaos.io_plan().cloned())
                 .map_err(JobError::Spill)?,
         ));
     }
@@ -2179,36 +2146,65 @@ mod tests {
         assert_eq!(result.stats.counters[builtin::REDUCE_INPUT_GROUPS], 4);
     }
 
-    #[test]
-    fn setup_reads_config_and_cache() {
+    /// Emits one `(Arc::as_ptr of its side data, 1)` pair per input split
+    /// and counts its `setup` calls; it may cut anywhere.
+    #[derive(Clone)]
+    struct SideData(Arc<Vec<u64>>);
+    impl Mapper<u64> for SideData {
+        type KOut = u64;
+        type VOut = u64;
+        fn setup(&mut self, ctx: &TaskContext<'_>) {
+            ctx.counters.inc("test.setups", 1);
+        }
+        fn map(&mut self, _off: u64, _v: &u64, _out: &mut Emitter<u64, u64>) {}
+        fn map_block(&mut self, _base: u64, _block: &[u64], out: &mut Emitter<u64, u64>) {
+            out.emit(Arc::as_ptr(&self.0) as u64, 1);
+        }
+        fn splits_between(&self, _prev: &u64, _next: &u64) -> bool {
+            true
+        }
+    }
+
+    #[derive(Clone)]
+    struct CountValues;
+    impl Reducer<u64, u64> for CountValues {
+        type KOut = u64;
+        type VOut = u64;
+        fn reduce(&mut self, key: &u64, values: Group<'_, u64>, out: &mut Emitter<u64, u64>) {
+            out.emit(*key, values.len() as u64);
+        }
+    }
+
+    /// 3 chunks of 10 000 records, run through [`SideData`].
+    fn side_data_run(side: &Arc<Vec<u64>>) -> JobResult<u64, u64> {
         let cluster = Cluster::local(2, 2);
-        let mut dfs = Dfs::new(cluster.topology.clone(), 64, 2);
-        dfs.put_fixed("nums", vec![1u64, 2, 3], 8).unwrap();
-
-        #[derive(Clone)]
-        struct OffsetMapper {
-            offset: u64,
-        }
-        impl Mapper<u64> for OffsetMapper {
-            type KOut = u64;
-            type VOut = u64;
-            fn setup(&mut self, ctx: &TaskContext<'_>) {
-                let base = ctx.config.get_i64("base").unwrap() as u64;
-                let extra = *ctx.cache.expect::<u64>("extra");
-                self.offset = base + extra;
-            }
-            fn map(&mut self, _off: u64, v: &u64, out: &mut Emitter<u64, u64>) {
-                out.emit(*v, v + self.offset);
-            }
-        }
-
-        let result = MapOnlyJob::new("cfg", &cluster, &dfs, "nums", OffsetMapper { offset: 0 })
-            .config(JobConfig::new().set("base", 100))
-            .cache(DistributedCache::new().with("extra", 10u64))
+        let mut dfs = Dfs::new(cluster.topology.clone(), 80_000, 1);
+        dfs.put_fixed("nums", (0..30_000u64).collect(), 8).unwrap();
+        assert_eq!(dfs.blocks_of("nums").unwrap().len(), 3);
+        let mapper = SideData(Arc::clone(side));
+        MapReduceJob::new("side", &cluster, &dfs, "nums", mapper, CountValues)
+            .reducers(2)
             .run()
-            .unwrap();
-        let vals: Vec<u64> = result.output.iter().map(|&(_, v)| v).collect();
-        assert_eq!(vals, vec![111, 112, 113]);
+            .unwrap()
+    }
+
+    /// Each chunk is cut every 4 096 records: 3 splits a chunk.
+    const SIDE_DATA_SPLITS: u64 = 9;
+
+    #[test]
+    fn setup_runs_once_per_split_on_a_fresh_clone() {
+        let result = side_data_run(&Arc::new(vec![7; 16]));
+        let splits: u64 = result.output.iter().map(|&(_, n)| n).sum();
+        assert_eq!(splits, SIDE_DATA_SPLITS);
+        assert_eq!(result.stats.counters["test.setups"], splits);
+    }
+
+    #[test]
+    fn splits_share_the_mappers_side_data() {
+        let side = Arc::new(vec![7u64; 1024]);
+        let result = side_data_run(&side);
+        let driver = Arc::as_ptr(&side) as u64;
+        assert_eq!(result.output, vec![(driver, SIDE_DATA_SPLITS)]);
     }
 
     #[test]

@@ -190,34 +190,34 @@ impl JournalEntry {
         let kind = it.next()?;
         let entry = match kind {
             "run-start" => JournalEntry::RunStart {
-                command: unescape(it.next()?),
+                command: unescape(it.next()?)?,
             },
             "spill" => JournalEntry::SpillSealed {
-                job: unescape(it.next()?),
-                path: unescape(it.next()?),
+                job: unescape(it.next()?)?,
+                path: unescape(it.next()?)?,
                 records: it.next()?.parse().ok()?,
                 bytes: it.next()?.parse().ok()?,
                 checksum: u64::from_str_radix(it.next()?, 16).ok()?,
             },
             "reduce" => JournalEntry::ReduceCommit {
-                job: unescape(it.next()?),
+                job: unescape(it.next()?)?,
                 partition: it.next()?.parse().ok()?,
-                path: unescape(it.next()?),
+                path: unescape(it.next()?)?,
                 records: it.next()?.parse().ok()?,
                 checksum: u64::from_str_radix(it.next()?, 16).ok()?,
             },
             "checkpoint" => JournalEntry::Checkpoint {
-                label: unescape(it.next()?),
-                payload: unescape(it.next()?),
+                label: unescape(it.next()?)?,
+                payload: unescape(it.next()?)?,
             },
             "artifact" => JournalEntry::ArtifactCommit {
-                name: unescape(it.next()?),
-                path: unescape(it.next()?),
+                name: unescape(it.next()?)?,
+                path: unescape(it.next()?)?,
                 checksum: u64::from_str_radix(it.next()?, 16).ok()?,
             },
             "telemetry" => JournalEntry::TelemetrySegment {
                 attempt: it.next()?.parse().ok()?,
-                path: unescape(it.next()?),
+                path: unescape(it.next()?)?,
             },
             "complete" => JournalEntry::RunComplete,
             _ => return None,
@@ -243,22 +243,28 @@ fn escape(s: &str) -> String {
     out
 }
 
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Inverts [`escape`] byte by byte; `None` when the decoded bytes are not
+/// UTF-8, which no escaped field produces.
+fn unescape(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 3 <= bytes.len() {
-            if let Ok(v) = u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                out.push(v as char);
+        let hex = bytes
+            .get(i + 1..i + 3)
+            .and_then(|h| std::str::from_utf8(h).ok());
+        match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
+            Some(v) if bytes[i] == b'%' => {
+                out.push(v);
                 i += 3;
-                continue;
+            }
+            _ => {
+                out.push(bytes[i]);
+                i += 1;
             }
         }
-        out.push(bytes[i] as char);
-        i += 1;
     }
-    out
+    String::from_utf8(out).ok()
 }
 
 /// A committed reduce artifact recovered from the journal.
@@ -471,7 +477,7 @@ mod tests {
             JournalEntry::ReduceCommit {
                 job: "sampling-by-user".into(),
                 partition: 5,
-                path: "p5.part".into(),
+                path: "/tmp/rundir-données/100 %€/p5.part".into(),
                 records: 9,
                 checksum: 99,
             },
@@ -500,6 +506,85 @@ mod tests {
         assert_eq!(reduces[&5].records, 9);
         assert_eq!(j.last_checkpoint("kmeans").unwrap(), "2 0x3ff0 0x4000");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Characters a field must survive: the escaped ones, a `%` that
+    /// looks like an escape, and multi-byte UTF-8.
+    const AWKWARD: [char; 10] = ['%', ' ', '\n', '\r', 'é', '€', 'a', '2', 'F', '😀'];
+
+    /// A field drawn from `draws`: an awkward character for an even draw,
+    /// any scalar value for an odd one.
+    fn field(draws: Vec<u32>) -> String {
+        draws
+            .into_iter()
+            .map(|d| match d % 2 {
+                0 => AWKWARD[(d / 2) as usize % AWKWARD.len()],
+                _ => char::from_u32(d / 2 % 0x11_0000).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    fn line_of(body: &str) -> String {
+        format!("{body} {:016x}", fnv_bytes(body.as_bytes()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn entries_with_any_unicode_fields_round_trip(
+            a in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..12),
+            b in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..12),
+            n in proptest::prelude::any::<usize>(),
+        ) {
+            let (a, b) = (field(a), field(b));
+            for e in [
+                JournalEntry::RunStart { command: a.clone() },
+                JournalEntry::SpillSealed {
+                    job: a.clone(),
+                    path: b.clone(),
+                    records: n,
+                    bytes: n,
+                    checksum: n as u64,
+                },
+                JournalEntry::ReduceCommit {
+                    job: b.clone(),
+                    partition: n,
+                    path: a.clone(),
+                    records: n,
+                    checksum: n as u64,
+                },
+                JournalEntry::Checkpoint { label: a.clone(), payload: b.clone() },
+                JournalEntry::ArtifactCommit { name: b.clone(), path: a.clone(), checksum: n as u64 },
+                JournalEntry::TelemetrySegment { attempt: n, path: b.clone() },
+            ] {
+                proptest::prop_assert_eq!(JournalEntry::parse(&line_of(&e.body())), Some(e));
+            }
+        }
+
+        /// A body whose checksum is right may still hold anything — a `%`
+        /// before a multi-byte character, an escape that decodes to bytes
+        /// that are not UTF-8 — and parsing it answers, never panics.
+        #[test]
+        fn a_checksummed_hostile_line_never_panics_the_parser(
+            kind in 0usize..7,
+            fields in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 0..8),
+                0..6,
+            ),
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4),
+        ) {
+            let kinds = ["run-start", "spill", "reduce", "checkpoint", "artifact", "telemetry", "complete"];
+            let mut body = format!("{VERSION} {}", kinds[kind]);
+            for f in fields {
+                body.push(' ');
+                body.push_str(&field(f).replace([' ', '\n', '\r'], "%"));
+            }
+            for b in bytes {
+                body.push_str(&format!("%{b:02x}"));
+            }
+            let _ = JournalEntry::parse(&line_of(&body));
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   [`api::Mapper`]s and [`api::Reducer`]s with Hadoop-style
 //!   `setup`/`map`/`cleanup` lifecycles, map-side pre-aggregation in
 //!   [`api::Mapper::map_block`], hash partitioning, a sort-based shuffle
-//!   that presents all values of a key to a single reduce call, job
-//!   configuration strings, counters and a typed distributed cache.
+//!   that presents all values of a key to a single reduce call, and
+//!   counters. A task's side data — Hadoop's distributed cache — is an
+//!   `Arc` field of the mapper that every task's clone shares.
 //! - **Scheduling and the cluster-time model** ([`sim`]): map tasks are
 //!   one-per-chunk and really execute in parallel on host threads; their
 //!   measured durations are then replayed by a locality-aware slot
@@ -69,10 +70,8 @@
 //! ```
 
 pub mod api;
-pub mod cache;
 pub mod chaos;
 pub mod commit;
-pub mod config;
 pub mod counters;
 pub mod dfs;
 pub mod exec;
@@ -86,10 +85,8 @@ pub mod spill;
 pub mod topology;
 
 pub use api::{map_records, Emitter, FnMapper, Mapper, Reducer, TaskContext};
-pub use cache::DistributedCache;
 pub use chaos::{ChaosEvent, ChaosPlan, IoFault, IoFaultPlan};
 pub use commit::{CommitError, CommitReceipt};
-pub use config::JobConfig;
 pub use counters::Counters;
 pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
 pub use exec::{DfsAccess, ExecCtx};

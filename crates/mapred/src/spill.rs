@@ -219,10 +219,11 @@ pub struct SpillDir {
 }
 
 impl SpillDir {
-    /// Creates a fresh spill directory under `root`, namespaced by an
-    /// optional per-run id (so concurrent runs sharing one tmpdir, or a
-    /// run directory's `spill/` root, never collide) and tied to the
-    /// virtual disk of `io` when storage faults are active.
+    /// Creates a fresh spill directory under `root`, tied to the virtual
+    /// disk of `io` when storage faults are active. Its name carries the
+    /// process id and a per-process sequence number, so concurrent runs
+    /// sharing one root never collide; `run_id`, when given, is added to
+    /// the name as a label. The engine always passes `None`.
     pub fn create_in(
         root: &Path,
         job: &str,
@@ -458,6 +459,8 @@ pub fn load_artifact<K, V>(
 pub struct SpillRunReader<K, V> {
     reader: BufReader<File>,
     remaining: u64,
+    /// Payload bytes not yet read, which bound every length prefix.
+    unread: u64,
     codec: SpillCodec<K, V>,
     path: PathBuf,
     buf: Vec<u8>,
@@ -471,6 +474,7 @@ impl<K, V> SpillRunReader<K, V> {
         Ok(Self {
             reader: BufReader::new(file),
             remaining: run.records,
+            unread: run.bytes,
             codec,
             path: run.path.clone(),
             buf: Vec::with_capacity(256),
@@ -488,6 +492,12 @@ impl<K, V> SpillRunReader<K, V> {
             .read_exact(&mut len_bytes)
             .map_err(|e| format!("read spill run {:?}: {e}", self.path))?;
         let len = u32::from_le_bytes(len_bytes) as usize;
+        // A damaged prefix must not size the buffer: it fails here, not
+        // in an allocation of up to 4 GiB.
+        self.unread = self
+            .unread
+            .checked_sub(4 + len as u64)
+            .ok_or_else(|| format!("corrupt spill record in {:?}", self.path))?;
         self.buf.resize(len, 0);
         self.reader
             .read_exact(&mut self.buf)

@@ -2,15 +2,17 @@
 //! what they read, and not by how many tasks partition at once; a reduce
 //! phase allocates no copy of its buckets' values, whether they arrive in
 //! key order or not and whether a key spans one bucket or all of them;
-//! and a commit writes its payload without a copy of it.
+//! a commit writes its payload without a copy of it; and a spill run's
+//! damaged length prefix sizes no allocation.
 //!
 //! The allocator's ledger is process-global, so the tests of this binary
 //! take turns: each holds `LEDGER` while its window is open, and no other
 //! test binary shares the process.
 
+use gepeto_mapred::spill::{seal_run, SpillDir, SpillMerge};
 use gepeto_mapred::{
     commit, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FnMapper, Group, MapOnlyJob, MapReduceJob,
-    Mapper, Reducer,
+    Mapper, Reducer, SpillCodec,
 };
 use gepeto_telemetry::{mem_stats, Event, EventKind, LedgerScope, Recorder};
 use std::sync::Mutex;
@@ -341,6 +343,36 @@ fn a_commit_writes_its_payload_without_copying_it() {
 }
 
 /// The ledger label `key` of the first span `name` to end.
+#[test]
+fn a_damaged_length_prefix_is_an_error_not_an_allocation() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = SpillDir::create_in(&std::env::temp_dir(), "prefix", None, None).unwrap();
+    let codec = SpillCodec::<u64, u64>::of();
+    let (run, _) = seal_run(
+        &codec,
+        &dir,
+        "prefix",
+        &[(1, 2), (3, 4)],
+        &ChaosPlan::none(),
+    )
+    .unwrap();
+    // The first record's prefix now claims 64 MiB.
+    let mut bytes = std::fs::read(&run.path).unwrap();
+    bytes[..4].copy_from_slice(&(64u32 << 20).to_le_bytes());
+    std::fs::write(&run.path, bytes).unwrap();
+
+    let scope = LedgerScope::open();
+    let merge = SpillMerge::open(std::slice::from_ref(&run), &codec);
+    let delta = scope.close();
+
+    assert!(merge.is_err());
+    assert!(
+        delta.peak_delta < 1 << 20,
+        "peak {} B opening a run with a forged prefix",
+        delta.peak_delta
+    );
+}
+
 fn span_ledger(events: &[Event], name: &str, key: &str) -> u64 {
     events
         .iter()

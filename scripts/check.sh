@@ -37,9 +37,22 @@ echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: release build + tests =="
-# --no-fail-fast: one red target must not hide the targets after it.
 cargo build --release
-cargo test -q --no-fail-fast
+# The tier-1 floor: no PR may pass fewer tests than its parent. A PR that
+# adds tests raises TIER1_FLOOR to its own count; one that deletes tests
+# names them in CHANGES.md, and its count must still reach the floor.
+TIER1_FLOOR=802
+tier1_log=$(mktemp)
+# --no-fail-fast: one red target must not hide the targets after it.
+cargo test -q --no-fail-fast 2>&1 | tee "$tier1_log"
+tier1_passed=$(awk '/^test result: / && $5 == "passed;" { n += $4 } END { print n + 0 }' \
+    "$tier1_log")
+rm -f "$tier1_log"
+echo "tier-1 tests passed: $tier1_passed (floor $TIER1_FLOOR)"
+if [ "$tier1_passed" -lt "$TIER1_FLOOR" ]; then
+    echo "tier-1 passed count $tier1_passed is below the floor $TIER1_FLOOR" >&2
+    exit 1
+fi
 # The number the next simplicity PR has to beat.
 echo "non-blank lines in crates/{mapred,core,cli}/src: $(
     find crates/{mapred,core,cli}/src -name '*.rs' -exec cat {} + | grep -c '[^[:space:]]')"

@@ -424,3 +424,68 @@ fn a_repaired_output_reaches_the_run_counters() {
     let _ = std::fs::remove_dir_all(run_dir);
     let _ = std::fs::remove_file(metrics);
 }
+
+#[test]
+fn a_run_directory_with_a_non_ascii_name_replays_its_committed_reduces() {
+    // Killed after the last reduce commit: the journal lost its
+    // `artifact` and `complete` lines. Resume must read the committed
+    // `.part` paths back as written, whatever characters the run
+    // directory's name holds, and replay them instead of recomputing.
+    let run_dir = scratch("rundir-données");
+    let metrics = run_dir.with_extension("jsonl");
+    let argv: Vec<String> = [
+        "synth",
+        "--users",
+        "200",
+        "--chunk-mb",
+        "1",
+        "--memory-budget",
+        "1",
+        "--threads",
+        "1",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .chain(["--run-dir".into(), run_dir.display().to_string()])
+    .collect();
+    let out = run(&argv);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let journal_path = run_dir.join("journal.log");
+    let journal = std::fs::read_to_string(&journal_path).unwrap();
+    let kept: Vec<&str> = journal
+        .lines()
+        .filter(|l| !matches!(l.split(' ').nth(1), Some("artifact" | "complete")))
+        .collect();
+    assert!(kept.len() < journal.lines().count());
+    std::fs::write(&journal_path, kept.join("\n") + "\n").unwrap();
+
+    let resume = run(&[
+        "resume".to_string(),
+        run_dir.display().to_string(),
+        "--metrics-out".to_string(),
+        metrics.display().to_string(),
+    ]);
+    assert!(
+        resume.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&resume.stderr)
+    );
+    let events = std::fs::read_to_string(&metrics).unwrap();
+    let last = |name: &str| {
+        events
+            .lines()
+            .map(|l| gepeto_telemetry::json::Json::parse(l).unwrap())
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+            .filter_map(|e| e.get("value").and_then(|v| v.as_u64()))
+            .next_back()
+            .unwrap_or(0)
+    };
+    assert_eq!(last("journal.replayed_tasks"), 4);
+    assert_eq!(last("spill.runs_quarantined"), 0);
+    let _ = std::fs::remove_dir_all(run_dir);
+    let _ = std::fs::remove_file(metrics);
+}
