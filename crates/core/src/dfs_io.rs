@@ -26,15 +26,13 @@ pub fn put_dataset(
 
 /// Reads a file of traces back into a [`Dataset`] (regrouping by user).
 ///
-/// Streams chunk by chunk instead of materializing the whole file as one
-/// `Vec`: peak extra memory is a single DFS chunk, so million-user files
-/// reload under the same budget they were written under.
+/// Streams record by record instead of materializing the whole file as
+/// one `Vec`, so million-user files reload under the same budget they
+/// were written under.
 pub fn read_dataset(dfs: &Dfs<MobilityTrace>, name: &str) -> Result<Dataset, DfsError> {
     let mut dataset = Dataset::new();
-    for chunk in dfs.stream(name)? {
-        for trace in chunk?.iter() {
-            dataset.push_trace(*trace);
-        }
+    for trace in dfs.iter_records(name)? {
+        dataset.push_trace(trace?);
     }
     Ok(dataset)
 }

@@ -405,6 +405,7 @@ mod tests {
     use super::*;
     use crate::dfs_io::{put_dataset, trace_dfs};
     use gepeto_mapred::counters::builtin;
+    use gepeto_mapred::NodeId;
     use gepeto_model::{GeoPoint, Timestamp};
 
     fn tr(user: UserId, secs: i64) -> MobilityTrace {
@@ -547,12 +548,15 @@ mod tests {
         }
     }
 
-    /// The blocks of `name`: records, bytes and checksum, in file order.
-    fn chunks(dfs: &Dfs<MobilityTrace>, name: &str) -> Vec<(Vec<MobilityTrace>, usize, u64)> {
+    /// The blocks of `name`: records, bytes and replicas, in file order.
+    fn chunks(
+        dfs: &Dfs<MobilityTrace>,
+        name: &str,
+    ) -> Vec<(Vec<MobilityTrace>, usize, Vec<NodeId>)> {
         let ids = dfs.blocks_of(name).unwrap();
         ids.iter()
             .map(|&id| dfs.block(id))
-            .map(|b| (b.data.to_vec(), b.bytes, b.checksum))
+            .map(|b| (b.data.to_vec(), b.bytes, b.replicas.clone()))
             .collect()
     }
 

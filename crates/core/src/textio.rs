@@ -12,7 +12,7 @@
 //! Line format: `user<TAB>plt-line` — the flattened form of GeoLife's
 //! per-user directory layout (the user id lives in the path there).
 
-use gepeto_mapred::{Cluster, Dfs, DfsError, Emitter, Mapper, RecordStream, TaskContext};
+use gepeto_mapred::{Cluster, Dfs, DfsError, Emitter, Mapper, TaskContext};
 use gepeto_model::{plt, Dataset, MobilityTrace};
 
 /// Counter bumped for every unparseable input line.
@@ -46,23 +46,13 @@ pub fn put_dataset_as_text(
     dfs.put_with_sizer(name, lines, |l| l.len() + 1)
 }
 
-/// Streams the lines of a text file one at a time, holding at most one
-/// DFS chunk in memory — the iterator-based counterpart of reading the
-/// whole file into a `Vec<String>`.
-pub fn read_lines<'d>(
-    dfs: &'d Dfs<String>,
-    name: &str,
-) -> Result<RecordStream<'d, String>, DfsError> {
-    dfs.iter_records(name)
-}
-
 /// Streams a text file back into a [`Dataset`], parsing line by line and
 /// skipping corrupt lines the Hadoop way. Returns the dataset and the
 /// number of lines dropped.
 pub fn read_dataset_from_text(dfs: &Dfs<String>, name: &str) -> Result<(Dataset, u64), DfsError> {
     let mut dataset = Dataset::new();
     let mut corrupt = 0u64;
-    for line in read_lines(dfs, name)? {
+    for line in dfs.iter_records(name)? {
         match parse_record(&line?) {
             Some(trace) => dataset.push_trace(trace),
             None => corrupt += 1,
@@ -230,8 +220,8 @@ mod tests {
             assert!((a.point.lon - b.point.lon).abs() < 1e-6);
         }
         // Line iterator sees every record without whole-file materialization.
-        assert_eq!(read_lines(&dfs, "d").unwrap().count(), ds.num_traces());
-        assert!(read_lines(&dfs, "missing").is_err());
+        assert_eq!(dfs.iter_records("d").unwrap().count(), ds.num_traces());
+        assert!(dfs.iter_records("missing").is_err());
     }
 
     #[test]

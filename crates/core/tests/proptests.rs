@@ -12,8 +12,9 @@ use gepeto::sampling::{
     mapreduce_sample_in, sample_trail, sequential_sample, SamplingConfig, Technique,
 };
 use gepeto::sanitize::{GaussianMask, Sanitizer, SpatialAggregation, UniformMask};
-use gepeto_geo::{haversine_m, DistanceMetric};
-use gepeto_mapred::{Cluster, ExecCtx};
+use gepeto::spill_codecs::{centroid_codec, point_sum_codec, trace_codec, trail_codec};
+use gepeto_geo::{haversine_m, ClusterSum, DistanceMetric};
+use gepeto_mapred::{Cluster, ExecCtx, SpillCodec};
 use gepeto_model::{Dataset, GeoPoint, MobilityTrace, Timestamp, Trail};
 use proptest::prelude::*;
 
@@ -261,5 +262,83 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A trace of user 7 at `secs`.
+fn trace(secs: i64) -> MobilityTrace {
+    MobilityTrace::new(7, GeoPoint::new(39.9, 116.4), Timestamp(secs))
+}
+
+/// Decodes `input` pair after pair, as a spill-run reader would, until a
+/// decode fails or the input is spent. Decoding must not panic, and what
+/// is left must be a suffix of `input`: no decoder reads past its end.
+fn decode_all<K, V>(codec: &SpillCodec<K, V>, input: &[u8]) {
+    let mut rest = input;
+    for _ in 0..=input.len() {
+        if rest.is_empty() || codec.decode(&mut rest).is_none() {
+            break;
+        }
+    }
+    assert!(rest.len() <= input.len());
+    assert!(std::ptr::eq(rest, &input[input.len() - rest.len()..]));
+}
+
+/// `bytes` as drawn, then `valid` — an encoded pair — with `flips`
+/// written over it and cut at `cut`: hostile bytes that get past the
+/// first fields of the format.
+fn decode_hostile<K, V>(
+    codec: &SpillCodec<K, V>,
+    (key, value): (K, V),
+    bytes: &[u8],
+    flips: &[(usize, u8)],
+    cut: usize,
+) {
+    decode_all(codec, bytes);
+    let mut damaged = Vec::new();
+    codec.encode(&key, &value, &mut damaged);
+    for &(at, byte) in flips {
+        let at = at % damaged.len();
+        damaged[at] = byte;
+    }
+    damaged.truncate(cut % (damaged.len() + 1));
+    decode_all(codec, &damaged);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    fn trace_codec_decodes_hostile_bytes_without_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        decode_hostile(&trace_codec(), (7, trace(1)), &bytes, &flips, cut);
+    }
+
+    fn trail_codec_decodes_hostile_bytes_without_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        let trail = Trail::new(7, vec![trace(3), trace(1), trace(2)]);
+        decode_hostile(&trail_codec(), (7, trail), &bytes, &flips, cut);
+    }
+
+    fn point_sum_codec_decodes_hostile_bytes_without_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        let sum = ClusterSum { lat_sum: 79.8, lon_sum: 232.8, count: 2 };
+        decode_hostile(&point_sum_codec(), (3, sum), &bytes, &flips, cut);
+    }
+
+    fn centroid_codec_decodes_hostile_bytes_without_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        decode_hostile(&centroid_codec(), (3, GeoPoint::new(39.9, 116.4)), &bytes, &flips, cut);
     }
 }

@@ -12,8 +12,9 @@
 //! - **node crash** at virtual time `t`: the node stops accepting tasks,
 //!   in-flight attempts are killed, its local map outputs and chunk
 //!   replicas become unreadable;
-//! - **replica corruption** of (block, node): the stored chunk no longer
-//!   matches its checksum on that one datanode, so reads fail over;
+//! - **replica corruption** of (block, node): that one datanode's copy of
+//!   the chunk is damaged, so map tasks read another replica and the
+//!   re-replication sweep drops it;
 //! - **node degradation** from time `t`: the node keeps running but its
 //!   compute slows by a factor (a failing disk / thermal-throttled CPU).
 //!
@@ -39,7 +40,7 @@ pub enum ChaosEvent {
         at_s: f64,
     },
     /// The replica of `block` stored on `node` is silently corrupted
-    /// (effective immediately; checksum verification catches it on read).
+    /// (effective immediately; [`ChaosPlan::replica_readable`] excludes it).
     CorruptReplica {
         /// The damaged chunk.
         block: BlockId,
@@ -61,8 +62,8 @@ pub enum ChaosEvent {
 /// particular (site, attempt) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IoFault {
-    /// The write (or read) fails with a transient EIO; retrying the same
-    /// site at a later attempt eventually succeeds.
+    /// The write fails with a transient EIO; retrying the same site at a
+    /// later attempt eventually succeeds.
     TransientEio,
     /// The disk is out of capacity for this payload (ENOSPC). Durable
     /// until bytes are released or the payload shrinks.
@@ -81,8 +82,9 @@ pub enum IoFault {
     },
 }
 
-/// A deterministic storage-fault schedule injected beneath the spill and
-/// DFS write/read paths. Every decision is a pure function of
+/// A deterministic storage-fault schedule injected beneath every file the
+/// engine commits (spill runs, reduce artifacts; see
+/// [`crate::commit::commit_bytes`]). Every decision is a pure function of
 /// `(seed, kind, site, attempt)` through [`unit_hash`], so a run with the
 /// same plan replays its faults bit-identically.
 ///
@@ -122,8 +124,8 @@ impl IoFaultPlan {
         }
     }
 
-    /// Probability that a given (site, attempt) write or read fails with
-    /// a transient EIO (builder style; clamped to [0, 1]).
+    /// Probability that a given (site, attempt) write fails with a
+    /// transient EIO (builder style; clamped to [0, 1]).
     pub fn eio(mut self, prob: f64) -> Self {
         self.eio_prob = prob.clamp(0.0, 1.0);
         self
@@ -200,16 +202,6 @@ impl IoFaultPlan {
         None
     }
 
-    /// The fault (if any) injected into a read at `site`, attempt
-    /// `attempt`. Reads only see transient EIOs — at-rest damage is
-    /// modeled on the write side.
-    pub fn read_fault(&self, site: &str, attempt: u32) -> Option<IoFault> {
-        if attempt < self.max_eio_streak && self.roll("r-eio", site, attempt) < self.eio_prob {
-            return Some(IoFault::TransientEio);
-        }
-        None
-    }
-
     /// Records `bytes` as committed to the virtual disk.
     pub fn charge(&self, bytes: u64) {
         self.bytes_in_use.fetch_add(bytes, Ordering::Relaxed);
@@ -277,8 +269,8 @@ impl ChaosPlan {
         }
     }
 
-    /// Attaches a storage fault plan injected beneath the spill and DFS
-    /// IO paths (builder style).
+    /// Attaches a storage fault plan injected beneath the engine's
+    /// committed writes (builder style).
     pub fn io_faults(mut self, plan: IoFaultPlan) -> Self {
         self.io = Some(plan);
         self
@@ -412,6 +404,13 @@ impl ChaosPlan {
         })
     }
 
+    /// Whether the replica of `block` on `node` can be read at virtual
+    /// time `at_s`: its datanode is alive and its copy is not corrupt.
+    /// The one rule behind map-input failover and re-replication.
+    pub fn replica_readable(&self, block: BlockId, node: NodeId, at_s: f64) -> bool {
+        !self.is_dead(node, at_s) && !self.is_corrupted(block, node)
+    }
+
     /// Compute slowdown factor of `node` at virtual time `at_s` (the
     /// largest active degradation; 1.0 when healthy).
     pub fn slowdown(&self, node: NodeId, at_s: f64) -> f64 {
@@ -504,7 +503,6 @@ mod tests {
         // Past the EIO streak and attempt 0, nothing fires.
         for site in ["a", "b", "c", "d", "e"] {
             assert_eq!(p.write_fault(site, 2, 1000), None);
-            assert_eq!(p.read_fault(site, 2), None);
         }
         // Torn keeps strictly fewer bytes than the payload.
         let mut saw_torn = false;

@@ -5,12 +5,16 @@
 //! different rack — and a namenode-style metadata map records which
 //! datanodes hold each chunk. The jobtracker later reads that map to keep
 //! "the computation as close as possible to the data".
+//!
+//! The DFS is storage only: which replica of a chunk can be read is
+//! [`ChaosPlan::replica_readable`]'s call, and the one reader that asks is
+//! the scheduler ([`crate::sim::simulate_chaos`]), which places each map
+//! task on a readable replica, counts the failed-over reads and fails the
+//! job with an unreadable block when none is left.
 
 use crate::chaos::ChaosPlan;
-use crate::counters::builtin;
-use crate::hash::{fnv_hash, FNV_OFFSET, FNV_PRIME};
+use crate::hash::fnv_hash;
 use crate::topology::{NodeId, Topology};
-use gepeto_telemetry::Recorder;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -25,8 +29,8 @@ pub enum DfsError {
     /// A file with that name already exists.
     FileExists(String),
     /// Every replica of a chunk is unreadable (its datanode is dead or
-    /// its copy fails checksum verification) — the HDFS "missing block"
-    /// condition a client cannot recover from.
+    /// its copy is corrupt, see [`ChaosPlan::replica_readable`]) — the
+    /// HDFS "missing block" condition a client cannot recover from.
     AllReplicasLost(BlockId),
 }
 
@@ -44,48 +48,16 @@ impl std::fmt::Display for DfsError {
 
 impl std::error::Error for DfsError {}
 
-/// XOR mask a corrupted replica's observed checksum is off by — any
-/// nonzero constant works; verification only needs the mismatch.
-const CORRUPTION_MASK: u64 = 0xdead_beef_dead_beef;
-
 /// A stored chunk: its records (shared, so map tasks read without
-/// copying), its byte size, its content checksum and the datanodes
-/// holding replicas.
+/// copying), its byte size and the datanodes holding replicas.
 #[derive(Debug, Clone)]
 pub struct Block<T> {
-    /// Chunk identifier.
-    pub id: BlockId,
     /// The records of this chunk (shared with readers).
     pub data: Arc<Vec<T>>,
     /// Serialized size of the chunk in bytes.
     pub bytes: usize,
-    /// Content checksum computed at `put`: one FNV xor-multiply per record
-    /// on its 64-bit serialized size, mixed with the file name and chunk
-    /// index — the stand-in for HDFS's CRC32, since records are held in
-    /// memory. Reads verify each replica against it and fail over on
-    /// mismatch. It lives only in memory (no committed artifact or
-    /// baseline carries it), so its fold may change between versions.
-    pub checksum: u64,
     /// Replica locations; `replicas[0]` is the writer-local copy.
     pub replicas: Vec<NodeId>,
-}
-
-impl<T> Block<T> {
-    /// The checksum a client observes when reading this chunk from
-    /// `node`: the stored checksum, unless the chaos plan corrupted that
-    /// replica, in which case it differs and verification fails.
-    pub fn observed_checksum(&self, node: NodeId, chaos: &ChaosPlan) -> u64 {
-        if chaos.is_corrupted(self.id, node) {
-            self.checksum ^ CORRUPTION_MASK
-        } else {
-            self.checksum
-        }
-    }
-
-    /// Whether the replica on `node` passes checksum verification.
-    pub fn replica_intact(&self, node: NodeId, chaos: &ChaosPlan) -> bool {
-        self.observed_checksum(node, chaos) == self.checksum
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -104,10 +76,8 @@ struct ChunkWriter<T> {
     block_bytes: usize,
     current: Vec<T>,
     current_bytes: usize,
-    /// FNV-style fold of the records' sizes, one 64-bit word each.
-    current_sum: u64,
-    /// Sealed chunks (records, bytes, content sum), placed at commit.
-    sealed: Vec<(Vec<T>, usize, u64)>,
+    /// Sealed chunks (records, bytes), placed at commit.
+    sealed: Vec<(Vec<T>, usize)>,
 }
 
 impl<T> ChunkWriter<T> {
@@ -116,7 +86,6 @@ impl<T> ChunkWriter<T> {
             block_bytes,
             current: Vec::new(),
             current_bytes: 0,
-            current_sum: FNV_OFFSET,
             sealed: Vec::new(),
         }
     }
@@ -135,7 +104,6 @@ impl<T> ChunkWriter<T> {
             }
             self.current.push(r);
             self.current_bytes += b;
-            self.current_sum = (self.current_sum ^ b as u64).wrapping_mul(FNV_PRIME);
             if self.current_bytes >= self.block_bytes {
                 self.seal();
             }
@@ -146,8 +114,7 @@ impl<T> ChunkWriter<T> {
         let mut data = std::mem::take(&mut self.current);
         data.shrink_to_fit();
         let bytes = std::mem::take(&mut self.current_bytes);
-        let sum = std::mem::replace(&mut self.current_sum, FNV_OFFSET);
-        self.sealed.push((data, bytes, sum));
+        self.sealed.push((data, bytes));
     }
 }
 
@@ -165,7 +132,6 @@ pub struct Dfs<T> {
     files: BTreeMap<String, FileMeta>,
     blocks: BTreeMap<BlockId, Block<T>>,
     next_block: BlockId,
-    telemetry: Recorder,
 }
 
 impl<T: Clone> Dfs<T> {
@@ -184,16 +150,7 @@ impl<T: Clone> Dfs<T> {
             files: BTreeMap::new(),
             blocks: BTreeMap::new(),
             next_block: 0,
-            telemetry: Recorder::disabled(),
         }
-    }
-
-    /// Attaches a telemetry recorder: chunk placements become
-    /// `dfs.place` points, and chunk/file reads feed the
-    /// `dfs.block.reads` counter and `dfs.read.bytes` histogram.
-    pub fn telemetry(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
     }
 
     /// Chunk size in bytes.
@@ -223,9 +180,9 @@ impl<T: Clone> Dfs<T> {
     }
 
     /// Writes a file from a streaming record source, sealing each chunk as
-    /// it fills — the write-side counterpart of [`Dfs::stream`]: peak
-    /// extra memory is one chunk, never the whole file, so generators can
-    /// pour millions of records straight into chunk placement.
+    /// it fills — the write-side counterpart of [`Dfs::iter_records`]:
+    /// peak extra memory is one chunk, never the whole file, so generators
+    /// can pour millions of records straight into chunk placement.
     pub fn put_from_iter(
         &mut self,
         name: &str,
@@ -259,8 +216,8 @@ impl<T: Clone> Dfs<T> {
             writer.seal();
         }
         let mut ids = Vec::new();
-        for (data, bytes, sum) in writer.sealed {
-            ids.push(self.store_block(name, ids.len(), data, bytes, sum));
+        for (data, bytes) in writer.sealed {
+            ids.push(self.store_block(name, ids.len(), data, bytes));
         }
         let records = ids.iter().map(|id| self.blocks[id].data.len()).sum();
         let bytes = ids.iter().map(|id| self.blocks[id].bytes).sum();
@@ -272,44 +229,15 @@ impl<T: Clone> Dfs<T> {
         self.files.insert(name.to_string(), meta);
     }
 
-    fn store_block(
-        &mut self,
-        file: &str,
-        index: usize,
-        data: Vec<T>,
-        bytes: usize,
-        content_sum: u64,
-    ) -> BlockId {
+    fn store_block(&mut self, file: &str, index: usize, data: Vec<T>, bytes: usize) -> BlockId {
         let id = self.next_block;
         self.next_block += 1;
-        // Mix in file and chunk index so identical payloads in different
-        // chunks still carry distinct checksums (HDFS checksums are
-        // per-block files too).
-        let checksum = fnv_hash(&(file, index, content_sum, data.len() as u64));
         let replicas = self.place_replicas(file, index);
-        if self.telemetry.is_enabled() {
-            let nodes = replicas
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            self.telemetry.point(
-                "dfs.place",
-                bytes as f64,
-                &[
-                    ("file", file),
-                    ("block", &id.to_string()),
-                    ("replicas", &nodes),
-                ],
-            );
-        }
         self.blocks.insert(
             id,
             Block {
-                id,
                 data: Arc::new(data),
                 bytes,
-                checksum,
                 replicas,
             },
         );
@@ -378,10 +306,7 @@ impl<T: Clone> Dfs<T> {
     /// # Panics
     /// If the id is unknown (engine-internal misuse).
     pub fn block(&self, id: BlockId) -> &Block<T> {
-        let block = &self.blocks[&id];
-        self.telemetry.count("dfs.block.reads", 1);
-        self.telemetry.observe("dfs.read.bytes", block.bytes as u64);
-        block
+        &self.blocks[&id]
     }
 
     /// Reads a whole file back as a flat record vector.
@@ -394,134 +319,23 @@ impl<T: Clone> Dfs<T> {
         Ok(out)
     }
 
-    /// Streaming, chunk-at-a-time read path: yields each chunk's shared
-    /// payload (`Arc` clone, no record copies) in file order without
-    /// ever concatenating the file into one allocation — the out-of-core
-    /// counterpart of [`Dfs::read`].
-    pub fn stream(&self, name: &str) -> Result<ChunkStream<'_, T>, DfsError> {
-        Ok(ChunkStream {
-            dfs: self,
-            ids: self.blocks_of(name)?.iter(),
-            chaos: None,
-            failovers: 0,
-        })
-    }
-
-    /// Like [`Dfs::stream`], but every chunk goes through the verifying,
-    /// failing-over read path ([`Dfs::read_block_verified`]); skipped
-    /// replicas accumulate in [`ChunkStream::failovers`].
-    pub fn stream_verified<'d>(
-        &'d self,
-        name: &str,
-        chaos: &'d ChaosPlan,
-    ) -> Result<ChunkStream<'d, T>, DfsError> {
-        Ok(ChunkStream {
-            dfs: self,
-            ids: self.blocks_of(name)?.iter(),
-            chaos: Some((chaos, chaos.now())),
-            failovers: 0,
-        })
-    }
-
     /// Streams a file record-by-record, cloning one record at a time out
-    /// of the current chunk — bounded memory regardless of file size.
-    pub fn iter_records(&self, name: &str) -> Result<RecordStream<'_, T>, DfsError> {
-        Ok(RecordStream {
-            chunks: self.stream(name)?,
-            current: None,
-            index: 0,
-        })
-    }
-
-    /// Replicas of chunk `id` that are *readable* under `chaos` at
-    /// virtual time `at_s`: their datanode is alive and their copy passes
-    /// checksum verification. Order follows the stored replica list
-    /// (writer-local first), i.e. the client's failover order.
-    pub fn readable_replicas(&self, id: BlockId, chaos: &ChaosPlan, at_s: f64) -> Vec<NodeId> {
-        let block = &self.blocks[&id];
-        block
-            .replicas
-            .iter()
-            .copied()
-            .filter(|&n| !chaos.is_dead(n, at_s) && block.replica_intact(n, chaos))
-            .collect()
-    }
-
-    /// The verifying, failing-over read path: reads chunk `id` from the
-    /// first replica whose datanode is alive and whose copy matches the
-    /// chunk checksum, skipping dead or corrupt replicas — HDFS's client
-    /// behavior. Returns the chunk, the replica served from, and how many
-    /// replicas were skipped (the *failed-over reads*).
-    ///
-    /// # Errors
-    /// [`DfsError::AllReplicasLost`] when no replica is readable.
-    ///
-    /// # Panics
-    /// If the id is unknown (engine-internal misuse).
-    pub fn read_block_verified(
-        &self,
-        id: BlockId,
-        chaos: &ChaosPlan,
-        at_s: f64,
-    ) -> Result<(&Block<T>, NodeId, usize), DfsError> {
-        let block = &self.blocks[&id];
-        let mut skipped = 0usize;
-        for &n in &block.replicas {
-            if chaos.is_dead(n, at_s) || !block.replica_intact(n, chaos) {
-                skipped += 1;
-                continue;
-            }
-            // Injected transient read EIOs: the client retries the same
-            // healthy replica with exponential virtual-time backoff
-            // until the scripted streak passes (`max_eio_streak` bounds
-            // it, so a healthy replica never fails permanently).
-            if let Some(io) = chaos.io_plan() {
-                let site = format!("dfs-read-{id}-{n}");
-                let mut attempt = 0u32;
-                while io.read_fault(&site, attempt).is_some() {
-                    self.telemetry.count(builtin::IO_RETRIES, 1);
-                    chaos.advance(crate::commit::EIO_BACKOFF_S * f64::from(1u32 << attempt.min(6)));
-                    attempt += 1;
-                }
-            }
-            self.telemetry.count("dfs.block.reads", 1);
-            self.telemetry.observe("dfs.read.bytes", block.bytes as u64);
-            if skipped > 0 {
-                self.telemetry
-                    .count(builtin::FAILED_OVER_READS, skipped as u64);
-            }
-            return Ok((block, n, skipped));
-        }
-        Err(DfsError::AllReplicasLost(id))
-    }
-
-    /// Reads a whole file through the verifying, failing-over read path.
-    /// Returns the records and the total number of failed-over reads.
-    ///
-    /// # Errors
-    /// [`DfsError::FileNotFound`] for an unknown file, or
-    /// [`DfsError::AllReplicasLost`] if some chunk has no readable
-    /// replica left.
-    pub fn read_verified(
+    /// of the chunk it lies in — bounded memory regardless of file size.
+    /// Items are `Result`s so callers collect a file as they would any
+    /// fallible read; every item of a stored file is `Ok`.
+    pub fn iter_records(
         &self,
         name: &str,
-        chaos: &ChaosPlan,
-    ) -> Result<(Vec<T>, usize), DfsError> {
+    ) -> Result<impl Iterator<Item = Result<T, DfsError>> + '_, DfsError> {
         let ids = self.blocks_of(name)?;
-        let at_s = chaos.now();
-        let mut out = Vec::with_capacity(self.num_records(name)?);
-        let mut failovers = 0usize;
-        for &id in ids {
-            let (block, _, skipped) = self.read_block_verified(id, chaos, at_s)?;
-            failovers += skipped;
-            out.extend(block.data.iter().cloned());
-        }
-        Ok((out, failovers))
+        Ok(ids
+            .iter()
+            .flat_map(|id| self.blocks[id].data.iter().cloned().map(Ok)))
     }
 
-    /// Namenode-style re-replication sweep: for every chunk, drops
-    /// replicas on dead datanodes and replicas failing checksum
-    /// verification, then places fresh copies on surviving nodes until
+    /// Namenode-style re-replication sweep: for every chunk, drops the
+    /// replicas [`ChaosPlan::replica_readable`] rejects (dead datanode or
+    /// corrupt copy), then places fresh copies on surviving nodes until
     /// the chunk is back to the replication factor (clamped to the live
     /// node count). Placement is rack-aware — racks not yet holding a
     /// healthy copy are preferred — and deterministic. Chunks with *no*
@@ -536,11 +350,12 @@ impl<T: Clone> Dfs<T> {
         let ids: Vec<BlockId> = self.blocks.keys().copied().collect();
         for id in ids {
             let block = &self.blocks[&id];
+            let readable = |n: NodeId| chaos.replica_readable(id, n, at_s);
             let healthy: Vec<NodeId> = block
                 .replicas
                 .iter()
                 .copied()
-                .filter(|&n| !chaos.is_dead(n, at_s) && block.replica_intact(n, chaos))
+                .filter(|&n| readable(n))
                 .collect();
             let dropped = block.replicas.len() - healthy.len();
             if dropped == 0 {
@@ -556,16 +371,14 @@ impl<T: Clone> Dfs<T> {
             // already damaged this block once).
             let mut replicas = healthy;
             let healthy_count = replicas.len();
-            let target = self.replication.min(
-                live.iter()
-                    .filter(|&&n| block.replica_intact(n, chaos))
-                    .count(),
-            );
+            let target = self
+                .replication
+                .min(live.iter().filter(|&&n| readable(n)).count());
             while replicas.len() < target {
                 let candidates: Vec<NodeId> = live
                     .iter()
                     .copied()
-                    .filter(|&n| !replicas.contains(&n) && block.replica_intact(n, chaos))
+                    .filter(|&n| !replicas.contains(&n) && readable(n))
                     .collect();
                 let covered: Vec<crate::topology::RackId> =
                     replicas.iter().map(|&n| self.topology.rack_of(n)).collect();
@@ -586,16 +399,6 @@ impl<T: Clone> Dfs<T> {
             }
             report.new_replicas += replicas.len() - healthy_count;
             report.healed_blocks += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.point(
-                    "dfs.rereplicate",
-                    replicas.len() as f64,
-                    &[
-                        ("block", &id.to_string()),
-                        ("dropped", &dropped.to_string()),
-                    ],
-                );
-            }
             self.blocks.get_mut(&id).expect("block exists").replicas = replicas;
         }
         report
@@ -707,79 +510,6 @@ impl<T: Clone + Send> Dfs<T> {
     }
 }
 
-/// Chunk-at-a-time iterator over a file (see [`Dfs::stream`]). Each
-/// `next()` yields one chunk's shared payload; dropping the stream
-/// early releases nothing beyond the iterator itself, so consumers can
-/// bound memory to a single chunk.
-pub struct ChunkStream<'d, T> {
-    dfs: &'d Dfs<T>,
-    ids: std::slice::Iter<'d, BlockId>,
-    /// Chaos plan and the frozen virtual read time, when verifying.
-    chaos: Option<(&'d ChaosPlan, f64)>,
-    failovers: usize,
-}
-
-impl<'d, T: Clone> Iterator for ChunkStream<'d, T> {
-    type Item = Result<Arc<Vec<T>>, DfsError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let &id = self.ids.next()?;
-        match self.chaos {
-            None => Some(Ok(Arc::clone(&self.dfs.block(id).data))),
-            Some((chaos, at_s)) => match self.dfs.read_block_verified(id, chaos, at_s) {
-                Ok((block, _, skipped)) => {
-                    self.failovers += skipped;
-                    Some(Ok(Arc::clone(&block.data)))
-                }
-                Err(e) => Some(Err(e)),
-            },
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl<'d, T> ChunkStream<'d, T> {
-    /// Replica skips accumulated so far on the verified path (always 0
-    /// on the unverified one).
-    pub fn failovers(&self) -> usize {
-        self.failovers
-    }
-}
-
-/// Record-at-a-time iterator over a file (see [`Dfs::iter_records`]):
-/// holds one chunk at a time and clones records out of it on demand.
-pub struct RecordStream<'d, T> {
-    chunks: ChunkStream<'d, T>,
-    current: Option<Arc<Vec<T>>>,
-    index: usize,
-}
-
-impl<'d, T: Clone> Iterator for RecordStream<'d, T> {
-    type Item = Result<T, DfsError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(chunk) = &self.current {
-                if let Some(record) = chunk.get(self.index) {
-                    self.index += 1;
-                    return Some(Ok(record.clone()));
-                }
-                self.current = None;
-            }
-            match self.chunks.next()? {
-                Ok(chunk) => {
-                    self.current = Some(chunk);
-                    self.index = 0;
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
 /// What a [`Dfs::rereplicate`] sweep did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RereplicationReport {
@@ -833,22 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_yields_chunks_in_file_order_without_copying() {
-        let mut d = dfs(40); // 10 records per chunk
-        let records: Vec<u32> = (0..100).collect();
-        d.put_fixed("f", records.clone(), 4).unwrap();
-        let chunks: Vec<Arc<Vec<u32>>> = d.stream("f").unwrap().map(|c| c.unwrap()).collect();
-        assert_eq!(chunks.len(), 10);
-        // Payloads are shared with the DFS, not copied.
-        for (chunk, &id) in chunks.iter().zip(d.blocks_of("f").unwrap()) {
-            assert!(Arc::ptr_eq(chunk, &d.block(id).data));
-        }
-        let flat: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(flat, records);
-        assert!(d.stream("missing").is_err());
-    }
-
-    #[test]
     fn record_stream_matches_whole_file_read() {
         let mut d = dfs(40);
         let records: Vec<u32> = (0..100).collect();
@@ -858,22 +572,7 @@ mod tests {
         // Empty files stream zero records.
         d.put_fixed("empty", vec![], 4).unwrap();
         assert_eq!(d.iter_records("empty").unwrap().count(), 0);
-    }
-
-    #[test]
-    fn verified_stream_counts_failovers() {
-        let mut d = dfs(40);
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        let first_block = d.blocks_of("f").unwrap()[0];
-        let victim = d.block(first_block).replicas[0];
-        let chaos = ChaosPlan::none().crash_node(victim, 0.0);
-        let mut stream = d.stream_verified("f", &chaos).unwrap();
-        let total: usize = stream.by_ref().map(|c| c.unwrap().len()).sum();
-        assert_eq!(total, 100);
-        assert!(
-            stream.failovers() > 0,
-            "reads must fail over past the dead replica"
-        );
+        assert!(d.iter_records("missing").is_err());
     }
 
     #[test]
@@ -889,19 +588,13 @@ mod tests {
     }
 
     /// Everything a put decides about a file: per chunk its id, records,
-    /// bytes, checksum and replicas, then the file's record and byte
-    /// totals.
-    type Layout = (
-        Vec<(BlockId, Vec<u32>, usize, u64, Vec<NodeId>)>,
-        usize,
-        usize,
-    );
+    /// bytes and replicas, then the file's record and byte totals.
+    type Layout = (Vec<(BlockId, Vec<u32>, usize, Vec<NodeId>)>, usize, usize);
 
     fn layout(d: &Dfs<u32>, name: &str) -> Layout {
         let chunks = d.blocks_of(name).unwrap().iter().map(|&id| {
             let b = d.block(id);
-            let data = b.data.to_vec();
-            (b.id, data, b.bytes, b.checksum, b.replicas.clone())
+            (id, b.data.to_vec(), b.bytes, b.replicas.clone())
         });
         let records = d.num_records(name).unwrap();
         (chunks.collect(), records, d.file_bytes(name).unwrap())
@@ -1061,118 +754,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sees_placements_and_reads() {
-        let rec = Recorder::enabled();
-        let mut d = dfs(40).telemetry(rec.clone());
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        let placements: Vec<_> = rec
-            .events()
-            .iter()
-            .filter(|e| e.name == "dfs.place")
-            .cloned()
-            .collect();
-        assert_eq!(placements.len(), 10);
-        assert_eq!(placements[0].label("file"), Some("f"));
-        assert_eq!(
-            placements[0].label("replicas").unwrap().split(',').count(),
-            3
-        );
-        d.read("f").unwrap();
-        assert_eq!(rec.counter("dfs.block.reads"), 10);
-        let h = rec.histogram("dfs.read.bytes").unwrap();
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.sum(), 400);
-    }
-
-    #[test]
     fn record_order_preserved_across_chunks() {
         let mut d = dfs(12); // 3 records per chunk
         let records: Vec<u32> = (0..31).collect();
         d.put_fixed("f", records.clone(), 4).unwrap();
         assert!(d.num_blocks("f").unwrap() > 1);
         assert_eq!(d.read("f").unwrap(), records);
-    }
-
-    #[test]
-    fn chunks_get_distinct_content_checksums() {
-        let mut d = dfs(40);
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        let sums: Vec<u64> = d
-            .blocks_of("f")
-            .unwrap()
-            .iter()
-            .map(|&id| d.block(id).checksum)
-            .collect();
-        assert!(sums.iter().all(|&s| s != 0));
-        let mut unique = sums.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), sums.len(), "checksum collision: {sums:?}");
-    }
-
-    #[test]
-    fn verified_read_fails_over_past_a_dead_replica() {
-        let mut d = dfs(40);
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        let id = d.blocks_of("f").unwrap()[0];
-        let primary = d.block(id).replicas[0];
-        let chaos = ChaosPlan::none().crash_node(primary, 0.0);
-        let (block, served_from, skipped) = d.read_block_verified(id, &chaos, 0.0).unwrap();
-        assert_ne!(served_from, primary);
-        assert_eq!(skipped, 1);
-        assert_eq!(block.data, d.block(id).data);
-        // The clean path reads from the primary with zero failovers.
-        let (_, n, s) = d.read_block_verified(id, &ChaosPlan::none(), 0.0).unwrap();
-        assert_eq!((n, s), (primary, 0));
-    }
-
-    #[test]
-    fn verified_read_skips_corrupt_replicas() {
-        let mut d = dfs(40);
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        let id = d.blocks_of("f").unwrap()[0];
-        let replicas = d.block(id).replicas.clone();
-        let chaos = ChaosPlan::none().corrupt_replica(id, replicas[0]);
-        let (_, served_from, skipped) = d.read_block_verified(id, &chaos, 0.0).unwrap();
-        assert_eq!(served_from, replicas[1]);
-        assert_eq!(skipped, 1);
-    }
-
-    #[test]
-    fn all_replicas_lost_is_a_typed_error_not_a_panic() {
-        let mut d = dfs(40);
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        let id = d.blocks_of("f").unwrap()[0];
-        let mut chaos = ChaosPlan::none();
-        for &n in &d.block(id).replicas {
-            chaos = chaos.crash_node(n, 0.0);
-        }
-        assert_eq!(
-            d.read_block_verified(id, &chaos, 0.0).unwrap_err(),
-            DfsError::AllReplicasLost(id)
-        );
-    }
-
-    #[test]
-    fn read_verified_counts_failovers_and_bumps_telemetry() {
-        let rec = Recorder::enabled();
-        let mut d = dfs(40).telemetry(rec.clone());
-        d.put_fixed("f", (0..100).collect(), 4).unwrap();
-        // Kill node 0: every chunk with a replica there fails over.
-        let chaos = ChaosPlan::none().crash_node(0, 0.0);
-        let with_replica_on_0 = d
-            .blocks_of("f")
-            .unwrap()
-            .iter()
-            .filter(|&&id| d.block(id).replicas.contains(&0))
-            .count();
-        assert!(with_replica_on_0 > 0, "degenerate placement");
-        let (records, failovers) = d.read_verified("f", &chaos).unwrap();
-        assert_eq!(records, (0..100).collect::<Vec<u32>>());
-        // Only chunks whose replica list *reaches* node 0 before a live
-        // one count; with node 0 primary on some chunks this is nonzero.
-        assert!(failovers > 0);
-        assert_eq!(rec.counter(builtin::FAILED_OVER_READS), failovers as u64);
     }
 
     #[test]
@@ -1196,10 +783,10 @@ mod tests {
             let racks: std::collections::BTreeSet<_> =
                 b.replicas.iter().map(|&n| topo.rack_of(n)).collect();
             assert!(racks.len() >= 2, "healing lost rack diversity");
+            // A healed chunk reads from any replica: zero failovers.
+            let readable = |&n: &NodeId| chaos.replica_readable(id, n, 0.0);
+            assert!(b.replicas.iter().all(readable));
         }
-        // A healed DFS reads clean with zero failovers.
-        let (_, failovers) = d.read_verified("f", &chaos).unwrap();
-        assert_eq!(failovers, 0);
     }
 
     #[test]
@@ -1232,11 +819,9 @@ mod tests {
         }
         let report = d.rereplicate(&chaos);
         assert!(report.lost_blocks.contains(&id));
-        // Metadata untouched: a later read still yields the typed error.
+        // Metadata untouched: the scheduler still finds no readable
+        // replica and fails the job with an unreadable block.
         assert_eq!(d.block(id).replicas, replicas);
-        assert_eq!(
-            d.read_verified("f", &chaos).unwrap_err(),
-            DfsError::AllReplicasLost(id)
-        );
+        assert!(!replicas.iter().any(|&n| chaos.replica_readable(id, n, 0.0)));
     }
 }

@@ -362,12 +362,13 @@ mod tests {
                     healed = Some(false);
                     return Err(JobError::ClusterDead);
                 }
-                healed = Some(
-                    dfs.blocks_of("f")
-                        .unwrap()
-                        .iter()
-                        .all(|&id| dfs.readable_replicas(id, &chaos, chaos.now()).len() == 2),
-                );
+                healed = Some(dfs.blocks_of("f").unwrap().iter().all(|&id| {
+                    let replicas = dfs.block(id).replicas.iter();
+                    replicas
+                        .filter(|&&n| chaos.replica_readable(id, n, chaos.now()))
+                        .count()
+                        == 2
+                }));
                 Ok(())
             })
             .unwrap();

@@ -947,11 +947,6 @@ where
                 records: block.data.len() as u64,
                 block: task.block_id,
                 replicas: block.replicas.clone(),
-                corrupted: block
-                    .replicas
-                    .iter()
-                    .map(|&n| cluster.chaos.is_corrupted(task.block_id, n))
-                    .collect(),
                 failed_attempts: task.failed_attempts,
             },
         });

@@ -88,7 +88,7 @@ pub use api::{map_records, Emitter, FnMapper, Mapper, Reducer, TaskContext};
 pub use chaos::{ChaosEvent, ChaosPlan, IoFault, IoFaultPlan};
 pub use commit::{CommitError, CommitReceipt};
 pub use counters::Counters;
-pub use dfs::{BlockId, ChunkStream, Dfs, DfsError, RecordStream, RereplicationReport};
+pub use dfs::{BlockId, Dfs, DfsError, RereplicationReport};
 pub use exec::{DfsAccess, ExecCtx};
 pub use job::{
     group_sorted, group_unsorted, FlatGroups, Group, JobError, JobResult, JobStats, KeyRuns,

@@ -143,16 +143,30 @@ pub struct MapTaskSim {
     pub records: u64,
     /// The chunk this task reads (for unreadable-block error reporting).
     pub block: BlockId,
-    /// Datanodes holding replicas of the input chunk.
+    /// Datanodes holding replicas of the input chunk; the scheduler reads
+    /// those [`ChaosPlan::replica_readable`] admits.
     pub replicas: Vec<NodeId>,
-    /// Parallel to `replicas`: whether that copy fails checksum
-    /// verification (empty ⇒ all intact).
-    pub corrupted: Vec<bool>,
     /// One entry per injected failed attempt (from
     /// [`ChaosPlan::fail_tasks`]): the fraction of the attempt's
     /// nominal post-startup runtime it burned before dying. Each entry
     /// is charged to the virtual schedule before the task can succeed.
     pub failed_attempts: Vec<f64>,
+}
+
+impl MapTaskSim {
+    /// The replicas of the input chunk `chaos` lets a read use at `at_s`,
+    /// in failover order.
+    fn readable<'a>(
+        &'a self,
+        chaos: &'a ChaosPlan,
+        at_s: f64,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let block = self.block;
+        self.replicas
+            .iter()
+            .copied()
+            .filter(move |&r| chaos.replica_readable(block, r, at_s))
+    }
 }
 
 /// One reduce task's inputs to the simulator.
@@ -194,8 +208,8 @@ pub struct SimReport {
     /// Completed map tasks re-executed because their node crashed before
     /// the map barrier and took their locally-stored outputs with it.
     pub reexecuted_maps: usize,
-    /// Successful map-input reads that had to skip at least one dead or
-    /// corrupt replica (the DFS client's checksum-verified failover).
+    /// Successful map-input reads that had to skip at least one replica
+    /// [`ChaosPlan::replica_readable`] rejects (dead or corrupt).
     pub failed_over_reads: usize,
     /// Nodes the jobtracker blacklisted after repeated task failures.
     pub blacklisted_nodes: usize,
@@ -210,7 +224,7 @@ pub struct SimReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A map attempt found no readable replica of its chunk: every copy
-    /// sits on a crashed node or fails checksum verification.
+    /// sits on a crashed node or is corrupt.
     UnreadableBlock(BlockId),
     /// Work remains but every node is dead or blacklisted.
     NoLiveNodes,
@@ -383,41 +397,28 @@ pub fn simulate_chaos(
             };
             let rack = topology.rack_of(node);
             let abs_now = start_s + at;
-            let readable = |t: &MapTaskSim, r_idx: usize| {
-                let r = t.replicas[r_idx];
-                !chaos.is_dead(r, abs_now) && !t.corrupted.get(r_idx).copied().unwrap_or(false)
-            };
+            let readable = |t: usize| map_tasks[t].readable(chaos, abs_now);
             // Locality waterfall over the pending list, on *readable*
             // replicas only.
             let idx = pending
                 .iter()
-                .position(|&t| {
-                    let task = &map_tasks[t];
-                    (0..task.replicas.len()).any(|i| task.replicas[i] == node && readable(task, i))
-                })
+                .position(|&t| readable(t).any(|r| r == node))
                 .or_else(|| {
-                    pending.iter().position(|&t| {
-                        let task = &map_tasks[t];
-                        (0..task.replicas.len()).any(|i| {
-                            topology.rack_of(task.replicas[i]) == rack && readable(task, i)
-                        })
-                    })
+                    pending
+                        .iter()
+                        .position(|&t| readable(t).any(|r| topology.rack_of(r) == rack))
                 })
                 .unwrap_or(0);
             let tid = pending.swap_remove(idx);
             let task = &map_tasks[tid];
-            // The DFS client's verified read: classify against the
-            // *readable* replicas; error out when nothing is readable.
-            let readable_count = (0..task.replicas.len())
-                .filter(|&i| readable(task, i))
-                .count();
+            // The map-input read: classify against the readable replicas;
+            // error out when none is left.
+            let readable_count = readable(tid).count();
             if readable_count == 0 {
                 return Err(SimError::UnreadableBlock(task.block));
             }
-            let local_ok =
-                (0..task.replicas.len()).any(|i| task.replicas[i] == node && readable(task, i));
-            let rack_ok = (0..task.replicas.len())
-                .any(|i| topology.rack_of(task.replicas[i]) == rack && readable(task, i));
+            let local_ok = readable(tid).any(|r| r == node);
+            let rack_ok = readable(tid).any(|r| topology.rack_of(r) == rack);
             let locality = if local_ok {
                 Locality::DataLocal
             } else if rack_ok {
@@ -768,7 +769,6 @@ mod tests {
             records: 0,
             block: 0,
             replicas,
-            corrupted: Vec::new(),
             failed_attempts: Vec::new(),
         }
     }
@@ -1094,11 +1094,10 @@ mod tests {
         let topo = Topology::new(2, 1, 1);
         let mut task = map_task(0.0, vec![0, 1]);
         task.block = 3;
-        task.corrupted = vec![true, false];
         let r = simulate_chaos(
             &topo,
             &unit(),
-            &ChaosPlan::none(),
+            &ChaosPlan::none().corrupt_replica(3, 0),
             0.0,
             &[task],
             &[],

@@ -424,7 +424,12 @@ pub fn seal_run_at<K, V>(
 /// Reloads a committed artifact written by [`seal_run_at`], verifying
 /// (always — this is a verifying read standing in for a full recompute)
 /// its structure, its payload hash, and the checksum the journal
-/// recorded, before decoding. Pairs come back in their sealed order.
+/// recorded, before decoding, and the record count the journal recorded
+/// after. Pairs come back in their sealed order.
+///
+/// The payload, not the journal, drives the decode: every pair carries a
+/// 4-byte length prefix, so `payload_bytes / 4` bounds both the loop and
+/// the reservation, whatever count a forged journal line claims.
 pub fn load_artifact<K, V>(
     codec: &SpillCodec<K, V>,
     path: &Path,
@@ -442,14 +447,24 @@ pub fn load_artifact<K, V>(
     }
     let run = SpillRun {
         path: path.to_path_buf(),
-        records,
+        records: receipt.payload_bytes / 4,
         bytes: receipt.payload_bytes,
         checksum,
     };
     let mut reader = SpillRunReader::open(&run, codec.clone()).map_err(CommitError::Io)?;
-    let mut out = Vec::with_capacity(records as usize);
-    while let Some((k, v, _)) = reader.next_pair().map_err(CommitError::Io)? {
+    let mut out = Vec::with_capacity(records.min(run.records) as usize);
+    while reader.unread > 0 {
+        let Some((k, v, _)) = reader.next_pair().map_err(CommitError::Io)? else {
+            break;
+        };
         out.push((k, v));
+    }
+    if out.len() as u64 != records {
+        return Err(CommitError::Corrupt(format!(
+            "{}: {} pairs decoded, journal recorded {records}",
+            path.display(),
+            out.len(),
+        )));
     }
     Ok(out)
 }
@@ -922,6 +937,13 @@ mod tests {
         assert_ne!(run2.checksum, run.checksum);
         let got2 = load_artifact(&codec(), &path, run2.records, run2.checksum).unwrap();
         assert_eq!(got2, newer);
+        // So is a journal record count the payload disagrees with.
+        for records in [0, 2] {
+            assert!(matches!(
+                load_artifact(&codec(), &path, records, run2.checksum),
+                Err(CommitError::Corrupt(_))
+            ));
+        }
         // A stale checksum (journal from a different seal) is rejected.
         assert!(matches!(
             load_artifact(&codec(), &path, run.records, run.checksum),

@@ -2,19 +2,22 @@
 //! what they read, and not by how many tasks partition at once; a reduce
 //! phase allocates no copy of its buckets' values, whether they arrive in
 //! key order or not and whether a key spans one bucket or all of them;
-//! a commit writes its payload without a copy of it; and a spill run's
-//! damaged length prefix sizes no allocation.
+//! a commit writes its payload without a copy of it; and neither a spill
+//! run's damaged length prefix, a journal's forged record count nor a
+//! committed file's forged footer sizes an allocation.
 //!
 //! The allocator's ledger is process-global, so the tests of this binary
 //! take turns: each holds `LEDGER` while its window is open, and no other
 //! test binary shares the process.
 
-use gepeto_mapred::spill::{seal_run, SpillDir, SpillMerge};
+use gepeto_mapred::spill::{load_artifact, seal_run, seal_run_at, SpillDir, SpillMerge};
 use gepeto_mapred::{
     commit, ChaosPlan, Cluster, Dfs, Emitter, ExecCtx, FnMapper, Group, MapOnlyJob, MapReduceJob,
     Mapper, Reducer, SpillCodec,
 };
 use gepeto_telemetry::{mem_stats, Event, EventKind, LedgerScope, Recorder};
+use proptest::prelude::*;
+use proptest::TestRng;
 use std::sync::Mutex;
 
 static LEDGER: Mutex<()> = Mutex::new(());
@@ -342,7 +345,6 @@ fn a_commit_writes_its_payload_without_copying_it() {
     );
 }
 
-/// The ledger label `key` of the first span `name` to end.
 #[test]
 fn a_damaged_length_prefix_is_an_error_not_an_allocation() {
     let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
@@ -373,6 +375,92 @@ fn a_damaged_length_prefix_is_an_error_not_an_allocation() {
     );
 }
 
+#[test]
+fn a_forged_record_count_is_an_error_not_an_allocation() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("gepeto-artifact-heap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("part-0.part");
+    let codec = SpillCodec::<u64, u64>::of();
+    let (run, _) = seal_run_at(&codec, &path, &[(1, 2), (3, 4)], &ChaosPlan::none()).unwrap();
+
+    // A journal line claiming 4 Mi records of 16 bytes: 64 MiB if trusted.
+    let scope = LedgerScope::open();
+    let forged = load_artifact(&codec, &path, 4 << 20, run.checksum);
+    let delta = scope.close();
+
+    let honest = load_artifact(&codec, &path, run.records, run.checksum);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(forged.is_err());
+    assert_eq!(honest.unwrap(), vec![(1, 2), (3, 4)]);
+    assert!(
+        delta.allocated < 1 << 20,
+        "loading a 2-record artifact allocated {} B",
+        delta.allocated
+    );
+}
+
+#[test]
+fn hostile_committed_files_are_typed_errors_within_their_length() {
+    let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("gepeto-hostile-commit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("hostile.part");
+    let chaos = ChaosPlan::none();
+    let bytes = prop::collection::vec(any::<u8>(), 0..65);
+    let forgery = (0u8..4, any::<usize>(), any::<u8>(), any::<u64>());
+    let mut rng = TestRng::for_test("hostile_committed_files_are_typed_errors_within_their_length");
+    for _case in 0..256 {
+        let (payload, (how, at, byte, claim)) =
+            (bytes.generate(&mut rng), forgery.generate(&mut rng));
+        // Arbitrary bytes (shorter than the footer too), or a real commit
+        // of them kept whole, with one byte overwritten, or with its
+        // footer claiming an arbitrary payload length.
+        let file = if how == 0 {
+            payload
+        } else {
+            commit::commit_bytes(&path, &payload, "hostile.part", 0, &chaos).unwrap();
+            let mut file = std::fs::read(&path).unwrap();
+            let (len, footer) = (file.len(), file.len() - commit::FOOTER_BYTES as usize);
+            match how {
+                2 => file[at % len] = byte,
+                3 => file[footer..footer + 8].copy_from_slice(&claim.to_le_bytes()),
+                _ => {}
+            }
+            file
+        };
+        std::fs::write(&path, &file).unwrap();
+
+        let structure = commit::verify_structure(&path);
+        let deep = commit::verify_deep(&path);
+        let scope = LedgerScope::open();
+        let read = commit::read_committed(&path);
+        let delta = scope.close();
+
+        // The path and an error message aside, reading allocates no more
+        // than the file holds, whatever its footer claims.
+        assert!(
+            delta.peak_delta <= file.len() as u64 + 1024,
+            "read_committed of a {} B file peaked at {} B",
+            file.len(),
+            delta.peak_delta
+        );
+        match (&structure, &deep, &read) {
+            (Ok(s), Ok(d), Ok(p)) => {
+                assert_eq!((s, d.payload_bytes), (d, p.len() as u64));
+                assert_eq!(p[..], file[..p.len()]);
+            }
+            (Err(_), Err(_), Err(_)) | (Ok(_), Err(_), Err(_)) => {}
+            other => panic!("verifiers disagree on {file:?}: {other:?}"),
+        }
+        if how == 1 {
+            assert!(read.is_ok(), "an intact commit failed: {read:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The ledger label `key` of the first span `name` to end.
 fn span_ledger(events: &[Event], name: &str, key: &str) -> u64 {
     events
         .iter()

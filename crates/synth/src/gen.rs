@@ -464,8 +464,8 @@ mod tests {
             for &id in ids {
                 let (s, b) = (serial.block(id), blocked.block(id));
                 assert_eq!(
-                    (&s.data, s.bytes, s.checksum, &s.replicas),
-                    (&b.data, b.bytes, b.checksum, &b.replicas),
+                    (&s.data, s.bytes, &s.replicas),
+                    (&b.data, b.bytes, &b.replicas),
                     "{users} users, chunk {id}"
                 );
                 assert_eq!(b.data.capacity(), b.data.len());

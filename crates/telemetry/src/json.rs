@@ -78,10 +78,12 @@ impl Json {
     }
 
     /// Parses a JSON document (must consume all non-whitespace input).
+    /// Arrays and objects nest at most [`MAX_DEPTH`] levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -108,9 +110,16 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: the
+/// parser recurses once per level, so the input must not pick the depth
+/// of the stack.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -146,8 +155,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -155,6 +164,19 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -221,13 +243,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through untouched).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or backslash, validated
+                    // once: a long literal parses in linear time.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -536,6 +562,28 @@ mod tests {
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse(r#""\q""#).is_err());
         assert!(Json::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn strings_keep_escapes_and_multibyte_runs() {
+        let v = Json::parse(r#"["a\"é\u00e9\n€", "", "x\\"]"#).unwrap();
+        let items: Vec<_> = v.as_arr().unwrap().iter().map(|s| s.as_str()).collect();
+        assert_eq!(items, [Some("a\"éé\n€"), Some(""), Some("x\\")]);
+        let long = "ü".repeat(100_000);
+        assert_eq!(
+            Json::parse(&format!("\"{long}\"")).unwrap().as_str(),
+            Some(&long[..])
+        );
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn main() {
     println!(
         "\nEvery crash scenario converged to bit-identical centroids: the \
          jobtracker re-executes the dead node's map outputs on survivors \
-         and the DFS client fails over to living replicas, so failures \
+         and map tasks read from living replicas, so failures \
          cost only virtual time — never correctness."
     );
 }

@@ -489,3 +489,71 @@ fn a_run_directory_with_a_non_ascii_name_replays_its_committed_reduces() {
     let _ = std::fs::remove_dir_all(run_dir);
     let _ = std::fs::remove_file(metrics);
 }
+
+#[test]
+fn a_forged_reduce_record_count_is_recomputed_not_allocated() {
+    // A checksummed `reduce` line claiming 2^40 records, appended to the
+    // journal of a run killed after its last reduce commit: resume must
+    // quarantine that artifact and recompute its partition, not size an
+    // allocation by the claim.
+    let run_dir = scratch("forged-count");
+    let argv: Vec<String> = [
+        "synth",
+        "--users",
+        "200",
+        "--chunk-mb",
+        "1",
+        "--memory-budget",
+        "1",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .chain(["--run-dir".into(), run_dir.display().to_string()])
+    .collect();
+    let out = run(&argv);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let clean_output = output_payload(&run_dir);
+    let journal_path = run_dir.join("journal.log");
+    let journal = std::fs::read_to_string(&journal_path).unwrap();
+    let kept: Vec<&str> = journal
+        .lines()
+        .filter(|l| !matches!(l.split(' ').nth(1), Some("artifact" | "complete")))
+        .collect();
+    std::fs::write(&journal_path, kept.join("\n") + "\n").unwrap();
+    let journal = gepeto_mapred::RunJournal::attach(&run_dir).unwrap();
+    let forged = journal
+        .entries()
+        .into_iter()
+        .rev()
+        .find_map(|e| match e {
+            gepeto_mapred::JournalEntry::ReduceCommit {
+                job,
+                partition,
+                path,
+                checksum,
+                ..
+            } => Some(gepeto_mapred::JournalEntry::ReduceCommit {
+                job,
+                partition,
+                path,
+                records: 1 << 40,
+                checksum,
+            }),
+            _ => None,
+        })
+        .expect("a committed reduce partition");
+    journal.append(&forged).unwrap();
+
+    let resume = run(&["resume".to_string(), run_dir.display().to_string()]);
+    assert!(
+        resume.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&resume.stderr)
+    );
+    assert_eq!(output_payload(&run_dir), clean_output);
+    let _ = std::fs::remove_dir_all(run_dir);
+}
